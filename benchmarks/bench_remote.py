@@ -41,17 +41,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.bench import remote_fleet, remote_skewed, render_table
+from repro.bench import remote_fleet, render_table
 
 #: Fleet + workload shape.
 SHARDS = 4
 DISTINCT = 8
 BATCHES = 5
-
-#: Skewed-fleet leg: queries per semantics and the injected scatter
-#: latency on shard 0.
-SKEWED_DISTINCT = 32
-SKEWED_DELAY_MS = 40.0
 
 #: On a label-partitioned cover with 4 shards, owner routing must cut
 #: scatter messages at least in half vs broadcast. (The theoretical
@@ -64,16 +59,8 @@ MIN_SCATTER_REDUCTION = 2.0
 #: a no-numpy build negotiates JSON and skips the binary claim.
 MIN_WIRE_BYTES_REDUCTION = 5.0
 
-#: On the 4-shard skewed cover (one shard with injected latency) the
-#: pipelined scatter driver must finish the workload at least twice as
-#: fast as the lock-step wave barrier: executions pay the slow shard's
-#: latency only for their own rounds there, not for every wave any
-#: query in the batch needed.
-MIN_PIPELINED_SPEEDUP = 2.0
-
 RESULTS_PATH = Path(__file__).resolve().parent.parent / ".benchmarks" \
     / "remote.json"
-SKEWED_RESULTS_PATH = RESULTS_PATH.with_name("remote_skewed.json")
 
 
 def run(scale: float) -> list[dict]:
@@ -85,20 +72,6 @@ def run(scale: float) -> list[dict]:
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n",
                             encoding="utf-8")
     print("REMOTE_JSON " + json.dumps(payload))
-    return rows
-
-
-def run_skewed(scale: float) -> list[dict]:
-    rows = remote_skewed(dataset="imdb", scale=scale, shards=SHARDS,
-                         distinct=SKEWED_DISTINCT,
-                         delay_ms=SKEWED_DELAY_MS)
-    payload = {"dataset": "imdb", "scale": scale, "shards": SHARDS,
-               "distinct": SKEWED_DISTINCT, "delay_ms": SKEWED_DELAY_MS,
-               "rows": rows}
-    SKEWED_RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    SKEWED_RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                                   encoding="utf-8")
-    print("REMOTE_SKEWED_JSON " + json.dumps(payload))
     return rows
 
 
@@ -142,31 +115,6 @@ def check(rows: list[dict]) -> None:
         assert routed["wire_codec"] == "json"
 
 
-def check_skewed(rows: list[dict]) -> None:
-    """The pipelined-scatter claims, as assertions."""
-    by_mode = {row["mode"]: row for row in rows}
-    assert {"inline", "remote_barrier", "remote_pipelined"} \
-        <= by_mode.keys(), f"missing modes: {sorted(by_mode)}"
-    for row in rows:
-        assert row["answers_identical"], \
-            f"answers diverged in mode={row['mode']}"
-    pipelined = by_mode["remote_pipelined"]
-    speedup = pipelined.get("pipelined_speedup")
-    assert speedup is not None and speedup >= MIN_PIPELINED_SPEEDUP, \
-        (f"pipelined scatter must beat the wave barrier >="
-         f"{MIN_PIPELINED_SPEEDUP}x on the {SHARDS}-shard skewed cover "
-         f"(got {speedup})")
-    # The overlap is real, not incidental: rounds were submitted with
-    # earlier ones still in flight, several requests rode one
-    # connection, and cross-execution dedup fired.
-    assert pipelined["rounds_overlapped"] > 0
-    assert pipelined["inflight_peak"] >= 2
-    assert pipelined["slow_shard_depth_peak"] >= 2
-    assert pipelined["scatter_dedup_hits"] > 0
-    # Barrier mode is the reference semantics: nothing overlaps there.
-    assert by_mode["remote_barrier"]["rounds_overlapped"] == 0
-
-
 def test_remote_fleet(benchmark, bench_scale):
     rows = benchmark.pedantic(run, args=(bench_scale,),
                               rounds=1, iterations=1)
@@ -177,27 +125,12 @@ def test_remote_fleet(benchmark, bench_scale):
     check(rows)
 
 
-def test_remote_skewed(benchmark, bench_scale):
-    rows = benchmark.pedantic(run_skewed, args=(bench_scale,),
-                              rounds=1, iterations=1)
-    from benchmarks.conftest import emit
-    emit(render_table(rows, title=f"Remote skewed fleet (imdb, "
-                                  f"scale={bench_scale}, shards={SHARDS}, "
-                                  f"delay={SKEWED_DELAY_MS}ms)"))
-    check_skewed(rows)
-
-
 def main() -> None:
     import os
 
     rows = run(scale=0.05)
     print(render_table(rows, title=f"Remote fleet (imdb, scale=0.05, "
                                    f"shards={SHARDS})"))
-    skewed_rows = run_skewed(scale=0.05)
-    print(render_table(skewed_rows,
-                       title=f"Remote skewed fleet (imdb, scale=0.05, "
-                             f"shards={SHARDS}, "
-                             f"delay={SKEWED_DELAY_MS}ms)"))
     # CI sets REPRO_BENCH_SKIP_CHECK=1: there the single gate is
     # benchmarks/check_regression.py, which the 'perf-regression-ok'
     # label can skip (the JSON is still emitted and uploaded either way).
@@ -205,7 +138,6 @@ def main() -> None:
         print("skipping in-script checks (REPRO_BENCH_SKIP_CHECK set)")
         return
     check(rows)
-    check_skewed(skewed_rows)
 
 
 if __name__ == "__main__":

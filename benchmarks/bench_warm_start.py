@@ -3,8 +3,9 @@
 The claim the persistent-artifact layer (:mod:`repro.engine.persist`)
 makes: a process that opens a compiled artifact skips graph snapshot,
 index build, and EBChk/QPlan for previously prepared canonical forms —
-so ``QueryEngine.open_path`` must be at least an order of magnitude
-faster than a cold ``QueryEngine.open`` at the reference scale.
+so ``repro.connect(path)`` must be at least an order of magnitude
+faster than a cold ``repro.connect((graph, schema))`` at the reference
+scale.
 
 Results are emitted as a text table and as one JSON line (prefixed
 ``WARM_START_JSON``) and written to ``.benchmarks/warm_start.json``;
@@ -31,7 +32,7 @@ from repro.bench import render_table, warm_start
 DISTINCT = 8
 
 #: The speedup floor the acceptance criteria demand at the reference
-#: scale (warm open_path vs cold QueryEngine.open).
+#: scale (warm artifact open vs cold in-memory build).
 MIN_OPEN_SPEEDUP = 10.0
 
 #: Below this dataset scale the cold build is too small for the 10x
@@ -62,7 +63,7 @@ def check(rows: list[dict], scale: float) -> None:
     speedup = by_mode["warm_open"]["open_speedup"]
     floor = MIN_OPEN_SPEEDUP if scale >= REFERENCE_SCALE else 2.0
     assert speedup >= floor, \
-        (f"warm open_path must be >={floor}x faster than cold open at "
+        (f"warm artifact open must be >={floor}x faster than cold open at "
          f"scale {scale} (got {speedup:.1f}x)")
 
 

@@ -63,9 +63,6 @@ def current_metrics(results_dir: Path) -> dict:
     remote = _load(results_dir / "remote.json")
     remote_rows = remote.get("rows", [])
     remote_by_mode = {row["mode"]: row for row in remote_rows}
-    skewed = _load(results_dir / "remote_skewed.json")
-    skewed_rows = skewed.get("rows", [])
-    skewed_by_mode = {row["mode"]: row for row in skewed_rows}
     extension = _load(results_dir / "extension.json")
     extension_rows = extension.get("rows", [])
     obs = _load(results_dir / "obs.json")
@@ -135,20 +132,6 @@ def current_metrics(results_dir: Path) -> dict:
             "routed_qps":
                 (remote_by_mode["remote_routed"]["qps"]
                  if "remote_routed" in remote_by_mode else None),
-        },
-        # The skewed-fleet gate carries the pipelined-scatter claim:
-        # with one slow shard, the per-shard-progress driver must beat
-        # the lock-step wave barrier by the committed ratio while
-        # reproducing its answers exactly. The ratio is governed by
-        # round staggering, not absolute machine speed, so it is stable
-        # across runners (both modes pay the same injected latency).
-        "remote_skewed": {
-            "answers_identical": (float(all(row["answers_identical"]
-                                            for row in skewed_rows))
-                                  if skewed_rows else None),
-            "pipelined_speedup":
-                (skewed_by_mode["remote_pipelined"].get("pipelined_speedup")
-                 if "remote_pipelined" in skewed_by_mode else None),
         },
         # The extension gate reads the minimum-M row: rescue totality
         # and rescued throughput at the tightest workable budget.

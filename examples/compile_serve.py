@@ -7,7 +7,7 @@ realizes them across *processes*:
 1. **Compile** — build a `QueryEngine`, prepare the workload's query
    shapes, and `save` the compiled state as an on-disk artifact.
 2. **Serve** — in what would normally be a different process (a CLI
-   call, a worker, a CI job), `open_path` the artifact and answer
+   call, a worker, a CI job), `repro.connect` the artifact and answer
    queries without rebuilding anything.
 
 Run with::

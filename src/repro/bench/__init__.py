@@ -25,7 +25,6 @@ from repro.bench.harness import (
     kernel_speedup,
     obs_overhead,
     remote_fleet,
-    remote_skewed,
     serve_load,
     shard_scaling,
     timed,
@@ -55,7 +54,6 @@ __all__ = [
     "kernel_speedup",
     "obs_overhead",
     "remote_fleet",
-    "remote_skewed",
     "serve_load",
     "shard_scaling",
     "timed",

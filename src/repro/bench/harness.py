@@ -25,11 +25,6 @@ remote_fleet              (new) TCP shard-server fleet vs inline shards:
                           owner-routing message reduction + answer
                           identity (repro.server.shardserver +
                           RemoteShardBackend)
-remote_skewed             (new) pipelined vs barrier scatter against a
-                          skewed fleet (one latency-injected shard):
-                          per-shard progress, round overlap, and
-                          cross-execution dedup (repro.core.executor +
-                          RemoteShardBackend.scatter_submit)
 extension_rescue          (new) online M-bounded extension: build
                           latency + rescued-query throughput vs M
                           (repro.constraints.catalog +
@@ -516,9 +511,9 @@ def shard_scaling(dataset: str = "imdb", scale: float = 0.05,
         one_worker_qps = None
         for workers in worker_counts:
             with connect(artifact_path, workers=workers) as engine:
-                # workers=0 now serves the merged sequential view
-                # (strategy="auto"), so that row measures the 1-CPU fix
-                # rather than in-process scatter overhead.
+                # workers=0 serves the merged view, so that row
+                # measures the 1-CPU fix rather than in-process scatter
+                # overhead.
                 strategy = engine.executor_strategy
                 identical = answers_identical(engine)
                 served, seconds = throughput(engine)
@@ -632,7 +627,7 @@ def remote_fleet(dataset: str = "imdb", scale: float = 0.05,
         reference = None
         cpu_count = os.cpu_count() or 1
         for mode, opts in (
-                ("inline", {"strategy": "scatter"}),
+                ("inline", {"backend": "inline"}),
                 ("remote_routed", {"backend": "remote",
                                    "shard_addrs": addrs}),
                 ("remote_json", {"backend": "remote",
@@ -682,148 +677,6 @@ def remote_fleet(dataset: str = "imdb", scale: float = 0.05,
         routed_row["wire_bytes_reduction"] = (
             broadcast_row["wire_bytes_total"]
             / routed_row["wire_bytes_total"])
-    return rows
-
-
-# ------------------------------------------------------------ skewed fleet
-def remote_skewed(dataset: str = "imdb", scale: float = 0.05,
-                  shards: int = 4, distinct: int = 32,
-                  delay_ms: float = 40.0,
-                  slow_labels: tuple = ("award", "studio"),
-                  repeats: int = 3, seed: int = 42) -> list[dict]:
-    """Pipelined vs barrier scatter against a skewed fleet (one shard
-    with injected latency).
-
-    Compiles a label-partitioned cover that pins ``slow_labels`` to
-    shard 0, starts the fleet with ``delay_ms`` of injected scatter
-    latency on that shard only, and serves the identical workload in
-    three modes:
-
-    * ``inline`` — shards in-process (the identity reference);
-    * ``remote_barrier`` — the TCP fleet under the lock-step wave
-      barrier (``scatter_pipeline=False``): every execution in a batch
-      advances only when the whole round has returned, so each wave
-      that touches shard 0 costs the full injected delay — for every
-      query in the batch, whether or not its own round needed shard 0;
-    * ``remote_pipelined`` — the per-shard-progress driver (default):
-      an execution pays shard 0's latency only for its *own* fetches
-      there, identical cells from different executions travel once
-      (cross-execution dedup), and multiple rounds ride one connection
-      (request-id correlation + server read-ahead).
-
-    The headline metric is ``pipelined_speedup`` (barrier wall-clock /
-    pipelined wall-clock, best-of-``repeats`` after a warm-up pass) on
-    the ``remote_pipelined`` row — the acceptance bound is >=2x on this
-    4-shard skewed cover. The row also carries the overlap evidence:
-    ``rounds_overlapped`` (rounds submitted while earlier ones were in
-    flight), ``scatter_dedup_hits``, the per-connection
-    ``inflight_peak`` wire stat, and the slow shard's own
-    ``pipeline_depth_peak``. Answers must stay byte-identical to inline
-    in every mode.
-    """
-    import tempfile
-    from contextlib import ExitStack
-    from pathlib import Path
-
-    from repro.matching.bounded import canonical_answer
-
-    graph, schema = get_dataset(dataset, scale)
-    pool = get_workload(dataset, scale, count=400, seed=seed)
-    workload = _bounded_queries(pool, schema, SUBGRAPH, distinct)
-    sim_queries = _bounded_queries(pool, schema, SIMULATION, distinct)
-    if len(workload) < 2:
-        raise BenchmarkError(
-            f"workload for {dataset}@{scale} has too few bounded queries "
-            f"({len(workload)}) for the skewed-fleet experiment")
-
-    # The skewed cover: the slow labels' nodes all live on shard 0, the
-    # rest round-robin over the remaining shards. Owner routing then
-    # makes shard 0 a genuine straggler for exactly the rounds that
-    # need its labels — the stagger the pipelined driver exploits.
-    labels = sorted({graph.label_of(v) for v in graph.nodes()})
-    slow = [label for label in labels if label in set(slow_labels)] \
-        or labels[:1]
-    fast = [label for label in labels if label not in slow]
-    shard_of_label = {label: 0 for label in slow}
-    for i, label in enumerate(fast):
-        shard_of_label[label] = 1 + i % (shards - 1)
-    assignment = {v: shard_of_label[graph.label_of(v)]
-                  for v in graph.nodes()}
-
-    compiler = connect((graph, schema))
-    for query in workload:
-        compiler.prepare(query, SUBGRAPH)
-    for query in sim_queries:
-        compiler.prepare(query, SIMULATION)
-
-    def evaluate(engine) -> tuple[dict, float]:
-        """(answers by key, best-of-repeats seconds) over the workload."""
-        answers = {}
-        best = None
-        for attempt in range(repeats + 1):  # first pass warms up
-            start = time.perf_counter()
-            for semantics, queries in ((SUBGRAPH, workload),
-                                       (SIMULATION, sim_queries)):
-                runs = engine.query_batch(queries, semantics,
-                                          stats=AccessStats())
-                answers.update({
-                    (i, semantics): canonical_answer(semantics, run.answer)
-                    for i, run in enumerate(runs)})
-            seconds = time.perf_counter() - start
-            if attempt and (best is None or seconds < best):
-                best = seconds
-        return answers, best
-
-    rows = []
-    with ExitStack() as stack:
-        artifact = Path(stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="repro-skewed-")))
-        compiler.save(artifact, shards=shards,
-                      shard_assignment=assignment)
-
-        from repro.server.shardserver import ShardServer
-
-        servers = [ShardServer(artifact / f"shard-{i:04d}",
-                               delay_ms=delay_ms if i == 0 else 0.0).start()
-                   for i in range(shards)]
-        stack.callback(lambda: [server.stop() for server in servers])
-        addrs = [server.address for server in servers]
-
-        reference = None
-        barrier_seconds = None
-        for mode, opts in (
-                ("inline", {"strategy": "scatter"}),
-                ("remote_barrier", {"backend": "remote",
-                                    "shard_addrs": addrs,
-                                    "scatter_pipeline": False}),
-                ("remote_pipelined", {"backend": "remote",
-                                      "shard_addrs": addrs})):
-            with connect(artifact, **opts) as engine:
-                answers, seconds = evaluate(engine)
-                backend = engine._shards
-                if reference is None:
-                    reference = answers
-                row = {
-                    "mode": mode, "shards": shards,
-                    "delay_ms": delay_ms if mode != "inline" else 0.0,
-                    "seconds": seconds,
-                    "requests": (repeats + 1) * (len(workload)
-                                                 + len(sim_queries)),
-                    "answers_identical": answers == reference,
-                    "scatter_rounds": backend.scatter_rounds,
-                    "rounds_overlapped": backend.rounds_overlapped,
-                    "scatter_dedup_hits": backend.scatter_dedup_hits,
-                }
-                if mode != "inline":
-                    row["inflight_peak"] = max(
-                        s["inflight_peak"] for s in backend.wire_stats())
-                    row["slow_shard_depth_peak"] = \
-                        servers[0].pipeline_depth_peak
-                if mode == "remote_barrier":
-                    barrier_seconds = seconds
-                if mode == "remote_pipelined" and barrier_seconds:
-                    row["pipelined_speedup"] = barrier_seconds / seconds
-                rows.append(row)
     return rows
 
 
@@ -1153,7 +1006,7 @@ def engine_throughput(dataset: str = "imdb", scale: float = 0.05,
 
     With ``artifact`` given (a directory compiled from the **same**
     dataset and scale, e.g. by ``repro compile``), the prepared and
-    batched sessions warm-start from it via ``open_path`` instead of
+    batched sessions warm-start from it via ``repro.connect`` instead of
     building; the cold row still builds from scratch, so the comparison
     shows what the on-disk snapshot buys a serving process.
 

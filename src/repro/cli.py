@@ -43,7 +43,6 @@ from repro.constraints.schema import AccessSchema
 from repro.core.actualized import SEMANTICS, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
 from repro.core.qplan import generate_plan
-from repro.engine import QueryEngine
 from repro.errors import NotEffectivelyBounded, ReproError
 from repro.graph import io as graph_io
 from repro.matching.simulation import relation_pairs
@@ -135,7 +134,7 @@ def _cmd_compile(args) -> int:
         print("compile requires either --graph and --schema, or --dataset",
               file=sys.stderr)
         return 2
-    engine = QueryEngine.open(graph, schema, validate=args.validate)
+    engine = connect((graph, schema), validate=args.validate)
     compiled = 0
     for pattern_path in args.pattern or ():
         pattern = _load_pattern(pattern_path)
@@ -188,22 +187,11 @@ def _cmd_extend(args) -> int:
               file=sys.stderr)
         return 2
     layout = persist.artifact_layout(args.artifact)
-    found = persist.inspect_artifact(args.artifact)["format_version"]
-    if found != persist.FORMAT_VERSION:
-        # The v2 -> v3 migration path: old artifacts serve read-only; an
-        # on-disk extension would silently invent a catalog history for
-        # them, so it requires an explicit re-compile first.
-        print(f"error: artifact at {args.artifact} has format version "
-              f"{found} and opens read-only; re-compile it to version "
-              f"{persist.FORMAT_VERSION} (repro compile) before extending",
-              file=sys.stderr)
-        return 1
     out = args.out or args.artifact
     # Extension rewrites per-shard indexes, so a sharded artifact must
-    # open as a real shard session, not the merged sequential view.
-    engine = QueryEngine.open_path(
-        args.artifact,
-        strategy="scatter" if layout == "sharded" else "auto")
+    # open as a real shard session, not the merged view.
+    engine = connect(args.artifact,
+                     backend="inline" if layout == "sharded" else "auto")
     try:
         before_version = engine.schema_version
         before_cells = None if engine.sharded \
@@ -673,9 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "server")
     p_shard.add_argument("--delay-ms", type=float, default=0.0,
                          help="inject this scatter-response latency "
-                              "(fault injection for pipelining tests and "
-                              "the skewed-fleet benchmark; answers are "
-                              "unaffected)")
+                              "(fault injection for pipelining tests; "
+                              "answers are unaffected)")
     p_shard.add_argument("--delay-jitter-ms", type=float, default=0.0,
                          help="add up to this much uniform jitter on top "
                               "of --delay-ms")

@@ -328,16 +328,6 @@ class _ScatterExecution:
                 return tasks
         return []
 
-    def deliver(self, task: tuple, shard_responses: list) -> None:
-        """Merge one task's per-shard responses (exactly once per task)."""
-        kind = task[0]
-        if kind == TASK_FETCH:
-            self._deliver_fetch(task, shard_responses)
-        elif kind == TASK_EDGE:
-            self._deliver_edge(task, shard_responses)
-        else:
-            self._deliver_probe(task, shard_responses)
-
     # -- node phase ----------------------------------------------------------
     def _node_tasks(self):
         ops = self.plan.ops
@@ -369,17 +359,10 @@ class _ScatterExecution:
             self.candidates[op.target] = found
         self.op_idx += 1
 
-    def _deliver_fetch(self, task, shard_responses) -> None:
+    def deliver_fetch(self, task, payloads, info) -> None:
         _, cpos, combos = task
-        merged_payloads = [[] for _ in combos]
-        for response in shard_responses:
-            if response is None:  # shard not routed this task
-                continue
-            payloads, info = response
-            for i, payload in enumerate(payloads):
-                merged_payloads[i].extend(payload)
-            self.node_info.update(info)
-        for combo, payload in zip(combos, merged_payloads):
+        self.node_info.update(info)
+        for combo, payload in zip(combos, payloads):
             merged = tuple(sorted(payload))
             self.node_memo[(cpos, combo)] = merged
             self.stats.record_fetch(merged)
@@ -434,27 +417,15 @@ class _ScatterExecution:
         self._finalize_edges()
         return None
 
-    def _deliver_edge(self, task, shard_responses) -> None:
+    def deliver_edge(self, task, payloads) -> None:
         _, cpos, combos = task
-        merged = [[] for _ in combos]
-        for payloads in shard_responses:
-            if payloads is None:  # shard not routed this task
-                continue
-            for i, payload in enumerate(payloads):
-                merged[i].extend(payload)
-        for combo, entries in zip(combos, merged):
-            entries.sort()
+        for combo, payload in zip(combos, payloads):
+            entries = sorted(payload)
             self.edge_memo[(cpos, combo)] = entries
             self.stats.record_edge_fetch([w for w, _ in entries])
 
-    def _deliver_probe(self, task, shard_responses) -> None:
-        checked = 0
-        for response in shard_responses:
-            if response is None:  # shard not routed this task
-                continue
-            count, found = response
-            checked += count
-            self.edges_found.update(found)
+    def deliver_probe(self, checked, found) -> None:
+        self.edges_found.update(found)
         self.stats.record_edge_checks(checked)
 
     def _finalize_edges(self) -> None:
@@ -507,26 +478,19 @@ def _route_task(task: tuple, router, target_by_pos: dict) -> frozenset:
 
 def execute_plans_scatter(plans: list[QueryPlan], backend,
                           stats_list: list[AccessStats] | None = None,
-                          edge_mode: str = MODE_PLAN,
-                          pipeline: bool = True) -> list[ExecutionResult]:
+                          edge_mode: str = MODE_PLAN) -> list[ExecutionResult]:
     """Execute ``plans`` by scatter-gather over ``backend``'s shards.
 
     ``backend`` is a :class:`~repro.engine.parallel.ShardBackend`
-    (inline shards, a worker-process pool, or a remote fleet). Two
-    drivers share the per-execution state machine:
-
-    * ``pipeline=False`` — the classic lock-step wave barrier: each
-      round gathers every execution's outstanding fetches into one
-      scatter and no execution advances until the whole round returns.
-    * ``pipeline=True`` (default) — per-shard progress: each logical
-      fetch is decomposed into ``(kind, constraint, combo)`` cells,
-      identical cells from different executions travel to a shard once
-      and fan back out, and an execution whose own cells were all
-      answered advances immediately, even while other shards of the
-      same round are still in flight (the backend's ``scatter_submit``
-      completes tasks out of round order). With a synchronous backend
-      the pipelined driver degenerates to the same round structure as
-      the barrier, minus the duplicate tasks.
+    (inline shards, a worker-process pool, or a remote fleet). The
+    driver gives every execution per-shard progress: each logical fetch
+    is decomposed into ``(kind, constraint, combo)`` cells, identical
+    cells from different executions travel to a shard once and fan back
+    out, and an execution whose own cells were all answered advances
+    immediately, even while other shards of the same round are still in
+    flight (the backend's ``scatter_submit`` completes tasks out of
+    round order). With a synchronous backend the rounds degenerate to
+    lock-step waves, minus the duplicate tasks.
 
     When the backend carries an :class:`~repro.engine.parallel.
     OwnerRouter`, each task is scattered only to the shards that can
@@ -538,33 +502,10 @@ def execute_plans_scatter(plans: list[QueryPlan], backend,
         raise PlanError(f"unknown edge mode {edge_mode!r}")
     if stats_list is None:
         stats_list = [AccessStats() for _ in plans]
-    constraint_pos = backend.constraint_pos
-    router = getattr(backend, "router", None)
-    exes = [_ScatterExecution(plan, constraint_pos, stats, edge_mode)
+    exes = [_ScatterExecution(plan, backend.constraint_pos, stats, edge_mode)
             for plan, stats in zip(plans, stats_list)]
-    if pipeline and hasattr(backend, "scatter_submit"):
-        _run_pipelined(exes, backend, constraint_pos, router)
-    else:
-        _run_barrier(exes, backend, constraint_pos, router)
+    _run_pipelined(exes, backend)
     return [exe.result() for exe in exes]
-
-
-def _run_barrier(exes, backend, constraint_pos, router) -> None:
-    """Lock-step wave driver: one global barrier per round."""
-    wave_index = 0
-    while True:
-        wave: list[tuple[_ScatterExecution, tuple]] = []
-        for exe in exes:
-            wave.extend((exe, task) for task in exe.next_tasks())
-        if not wave:
-            break
-        tasks = [task for _, task in wave]
-        shard_sets = _route_tasks(tasks, constraint_pos, router)
-        with child_span("wave", index=wave_index, tasks=len(tasks)):
-            responses = backend.scatter(tasks, shard_sets)
-            for i, (exe, task) in enumerate(wave):
-                exe.deliver(task, [shard[i] for shard in responses])
-        wave_index += 1
 
 
 def _route_tasks(tasks, constraint_pos, router):
@@ -581,8 +522,7 @@ class _Cell:
     """One in-flight ``(kind, constraint, combo)`` fetch shared by every
     execution that needs it. Per-shard fragments accumulate here (shard
     payloads are disjoint by ownership, so accumulation order does not
-    matter — delivery normalizes by sorting exactly like the barrier
-    driver's shard-order merge)."""
+    matter — delivery normalizes by sorting)."""
 
     __slots__ = ("key", "done", "payload", "info", "checked", "found",
                  "waiters")
@@ -618,24 +558,21 @@ def _cell_keys(task: tuple) -> list[tuple]:
 
 def _deliver_state(state: _ExeState) -> None:
     """Deliver a step's tasks (in issue order) from their completed
-    cells. Each task is handed to :meth:`_ScatterExecution.deliver` as
-    a single pre-merged pseudo-shard response, which the existing
-    delivery path normalizes (sort / sum / union) exactly as it does
-    the barrier driver's shard-order merge."""
+    cells — each task exactly once, as the union of its per-shard
+    fragments; the execution normalizes them by sorting, so arrival
+    order never shows."""
+    exe = state.exe
     for task, cells in zip(state.tasks, state.task_cells):
         kind = task[0]
         if kind == TASK_FETCH:
             info: dict = {}
-            payloads = []
             for cell in cells:
-                payloads.append(cell.payload)
                 info.update(cell.info)
-            state.exe.deliver(task, [(payloads, info)])
+            exe.deliver_fetch(task, [cell.payload for cell in cells], info)
         elif kind == TASK_EDGE:
-            state.exe.deliver(task, [[cell.payload for cell in cells]])
+            exe.deliver_edge(task, [cell.payload for cell in cells])
         else:
-            cell = cells[0]
-            state.exe.deliver(task, [(cell.checked, cell.found)])
+            exe.deliver_probe(cells[0].checked, cells[0].found)
     state.tasks = None
     state.task_cells = None
 
@@ -741,7 +678,7 @@ def _absorb_response(task: tuple, cells: list, responses: list,
         cell.waiters = []
 
 
-def _run_pipelined(exes, backend, constraint_pos, router) -> None:
+def _run_pipelined(exes, backend) -> None:
     """Per-shard-progress driver over ``backend.scatter_submit``.
 
     Completions arrive per wire task on a queue (possibly from backend
@@ -753,6 +690,7 @@ def _run_pipelined(exes, backend, constraint_pos, router) -> None:
     (c) every execution records its own ``AccessStats`` at delivery —
     dedup shares wire traffic, never accounting.
     """
+    constraint_pos, router = backend.constraint_pos, backend.router
     states = [_ExeState(exe) for exe in exes]
     cells: dict[tuple, _Cell] = {}
     completions: _queue_mod.Queue = _queue_mod.Queue()
@@ -794,8 +732,7 @@ def _run_pipelined(exes, backend, constraint_pos, router) -> None:
                 break
             outstanding -= 1
     if dedup_hits:
-        backend.scatter_dedup_hits = getattr(
-            backend, "scatter_dedup_hits", 0) + dedup_hits
+        backend.scatter_dedup_hits += dedup_hits
 
 
 def run_shard_task(graph, schema_index, owned: frozenset, task: tuple):

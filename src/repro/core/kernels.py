@@ -31,9 +31,9 @@ Everything here requires a frozen session: a
 :class:`~repro.graph.frozen.FrozenGraph` snapshot (whose ``array('q')``
 or memoryview buffers become zero-copy ndarray views) and
 :class:`~repro.constraints.index.FrozenConstraintIndex` payload buffers.
-:func:`can_vectorize` is the gate the engine's ``executor="auto"``
-selection uses; without numpy the module still imports and the engine
-falls back to the sequential path.
+:func:`can_vectorize` is the gate the engine's executor selection
+uses; without numpy the module still imports and the engine falls back
+to the sequential path.
 """
 
 from __future__ import annotations

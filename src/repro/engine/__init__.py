@@ -8,8 +8,8 @@
 * :class:`~repro.engine.cache.PlanCache` — the LRU plan cache, sharable
   between sessions serving the same schema.
 * :mod:`~repro.engine.persist` — on-disk compiled artifacts:
-  ``QueryEngine.save(path)`` / ``QueryEngine.open_path(path)`` give warm
-  starts that skip graph load, index build and plan compilation.
+  ``QueryEngine.save(path)`` / ``repro.connect(path)`` give warm starts
+  that skip graph load, index build and plan compilation.
 """
 
 from repro.engine.cache import PlanCache, pattern_fingerprint

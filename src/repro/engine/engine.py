@@ -47,6 +47,7 @@ from repro.constraints.catalog import SchemaCatalog
 from repro.constraints.index import ConstraintIndex, FrozenConstraintIndex
 from repro.constraints.maintenance import MaintainedSchemaIndex, MaintenanceReport
 from repro.constraints.schema import AccessConstraint, AccessSchema
+from repro.core import kernels
 from repro.core.actualized import SEMANTICS, SUBGRAPH
 from repro.core.executor import (
     MODE_PLAN,
@@ -65,6 +66,7 @@ from repro.matching.bounded import BoundedRun
 from repro.matching.simulation import simulate
 from repro.matching.vf2 import find_matches
 from repro.obs.trace import child_span
+from repro.session import SessionConfig
 
 
 @dataclass
@@ -169,9 +171,8 @@ class PreparedQuery:
         executor does not serve (sequential or scatter-gather).
         """
         engine = self.engine
-        if engine._executor == "vectorized" and engine._shards is None:
-            from repro.core.kernels import execute_plan_vectorized
-            execute_plan_vectorized(self.plan, engine._schema_index)
+        if engine._executor == "vectorized":
+            kernels.execute_plan_vectorized(self.plan, engine._schema_index)
         return self
 
     def _finish_run(self, execution: ExecutionResult) -> BoundedRun:
@@ -203,10 +204,11 @@ class QueryEngine:
 
     Examples
     --------
+    >>> import repro
     >>> from repro.graph.generators import imdb_like
     >>> from repro.pattern import parse_pattern
     >>> graph, schema = imdb_like(scale=0.02)
-    >>> engine = QueryEngine.open(graph, schema)
+    >>> engine = repro.connect((graph, schema))
     >>> q = parse_pattern("m: movie; y: year; m -> y")
     >>> first = engine.query(q)
     >>> again = engine.query(q)          # plan cache hit, answer reused
@@ -227,29 +229,24 @@ class QueryEngine:
     plan_cache:
         Share an existing :class:`PlanCache` between sessions serving the
         **same schema** (e.g. several snapshots of a growing graph).
-    executor:
-        Plan-execution strategy: ``"auto"`` (default) runs the numpy
-        array-kernel executor (:mod:`repro.core.kernels`) whenever the
-        session qualifies — numpy importable, frozen CSR snapshot,
-        frozen indexes — and the sequential executor otherwise;
-        ``"sequential"`` / ``"vectorized"`` force one of the two
-        (forcing ``"vectorized"`` on a session that cannot run it
-        raises). Answers, ``G_Q`` and access accounting are identical
-        under every strategy.
+
+    Plans run through the numpy array-kernel executor
+    (:mod:`repro.core.kernels`) whenever the session qualifies — numpy
+    importable, frozen CSR snapshot, frozen indexes — and through the
+    sequential executor otherwise (:attr:`executor_strategy` reports
+    which). Answers, ``G_Q`` and access accounting are identical either
+    way.
     """
 
-    #: Scatter driver for sharded sessions: True (default) runs the
-    #: pipelined per-shard-progress executor, False the lock-step wave
-    #: barrier. Threaded from ``SessionConfig.scatter_pipeline``.
-    scatter_pipeline = True
-
-    #: Accepted ``executor=`` arguments.
-    EXECUTORS = ("auto", "sequential", "vectorized")
+    #: The :class:`~repro.session.SessionConfig` this session was opened
+    #: under (:func:`repro.connect` stamps the resolved value; a
+    #: directly constructed engine carries the defaults).
+    session_config = SessionConfig()
 
     def __init__(self, graph: GraphView, schema, *,
                  frozen: bool = True, validate: bool = False,
                  cache_size: int = 128, plan_cache: PlanCache | None = None,
-                 schema_index=None, executor: str = "auto"):
+                 schema_index=None):
         # ``schema`` may be a bare AccessSchema (wrapped in a fresh
         # generation-0 catalog) or a SchemaCatalog (the artifact load
         # path, preserving recorded generations).
@@ -259,7 +256,7 @@ class QueryEngine:
         self.frozen = frozen
         self.stats = AccessStats()
         #: Shard backend of a sharded session (None for ordinary
-        #: sessions); see :meth:`from_shards`.
+        #: sessions); see :meth:`_assemble_from_shards`.
         self._shards = None
         #: Artifact directory this session was loaded from / saved to, if
         #: any; ``apply`` marks it stale the moment the served graph
@@ -298,123 +295,15 @@ class QueryEngine:
             self._schema_index = self._maintained.schema_index
             if validate:
                 self._schema_index.validate()
-        self._executor = self._resolve_executor(executor)
-
-    def _resolve_executor(self, executor: str) -> str:
-        """Resolve an ``executor=`` argument to a concrete strategy."""
-        from repro.core import kernels
-
-        if executor not in self.EXECUTORS:
-            raise EngineError(f"unknown executor {executor!r}; expected "
-                              f"one of {self.EXECUTORS}")
-        if executor == "sequential":
-            return "sequential"
-        capable = kernels.can_vectorize(self._schema_index)
-        if executor == "vectorized":
-            if not capable:
-                reason = "numpy is not installed" if not kernels.HAVE_NUMPY \
-                    else "the session is not frozen (vectorized kernels " \
-                         "run over CSR snapshot buffers)"
-                raise EngineError(
-                    f"executor='vectorized' is unavailable: {reason}")
-            return "vectorized"
-        return "vectorized" if capable else "sequential"
-
-    @classmethod
-    def open(cls, graph: GraphView, schema, *,
-             frozen: bool = True, validate: bool = False,
-             cache_size: int = 128,
-             plan_cache: PlanCache | None = None,
-             executor: str = "auto") -> "QueryEngine":
-        """Open a query-serving session over ``graph`` under ``schema``.
-
-        .. deprecated:: 1.1
-            Thin shim over :func:`repro.connect` — prefer
-            ``repro.connect((graph, schema), ...)``, the one documented
-            entry point for every session kind.
-        """
-        from repro.session import SessionConfig, connect
-        return connect((graph, schema), config=SessionConfig(
-            frozen=frozen, validate=validate, cache_size=cache_size,
-            plan_cache=plan_cache, executor=executor))
-
-    @classmethod
-    def open_path(cls, path, *, frozen: bool = True, validate: bool = False,
-                  cache_size: int = 128, allow_stale: bool = False,
-                  workers: int = 0, mp_context=None,
-                  strategy: str = "auto",
-                  executor: str = "auto",
-                  backend: str = "auto",
-                  shard_addrs=(), connect_timeout: float = 5.0,
-                  request_timeout: float = 30.0, retries: int = 2,
-                  retry_backoff_s: float = 0.1,
-                  owner_routing: bool = True) -> "QueryEngine":
-        """Warm-start a session from an artifact written by :meth:`save`.
-
-        .. deprecated:: 1.1
-            Thin shim over :func:`repro.connect` — prefer
-            ``repro.connect(path, ...)``, which takes the same options
-            via :class:`repro.SessionConfig`.
-
-        Skips graph load, index build, and EBChk/QPlan for every
-        canonical pattern form that was prepared before the save. Raises
-        :class:`~repro.errors.ArtifactCorrupt`,
-        :class:`~repro.errors.ArtifactVersionMismatch`, or
-        :class:`~repro.errors.ArtifactStale` rather than ever serving
-        from an untrustworthy snapshot. ``frozen=False`` thaws into a
-        mutable session that supports :meth:`apply` (and pays a mutable
-        index rebuild; the plan cache stays warm either way).
-
-        A *sharded* artifact (``repro compile --shards N``) opens under
-        ``strategy``: ``"scatter"`` is the scatter-gather session —
-        ``workers=0`` holds every shard in this process, ``workers=N``
-        spawns N worker processes that each warm-start their shards from
-        the per-shard sub-artifacts (close the session, or use it as a
-        context manager, to shut the pool down; ``mp_context`` overrides
-        the multiprocessing start method). ``"sequential"`` merges the
-        shards back into one frozen graph + index and serves them as an
-        ordinary single-graph session — no scatter round-trips, and the
-        (vectorized) plan executors apply. ``"auto"`` (default) picks
-        ``"sequential"`` when ``workers=0`` — in-process scatter over
-        shards only adds coordination overhead — and ``"scatter"`` when
-        worker processes are requested. ``executor`` selects the plan
-        executor for unsharded/merged serving (see :class:`QueryEngine`).
-
-        ``backend="remote"`` + ``shard_addrs`` serves the scatter waves
-        from a running ``repro shard-serve`` fleet instead of local
-        shards (see :class:`~repro.engine.parallel.RemoteShardBackend`
-        for the timeout/retry/owner-routing knobs forwarded here).
-        """
-        from repro.session import SessionConfig, connect
-        return connect(path, config=SessionConfig(
-            frozen=frozen, validate=validate, cache_size=cache_size,
-            allow_stale=allow_stale, workers=workers, mp_context=mp_context,
-            strategy=strategy, executor=executor, backend=backend,
-            shard_addrs=shard_addrs, connect_timeout=connect_timeout,
-            request_timeout=request_timeout, retries=retries,
-            retry_backoff_s=retry_backoff_s, owner_routing=owner_routing))
-
-    @classmethod
-    def from_shards(cls, backend, schema, graph_summary, *,
-                    plan_cache: PlanCache | None = None,
-                    cache_size: int = 128) -> "QueryEngine":
-        """Assemble a frozen scatter-gather session over a shard backend
-        (see :mod:`repro.engine.parallel`).
-
-        .. deprecated:: 1.1
-            Thin shim over :func:`repro.connect` — prefer
-            ``repro.connect((backend, schema, graph_summary), ...)``.
-        """
-        from repro.session import SessionConfig, connect
-        return connect((backend, schema, graph_summary),
-                       config=SessionConfig(plan_cache=plan_cache,
-                                            cache_size=cache_size))
+        #: The resolved plan-execution strategy (see
+        #: :attr:`executor_strategy`).
+        self._executor = "vectorized" \
+            if kernels.can_vectorize(self._schema_index) else "sequential"
 
     @classmethod
     def _assemble_from_shards(cls, backend, schema, graph_summary, *,
                               plan_cache: PlanCache | None = None,
-                              cache_size: int = 128,
-                              scatter_pipeline: bool = True) -> "QueryEngine":
+                              cache_size: int = 128) -> "QueryEngine":
         """The real sharded-session assembly behind
         :func:`repro.connect`. The session holds no graph or
         index of its own — only the plan compiler, the caches, and the
@@ -435,8 +324,7 @@ class QueryEngine:
         engine._graph = graph_summary
         engine._maintained = None
         engine._schema_index = None
-        engine._executor = "sequential"  # unused: plans go through shards
-        engine.scatter_pipeline = scatter_pipeline
+        engine._executor = "scatter"
         return engine
 
     def save(self, path, *, shards: int | None = None,
@@ -446,8 +334,8 @@ class QueryEngine:
         from a mutable session freezes its current state, repairing any
         staleness at ``path``. ``shards=N`` writes the sharded layout
         instead (partition + per-shard sub-artifacts), which is what
-        ``open_path(..., workers=N)`` serves from. ``shard_assignment``
-        overrides the default node→shard cover (see
+        ``repro.connect(path, workers=N)`` serves from.
+        ``shard_assignment`` overrides the default node→shard cover (see
         :func:`repro.graph.partition.partition_graph`) — e.g. a
         label-partitioned cover that concentrates each label on few
         shards, which is what owner routing rewards."""
@@ -522,8 +410,6 @@ class QueryEngine:
     def executor_strategy(self) -> str:
         """The resolved plan-execution strategy: ``"scatter"`` for
         sharded sessions, else ``"vectorized"`` or ``"sequential"``."""
-        if self._shards is not None:
-            return "scatter"
         return self._executor
 
     @property
@@ -693,8 +579,7 @@ class QueryEngine:
                             plans=len(to_execute)):
                 executions = execute_plans_scatter(
                     [prepared.plan for _, prepared in to_execute],
-                    self._shards, stats_list=stats_list,
-                    pipeline=self.scatter_pipeline)
+                    self._shards, stats_list=stats_list)
             for (run_key, prepared), execution, run_stats in zip(
                     to_execute, executions, stats_list):
                 runs[run_key] = prepared._finish_run(execution)
@@ -811,15 +696,13 @@ class QueryEngine:
                             plans=len(plans)):
                 return execute_plans_scatter(plans, self._shards,
                                              stats_list=stats_list,
-                                             edge_mode=edge_mode,
-                                             pipeline=self.scatter_pipeline)
+                                             edge_mode=edge_mode)
         if self._executor == "vectorized":
-            from repro.core.kernels import execute_plan_vectorized
             with child_span("execute", strategy="vectorized",
                             plans=len(plans)):
-                return [execute_plan_vectorized(plan, self._schema_index,
-                                                stats=stats,
-                                                edge_mode=edge_mode)
+                return [kernels.execute_plan_vectorized(
+                            plan, self._schema_index, stats=stats,
+                            edge_mode=edge_mode)
                         for plan, stats in zip(plans, stats_list)]
         with child_span("execute", strategy="sequential", plans=len(plans)):
             return [execute_plan(plan, self._schema_index, stats=stats,

@@ -22,8 +22,8 @@ contract:
 
 Three implementations live here:
 
-* :class:`InlineShardBackend` — shards held in-process; ``scatter`` is a
-  plain loop. This is the zero-overhead default (``workers=0``) and the
+* :class:`InlineShardBackend` — shards held in-process
+  (``backend="inline"``); ``scatter`` is a plain loop. This is the
   reference the other two are tested against.
 * :class:`ProcessShardBackend` — shards held by worker *processes*, each
   warm-started from its per-shard artifact directory
@@ -74,6 +74,7 @@ from repro.errors import (
 )
 from repro.graph.frozen import FrozenGraph
 from repro.obs.trace import current_span
+from repro.session import SessionConfig
 
 
 class ShardRuntime:
@@ -278,9 +279,9 @@ class ShardBackend(abc.ABC):
 
         The base implementation is synchronous — it runs
         :meth:`scatter` and completes every task before returning —
-        which gives the in-process backends pipelined-driver support
-        with barrier cost semantics. :class:`RemoteShardBackend`
-        overrides it with a truly asynchronous path.
+        so the in-process backends serve the scatter driver in
+        lock-step rounds. :class:`RemoteShardBackend` overrides it with
+        a truly asynchronous path.
         """
         responses = self.scatter(tasks, shard_sets)
         for i in range(len(tasks)):
@@ -788,23 +789,24 @@ class RemoteShardBackend(ShardBackend):
     :class:`~repro.errors.ShardUnavailable`; wire garbage and handshake
     disagreements raise their own typed errors immediately (they are
     deployment bugs, not weather).
+
+    The timeouts, retry budget, ``owner_routing`` and ``wire_format``
+    come from ``config`` (the session's
+    :class:`~repro.session.SessionConfig`).
     """
 
     def __init__(self, shard_addrs: Sequence[str], schema, *,
                  artifact_path, manifest: dict | None = None,
-                 connect_timeout: float = 5.0,
-                 request_timeout: float = 30.0,
-                 retries: int = 2, retry_backoff_s: float = 0.1,
-                 owner_routing: bool = True, wire_format: str = "auto"):
+                 config: SessionConfig = SessionConfig()):
         from repro.engine import persist
         from repro.server import protocol
 
         super().__init__(schema)
-        if wire_format not in protocol.WIRE_FORMATS:
+        if config.wire_format not in protocol.WIRE_FORMATS:
             raise EngineError(
                 f"wire_format must be one of {protocol.WIRE_FORMATS}, "
-                f"got {wire_format!r}")
-        self.wire_format = wire_format
+                f"got {config.wire_format!r}")
+        self.wire_format = config.wire_format
         self._artifact_path = artifact_path
         if manifest is None:
             manifest = persist.read_sharded_manifest(artifact_path)
@@ -823,10 +825,10 @@ class RemoteShardBackend(ShardBackend):
         }
         self._shard_ids = list(range(len(shard_meta)))
         self.shard_addrs = list(shard_addrs)
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
-        self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
+        self.connect_timeout = config.connect_timeout
+        self.request_timeout = config.request_timeout
+        self.retries = config.retries
+        self.retry_backoff_s = config.retry_backoff_s
         self._lock = threading.Lock()
         self._closed = False
         #: Online extensions to replay after a shard restart (a restart
@@ -853,7 +855,7 @@ class RemoteShardBackend(ShardBackend):
                 raise ShardHandshakeMismatch(
                     f"shard addresses cover no server for shards "
                     f"{missing}", expected=self._shard_ids)
-            if owner_routing:
+            if config.owner_routing:
                 self.router = OwnerRouter(
                     persist.load_partition_owners(artifact_path,
                                                   manifest=manifest),
@@ -1269,8 +1271,8 @@ class RemoteShardBackend(ShardBackend):
         state_lock = threading.Lock()
 
         # Tasks routed to no shard at all (unknown label) complete
-        # immediately with an all-None row, exactly like the barrier
-        # path's broadcast-of-nothing.
+        # immediately with an all-None row, exactly like a synchronous
+        # ``scatter``'s broadcast-of-nothing.
         for i, count in enumerate(remaining):
             if count == 0:
                 on_task(i, rows[i])

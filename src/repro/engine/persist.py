@@ -8,11 +8,11 @@ prepared canonical forms:
 
 .. code-block:: text
 
-    engine = QueryEngine.open(graph, schema)   # cold: build everything
+    engine = repro.connect((graph, schema))    # cold: build everything
     engine.prepare(q)                          # compile plans
     engine.save("artifact/")                   # persist the compiled state
     ...
-    engine = QueryEngine.open_path("artifact/")  # warm: ~10-40x faster
+    engine = repro.connect("artifact/")        # warm: ~10-40x faster
 
 Artifact layout (one directory)::
 
@@ -57,7 +57,6 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Sequence
 
 from repro.constraints.index import (
     ConstraintIndex,
@@ -84,15 +83,10 @@ from repro.pattern.predicates import Atom, Predicate
 #: plus ``partition.bin``); single-directory artifacts are bumped with it
 #: so one number describes the whole artifact family. Version 3 added
 #: the schema catalog (``catalog.json``: generation history + extension
-#: provenance, checksummed like every payload).
+#: provenance, checksummed like every payload). Only the current version
+#: opens; anything else is a typed
+#: :class:`~repro.errors.ArtifactVersionMismatch` asking for a re-compile.
 FORMAT_VERSION = 3
-
-#: Versions this library still *opens*. Version-2 artifacts predate the
-#: schema catalog; they open **read-only** (frozen sessions) with a
-#: synthesized generation-0 catalog — thawing (``frozen=False``) or
-#: extending them on disk requires a re-compile to version 3, so the
-#: catalog history is never silently invented for a mutable lineage.
-SUPPORTED_READ_VERSIONS = (2, FORMAT_VERSION)
 
 FORMAT_NAME = "repro-engine-artifact"
 
@@ -113,18 +107,6 @@ PAYLOAD_FILES = (GRAPH_FILE, GRAPH_META_FILE, INDEX_FILE, PLANS_FILE,
 #: Top-level payload files of a sharded-layout artifact; each shard
 #: directory is additionally a complete single-layout artifact.
 SHARDED_PAYLOAD_FILES = (PLANS_FILE, PARTITION_FILE, CATALOG_FILE)
-
-#: The payload sets of version-2 artifacts (no catalog file).
-_V2_PAYLOAD_FILES = (GRAPH_FILE, GRAPH_META_FILE, INDEX_FILE, PLANS_FILE)
-_V2_SHARDED_PAYLOAD_FILES = (PLANS_FILE, PARTITION_FILE)
-
-
-def _expected_payloads(manifest: dict) -> tuple:
-    """The payload-file set a manifest's version and layout promise."""
-    sharded = manifest.get("layout") == "sharded"
-    if manifest.get("format_version") == FORMAT_VERSION:
-        return SHARDED_PAYLOAD_FILES if sharded else PAYLOAD_FILES
-    return _V2_SHARDED_PAYLOAD_FILES if sharded else _V2_PAYLOAD_FILES
 
 
 def shard_dir_name(shard_id: int) -> str:
@@ -413,19 +395,18 @@ def _read_manifest(path: Path) -> dict:
             f"{manifest_path} is not a {FORMAT_NAME} manifest",
             path=str(manifest_path))
     found = manifest.get("format_version")
-    if found not in SUPPORTED_READ_VERSIONS:
+    if found != FORMAT_VERSION:
         raise ArtifactVersionMismatch(
             f"artifact at {path} has format version {found!r}; this library "
-            f"reads versions {SUPPORTED_READ_VERSIONS} — re-compile the "
-            f"artifact",
+            f"reads version {FORMAT_VERSION} — re-compile the artifact "
+            f"(repro compile)",
             found=found, supported=FORMAT_VERSION)
     return manifest
 
 
-def _read_payloads(path: Path, manifest: dict,
-                   expected: tuple | None = None) -> dict:
-    if expected is None:
-        expected = _expected_payloads(manifest)
+def _read_payloads(path: Path, manifest: dict) -> dict:
+    expected = SHARDED_PAYLOAD_FILES \
+        if manifest.get("layout") == "sharded" else PAYLOAD_FILES
     files = manifest.get("files")
     if not isinstance(files, dict) or set(files) != set(expected):
         raise ArtifactCorrupt(
@@ -475,15 +456,11 @@ def mark_stale(path, reason: str) -> None:
         json.dumps({"reason": reason}) + "\n", encoding="utf-8")
 
 
-def _decode_catalog(path: Path, manifest: dict,
-                    schema: AccessSchema, payload: bytes | None):
-    """Rehydrate the schema catalog of a v3 artifact, or synthesize a
-    generation-0 catalog for a v2 one (``payload=None``)."""
+def _decode_catalog(path: Path, schema: AccessSchema, payload: bytes):
+    """Rehydrate an artifact's schema catalog."""
     from repro.constraints.catalog import SchemaCatalog
     from repro.errors import SchemaError
 
-    if payload is None:
-        return SchemaCatalog(schema, provenance={"origin": "v2-artifact"})
     try:
         return SchemaCatalog.from_dict(json.loads(payload), schema)
     except (ValueError, SchemaError) as exc:
@@ -504,8 +481,7 @@ def _load_frozen_parts(path: Path, manifest: dict):
     except (KeyError, ValueError) as exc:
         raise ArtifactCorrupt(f"malformed artifact JSON at {path}: {exc}",
                               path=str(path)) from exc
-    catalog = _decode_catalog(path, manifest, schema,
-                              payloads.get(CATALOG_FILE))
+    catalog = _decode_catalog(path, schema, payloads[CATALOG_FILE])
 
     graph_buffers = unpack_buffers(payloads[GRAPH_FILE], byteswap=byteswap,
                                    source=GRAPH_FILE)
@@ -552,24 +528,46 @@ def artifact_layout(path) -> str:
     return _read_manifest(Path(path)).get("layout", "single")
 
 
-#: Serving strategies for sharded artifacts (see :func:`load_engine`).
-STRATEGIES = ("auto", "sequential", "scatter")
-
-#: Shard backends for scatter serving (see :func:`load_engine`).
+#: Where the shards of a sharded artifact live (``SessionConfig.backend``);
+#: ``auto`` resolves from the other fields, see :func:`_resolve_backend`.
 BACKENDS = ("auto", "inline", "process", "remote")
 
 
-def load_engine(path, *, frozen: bool = True, validate: bool = False,
-                cache_size: int = 128, allow_stale: bool = False,
-                workers: int = 0, mp_context=None, strategy: str = "auto",
-                executor: str = "auto", backend: str = "auto",
-                shard_addrs: Sequence[str] = (),
-                connect_timeout: float = 5.0,
-                request_timeout: float = 30.0,
-                retries: int = 2, retry_backoff_s: float = 0.1,
-                owner_routing: bool = True, wire_format: str = "auto",
-                scatter_pipeline: bool = True):
-    """Open a :class:`~repro.engine.engine.QueryEngine` from an artifact.
+def _resolve_backend(config) -> str:
+    """The backend ``config`` asks for, with ``auto`` resolved:
+    ``remote`` when shard addresses are given, ``process`` when workers
+    are, and otherwise still ``auto`` — the merged view, where a sharded
+    artifact is served as one graph by the ordinary plan executors
+    (in-process scatter over shards only adds coordination overhead on
+    one CPU). Contradictory combinations are rejected, never silently
+    ignored."""
+    backend = config.backend
+    if backend not in BACKENDS:
+        raise EngineError(f"unknown backend {backend!r}; expected one "
+                          f"of {BACKENDS}")
+    if backend == "auto":
+        if config.shard_addrs:
+            backend = "remote"
+        elif config.workers:
+            backend = "process"
+    if backend == "remote" and not config.shard_addrs:
+        raise EngineError("backend='remote' needs shard_addrs "
+                          "(one host:port per shard)")
+    if backend != "remote" and config.shard_addrs:
+        raise EngineError(f"shard_addrs only applies to backend='remote', "
+                          f"not {backend!r}")
+    if backend == "process" and not config.workers:
+        raise EngineError("backend='process' needs workers >= 1")
+    if backend != "process" and config.workers:
+        raise EngineError(f"backend={backend!r} holds no worker pool; it "
+                          f"is incompatible with workers")
+    return backend
+
+
+def load_engine(path, config):
+    """Open a :class:`~repro.engine.engine.QueryEngine` from an artifact
+    under ``config``, a :class:`~repro.session.SessionConfig` (which
+    documents every field; :func:`repro.connect` is the caller).
 
     The frozen path (default) is the warm start: CSR buffers are adopted
     zero-copy, constraint indexes decode lazily, and the plan cache is
@@ -578,121 +576,45 @@ def load_engine(path, *, frozen: bool = True, validate: bool = False,
     mutable index rebuild) with the plan cache still warm — the only
     loaded flavour that supports ``apply``.
 
-    A *sharded* artifact (``repro compile --shards N``) opens under
-    ``strategy``:
-
-    * ``"scatter"`` — the scatter-gather session: ``workers=0`` holds
-      every shard in-process, ``workers=N`` spawns N worker processes
-      that each warm-start their shards from the per-shard sub-artifacts
-      (see :mod:`repro.engine.parallel`).
-    * ``"sequential"`` — merge the shards back into one frozen graph +
-      schema index (:func:`repro.graph.partition.merge_shard_runtimes`)
-      and serve an ordinary single-graph session; the (vectorized) plan
-      executors apply. Incompatible with ``workers``.
-    * ``"auto"`` (default) — ``"sequential"`` when ``workers=0`` (an
-      in-process scatter over shards only adds coordination overhead on
-      one CPU) and ``"scatter"`` when worker processes are requested.
-
-    ``backend`` picks *where* the shards of a scatter session live:
-    ``"inline"`` (this process), ``"process"`` (the worker pool —
-    implied by ``workers=N``), or ``"remote"`` — a fleet of ``repro
-    shard-serve`` processes reached through ``shard_addrs`` (one
-    ``host:port`` per shard, any order), with ``connect_timeout`` /
-    ``request_timeout`` / ``retries`` / ``retry_backoff_s`` governing
-    the connection robustness (see
-    :class:`~repro.engine.parallel.RemoteShardBackend`). ``"auto"``
-    (default) infers ``remote`` when ``shard_addrs`` is non-empty and
-    ``process`` when ``workers`` is. ``owner_routing=False`` disables
-    owner-filtered scatter (broadcast every task — the reference mode).
-    ``wire_format`` picks the remote codecs offered at the handshake
-    (``auto``/``json``/``binary``; see
-    :class:`~repro.engine.parallel.RemoteShardBackend`).
-
-    ``executor`` picks the plan executor for unsharded or merged serving
-    (see :class:`~repro.engine.engine.QueryEngine`). ``workers`` and
-    ``strategy="scatter"`` are rejected for single-layout artifacts
-    rather than silently ignored.
+    A *sharded* artifact (``repro compile --shards N``) opens under the
+    resolved backend (:func:`_resolve_backend`): the merged view, inline
+    shards, a worker-process pool, or a remote fleet. Any explicit
+    backend is rejected for single-layout artifacts rather than
+    silently ignored.
     """
     from repro.engine.engine import QueryEngine
 
-    if strategy not in STRATEGIES:
-        raise EngineError(f"unknown strategy {strategy!r}; expected one "
-                          f"of {STRATEGIES}")
-    if backend not in BACKENDS:
-        raise EngineError(f"unknown backend {backend!r}; expected one "
-                          f"of {BACKENDS}")
-    if backend == "auto":
-        backend = "remote" if shard_addrs else \
-            ("process" if workers else "inline")
-    if backend == "remote" and not shard_addrs:
-        raise EngineError("backend='remote' needs shard_addrs "
-                          "(one host:port per shard)")
-    if backend != "remote" and shard_addrs:
-        raise EngineError(f"shard_addrs only applies to backend='remote', "
-                          f"not {backend!r}")
-    if backend == "remote" and workers:
-        raise EngineError("backend='remote' serves from standalone shard "
-                          "servers; it is incompatible with workers")
-    if backend == "process" and not workers:
-        raise EngineError("backend='process' needs workers >= 1")
+    backend = _resolve_backend(config)
     path = Path(path)
     manifest = _read_manifest(path)
-    if manifest.get("layout") == "sharded":
-        return _load_sharded_engine(path, manifest, validate=validate,
-                                    cache_size=cache_size, workers=workers,
-                                    mp_context=mp_context, frozen=frozen,
-                                    allow_stale=allow_stale,
-                                    strategy=strategy, executor=executor,
-                                    backend=backend,
-                                    shard_addrs=shard_addrs,
-                                    connect_timeout=connect_timeout,
-                                    request_timeout=request_timeout,
-                                    retries=retries,
-                                    retry_backoff_s=retry_backoff_s,
-                                    owner_routing=owner_routing,
-                                    wire_format=wire_format,
-                                    scatter_pipeline=scatter_pipeline)
-    if workers:
-        raise EngineError(
-            f"artifact at {path} is not sharded; open it without workers, "
-            f"or re-compile with `repro compile --shards N`")
-    if backend == "remote":
-        raise EngineError(
-            f"artifact at {path} is not sharded; backend='remote' needs "
-            f"a sharded artifact (repro compile --shards N)")
-    if strategy == "scatter":
-        raise EngineError(
-            f"artifact at {path} is not sharded; strategy='scatter' needs "
-            f"a sharded artifact (repro compile --shards N)")
     stale = stale_info(path)
-    if stale is not None and not allow_stale:
+    if stale is not None and not config.allow_stale:
         raise ArtifactStale(
             f"artifact at {path} is stale ({stale.get('reason', 'unknown')}); "
             f"re-compile it or pass allow_stale=True",
             reason=stale.get("reason"))
-    if not frozen and manifest.get("format_version") != FORMAT_VERSION:
-        # The 2 -> 3 migration path: old artifacts stay servable on the
-        # read path, but a mutable lineage needs a real catalog history,
-        # which only a re-compile can establish.
-        raise ArtifactVersionMismatch(
-            f"artifact at {path} has format version "
-            f"{manifest.get('format_version')} and opens read-only "
-            f"(frozen); re-compile it to version {FORMAT_VERSION} for a "
-            f"mutable session",
-            found=manifest.get("format_version"), supported=FORMAT_VERSION)
+    if manifest.get("layout") == "sharded":
+        return _load_sharded_engine(path, manifest, config, backend)
+    if backend != "auto":
+        raise EngineError(
+            f"artifact at {path} is not sharded; backend={backend!r} needs "
+            f"a sharded artifact (repro compile --shards N)")
     catalog, graph, indexes, plans_payload = _load_frozen_parts(path, manifest)
     schema = catalog.current
-    plan_cache = _decode_plan_cache(path, plans_payload, schema, cache_size)
+    plan_cache = _decode_plan_cache(path, plans_payload, schema,
+                                    config.cache_size)
 
-    if frozen:
+    if config.frozen:
         schema_index = SchemaIndex.from_prebuilt(graph, schema, indexes)
-        engine = QueryEngine(graph, catalog, frozen=True, validate=validate,
-                             cache_size=cache_size, plan_cache=plan_cache,
-                             schema_index=schema_index, executor=executor)
+        engine = QueryEngine(graph, catalog, frozen=True,
+                             validate=config.validate,
+                             cache_size=config.cache_size,
+                             plan_cache=plan_cache, schema_index=schema_index)
     else:
         engine = QueryEngine(graph.thaw(), catalog, frozen=False,
-                             validate=validate, cache_size=cache_size,
-                             plan_cache=plan_cache, executor=executor)
+                             validate=config.validate,
+                             cache_size=config.cache_size,
+                             plan_cache=plan_cache)
 
     engine.artifact_path = path
     return engine
@@ -830,7 +752,7 @@ def save_extended_sharded(engine, source, path) -> dict:
     if not isinstance(backend, InlineShardBackend):
         raise EngineError(
             "saving an extended sharded artifact requires an inline "
-            "sharded session (open_path(..., workers=0))")
+            "sharded session (repro.connect(path, backend='inline'))")
     try:
         partition_bytes = (source / PARTITION_FILE).read_bytes()
     except OSError as exc:
@@ -1044,18 +966,10 @@ def load_shard_runtimes(path, shard_ids) -> list:
     return runtimes
 
 
-def _load_sharded_engine(path: Path, manifest: dict, *, validate: bool,
-                         cache_size: int, workers: int, mp_context,
-                         frozen: bool, allow_stale: bool = False,
-                         strategy: str = "auto", executor: str = "auto",
-                         backend: str = "inline",
-                         shard_addrs: Sequence[str] = (),
-                         connect_timeout: float = 5.0,
-                         request_timeout: float = 30.0,
-                         retries: int = 2, retry_backoff_s: float = 0.1,
-                         owner_routing: bool = True,
-                         wire_format: str = "auto",
-                         scatter_pipeline: bool = True):
+def _load_sharded_engine(path: Path, manifest: dict, config, backend: str):
+    """The sharded half of :func:`load_engine` (staleness already
+    checked); ``backend`` is the resolved backend, ``"auto"`` meaning
+    the merged view."""
     from repro.engine.engine import QueryEngine
     from repro.engine.parallel import (
         InlineShardBackend,
@@ -1064,51 +978,27 @@ def _load_sharded_engine(path: Path, manifest: dict, *, validate: bool,
     )
     from repro.graph.partition import GraphSummary, merge_shard_runtimes
 
-    # Same staleness contract as the single layout: a sharded artifact
-    # saved by a mutable session and then diverged via apply() must
-    # never be served silently.
-    stale = stale_info(path)
-    if stale is not None and not allow_stale:
-        raise ArtifactStale(
-            f"artifact at {path} is stale ({stale.get('reason', 'unknown')}); "
-            f"re-compile it or pass allow_stale=True",
-            reason=stale.get("reason"))
-    if not frozen:
+    if not config.frozen:
         raise EngineError(
             "sharded artifacts open frozen only; incremental updates go "
             "through re-compile (repro compile --shards) + hot reload")
-    if strategy == "auto":
-        # One process means in-process scatter only adds coordination
-        # overhead; merge the shards back and serve the (vectorized)
-        # sequential executors. Worker processes — or a remote fleet —
-        # mean real parallelism.
-        strategy = "scatter" if (workers or backend == "remote") \
-            else "sequential"
-    if strategy == "sequential" and workers:
-        raise EngineError(
-            "strategy='sequential' serves the merged graph in-process; "
-            "it is incompatible with workers — drop workers or use "
-            "strategy='scatter'")
-    if strategy == "sequential" and backend == "remote":
-        raise EngineError(
-            "strategy='sequential' serves the merged graph in-process; "
-            "it is incompatible with backend='remote'")
-    if validate and strategy == "scatter":
+    if config.validate and backend != "auto":
         raise EngineError(
             "validate=True is not supported for scatter-gather serving: "
             "cardinality bounds are a property of the merged index; "
-            "open with strategy='sequential' or validate before compiling")
+            "open the merged view (backend='auto', no workers) or "
+            "validate before compiling")
     shard_meta = manifest.get("shards")
     if not isinstance(shard_meta, list) or not shard_meta:
         raise ArtifactCorrupt(
             f"sharded artifact at {path} lists no shards", path=str(path))
     num_shards = len(shard_meta)
-    if workers:
+    if backend == "process":
         # Workers checksum-verify only the shards they load, so the
         # whole-tree sweep runs in the parent: corrupting any single
         # shard is detected here, before a worker ever serves from it.
-        # The inline path skips the sweep — loading every shard below
-        # performs the identical verification exactly once.
+        # The in-process paths skip the sweep — loading every shard
+        # below performs the identical verification exactly once.
         verify_sharded_artifact(path, manifest)
     try:
         schema = AccessSchema.from_dict(manifest["schema"])
@@ -1120,50 +1010,44 @@ def _load_sharded_engine(path: Path, manifest: dict, *, validate: bool,
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactCorrupt(f"malformed sharded manifest at {path}: {exc}",
                               path=str(path)) from exc
-    catalog_payload = None
-    if manifest.get("format_version") == FORMAT_VERSION:
-        try:
-            catalog_payload = (path / CATALOG_FILE).read_bytes()
-        except OSError as exc:
-            raise ArtifactCorrupt(
-                f"missing artifact file {path / CATALOG_FILE}: {exc}",
-                path=str(path / CATALOG_FILE)) from exc
-    catalog = _decode_catalog(path, manifest, schema, catalog_payload)
-    plan_cache = _decode_plan_cache(path, plans_payload, schema, cache_size)
+    try:
+        catalog_payload = (path / CATALOG_FILE).read_bytes()
+    except OSError as exc:
+        raise ArtifactCorrupt(
+            f"missing artifact file {path / CATALOG_FILE}: {exc}",
+            path=str(path / CATALOG_FILE)) from exc
+    catalog = _decode_catalog(path, schema, catalog_payload)
+    plan_cache = _decode_plan_cache(path, plans_payload, schema,
+                                    config.cache_size)
 
-    if strategy == "sequential":
+    if backend == "auto":
         runtimes = load_shard_runtimes(path, range(num_shards))
         merged_graph, merged_index = merge_shard_runtimes(runtimes,
                                                           catalog.current)
         engine = QueryEngine(merged_graph, catalog, frozen=True,
-                             validate=validate, cache_size=cache_size,
+                             validate=config.validate,
+                             cache_size=config.cache_size,
                              plan_cache=plan_cache,
-                             schema_index=merged_index, executor=executor)
+                             schema_index=merged_index)
         engine.artifact_path = path
         return engine
 
     if backend == "remote":
-        shards = RemoteShardBackend(list(shard_addrs), schema,
+        shards = RemoteShardBackend(list(config.shard_addrs), schema,
                                     artifact_path=path, manifest=manifest,
-                                    connect_timeout=connect_timeout,
-                                    request_timeout=request_timeout,
-                                    retries=retries,
-                                    retry_backoff_s=retry_backoff_s,
-                                    owner_routing=owner_routing,
-                                    wire_format=wire_format)
-    elif workers:
+                                    config=config)
+    elif backend == "process":
         shards = ProcessShardBackend(path, range(num_shards), schema,
-                                     workers=workers,
-                                     mp_context=mp_context,
-                                     owner_routing=owner_routing)
+                                     workers=config.workers,
+                                     mp_context=config.mp_context,
+                                     owner_routing=config.owner_routing)
     else:
         runtimes = load_shard_runtimes(path, range(num_shards))
         shards = InlineShardBackend(runtimes, schema,
-                                    owner_routing=owner_routing)
-    engine = QueryEngine.from_shards(shards, catalog, summary,
-                                     plan_cache=plan_cache,
-                                     cache_size=cache_size)
-    engine.scatter_pipeline = scatter_pipeline
+                                    owner_routing=config.owner_routing)
+    engine = QueryEngine._assemble_from_shards(
+        shards, catalog, summary, plan_cache=plan_cache,
+        cache_size=config.cache_size)
     engine.artifact_path = path
     return engine
 
@@ -1294,7 +1178,6 @@ def render_inspection(info: dict) -> str:
 
 __all__ = [
     "FORMAT_VERSION",
-    "SUPPORTED_READ_VERSIONS",
     "ArtifactError",
     "artifact_layout",
     "inspect_artifact",

@@ -256,10 +256,11 @@ def merge_shard_runtimes(runtimes, schema):
     """Fold loaded shard runtimes back into one frozen graph + index.
 
     The inverse of sharding, used to serve a sharded artifact as an
-    ordinary single-graph session (``open_path(..., strategy=
-    "sequential")``): on one CPU, in-process scatter over shards only
-    adds coordination overhead, and merging back unlocks the (much
-    faster) sequential/vectorized plan executors.
+    ordinary single-graph session (what ``repro.connect(path)`` does
+    when given neither workers nor shard addresses): on one CPU,
+    in-process scatter over shards only adds coordination overhead, and
+    merging back unlocks the (much faster) sequential/vectorized plan
+    executors.
 
     Correctness rests on the partition invariants: the exact cover means
     every node and every directed edge is owned by exactly one shard, so

@@ -141,14 +141,12 @@ class QueryService:
         # batch drains, not at process exit.
         self._engine_refs: dict[int, int] = {}
         self._retired: dict[int, QueryEngine] = {}
-        # The configured worker-process count, remembered independently
-        # of the current engine so a sharded -> single -> sharded reload
-        # chain restores the pool instead of silently dropping it.
-        self._exec_workers = engine.exec_workers
-        # Likewise the remote-fleet configuration: a session opened with
-        # backend="remote" must reload back onto the same fleet (see
-        # reload_artifact for the two-phase order).
-        self._remote_config = self._capture_remote_config(engine)
+        # The configuration the service was opened under, remembered
+        # independently of the current engine: every reload reopens
+        # under it, so a sharded -> single -> sharded chain restores the
+        # worker pool (or fleet, codec and timeouts included) instead of
+        # silently dropping it.
+        self._session_config = engine.session_config
         self.max_cost = max_cost
         self.workers = workers
         self.max_batch = max_batch
@@ -426,21 +424,6 @@ class QueryService:
                              for pair in pairs[:max(request.limit, 0)]]
         return body
 
-    @staticmethod
-    def _capture_remote_config(engine: QueryEngine) -> dict | None:
-        """Fleet settings of a remote-backed session, if it is one."""
-        from repro.engine.parallel import RemoteShardBackend
-
-        backend = getattr(engine, "_shards", None)
-        if not isinstance(backend, RemoteShardBackend):
-            return None
-        return {"shard_addrs": list(backend.shard_addrs),
-                "connect_timeout": backend.connect_timeout,
-                "request_timeout": backend.request_timeout,
-                "retries": backend.retries,
-                "retry_backoff_s": backend.retry_backoff_s,
-                "owner_routing": backend.router is not None}
-
     # -- hot reload ----------------------------------------------------------
     def reload_artifact(self, path, *, validate: bool = False) -> dict:
         """Swap serving onto a newly compiled artifact without dropping
@@ -461,28 +444,21 @@ class QueryService:
         reloaded fleet — the reverse order would fail the checksum
         handshake against still-stale servers.
         """
+        from repro.engine.parallel import RemoteShardBackend
         from repro.engine.persist import artifact_layout
+        from repro.session import connect
 
-        sharded = artifact_layout(path) == "sharded"
-        if self._remote_config is not None and sharded:
-            from repro.engine.parallel import RemoteShardBackend
-
-            current = getattr(self._engine, "_shards", None)
-            if isinstance(current, RemoteShardBackend):
-                current.reload_fleet()
-            engine = QueryEngine.open_path(path, frozen=True,
-                                           validate=validate,
-                                           backend="remote",
-                                           **self._remote_config)
-        else:
-            # The configured worker-process count applies whenever the
-            # target is sharded; a single-layout target opens inline (a
-            # reload must stay total across layout transitions) without
-            # forgetting the configuration.
-            workers = self._exec_workers if sharded else 0
-            engine = QueryEngine.open_path(path, frozen=True,
-                                           validate=validate,
-                                           workers=workers)
+        config = self._session_config.replace(validate=validate)
+        if artifact_layout(path) != "sharded":
+            # The pool / fleet settings apply whenever the target is
+            # sharded; a single-layout target has no shards to put
+            # anywhere (a reload must stay total across layout
+            # transitions) — the remembered configuration is untouched.
+            config = config.replace(workers=0, backend="auto",
+                                    shard_addrs=())
+        elif isinstance(self._engine._shards, RemoteShardBackend):
+            self._engine._shards.reload_fleet()
+        engine = connect(path, config=config)
         to_close = None
         with self._engine_lock:
             old = self._engine

@@ -1,11 +1,8 @@
 """The one front door of the library: ``repro.connect``.
 
-Three historical entry points grew up independently —
-``QueryEngine.open`` (an in-memory graph + schema),
-``QueryEngine.open_path`` (a compiled artifact), and
-``QueryEngine.from_shards`` (a pre-built shard backend) — each with its
-own drifting keyword surface. :func:`connect` collapses them behind one
-``(source, config)`` signature:
+Every session kind — an in-memory graph, a compiled artifact, a
+pre-built shard backend — opens through one ``(source, config)``
+signature:
 
 >>> import repro
 >>> engine = repro.connect("artifacts/imdb")                  # artifact
@@ -18,8 +15,10 @@ own drifting keyword surface. :func:`connect` collapses them behind one
 All session options live on one frozen :class:`SessionConfig`; keyword
 arguments to :func:`connect` are shorthand for overriding its fields, so
 ``connect(p, workers=4)`` and ``connect(p, config=SessionConfig(
-workers=4))`` are the same call. A config is a value — build one per
-deployment and reuse it across reconnects.
+workers=4))`` are the same call. A config is a value — it travels whole
+to the artifact loader and the fleet backend, and the opened engine
+keeps it as ``engine.session_config`` so a reconnect (the server's hot
+reload) reopens under exactly the settings it was opened with.
 """
 
 from __future__ import annotations
@@ -41,28 +40,33 @@ class SessionConfig:
     with the loader (:func:`repro.engine.persist.load_engine`).
 
     All sources: ``frozen``, ``validate``, ``cache_size``,
-    ``plan_cache``, ``executor``.
+    ``plan_cache``.
 
-    Artifacts: ``allow_stale``, ``strategy`` (``auto``/``sequential``/
-    ``scatter``), ``workers`` + ``mp_context`` (process pool), and
-    ``backend`` (``auto``/``inline``/``process``/``remote``) with the
-    remote-fleet settings — ``shard_addrs`` (one ``host:port`` per
-    shard, in shard order), the two timeouts, bounded retry
-    (``retries``/``retry_backoff_s``), ``owner_routing`` and
-    ``wire_format`` (``auto`` negotiates packed binary frames when both
-    ends can, ``json`` forces the compatibility codec, ``binary``
-    demands the packed codec and fails the handshake on a JSON-only
-    server).
+    Artifacts: ``allow_stale``, and — for sharded artifacts — where the
+    shards live, ``backend``: ``inline`` (scatter over shards held in
+    this process), ``process`` (a pool of ``workers`` worker processes,
+    started under ``mp_context``), or ``remote`` (a running ``repro
+    shard-serve`` fleet). ``auto`` (default) infers ``remote`` from
+    ``shard_addrs``, ``process`` from ``workers``, and otherwise merges
+    the shards back into one graph served like a single-layout artifact
+    — in one process, scatter over local shards only adds coordination.
+
+    Remote fleet: ``shard_addrs`` (one ``host:port`` per shard, any
+    order), the two timeouts, bounded retry (``retries``/
+    ``retry_backoff_s``), ``owner_routing`` (``False`` broadcasts every
+    task — the reference routing mode; also honoured by the local
+    backends) and ``wire_format`` (``auto`` negotiates packed binary
+    frames when both ends can, ``json`` forces the compatibility codec,
+    ``binary`` demands the packed codec and fails the handshake on a
+    JSON-only server).
     """
 
     frozen: bool = True
     validate: bool = False
     cache_size: int = 128
     plan_cache: object | None = None
-    executor: str = "auto"
     # -- artifact sources ---------------------------------------------------
     allow_stale: bool = False
-    strategy: str = "auto"
     workers: int = 0
     mp_context: object | None = None
     # -- shard fleet --------------------------------------------------------
@@ -74,10 +78,6 @@ class SessionConfig:
     retry_backoff_s: float = 0.1
     owner_routing: bool = True
     wire_format: str = "auto"
-    #: Scatter driver: True (default) runs the pipelined per-shard-
-    #: progress executor; False forces the lock-step wave barrier (the
-    #: reference mode the skewed-fleet benchmark compares against).
-    scatter_pipeline: bool = True
 
     def replace(self, **overrides) -> "SessionConfig":
         """A copy with ``overrides`` applied; unknown names raise
@@ -98,10 +98,10 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
 
     * ``str`` / ``Path`` — a compiled artifact directory
       (``repro compile``). Single-layout artifacts warm-start an
-      ordinary session; sharded artifacts open under
-      ``config.strategy``/``config.backend`` — in this process, over a
-      worker pool (``workers=N``), or against a running shard-server
-      fleet (``backend="remote"``, ``shard_addrs=[...]``).
+      ordinary session; sharded artifacts open under ``config.backend``
+      — merged into one graph, scattered over shards in this process,
+      over a worker pool (``workers=N``), or against a running
+      shard-server fleet (``shard_addrs=[...]``).
     * ``(graph, schema)`` — an in-memory graph under an access schema;
       snapshot + index are built on the spot.
     * ``(backend, schema, graph_summary)`` — a pre-built
@@ -110,8 +110,9 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
 
     Options come from ``config`` (a :class:`SessionConfig`), with
     keyword ``overrides`` applied on top. Returns a
-    :class:`~repro.engine.QueryEngine`; close it (or use it as a
-    context manager) to release pools and fleet connections.
+    :class:`~repro.engine.QueryEngine` carrying the resolved config as
+    ``session_config``; close it (or use it as a context manager) to
+    release pools and fleet connections.
     """
     from repro.engine.engine import QueryEngine
 
@@ -119,37 +120,29 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
     if isinstance(source, (str, Path)):
         from repro.engine import persist
 
-        return persist.load_engine(
-            source, frozen=cfg.frozen, validate=cfg.validate,
-            cache_size=cfg.cache_size, allow_stale=cfg.allow_stale,
-            workers=cfg.workers, mp_context=cfg.mp_context,
-            strategy=cfg.strategy, executor=cfg.executor,
-            backend=cfg.backend, shard_addrs=cfg.shard_addrs,
-            connect_timeout=cfg.connect_timeout,
-            request_timeout=cfg.request_timeout, retries=cfg.retries,
-            retry_backoff_s=cfg.retry_backoff_s,
-            owner_routing=cfg.owner_routing,
-            wire_format=cfg.wire_format,
-            scatter_pipeline=cfg.scatter_pipeline)
-    if isinstance(source, tuple) and len(source) == 2:
+        engine = persist.load_engine(source, cfg)
+    elif isinstance(source, tuple) and len(source) == 2:
         graph, schema = source
         if cfg.backend not in ("auto", "inline") or cfg.shard_addrs:
             raise EngineError(
                 "an in-memory (graph, schema) source has no shards; "
                 "backend/shard_addrs apply to sharded artifacts")
-        return QueryEngine(graph, schema, frozen=cfg.frozen,
-                           validate=cfg.validate, cache_size=cfg.cache_size,
-                           plan_cache=cfg.plan_cache, executor=cfg.executor)
-    if isinstance(source, tuple) and len(source) == 3:
+        engine = QueryEngine(graph, schema, frozen=cfg.frozen,
+                             validate=cfg.validate,
+                             cache_size=cfg.cache_size,
+                             plan_cache=cfg.plan_cache)
+    elif isinstance(source, tuple) and len(source) == 3:
         backend, schema, graph_summary = source
-        return QueryEngine._assemble_from_shards(
+        engine = QueryEngine._assemble_from_shards(
             backend, schema, graph_summary, plan_cache=cfg.plan_cache,
-            cache_size=cfg.cache_size,
-            scatter_pipeline=cfg.scatter_pipeline)
-    raise EngineError(
-        f"cannot connect to {type(source).__name__!r}: expected an "
-        f"artifact path, a (graph, schema) pair, or a "
-        f"(backend, schema, graph_summary) triple")
+            cache_size=cfg.cache_size)
+    else:
+        raise EngineError(
+            f"cannot connect to {type(source).__name__!r}: expected an "
+            f"artifact path, a (graph, schema) pair, or a "
+            f"(backend, schema, graph_summary) triple")
+    engine.session_config = cfg
+    return engine
 
 
 __all__ = ["SessionConfig", "connect"]

@@ -35,7 +35,8 @@ def require_numpy():
     if np is None:
         raise RuntimeError(
             "numpy is required for vectorized execution but is not "
-            "installed; install numpy or use executor='sequential'")
+            "installed; install numpy (sessions opened without it run "
+            "the sequential executor)")
     return np
 
 

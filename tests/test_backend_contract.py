@@ -77,7 +77,7 @@ def backend_engine(request, sharded_artifact, shard_fleet):
     """A scatter session per backend kind, plus the expected class."""
     kind = request.param
     if kind == "inline":
-        engine = connect(sharded_artifact, strategy="scatter")
+        engine = connect(sharded_artifact, backend="inline")
         expected = InlineShardBackend
     elif kind == "process":
         engine = connect(sharded_artifact, workers=2)

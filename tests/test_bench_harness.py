@@ -109,10 +109,10 @@ class TestWarmStart:
 
     def test_throughput_rejects_mismatched_artifact(self, tmp_path):
         from repro.bench.harness import engine_throughput
-        from repro.engine import QueryEngine
+        from repro import connect
         artifact = tmp_path / "artifact"
         graph, schema = get_dataset("imdb", 0.005)
-        QueryEngine.open(graph, schema).save(artifact)
+        connect((graph, schema)).save(artifact)
         with pytest.raises(BenchmarkError):
             engine_throughput("imdb", scale=SCALE, distinct=2, repeats=1,
                               artifact=str(artifact))
@@ -203,7 +203,6 @@ class TestCheckRegressionShardMetrics:
                    "speedup_vs_prepared": 1.0}]),
                 ("shard", [{"mode": "sequential", "qps": 1.0}]),
                 ("remote", []),
-                ("remote_skewed", []),
                 ("extension", []),
                 ("obs", []),
         ):
@@ -215,8 +214,6 @@ class TestCheckRegressionShardMetrics:
         # Empty remote.json / obs.json degrade the same way.
         assert metrics["remote"]["answers_identical"] is None
         assert metrics["remote"]["scatter_reduction"] is None
-        assert metrics["remote_skewed"]["answers_identical"] is None
-        assert metrics["remote_skewed"]["pipelined_speedup"] is None
         assert metrics["obs"]["disabled_overhead_ratio"] is None
         rows = compare({"shard": {"answers_identical": 1.0}}, metrics)
         assert rows[0]["ok"] is False  # missing fails the gate loudly

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AccessConstraint, AccessSchema, Graph, QueryEngine
+from repro import AccessConstraint, AccessSchema, Graph, connect
 from repro.constraints.catalog import SchemaCatalog, SchemaGeneration
 from repro.engine import PlanCache
 from repro.errors import NotEffectivelyBounded, SchemaError
@@ -98,7 +98,7 @@ class TestCatalogCacheKeying:
         y = g.add_node("year", value=2000)
         m = g.add_node("movie")
         g.add_edge(m, y)
-        return QueryEngine.open(g, AccessSchema([c1()]), **kwargs), g
+        return connect((g, AccessSchema([c1()])), **kwargs), g
 
     def test_engine_wraps_schema_in_catalog(self):
         engine, _ = self._engine()
@@ -135,14 +135,14 @@ class TestCatalogCacheKeying:
         g.add_edge(m, y)
         schema = AccessSchema([c1()])
         cache = PlanCache()
-        e1 = QueryEngine.open(g, schema, plan_cache=cache)
+        e1 = connect((g, schema), plan_cache=cache)
         q = parse_pattern(MY_QUERY)
         with pytest.raises(NotEffectivelyBounded):
             e1.query(q)
         # A second engine over the same (grown) schema object must not
         # reuse the generation-0 refusal.
         e1.extend_schema([c2()])
-        e2 = QueryEngine.open(g, schema, plan_cache=cache)
+        e2 = connect((g, schema), plan_cache=cache)
         assert len(e2.query(q).answer) == 1
 
     def test_extend_empty_does_not_bump(self):
@@ -162,7 +162,7 @@ class TestCatalogCacheKeying:
         y = g.add_node("year", value=2000)
         m = g.add_node("movie")
         g.add_edge(m, y)
-        engine = QueryEngine.open(g, AccessSchema([c1()]), frozen=False)
+        engine = connect((g, AccessSchema([c1()])), frozen=False)
         q = parse_pattern(MY_QUERY)
         with pytest.raises(NotEffectivelyBounded):
             engine.query(q)

@@ -21,11 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import connect
 from repro.constraints.index import FrozenConstraintIndex
 from repro.constraints.schema import AccessConstraint
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
-from repro.engine import QueryEngine
 from repro.graph import Graph
 from repro.matching.simulation import relation_pairs
 from repro.pattern.generator import PatternGenerator
@@ -59,13 +59,13 @@ def workload(imdb_small):
 
 def test_threaded_queries_match_sequential(imdb_small, workload):
     graph, schema = imdb_small
-    reference = QueryEngine.open(graph, schema)
+    reference = connect((graph, schema))
     expected = [_canonical(reference.query(q, sem), sem)
                 for q, sem in workload]
 
     # A fresh engine: worker threads also race EBChk/QPlan compilation
     # and the first-execution answer memo, not just cached reads.
-    engine = QueryEngine.open(graph, schema)
+    engine = connect((graph, schema))
 
     def hammer(seed: int):
         rng = random.Random(seed)
@@ -94,10 +94,10 @@ def test_threaded_queries_match_sequential(imdb_small, workload):
 
 def test_threaded_batches_match_sequential(imdb_small, workload):
     graph, schema = imdb_small
-    reference = QueryEngine.open(graph, schema)
+    reference = connect((graph, schema))
     expected = [_canonical(reference.query(q, sem), sem)
                 for q, sem in workload]
-    engine = QueryEngine.open(graph, schema)
+    engine = connect((graph, schema))
 
     def hammer_batch(seed: int):
         rng = random.Random(seed)

@@ -12,7 +12,7 @@ from repro import (
     GraphDelta,
     NotEffectivelyBounded,
     PlanCache,
-    QueryEngine,
+    connect,
 )
 from repro.constraints.index import (
     ConstraintIndex,
@@ -30,7 +30,7 @@ from repro.pattern import parse_pattern
 @pytest.fixture(scope="module")
 def imdb_engine(imdb_small_module):
     graph, schema = imdb_small_module
-    return QueryEngine.open(graph, schema)
+    return connect((graph, schema))
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestPatternFingerprint:
 class TestEngineCaching:
     def test_hit_miss_counters(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         q = parse_pattern(MY_QUERY)
         engine.query(q)
         assert engine.stats.plan_cache_misses == 1
@@ -141,7 +141,7 @@ class TestEngineCaching:
 
     def test_answer_memoized_until_refresh(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         q = parse_pattern(MY_QUERY)
         first = engine.query(q)
         assert engine.query(q) is first
@@ -150,7 +150,7 @@ class TestEngineCaching:
     def test_renumbered_pattern_hits_and_answers_correctly(
             self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         engine.query(parse_pattern("m: movie; y: year; m -> y"))
         twisted = parse_pattern("y: year; m: movie; m -> y")
         run = engine.query(twisted)
@@ -161,7 +161,7 @@ class TestEngineCaching:
 
     def test_renumbered_pattern_answer_memoized(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         engine.query(parse_pattern("m: movie; y: year; m -> y"))
         twisted = parse_pattern("y: year; m: movie; m -> y")
         first = engine.query(twisted)
@@ -173,7 +173,7 @@ class TestEngineCaching:
 
     def test_cached_refusal_raises_fresh_exception(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         bad = parse_pattern("a: actor; c: country; a -> c")
         seen = []
         for _ in range(2):
@@ -187,11 +187,11 @@ class TestEngineCaching:
         graph, _ = imdb_small_module
         cache = PlanCache()
         q = parse_pattern(MY_QUERY)
-        e1 = QueryEngine.open(graph, AccessSchema([]), plan_cache=cache)
+        e1 = connect((graph, AccessSchema([])), plan_cache=cache)
         with pytest.raises(NotEffectivelyBounded):
             e1.query(q)
         _, schema = imdb_small_module
-        e2 = QueryEngine.open(graph, schema, plan_cache=cache)
+        e2 = connect((graph, schema), plan_cache=cache)
         e2.query(q)  # finds the stale entry: must count as a miss everywhere
         assert e2.stats.plan_cache_misses == 1
         assert e2.stats.plan_cache_hits == 0
@@ -200,7 +200,7 @@ class TestEngineCaching:
 
     def test_unbounded_verdict_cached(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         bad = parse_pattern("a: actor; c: country; a -> c")
         for _ in range(2):
             with pytest.raises(NotEffectivelyBounded):
@@ -210,7 +210,7 @@ class TestEngineCaching:
 
     def test_semantics_cached_separately(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         q = parse_pattern(MY_QUERY)
         engine.query(q, "subgraph")
         engine.query(q, "simulation")
@@ -224,7 +224,7 @@ class TestEngineCaching:
         """Acceptance: a 50-query workload with repeats gets >= 1 plan
         cache hit per repeated pattern."""
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         distinct = [parse_pattern(MY_QUERY, name=f"q{i}") for i in range(5)]
         distinct += [
             parse_pattern("aw: award; y: year; m: movie; m -> aw; m -> y",
@@ -246,7 +246,7 @@ class TestEngineCaching:
 class TestEngineEvaluation:
     def test_matches_loose_pieces_subgraph(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         q = parse_pattern(MY_QUERY)
         run = engine.query(q)
         loose = bvf2(q, SchemaIndex(graph, schema))
@@ -255,7 +255,7 @@ class TestEngineEvaluation:
 
     def test_matches_loose_pieces_simulation(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         q = parse_pattern(MY_QUERY)
         run = engine.query(q, "simulation")
         from repro.matching.bounded import bsim
@@ -264,7 +264,7 @@ class TestEngineEvaluation:
 
     def test_stats_forwarded(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         stats = AccessStats()
         engine.query(parse_pattern(MY_QUERY), stats=stats)
         assert stats.total_accessed > 0
@@ -280,10 +280,10 @@ class TestEngineEvaluation:
             parse_pattern("m: movie; y: year; m -> y; y.value >= 2011",
                           name="q2"),
         ]
-        batch_engine = QueryEngine.open(graph, schema)
+        batch_engine = connect((graph, schema))
         batched = batch_engine.query_batch(patterns)
         for pattern, run in zip(patterns, batched):
-            solo = QueryEngine.open(graph, schema).query(pattern)
+            solo = connect((graph, schema)).query(pattern)
             assert {frozenset(m.items()) for m in run.answer} == \
                    {frozenset(m.items()) for m in solo.answer}
         # The duplicate executed once: results 0 and 2 are the same run.
@@ -291,7 +291,7 @@ class TestEngineEvaluation:
 
     def test_query_batch_mixed_semantics(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         q = parse_pattern(MY_QUERY)
         sub_run, sim_run = engine.query_batch([(q, "subgraph"),
                                                (q, "simulation")])
@@ -301,7 +301,7 @@ class TestEngineEvaluation:
     def test_prepared_execute_edge_modes_agree(self, imdb_small_module):
         from repro.core.executor import MODE_PROBE
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         prepared = engine.prepare(parse_pattern(MY_QUERY))
         via_plan = prepared.execute()
         via_probe = prepared.execute(edge_mode=MODE_PROBE)
@@ -321,7 +321,7 @@ class TestEngineInvalidation:
         g.add_edge(m, y)
         schema = AccessSchema([AccessConstraint((), "year", 10),
                                AccessConstraint(("year",), "movie", 10)])
-        return g, y, QueryEngine.open(g, schema, frozen=False)
+        return g, y, connect((g, schema), frozen=False)
 
     def test_apply_invalidates_answers_not_plans(self):
         _, y, engine = self._mutable_engine()
@@ -347,7 +347,7 @@ class TestEngineInvalidation:
 
     def test_frozen_engine_refuses_apply(self, imdb_small_module):
         graph, schema = imdb_small_module
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         with pytest.raises(EngineError):
             engine.apply(GraphDelta().add_node(10**6, "movie"))
 
@@ -355,8 +355,7 @@ class TestEngineInvalidation:
         from repro.graph.frozen import FrozenGraph
         graph, schema = imdb_small_module
         with pytest.raises(EngineError):
-            QueryEngine.open(FrozenGraph.from_graph(graph), schema,
-                             frozen=False)
+            connect((FrozenGraph.from_graph(graph), schema), frozen=False)
 
 
 class TestSharedPlanCache:
@@ -364,9 +363,9 @@ class TestSharedPlanCache:
         graph, schema = imdb_small_module
         cache = PlanCache()
         q = parse_pattern(MY_QUERY)
-        e1 = QueryEngine.open(graph, schema, plan_cache=cache)
+        e1 = connect((graph, schema), plan_cache=cache)
         r1 = e1.query(q)
-        e2 = QueryEngine.open(graph, schema, plan_cache=cache)
+        e2 = connect((graph, schema), plan_cache=cache)
         r2 = e2.query(q)
         assert e2.stats.plan_cache_hits == 1
         assert r2 is not r1  # different session, separately executed
@@ -377,10 +376,10 @@ class TestSharedPlanCache:
         graph, schema = imdb_small_module
         cache = PlanCache()
         q = parse_pattern(MY_QUERY)
-        e1 = QueryEngine.open(graph, schema, plan_cache=cache)
+        e1 = connect((graph, schema), plan_cache=cache)
         e1.query(q)
         other_schema = AccessSchema(list(schema))
-        e2 = QueryEngine.open(graph, other_schema, plan_cache=cache)
+        e2 = connect((graph, other_schema), plan_cache=cache)
         e2.query(q)
         # The cached plan belongs to a different schema object: re-planned.
         assert e2.stats.plan_cache_misses == 1
@@ -392,12 +391,12 @@ class TestSharedPlanCache:
         cache = PlanCache()
         q = parse_pattern(MY_QUERY)
         empty = AccessSchema([])
-        e1 = QueryEngine.open(graph, empty, plan_cache=cache)
+        e1 = connect((graph, empty), plan_cache=cache)
         with pytest.raises(NotEffectivelyBounded):
             e1.query(q)
         # Under a schema that bounds q, the cached refusal must not leak.
         _, schema = imdb_small_module
-        e2 = QueryEngine.open(graph, schema, plan_cache=cache)
+        e2 = connect((graph, schema), plan_cache=cache)
         assert len(e2.query(q).answer) > 0
 
     def test_schema_extension_invalidates_negative_verdict(self):
@@ -406,7 +405,7 @@ class TestSharedPlanCache:
         m = g.add_node("movie")
         g.add_edge(m, y)
         schema = AccessSchema([AccessConstraint((), "year", 10)])
-        engine = QueryEngine.open(g, schema)
+        engine = connect((g, schema))
         q = parse_pattern(MY_QUERY)
         with pytest.raises(NotEffectivelyBounded):
             engine.query(q)
@@ -421,7 +420,7 @@ class TestSharedPlanCache:
         graph, schema = imdb_small_module
         cache = PlanCache()
         q = parse_pattern(MY_QUERY)
-        engine = QueryEngine.open(graph, schema, plan_cache=cache)
+        engine = connect((graph, schema), plan_cache=cache)
         engine.query(q)
         ref = weakref.ref(engine)
         del engine

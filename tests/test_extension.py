@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AccessSchema, QueryEngine
+from repro import AccessSchema, connect
 from repro.constraints.discovery import discover_schema, neighbor_label_bounds
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
@@ -51,7 +51,7 @@ BOUNDED = "m: movie; y: year; m -> y"
 def imdb_engine():
     """A fresh engine per test: extension grows the schema in place."""
     graph, schema = imdb_like(scale=0.02, seed=7)
-    return QueryEngine.open(graph, AccessSchema(list(schema)))
+    return connect((graph, AccessSchema(list(schema))))
 
 
 # -------------------------------------------------------- planning
@@ -141,7 +141,7 @@ class TestShardedExtension:
     @pytest.fixture()
     def sharded_artifact(self, tmp_path):
         graph, schema = imdb_like(scale=0.02, seed=7)
-        engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+        engine = connect((graph, AccessSchema(list(schema))))
         engine.prepare(parse_pattern(BOUNDED))
         engine.save(tmp_path / "art", shards=3)
         return tmp_path / "art"
@@ -153,8 +153,7 @@ class TestShardedExtension:
         imdb_engine.extend_schema(plan_ref.added)
         expected = canonical_answer(SUBGRAPH, imdb_engine.query(q).answer)
 
-        sharded = QueryEngine.open_path(sharded_artifact,
-                                        strategy="scatter")
+        sharded = connect(sharded_artifact, backend="inline")
         plan = plan_extension(sharded, [q])
         assert plan.m == plan_ref.m and plan.added == plan_ref.added
         report = sharded.extend_schema(plan.added)
@@ -167,7 +166,7 @@ class TestShardedExtension:
     def test_stats_merge_equals_global(self, sharded_artifact, imdb_engine):
         labels = {"actor", "country", "movie", "year"}
         merged = workload_stats(
-            QueryEngine.open_path(sharded_artifact, strategy="scatter"),
+            connect(sharded_artifact, backend="inline"),
             labels)
         direct = workload_stats(imdb_engine, labels)
         assert merged.label_counts == direct.label_counts
@@ -178,7 +177,7 @@ class TestShardedExtension:
         plan_ref = plan_extension(imdb_engine, [q])
         imdb_engine.extend_schema(plan_ref.added)
         expected = canonical_answer(SUBGRAPH, imdb_engine.query(q).answer)
-        with QueryEngine.open_path(sharded_artifact, workers=2) as pooled:
+        with connect(sharded_artifact, workers=2) as pooled:
             plan = plan_extension(pooled, [q])
             assert plan.added == plan_ref.added
             report = pooled.extend_schema(plan.added)
@@ -189,15 +188,14 @@ class TestShardedExtension:
 
     def test_extended_artifact_roundtrip(self, sharded_artifact, tmp_path):
         q = parse_pattern(UNBOUNDED)
-        sharded = QueryEngine.open_path(sharded_artifact,
-                                        strategy="scatter")
+        sharded = connect(sharded_artifact, backend="inline")
         plan = plan_extension(sharded, [q])
         sharded.extend_schema(plan.added, provenance={"origin": "t",
                                                       "m": plan.m})
         expected = canonical_answer(SUBGRAPH, sharded.query(q).answer)
         save_extended_sharded(sharded, sharded_artifact, tmp_path / "ext")
 
-        reloaded = QueryEngine.open_path(tmp_path / "ext")
+        reloaded = connect(tmp_path / "ext")
         assert reloaded.schema_version == 1
         assert reloaded.catalog.generations[1].added == plan.added
         assert canonical_answer(SUBGRAPH, reloaded.query(q).answer) \
@@ -207,12 +205,11 @@ class TestShardedExtension:
 
     def test_extend_in_place(self, sharded_artifact):
         q = parse_pattern(UNBOUNDED)
-        sharded = QueryEngine.open_path(sharded_artifact,
-                                        strategy="scatter")
+        sharded = connect(sharded_artifact, backend="inline")
         plan = plan_extension(sharded, [q])
         sharded.extend_schema(plan.added)
         save_extended_sharded(sharded, sharded_artifact, sharded_artifact)
-        reloaded = QueryEngine.open_path(sharded_artifact)
+        reloaded = connect(sharded_artifact)
         assert reloaded.schema_version == 1
         assert len(reloaded.query(q).answer) > 0
 
@@ -224,60 +221,43 @@ class TestShardedExtension:
                                   tmp_path / "x")
 
 
-# ---------------------------------------------------- v2 migration
+# ---------------------------------------------------- v2 refused
 def _downgrade_to_v2(artifact: Path) -> None:
-    """Rewrite a freshly saved artifact as a faithful version-2 one:
-    no catalog payload, no schema_version, format_version 2 (recursing
-    into shard sub-artifacts for the sharded layout)."""
+    """Stamp a freshly saved artifact's manifest as format version 2
+    (the pre-catalog format this library no longer reads)."""
     manifest_path = artifact / persist.MANIFEST_FILE
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     manifest["format_version"] = 2
-    manifest.pop("schema_version", None)
-    manifest["files"].pop(persist.CATALOG_FILE, None)
-    (artifact / persist.CATALOG_FILE).unlink()
-    if manifest.get("layout") == "sharded":
-        for meta in manifest["shards"]:
-            shard_path = artifact / meta["dir"]
-            _downgrade_to_v2(shard_path)
-            meta["manifest_sha256"] = __import__("hashlib").sha256(
-                (shard_path / persist.MANIFEST_FILE).read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n",
                              encoding="utf-8")
 
 
-class TestV2Migration:
-    @pytest.fixture()
-    def v2_artifact(self, tmp_path, imdb_engine):
-        imdb_engine.prepare(parse_pattern(BOUNDED))
-        imdb_engine.save(tmp_path / "art")
-        _downgrade_to_v2(tmp_path / "art")
-        return tmp_path / "art"
+def test_v2_manifest_refused_naming_recompile(tmp_path, imdb_engine):
+    """A version-2 manifest (either layout, frozen or not) is a typed
+    ``ArtifactVersionMismatch`` telling the user to re-compile — and a
+    refused hot reload leaves the serving engine untouched."""
+    from repro.server import QueryService
 
-    def test_v2_opens_frozen_with_generation_zero(self, v2_artifact):
-        engine = QueryEngine.open_path(v2_artifact)
-        assert engine.schema_version == 0
-        assert engine.catalog.generations[0].provenance["origin"] \
-            == "v2-artifact"
-        assert len(engine.query(parse_pattern(BOUNDED)).answer) > 0
-
-    def test_v2_refuses_mutable_open(self, v2_artifact):
+    q = parse_pattern(BOUNDED)
+    imdb_engine.prepare(q)
+    imdb_engine.save(tmp_path / "art")
+    imdb_engine.save(tmp_path / "arts", shards=2)
+    for path in (tmp_path / "art", tmp_path / "arts"):
+        _downgrade_to_v2(path)
+        for frozen in (True, False):
+            with pytest.raises(ArtifactVersionMismatch,
+                               match="re-compile") as info:
+                connect(path, frozen=frozen)
+            assert info.value.found == 2
+            assert info.value.supported == persist.FORMAT_VERSION
+    service = QueryService(imdb_engine, workers=1)
+    try:
         with pytest.raises(ArtifactVersionMismatch):
-            QueryEngine.open_path(v2_artifact, frozen=False)
-
-    def test_v2_sharded_opens(self, tmp_path, imdb_engine):
-        imdb_engine.save(tmp_path / "arts", shards=2)
-        _downgrade_to_v2(tmp_path / "arts")
-        engine = QueryEngine.open_path(tmp_path / "arts")
-        assert engine.schema_version == 0
-        assert len(engine.query(parse_pattern(BOUNDED)).answer) > 0
-
-    def test_v2_engine_still_extends_in_memory(self, v2_artifact):
-        engine = QueryEngine.open_path(v2_artifact)
-        q = parse_pattern(UNBOUNDED)
-        plan = plan_extension(engine, [q])
-        engine.extend_schema(plan.added)
-        assert engine.schema_version == 1
-        assert len(engine.query(q).answer) > 0
+            service.reload_artifact(tmp_path / "art")
+        assert service.engine is imdb_engine
+        assert service.execute_batch([service.admit(q, SUBGRAPH)])
+    finally:
+        service.close()
 
 
 # ----------------------------------------------------- greedy memo
@@ -390,7 +370,7 @@ def test_extension_preserves_bounded_queries(data, semantics):
 
     graph, queries = data
     schema = discover_schema(graph, type1_max=3, unit_max=2)
-    engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+    engine = connect((graph, AccessSchema(list(schema))))
     bounded, unbounded = [], []
     for q in queries:
         (bounded if is_effectively_bounded(q, engine.schema,
@@ -430,7 +410,7 @@ def test_rescued_answers_match_cold_engine_on_extended_schema(data,
     graph, queries = data
     base = AccessSchema(list(discover_schema(graph, type1_max=3,
                                              unit_max=2)))
-    engine = QueryEngine.open(graph, AccessSchema(list(base)))
+    engine = connect((graph, AccessSchema(list(base))))
     unbounded = [q for q in queries
                  if not is_effectively_bounded(q, base, semantics).bounded]
     if not unbounded:
@@ -444,7 +424,7 @@ def test_rescued_answers_match_cold_engine_on_extended_schema(data,
     cold_schema = AccessSchema(list(base))
     for constraint in plan.added:
         cold_schema.add(constraint)
-    cold = QueryEngine.open(graph, cold_schema)
+    cold = connect((graph, cold_schema))
     for q in unbounded:
         rescued = engine.query(q, semantics)
         reference = cold.query(q, semantics)
@@ -464,9 +444,9 @@ def test_extended_sharded_artifact_detects_corruption(tmp_path_factory,
     tmp_path = tmp_path_factory.mktemp("ext-corrupt")
     graph = random_labeled_graph(16, 3, 40, seed=seed, value_range=10)
     schema = discover_schema(graph, type1_max=3, unit_max=2)
-    engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+    engine = connect((graph, AccessSchema(list(schema))))
     engine.save(tmp_path / "art", shards=2)
-    sharded = QueryEngine.open_path(tmp_path / "art", strategy="scatter")
+    sharded = connect(tmp_path / "art", backend="inline")
     generator = PatternGenerator.from_graph(graph,
                                             rng=random.Random(seed + 1))
     queries = [generator.generate(num_nodes=2) for _ in range(3)]
@@ -486,7 +466,7 @@ def test_extended_sharded_artifact_detects_corruption(tmp_path_factory,
     blob[int(position * (len(blob) - 1))] ^= flip
     target.write_bytes(bytes(blob))
     with pytest.raises(ArtifactError):
-        engine = QueryEngine.open_path(tmp_path / "ext")
+        engine = connect(tmp_path / "ext")
         # Inline shard loads verify eagerly; reaching here means the
         # flip landed in a top-level file consumed at first use.
         engine.query(queries[0])
@@ -498,7 +478,7 @@ class TestExtendCli:
         from repro.cli import main
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+        engine = connect((graph, AccessSchema(list(schema))))
         engine.save(tmp_path / "art")
         pattern_file = tmp_path / "u.pat"
         pattern_file.write_text(UNBOUNDED + "\n", encoding="utf-8")
@@ -508,7 +488,7 @@ class TestExtendCli:
         out = capsys.readouterr().out
         assert "schema v0 -> v1" in out
         assert "index-size delta" in out
-        loaded = QueryEngine.open_path(tmp_path / "ext")
+        loaded = connect(tmp_path / "ext")
         assert loaded.schema_version == 1
         assert len(loaded.query(parse_pattern(UNBOUNDED)).answer) > 0
 
@@ -517,7 +497,7 @@ class TestExtendCli:
         from repro.cli import main
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+        engine = connect((graph, AccessSchema(list(schema))))
         engine.save(tmp_path / "art", shards=2)
         workload = tmp_path / "w.txt"
         workload.write_text(f"# rescue these\n{UNBOUNDED}\n\n",
@@ -525,14 +505,14 @@ class TestExtendCli:
         assert main(["extend", "--artifact", str(tmp_path / "art"),
                      "--workload", str(workload)]) == 0
         assert "v0 -> v1" in capsys.readouterr().out
-        loaded = QueryEngine.open_path(tmp_path / "art")
+        loaded = connect(tmp_path / "art")
         assert loaded.schema_version == 1
 
     def test_extend_cli_nothing_to_do(self, tmp_path, capsys):
         from repro.cli import main
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        QueryEngine.open(graph, AccessSchema(list(schema))).save(
+        connect((graph, AccessSchema(list(schema)))).save(
             tmp_path / "art")
         pattern_file = tmp_path / "q.pat"
         pattern_file.write_text(BOUNDED + "\n", encoding="utf-8")
@@ -544,7 +524,7 @@ class TestExtendCli:
         from repro.cli import main
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        QueryEngine.open(graph, AccessSchema(list(schema))).save(
+        connect((graph, AccessSchema(list(schema)))).save(
             tmp_path / "art")
         assert main(["extend", "--artifact", str(tmp_path / "art")]) == 2
 
@@ -555,7 +535,7 @@ class TestExtendCli:
         from repro.cli import main
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        QueryEngine.open(graph, AccessSchema(list(schema))).save(
+        connect((graph, AccessSchema(list(schema)))).save(
             tmp_path / "art")
         pattern_file = tmp_path / "q.pat"
         pattern_file.write_text(BOUNDED + "\n", encoding="utf-8")
@@ -564,28 +544,28 @@ class TestExtendCli:
                      "--out", str(tmp_path / "copy")]) == 0
         out = capsys.readouterr().out
         assert "nothing to extend" in out and "copied" in out
-        loaded = QueryEngine.open_path(tmp_path / "copy")
+        loaded = connect(tmp_path / "copy")
         assert loaded.schema_version == 0
         assert len(loaded.query(parse_pattern(BOUNDED)).answer) > 0
 
     def test_extend_cli_refuses_v2_artifacts(self, tmp_path, capsys):
-        """On-disk extension of a v2 artifact would silently invent a
-        catalog history for it; the CLI must demand a re-compile."""
+        """A v2 artifact is not readable; the CLI must demand a
+        re-compile and leave the directory alone."""
         from repro.cli import main
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        QueryEngine.open(graph, AccessSchema(list(schema))).save(
+        connect((graph, AccessSchema(list(schema)))).save(
             tmp_path / "art")
         _downgrade_to_v2(tmp_path / "art")
         pattern_file = tmp_path / "u.pat"
         pattern_file.write_text(UNBOUNDED + "\n", encoding="utf-8")
         assert main(["extend", "--artifact", str(tmp_path / "art"),
                      "--pattern", str(pattern_file)]) == 1
-        assert "read-only" in capsys.readouterr().err
-        # The artifact was not touched: still v2, still opens.
-        engine = QueryEngine.open_path(tmp_path / "art")
-        assert engine.catalog.generations[0].provenance["origin"] \
-            == "v2-artifact"
+        assert "re-compile" in capsys.readouterr().err
+        # The artifact was not touched: still v2.
+        manifest = json.loads(
+            (tmp_path / "art" / persist.MANIFEST_FILE).read_text())
+        assert manifest["format_version"] == 2
 
 
 # ------------------------------------------------- server rescue
@@ -595,7 +575,7 @@ class TestServerRescue:
         from repro.server import QueryService, ServerThread
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+        engine = connect((graph, AccessSchema(list(schema))))
         service = QueryService(engine, workers=2, extend_budget=10 ** 6)
         with ServerThread(service) as handle:
             yield handle, service
@@ -676,7 +656,7 @@ class TestServerRescue:
         from repro.server import QueryService
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+        engine = connect((graph, AccessSchema(list(schema))))
         service = QueryService(engine, workers=4, extend_budget=10 ** 6)
         results, errors = [], []
 
@@ -705,9 +685,9 @@ class TestServerRescue:
         from repro.server import service as service_module
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+        engine = connect((graph, AccessSchema(list(schema))))
         engine.save(tmp_path / "art")
-        service = QueryService(QueryEngine.open_path(tmp_path / "art"),
+        service = QueryService(connect(tmp_path / "art"),
                                workers=2, extend_budget=0)  # budget too small
         with pytest.raises(NotEffectivelyBounded):
             service.rescue(UNBOUNDED)
@@ -726,7 +706,7 @@ class TestServerRescue:
         from repro.server import QueryService
 
         graph, schema = imdb_like(scale=0.02, seed=7)
-        engine = QueryEngine.open(graph, AccessSchema(list(schema)))
+        engine = connect((graph, AccessSchema(list(schema))))
         service = QueryService(engine, workers=2, extend_budget=10 ** 6,
                                max_cost=0.5)
         with pytest.raises(AdmissionRejected):

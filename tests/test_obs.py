@@ -626,7 +626,7 @@ class TestRemoteTracing:
                    ShardServer(path / "shard-0001").start()]
         recorder = TraceRecorder()
         try:
-            with connect(path, strategy="scatter") as inline:
+            with connect(path, backend="inline") as inline:
                 expected = canonical_answer(
                     SUBGRAPH, inline.query(query).answer)
             with connect(path, backend="remote",

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AccessConstraint, AccessSchema, AccessStats, Graph, \
-    Pattern, QueryEngine, SchemaIndex, execute_plan, qplan
+    Pattern, SchemaIndex, connect, execute_plan, qplan
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
 from repro.engine import persist
@@ -54,7 +54,7 @@ def workload(imdb_small):
 @pytest.fixture(scope="module")
 def sequential_engine(imdb_small):
     graph, schema = imdb_small
-    return QueryEngine.open(graph, schema)
+    return connect((graph, schema))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def sharded_artifact(tmp_path_factory, imdb_small, workload):
     """A sharded artifact with the workload's plans pre-compiled."""
     graph, schema = imdb_small
     sub, sim = workload
-    engine = QueryEngine.open(graph, schema)
+    engine = connect((graph, schema))
     for q in sub:
         engine.prepare(q, SUBGRAPH)
     for q in sim:
@@ -91,15 +91,13 @@ class TestShardedRoundTrip:
     def test_warm_open_identical_answers_both_semantics(
             self, sharded_artifact, sequential_engine, workload):
         expected = reference_answers(sequential_engine, workload)
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             assert engine.sharded and engine.exec_workers == 0
             assert reference_answers(engine, workload) == expected
 
     def test_plan_cache_rehydrated(self, sharded_artifact, workload):
         sub, _ = workload
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             engine.prepare(sub[0], SUBGRAPH)
             assert engine.stats.plan_cache_hits == 1
             assert engine.stats.plan_cache_misses == 0
@@ -107,8 +105,7 @@ class TestShardedRoundTrip:
     def test_access_accounting_matches_sequential(
             self, sharded_artifact, sequential_engine, workload):
         sub, sim = workload
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             for semantics, queries in ((SUBGRAPH, sub), (SIMULATION, sim)):
                 for q in queries:
                     seq_stats, shard_stats = AccessStats(), AccessStats()
@@ -125,8 +122,7 @@ class TestShardedRoundTrip:
         expected = [canonical_answer(SUBGRAPH, run.answer)
                     for run in sequential_engine.query_batch(
                         batch, SUBGRAPH, stats=AccessStats())]
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             stats = AccessStats()
             runs = engine.query_batch(batch, SUBGRAPH, stats=stats)
             assert [canonical_answer(SUBGRAPH, run.answer)
@@ -137,8 +133,7 @@ class TestShardedRoundTrip:
     def test_answer_memo_reused_without_stats(self, sharded_artifact,
                                               workload):
         sub, _ = workload
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             first = engine.query(sub[0])
             assert engine.query(sub[0]) is first
 
@@ -169,27 +164,24 @@ class TestShardedSessionGuards:
         path = tmp_path / "single"
         sequential_engine.save(path)
         with pytest.raises(EngineError, match="not sharded"):
-            QueryEngine.open_path(path, workers=2)
+            connect(path, workers=2)
 
     def test_no_schema_index(self, sharded_artifact):
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             with pytest.raises(EngineError, match="sharded session"):
                 engine.schema_index
 
     def test_no_save_no_apply_no_thaw(self, sharded_artifact):
         from repro.graph.delta import GraphDelta
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             with pytest.raises(EngineError):
                 engine.save(sharded_artifact)
             with pytest.raises(EngineError):
                 engine.apply(GraphDelta())
         with pytest.raises(EngineError, match="frozen only"):
-            QueryEngine.open_path(sharded_artifact, frozen=False)
+            connect(sharded_artifact, frozen=False)
         with pytest.raises(EngineError, match="validate"):
-            QueryEngine.open_path(sharded_artifact, validate=True,
-                                  strategy="scatter")
+            connect(sharded_artifact, validate=True, backend="inline")
 
     def test_zero_shards_save_is_single(self, tmp_path, sequential_engine):
         manifest = sequential_engine.save(tmp_path / "art", shards=0)
@@ -197,15 +189,15 @@ class TestShardedSessionGuards:
 
 
 class TestMergedSequentialStrategy:
-    """Satellite: ``workers=0`` on a sharded artifact now serves the
-    merged sequential view (strategy="auto") — in-process scatter on one
-    CPU only paid coordination overhead."""
+    """Satellite: a sharded artifact opened with neither workers nor
+    shard addresses serves the merged view (``backend="auto"``) —
+    in-process scatter on one CPU only paid coordination overhead."""
 
     def test_auto_resolves_to_merged_sequential(self, sharded_artifact,
                                                 sequential_engine,
                                                 workload):
         expected = reference_answers(sequential_engine, workload)
-        with QueryEngine.open_path(sharded_artifact) as engine:
+        with connect(sharded_artifact) as engine:
             assert engine.sharded is False
             assert engine.executor_strategy in ("vectorized", "sequential")
             assert engine.graph.num_nodes \
@@ -217,7 +209,7 @@ class TestMergedSequentialStrategy:
     def test_merged_accounting_matches_sequential(
             self, sharded_artifact, sequential_engine, workload):
         sub, sim = workload
-        with QueryEngine.open_path(sharded_artifact) as engine:
+        with connect(sharded_artifact) as engine:
             for semantics, queries in ((SUBGRAPH, sub), (SIMULATION, sim)):
                 for q in queries:
                     seq_stats, merged_stats = AccessStats(), AccessStats()
@@ -229,32 +221,31 @@ class TestMergedSequentialStrategy:
 
     def test_merged_plan_cache_rehydrated(self, sharded_artifact, workload):
         sub, _ = workload
-        with QueryEngine.open_path(sharded_artifact) as engine:
+        with connect(sharded_artifact) as engine:
             engine.prepare(sub[0], SUBGRAPH)
             assert engine.stats.plan_cache_hits == 1
             assert engine.stats.plan_cache_misses == 0
 
-    def test_sequential_strategy_incompatible_with_workers(
+    def test_inline_backend_incompatible_with_workers(
             self, sharded_artifact):
         with pytest.raises(EngineError, match="incompatible with workers"):
-            QueryEngine.open_path(sharded_artifact, strategy="sequential",
-                                  workers=1)
+            connect(sharded_artifact, backend="inline", workers=1)
 
-    def test_unknown_strategy_rejected(self, sharded_artifact):
-        with pytest.raises(EngineError, match="unknown strategy"):
-            QueryEngine.open_path(sharded_artifact, strategy="bogus")
+    def test_unknown_backend_rejected(self, sharded_artifact):
+        with pytest.raises(EngineError, match="unknown backend"):
+            connect(sharded_artifact, backend="bogus")
 
-    def test_scatter_strategy_rejected_for_single_layout(
+    def test_inline_backend_rejected_for_single_layout(
             self, tmp_path, sequential_engine):
         path = tmp_path / "single"
         sequential_engine.save(path)
         with pytest.raises(EngineError, match="not sharded"):
-            QueryEngine.open_path(path, strategy="scatter")
+            connect(path, backend="inline")
 
     def test_validate_allowed_on_merged_view(self, sharded_artifact):
         # The merged index is the global index, so cardinality bounds
         # are checkable — unlike the scatter path, which still rejects.
-        QueryEngine.open_path(sharded_artifact, validate=True).close()
+        connect(sharded_artifact, validate=True).close()
 
 
 class TestCorruptionDetection:
@@ -267,9 +258,9 @@ class TestCorruptionDetection:
             original = target.read_bytes()
             target.write_bytes(original.replace(b"repro", b"REPRO", 1))
             with pytest.raises(ArtifactError):
-                QueryEngine.open_path(path)
+                connect(path)
             target.write_bytes(original)
-        QueryEngine.open_path(path).close()
+        connect(path).close()
 
     def test_any_single_shard_payload_corruption_detected(
             self, tmp_path, sequential_engine):
@@ -285,7 +276,7 @@ class TestCorruptionDetection:
                 original = target.read_bytes()
                 target.write_bytes(bytes(data))
                 with pytest.raises(ArtifactError):
-                    QueryEngine.open_path(path)
+                    connect(path)
                 target.write_bytes(original)
 
     def test_partition_file_corruption_detected(self, tmp_path,
@@ -297,7 +288,7 @@ class TestCorruptionDetection:
         data[len(data) // 2] ^= 0xFF
         target.write_bytes(bytes(data))
         with pytest.raises(ArtifactError):
-            QueryEngine.open_path(path)
+            connect(path)
 
     def test_missing_shard_dir_detected(self, tmp_path, sequential_engine):
         import shutil
@@ -305,7 +296,7 @@ class TestCorruptionDetection:
         sequential_engine.save(path, shards=SHARDS)
         shutil.rmtree(path / persist.shard_dir_name(1))
         with pytest.raises(ArtifactCorrupt):
-            QueryEngine.open_path(path)
+            connect(path)
 
 
 @given(position=st.floats(0, 0.999), flip=st.integers(1, 255),
@@ -321,7 +312,7 @@ def test_single_byte_shard_corruption_property(tmp_path_factory, position,
     schema = AccessSchema([AccessConstraint((), "movie", 5),
                            AccessConstraint(("movie",), "year", 5)])
     path = tmp_path_factory.mktemp("corrupt") / "art"
-    QueryEngine.open(graph, schema).save(path, shards=SHARDS)
+    connect((graph, schema)).save(path, shards=SHARDS)
     files = sorted(persist.PAYLOAD_FILES)
     target = path / persist.shard_dir_name(shard) \
         / files[int(position * len(files)) % len(files)]
@@ -329,7 +320,7 @@ def test_single_byte_shard_corruption_property(tmp_path_factory, position,
     data[int(position * len(data))] ^= flip
     target.write_bytes(bytes(data))
     with pytest.raises(ArtifactError):
-        QueryEngine.open_path(path)
+        connect(path)
 
 
 class TestProcessPool:
@@ -342,23 +333,21 @@ class TestProcessPool:
         nothing may depend on inherited memory)."""
         ctx = multiprocessing.get_context(start_method)
         expected = reference_answers(sequential_engine, workload)
-        with QueryEngine.open_path(sharded_artifact, workers=2,
-                                   mp_context=ctx) as engine:
+        with connect(sharded_artifact, workers=2, mp_context=ctx) as engine:
             assert engine.exec_workers == 2
             assert reference_answers(engine, workload) == expected
 
     def test_more_workers_than_shards_clamped(self, sharded_artifact,
                                               workload):
         sub, _ = workload
-        with QueryEngine.open_path(sharded_artifact,
-                                   workers=SHARDS + 5) as engine:
+        with connect(sharded_artifact, workers=SHARDS + 5) as engine:
             assert engine.exec_workers == SHARDS
             assert engine.query(sub[0]).answer is not None
 
     def test_close_is_idempotent_and_final(self, sharded_artifact,
                                            workload):
         sub, _ = workload
-        engine = QueryEngine.open_path(sharded_artifact, workers=1)
+        engine = connect(sharded_artifact, workers=1)
         engine.query(sub[0], stats=AccessStats())
         engine.close()
         engine.close()
@@ -373,7 +362,7 @@ class TestProcessPool:
                     for (_, semantics), run in zip(
                         batch, sequential_engine.query_batch(
                             batch, stats=AccessStats()))]
-        with QueryEngine.open_path(sharded_artifact, workers=2) as engine:
+        with connect(sharded_artifact, workers=2) as engine:
             runs = engine.query_batch(batch, stats=AccessStats())
             assert [canonical_answer(semantics, run.answer)
                     for (_, semantics), run in zip(batch, runs)] == expected
@@ -390,8 +379,7 @@ class TestDeterminism:
     def test_subgraph_answers_byte_identical(self, sharded_artifact,
                                              sequential_engine, workload):
         sub, _ = workload
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             for q in sub:
                 seq = sequential_engine.query(q, SUBGRAPH,
                                               stats=AccessStats())
@@ -403,8 +391,7 @@ class TestDeterminism:
     def test_simulation_pairs_byte_identical(self, sharded_artifact,
                                              sequential_engine, workload):
         _, sim = workload
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             for q in sim:
                 seq = sequential_engine.query(q, SIMULATION,
                                               stats=AccessStats())
@@ -506,7 +493,7 @@ class TestServeSharded:
         from repro.server import QueryService, ServeClient, ServerThread
 
         sub, _ = workload
-        engine = QueryEngine.open_path(sharded_artifact, workers=1)
+        engine = connect(sharded_artifact, workers=1)
         expected_cost = sequential_engine.prepare(
             sub[0], SUBGRAPH).worst_case_total_accessed
         expected = sequential_engine.query(
@@ -532,8 +519,7 @@ class TestServeSharded:
         from repro.server import QueryService
 
         sub, _ = workload
-        with QueryEngine.open_path(sharded_artifact,
-                                   strategy="scatter") as engine:
+        with connect(sharded_artifact, backend="inline") as engine:
             service = QueryService(engine, max_cost=0.5)
             with pytest.raises(AdmissionRejected):
                 service.admit(sub[0], SUBGRAPH)
@@ -547,21 +533,21 @@ class TestReviewRegressions:
 
         graph, schema = imdb_small
         path = tmp_path / "art"
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         engine.save(path, shards=2)
         persist.mark_stale(path, "test divergence")
         with pytest.raises(ArtifactStale):
-            QueryEngine.open_path(path)
-        QueryEngine.open_path(path, allow_stale=True).close()
+            connect(path)
+        connect(path, allow_stale=True).close()
         engine.save(path, shards=2)  # a fresh save is the repair
-        QueryEngine.open_path(path).close()
+        connect(path).close()
 
     def test_worker_error_round_does_not_desync_pipes(self, sharded_artifact,
                                                       workload):
         """A failed round reports once per round and the *next* round
         still returns correct, aligned responses."""
         sub, _ = workload
-        with QueryEngine.open_path(sharded_artifact, workers=2) as engine:
+        with connect(sharded_artifact, workers=2) as engine:
             good = canonical_answer(
                 SUBGRAPH, engine.query(sub[0], stats=AccessStats()).answer)
             with pytest.raises(EngineError, match="shard worker error"):
@@ -577,7 +563,7 @@ class TestReviewRegressions:
         from repro.server import QueryService
 
         sub, _ = workload
-        old = QueryEngine.open_path(sharded_artifact, workers=1)
+        old = connect(sharded_artifact, workers=1)
         service = QueryService(old, workers=2)
         try:
             assert service.execute_batch(
@@ -603,10 +589,10 @@ class TestReviewRegressions:
         graph, schema = imdb_small
         sub, _ = workload
         single = tmp_path / "single"
-        QueryEngine.open(graph, schema).save(single)
+        connect((graph, schema)).save(single)
 
         service = QueryService(
-            QueryEngine.open_path(sharded_artifact, workers=1))
+            connect(sharded_artifact, workers=1))
         try:
             service.reload_artifact(single)
             assert service.engine.sharded is False
@@ -628,12 +614,12 @@ class TestReviewRegressions:
         corrupt shard (loading verifies every shard exactly once)."""
         graph, schema = imdb_small
         path = tmp_path / "art"
-        QueryEngine.open(graph, schema).save(path, shards=2)
+        connect((graph, schema)).save(path, shards=2)
         target = path / persist.shard_dir_name(1) / persist.INDEX_FILE
         data = bytearray(target.read_bytes())
         data[len(data) // 2] ^= 0xFF
         target.write_bytes(bytes(data))
         with pytest.raises(ArtifactError):
-            QueryEngine.open_path(path)
+            connect(path)
         with pytest.raises(ArtifactError):
-            QueryEngine.open_path(path, workers=2)
+            connect(path, workers=2)

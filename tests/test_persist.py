@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AccessConstraint, AccessSchema, GraphDelta, QueryEngine
+from repro import AccessConstraint, AccessSchema, GraphDelta, connect
 from repro.constraints.discovery import discover_schema
 from repro.constraints.index import FrozenConstraintIndex, SchemaIndex
 from repro.core.actualized import SIMULATION, SUBGRAPH
@@ -45,7 +45,7 @@ def subgraph_answer_set(run):
 def saved(tmp_path, imdb_small):
     """A live engine with prepared queries plus its saved artifact."""
     graph, schema = imdb_small
-    engine = QueryEngine.open(graph, schema)
+    engine = connect((graph, schema))
     generator = PatternGenerator.from_graph(graph, rng=random.Random(11),
                                             schema=schema)
     from repro.errors import NotEffectivelyBounded
@@ -151,14 +151,14 @@ class TestFrozenIndexBuffers:
 class TestSaveOpen:
     def test_round_trip_answers_identical(self, saved):
         engine, patterns, path = saved
-        loaded = QueryEngine.open_path(path)
+        loaded = connect(path)
         for pattern in patterns:
             assert subgraph_answer_set(loaded.query(pattern)) == \
                 subgraph_answer_set(engine.query(pattern))
 
     def test_prepared_forms_hit_plan_cache(self, saved):
         engine, patterns, path = saved
-        loaded = QueryEngine.open_path(path)
+        loaded = connect(path)
         for pattern in patterns:
             loaded.prepare(pattern)
         assert loaded.stats.plan_cache_hits == len(patterns)
@@ -168,12 +168,12 @@ class TestSaveOpen:
         from repro.errors import NotEffectivelyBounded
         from repro.pattern import parse_pattern
         graph, schema = imdb_small
-        engine = QueryEngine.open(graph, schema)
+        engine = connect((graph, schema))
         lonely = parse_pattern("p: no_such_label")
         with pytest.raises(NotEffectivelyBounded):
             engine.prepare(lonely)
         engine.save(tmp_path / "a")
-        loaded = QueryEngine.open_path(tmp_path / "a")
+        loaded = connect(tmp_path / "a")
         with pytest.raises(NotEffectivelyBounded):
             loaded.prepare(lonely)
         assert loaded.stats.plan_cache_hits == 1
@@ -189,13 +189,13 @@ class TestSaveOpen:
                            node_id=node + offset)
         for u, v in pattern.edges():
             clone.add_edge(u + offset, v + offset)
-        loaded = QueryEngine.open_path(path)
+        loaded = connect(path)
         loaded.prepare(clone)
         assert loaded.stats.plan_cache_hits == 1
 
     def test_small_cache_size_never_evicts_persisted_plans(self, saved):
         engine, patterns, path = saved
-        loaded = QueryEngine.open_path(path, cache_size=1)
+        loaded = connect(path, cache_size=1)
         for pattern in patterns:
             loaded.prepare(pattern)
         assert loaded.stats.plan_cache_misses == 0, \
@@ -203,9 +203,9 @@ class TestSaveOpen:
 
     def test_save_from_mutable_session(self, tmp_path, imdb_small):
         graph, schema = imdb_small
-        engine = QueryEngine.open(graph.copy(), schema, frozen=False)
+        engine = connect((graph.copy(), schema), frozen=False)
         engine.save(tmp_path / "a")
-        loaded = QueryEngine.open_path(tmp_path / "a")
+        loaded = connect(tmp_path / "a")
         assert loaded.graph.num_edges == graph.num_edges
 
     def test_manifest_contents(self, saved):
@@ -228,7 +228,7 @@ class TestFailureModes:
         data[len(data) // 2] ^= 0xFF
         target.write_bytes(bytes(data))
         with pytest.raises(ArtifactCorrupt):
-            QueryEngine.open_path(path)
+            connect(path)
         info = persist.inspect_artifact(path)
         assert info["files"][persist.GRAPH_FILE]["status"] == "MISMATCH"
 
@@ -237,13 +237,13 @@ class TestFailureModes:
         target = path / persist.INDEX_FILE
         target.write_bytes(target.read_bytes()[:-16])
         with pytest.raises(ArtifactCorrupt):
-            QueryEngine.open_path(path)
+            connect(path)
 
     def test_missing_file(self, saved):
         _, _, path = saved
         (path / persist.PLANS_FILE).unlink()
         with pytest.raises(ArtifactCorrupt):
-            QueryEngine.open_path(path)
+            connect(path)
 
     def test_version_skew(self, saved):
         _, _, path = saved
@@ -252,7 +252,7 @@ class TestFailureModes:
         manifest["format_version"] = persist.FORMAT_VERSION + 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ArtifactVersionMismatch) as info:
-            QueryEngine.open_path(path)
+            connect(path)
         assert info.value.found == persist.FORMAT_VERSION + 1
         assert info.value.supported == persist.FORMAT_VERSION
 
@@ -260,11 +260,11 @@ class TestFailureModes:
         _, _, path = saved
         (path / persist.MANIFEST_FILE).write_text("{not json")
         with pytest.raises(ArtifactCorrupt):
-            QueryEngine.open_path(path)
+            connect(path)
 
     def test_missing_artifact_dir(self, tmp_path):
         with pytest.raises(ArtifactCorrupt):
-            QueryEngine.open_path(tmp_path / "nope")
+            connect(tmp_path / "nope")
 
     def test_artifact_errors_are_engine_errors(self):
         assert issubclass(ArtifactCorrupt, ArtifactError)
@@ -283,34 +283,34 @@ class TestStaleness:
 
     def test_frozen_loaded_engine_refuses_apply(self, saved):
         _, _, path = saved
-        loaded = QueryEngine.open_path(path)
+        loaded = connect(path)
         with pytest.raises(EngineError):
             loaded.apply(self.delta(loaded.graph))
 
     def test_apply_marks_artifact_stale(self, saved):
         engine, patterns, path = saved
-        mutable = QueryEngine.open_path(path, frozen=False)
+        mutable = connect(path, frozen=False)
         mutable.apply(self.delta(mutable.graph))
         assert persist.stale_info(path) is not None
         with pytest.raises(ArtifactStale):
-            QueryEngine.open_path(path)
-        stale = QueryEngine.open_path(path, allow_stale=True)
+            connect(path)
+        stale = connect(path, allow_stale=True)
         assert stale.graph.num_nodes == engine.graph.num_nodes
 
     def test_save_repairs_staleness(self, saved):
         _, patterns, path = saved
-        mutable = QueryEngine.open_path(path, frozen=False)
+        mutable = connect(path, frozen=False)
         mutable.apply(self.delta(mutable.graph))
         mutable.save(path)
         assert persist.stale_info(path) is None
-        repaired = QueryEngine.open_path(path)
+        repaired = connect(path)
         assert repaired.graph.num_nodes == mutable.graph.num_nodes
         assert subgraph_answer_set(repaired.query(patterns[0])) == \
             subgraph_answer_set(mutable.query(patterns[0]))
 
     def test_mutable_warm_start_keeps_plans(self, saved):
         _, patterns, path = saved
-        mutable = QueryEngine.open_path(path, frozen=False)
+        mutable = connect(path, frozen=False)
         for pattern in patterns:
             mutable.prepare(pattern)
         assert mutable.stats.plan_cache_hits == len(patterns)
@@ -343,7 +343,7 @@ def test_roundtrip_answers_identical(data):
 
     graph, patterns = data
     schema = discover_schema(graph, type1_max=1000, unit_max=1000)
-    engine = QueryEngine.open(graph, schema)
+    engine = connect((graph, schema))
     expected = {}
     for i, pattern in enumerate(patterns):
         for semantics in (SUBGRAPH, SIMULATION):
@@ -359,7 +359,7 @@ def test_roundtrip_answers_identical(data):
 
     with tempfile.TemporaryDirectory() as artifact:
         engine.save(artifact)
-        loaded = QueryEngine.open_path(artifact)
+        loaded = connect(artifact)
         for (i, semantics), (kind, value) in expected.items():
             pattern = patterns[i]
             if kind == "error":
@@ -383,7 +383,7 @@ def test_any_single_byte_corruption_is_detected(data, position, flip):
 
     graph, _ = data
     schema = discover_schema(graph, type1_max=1000, unit_max=1000)
-    engine = QueryEngine.open(graph, schema)
+    engine = connect((graph, schema))
     with tempfile.TemporaryDirectory() as artifact:
         from pathlib import Path
         engine.save(artifact)
@@ -393,4 +393,4 @@ def test_any_single_byte_corruption_is_detected(data, position, flip):
         data_bytes[int(position * len(data_bytes))] ^= flip
         target.write_bytes(bytes(data_bytes))
         with pytest.raises(ArtifactError):
-            QueryEngine.open_path(artifact)
+            connect(artifact)

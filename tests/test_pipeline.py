@@ -3,9 +3,10 @@
 Covers the acceptance criteria of the barrier-free scatter PR:
 
 * byte-identical answers / ``G_Q`` / candidates / ``AccessStats``
-  pipelined-vs-barrier-vs-sequential at shard counts {1, 2, 4} under
-  both semantics, against a fleet of randomly-delayed shard servers
-  (hypothesis property test);
+  between the asynchronous fleet and the synchronous inline backend
+  (the sequential reference) at shard counts {1, 2, 4} under both
+  semantics, against randomly-delayed shard servers (hypothesis
+  property test);
 * the ``scatter_submit`` contract on all three backends — exactly-once
   completion per task, alignment with ``scatter``;
 * rounds genuinely overlap on one connection (``rounds_overlapped``,
@@ -130,37 +131,20 @@ class TestPipelinedIdentity:
             pick):
         sub, sim = workload
         query = (sub if semantics == SUBGRAPH else sim)[pick % len(sub)]
-        with connect(artifacts[shards], strategy="scatter",
-                     scatter_pipeline=False) as barrier:
-            expected = fingerprint(barrier, query, semantics)
-        with connect(artifacts[shards], strategy="scatter") as inline:
-            assert fingerprint(inline, query, semantics) == expected
+        with connect(artifacts[shards], backend="inline") as inline:
+            expected = fingerprint(inline, query, semantics)
         with connect(artifacts[shards], backend="remote",
                      shard_addrs=delayed_fleets[shards]) as remote:
-            assert remote.scatter_pipeline is True
             assert fingerprint(remote, query, semantics) == expected
-
-    def test_barrier_knob_identical_on_remote(self, artifacts,
-                                              delayed_fleets, workload):
-        sub, _ = workload
-        with connect(artifacts[2], strategy="scatter") as inline:
-            expected = [fingerprint(inline, q, SUBGRAPH) for q in sub]
-        with connect(artifacts[2], backend="remote",
-                     shard_addrs=delayed_fleets[2],
-                     scatter_pipeline=False) as remote:
-            assert remote.scatter_pipeline is False
-            got = [fingerprint(remote, q, SUBGRAPH) for q in sub]
-        assert got == expected
 
     def test_concurrent_batches_identical_and_overlapped(
             self, artifacts, delayed_fleets, workload):
         """Two batches served concurrently over one backend: answers
         stay byte-identical while rounds from the two drivers genuinely
-        interleave on the shared connections (request-id correlation),
-        which the barrier-era global round lock made impossible."""
+        interleave on the shared connections (request-id correlation)."""
         sub, sim = workload
         batch = [(q, SUBGRAPH) for q in sub] + [(q, SIMULATION) for q in sim]
-        with connect(artifacts[4], strategy="scatter") as inline:
+        with connect(artifacts[4], backend="inline") as inline:
             expected = [canonical_answer(sem, run.answer) for (_, sem), run
                         in zip(batch, inline.query_batch(batch))]
         with connect(artifacts[4], backend="remote",
@@ -202,7 +186,7 @@ def contract_fleet(artifacts):
 @pytest.fixture(params=BACKENDS)
 def any_backend(request, artifacts, contract_fleet):
     if request.param == "inline":
-        engine = connect(artifacts[4], strategy="scatter")
+        engine = connect(artifacts[4], backend="inline")
     elif request.param == "process":
         engine = connect(artifacts[4], workers=2)
     else:
@@ -303,32 +287,32 @@ class TestCrossExecutionDedup:
     def test_identical_plans_share_wire_not_accounting(self, artifacts,
                                                        workload):
         sub, _ = workload
-        with connect(artifacts[2], strategy="scatter") as engine:
+        with connect(artifacts[2], backend="inline") as engine:
             backend = engine._shards
-            plan_a = engine.prepare(sub[0], SUBGRAPH).plan
+            plan = engine.prepare(sub[0], SUBGRAPH).plan
             # Two executions of one plan: identical fetch streams, so
             # every first-round cell dedups against its twin.
-            plan_b = plan_a
             stats = [AccessStats() for _ in range(2)]
             before_tasks = backend.tasks_scattered
-            executions = execute_plans_scatter([plan_a, plan_b], backend,
+            executions = execute_plans_scatter([plan, plan], backend,
                                                stats_list=stats)
             dedup_tasks = backend.tasks_scattered - before_tasks
-
-            barrier_stats = [AccessStats() for _ in range(2)]
-            before_tasks = backend.tasks_scattered
-            barrier = execute_plans_scatter([plan_a, plan_b], backend,
-                                            stats_list=barrier_stats,
-                                            pipeline=False)
-            barrier_tasks = backend.tasks_scattered - before_tasks
-
             assert backend.scatter_dedup_hits > 0
+
+            # The reference: the same plan executed alone, twice.
+            solo_stats = [AccessStats() for _ in range(2)]
+            before_tasks = backend.tasks_scattered
+            solo = [execute_plans_scatter([plan], backend,
+                                          stats_list=[st_])[0]
+                    for st_ in solo_stats]
+            solo_tasks = backend.tasks_scattered - before_tasks
+
             # Wire traffic shrinks; per-execution accounting does not.
-            assert dedup_tasks < barrier_tasks
-            for ex, st_, bex, bst in zip(executions, stats, barrier,
-                                         barrier_stats):
+            assert dedup_tasks < solo_tasks
+            for ex, st_, sex, sst in zip(executions, stats, solo,
+                                         solo_stats):
                 assert execution_fingerprint(ex, st_) == \
-                    execution_fingerprint(bex, bst)
+                    execution_fingerprint(sex, sst)
 
 
 # ------------------------------------------------------------- failure
@@ -407,7 +391,7 @@ class TestFailure:
         sub, sim = workload
         path = artifacts[2]
         batch = [(q, SUBGRAPH) for q in sub] + [(q, SIMULATION) for q in sim]
-        with connect(path, strategy="scatter") as inline:
+        with connect(path, backend="inline") as inline:
             expected = [canonical_answer(sem, run.answer) for (_, sem), run
                         in zip(batch, inline.query_batch(batch))]
         servers = [KillSwitchShardServer(path / "shard-0000",

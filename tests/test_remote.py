@@ -29,7 +29,6 @@ from repro import (
     AccessConstraint,
     AccessStats,
     EngineError,
-    QueryEngine,
     SessionConfig,
     ShardHandshakeMismatch,
     ShardUnavailable,
@@ -229,7 +228,7 @@ class TestRemoteIdentity:
             wire_format, pick):
         sub, sim = workload
         query = (sub if semantics == SUBGRAPH else sim)[pick % len(sub)]
-        with connect(artifacts[shards], strategy="scatter") as inline:
+        with connect(artifacts[shards], backend="inline") as inline:
             expected = fingerprint(inline, query, semantics)
         with connect(artifacts[shards], backend="remote",
                      shard_addrs=fleets[shards],
@@ -248,7 +247,7 @@ class TestRemoteIdentity:
         servers = [ShardServer(path / f"shard-{i:04d}").start()
                    for i in range(2)]
         try:
-            with connect(path, strategy="scatter") as inline:
+            with connect(path, backend="inline") as inline:
                 # The restart must also survive an online extension: the
                 # restarted server warm-starts from the artifact, which
                 # predates the extension, so the backend replays it.
@@ -377,7 +376,7 @@ class TestWireFailures:
         servers = [FlakyOnceShardServer(path / "shard-0000").start(),
                    ShardServer(path / "shard-0001").start()]
         try:
-            with connect(path, strategy="scatter") as inline:
+            with connect(path, backend="inline") as inline:
                 expected = fingerprint(inline, sub[0], SUBGRAPH)
             engine = connect(path, backend="remote",
                              shard_addrs=[s.address for s in servers],
@@ -433,17 +432,31 @@ class TestConnectSurface:
         with pytest.raises(EngineError):
             SessionConfig().replace(worker=3)
 
-    def test_legacy_shims_delegate(self, imdb_small, artifacts):
-        graph, schema = imdb_small
-        with QueryEngine.open(graph, schema) as legacy, \
-                connect((graph, schema)) as current:
-            assert legacy.schema.positions() == current.schema.positions()
-        with QueryEngine.open_path(artifacts[1]) as legacy, \
-                connect(artifacts[1]) as current:
-            assert legacy.schema.positions() == current.schema.positions()
-        assert "connect" in QueryEngine.open.__doc__
-        assert "connect" in QueryEngine.open_path.__doc__
-        assert "connect" in QueryEngine.from_shards.__doc__
+    @pytest.mark.parametrize("removed", [{"executor": "sequential"},
+                                         {"strategy": "scatter"},
+                                         {"scatter_pipeline": False}])
+    def test_removed_options_hit_the_typo_guard(self, imdb_small, removed):
+        with pytest.raises(EngineError, match="unknown session option"):
+            connect(imdb_small, **removed)
+
+    def test_session_config_travels_with_the_engine(self, imdb_small,
+                                                    artifacts):
+        """Every source kind stamps the resolved config on the engine
+        (what the server's hot reload reopens under)."""
+        config = SessionConfig(cache_size=7, retries=0)
+        with connect(imdb_small, config=config) as memory:
+            assert memory.session_config == config
+        with connect(artifacts[2], config=config,
+                     backend="inline") as inline:
+            assert inline.session_config == config.replace(backend="inline")
+            assert inline.executor_strategy == "scatter"
+            backend = inline._shards
+            with connect((backend, inline.schema, inline.graph),
+                         config=config) as assembled:
+                assert assembled.session_config == config
+        with connect(artifacts[2]) as merged:
+            assert merged.session_config == SessionConfig()
+            assert merged.executor_strategy in ("vectorized", "sequential")
 
     def test_remote_requires_sharded_artifact_and_addrs(self, artifacts,
                                                         tmp_path,

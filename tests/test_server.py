@@ -7,8 +7,8 @@ import threading
 
 import pytest
 
+from repro import connect
 from repro.core.actualized import SIMULATION, SUBGRAPH
-from repro.engine import QueryEngine
 from repro.errors import (
     AdmissionRejected,
     DeadlineExceeded,
@@ -28,14 +28,14 @@ CHEAP = "m: movie; y: year; m -> y"
 @pytest.fixture(scope="module")
 def engine(imdb_small):
     graph, schema = imdb_small
-    return QueryEngine.open(graph, schema)
+    return connect((graph, schema))
 
 
 @pytest.fixture(scope="module")
 def server(imdb_small):
     """One shared unlimited-budget server for the happy-path tests."""
     graph, schema = imdb_small
-    service = QueryService(QueryEngine.open(graph, schema), workers=2)
+    service = QueryService(connect((graph, schema)), workers=2)
     with ServerThread(service) as handle:
         yield handle
 
@@ -84,8 +84,8 @@ def test_protocol_unknown_error_degrades_to_server_error():
 # -- service core -----------------------------------------------------------
 def test_service_requires_frozen_engine(imdb_small):
     graph, schema = imdb_small
-    mutable = QueryEngine.open(graph.thaw() if hasattr(graph, "thaw")
-                               else graph, schema, frozen=False)
+    mutable = connect((graph.thaw() if hasattr(graph, "thaw")
+                               else graph, schema), frozen=False)
     with pytest.raises(ServerError, match="frozen"):
         QueryService(mutable)
 
@@ -218,7 +218,7 @@ def test_concurrent_clients_over_tcp(server, engine):
 
 def test_server_rejection_over_tcp(imdb_small):
     graph, schema = imdb_small
-    service = QueryService(QueryEngine.open(graph, schema), max_cost=1.0,
+    service = QueryService(connect((graph, schema)), max_cost=1.0,
                            workers=1)
     with ServerThread(service) as handle:
         with ServeClient(handle.host, handle.port) as c:
@@ -230,11 +230,11 @@ def test_server_rejection_over_tcp(imdb_small):
 def test_hot_reload_swaps_engine(imdb_small, tmp_path):
     graph, schema = imdb_small
     artifact = tmp_path / "artifact"
-    compiled = QueryEngine.open(graph, schema)
+    compiled = connect((graph, schema))
     compiled.prepare(parse_pattern(CHEAP))
     compiled.save(artifact)
 
-    service = QueryService(QueryEngine.open(graph, schema), workers=2)
+    service = QueryService(connect((graph, schema)), workers=2)
     with ServerThread(service) as handle:
         with ServeClient(handle.host, handle.port) as c:
             before = c.query(CHEAP)
@@ -257,7 +257,7 @@ def test_reload_failure_keeps_serving(server, client, tmp_path):
 
 def test_clean_shutdown_drains(imdb_small):
     graph, schema = imdb_small
-    service = QueryService(QueryEngine.open(graph, schema), workers=2)
+    service = QueryService(connect((graph, schema)), workers=2)
     handle = ServerThread(service).start()
     with ServeClient(handle.host, handle.port) as c:
         c.query(CHEAP)
@@ -272,7 +272,7 @@ def test_overload_sheds_typed(imdb_small):
     """A service with a tiny queue and a blocked worker sheds load with
     ServiceOverloaded (a subclass of AdmissionRejected)."""
     graph, schema = imdb_small
-    engine = QueryEngine.open(graph, schema)
+    engine = connect((graph, schema))
     service = QueryService(engine, workers=1, max_queue=1, max_batch=1)
     release = threading.Event()
     original = service.execute_batch

@@ -327,7 +327,7 @@ class TestLiveNegotiation:
     def test_binary_client_negotiates_down_to_json_server(self, artifact):
         """Mixed-version interop: a binary-preferring front-end against a
         JSON-only fleet transparently lands on JSON, answers intact."""
-        with connect(artifact, strategy="scatter") as inline:
+        with connect(artifact, backend="inline") as inline:
             expected = answers(inline)
         servers = [ShardServer(artifact / f"shard-{i:04d}",
                                wire_format="json").start()
@@ -347,7 +347,7 @@ class TestLiveNegotiation:
 
     @needs_numpy
     def test_auto_negotiates_binary_and_counts_bytes(self, artifact):
-        with connect(artifact, strategy="scatter") as inline:
+        with connect(artifact, backend="inline") as inline:
             expected = answers(inline)
         servers = [ShardServer(artifact / f"shard-{i:04d}").start()
                    for i in range(2)]
@@ -391,6 +391,32 @@ class TestLiveNegotiation:
                 assert remote._shards.wire_codec == protocol.CODEC_JSON
                 assert remote.query(CHEAP).answer is not None
         finally:
+            for server in servers:
+                server.stop()
+
+    def test_hot_reload_keeps_the_pinned_wire_format(self, artifact):
+        """Regression: reload used to rebuild the fleet settings from
+        six attributes of the live backend — ``wire_format`` not among
+        them — so a json-pinned session silently renegotiated binary."""
+        from repro.server import QueryService
+
+        servers = [ShardServer(artifact / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        opened = connect(artifact, backend="remote",
+                         shard_addrs=[s.address for s in servers],
+                         wire_format="json")
+        service = QueryService(opened, workers=1)
+        try:
+            expected = answers(opened)
+            assert opened._shards.wire_codec == protocol.CODEC_JSON
+            service.reload_artifact(artifact)
+            reloaded = service.engine
+            assert reloaded is not opened
+            assert reloaded.session_config == opened.session_config
+            assert reloaded._shards.wire_codec == protocol.CODEC_JSON
+            assert answers(reloaded) == expected
+        finally:
+            service.close()
             for server in servers:
                 server.stop()
 
