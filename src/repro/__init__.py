@@ -61,6 +61,7 @@ from repro.engine import PlanCache, PreparedQuery, QueryEngine
 from repro.engine.parallel import ShardBackend
 from repro.errors import (
     AdmissionRejected,
+    BoundExceeded,
     ConstraintViolation,
     DeadlineExceeded,
     EngineError,
@@ -95,6 +96,7 @@ __all__ = [
     "AccessSchema",
     "AccessStats",
     "AdmissionRejected",
+    "BoundExceeded",
     "BoundednessResult",
     "ConstraintIndex",
     "ConstraintViolation",

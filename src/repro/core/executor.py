@@ -46,7 +46,6 @@ the edge phase — see DESIGN.md for the argument, and the property tests in
 from __future__ import annotations
 
 import queue as _queue_mod
-from dataclasses import dataclass
 from itertools import product
 
 from repro.accounting import AccessStats
@@ -61,28 +60,66 @@ MODE_PLAN = "plan"      # follow the plan's edge checks (default)
 MODE_PROBE = "probe"    # ignore the plan; probe all candidate pairs
 
 
-@dataclass
-class ExecutionResult:
-    """Outcome of executing a plan on a graph.
+def _ints(ids):
+    """Node ids as Python ints (the kernels hand over int64 arrays)."""
+    return ids.tolist() if hasattr(ids, "tolist") else ids
 
-    Attributes
-    ----------
-    gq:
-        The fetched subgraph ``G_Q`` with ``Q(G_Q) = Q(G)``.
-    candidates:
-        Final candidate set ``cmat(u)`` per pattern node.
-    stats:
-        Access accounting for the whole execution.
+
+class ExecutionResult:
+    """Outcome of executing a plan: ``stats``, and ``G_Q`` held as data —
+    the pools ``cmat(u)``, the verified edges as a ``(src row, dst row)``
+    pair (an int64 matrix from the kernels, two tuples otherwise) and
+    the source of the kept nodes' ``(label, value)``: the frozen
+    snapshot, or a dict of exactly those nodes. ``gq`` (the fetched
+    subgraph, ``Q(G_Q) = Q(G)``) and ``candidates`` (the pools as sets)
+    are built on first read. ``unmatchable``: some ``cmat(u)`` is empty,
+    so ``Q(G)`` is too — a match, or a simulation relation, is total.
     """
 
-    plan: QueryPlan
-    gq: Graph
-    candidates: dict[int, set[int]]
-    stats: AccessStats
+    __slots__ = ("plan", "stats", "unmatchable", "_pools", "_edges",
+                 "_source", "_candidates", "_gq")
+
+    def __init__(self, plan, stats, pools, edges, source):
+        self.plan, self.stats = plan, stats
+        self.unmatchable = 0 in map(len, pools.values())
+        self._pools, self._edges, self._source = pools, edges, source
+        self._candidates = self._gq = None
+
+    @property
+    def candidates(self) -> dict[int, set[int]]:
+        if self._candidates is None:
+            self._candidates = {u: set(_ints(p)) for u, p in self._pools.items()}
+        return self._candidates
+
+    def _parts(self) -> tuple[dict, set]:
+        """``({node: (label, value)}, {(src, dst)})`` of ``G_Q``."""
+        source = self._source
+        if not isinstance(source, dict):
+            kept = set().union(*self.candidates.values())
+            source = {v: (source.label_of(v), source.value_of(v))
+                      for v in kept}
+        return source, set(zip(*_ints(self._edges)))
+
+    @property
+    def gq(self) -> Graph:
+        if self._gq is None:
+            info, edges = self._parts()
+            gq = Graph()
+            for v in sorted(info):
+                gq.add_node(info[v][0], value=info[v][1], node_id=v)
+            for v, w in edges:
+                gq.add_edge(v, w)
+            self._gq = gq  # built locally, published with one assignment
+        return self._gq
 
     @property
     def gq_size(self) -> int:
-        return self.gq.size
+        return sum(map(len, self._parts()))
+
+    def __reduce__(self):
+        # A pickle carries G_Q's own node info, never the session graph.
+        return ExecutionResult, (self.plan, self.stats, self._pools,
+                                 self._edges, self._parts()[0])
 
 
 # ------------------------------------------------------------------ sequential
@@ -98,7 +135,6 @@ def execute_plan(plan: QueryPlan, schema_index: SchemaIndex,
     if edge_mode not in (MODE_PLAN, MODE_PROBE):
         raise PlanError(f"unknown edge mode {edge_mode!r}")
     graph = schema_index.graph
-    pattern = plan.pattern
     stats = stats if stats is not None else AccessStats()
 
     # ---- node phase ------------------------------------------------------------
@@ -134,7 +170,7 @@ def execute_plan(plan: QueryPlan, schema_index: SchemaIndex,
     edge_memo: dict[tuple, tuple[int, ...]] = {}
     probe_memo: dict[tuple, set] = {}
     if edge_mode == MODE_PROBE:
-        for edge in pattern.edges():
+        for edge in plan.pattern.edges():
             _probe_edge(edge, candidates, graph, stats, edges_found,
                         probe_memo)
     else:
@@ -148,13 +184,10 @@ def execute_plan(plan: QueryPlan, schema_index: SchemaIndex,
             else:  # pragma: no cover - defensive
                 raise UnverifiableEdge(f"unknown edge-check mode {check.mode!r}")
 
-    # ---- assemble G_Q ----------------------------------------------------------------
-    gq = Graph()
-    for v in _kept_nodes(candidates):
-        gq.add_node(graph.label_of(v), value=graph.value_of(v), node_id=v)
-    for (v, w) in edges_found:
-        gq.add_edge(v, w)
-    return ExecutionResult(plan=plan, gq=gq, candidates=candidates, stats=stats)
+    # Copied now: a mutable session's graph may change under the result.
+    info = {v: (graph.label_of(v), graph.value_of(v))
+            for pool in candidates.values() for v in pool}
+    return ExecutionResult(plan, stats, candidates, tuple(zip(*edges_found)), info)
 
 
 def _source_pools(op_or_check, candidates: dict[int, set[int]]):
@@ -172,13 +205,6 @@ def _check_coverage(plan: QueryPlan, candidates: dict[int, set[int]]) -> None:
     uncovered = [u for u in plan.pattern.nodes() if u not in candidates]
     if uncovered:
         raise PlanError(f"plan has no fetch operation for nodes {uncovered}")
-
-
-def _kept_nodes(candidates: dict[int, set[int]]) -> list[int]:
-    kept: set[int] = set()
-    for pool in candidates.values():
-        kept |= pool
-    return sorted(kept)
 
 
 def _probe_edge(edge: tuple[int, int], candidates: dict[int, set[int]],
@@ -451,15 +477,11 @@ class _ScatterExecution:
 
     # -- assembly ------------------------------------------------------------
     def result(self) -> ExecutionResult:
-        gq = Graph()
-        info = self.node_info
-        for v in _kept_nodes(self.candidates):
-            label, value = info[v]
-            gq.add_node(label, value=value, node_id=v)
-        for (v, w) in self.edges_found:
-            gq.add_edge(v, w)
-        return ExecutionResult(plan=self.plan, gq=gq,
-                               candidates=self.candidates, stats=self.stats)
+        # The answer memo holds this, not everything the fetches saw.
+        info = {v: self.node_info[v]
+                for pool in self.candidates.values() for v in pool}
+        return ExecutionResult(self.plan, self.stats, self.candidates,
+                               tuple(zip(*self.edges_found)), info)
 
 
 def _route_task(task: tuple, router, target_by_pos: dict) -> frozenset:

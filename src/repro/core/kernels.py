@@ -54,7 +54,6 @@ from repro.core.executor import (
 from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import EngineError, PlanError, UnverifiableEdge
 from repro.graph.frozen import FrozenGraph
-from repro.graph.graph import Graph
 from repro.util.arrays import (
     HAVE_NUMPY,
     in_sorted,
@@ -518,21 +517,17 @@ def _initial_op(context: KernelContext, op, stats: AccessStats,
 
 # ------------------------------------------------------------------- edge phase
 def _probe_edge_vec(kernel: GraphKernel, edge, candidates: dict,
-                    stats: AccessStats, edge_src: list, edge_dst: list):
+                    stats: AccessStats, edges: list):
     """Vectorized pairwise probe: every (va, vb) pair counts as one edge
     check, found edges come from one CSR membership sweep."""
     a, b = edge
     pool_a, pool_b = candidates[a], candidates[b]
     stats.record_edge_checks(len(pool_a) * len(pool_b))
-    sources, targets = kernel.out_edges_into(pool_a, pool_b)
-    if len(sources):
-        edge_src.append(sources)
-        edge_dst.append(targets)
+    edges.append(kernel.out_edges_into(pool_a, pool_b))
 
 
 def _index_edge_vec(check, candidates: dict, context: KernelContext,
-                    stats: AccessStats, seen_edge: dict,
-                    edge_src: list, edge_dst: list):
+                    stats: AccessStats, seen_edge: dict, edges: list):
     """Vectorized index-driven edge verification (the paper's method)."""
     target_pool, other_pos, forward = _edge_check_geometry(check, candidates)
     combos = _combo_matrix(_pool_arrays(check, candidates))
@@ -550,12 +545,10 @@ def _index_edge_vec(check, candidates: dict, context: KernelContext,
     kernel = context.graph_kernel
     if forward:
         mask = kernel.has_edges(others, fetched)
-        edge_src.append(others[mask])
-        edge_dst.append(fetched[mask])
+        edges.append((others[mask], fetched[mask]))
     else:
         mask = kernel.has_edges(fetched, others)
-        edge_src.append(fetched[mask])
-        edge_dst.append(others[mask])
+        edges.append((fetched[mask], others[mask]))
 
 
 # -------------------------------------------------------------------- execution
@@ -576,8 +569,6 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
             "(FrozenGraph snapshot and frozen constraint indexes)")
     context = kernel_context(schema_index)
     kernel = context.graph_kernel
-    graph = schema_index.graph
-    pattern = plan.pattern
     stats = stats if stats is not None else AccessStats()
 
     # ---- node phase: batched probes + sorted-merge set algebra --------------
@@ -613,39 +604,25 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
     _check_coverage(plan, candidates)
 
     # ---- edge phase ---------------------------------------------------------
-    edge_src: list = []
-    edge_dst: list = []
+    edges: list = []  # (src array, dst array) per check
     seen_edge: dict = {}
     if edge_mode == MODE_PROBE:
-        for edge in pattern.edges():
-            _probe_edge_vec(kernel, edge, candidates, stats,
-                            edge_src, edge_dst)
+        for edge in plan.pattern.edges():
+            _probe_edge_vec(kernel, edge, candidates, stats, edges)
     else:
         for check in plan.edge_checks:
             if check.mode == EDGE_VIA_PROBE:
-                _probe_edge_vec(kernel, check.edge, candidates, stats,
-                                edge_src, edge_dst)
+                _probe_edge_vec(kernel, check.edge, candidates, stats, edges)
             elif check.mode == EDGE_VIA_INDEX:
-                _index_edge_vec(check, candidates, context, stats,
-                                seen_edge, edge_src, edge_dst)
+                _index_edge_vec(check, candidates, context, stats, seen_edge, edges)
             else:  # pragma: no cover - defensive
                 raise UnverifiableEdge(
                     f"unknown edge-check mode {check.mode!r}")
 
-    # ---- assemble G_Q -------------------------------------------------------
-    pools = [pool for pool in candidates.values() if len(pool)]
-    kept = np.unique(np.concatenate(pools)) if pools else kernel.ids[:0]
-    gq = Graph()
-    for v in kept.tolist():
-        gq.add_node(graph.label_of(v), value=graph.value_of(v), node_id=v)
-    edges_found: set = set()
-    if edge_src:
-        edges_found.update(zip(np.concatenate(edge_src).tolist(),
-                               np.concatenate(edge_dst).tolist()))
-    for (v, w) in edges_found:
-        gq.add_edge(v, w)
-    final = {u: set(pool.tolist()) for u, pool in candidates.items()}
-    return ExecutionResult(plan=plan, gq=gq, candidates=final, stats=stats)
+    if edges:  # one (src row, dst row) matrix
+        src, dst = zip(*edges)
+        edges = np.concatenate(src + dst).reshape(2, -1)
+    return ExecutionResult(plan, stats, candidates, edges, schema_index.graph)
 
 
 # ----------------------------------------------------------------- shard kernels

@@ -58,11 +58,11 @@ from repro.core.executor import (
 from repro.core.plan import EdgeCheck, FetchOp, QueryPlan
 from repro.core.qplan import generate_plan
 from repro.engine.cache import PlanCache, pattern_fingerprint
-from repro.errors import EngineError, NotEffectivelyBounded
+from repro.errors import BoundExceeded, EngineError, NotEffectivelyBounded
 from repro.graph.delta import GraphDelta
 from repro.graph.frozen import FrozenGraph
 from repro.graph.graph import Graph, GraphView
-from repro.matching.bounded import BoundedRun
+from repro.matching.bounded import BoundedRun, match_in_gq
 from repro.matching.simulation import simulate
 from repro.matching.vf2 import find_matches
 from repro.obs.trace import child_span
@@ -119,7 +119,7 @@ class PreparedQuery:
     changes (see :meth:`QueryEngine.apply`).
     """
 
-    __slots__ = ("engine", "pattern", "semantics", "plan",
+    __slots__ = ("engine", "pattern", "semantics", "plan", "_bound",
                  "_run", "_run_generation")
 
     def __init__(self, engine: "QueryEngine", pattern, semantics: str,
@@ -128,6 +128,7 @@ class PreparedQuery:
         self.pattern = pattern
         self.semantics = semantics
         self.plan = plan
+        self._bound = plan.worst_case_total_accessed
         self._run: BoundedRun | None = None
         self._run_generation = -1
 
@@ -135,8 +136,7 @@ class PreparedQuery:
                 edge_mode: str = MODE_PLAN) -> ExecutionResult:
         """Fetch ``G_Q`` (node + edge phases) without matching."""
         run_stats = AccessStats()
-        execution = self.engine._execute_plans(
-            [self.plan], [run_stats], edge_mode=edge_mode)[0]
+        execution = self.engine._execute_plan(self.plan, run_stats, edge_mode)
         self.engine._account(run_stats, stats)
         return execution
 
@@ -149,14 +149,14 @@ class PreparedQuery:
         ``stats`` is given (callers asking for access accounting want a
         real run, not a memoized answer).
         """
+        engine = self.engine
         if (not refresh and stats is None and self._run is not None
-                and self._run_generation == self.engine.generation):
+                and self._run_generation == engine.generation):
             return self._run
         run_stats = AccessStats()
-        execution = self.engine._execute_plans([self.plan], [run_stats])[0]
-        run = self._finish_run(execution)
-        self.engine._account(run_stats, stats)
-        return run
+        execution = engine._execute_plan(self.plan, run_stats)
+        engine._account(run_stats, stats)
+        return self._finish_run(execution)
 
     def warm(self) -> "PreparedQuery":
         """Run the plan once through the array kernels with the
@@ -176,14 +176,20 @@ class PreparedQuery:
         return self
 
     def _finish_run(self, execution: ExecutionResult) -> BoundedRun:
-        """Match inside ``G_Q`` and memoize the answer."""
+        """Enforce the plan's bound, match inside ``G_Q`` and memoize the
+        answer. An overrun is a bug in EBChk / QPlan or in an index, so
+        its answer is neither served nor kept."""
+        accessed = execution.stats.total_accessed
+        if accessed > self._bound:
+            raise BoundExceeded(
+                f"execution accessed {accessed} nodes + edges, over the "
+                f"plan's worst-case bound of {self._bound:g}",
+                bound=self._bound, accessed=accessed)
         with child_span("match", semantics=self.semantics):
-            if self.semantics == SUBGRAPH:
-                answer = find_matches(self.pattern, execution.gq,
-                                      candidates=execution.candidates)
-            else:
-                answer = simulate(self.pattern, execution.gq,
-                                  candidates=execution.candidates)
+            # Module globals on purpose: the ledger times these names.
+            matcher = find_matches if self.semantics == SUBGRAPH else simulate
+            answer = match_in_gq(matcher, self.semantics, self.pattern,
+                                 execution)
         run = BoundedRun(answer=answer, execution=execution)
         self._run = run
         self._run_generation = self.engine.generation
@@ -192,7 +198,7 @@ class PreparedQuery:
     @property
     def worst_case_total_accessed(self) -> float:
         """The plan's access envelope — a function of ``Q`` and ``A`` only."""
-        return self.plan.worst_case_total_accessed
+        return self._bound
 
     def __repr__(self) -> str:
         return (f"PreparedQuery({self.pattern.name or 'pattern'!r}, "
@@ -487,8 +493,8 @@ class QueryEngine:
                     order: tuple[int, ...], semantics: str) -> PreparedQuery:
         """Rebind a cached compilation to (a possibly renumbered copy of)
         the pattern it was compiled for."""
-        mapping = dict(zip(entry.order, order))
         if entry.error is not None:
+            mapping = dict(zip(entry.order, order))
             # Always a fresh exception: re-raising the cached instance
             # would grow its traceback and share mutable state across
             # callers.
@@ -505,6 +511,7 @@ class QueryEngine:
         memoized = self._prepared.get((cache_key, order))
         if memoized is not None and memoized[0] is entry.plan:
             return memoized[1]
+        mapping = dict(zip(entry.order, order))
         identity = all(old == new for old, new in mapping.items())
         plan = entry.plan if identity \
             else _remap_plan(entry.plan, mapping, pattern)
@@ -582,8 +589,8 @@ class QueryEngine:
                     self._shards, stats_list=stats_list)
             for (run_key, prepared), execution, run_stats in zip(
                     to_execute, executions, stats_list):
-                runs[run_key] = prepared._finish_run(execution)
                 self._account(run_stats, stats)
+                runs[run_key] = prepared._finish_run(execution)
         return [runs[id(prepared.plan)] for prepared in prepared_list]
 
     # -- updates --------------------------------------------------------------------
@@ -684,30 +691,23 @@ class QueryEngine:
             per_shard=per_shard)
 
     # -- internals ----------------------------------------------------------------
-    def _execute_plans(self, plans: list[QueryPlan],
-                       stats_list: list[AccessStats],
-                       edge_mode: str = MODE_PLAN) -> list[ExecutionResult]:
-        """Execute compiled plans through this session's strategy:
-        sequentially against the schema index, or scatter-gather over the
-        shard backend. Answers and accounting are identical either way
-        (see :mod:`repro.core.executor`)."""
-        if self._shards is not None:
-            with child_span("execute", strategy="scatter",
-                            plans=len(plans)):
-                return execute_plans_scatter(plans, self._shards,
-                                             stats_list=stats_list,
-                                             edge_mode=edge_mode)
-        if self._executor == "vectorized":
-            with child_span("execute", strategy="vectorized",
-                            plans=len(plans)):
-                return [kernels.execute_plan_vectorized(
-                            plan, self._schema_index, stats=stats,
-                            edge_mode=edge_mode)
-                        for plan, stats in zip(plans, stats_list)]
-        with child_span("execute", strategy="sequential", plans=len(plans)):
-            return [execute_plan(plan, self._schema_index, stats=stats,
-                                 edge_mode=edge_mode)
-                    for plan, stats in zip(plans, stats_list)]
+    def _execute_plan(self, plan: QueryPlan, stats: AccessStats,
+                      edge_mode: str = MODE_PLAN) -> ExecutionResult:
+        """Execute one compiled plan through this session's strategy:
+        array kernels or sequentially against the schema index, or
+        scatter-gather over the shard backend. Answers and accounting
+        are identical either way (see :mod:`repro.core.executor`)."""
+        with child_span("execute", strategy=self._executor, plans=1):
+            if self._executor == "vectorized":
+                return kernels.execute_plan_vectorized(
+                    plan, self._schema_index, stats=stats,
+                    edge_mode=edge_mode)
+            if self._shards is not None:
+                return execute_plans_scatter(
+                    [plan], self._shards, stats_list=[stats],
+                    edge_mode=edge_mode)[0]
+            return execute_plan(plan, self._schema_index, stats=stats,
+                                edge_mode=edge_mode)
 
     def _account(self, run_stats: AccessStats,
                  caller_stats: AccessStats | None) -> None:

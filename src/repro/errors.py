@@ -83,6 +83,28 @@ class UnverifiableEdge(PlanError):
     only option)."""
 
 
+class BoundExceeded(ReproError):
+    """Raised when an execution touched more data than its plan's
+    worst-case bound allows. Effective boundedness promises this cannot
+    happen on any ``G |= A``, so an overrun means a bug in EBChk / QPlan
+    or an index that disagrees with the graph — the answer is withheld
+    rather than served.
+
+    Attributes
+    ----------
+    bound:
+        The plan's ``worst_case_total_accessed``.
+    accessed:
+        What the execution's :class:`~repro.accounting.AccessStats`
+        counted (nodes fetched + edges checked).
+    """
+
+    def __init__(self, message, bound=None, accessed=None):
+        self.bound = bound
+        self.accessed = accessed
+        super().__init__(message)
+
+
 class DiscoveryError(ReproError):
     """Raised when constraint discovery is asked for something impossible."""
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.accounting import AccessStats
 from repro.constraints.index import SchemaIndex
+from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.executor import ExecutionResult, execute_plan
 from repro.core.plan import QueryPlan
 from repro.core.qplan import qplan, sqplan
@@ -54,12 +55,23 @@ def canonical_answer(semantics: str, answer) -> list:
     forms are byte-identical after ``json.dumps`` — the determinism
     contract the scatter-gather executor is tested against.
     """
-    from repro.core.actualized import SUBGRAPH
     from repro.matching.simulation import relation_pairs
 
     if semantics == SUBGRAPH:
         return sorted([sorted(match.items()) for match in answer])
     return sorted([list(pair) for pair in relation_pairs(answer)])
+
+
+def match_in_gq(matcher, semantics: str, pattern: Pattern,
+                execution: ExecutionResult):
+    """``matcher`` (``find_matches`` / ``simulate``) run inside ``G_Q`` —
+    or not at all: when some ``cmat(u)`` is empty the answer is what the
+    matcher would return after building its pools, with neither the
+    pools nor ``G_Q`` built. Callers pass their own module-global
+    matcher, so the name they call through stays theirs to patch."""
+    if execution.unmatchable:
+        return [] if semantics == SUBGRAPH else {}
+    return matcher(pattern, execution.gq, candidates=execution.candidates)
 
 
 def bvf2(pattern: Pattern, schema_index: SchemaIndex,
@@ -73,8 +85,7 @@ def bvf2(pattern: Pattern, schema_index: SchemaIndex,
     if plan is None:
         plan = qplan(pattern, schema_index.schema)
     execution = execute_plan(plan, schema_index, stats=stats)
-    matches = find_matches(pattern, execution.gq,
-                           candidates=execution.candidates)
+    matches = match_in_gq(find_matches, SUBGRAPH, pattern, execution)
     return BoundedRun(answer=matches, execution=execution)
 
 
@@ -85,6 +96,5 @@ def bsim(pattern: Pattern, schema_index: SchemaIndex,
     if plan is None:
         plan = sqplan(pattern, schema_index.schema)
     execution = execute_plan(plan, schema_index, stats=stats)
-    relation = simulate(pattern, execution.gq,
-                        candidates=execution.candidates)
+    relation = match_in_gq(simulate, SIMULATION, pattern, execution)
     return BoundedRun(answer=relation, execution=execution)

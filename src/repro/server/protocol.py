@@ -57,6 +57,7 @@ from itertools import chain
 from repro.util import arrays
 from repro.errors import (
     AdmissionRejected,
+    BoundExceeded,
     DeadlineExceeded,
     NotEffectivelyBounded,
     ReproError,
@@ -372,6 +373,9 @@ def error_response(request_id, exc: Exception) -> dict:
     elif isinstance(exc, NotEffectivelyBounded):
         doc["uncovered_nodes"] = list(exc.uncovered_nodes)
         doc["uncovered_edges"] = [list(edge) for edge in exc.uncovered_edges]
+    elif isinstance(exc, BoundExceeded):
+        doc["bound"] = exc.bound
+        doc["accessed"] = exc.accessed
     elif isinstance(exc, ShardUnavailable):
         doc["addr"] = exc.addr
         doc["shard_id"] = exc.shard_id
@@ -407,6 +411,9 @@ def raise_error(doc: dict) -> None:
             uncovered_nodes=doc.get("uncovered_nodes", ()),
             uncovered_edges=[tuple(edge)
                              for edge in doc.get("uncovered_edges", ())])
+    if name == "BoundExceeded":
+        raise BoundExceeded(message, bound=doc.get("bound"),
+                            accessed=doc.get("accessed"))
     if name == "ShardUnavailable":
         raise ShardUnavailable(message, addr=doc.get("addr"),
                                shard_id=doc.get("shard_id"),

@@ -43,6 +43,7 @@ from repro.engine import (
 )
 from repro.errors import (
     AdmissionRejected,
+    BoundExceeded,
     ExtensionError,
     NotEffectivelyBounded,
     ReproError,
@@ -387,6 +388,9 @@ class QueryService:
     def _execute_one(self, engine: QueryEngine, request: AdmittedQuery):
         try:
             run = engine.query(request.pattern, request.semantics)
+        except BoundExceeded as exc:
+            self.metrics.record_bound(exc.bound, exc.accessed)
+            return exc
         except ReproError as exc:
             return exc
         return self._serialize_safe(request, run)

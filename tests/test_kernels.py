@@ -32,6 +32,9 @@ from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_labeled_graph
 from repro.graph.partition import build_shard_indexes, merge_shard_runtimes, \
     partition_graph
+from repro.matching.bounded import match_in_gq
+from repro.matching.simulation import simulate
+from repro.matching.vf2 import find_matches
 from repro.pattern.generator import PatternGenerator
 
 _SETTINGS = dict(max_examples=25, deadline=None,
@@ -104,6 +107,30 @@ def test_vectorized_equals_sequential(data, semantics, edge_mode):
     sx = SchemaIndex(frozen, schema, frozen=True)
     assert can_vectorize(sx)
     run_both(plan, sx, sx, edge_mode=edge_mode)
+
+
+@given(data=graph_and_pattern(),
+       semantics=st.sampled_from(["subgraph", "simulation"]))
+@settings(**_SETTINGS)
+def test_lazy_gq_is_invisible(data, semantics):
+    """``gq_size`` counts from the held columns what ``gq`` then
+    materialises, and the answer given without a matcher when some
+    ``cmat(u)`` is empty is the one the matcher gives on ``G_Q``."""
+    graph, pattern, _ = data
+    schema = discover_schema(graph, type1_max=1000, unit_max=1000)
+    plan = _plan_for(pattern, schema, semantics)
+    if plan is None:
+        return
+    sx = SchemaIndex(FrozenGraph.from_graph(graph), schema, frozen=True)
+    match = find_matches if semantics == "subgraph" else simulate
+    for result in (execute_plan(plan, sx), execute_plan_vectorized(plan, sx)):
+        size = result.gq_size
+        answer = match_in_gq(match, semantics, pattern, result)
+        if result.unmatchable:
+            assert result._gq is None  # counted and answered unbuilt
+        assert size == result.gq.size
+        assert answer == match(pattern, result.gq,
+                               candidates=result.candidates)
 
 
 @given(data=graph_and_pattern(), shards=st.sampled_from([1, 2, 4]))
