@@ -20,9 +20,9 @@ _log = logging.getLogger("repro.metrics")
 
 #: Snapshot keys exported as plain ``repro_<key>`` gauges/counters when
 #: present (counter-like names get a ``_total`` suffix).
-_COUNTERS = ("requests", "admitted", "answered", "deadline_expired",
-             "errors", "batches", "batched_requests", "reloads",
-             "rescued", "rescue_failed", "rescued_constraints")
+_COUNTERS = ("requests", "admitted", "answered", "answered_inline",
+             "deadline_expired", "errors", "batches", "batched_requests",
+             "reloads", "rescued", "rescue_failed", "rescued_constraints")
 _GAUGES = ("qps", "recent_qps", "bounded_fraction", "uptime_s",
            "mean_batch_size", "queue_depth", "window_size")
 

@@ -40,6 +40,7 @@ def render_metrics_table(snapshot: dict) -> str:
         ("requests", get("requests")),
         ("admitted", get("admitted")),
         ("answered", get("answered")),
+        ("answered_inline", get("answered_inline")),
         ("errors", get("errors")),
         ("deadline_expired", get("deadline_expired")),
         ("qps", get("qps")),

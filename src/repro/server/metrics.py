@@ -47,6 +47,7 @@ class ServerMetrics:
         self.requests = 0
         self.admitted = 0
         self.answered = 0
+        self.answered_inline = 0
         self.rejected_over_budget = 0
         self.rejected_overloaded = 0
         self.rejected_unbounded = 0
@@ -80,9 +81,14 @@ class ServerMetrics:
             else:
                 raise ValueError(f"unknown rejection reason {reason!r}")
 
-    def record_answered(self, latency_seconds: float) -> None:
+    def record_answered(self, latency_seconds: float, *,
+                        inline: bool = False) -> None:
+        """One answered query; ``inline`` says it ran on the event-loop
+        thread rather than through the queue and the worker pool (the
+        queued count is ``answered - answered_inline``)."""
         with self._lock:
             self.answered += 1
+            self.answered_inline += inline
             self._latencies.append(latency_seconds)
             self._finished_at.append(time.monotonic())
 
@@ -167,6 +173,7 @@ class ServerMetrics:
                 "requests": self.requests,
                 "admitted": self.admitted,
                 "answered": self.answered,
+                "answered_inline": self.answered_inline,
                 "deadline_expired": self.deadline_expired,
                 "errors": self.errors,
                 "batches": self.batches,

@@ -4,23 +4,43 @@ client sends them — replies always use the request's framing).
 
 One event loop owns all I/O and admission; a ``ThreadPoolExecutor`` of
 ``service.workers`` threads executes micro-batches against the shared
-frozen engine. The flow per query request:
+frozen engine. A query request is parsed and **admitted** on the loop
+(cheap: DSL parse + plan-cache-backed ``prepare`` + bound check;
+rejections answer immediately), and what admission already knows — the
+plan's worst-case bound — picks its lane
+(:meth:`~repro.server.service.QueryService.runs_inline`):
 
-1. connection handler parses the line and runs **admission** on the loop
-   (cheap: DSL parse + plan-cache-backed ``prepare`` + bound check);
-   rejections answer immediately without queueing;
-2. admitted requests join a bounded queue; the **batcher** task drains
-   whatever is queued (up to ``max_batch``, waiting ``batch_window_ms``
-   for stragglers only if configured) — under load, batches form
-   naturally while workers are busy;
-3. a worker thread funnels the batch through ``engine.query_batch``
-   (duplicate patterns execute once) and serializes answers;
-4. the handler writes each response as its future resolves, enforcing
-   the request's **deadline** at dispatch and delivery.
+* **inline** — a bound of at most ``INLINE_MAX_COST`` on a session that
+  executes in this process: the handler executes, serialises and
+  replies right there, on the thread that read the frame;
+* **queued** — anything larger, and every query on a scatter-backed
+  session: the request joins a bounded queue; the **batcher** task
+  drains whatever is queued (up to ``max_batch``, waiting
+  ``batch_window_ms`` for stragglers only if configured) — under load,
+  batches form naturally while workers are busy; a worker thread
+  funnels the batch through ``engine.query_batch`` (duplicate patterns
+  execute once) and serializes answers; the handler writes each
+  response as its future resolves.
+
+Either way the request's **deadline** is enforced twice, before
+execution starts and at delivery, and the same reply code records the
+answer and mirrors the request's framing.
+
+Why two lanes: under one GIL the hand-off (loop → queue → batcher →
+pool → ``call_soon_threadsafe`` → deliver → handler) cost about 0.5 ms
+around a 40–60 us execution, and the ledger's ``served_zipf`` ran at
+2.0–2.2k qps. Measured alternatives: ``run_in_executor`` straight from
+the handler, with no queue and no batcher, 2.3–2.6k qps — most of the
+cost is the thread crossing, not the asyncio bookkeeping; a
+thread-per-connection synchronous server, 2.0k qps with bimodal
+latency from the GIL convoy; executing on the loop thread, 3.6–3.7k.
+The pool stays for what would stall the loop: over-limit and
+scatter-backed queries (DESIGN.md "Worker model").
 
 Shutdown (the ``shutdown`` op, or :meth:`QueryServer.request_shutdown`)
 is graceful: the listener closes first, queued and in-flight requests
-drain, then the pool exits — no accepted request is dropped.
+drain, then the pool exits — no accepted request is dropped, and one
+still queued when :data:`DRAIN_TIMEOUT_S` runs out is failed typed.
 """
 
 from __future__ import annotations
@@ -46,14 +66,16 @@ DRAIN_TIMEOUT_S = 10.0
 
 
 @dataclass
-class _QueueItem:
-    """One admitted request waiting for a worker batch."""
+class _InFlight:
+    """One admitted request on its way to an answer, on either lane."""
 
     request: AdmittedQuery
-    future: asyncio.Future
     admitted_at: float
     expires_at: float | None  # loop-clock deadline, None = no deadline
     deadline_ms: float | None
+    #: Queued lane only: resolves to the outcome (a response body, or
+    #: the exception to answer with).
+    future: asyncio.Future | None = None
     queue_span: Span | None = None  # open "queue_wait", ended at pop
 
 
@@ -133,6 +155,14 @@ class QueryServer:
         while ((not self._queue.empty() or self._forming or self._inflight)
                and self._loop.time() < deadline):
             await asyncio.sleep(0.01)
+        # Out of time with requests still queued: each gets a typed
+        # reply now, not an EOF when the loop is torn down.
+        while not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item.queue_span is not None:
+                item.queue_span.end()
+            item.future.set_result(ServerError(
+                "server is shutting down; the request was not executed"))
         if self._batcher_task is not None:
             self._batcher_task.cancel()
             try:
@@ -267,42 +297,41 @@ class QueryServer:
                     pattern, semantics, limit)
             admitted.span = root
             now = self._loop.time()
-            item = _QueueItem(
-                request=admitted, future=self._loop.create_future(),
-                admitted_at=now,
+            item = _InFlight(
+                request=admitted, admitted_at=now,
                 expires_at=(now + deadline_ms / 1000.0)
                 if deadline_ms is not None else None,
                 deadline_ms=deadline_ms)
-            try:
-                self._queue.put_nowait(item)
-            except asyncio.QueueFull:
-                self.service.metrics.record_rejected("overloaded")
-                raise ServiceOverloaded(
-                    f"request queue at capacity ({self.service.max_queue});"
-                    f" retry with backoff",
-                    cost=self._queue.qsize(), budget=self.service.max_queue
-                ) from None
-            # Safe after put_nowait: the batcher cannot pop the item
-            # until this coroutine yields at the await below.
+            inline = self.service.runs_inline(admitted)
             if root is not None:
-                item.queue_span = root.child("queue_wait")
-            try:
-                body = await item.future
-            except DeadlineExceeded as exc:
+                root.set(lane="inline" if inline else "queued")
+            if inline:
+                outcome = self._execute_inline(item)
+            else:
+                outcome = await self._execute_queued(item)
+            if isinstance(outcome, DeadlineExceeded):
                 self.service.metrics.record_deadline_expired()
                 if root is not None:
                     root.set(status="deadline_expired")
                 await self._write(writer, write_lock,
-                                  protocol.error_response(request_id, exc),
+                                  protocol.error_response(request_id,
+                                                          outcome),
                                   binary=binary)
                 return
+            if isinstance(outcome, Exception):
+                raise outcome
             if root is not None:
                 root.set(status="answered")
-            self.service.metrics.record_answered(self._loop.time()
-                                                 - item.admitted_at)
+            self.service.metrics.record_answered(
+                self._loop.time() - item.admitted_at, inline=inline)
             await self._write(writer, write_lock,
-                              {"id": request_id, "ok": True, **body},
+                              {"id": request_id, "ok": True, **outcome},
                               binary=binary)
+            if inline:
+                # Nothing above had to wait, so a client that pipelines
+                # requests would hold the loop until its buffered
+                # frames ran out: let other connections take a turn.
+                await asyncio.sleep(0)
         except Exception as exc:
             if root is not None:
                 root.set(status="rejected", error=type(exc).__name__)
@@ -310,6 +339,45 @@ class QueryServer:
         finally:
             if root is not None:
                 root.trace.finish()
+
+    # -- the two lanes -------------------------------------------------------
+    def _expired(self, item: _InFlight,
+                 stage: str) -> DeadlineExceeded | None:
+        """The deadline check either lane makes twice: when execution is
+        about to start, and when its answer is about to be delivered."""
+        if item.expires_at is None or self._loop.time() <= item.expires_at:
+            return None
+        return DeadlineExceeded(
+            f"deadline of {item.deadline_ms:g} ms expired {stage}",
+            deadline_ms=item.deadline_ms)
+
+    def _execute_inline(self, item: _InFlight):
+        """Inline lane: a batch of one, executed and serialised right
+        here on the event-loop thread. Returns the outcome."""
+        expired = self._expired(item, "before execution")
+        if expired is not None:
+            return expired
+        body = self.service.execute_batch([item.request])[0]
+        return self._expired(item, "during execution") or body
+
+    async def _execute_queued(self, item: _InFlight):
+        """Queued lane: join the bounded queue (or be shed), wait for
+        the batcher and a pool worker. Returns the outcome."""
+        item.future = self._loop.create_future()
+        try:
+            self._queue.put_nowait(item)
+        except asyncio.QueueFull:
+            self.service.metrics.record_rejected("overloaded")
+            raise ServiceOverloaded(
+                f"request queue at capacity ({self.service.max_queue});"
+                f" retry with backoff",
+                cost=self._queue.qsize(), budget=self.service.max_queue
+            ) from None
+        # Safe after put_nowait: the batcher cannot pop the item until
+        # this coroutine yields at the await below.
+        if item.request.span is not None:
+            item.queue_span = item.request.span.child("queue_wait")
+        return await item.future
 
     async def _write(self, writer: asyncio.StreamWriter,
                      write_lock: asyncio.Lock, doc: dict, *,
@@ -356,12 +424,10 @@ class QueryServer:
                 if queued.queue_span is not None:
                     queued.queue_span.end()
             live = []
-            now = self._loop.time()
             for queued in batch:
-                if queued.expires_at is not None and now > queued.expires_at:
-                    queued.future.set_exception(DeadlineExceeded(
-                        f"deadline of {queued.deadline_ms:g} ms expired "
-                        f"while queued", deadline_ms=queued.deadline_ms))
+                expired = self._expired(queued, "while queued")
+                if expired is not None:
+                    queued.future.set_result(expired)
                 else:
                     live.append(queued)
             if assembly is not None:
@@ -377,7 +443,7 @@ class QueryServer:
                 [queued.request for queued in live])
             asyncio.create_task(self._deliver(worker_future, live))
 
-    async def _deliver(self, worker_future, items: list[_QueueItem]) -> None:
+    async def _deliver(self, worker_future, items: list[_InFlight]) -> None:
         try:
             bodies = await worker_future
         except Exception as exc:  # noqa: BLE001 — fail the batch, not the server
@@ -385,18 +451,10 @@ class QueryServer:
         finally:
             self._inflight -= len(items)
             self._dispatch_slots.release()
-        now = self._loop.time()
         for item, body in zip(items, bodies):
-            if item.future.done():
-                continue
-            if item.expires_at is not None and now > item.expires_at:
-                item.future.set_exception(DeadlineExceeded(
-                    f"deadline of {item.deadline_ms:g} ms expired during "
-                    f"execution", deadline_ms=item.deadline_ms))
-            elif isinstance(body, Exception):
-                item.future.set_exception(body)
-            else:
-                item.future.set_result(body)
+            if not item.future.done():
+                item.future.set_result(
+                    self._expired(item, "during execution") or body)
 
 
 class ServerThread:

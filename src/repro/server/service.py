@@ -1,10 +1,12 @@
 """The serving core: admission control, batch execution, hot reload.
 
 :class:`QueryService` is transport-agnostic — the asyncio front-end
-(:mod:`repro.server.server`) calls :meth:`admit` on arrival and
-:meth:`execute_batch` from its worker pool, but the same methods serve
-tests and embedded use directly. One service wraps one **frozen**
-:class:`~repro.engine.engine.QueryEngine` (the thread-safe read path);
+(:mod:`repro.server.server`) calls :meth:`admit` on arrival, asks
+:meth:`runs_inline` which lane the request takes and calls
+:meth:`execute_batch` from the event loop or from its worker pool, but
+the same methods serve tests and embedded use directly. One service
+wraps one **frozen** :class:`~repro.engine.engine.QueryEngine` (the
+thread-safe read path);
 :meth:`reload_artifact` swaps in a new engine atomically, so in-flight
 work finishes on the snapshot it started on while new admissions land on
 the new one.
@@ -54,6 +56,28 @@ from repro.obs.trace import Span, TraceRecorder, activate, child_span
 from repro.pattern.dsl import parse_pattern
 from repro.pattern.pattern import Pattern
 from repro.server.metrics import ServerMetrics
+
+#: Largest admitted bound (``worst_case_total_accessed``) the front-end
+#: answers on the thread that read the frame instead of handing it to
+#: the worker pool (see :meth:`QueryService.runs_inline`). Nothing else
+#: runs on the event loop meanwhile, so the slowest such query has to be
+#: short: well under the interpreter's 5 ms switch interval, below which
+#: a pool thread would not have been preempted for the loop either.
+#: ``benchmarks/bench_inline_limit.py --scale 1.0`` (imdb, 347 generated
+#: patterns of both semantics, execute + match, best of 3):
+#:
+#:          bound  count  median ms    p90 ms    max ms
+#:         <= 500     86      0.040     0.061     0.134
+#:        <= 2000     81      0.068     0.101     0.315
+#:        <= 5000     29      0.075     0.117     0.170
+#:       <= 20000     58      0.198     0.322     0.894
+#:       <= 50000     62      0.334     0.794     7.905
+#:      <= 200000     16      0.793    20.231    23.774
+#:           rest     15      1.525     4.872    77.150
+#:
+#: The largest bound with every query under 5 ms was 48 735; 20 000
+#: leaves a factor of two below that (and of five in time).
+INLINE_MAX_COST = 20_000
 
 
 @dataclass
@@ -327,8 +351,18 @@ class QueryService:
         return pattern
 
     # -- execution -----------------------------------------------------------
+    def runs_inline(self, admitted: AdmittedQuery) -> bool:
+        """The lane rule, from what admission already knows: a query
+        whose bound says it is small, on a session that executes in this
+        process, is answered on the thread that read its frame. A
+        scatter-backed session always goes to the pool — its rounds
+        block on workers or sockets, and batching is what lets them
+        share rounds."""
+        return admitted.cost <= INLINE_MAX_COST and not self.engine.sharded
+
     def execute_batch(self, requests: list[AdmittedQuery]) -> list:
-        """Run one micro-batch on a worker thread.
+        """Run one micro-batch (on a worker thread, or on the event loop
+        for a single :meth:`runs_inline` request).
 
         The whole batch funnels through ``engine.query_batch``, so
         duplicate patterns (the common case under concurrency) are

@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import re
 import socket
 import time
 import urllib.request
@@ -45,6 +46,7 @@ from repro.obs import (
 )
 from repro.obs.logs import JsonFormatter, TraceIdFilter
 from repro.server import QueryService, ServeClient, ServerThread, protocol
+from repro.server import service as service_module
 from repro.server.metrics import BOUND_BUCKETS, ServerMetrics
 from repro.server.shardserver import ShardServer
 
@@ -291,6 +293,17 @@ class TestServerMetricsTelemetry:
         assert bound["mean_utilization"] == pytest.approx(
             (0.1 + 0.95 + 1.3 + 1.0) / 4)
 
+    def test_answers_are_counted_per_lane_on_every_surface(self):
+        metrics = ServerMetrics()
+        metrics.record_answered(0.001, inline=True)
+        metrics.record_answered(0.002)
+        snapshot = metrics.snapshot()
+        assert (snapshot["answered"], snapshot["answered_inline"]) == (2, 1)
+        text = render_prometheus(snapshot)
+        assert "# TYPE repro_answered_inline_total counter" in text
+        assert "repro_answered_inline_total 1" in text
+        assert re.search(r"answered_inline +1\n", render_metrics_table(snapshot))
+
     def test_snapshot_is_strict_json(self):
         metrics = ServerMetrics()
         metrics.record_bound(10, 10)
@@ -497,7 +510,11 @@ def _reject(constant):
 
 # ----------------------------------------------------- traced serving
 class TestTracedServing:
-    def test_request_span_tree_is_connected(self, imdb_small):
+    def _two_traced_requests(self, imdb_small, monkeypatch, lane):
+        """Serve BOUNDED twice on ``lane``; check what every traced
+        request carries whichever lane it took."""
+        monkeypatch.setattr(service_module, "INLINE_MAX_COST",
+                            float("inf") if lane == "inline" else 0)
         recorder = TraceRecorder()
         service = QueryService(connect(imdb_small), workers=1,
                                tracer=recorder)
@@ -515,23 +532,40 @@ class TestTracedServing:
             root = trace.root
             assert root.name == "request"
             assert root.attrs["status"] == "answered"
+            assert root.attrs["lane"] == lane
             admission = trace.by_name("admission")
             assert admission and admission[0].parent_id == root.span_id
-            assert trace.by_name("queue_wait")
-            assert trace.by_name("batch_assembly")
             assert trace.by_name("plan_cache_lookup")
-        # Bound accounting is stamped on the root: actual <= bound.
-        for trace in traces:
-            root = trace.root
+            # Bound accounting is stamped on the root: actual <= bound.
             assert 0 < root.attrs["accessed"] <= root.attrs["bound"]
-        # The batch-hosting trace carries the execution spans.
+        # The batch-hosting trace carries the execution spans (the
+        # repeat hits the answer memo and executes nothing).
         batched = [t for t in traces if t.by_name("batch")]
         assert batched
-        assert batched[0].by_name("execute")
+        assert any(t.by_name("execute") for t in batched)
         snapshot = service.snapshot()
         assert snapshot["tracing"]["traces_finished"] == 2
         assert snapshot["bound_utilization"]["samples"] == 2
         assert snapshot["bound_utilization"]["violations"] == 0
+        return traces, snapshot
+
+    def test_request_span_tree_is_connected(self, imdb_small, monkeypatch):
+        traces, snapshot = self._two_traced_requests(imdb_small, monkeypatch,
+                                                     "queued")
+        for trace in traces:
+            assert trace.by_name("queue_wait")
+            assert trace.by_name("batch_assembly")
+        assert snapshot["answered_inline"] == 0
+
+    def test_inline_trace_has_no_hand_off_spans(self, imdb_small,
+                                                monkeypatch):
+        traces, snapshot = self._two_traced_requests(imdb_small, monkeypatch,
+                                                     "inline")
+        for trace in traces:
+            assert trace.by_name("batch"), "each request is a batch of one"
+            assert not trace.by_name("queue_wait")
+            assert not trace.by_name("batch_assembly")
+        assert snapshot["answered_inline"] == snapshot["answered"] == 2
 
     def test_rejected_request_trace_has_status(self, imdb_small):
         from repro.errors import AdmissionRejected
@@ -569,6 +603,11 @@ class TestTracedServing:
         children = {s.name for s in trace.children_of(rescue)}
         assert "plan_extension" in children
         assert "extend_schema" in children
+        # A rescued query takes the lane its re-admitted bound names.
+        root = trace.root.attrs
+        assert root["lane"] == ("inline" if root["bound"]
+                                <= service_module.INLINE_MAX_COST
+                                else "queued")
 
     def test_untraced_service_records_bound_telemetry(self, imdb_small):
         """record_bound is unconditional: the histogram fills with the

@@ -20,9 +20,14 @@ from repro.matching.simulation import relation_pairs
 from repro.pattern import parse_pattern
 from repro.server import QueryService, ServeClient, ServerThread
 from repro.server import protocol
+from repro.server import server as server_module
+from repro.server import service as service_module
 from repro.server.client import run_load
 
+#: Bound 24 435 at every scale: over ``INLINE_MAX_COST``, the queued lane.
 CHEAP = "m: movie; y: year; m -> y"
+#: Bound 18 150 at every scale: under the limit, the inline lane.
+SMALL = "s: studio; m: movie; m -> s"
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +197,175 @@ def test_oversized_line_answers_typed_then_closes(server):
 
 
 def test_expired_deadline_is_typed(client):
+    """Queued lane: the deadline check at dispatch or at delivery."""
+    before = client.metrics()
     with pytest.raises(DeadlineExceeded):
         client.query(CHEAP, deadline_ms=0.0001)
+    after = client.metrics()
+    assert after["deadline_expired"] == before["deadline_expired"] + 1
+    assert after["answered"] == before["answered"]
+
+
+def test_expired_deadline_is_typed_on_the_inline_lane(client):
+    before = client.metrics()
+    with pytest.raises(DeadlineExceeded):
+        client.query(SMALL, deadline_ms=0.0001)
+    after = client.metrics()
+    assert after["deadline_expired"] == before["deadline_expired"] + 1
+    assert after["answered_inline"] == before["answered_inline"]
+    # A deadline it can meet is met, on the same lane.
+    assert client.query(SMALL, deadline_ms=60_000).answer_count > 0
+    assert client.metrics()["answered_inline"] \
+        == before["answered_inline"] + 1
+
+
+# -- the two lanes ----------------------------------------------------------
+def test_lane_rule_reads_the_admitted_bound(engine):
+    service = QueryService(engine)
+    small, cheap = service.admit(SMALL), service.admit(CHEAP)
+    assert small.cost <= service_module.INLINE_MAX_COST < cheap.cost
+    assert service.runs_inline(small)
+    assert not service.runs_inline(cheap)
+
+
+@pytest.mark.parametrize("semantics", [SUBGRAPH, SIMULATION])
+@pytest.mark.parametrize("pattern", [CHEAP, SMALL])
+def test_both_lanes_agree_with_the_engine(client, engine, monkeypatch,
+                                          pattern, semantics):
+    direct = engine.query(parse_pattern(pattern), semantics)
+    want = (len(direct.answer) if semantics == SUBGRAPH
+            else len(relation_pairs(direct.answer)),
+            direct.stats.total_accessed,
+            engine.prepare(parse_pattern(pattern),
+                           semantics).worst_case_total_accessed)
+    for limit, inline in ((float("inf"), 1), (0, 0)):
+        monkeypatch.setattr(service_module, "INLINE_MAX_COST", limit)
+        before = client.metrics()
+        result = client.query(pattern, semantics)
+        after = client.metrics()
+        assert (result.answer_count, result.accessed, result.cost) == want
+        assert after["answered"] == before["answered"] + 1
+        assert after["answered_inline"] \
+            == before["answered_inline"] + inline
+
+
+def _record_executing_threads(service) -> list:
+    """Wrap ``execute_batch`` to note which thread runs each batch."""
+    names: list = []
+    original = service.execute_batch
+
+    def recording(requests):
+        names.append(threading.current_thread().name)
+        return original(requests)
+
+    service.execute_batch = recording
+    return names
+
+
+def test_over_limit_query_runs_on_a_pool_thread(imdb_small):
+    service = QueryService(connect(imdb_small), workers=2)
+    names = _record_executing_threads(service)
+    with ServerThread(service) as handle:
+        with ServeClient(handle.host, handle.port) as c:
+            assert c.query(CHEAP).cost > service_module.INLINE_MAX_COST
+            assert names and all(n.startswith("repro-serve_") for n in names)
+            del names[:]
+            assert c.query(SMALL).cost <= service_module.INLINE_MAX_COST
+            assert names == [handle._thread.name]
+    snapshot = service.metrics.snapshot()
+    assert (snapshot["answered"], snapshot["answered_inline"]) == (2, 1)
+
+
+def test_sharded_session_never_runs_on_the_loop_thread(imdb_small, tmp_path):
+    """A scatter-backed session's rounds block on shards: even a query
+    under the limit goes to the pool."""
+    connect(imdb_small).save(tmp_path / "sharded", shards=2)
+    engine = connect(tmp_path / "sharded", backend="inline")
+    assert engine.sharded
+    service = QueryService(engine, workers=2)
+    names = _record_executing_threads(service)
+    try:
+        with ServerThread(service) as handle:
+            with ServeClient(handle.host, handle.port) as c:
+                for pattern in (SMALL, CHEAP):
+                    assert c.query(pattern).answer_count > 0
+    finally:
+        service.close()
+    assert len(names) == 2
+    assert all(n.startswith("repro-serve_") for n in names)
+    assert service.metrics.snapshot()["answered_inline"] == 0
+
+
+def test_pipelined_inline_requests_take_turns_with_other_connections(
+        imdb_small):
+    """The inline lane never waits, so it yields once per reply: frames
+    one client pipelined must not hold the loop until they run out."""
+    import socket
+    import time
+
+    flood = 25
+    service = QueryService(connect(imdb_small), workers=1)
+    started = threading.Event()
+    original = service.execute_batch
+
+    def slow(requests):
+        started.set()
+        time.sleep(0.02)
+        return original(requests)
+
+    service.execute_batch = slow
+    with ServerThread(service) as handle:
+        with socket.create_connection((handle.host, handle.port),
+                                      timeout=10) as sock, \
+                ServeClient(handle.host, handle.port) as other:
+            assert other.ping() is True
+            sock.sendall(b"".join(
+                protocol.encode({"id": i, "op": "query", "pattern": SMALL})
+                for i in range(flood)))
+            assert started.wait(timeout=10)
+            asked = time.perf_counter()
+            assert other.ping() is True
+            waited = time.perf_counter() - asked
+            reader = sock.makefile("rb")
+            for i in range(flood):
+                assert protocol.decode(reader.readline())["id"] == i
+    # Unyielding, the ping would wait out the flood: 25 x 20 ms.
+    assert waited < 0.25, waited
+    assert service.metrics.snapshot()["answered_inline"] == flood
+
+
+def test_loop_stays_responsive_while_a_worker_is_blocked(imdb_small):
+    service = QueryService(connect(imdb_small), workers=1)
+    entered, release = threading.Event(), threading.Event()
+    original = service.execute_batch
+
+    def blocking_over_limit(requests):
+        if any(not service.runs_inline(r) for r in requests):
+            entered.set()
+            release.wait(timeout=10)
+        return original(requests)
+
+    service.execute_batch = blocking_over_limit
+    results: list = []
+
+    def fire():
+        with ServeClient(handle.host, handle.port) as c:
+            results.append(c.query(CHEAP))
+
+    with ServerThread(service) as handle:
+        blocked = threading.Thread(target=fire)
+        blocked.start()
+        try:
+            assert entered.wait(timeout=10)
+            with ServeClient(handle.host, handle.port, timeout=5) as c:
+                assert c.ping() is True
+                assert c.query(SMALL).answer_count > 0
+            assert not results, "the over-limit query is still in its worker"
+        finally:
+            release.set()
+            blocked.join(timeout=15)
+    assert not blocked.is_alive()
+    assert results and results[0].answer_count > 0
 
 
 def test_ping_and_metrics_endpoint(client):
@@ -237,13 +409,17 @@ def test_hot_reload_swaps_engine(imdb_small, tmp_path):
     service = QueryService(connect((graph, schema)), workers=2)
     with ServerThread(service) as handle:
         with ServeClient(handle.host, handle.port) as c:
-            before = c.query(CHEAP)
+            # One pattern per lane: both must land on the new engine.
+            before = [c.query(text) for text in (CHEAP, SMALL)]
             info = c.reload(str(artifact))
             assert info["nodes"] == graph.num_nodes
             assert info["cached_plans"] >= 1
-            after = c.query(CHEAP)
-            assert after.answer_count == before.answer_count
+            after = [c.query(text) for text in (CHEAP, SMALL)]
+            assert [r.answer_count for r in after] \
+                == [r.answer_count for r in before]
             snapshot = c.metrics()
+            assert (snapshot["answered"], snapshot["answered_inline"]) \
+                == (4, 2)
             assert snapshot["reloads"] == 1
             assert snapshot["engine"]["artifact"] == str(artifact)
     assert service.engine.artifact_path == artifact
@@ -268,9 +444,11 @@ def test_clean_shutdown_drains(imdb_small):
         ServeClient(handle.host, handle.port, connect_timeout=0.3)
 
 
-def test_overload_sheds_typed(imdb_small):
+def test_overload_sheds_typed(imdb_small, monkeypatch):
     """A service with a tiny queue and a blocked worker sheds load with
-    ServiceOverloaded (a subclass of AdmissionRejected)."""
+    ServiceOverloaded (a subclass of AdmissionRejected). Shedding is the
+    queued lane's: every request is sent there."""
+    monkeypatch.setattr(service_module, "INLINE_MAX_COST", 0)
     graph, schema = imdb_small
     engine = connect((graph, schema))
     service = QueryService(engine, workers=1, max_queue=1, max_batch=1)
@@ -308,3 +486,51 @@ def test_overload_sheds_typed(imdb_small):
     assert shed, "at least one request must be shed under overload"
     assert answered, "non-shed requests must still be answered"
     assert service.metrics.snapshot()["rejected"]["overloaded"] >= len(shed)
+
+
+def test_drain_timeout_fails_leftover_requests_typed(imdb_small, monkeypatch):
+    """When the drain deadline passes with requests still queued, each
+    gets a typed reply before the loop goes away, not an EOF."""
+    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT_S", 0.2)
+    service = QueryService(connect(imdb_small), workers=1, max_batch=1)
+    entered, release = threading.Event(), threading.Event()
+    original = service.execute_batch
+
+    def blocked_execute(requests):
+        entered.set()
+        release.wait(timeout=10)
+        return original(requests)
+
+    service.execute_batch = blocked_execute
+    outcomes: dict = {}
+
+    def fire(name):
+        try:
+            with ServeClient(handle.host, handle.port) as c:
+                outcomes[name] = c.query(CHEAP)
+        except ServerError as exc:
+            outcomes[name] = exc
+
+    handle = ServerThread(service).start()
+    first = threading.Thread(target=fire, args=("in worker",))
+    first.start()
+    assert entered.wait(timeout=10)
+    second = threading.Thread(target=fire, args=("queued",))
+    second.start()
+    for _ in range(500):
+        if handle._server.queue_depth == 1:
+            break
+        threading.Event().wait(0.01)
+    assert handle._server.queue_depth == 1
+    stopper = threading.Thread(target=handle.stop)
+    stopper.start()
+    try:
+        second.join(timeout=10)
+        assert not second.is_alive()
+        assert isinstance(outcomes["queued"], ServerError)
+        assert "shutting down" in str(outcomes["queued"])
+    finally:
+        release.set()
+        for thread in (first, second, stopper):
+            thread.join(timeout=15)
+    assert not handle._thread.is_alive(), "server thread must exit"
