@@ -65,9 +65,6 @@ def check(rows: list[dict]) -> None:
 
 
 def test_kernel_speedup(benchmark, bench_scale):
-    import pytest
-
-    pytest.importorskip("numpy")
     from repro.bench import render_table
 
     rows = benchmark.pedantic(run, args=(bench_scale,),

@@ -14,13 +14,6 @@ The claims the remote backend (:mod:`repro.server.shardserver` +
   a message-count ratio, not a wall-clock one, so it is deterministic
   on any machine and is what ``benchmarks/check_regression.py`` gates
   on (absolute qps over loopback says little about a real network).
-* **The binary wire format closes the byte gap** — owner-routed scatter
-  in the negotiated packed-binary codec must move at least 5x fewer
-  bytes than broadcast JSON-lines for the identical workload
-  (``wire_bytes_reduction = broadcast_json_bytes / routed_binary_bytes
-  >= 5.0``), and every remote mode's negotiated codec must match its
-  ``wire_format`` knob. Byte counts come from the backend's per-shard
-  wire counters, so this ratio too is deterministic.
 
 Results are emitted as a text table and as one JSON line (prefixed
 ``REMOTE_JSON``) and written to ``.benchmarks/remote.json``; CI's
@@ -53,12 +46,6 @@ BATCHES = 5
 #: ceiling for single-owner tasks is SHARDS x.)
 MIN_SCATTER_REDUCTION = 2.0
 
-#: Owner-routed binary scatter vs broadcast JSON-lines: bytes on the
-#: wire must drop at least 5x (routing contributes up to SHARDS x,
-#: width-adaptive packing the rest). Only gated when numpy is present —
-#: a no-numpy build negotiates JSON and skips the binary claim.
-MIN_WIRE_BYTES_REDUCTION = 5.0
-
 RESULTS_PATH = Path(__file__).resolve().parent.parent / ".benchmarks" \
     / "remote.json"
 
@@ -77,14 +64,12 @@ def run(scale: float) -> list[dict]:
 
 def check(rows: list[dict]) -> None:
     """The remote-backend claims, as assertions."""
-    from repro.server import protocol
-
     by_mode = {row["mode"]: row for row in rows}
-    assert {"inline", "remote_routed", "remote_json",
+    assert {"inline", "remote_routed",
             "remote_broadcast"} <= by_mode.keys(), \
         f"missing modes: {sorted(by_mode)}"
     # Q(G_Q) = Q(G) survives the wire: every mode must reproduce the
-    # inline answers exactly, on any machine, in either codec.
+    # inline answers exactly, on any machine.
     for row in rows:
         assert row["answers_identical"], \
             f"answers diverged in mode={row['mode']}"
@@ -99,20 +84,6 @@ def check(rows: list[dict]) -> None:
     assert broadcast["scatter_messages"] == \
         broadcast["scatter_messages_broadcast"], \
         "owner_routing=False must send every task to every shard"
-    # Each mode negotiated what its knob demanded.
-    assert by_mode["remote_json"]["wire_codec"] == "json"
-    assert broadcast["wire_codec"] == "json"
-    if protocol.binary_supported():
-        assert routed["wire_codec"] == "binary", \
-            "auto must negotiate the binary codec when numpy is present"
-        bytes_reduction = routed.get("wire_bytes_reduction")
-        assert bytes_reduction is not None \
-            and bytes_reduction >= MIN_WIRE_BYTES_REDUCTION, \
-            (f"routed-binary scatter must move >="
-             f"{MIN_WIRE_BYTES_REDUCTION}x fewer bytes than broadcast "
-             f"JSON (got {bytes_reduction})")
-    else:
-        assert routed["wire_codec"] == "json"
 
 
 def test_remote_fleet(benchmark, bench_scale):

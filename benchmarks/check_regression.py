@@ -109,25 +109,16 @@ def current_metrics(results_dir: Path) -> dict:
                            if 0 in shard_by_workers else None),
         },
         # The remote gate is mostly machine-independent: answer identity
-        # over the wire, the owner-routing message reduction, and the
-        # binary-wire byte reduction (both deterministic counts, not
-        # wall-clock). wire_bytes_reduction compares broadcast JSON
-        # against routed *binary* scatter, so it is skipped on a
-        # no-numpy build (which negotiates JSON and cannot make the
-        # claim). routed_qps is the conservative absolute loopback
-        # throughput floor of the routed remote mode.
+        # over the wire and the owner-routing message reduction (a
+        # deterministic count, not wall-clock). routed_qps is the
+        # conservative absolute loopback throughput floor of the routed
+        # remote mode.
         "remote": {
             "answers_identical": (float(all(row["answers_identical"]
                                             for row in remote_rows))
                                   if remote_rows else None),
             "scatter_reduction":
                 (remote_by_mode["remote_routed"]["scatter_reduction"]
-                 if "remote_routed" in remote_by_mode else None),
-            "wire_bytes_reduction":
-                ((remote_by_mode["remote_routed"].get(
-                    "wire_bytes_reduction")
-                  if remote_by_mode["remote_routed"].get(
-                      "wire_codec") == "binary" else SKIPPED)
                  if "remote_routed" in remote_by_mode else None),
             "routed_qps":
                 (remote_by_mode["remote_routed"]["qps"]

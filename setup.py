@@ -1,12 +1,10 @@
 """Packaging for the ``repro`` library (src layout, pure Python).
 
-numpy is a declared runtime dependency because the engine's default
-execution strategy is the vectorized array-kernel executor
-(``repro/core/kernels.py``). It is still an *optional* fast path at
-runtime: without numpy the library imports cleanly and the engine
-auto-selects the sequential executor with identical answers and
-accounting (the ``tests-no-numpy`` CI job pins this), so constrained
-environments can strip the dependency.
+numpy is the one runtime dependency, and it is required: the engine's
+default execution strategy is the vectorized array-kernel executor
+(``repro/core/kernels.py``), shard-side tasks run on the same kernels,
+and scatter rounds cross the shard wire as packed numpy buffers.
+``import repro`` without numpy is an ``ImportError``.
 """
 
 from setuptools import find_packages, setup

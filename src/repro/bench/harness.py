@@ -543,24 +543,18 @@ def remote_fleet(dataset: str = "imdb", scale: float = 0.05,
     (every label's nodes concentrated on one shard — the cover owner
     routing rewards), starts one in-process
     :class:`~repro.server.shardserver.ShardServer` per shard, and serves
-    the same workload four ways:
+    the same workload three ways:
 
     * ``inline`` — shards in-process (the reference for identity);
-    * ``remote_routed`` — the TCP fleet with owner routing on and the
-      negotiated (binary, when numpy is present) wire codec;
-    * ``remote_json`` — owner routing on, codec forced to JSON-lines
-      (isolates the codec's share of the wire win);
-    * ``remote_broadcast`` — owner routing off *and* JSON-lines (every
-      task to every shard in the compatibility codec — the full
-      pre-optimization wire cost).
+    * ``remote_routed`` — the TCP fleet with owner routing on;
+    * ``remote_broadcast`` — owner routing off (every task to every
+      shard).
 
-    The headline metrics are ``scatter_reduction`` (broadcast messages /
-    routed messages) and ``wire_bytes_reduction`` (broadcast-JSON bytes
-    on the wire / routed-binary bytes, reported on the
-    ``remote_routed`` row). Both are deterministic counts, not
-    wall-clock ratios — which is what ``benchmarks/check_regression.py``
-    gates on (absolute remote qps over loopback says little about a
-    real network). Identity (answers, ``G_Q``, ``AccessStats``) against
+    The headline metric is ``scatter_reduction`` (broadcast messages /
+    routed messages) — a deterministic count, not a wall-clock ratio,
+    which is what ``benchmarks/check_regression.py`` gates on (absolute
+    remote qps over loopback says little about a real network).
+    Identity (answers, ``G_Q``, ``AccessStats``) against
     the inline backend is asserted per row via the canonical answer
     form.
     """
@@ -630,13 +624,9 @@ def remote_fleet(dataset: str = "imdb", scale: float = 0.05,
                 ("inline", {"backend": "inline"}),
                 ("remote_routed", {"backend": "remote",
                                    "shard_addrs": addrs}),
-                ("remote_json", {"backend": "remote",
-                                 "shard_addrs": addrs,
-                                 "wire_format": "json"}),
                 ("remote_broadcast", {"backend": "remote",
                                       "shard_addrs": addrs,
-                                      "owner_routing": False,
-                                      "wire_format": "json"})):
+                                      "owner_routing": False})):
             with connect(artifact, **opts) as engine:
                 answers, served, seconds = evaluate(engine)
                 backend = engine._shards
@@ -658,7 +648,6 @@ def remote_fleet(dataset: str = "imdb", scale: float = 0.05,
                 }
                 if mode != "inline":
                     wire = backend.wire_stats()
-                    row["wire_codec"] = backend.wire_codec
                     row["wire_bytes_sent"] = sum(
                         s["bytes_sent"] for s in wire)
                     row["wire_bytes_received"] = sum(
@@ -668,15 +657,6 @@ def remote_fleet(dataset: str = "imdb", scale: float = 0.05,
                     row["encode_ms"] = round(
                         sum(s["encode_ms"] for s in wire), 3)
                 rows.append(row)
-    # The headline wire win: broadcast-JSON bytes vs owner-routed bytes
-    # in the negotiated codec, for the identical workload.
-    by_mode = {row["mode"]: row for row in rows}
-    routed_row = by_mode.get("remote_routed")
-    broadcast_row = by_mode.get("remote_broadcast")
-    if routed_row and broadcast_row and routed_row.get("wire_bytes_total"):
-        routed_row["wire_bytes_reduction"] = (
-            broadcast_row["wire_bytes_total"]
-            / routed_row["wire_bytes_total"])
     return rows
 
 
@@ -1082,20 +1062,16 @@ def kernel_speedup(dataset: str = "imdb", scale: float = 0.05,
     has no cross-execution state), then timed over ``rounds`` repeats
     of the ``distinct``-query workload with fresh
     :class:`~repro.accounting.AccessStats` per execution, mirroring a
-    serving loop. Raises :class:`BenchmarkError` without numpy — this
-    benchmark *is* the vectorized path.
+    serving loop.
     """
     from repro.core.executor import execute_plan
-    from repro.core.kernels import can_vectorize, execute_plan_vectorized
+    from repro.core.kernels import execute_plan_vectorized
     from repro.graph.frozen import FrozenGraph
 
     graph, schema = get_dataset(dataset, scale)
     pool = get_workload(dataset, scale, count=200, seed=seed)
     queries = _bounded_queries(pool, schema, semantics, distinct)
     index = SchemaIndex(FrozenGraph.from_graph(graph), schema, frozen=True)
-    if not can_vectorize(index):
-        raise BenchmarkError("kernel_speedup needs numpy — the bench "
-                             "measures the vectorized executor")
     plans = [generate_plan(query, schema, semantics) for query in queries]
     for plan in plans:  # warm-up: session caches, index + graph kernels
         execute_plan(plan, index)

@@ -15,11 +15,10 @@ Subcommands::
     repro serve    --artifact art/ [--port 8642] [--workers 4]
                    [--max-cost 50000] [--extend-budget M]
                    [--shard-addrs host:8650,host:8651]   # remote fleet
-                   [--wire-format auto|json|binary]
                    [--metrics-port 9642] [--trace]
                    [--slow-query-ms 50] [--log-format json]
     repro shard-serve --artifact art/shard-0000 [--port 8650]
-                   [--wire-format auto|json|binary] [--log-format json]
+                   [--log-format json]
     repro metrics  [host:8642] [--json]                  # live snapshot
     repro bench    --experiment exp1 [--experiment ...] [--dataset imdb]
                    [--scale 0.05] [--artifact art/]
@@ -47,6 +46,7 @@ from repro.errors import NotEffectivelyBounded, ReproError
 from repro.graph import io as graph_io
 from repro.matching.simulation import relation_pairs
 from repro.pattern.dsl import parse_pattern
+from repro.server import shardserver
 
 
 def _load_pattern(path: str):
@@ -276,32 +276,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_shard_serve(args) -> int:
-    from repro.server import shardserver
-
-    argv = ["--artifact", args.artifact, "--host", args.host,
-            "--log-format", args.log_format,
-            "--wire-format", args.wire_format]
-    if args.delay_ms:
-        argv += ["--delay-ms", str(args.delay_ms)]
-    if args.delay_jitter_ms:
-        argv += ["--delay-jitter-ms", str(args.delay_jitter_ms)]
-    if args.task_cost_ms:
-        argv += ["--task-cost-ms", str(args.task_cost_ms)]
-    if args.shard_id is not None:
-        argv += ["--shard-id", str(args.shard_id)]
-    if args.port is not None:
-        argv += ["--port", str(args.port)]
-    else:
-        # One conventional port per shard so N servers on one host never
-        # need explicit --port flags.
-        _, shard_id = shardserver.resolve_shard_artifact(args.artifact,
-                                                         args.shard_id)
-        from repro.server import protocol
-        argv += ["--port", str(protocol.DEFAULT_SHARD_PORT + shard_id)]
-    return shardserver.main(argv)
-
-
 def _cmd_serve(args) -> int:
     import asyncio
     import signal
@@ -315,8 +289,7 @@ def _cmd_serve(args) -> int:
         engine = connect(args.artifact, validate=args.validate,
                          workers=args.exec_workers,
                          backend="remote" if shard_addrs else "auto",
-                         shard_addrs=shard_addrs,
-                         wire_format=args.wire_format)
+                         shard_addrs=shard_addrs)
     elif args.exec_workers or shard_addrs:
         flag = "--exec-workers" if args.exec_workers else "--shard-addrs"
         print(f"{flag} requires --artifact pointing at a sharded "
@@ -612,14 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "one comma-separated list); serves scatter "
                               "waves from the fleet instead of local "
                               "shards (requires a sharded --artifact)")
-    p_serve.add_argument("--wire-format",
-                         choices=("auto", "json", "binary"),
-                         default="auto",
-                         help="shard-fleet codec preference: auto "
-                              "negotiates packed binary frames when both "
-                              "ends can, json forces JSON lines, binary "
-                              "fails the handshake on a JSON-only fleet "
-                              "(default: auto)")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          help="expose a Prometheus scrape endpoint on "
                               "this HTTP port (0 binds an ephemeral one; "
@@ -641,36 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard = sub.add_parser(
         "shard-serve",
         help="serve one shard of a sharded artifact over TCP")
-    p_shard.add_argument("--artifact", required=True,
-                         help="per-shard directory (<artifact>/shard-NNNN)")
-    p_shard.add_argument("--shard-id", type=int, default=None,
-                         help="shard id (inferred from --artifact when it "
-                              "names a shard-NNNN directory)")
-    p_shard.add_argument("--host", default="127.0.0.1")
-    p_shard.add_argument("--port", type=int, default=None,
-                         help="TCP port (default: 8650 + shard id)")
-    p_shard.add_argument("--wire-format",
-                         choices=("auto", "json", "binary"),
-                         default="auto",
-                         help="codecs offered at the hello handshake: "
-                              "auto prefers packed binary frames, json "
-                              "forces JSON lines (default: auto)")
-    p_shard.add_argument("--log-format", choices=("text", "json"),
-                         default="text",
-                         help="structured stderr logging for the shard "
-                              "server")
-    p_shard.add_argument("--delay-ms", type=float, default=0.0,
-                         help="inject this scatter-response latency "
-                              "(fault injection for pipelining tests; "
-                              "answers are unaffected)")
-    p_shard.add_argument("--delay-jitter-ms", type=float, default=0.0,
-                         help="add up to this much uniform jitter on top "
-                              "of --delay-ms")
-    p_shard.add_argument("--task-cost-ms", type=float, default=0.0,
-                         help="inject this serial compute cost per "
-                              "scatter work unit (combos for fetch/edge "
-                              "tasks, 1 per probe)")
-    p_shard.set_defaults(func=_cmd_shard_serve)
+    shardserver.add_flags(p_shard)
+    p_shard.set_defaults(func=shardserver.run)
 
     p_metrics = sub.add_parser(
         "metrics",

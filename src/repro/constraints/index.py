@@ -33,10 +33,13 @@ from array import array
 from itertools import product
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.accounting import AccessStats
 from repro.constraints.schema import AccessConstraint, AccessSchema
 from repro.errors import ConstraintViolation, SchemaError
 from repro.graph.graph import GraphView
+from repro.util.arrays import as_int64, pack_matrix
 
 
 def _keys_for_target(constraint: AccessConstraint, w: int, graph: GraphView):
@@ -394,8 +397,6 @@ class FrozenConstraintIndex(BaseConstraintIndex):
 
     def _build_kernel(self) -> tuple:
         from repro.errors import ArtifactCorrupt
-        from repro.util.arrays import as_int64, pack_matrix, require_numpy
-        np = require_numpy()
         arity = len(self.constraint.source)
         # Take a local reference: the lazy dict decode nulls _raw_buffers
         # after publishing _entry_data, and either source is valid.
@@ -448,8 +449,6 @@ class FrozenConstraintIndex(BaseConstraintIndex):
         :mod:`repro.core.kernels`), unlike :meth:`fetch` which records
         unconditionally when given stats.
         """
-        from repro.util.arrays import pack_matrix, require_numpy
-        np = require_numpy()
         packed_keys, payload_ptr, payload, arity, num_keys = \
             self.kernel_buffers()
         n = len(combos)

@@ -294,8 +294,8 @@ def _index_edge(check, candidates: dict[int, set[int]],
 
 
 # -------------------------------------------------------------- scatter-gather
-# Task tuples sent to every shard (see repro.engine.parallel for the
-# shard-side handler):
+# Task tuples sent to every shard (repro.core.kernels.run_shard_task is
+# the shard-side handler):
 #
 #   ("fetch", cpos, [combo, ...])  -> ([payload per combo],
 #                                      {id: (label, value)})
@@ -755,51 +755,3 @@ def _run_pipelined(exes, backend) -> None:
             outstanding -= 1
     if dedup_hits:
         backend.scatter_dedup_hits += dedup_hits
-
-
-def run_shard_task(graph, schema_index, owned: frozenset, task: tuple):
-    """Execute one scatter task against one shard (the worker-side half
-    of the protocol above). Lives here so the sequential and sharded
-    fetch semantics stay in one module; :mod:`repro.engine.parallel`
-    calls it both inline and from worker processes."""
-    kind = task[0]
-    if kind == TASK_FETCH:
-        _, cpos, combos = task
-        constraint = schema_index.constraint_at(cpos)
-        payloads = []
-        info = {}
-        for combo in combos:
-            payload = schema_index.fetch(constraint, combo)
-            payloads.append(payload)
-            for v in payload:
-                if v not in info:
-                    info[v] = (graph.label_of(v), graph.value_of(v))
-        return payloads, info
-    if kind == TASK_EDGE:
-        _, cpos, combos = task
-        constraint = schema_index.constraint_at(cpos)
-        results = []
-        for combo in combos:
-            entries = []
-            for w in schema_index.fetch(constraint, combo):
-                # w is owned by this shard, so *all* of w's adjacency is
-                # present in the shard graph — both directions resolve
-                # locally.
-                flags = tuple((graph.has_edge(m, w), graph.has_edge(w, m))
-                              for m in combo)
-                entries.append((w, flags))
-            results.append(entries)
-        return results
-    if kind == TASK_PROBE:
-        _, a_nodes, b_nodes = task
-        checked = 0
-        found = []
-        for va in a_nodes:
-            if va not in owned:
-                continue
-            for vb in b_nodes:
-                checked += 1
-                if graph.has_edge(va, vb):
-                    found.append((va, vb))
-        return checked, found
-    raise PlanError(f"unknown shard task {kind!r}")  # pragma: no cover

@@ -32,11 +32,13 @@ Everything here requires a frozen session: a
 or memoryview buffers become zero-copy ndarray views) and
 :class:`~repro.constraints.index.FrozenConstraintIndex` payload buffers.
 :func:`can_vectorize` is the gate the engine's executor selection
-uses; without numpy the module still imports and the engine falls back
-to the sequential path.
+uses; a mutable (``frozen=False``) session fails it and runs the
+sequential path.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.accounting import AccessStats
 from repro.constraints.index import SchemaIndex
@@ -49,24 +51,15 @@ from repro.core.executor import (
     ExecutionResult,
     _check_coverage,
     _edge_check_geometry,
-    run_shard_task,
 )
 from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import EngineError, PlanError, UnverifiableEdge
 from repro.graph.frozen import FrozenGraph
-from repro.util.arrays import (
-    HAVE_NUMPY,
-    in_sorted,
-    pack_matrix,
-    take_segments,
-)
+from repro.util.arrays import in_sorted, pack_matrix, take_segments
 
-if HAVE_NUMPY:
-    import numpy as np
-
-    # numpy's first np.unique call lazily imports numpy.ma (~20ms); force
-    # it at import time so no query pays it as first-execution latency.
-    np.unique(np.empty(0, dtype=np.int64))
+# numpy's first np.unique call lazily imports numpy.ma (~20ms); force
+# it at import time so no query pays it as first-execution latency.
+np.unique(np.empty(0, dtype=np.int64))
 
 #: Range operators with an exact float64 equivalent (see GraphKernel.
 #: predicate_mask). ``!=`` is excluded: ``"str" != 5`` is True in the
@@ -78,8 +71,8 @@ _RANGE_OPS = frozenset(("<", "<=", ">", ">="))
 
 def can_vectorize(schema_index) -> bool:
     """True when ``schema_index`` can serve the vectorized executor:
-    numpy importable, CSR graph snapshot, all-frozen indexes."""
-    return (HAVE_NUMPY and schema_index is not None
+    CSR graph snapshot, all-frozen indexes."""
+    return (schema_index is not None
             and isinstance(schema_index.graph, FrozenGraph)
             and getattr(schema_index, "frozen", False))
 
@@ -626,31 +619,42 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
 
 
 # ----------------------------------------------------------------- shard kernels
-def run_shard_task_vectorized(graph, schema_index, owned: frozenset,
-                              owned_sorted, task: tuple):
-    """Shard-side scatter-task handler with the edge work vectorized.
+def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
+    """Execute one scatter task against one shard — the worker-side half
+    of the task protocol in :mod:`repro.core.executor`.
+    :mod:`repro.engine.parallel` calls it inline, from worker processes
+    and behind the shard server. ``graph`` is the shard's CSR snapshot
+    and ``owned_sorted`` its owned node ids as a sorted int64 array.
 
-    Responses are element-for-element identical to
-    :func:`~repro.core.executor.run_shard_task` — the parent's merge and
-    accounting logic must not be able to tell the two apart. ``fetch``
-    tasks delegate to the sequential handler (per-combo dict lookups are
-    already O(1)); ``probe`` and ``edge`` tasks replace their scalar
-    ``has_edge`` loops with batched CSR membership tests.
+    ``fetch`` is per-combo index lookups (already O(1) each); ``edge``
+    and ``probe`` resolve edges with batched CSR membership tests.
     """
     kind = task[0]
     if kind == TASK_FETCH:
-        return run_shard_task(graph, schema_index, owned, task)
+        _, cpos, combos = task
+        constraint = schema_index.constraint_at(cpos)
+        payloads = []
+        info = {}
+        for combo in combos:
+            payload = schema_index.fetch(constraint, combo)
+            payloads.append(payload)
+            for v in payload:
+                if v not in info:
+                    info[v] = (graph.label_of(v), graph.value_of(v))
+        return payloads, info
     kernel = graph_kernel(graph)
     if kind == TASK_PROBE:
         _, a_nodes, b_nodes = task
+        # Only pairs whose source this shard owns are checked here, so
+        # the per-shard counts sum to |A|x|B| exactly once.
         a_arr = np.asarray(a_nodes, dtype=np.int64)
         if len(a_arr):
             a_arr = a_arr[in_sorted(owned_sorted, a_arr)]
         b_arr = np.asarray(b_nodes, dtype=np.int64)
         checked = len(a_arr) * len(b_arr)
         sources, targets = kernel.out_edges_into(a_arr, b_arr)
-        # a_nodes/b_nodes arrive sorted, so this enumerates found pairs
-        # in the same (va, vb) order as the scalar double loop.
+        # a_nodes/b_nodes arrive sorted, so found pairs enumerate in
+        # (va, vb) order.
         return checked, list(zip(sources.tolist(), targets.tolist()))
     if kind == TASK_EDGE:
         _, cpos, combos = task
@@ -661,6 +665,8 @@ def run_shard_task_vectorized(graph, schema_index, owned: frozenset,
             if not payload:
                 results.append([])
                 continue
+            # Every w is owned by this shard, so all of w's adjacency is
+            # in the shard graph — both directions resolve locally.
             targets = np.asarray(payload, dtype=np.int64)
             flag_pairs = []
             for member in combo:
@@ -673,17 +679,16 @@ def run_shard_task_vectorized(graph, schema_index, owned: frozenset,
                 (w, tuple(flags[i] for flags in flag_pairs))
                 for i, w in enumerate(payload)])
         return results
-    return run_shard_task(graph, schema_index, owned, task)
+    raise PlanError(f"unknown shard task {kind!r}")
 
 
 __all__ = [
     "GraphKernel",
-    "HAVE_NUMPY",
     "KernelContext",
     "can_vectorize",
     "execute_plan_vectorized",
     "graph_kernel",
     "kernel_context",
-    "run_shard_task_vectorized",
+    "run_shard_task",
     "sorted_id_array",
 ]

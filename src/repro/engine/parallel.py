@@ -33,9 +33,9 @@ Three implementations live here:
   both work; CI smokes ``spawn`` on Python 3.12, the strictest mode).
 * :class:`RemoteShardBackend` — shards held by standalone ``repro
   shard-serve`` processes (:mod:`repro.server.shardserver`), reached
-  over the wire protocol of :mod:`repro.server.protocol` (packed binary
-  frames when the hello handshake negotiates them, JSON lines
-  otherwise). The front-end holds no graph at all; it multiplexes one
+  over the wire protocol of :mod:`repro.server.protocol` (scatter
+  rounds as packed binary frames, control ops as JSON lines). The
+  front-end holds no graph at all; it multiplexes one
   wave's tasks per connection round, with connect/read timeouts,
   bounded retry with backoff on transient faults, and typed
   :class:`~repro.errors.ShardUnavailable` errors once retries exhaust.
@@ -64,7 +64,6 @@ from typing import Sequence
 from repro.constraints.index import FrozenConstraintIndex
 from repro.constraints.schema import AccessConstraint
 from repro.core import kernels
-from repro.core.executor import run_shard_task
 from repro.errors import (
     EngineError,
     ReproError,
@@ -72,7 +71,6 @@ from repro.errors import (
     ShardProtocolError,
     ShardUnavailable,
 )
-from repro.graph.frozen import FrozenGraph
 from repro.obs.trace import current_span
 from repro.session import SessionConfig
 
@@ -81,7 +79,7 @@ class ShardRuntime:
     """One shard's in-memory state: halo graph, owned set, shard index."""
 
     __slots__ = ("shard_id", "graph", "schema_index", "owned",
-                 "_owned_sorted")
+                 "_owned_sorted", "_owned_labels")
 
     def __init__(self, shard_id: int, graph, schema_index,
                  owned: Sequence[int]):
@@ -89,26 +87,23 @@ class ShardRuntime:
         self.graph = graph
         self.schema_index = schema_index
         self.owned = frozenset(owned)
-        self._owned_sorted = None  # lazy int64 array for vectorized tasks
+        self._owned_sorted = kernels.sorted_id_array(self.owned)
+        self._owned_labels: list[str] | None = None
 
     def handle(self, task: tuple):
-        # Shard graphs are CSR snapshots, so the probe/edge tasks run on
-        # the array kernels when numpy is available; responses are
-        # identical either way (see run_shard_task_vectorized).
-        if kernels.HAVE_NUMPY and isinstance(self.graph, FrozenGraph):
-            if self._owned_sorted is None:
-                self._owned_sorted = kernels.sorted_id_array(self.owned)
-            return kernels.run_shard_task_vectorized(
-                self.graph, self.schema_index, self.owned,
-                self._owned_sorted, task)
-        return run_shard_task(self.graph, self.schema_index, self.owned, task)
+        return kernels.run_shard_task(self.graph, self.schema_index,
+                                      self._owned_sorted, task)
 
     def owned_labels(self) -> list[str]:
         """Sorted distinct labels of the shard's *owned* nodes — the
         per-label half of the owner-routing metadata (a shard owning no
         node of a constraint's target label can never contribute to a
-        fetch/edge task for that constraint)."""
-        return sorted({self.graph.label_of(v) for v in self.owned})
+        fetch/edge task for that constraint). ``owned`` and the shard
+        graph are immutable, so the scan runs once per runtime."""
+        if self._owned_labels is None:
+            self._owned_labels = sorted(
+                {self.graph.label_of(v) for v in self.owned})
+        return self._owned_labels
 
     def extension_stats(self, labels: Sequence[str]) -> tuple[dict, dict]:
         """Per-shard extension-planning aggregates over *owned* nodes,
@@ -610,52 +605,34 @@ class _ScatterEncoder:
     """Encode-once cache for one scatter round's task bytes.
 
     A broadcast (or any routing that sends one task list to several
-    shards) used to re-encode the identical task list per shard; this
-    caches the heavy parts — the JSON ``tasks`` array fragment, or the
-    binary ``tasks_meta`` fragment plus the packed payload section —
-    keyed by (codec, task-index tuple), and splices the tiny per-shard
-    envelope (``id``, ``op``, ``trace``) around the cached bytes at send
-    time. Encoding cost is therefore paid once per *distinct* task list,
-    not once per shard.
+    shards) would otherwise re-encode the identical task list per
+    shard; this caches the heavy parts — the ``tasks_meta`` header
+    fragment plus the packed payload section — keyed by task-index
+    tuple, and splices the tiny per-shard envelope (``id``, ``op``,
+    ``trace``) around the cached bytes at send time. Encoding cost is
+    therefore paid once per *distinct* task list, not once per shard.
     """
 
-    __slots__ = ("tasks", "_json", "_binary")
+    __slots__ = ("tasks", "_parts")
 
     def __init__(self, tasks: list[tuple]):
         self.tasks = tasks
-        self._json: dict[tuple, bytes] = {}
-        self._binary: dict[tuple, tuple[bytes, bytes]] = {}
+        self._parts: dict[tuple, tuple[bytes, bytes]] = {}
 
-    def _json_fragment(self, key: tuple) -> bytes:
-        fragment = self._json.get(key)
-        if fragment is None:
-            from repro.server import protocol
-            fragment = json.dumps(
-                [protocol.encode_task(self.tasks[i]) for i in key],
-                separators=(",", ":")).encode("utf-8")
-            self._json[key] = fragment
-        return fragment
-
-    def _binary_parts(self, key: tuple) -> tuple[bytes, bytes]:
-        parts = self._binary.get(key)
+    def encode(self, key: tuple, envelope: dict) -> bytes:
+        """One shard's complete scatter frame bytes."""
+        from repro.server import protocol
+        parts = self._parts.get(key)
         if parts is None:
-            from repro.server import protocol
             metas, buffers = protocol.encode_tasks_binary(
                 [self.tasks[i] for i in key])
             parts = (json.dumps(metas, separators=(",", ":")).encode(),
                      protocol.encode_payload(buffers))
-            self._binary[key] = parts
-        return parts
-
-    def encode(self, codec: str, key: tuple, envelope: dict) -> bytes:
-        """One shard's complete scatter frame bytes."""
-        from repro.server import protocol
+            self._parts[key] = parts
+        metas, payload = parts
         head = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-        if codec == protocol.CODEC_BINARY:
-            metas, payload = self._binary_parts(key)
-            header = head[:-1] + b',"tasks_meta":' + metas + b"}"
-            return protocol.binary_frame(header, payload)
-        return head[:-1] + b',"tasks":' + self._json_fragment(key) + b"}\n"
+        header = head[:-1] + b',"tasks_meta":' + metas + b"}"
+        return protocol.binary_frame(header, payload)
 
 
 class _PendingRequest:
@@ -688,7 +665,7 @@ class _ShardConn:
     """
 
     __slots__ = ("addr", "host", "port", "sock", "file", "shard_id",
-                 "next_id", "codec", "bytes_sent", "bytes_received",
+                 "next_id", "bytes_sent", "bytes_received",
                  "encode_s", "lock", "cond", "pending", "reader",
                  "fail_streak", "inflight_peak")
 
@@ -699,7 +676,6 @@ class _ShardConn:
         self.file = None
         self.shard_id: int | None = None
         self.next_id = 0
-        self.codec: str | None = None
         self.bytes_sent = 0
         self.bytes_received = 0
         self.encode_s = 0.0
@@ -715,18 +691,12 @@ class _ShardConn:
         self.inflight_peak = 0
 
     def send(self, doc: dict) -> int:
+        """Send one control op (JSON lines); scatter rounds go through
+        :meth:`RemoteShardBackend._submit`."""
         from repro.server import protocol
         self.next_id += 1
-        scatter = doc.get("_scatter")
         started = time.perf_counter()
-        if scatter is not None:
-            encoder, key = scatter
-            envelope = {"id": self.next_id,
-                        **{k: v for k, v in doc.items() if k != "_scatter"}}
-            data = encoder.encode(self.codec or protocol.CODEC_JSON, key,
-                                  envelope)
-        else:
-            data = protocol.encode({"id": self.next_id, **doc})
+        data = protocol.encode({"id": self.next_id, **doc})
         self.encode_s += time.perf_counter() - started
         self.sock.sendall(data)
         self.bytes_sent += len(data)
@@ -790,23 +760,16 @@ class RemoteShardBackend(ShardBackend):
     disagreements raise their own typed errors immediately (they are
     deployment bugs, not weather).
 
-    The timeouts, retry budget, ``owner_routing`` and ``wire_format``
-    come from ``config`` (the session's
-    :class:`~repro.session.SessionConfig`).
+    The timeouts, retry budget and ``owner_routing`` come from
+    ``config`` (the session's :class:`~repro.session.SessionConfig`).
     """
 
     def __init__(self, shard_addrs: Sequence[str], schema, *,
                  artifact_path, manifest: dict | None = None,
                  config: SessionConfig = SessionConfig()):
         from repro.engine import persist
-        from repro.server import protocol
 
         super().__init__(schema)
-        if config.wire_format not in protocol.WIRE_FORMATS:
-            raise EngineError(
-                f"wire_format must be one of {protocol.WIRE_FORMATS}, "
-                f"got {config.wire_format!r}")
-        self.wire_format = config.wire_format
         self._artifact_path = artifact_path
         if manifest is None:
             manifest = persist.read_sharded_manifest(artifact_path)
@@ -886,7 +849,6 @@ class RemoteShardBackend(ShardBackend):
                 "op": "hello",
                 "protocol": protocol.PROTOCOL_VERSION,
                 "format_version": self._expected["format_version"],
-                "codecs": protocol.supported_codecs(self.wire_format),
             })
         except _TRANSIENT as exc:
             conn.close()
@@ -919,26 +881,6 @@ class RemoteShardBackend(ShardBackend):
                 f"shard {shard_id} (manifest checksum mismatch); "
                 f"re-deploy the fleet from this artifact", addr=conn.addr,
                 found=hello.get("manifest_sha256"), expected=expected_sha)
-        codec = hello.get("codec") or protocol.CODEC_JSON
-        if codec not in protocol.supported_codecs(self.wire_format):
-            conn.close()
-            raise ShardHandshakeMismatch(
-                f"shard server {conn.addr} negotiated codec {codec!r}, "
-                f"which this front-end (wire_format={self.wire_format!r}) "
-                f"does not speak", addr=conn.addr, found=codec,
-                expected=protocol.supported_codecs(self.wire_format))
-        if self.wire_format == "binary" and protocol.binary_supported() \
-                and codec != protocol.CODEC_BINARY:
-            # "binary" is a demand, not a preference: a JSON-only server
-            # is a deployment mismatch, not something to paper over.
-            conn.close()
-            raise ShardHandshakeMismatch(
-                f"shard server {conn.addr} cannot speak the binary codec "
-                f"this front-end requires (wire_format='binary'); "
-                f"upgrade the server or use --wire-format auto",
-                addr=conn.addr, found=codec,
-                expected=[protocol.CODEC_BINARY])
-        conn.codec = codec
         conn.shard_id = shard_id
         return hello
 
@@ -974,8 +916,7 @@ class RemoteShardBackend(ShardBackend):
                 encoder, key = scatter
                 envelope = {"id": rid, **{k: v for k, v in doc.items()
                                           if k != "_scatter"}}
-                data = encoder.encode(conn.codec or protocol.CODEC_JSON,
-                                      key, envelope)
+                data = encoder.encode(key, envelope)
             else:
                 data = protocol.encode({"id": rid, **doc})
             conn.encode_s += time.perf_counter() - started
@@ -1216,24 +1157,14 @@ class RemoteShardBackend(ShardBackend):
         values aligned with the task indices it was sent."""
         from repro.server import protocol
 
-        if "responses_meta" in result:
-            decoded = protocol.decode_shard_responses_binary(
-                result["responses_meta"],
-                getattr(result, "payloads", ()),
-                expected_kinds=kinds)
-            if len(decoded) != len(kinds):
-                raise ShardProtocolError(
-                    f"shard {conn.addr}: scatter response does not "
-                    f"align with the {len(kinds)} tasks sent",
-                    addr=conn.addr)
-            return decoded
-        payload = result.get("responses")
-        if not isinstance(payload, list) or len(payload) != len(kinds):
+        decoded = protocol.decode_shard_responses_binary(
+            result.get("responses_meta", ()),
+            getattr(result, "payloads", ()), expected_kinds=kinds)
+        if len(decoded) != len(kinds):
             raise ShardProtocolError(
                 f"shard {conn.addr}: scatter response does not align "
                 f"with the {len(kinds)} tasks sent", addr=conn.addr)
-        return [protocol.decode_shard_response(kind, encoded)
-                for kind, encoded in zip(kinds, payload)]
+        return decoded
 
     def scatter_submit(self, tasks: list[tuple],
                        shard_sets: list | None = None,
@@ -1386,19 +1317,6 @@ class RemoteShardBackend(ShardBackend):
                  if k not in ("id", "ok")}
                 for shard_id in self._shard_ids]
 
-    @property
-    def wire_codec(self) -> str:
-        """The fleet-wide negotiated codec: ``binary``/``json`` when the
-        shards agree (the normal case), ``mixed`` during a rolling
-        upgrade."""
-        from repro.server import protocol
-        codecs = {self._conns[shard_id].codec or protocol.CODEC_JSON
-                  for shard_id in self._shard_ids
-                  if shard_id in self._conns}
-        if len(codecs) == 1:
-            return codecs.pop()
-        return "mixed" if codecs else protocol.CODEC_JSON
-
     def wire_stats(self) -> list[dict]:
         """Per-shard client-side wire counters, in shard order — a local
         read, no fleet round-trip."""
@@ -1408,7 +1326,6 @@ class RemoteShardBackend(ShardBackend):
             if conn is None:
                 continue
             out.append({"shard_id": shard_id, "addr": conn.addr,
-                        "codec": conn.codec or "json",
                         "bytes_sent": conn.bytes_sent,
                         "bytes_received": conn.bytes_received,
                         "encode_ms": round(conn.encode_s * 1000.0, 3),

@@ -19,6 +19,7 @@ from typing import Iterable
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph, GraphView
+from repro.util.arrays import as_int64
 
 
 class FrozenGraph(GraphView):
@@ -146,8 +147,6 @@ class FrozenGraph(GraphView):
         way ``np.frombuffer`` aliases the existing bytes, nothing is
         copied. The views alias immutable storage: treat as read-only.
         """
-        from repro.util.arrays import as_int64, require_numpy
-        require_numpy()
         return {"ids": as_int64(self._ids),
                 "out_ptr": as_int64(self._out_ptr),
                 "out_dst": as_int64(self._out_dst),

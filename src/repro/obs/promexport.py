@@ -134,8 +134,7 @@ def render_prometheus(snapshot: dict) -> str:
                             "from an in-flight duplicate instead of a "
                             "second shard round trip."))
         # Front-end wire telemetry: bytes each way per shard connection
-        # plus cumulative request-encode time, negotiated codec as an
-        # info-style gauge.
+        # plus cumulative request-encode time.
         for entry in backend.get("wire_by_shard", ()):
             if not isinstance(entry, dict):
                 continue
@@ -153,11 +152,6 @@ def render_prometheus(snapshot: dict) -> str:
                      kind="counter",
                      help_text=("Cumulative request-encode time per "
                                 "shard connection, ms."))
-            w.sample("repro_shard_wire_codec", 1,
-                     {"shard": shard_label,
-                      "codec": str(entry.get("codec", "json"))},
-                     help_text=("Negotiated wire codec per shard "
-                                "connection (info gauge)."))
             w.sample("repro_shard_inflight", entry.get("inflight"),
                      {"shard": shard_label},
                      help_text=("Requests currently awaiting a response "
@@ -195,13 +189,6 @@ def render_prometheus(snapshot: dict) -> str:
                           "direction": direction}, kind="counter",
                          help_text=("Bytes on the wire per shard server, "
                                     "by direction (server side)."))
-            for codec, count in sorted(
-                    (wire.get("negotiations") or {}).items()):
-                w.sample("repro_shard_codec_negotiations_total", count,
-                         {"shard": labels["shard"], "codec": str(codec)},
-                         kind="counter",
-                         help_text=("Hello negotiations per shard server, "
-                                    "by chosen codec."))
 
     plan_cache = snapshot.get("plan_cache")
     if plan_cache:

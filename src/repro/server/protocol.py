@@ -4,23 +4,21 @@ Every request and response is one *frame*. Two framings coexist on the
 same port, distinguished by the first byte:
 
 * **JSON lines** — one JSON object on one ``\\n``-terminated line
-  (UTF-8). The first byte is always ``{`` (0x7B). This is the
-  compatibility framing every peer speaks.
+  (UTF-8). The first byte is always ``{`` (0x7B). The client query
+  protocol and the shard control ops (``hello``, ``ping``, ``metrics``,
+  ``extend``, ``extension_stats``, ``reload``, ``shutdown``) use it.
 * **Binary frames** — :data:`BINARY_MAGIC` (first byte 0xAB, which can
   never begin a JSON line), two big-endian ``u32`` lengths, a JSON
   header, and a packed payload section of length-prefixed byte buffers
-  (:func:`encode_payload`). The header carries the same fields a JSON
-  frame would, except that bulk int arrays (scatter frontiers, index
-  payloads, probe pairs) live in the payload buffers as packed little-
-  endian integers produced by ``ndarray.tobytes()`` and re-adopted with
-  ``np.frombuffer`` — no per-element encode/decode loops.
+  (:func:`encode_payload`). Shard ``scatter`` rounds — the only bulk
+  traffic — always use it: the task and response int arrays (scatter
+  frontiers, index payloads, probe pairs) live in the payload buffers
+  as packed little-endian integers produced by ``ndarray.tobytes()``
+  and re-adopted with ``np.frombuffer`` — no per-element encode/decode
+  loops.
 
-Which framing a peer *sends* is negotiated at the ``hello`` handshake:
-the client advertises ``codecs`` (preference order), the server answers
-with the chosen ``codec``; a peer that predates the field (or a build
-without numpy) transparently negotiates down to JSON. Replies always
-use the framing of their request, so a mixed conversation stays
-unambiguous frame by frame.
+Replies always use the framing of their request, so the conversation
+stays unambiguous frame by frame.
 
 Requests carry an ``op`` and an optional client-chosen ``id`` that the
 response echoes, so a client may pipeline requests. Two services speak
@@ -54,6 +52,8 @@ import struct
 import time
 from itertools import chain
 
+import numpy as np
+
 from repro.util import arrays
 from repro.errors import (
     AdmissionRejected,
@@ -68,11 +68,12 @@ from repro.errors import (
     ShardUnavailable,
 )
 
-#: Version of the JSON-lines protocol itself. Bumped on incompatible
-#: framing or op-contract changes; the shard handshake (``hello``)
-#: requires exact agreement so a mixed deployment fails loudly at
-#: connect instead of corrupting answers mid-wave.
-PROTOCOL_VERSION = 1
+#: Version of the wire protocol itself. Bumped on incompatible framing
+#: or op-contract changes; the shard handshake (``hello``) requires
+#: exact agreement so a mixed deployment fails loudly at connect instead
+#: of corrupting answers mid-wave. 2: scatter rounds are binary frames
+#: only (version 1 peers could still offer a JSON-lines task codec).
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one request/response line; a longer line is a protocol
 #: error (keeps a misbehaving peer from ballooning server memory).
@@ -87,6 +88,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Upper bound on the number of payload buffers in one binary frame.
 MAX_PAYLOAD_BUFFERS = 65536
 
+#: Upper bound on the members of one ``edge`` combo: an entry's direction
+#: flags are one int64 bitmask, two bits per member.
+MAX_EDGE_ARITY = 31
+
 #: First bytes of a binary frame. The leading 0xAB can never begin a
 #: JSON-lines frame (those always start with ``{``, and 0xAB is not
 #: valid UTF-8 lead anyway), so one-byte sniffing tells the framings
@@ -95,13 +100,6 @@ BINARY_MAGIC = b"\xabRW1"
 
 _BINARY_HEAD = struct.Struct(">4sII")  # magic, header_len, payload_len
 _U32 = struct.Struct(">I")
-
-#: Codec names as negotiated in the ``hello`` handshake.
-CODEC_JSON = "json"
-CODEC_BINARY = "binary"
-
-#: Valid values of the user-facing ``--wire-format`` knob.
-WIRE_FORMATS = ("auto", "json", "binary")
 
 #: Default TCP port of ``repro serve`` (0x21C2 would be too cute; this is
 #: just an unassigned high port).
@@ -149,42 +147,6 @@ class Frame(dict):
         self.payloads = list(payloads)
         self.nbytes = nbytes
         self.binary = binary
-
-
-# --------------------------------------------------- codec negotiation
-
-def binary_supported() -> bool:
-    """True when this build can pack/unpack binary payloads (numpy)."""
-    return arrays.HAVE_NUMPY
-
-
-def supported_codecs(wire_format: str = "auto") -> list[str]:
-    """The codecs this peer offers/accepts, preference order first.
-
-    ``json`` forces the compatibility codec; ``auto`` and ``binary``
-    prefer binary when numpy is available. A build without numpy always
-    returns ``["json"]`` — it cannot adopt packed buffers, whatever the
-    knob says.
-    """
-    if wire_format not in WIRE_FORMATS:
-        raise ValueError(f"wire_format must be one of {WIRE_FORMATS}, "
-                         f"got {wire_format!r}")
-    if wire_format == "json" or not binary_supported():
-        return [CODEC_JSON]
-    return [CODEC_BINARY, CODEC_JSON]
-
-
-def choose_codec(client_codecs, server_codecs) -> str:
-    """Server-side pick: the client's first preference the server also
-    speaks. A client that predates the ``codecs`` hello field (or sent
-    junk) gets JSON — the transparent negotiate-down path.
-    """
-    if not isinstance(client_codecs, (list, tuple)):
-        return CODEC_JSON
-    for codec in client_codecs:
-        if codec in server_codecs:
-            return codec
-    return CODEC_JSON
 
 
 # ----------------------------------------------------- binary framing
@@ -457,84 +419,21 @@ def is_repro_error(exc: Exception) -> bool:
 
 
 # ------------------------------------------------------- shard task codecs
-# The scatter-gather task/response tuples (see repro.core.executor) cross
-# the shard-server wire as JSON. JSON has no tuples and no int dict keys,
-# so the codecs below normalize both directions; the decoded shapes are
-# element-for-element identical to what InlineShardBackend produces —
-# answers, G_Q and AccessStats must not be able to tell the backends
-# apart. Both ends share these functions, so a representation change is
-# a single edit (plus a PROTOCOL_VERSION bump).
-
-def encode_task(task: tuple) -> list:
-    """One scatter task as a JSON-safe list (tuples become arrays)."""
-    kind = task[0]
-    if kind == "probe":
-        _, a_nodes, b_nodes = task
-        return ["probe", list(a_nodes), list(b_nodes)]
-    _, cpos, combos = task
-    return [kind, cpos, [list(combo) for combo in combos]]
-
-
-def decode_task(doc) -> tuple:
-    """Inverse of :func:`encode_task`; shard-side index lookups key on
-    tuples, so combos re-tuple-ify here."""
-    try:
-        kind = doc[0]
-        if kind == "probe":
-            return ("probe", [int(v) for v in doc[1]],
-                    [int(v) for v in doc[2]])
-        if kind in ("fetch", "edge"):
-            return (kind, int(doc[1]),
-                    [tuple(int(v) for v in combo) for combo in doc[2]])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ServerError(f"malformed shard task: {exc}") from exc
-    raise ServerError(f"unknown shard task kind {doc[:1]!r}")
-
-
-def encode_shard_response(kind: str, response) -> list:
-    """One task's shard-local response as a JSON-safe value."""
-    if kind == "fetch":
-        payloads, info = response
-        return [[list(p) for p in payloads],
-                [[v, label, value] for v, (label, value) in info.items()]]
-    if kind == "edge":
-        return [[[w, [list(pair) for pair in flags]] for w, flags in entries]
-                for entries in response]
-    checked, found = response
-    return [checked, [list(pair) for pair in found]]
-
-
-def decode_shard_response(kind: str, doc):
-    """Inverse of :func:`encode_shard_response`, restoring the exact
-    in-memory shapes the scatter executor merges: int node ids, tuple
-    edge flags, hashable probe pairs."""
-    try:
-        if kind == "fetch":
-            payloads, info = doc
-            return ([[int(v) for v in p] for p in payloads],
-                    {int(v): (label, value) for v, label, value in info})
-        if kind == "edge":
-            return [[(int(w), tuple((bool(f), bool(b)) for f, b in flags))
-                     for w, flags in entries] for entries in doc]
-        checked, found = doc
-        return int(checked), [(int(a), int(b)) for a, b in found]
-    except (TypeError, ValueError) as exc:
-        raise ServerError(f"malformed shard response: {exc}") from exc
-
-
-# ------------------------------------------------ binary shard codecs
-# The packed twins of encode_task/encode_shard_response for peers that
-# negotiated the binary codec. Each function returns (meta, buffers):
-# meta is a small JSON-safe skeleton riding in the frame header, and
-# every bulk int array rides in a payload buffer packed by
+# The scatter-gather task/response tuples (see repro.core.executor)
+# cross the shard-server wire packed: each function returns (meta,
+# buffers) — meta is a small JSON-safe skeleton riding in the frame
+# header, and every bulk int array rides in a payload buffer packed by
 # arrays.pack_ints (ndarray.tobytes on encode, np.frombuffer over the
 # received memoryview on decode — no per-element Python loops). A
-# buffer reference in the meta is ``[dtype_code, buffer_index]``.
+# buffer reference in the meta is ``[dtype_code, buffer_index]``. The
+# decoded shapes are element-for-element identical to what
+# InlineShardBackend produces — answers, G_Q and AccessStats must not be
+# able to tell the backends apart. Both ends share these functions, so a
+# representation change is a single edit (plus a PROTOCOL_VERSION bump).
 
 def encode_tasks_binary(tasks) -> tuple[list, list[bytes]]:
     """Pack scatter tasks: combos flatten into one ``(n, arity)`` int
     matrix buffer per task, probe frontiers into one buffer per side."""
-    np = arrays.require_numpy()
     metas: list = []
     buffers: list[bytes] = []
 
@@ -559,9 +458,8 @@ def encode_tasks_binary(tasks) -> tuple[list, list[bytes]]:
 
 def decode_tasks_binary(metas, payloads) -> list[tuple]:
     """Inverse of :func:`encode_tasks_binary`, adopting the payload
-    memoryviews in place and restoring the exact task tuples
-    :func:`decode_task` would produce."""
-    arrays.require_numpy()
+    memoryviews in place and restoring the exact task tuples (int
+    ``cpos``, tuple combos, list frontiers)."""
 
     def pull(ref):
         code, index = ref
@@ -578,7 +476,10 @@ def decode_tasks_binary(metas, payloads) -> list[tuple]:
             elif kind in ("fetch", "edge"):
                 _, cpos, count, arity, ref = meta
                 flat = pull(ref)
-                if flat.size != count * arity:
+                # With arity 0 an empty buffer fits any count, so the
+                # count itself is bounded by what the frame carried.
+                if count < 0 or arity < 0 or count > max(flat.size, 1) \
+                        or flat.size != count * arity:
                     raise ShardProtocolError(
                         f"task buffer holds {flat.size} ints, expected "
                         f"{count}x{arity}")
@@ -657,7 +558,6 @@ def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
     ``2j+1`` = backward for combo member ``j``). probe: the found pairs
     as one ``(n, 2)`` buffer.
     """
-    np = arrays.require_numpy()
     metas: list = []
     buffers: list[bytes] = []
 
@@ -710,10 +610,8 @@ def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
 def decode_shard_responses_binary(metas, payloads,
                                   expected_kinds=None) -> list:
     """Inverse of :func:`encode_shard_responses_binary`, restoring the
-    exact in-memory shapes :func:`decode_shard_response` produces (int
-    node ids, tuple edge flags, hashable probe pairs) so the merge in
-    the scatter executor cannot tell the codecs apart."""
-    np = arrays.require_numpy()
+    exact in-memory shapes the scatter executor merges: int node ids,
+    tuple edge flags, hashable probe pairs."""
 
     def pull(ref):
         code, index = ref
@@ -775,6 +673,10 @@ def decode_shard_responses_binary(metas, payloads,
                 out.append((segments, info))
             elif kind == "edge":
                 _, arity, counts_ref, ws_ref, masks_ref = meta
+                if not 0 <= arity <= MAX_EDGE_ARITY:
+                    raise ShardProtocolError(
+                        f"edge response declares arity {arity!r} "
+                        f"(max {MAX_EDGE_ARITY})")
                 counts = pull(counts_ref).tolist()
                 ws = pull(ws_ref).tolist()
                 masks = pull(masks_ref).tolist()

@@ -599,7 +599,6 @@ class QueryService:
             doc["backend"]["reconnects"] = backend.reconnects
             wire = backend.wire_stats()
             doc["backend"]["wire"] = {
-                "codec": backend.wire_codec,
                 "bytes_sent": sum(w["bytes_sent"] for w in wire),
                 "bytes_received": sum(w["bytes_received"] for w in wire),
                 "encode_ms": round(sum(w["encode_ms"] for w in wire), 3),

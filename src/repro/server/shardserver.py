@@ -4,8 +4,8 @@
 one :class:`~repro.engine.parallel.ShardRuntime` from its per-shard
 sub-artifact (checksum-verified against the top manifest, exactly like a
 pool worker) and serves the backend contract over the wire protocol of
-:mod:`repro.server.protocol` — packed binary frames when the hello
-handshake negotiates them (``--wire-format``), JSON lines otherwise:
+:mod:`repro.server.protocol` — ``scatter`` rounds as packed binary
+frames, every other op as JSON lines:
 
 * ``hello`` — the handshake: protocol version, artifact format version,
   shard id, shard-manifest checksum, schema version, owned labels. The
@@ -77,17 +77,12 @@ class ShardServer:
     """
 
     def __init__(self, artifact, *, host: str = "127.0.0.1", port: int = 0,
-                 shard_id: int | None = None, wire_format: str = "auto",
+                 shard_id: int | None = None,
                  delay_ms: float = 0.0, delay_jitter_ms: float = 0.0,
                  task_cost_ms: float = 0.0):
         self.root, self.shard_id = resolve_shard_artifact(artifact, shard_id)
         self.host = host
         self.port = port
-        if wire_format not in protocol.WIRE_FORMATS:
-            raise EngineError(
-                f"wire_format must be one of {protocol.WIRE_FORMATS}, "
-                f"got {wire_format!r}")
-        self.wire_format = wire_format
         #: Injected scatter latency (testing/benchmarking a skewed
         #: fleet). Measured from frame *arrival*, not dispatch: with the
         #: connection handler's read-ahead, several delayed requests
@@ -102,8 +97,6 @@ class ShardServer:
         #: while later requests queue behind — the regime where
         #: cross-execution dedup and read-ahead matter.
         self.task_cost_s = max(0.0, task_cost_ms) / 1000.0
-        #: Codecs this server offers in the hello negotiation.
-        self.wire_codecs = protocol.supported_codecs(wire_format)
         self._lock = threading.Lock()
         self._server: _ShardTCPServer | None = None
         self._thread: threading.Thread | None = None
@@ -127,9 +120,6 @@ class ShardServer:
         #: front-end really had multiple requests in flight on one
         #: connection (the pipelining overlap the wire stat gates on).
         self.pipeline_depth_peak = 0
-        #: Hello negotiations by chosen codec.
-        self.codec_negotiations = {protocol.CODEC_BINARY: 0,
-                                   protocol.CODEC_JSON: 0}
         self._load()
 
     # -- state ----------------------------------------------------------------
@@ -276,17 +266,9 @@ class ShardServer:
                 f"front-end speaks protocol {found!r}, this shard server "
                 f"speaks {protocol.PROTOCOL_VERSION}",
                 found=found, expected=protocol.PROTOCOL_VERSION)
-        # Codec negotiation: the client's first preference this server
-        # speaks; a client that predates the field gets JSON. Additive —
-        # no PROTOCOL_VERSION bump, old peers ignore the extra keys.
-        codec = protocol.choose_codec(doc.get("codecs"), self.wire_codecs)
-        self.codec_negotiations[codec] = \
-            self.codec_negotiations.get(codec, 0) + 1
         return {
             "op": "hello",
             "protocol": protocol.PROTOCOL_VERSION,
-            "codec": codec,
-            "codecs": list(self.wire_codecs),
             "shard_id": self.shard_id,
             "format_version": self.format_version,
             "schema_version": self.schema_version,
@@ -298,17 +280,12 @@ class ShardServer:
 
     def _op_scatter(self, doc: dict) -> dict:
         t0 = time.perf_counter()
-        binary = "tasks_meta" in doc
-        if binary:
-            if not protocol.binary_supported():
-                raise ShardProtocolError(
-                    "binary scatter frame received but this build has no "
-                    "numpy; the client must negotiate the json codec")
-            tasks = protocol.decode_tasks_binary(
-                doc["tasks_meta"], getattr(doc, "payloads", ()))
-        else:
-            tasks = [protocol.decode_task(item)
-                     for item in doc.get("tasks", ())]
+        if "tasks_meta" not in doc:
+            raise ShardProtocolError(
+                "scatter request carries no tasks_meta; scatter rounds "
+                "are binary frames")
+        tasks = protocol.decode_tasks_binary(
+            doc["tasks_meta"], getattr(doc, "payloads", ()))
         runtime = self.runtime  # one snapshot for the whole round
         raw = [runtime.handle(task) for task in tasks]
         if self.task_cost_s:
@@ -320,15 +297,10 @@ class ShardServer:
             time.sleep(self.task_cost_s * units)
         self.scatter_rounds += 1
         self.tasks_handled += len(tasks)
-        if binary:
-            metas, buffers = protocol.encode_shard_responses_binary(
-                [task[0] for task in tasks], raw)
-            response = protocol.Frame({"responses_meta": metas},
-                                      payloads=buffers, binary=True)
-        else:
-            response = {"responses": [
-                protocol.encode_shard_response(task[0], value)
-                for task, value in zip(tasks, raw)]}
+        metas, buffers = protocol.encode_shard_responses_binary(
+            [task[0] for task in tasks], raw)
+        response = protocol.Frame({"responses_meta": metas},
+                                  payloads=buffers, binary=True)
         self.scatter_seconds += time.perf_counter() - t0
         return response
 
@@ -359,12 +331,9 @@ class ShardServer:
             "delay_ms": round(self.delay_s * 1000.0, 3),
             "task_cost_ms": round(self.task_cost_s * 1000.0, 3),
             "wire": {
-                "format": self.wire_format,
-                "codecs": list(self.wire_codecs),
                 "bytes_received": self.wire_bytes_received,
                 "bytes_sent": self.wire_bytes_sent,
                 "binary_frames_received": self.binary_frames_received,
-                "negotiations": dict(self.codec_negotiations),
             },
         }
 
@@ -479,28 +448,20 @@ class _Handler(socketserver.StreamRequestHandler):
             return False
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.server.shardserver`` — the same foreground loop
-    ``repro shard-serve`` wraps."""
-    import argparse
-    import signal
-
-    parser = argparse.ArgumentParser(
-        description="Serve one shard of a sharded artifact over TCP")
+def add_flags(parser) -> None:
+    """The ``shard-serve`` flags, declared once for ``repro shard-serve``
+    and ``python -m repro.server.shardserver``."""
     parser.add_argument("--artifact", required=True,
                         help="per-shard directory (<artifact>/shard-NNNN)")
     parser.add_argument("--shard-id", type=int, default=None,
                         help="shard id (inferred from --artifact when it "
                              "names a shard-NNNN directory)")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int,
-                        default=protocol.DEFAULT_SHARD_PORT)
-    parser.add_argument("--wire-format", choices=protocol.WIRE_FORMATS,
-                        default="auto",
-                        help="codecs offered in the hello negotiation: "
-                             "auto prefers packed binary frames when "
-                             "numpy is available, json forces the "
-                             "JSON-lines codec (default: auto)")
+    parser.add_argument("--port", type=int, default=None,
+                        help=f"TCP port (default: "
+                             f"{protocol.DEFAULT_SHARD_PORT} + shard id, so "
+                             f"N servers on one host need no explicit "
+                             f"ports; 0 binds an ephemeral port)")
     parser.add_argument("--log-format", choices=("text", "json"),
                         default="text",
                         help="structured log format for the repro.* "
@@ -509,21 +470,31 @@ def main(argv: list[str] | None = None) -> int:
                         help="inject this much latency (from frame "
                              "arrival) into every scatter round — a "
                              "skewed-fleet straggler for benchmarks and "
-                             "smoke tests (default: 0)")
+                             "smoke tests; answers are unaffected "
+                             "(default: 0)")
     parser.add_argument("--delay-jitter-ms", type=float, default=0.0,
                         help="add up to this much uniformly-random extra "
                              "latency per scatter round (default: 0)")
     parser.add_argument("--task-cost-ms", type=float, default=0.0,
                         help="inject this much serial compute per scatter "
-                             "task — a hot shard whose cost scales with "
-                             "the work it is sent (default: 0)")
-    args = parser.parse_args(argv)
+                             "work unit (combos for fetch/edge tasks, 1 "
+                             "per probe) — a hot shard whose cost scales "
+                             "with the work it is sent (default: 0)")
+
+
+def run(args) -> int:
+    """Serve one shard in the foreground until SIGINT/SIGTERM or a
+    ``shutdown`` op; ``args`` is a namespace parsed from
+    :func:`add_flags`."""
+    import signal
 
     from repro.obs.logs import setup_logging
+
     setup_logging(args.log_format)
-    server = ShardServer(args.artifact, host=args.host, port=args.port,
-                         shard_id=args.shard_id,
-                         wire_format=args.wire_format,
+    root, shard_id = resolve_shard_artifact(args.artifact, args.shard_id)
+    port = args.port if args.port is not None \
+        else protocol.DEFAULT_SHARD_PORT + shard_id
+    server = ShardServer(root, host=args.host, port=port, shard_id=shard_id,
                          delay_ms=args.delay_ms,
                          delay_jitter_ms=args.delay_jitter_ms,
                          task_cost_ms=args.task_cost_ms)
@@ -542,6 +513,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro.server.shardserver`` — the same parser and
+    foreground loop as ``repro shard-serve``."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        description="Serve one shard of a sharded artifact over TCP")
+    add_flags(parser)
+    return run(parser.parse_args(argv))
+
+
 if __name__ == "__main__":
     import sys
 
@@ -550,6 +532,8 @@ if __name__ == "__main__":
 
 __all__ = [
     "ShardServer",
+    "add_flags",
     "main",
     "resolve_shard_artifact",
+    "run",
 ]

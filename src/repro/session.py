@@ -53,12 +53,9 @@ class SessionConfig:
 
     Remote fleet: ``shard_addrs`` (one ``host:port`` per shard, any
     order), the two timeouts, bounded retry (``retries``/
-    ``retry_backoff_s``), ``owner_routing`` (``False`` broadcasts every
-    task — the reference routing mode; also honoured by the local
-    backends) and ``wire_format`` (``auto`` negotiates packed binary
-    frames when both ends can, ``json`` forces the compatibility codec,
-    ``binary`` demands the packed codec and fails the handshake on a
-    JSON-only server).
+    ``retry_backoff_s``) and ``owner_routing`` (``False`` broadcasts
+    every task — the reference routing mode; also honoured by the local
+    backends).
     """
 
     frozen: bool = True
@@ -77,7 +74,6 @@ class SessionConfig:
     retries: int = 2
     retry_backoff_s: float = 0.1
     owner_routing: bool = True
-    wire_format: str = "auto"
 
     def replace(self, **overrides) -> "SessionConfig":
         """A copy with ``overrides`` applied; unknown names raise

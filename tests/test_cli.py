@@ -210,6 +210,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_shard_serve_flags_are_declared_once(self):
+        """``repro shard-serve`` and ``python -m repro.server.shardserver``
+        parse through the same declaration and run the same loop."""
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.server import shardserver
+
+        argv = ["--artifact", "art/shard-0003", "--task-cost-ms", "2"]
+        via_cli = build_parser().parse_args(["shard-serve", *argv])
+        assert via_cli.func is shardserver.run
+        own = argparse.ArgumentParser()
+        shardserver.add_flags(own)
+        assert vars(own.parse_args(argv)).items() <= vars(via_cli).items()
+        assert via_cli.port is None  # resolved to 8650 + shard id by run()
+
 
 class TestShardedCompile:
     def test_compile_shards_run_round_trip(self, artifacts, tmp_path,

@@ -44,7 +44,6 @@ def sharded_artifact(tmp_path_factory, imdb_small):
 @pytest.fixture(params=SESSIONS)
 def engine(request, imdb_small, sharded_artifact):
     if request.param == "vectorized":
-        pytest.importorskip("numpy")
         session = connect(imdb_small)
     elif request.param == "sequential":
         session = connect(imdb_small, frozen=False)

@@ -167,12 +167,11 @@ def wrong_protocol_handler(conn):
 def make_truncating_handler(hello_fields):
     """Handshakes truthfully, then truncates every later response
     mid-frame — the wire-corruption rig."""
-    import json
-
     def handler(conn):
+        reader = conn.makefile("rb")
         try:
             while True:
-                doc = json.loads(_read_line(conn))
+                doc = protocol.read_frame(reader)
                 if doc.get("op") == "hello":
                     conn.sendall(protocol.encode(
                         {"id": doc.get("id"), "ok": True, **hello_fields}))
@@ -220,25 +219,17 @@ class FlakyOnceShardServer(ShardServer):
 class TestRemoteIdentity:
     @given(shards=st.sampled_from(SHARD_COUNTS),
            semantics=st.sampled_from([SUBGRAPH, SIMULATION]),
-           wire_format=st.sampled_from(["auto", "json"]),
            pick=st.integers(min_value=0, max_value=2))
     @settings(**_SETTINGS)
     def test_identical_to_inline_at_every_shard_count(
-            self, artifacts, fleets, workload, shards, semantics,
-            wire_format, pick):
+            self, artifacts, fleets, workload, shards, semantics, pick):
         sub, sim = workload
         query = (sub if semantics == SUBGRAPH else sim)[pick % len(sub)]
         with connect(artifacts[shards], backend="inline") as inline:
             expected = fingerprint(inline, query, semantics)
         with connect(artifacts[shards], backend="remote",
-                     shard_addrs=fleets[shards],
-                     wire_format=wire_format) as remote:
+                     shard_addrs=fleets[shards]) as remote:
             assert fingerprint(remote, query, semantics) == expected
-            codec = remote._shards.wire_codec
-            if wire_format == "json" or not protocol.binary_supported():
-                assert codec == protocol.CODEC_JSON
-            else:
-                assert codec == protocol.CODEC_BINARY
 
     def test_identical_after_injected_restart_midrun(self, artifacts,
                                                      workload, imdb_small):

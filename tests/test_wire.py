@@ -1,12 +1,11 @@
-"""The binary scatter wire format: framing, packed codecs, negotiation.
+"""The binary scatter wire format: framing and packed codecs.
 
-Covers the wire-format PR's acceptance criteria at the unit level
-(frame layout round-trips, width-adaptive int packing, the packed
-task/response codecs restoring byte-identical shapes, encode-once
-scatter caching) and over live sockets (mixed-version interop where a
-binary-preferring client negotiates down against a JSON-only shard
-server, a no-numpy build negotiating JSON, strict ``wire_format=
-"binary"`` failing the handshake against a JSON-only fleet, and
+Covers the shard wire at the unit level (frame layout round-trips,
+width-adaptive int packing, the packed task/response codecs restoring
+exact shapes, header ints that lie about their buffers, frame density
+pinned as byte counts, encode-once scatter caching) and over live
+sockets (scatter rounds riding binary frames, a reload reopening under
+the session's config, a pre-binary peer refused with a typed error, and
 malformed/truncated binary frames answered with one typed error — no
 hang, clean close).
 """
@@ -17,6 +16,7 @@ import io
 import json
 import socket
 import struct
+import time
 
 import pytest
 
@@ -29,9 +29,6 @@ from repro.server.shardserver import ShardServer
 from repro.util import arrays
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
-
-needs_numpy = pytest.mark.skipif(not arrays.HAVE_NUMPY,
-                                 reason="binary codec requires numpy")
 
 CHEAP = parse_pattern("m: movie; y: year; m -> y")
 
@@ -56,7 +53,6 @@ def read_frame_bytes(data: bytes) -> protocol.Frame:
 
 
 # ------------------------------------------------------------- packing
-@needs_numpy
 class TestPackInts:
     def test_width_adapts_to_value_range(self):
         assert arrays.pack_ints([0, 255])[0] == "u1"
@@ -157,45 +153,15 @@ class TestFraming:
             read_frame_bytes(data)
 
 
-# ------------------------------------------------------- codec negotiation
-class TestNegotiation:
-    def test_supported_codecs_by_knob(self):
-        if arrays.HAVE_NUMPY:
-            assert protocol.supported_codecs("auto") == ["binary", "json"]
-            assert protocol.supported_codecs("binary") == ["binary", "json"]
-        assert protocol.supported_codecs("json") == ["json"]
-        with pytest.raises(ValueError):
-            protocol.supported_codecs("msgpack")
-
-    def test_no_numpy_build_offers_json_only(self, monkeypatch):
-        monkeypatch.setattr(arrays, "HAVE_NUMPY", False)
-        assert not protocol.binary_supported()
-        for knob in protocol.WIRE_FORMATS:
-            assert protocol.supported_codecs(knob) == ["json"]
-
-    def test_choose_codec_prefers_client_order(self):
-        both = ["binary", "json"]
-        assert protocol.choose_codec(both, both) == "binary"
-        assert protocol.choose_codec(["json"], both) == "json"
-        assert protocol.choose_codec(both, ["json"]) == "json"
-
-    def test_choose_codec_degrades_on_legacy_or_junk(self):
-        both = ["binary", "json"]
-        assert protocol.choose_codec(None, both) == "json"       # old peer
-        assert protocol.choose_codec("binary", both) == "json"   # junk type
-        assert protocol.choose_codec(["msgpack"], both) == "json"
-
-
 # ---------------------------------------------------------- packed codecs
-@needs_numpy
 class TestBinaryCodecs:
-    def test_tasks_roundtrip_matches_json_codec(self):
+    def test_tasks_roundtrip_exact_shapes(self):
         metas, buffers = protocol.encode_tasks_binary(TASKS)
+        # The metas ride in the frame header, i.e. through JSON.
+        metas = json.loads(json.dumps(metas))
         views = [memoryview(buf) for buf in buffers]
         decoded = protocol.decode_tasks_binary(metas, views)
-        expected = [protocol.decode_task(protocol.encode_task(t))
-                    for t in TASKS]
-        assert decoded == expected
+        assert decoded == TASKS
         # Exact shapes: ints (not numpy scalars), tuple combos.
         for task in decoded:
             if task[0] == "probe":
@@ -205,23 +171,41 @@ class TestBinaryCodecs:
                 assert all(type(v) is int for combo in task[2]
                            for v in combo)
 
-    def test_responses_roundtrip_matches_json_codec(self):
+    def test_responses_roundtrip_exact_shapes(self):
         metas, buffers = protocol.encode_shard_responses_binary(
             KINDS, RESPONSES)
+        metas = json.loads(json.dumps(metas))
         views = [memoryview(buf) for buf in buffers]
         decoded = protocol.decode_shard_responses_binary(
             metas, views, expected_kinds=KINDS)
-        expected = [protocol.decode_shard_response(
-            kind, json.loads(json.dumps(
-                protocol.encode_shard_response(kind, response))))
-            for kind, response in zip(KINDS, RESPONSES)]
-        assert decoded == expected
+        assert decoded == RESPONSES
         checked, pairs = decoded[0]
         assert type(checked) is int
         assert all(type(pair) is tuple for pair in pairs)
+        assert all(type(v) is int for v in decoded[1][1])
         for w, flags in decoded[2][0]:
             assert type(w) is int
             assert all(type(f) is bool for pair in flags for f in pair)
+
+    def test_frame_density_is_pinned(self):
+        """Exact wire sizes of one canonical task frame and one
+        1000-id fetch response frame: a codec change that costs bytes
+        has to change these numbers on purpose."""
+        frame = _ScatterEncoder(TASKS).encode(
+            (0, 1, 2, 3), {"id": 1, "op": "scatter"})
+        assert len(frame) == 218
+        ids = list(range(1000, 2000))
+        response = ([ids[:600], ids[600:]],
+                    {v: ("movie", f"movie_{v}") for v in ids})
+        metas, buffers = protocol.encode_shard_responses_binary(
+            ["fetch"], [response])
+        frame = protocol.encode_binary(
+            {"id": 1, "ok": True, "responses_meta": metas}, buffers)
+        assert len(frame) == 5132  # ~5 bytes per fetched node
+        decoded = read_frame_bytes(frame)
+        assert protocol.decode_shard_responses_binary(
+            decoded["responses_meta"], decoded.payloads,
+            expected_kinds=["fetch"]) == [response]
 
     def test_packed_fetch_info_roundtrip(self):
         """The dominant wire cost: a fetch info dict whose keys are the
@@ -278,33 +262,55 @@ class TestBinaryCodecs:
             protocol.decode_tasks_binary([["probe", ["i8", 5], ["i8", 6]]],
                                          [])
 
+    @pytest.mark.parametrize("count, arity", [
+        (20_000_000, 0),   # an empty buffer "holds" any count x 0 ints
+        (-1, 0), (0, -1), (-2, -3)])
+    def test_task_header_ints_cannot_outgrow_the_frame(self, count, arity):
+        """A ~60-byte frame must not make the decoder build ``count``
+        lists: the header ints are bounded by what the buffer holds."""
+        start = time.perf_counter()
+        with pytest.raises(ShardProtocolError):
+            protocol.decode_tasks_binary(
+                [["fetch", 0, count, arity, ["i8", 0]]], [b""])
+        assert time.perf_counter() - start < 1.0
+        # The one legitimate arity-0 shape: a single empty combo.
+        assert protocol.decode_tasks_binary(
+            [["fetch", 0, 1, 0, ["i8", 0]]], [b""]) == [("fetch", 0, [()])]
+
+    @pytest.mark.parametrize("arity", [5_000_000, 32, -1])
+    def test_edge_arity_cannot_outgrow_its_mask(self, arity):
+        """An edge entry's flags are one int64 mask, two bits per combo
+        member: an arity beyond 31 is a lie, not a bigger loop."""
+        metas, buffers = protocol.encode_shard_responses_binary(
+            ["edge"], [[[(20, ((True, False),))]]])
+        metas[0][1] = arity
+        start = time.perf_counter()
+        with pytest.raises(ShardProtocolError):
+            protocol.decode_shard_responses_binary(
+                metas, buffers, expected_kinds=["edge"])
+        assert time.perf_counter() - start < 1.0
+
 
 # ------------------------------------------------------ encode-once cache
-@needs_numpy
 class TestScatterEncoder:
     def test_heavy_parts_encoded_once_per_key(self):
         encoder = _ScatterEncoder(TASKS)
         key = (0, 1, 2, 3)
-        assert encoder._json_fragment(key) is encoder._json_fragment(key)
-        assert encoder._binary_parts(key) is encoder._binary_parts(key)
+        encoder.encode(key, {"id": 1, "op": "scatter"})
+        parts = encoder._parts[key]
+        encoder.encode(key, {"id": 2, "op": "scatter"})
+        assert encoder._parts[key] is parts
 
     def test_spliced_frames_decode_per_codec(self):
         encoder = _ScatterEncoder(TASKS)
         key = (1, 3)
-        expected = [protocol.decode_task(protocol.encode_task(TASKS[i]))
-                    for i in key]
+        expected = [TASKS[i] for i in key]
         for shard_id in (0, 1):
             envelope = {"id": shard_id + 1, "op": "scatter"}
-            frame = read_frame_bytes(
-                encoder.encode(protocol.CODEC_BINARY, key, dict(envelope)))
+            frame = read_frame_bytes(encoder.encode(key, dict(envelope)))
             assert frame["id"] == shard_id + 1 and frame.binary
             assert protocol.decode_tasks_binary(
                 frame["tasks_meta"], frame.payloads) == expected
-            frame = read_frame_bytes(
-                encoder.encode(protocol.CODEC_JSON, key, dict(envelope)))
-            assert frame["id"] == shard_id + 1 and not frame.binary
-            assert [protocol.decode_task(doc)
-                    for doc in frame["tasks"]] == expected
 
 
 # ------------------------------------------------------------ live sockets
@@ -324,29 +330,9 @@ def answers(engine):
 
 
 class TestLiveNegotiation:
-    def test_binary_client_negotiates_down_to_json_server(self, artifact):
-        """Mixed-version interop: a binary-preferring front-end against a
-        JSON-only fleet transparently lands on JSON, answers intact."""
-        with connect(artifact, backend="inline") as inline:
-            expected = answers(inline)
-        servers = [ShardServer(artifact / f"shard-{i:04d}",
-                               wire_format="json").start()
-                   for i in range(2)]
-        try:
-            with connect(artifact, backend="remote",
-                         shard_addrs=[s.address for s in servers],
-                         wire_format="auto") as remote:
-                assert remote._shards.wire_codec == protocol.CODEC_JSON
-                assert answers(remote) == expected
-                for server in servers:
-                    assert server.codec_negotiations.get("json", 0) >= 1
-                    assert server.binary_frames_received == 0
-        finally:
-            for server in servers:
-                server.stop()
-
-    @needs_numpy
     def test_auto_negotiates_binary_and_counts_bytes(self, artifact):
+        """Scatter rounds ride binary frames, with no option asking for
+        it, and both ends count the bytes."""
         with connect(artifact, backend="inline") as inline:
             expected = answers(inline)
         servers = [ShardServer(artifact / f"shard-{i:04d}").start()
@@ -354,81 +340,84 @@ class TestLiveNegotiation:
         try:
             with connect(artifact, backend="remote",
                          shard_addrs=[s.address for s in servers]) as remote:
-                assert remote._shards.wire_codec == protocol.CODEC_BINARY
                 assert answers(remote) == expected
                 stats = remote._shards.wire_stats()
-                assert [s["codec"] for s in stats] == ["binary", "binary"]
                 assert all(s["bytes_sent"] > 0 and s["bytes_received"] > 0
                            for s in stats)
             assert any(s.binary_frames_received > 0 for s in servers)
+            assert all(s.wire_bytes_received > 0 and s.wire_bytes_sent > 0
+                       for s in servers)
         finally:
             for server in servers:
                 server.stop()
 
-    @needs_numpy
-    def test_strict_binary_rejects_json_only_server(self, artifact):
-        server = ShardServer(artifact / "shard-0000",
-                             wire_format="json").start()
-        try:
-            with pytest.raises(ShardHandshakeMismatch, match="codec"):
-                connect(artifact, backend="remote",
-                        shard_addrs=[server.address, server.address],
-                        wire_format="binary", retries=0)
-        finally:
-            server.stop()
-
-    def test_no_numpy_build_negotiates_json(self, artifact, monkeypatch):
-        """A front-end without numpy must land on JSON even against a
-        binary-capable fleet — whatever the knob says — and still get
-        identical answers."""
-        servers = [ShardServer(artifact / f"shard-{i:04d}").start()
-                   for i in range(2)]
-        monkeypatch.setattr(arrays, "HAVE_NUMPY", False)
-        try:
-            with connect(artifact, backend="remote",
-                         shard_addrs=[s.address for s in servers],
-                         wire_format="binary") as remote:
-                assert remote._shards.wire_codec == protocol.CODEC_JSON
-                assert remote.query(CHEAP).answer is not None
-        finally:
-            for server in servers:
-                server.stop()
-
-    def test_hot_reload_keeps_the_pinned_wire_format(self, artifact):
+    def test_hot_reload_keeps_the_session_config(self, artifact):
         """Regression: reload used to rebuild the fleet settings from
-        six attributes of the live backend — ``wire_format`` not among
-        them — so a json-pinned session silently renegotiated binary."""
+        six attributes of the live backend, silently dropping any
+        session option not among them. The reopened session must run
+        under ``engine.session_config`` whole — pinned here on
+        ``owner_routing=False``, whose effect (no router, every task to
+        every shard) is observable on the reopened backend."""
         from repro.server import QueryService
 
         servers = [ShardServer(artifact / f"shard-{i:04d}").start()
                    for i in range(2)]
         opened = connect(artifact, backend="remote",
                          shard_addrs=[s.address for s in servers],
-                         wire_format="json")
+                         owner_routing=False)
         service = QueryService(opened, workers=1)
         try:
             expected = answers(opened)
-            assert opened._shards.wire_codec == protocol.CODEC_JSON
+            assert opened._shards.router is None
             service.reload_artifact(artifact)
             reloaded = service.engine
             assert reloaded is not opened
             assert reloaded.session_config == opened.session_config
-            assert reloaded._shards.wire_codec == protocol.CODEC_JSON
+            assert reloaded._shards.router is None
             assert answers(reloaded) == expected
+            backend = reloaded._shards
+            assert backend.scatter_messages == \
+                backend.scatter_messages_broadcast > 0
         finally:
             service.close()
             for server in servers:
                 server.stop()
 
+    def test_pre_binary_protocol_hello_is_refused(self, artifact):
+        """A version-1 peer could still offer the JSON task codec: it
+        gets the typed handshake error at connect, never a mid-round
+        surprise."""
+        server = ShardServer(artifact / "shard-0000").start()
+        try:
+            with socket.create_connection((server.host, server.port),
+                                          timeout=10) as sock:
+                sock.sendall(protocol.encode(
+                    {"id": 1, "op": "hello", "protocol": 1,
+                     "codecs": ["binary", "json"]}))
+                response = protocol.read_frame(sock.makefile("rb"))
+            assert response["ok"] is False
+            assert response["error"] == "ShardHandshakeMismatch"
+            assert (response["found"], response["expected"]) == (1, 2)
+            with pytest.raises(ShardHandshakeMismatch):
+                protocol.raise_error(response)
+        finally:
+            server.stop()
+
 
 class TestLiveMalformedFrames:
-    def _exchange(self, server, data: bytes) -> dict:
+    def _exchange(self, server, data: bytes, half_close=False) -> dict:
+        """Send ``data``, read one reply, and require the server to hang
+        up — on its own, or (``half_close``) once this side is done
+        sending: a well-framed request with bad contents leaves the
+        stream in sync, so the server keeps the connection."""
         with socket.create_connection((server.host, server.port),
                                       timeout=10) as sock:
             sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
             reader = sock.makefile("rb")
-            response = protocol.decode(reader.readline())
-            assert reader.readline() == b""  # server hung up
+            response = protocol.read_frame(reader)  # either framing
+            assert reader.read(1) == b""  # server hung up
         return response
 
     def test_bad_payload_section_typed_then_closed(self, artifact):
@@ -451,6 +440,43 @@ class TestLiveMalformedFrames:
             assert response["ok"] is False
             assert response["error"] == "ShardProtocolError"
             assert "exceeds" in response["message"]
+        finally:
+            server.stop()
+
+    def test_json_lines_scatter_is_typed(self, artifact):
+        """Scatter rounds are binary frames only: a ``tasks``-carrying
+        JSON-lines scatter (the removed codec) gets a typed error."""
+        server = ShardServer(artifact / "shard-0000").start()
+        try:
+            response = self._exchange(server, protocol.encode(
+                {"id": 1, "op": "scatter",
+                 "tasks": [["fetch", 0, [[5]]]]}), half_close=True)
+            assert response["ok"] is False and response["id"] == 1
+            assert response["error"] == "ShardProtocolError"
+            assert "tasks_meta" in response["message"]
+        finally:
+            server.stop()
+
+    def test_header_int_overrun_typed_then_closed(self, artifact):
+        """The ~60-byte frame that used to cost 1.5 GB: typed reply,
+        clean close, and the server still answers a fresh connection."""
+        server = ShardServer(artifact / "shard-0000").start()
+        try:
+            bad = protocol.encode_binary(
+                {"id": 7, "op": "scatter",
+                 "tasks_meta": [["fetch", 0, 20_000_000, 0, ["i8", 0]]]},
+                [b""])
+            assert len(bad) < 100
+            start = time.perf_counter()
+            response = self._exchange(server, bad, half_close=True)
+            assert time.perf_counter() - start < 1.0
+            assert response["ok"] is False and response["id"] == 7
+            assert response["error"] == "ShardProtocolError"
+            assert server.tasks_handled == 0
+            pong = self._exchange(
+                server, protocol.encode({"id": 8, "op": "ping"}),
+                half_close=True)
+            assert pong["ok"] is True and pong["op"] == "pong"
         finally:
             server.stop()
 
