@@ -48,12 +48,16 @@ from __future__ import annotations
 import queue as _queue_mod
 from itertools import product
 
+import numpy as np
+
 from repro.accounting import AccessStats
 from repro.constraints.index import SchemaIndex
+from repro.core.packed import PackedInfo, PackedSource, predicate_mask
 from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
-from repro.errors import PlanError, UnverifiableEdge
+from repro.errors import PlanError, ShardProtocolError, UnverifiableEdge
 from repro.graph.graph import Graph
 from repro.obs.trace import child_span
+from repro.util.arrays import in_sorted, sorted_unique
 
 #: Executor edge-phase modes.
 MODE_PLAN = "plan"      # follow the plan's edge checks (default)
@@ -147,8 +151,7 @@ def execute_plan(plan: QueryPlan, schema_index: SchemaIndex,
         if op.is_initial:
             combos = [()]
         else:
-            pools = _source_pools(op, candidates)
-            combos = product(*pools)
+            combos = product(*map(sorted, _source_pools(op, candidates)))
         raw: set[int] = set()
         for combo in combos:
             key = (op.constraint, combo)
@@ -190,15 +193,15 @@ def execute_plan(plan: QueryPlan, schema_index: SchemaIndex,
     return ExecutionResult(plan, stats, candidates, tuple(zip(*edges_found)), info)
 
 
-def _source_pools(op_or_check, candidates: dict[int, set[int]]):
-    """Sorted candidate pools of the source nodes, in plan order."""
+def _source_pools(op_or_check, candidates: dict):
+    """Candidate pools of the source nodes, in plan order."""
     missing = [q for q in op_or_check.source_nodes if q not in candidates]
     if missing:
         raise PlanError(
             f"fetch for node {getattr(op_or_check, 'target', op_or_check)} "
             f"uses nodes {missing} with no candidates yet; plan is out of "
             f"order")
-    return [sorted(candidates[q]) for q in op_or_check.source_nodes]
+    return [candidates[q] for q in op_or_check.source_nodes]
 
 
 def _check_coverage(plan: QueryPlan, candidates: dict[int, set[int]]) -> None:
@@ -272,8 +275,7 @@ def _index_edge(check, candidates: dict[int, set[int]],
     """
     graph = schema_index.graph
     target_pool, other_pos, forward = _edge_check_geometry(check, candidates)
-    pools = _source_pools(check, candidates)
-    for combo in product(*pools):
+    for combo in product(*map(sorted, _source_pools(check, candidates))):
         key = (check.constraint, combo)
         fetched = edge_memo.get(key)
         if fetched is None:
@@ -294,14 +296,21 @@ def _index_edge(check, candidates: dict[int, set[int]],
 
 
 # -------------------------------------------------------------- scatter-gather
-# Task tuples sent to every shard (repro.core.kernels.run_shard_task is
-# the shard-side handler):
+# Task tuples sent to every shard, and the block of arrays each shard
+# answers with (repro.core.kernels.run_shard_task is the shard-side
+# handler; the block is what the binary frame carries, so a backend
+# delivers it as it is — computed in-process, unpickled, or as views
+# over a received frame):
 #
-#   ("fetch", cpos, [combo, ...])  -> ([payload per combo],
-#                                      {id: (label, value)})
-#   ("edge",  cpos, [combo, ...])  -> [[(w, ((fwd, back) per member)), ...]
-#                                      per combo]
-#   ("probe", a_nodes, b_nodes)    -> (pairs_checked, [(va, vb), ...])
+#   ("fetch", cpos, [combo, ...])  -> FetchBlock(lens, values, info):
+#                                     lens[i] ids of values per combo,
+#                                     info = PackedInfo of the distinct
+#                                     ids (repro.core.packed)
+#   ("edge",  cpos, [combo, ...])  -> (arity, counts, ws, masks): per
+#                                     combo counts[i] neighbours of ws,
+#                                     per neighbour one bitmask (bit 2j:
+#                                     member j -> w, bit 2j + 1: back)
+#   ("probe", a_nodes, b_nodes)    -> (pairs_checked, (n, 2) found pairs)
 #
 # ``cpos`` indexes the constraint in the schema's canonical iteration
 # order (stable across processes — the same trick persist.py uses for
@@ -315,12 +324,47 @@ TASK_EDGE = "edge"
 TASK_PROBE = "probe"
 
 
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.setflags(write=False)
+
+
+def _concat(fragments: list):
+    """One int64 array from id fragments of any packed width."""
+    if not fragments:
+        return _NO_IDS
+    return np.concatenate(fragments, dtype=np.int64)
+
+
+def _edge_matrix(edges: list):
+    """The ``(2, n)`` (src row, dst row) matrix of per-check
+    ``(src array, dst array)`` pairs."""
+    if not edges:
+        return edges
+    src, dst = zip(*edges)
+    return np.concatenate(src + dst, dtype=np.int64).reshape(2, -1)
+
+
+def _combos(item, candidates: dict) -> list:
+    """The source combos of a fetch op or edge check, as the tuples
+    that key memos and cells (``product`` order, like the kernels'
+    ``_combo_matrix`` rows)."""
+    return list(product(*[pool.tolist()
+                          for pool in _source_pools(item, candidates)]))
+
+
 class _ScatterExecution:
-    """State machine for one plan execution driven in shared waves."""
+    """State machine for one plan execution driven in shared waves.
+
+    It keeps what the kernels keep: ``cmat(u)`` as sorted int64 arrays,
+    verified edges as array pairs, and per pattern node the packed info
+    its first fetch delivered. The memos hold, per ``(cpos, combo)``,
+    the fragments of the response blocks that answered it — ``(ids,
+    info)`` in the node phase, ``(ws, masks)`` in the edge phase.
+    """
 
     __slots__ = ("plan", "stats", "edge_mode", "constraint_pos",
-                 "candidates", "node_memo", "edge_memo", "node_info",
-                 "edges_found", "op_idx", "phase", "pending_op",
+                 "candidates", "node_memo", "edge_memo", "info",
+                 "edges", "op_idx", "phase", "pending_op",
                  "pending_edges", "done")
 
     def __init__(self, plan: QueryPlan, constraint_pos: dict,
@@ -329,15 +373,15 @@ class _ScatterExecution:
         self.stats = stats
         self.edge_mode = edge_mode
         self.constraint_pos = constraint_pos
-        self.candidates: dict[int, set[int]] = {}
-        self.node_memo: dict[tuple, tuple[int, ...]] = {}
+        self.candidates: dict = {}
+        self.node_memo: dict[tuple, list] = {}
         self.edge_memo: dict[tuple, list] = {}
-        self.node_info: dict[int, tuple] = {}
-        self.edges_found: set[tuple[int, int]] = set()
+        self.info: dict[int, list] = {}
+        self.edges: list = []         # (src array, dst array) pairs
         self.op_idx = 0
         self.phase = "node"
         self.pending_op = None        # (op, combos) awaiting fetch delivery
-        self.pending_edges = None     # list of edge checks / probe edges
+        self.pending_edges = None     # (index check, combos, *geometry)
         self.done = False
 
     # -- wave protocol -------------------------------------------------------
@@ -359,129 +403,138 @@ class _ScatterExecution:
         ops = self.plan.ops
         while self.op_idx < len(ops):
             op = ops[self.op_idx]
-            combos = [()] if op.is_initial else \
-                list(product(*_source_pools(op, self.candidates)))
+            combos = [()] if op.is_initial else _combos(op, self.candidates)
             cpos = self.constraint_pos[op.constraint]
             missing = [c for c in combos
                        if (cpos, c) not in self.node_memo]
             if missing:
                 self.pending_op = (op, combos)
                 return [(TASK_FETCH, cpos, missing)]
-            self._complete_op(op, combos)
+            self._complete_op(op, *self._gather(cpos, combos))
         _check_coverage(self.plan, self.candidates)
         self.phase = "edge"
         return None
 
-    def _complete_op(self, op, combos) -> None:
-        cpos = self.constraint_pos[op.constraint]
-        raw: set[int] = set()
-        for combo in combos:
-            raw.update(self.node_memo[(cpos, combo)])
-        info = self.node_info
-        found = {v for v in raw if op.predicate.evaluate(info[v][1])}
-        if op.target in self.candidates:
-            self.candidates[op.target] &= found
+    def _gather(self, cpos, combos) -> tuple:
+        """The memoized ``(ids, info)`` fragments of ``combos`` and their
+        ids as one array."""
+        memo = self.node_memo
+        parts = [part for combo in combos for part in memo[(cpos, combo)]]
+        return parts, _concat([ids for ids, _ in parts])
+
+    def _complete_op(self, op, parts, fetched) -> None:
+        infos = list({id(info): info for _, info in parts}.values())
+        if len(parts) == 1 and len(fetched) == len(infos[0].ids):
+            # One combo answered by one whole block (every initial
+            # scan): its distinct ids are the block's, already sorted.
+            found = infos[0].ids
         else:
-            self.candidates[op.target] = found
+            found = sorted_unique(fetched)
+        if len(found) and not op.predicate.is_trivial:
+            if len(infos) > 1 or len(infos[0].ids) != len(found):
+                infos = [PackedInfo.select(found, infos)]
+            found = found[predicate_mask(op.predicate, infos[0])]
+        if op.target not in self.candidates:
+            self.info[op.target] = infos
+        elif len(found):
+            found = np.intersect1d(self.candidates[op.target], found,
+                                   assume_unique=True)
+        self.candidates[op.target] = found
         self.op_idx += 1
 
-    def deliver_fetch(self, task, payloads, info) -> None:
+    def deliver_fetch(self, task, fragments) -> None:
         _, cpos, combos = task
-        self.node_info.update(info)
-        for combo, payload in zip(combos, payloads):
-            merged = tuple(sorted(payload))
-            self.node_memo[(cpos, combo)] = merged
-            self.stats.record_fetch(merged)
-        if self.pending_op is not None:
-            op, op_combos = self.pending_op
-            self.pending_op = None
-            self._complete_op(op, op_combos)
+        self.node_memo.update(
+            zip([(cpos, combo) for combo in combos], fragments))
+        parts = [part for parts in fragments for part in parts]
+        fetched = _concat([ids for ids, _ in parts])
+        self.stats.record_fetch_batch(len(combos), len(fetched),
+                                      fetched.tolist())
+        op, op_combos = self.pending_op
+        self.pending_op = None
+        if len(op_combos) != len(combos):  # the rest were memo hits
+            parts, fetched = self._gather(cpos, op_combos)
+        self._complete_op(op, parts, fetched)
 
     # -- edge phase ----------------------------------------------------------
     def _edge_tasks(self):
         if self.pending_edges is None:
             # All edge checks are independent given the final candidate
             # sets, so the whole phase needs at most one wave.
-            if self.edge_mode == MODE_PROBE:
-                checks = [(EDGE_VIA_PROBE, edge)
-                          for edge in self.plan.pattern.edges()]
-            else:
-                checks = []
-                for check in self.plan.edge_checks:
-                    if check.mode == EDGE_VIA_PROBE:
-                        checks.append((EDGE_VIA_PROBE, check.edge))
-                    elif check.mode == EDGE_VIA_INDEX:
-                        checks.append((EDGE_VIA_INDEX, check))
-                    else:  # pragma: no cover - defensive
-                        raise UnverifiableEdge(
-                            f"unknown edge-check mode {check.mode!r}")
+            probing = self.edge_mode == MODE_PROBE
+            probes = list(self.plan.pattern.edges()) if probing else []
+            checks = []
+            for check in () if probing else self.plan.edge_checks:
+                if check.mode == EDGE_VIA_PROBE:
+                    probes.append(check.edge)
+                elif check.mode == EDGE_VIA_INDEX:
+                    # Validates the geometry before scattering any work.
+                    checks.append((check, _combos(check, self.candidates),
+                                   *_edge_check_geometry(check,
+                                                         self.candidates)))
+                else:  # pragma: no cover - defensive
+                    raise UnverifiableEdge(
+                        f"unknown edge-check mode {check.mode!r}")
             self.pending_edges = checks
-            tasks = []
-            missing_by_cpos: dict[int, list] = {}
-            seen_by_cpos: dict[int, set] = {}
-            for kind, item in checks:
-                if kind == EDGE_VIA_PROBE:
-                    a, b = item
-                    tasks.append((TASK_PROBE, sorted(self.candidates[a]),
-                                  sorted(self.candidates[b])))
-                else:
-                    # Validate geometry before scattering any work.
-                    _edge_check_geometry(item, self.candidates)
-                    cpos = self.constraint_pos[item.constraint]
-                    missing = missing_by_cpos.setdefault(cpos, [])
-                    seen = seen_by_cpos.setdefault(cpos, set())
-                    for combo in product(*_source_pools(item,
-                                                        self.candidates)):
-                        if (cpos, combo) not in self.edge_memo \
-                                and combo not in seen:
-                            seen.add(combo)
-                            missing.append(combo)
-            tasks.extend((TASK_EDGE, cpos, combos)
-                         for cpos, combos in missing_by_cpos.items() if combos)
+            tasks = [(TASK_PROBE, self.candidates[a].tolist(),
+                      self.candidates[b].tolist()) for a, b in probes]
+            combos_by_cpos: dict[int, dict] = {}  # insertion-ordered sets
+            for check, combos, *_ in checks:
+                combos_by_cpos.setdefault(
+                    self.constraint_pos[check.constraint], {}).update(
+                    dict.fromkeys(combos))
+            tasks.extend((TASK_EDGE, cpos, list(combos))
+                         for cpos, combos in combos_by_cpos.items() if combos)
             if tasks:
                 return tasks
         self._finalize_edges()
         return None
 
-    def deliver_edge(self, task, payloads) -> None:
+    def deliver_edge(self, task, fragments) -> None:
         _, cpos, combos = task
-        for combo, payload in zip(combos, payloads):
-            entries = sorted(payload)
-            self.edge_memo[(cpos, combo)] = entries
-            self.stats.record_edge_fetch([w for w, _ in entries])
+        for combo, parts in zip(combos, fragments):
+            self.edge_memo[(cpos, combo)] = parts
+        fetched = _concat([ws for parts in fragments for ws, _ in parts])
+        self.stats.record_edge_fetch_batch(len(combos), len(fetched),
+                                           fetched.tolist())
 
     def deliver_probe(self, checked, found) -> None:
-        self.edges_found.update(found)
+        self.edges.extend((pairs[:, 0], pairs[:, 1]) for pairs in found)
         self.stats.record_edge_checks(checked)
 
     def _finalize_edges(self) -> None:
-        for kind, item in self.pending_edges:
-            if kind != EDGE_VIA_INDEX:
-                continue  # probe edges were folded in at delivery
-            target_pool, other_pos, forward = _edge_check_geometry(
-                item, self.candidates)
-            cpos = self.constraint_pos[item.constraint]
-            for combo in product(*_source_pools(item, self.candidates)):
-                vo = combo[other_pos]
-                for w, flags in self.edge_memo[(cpos, combo)]:
-                    if w not in target_pool:
-                        continue
-                    fwd, back = flags[other_pos]
-                    if forward:
-                        if fwd:
-                            self.edges_found.add((vo, w))
-                    elif back:
-                        self.edges_found.add((w, vo))
+        # Probe edges were folded in at delivery.
+        for check, combos, target_pool, other_pos, forward \
+                in self.pending_edges:
+            cpos = self.constraint_pos[check.constraint]
+            members, counts, ws, masks = [], [], [], []
+            for combo in combos:
+                for part in self.edge_memo[(cpos, combo)]:
+                    members.append(combo[other_pos])
+                    counts.append(len(part[0]))
+                    ws.append(part[0])
+                    masks.append(part[1])
+            if not ws:
+                continue
+            ws, masks = _concat(ws), _concat(masks)
+            others = np.repeat(np.array(members, dtype=np.int64), counts)
+            # The query edge is (a, b); w matches `fetch_target`: bit
+            # 2j of its mask is member j -> w, bit 2j + 1 the way back.
+            keep = in_sorted(target_pool, ws) & (
+                masks >> (2 * other_pos + (not forward)) & 1).astype(bool)
+            self.edges.append((others[keep], ws[keep]) if forward
+                              else (ws[keep], others[keep]))
         self.pending_edges = None
         self.done = True
 
     # -- assembly ------------------------------------------------------------
     def result(self) -> ExecutionResult:
-        # The answer memo holds this, not everything the fetches saw.
-        info = {v: self.node_info[v]
-                for pool in self.candidates.values() for v in pool}
+        # Trimmed to the kept nodes (as copies): the answer memo holds
+        # this, not everything the fetches saw nor the frames it came in.
+        source = PackedSource([PackedInfo.select(pool, self.info[u])
+                               for u, pool in self.candidates.items()])
         return ExecutionResult(self.plan, self.stats, self.candidates,
-                               tuple(zip(*self.edges_found)), info)
+                               _edge_matrix(self.edges), source)
 
 
 def _route_task(task: tuple, router, target_by_pos: dict) -> frozenset:
@@ -530,32 +583,21 @@ def execute_plans_scatter(plans: list[QueryPlan], backend,
     return [exe.result() for exe in exes]
 
 
-def _route_tasks(tasks, constraint_pos, router):
-    if router is None:
-        return None
-    # Rebuilt per round: extend_schema may have grown the position
-    # table since the last one.
-    target_by_pos = {pos: constraint.target
-                     for constraint, pos in constraint_pos.items()}
-    return [_route_task(task, router, target_by_pos) for task in tasks]
-
-
 class _Cell:
     """One in-flight ``(kind, constraint, combo)`` fetch shared by every
-    execution that needs it. Per-shard fragments accumulate here (shard
-    payloads are disjoint by ownership, so accumulation order does not
-    matter — delivery normalizes by sorting)."""
+    execution that needs it. Per-shard array fragments accumulate here:
+    slices of the response blocks (shard payloads are disjoint by
+    ownership, so accumulation order does not matter — the execution
+    only ever takes their union)."""
 
-    __slots__ = ("key", "done", "payload", "info", "checked", "found",
-                 "waiters")
+    __slots__ = ("key", "done", "parts", "checked", "waiters")
 
     def __init__(self, key: tuple):
         self.key = key
         self.done = False
-        self.payload: list = []        # fetch payload / edge entries
-        self.info: dict = {}           # fetch only: {v: (label, value)}
+        #: fetch: (ids, info) per block; edge: (ws, masks); probe: pairs
+        self.parts: list = []
         self.checked = 0               # probe only
-        self.found: list = []          # probe only
         self.waiters: list[_ExeState] = []
 
 
@@ -580,21 +622,17 @@ def _cell_keys(task: tuple) -> list[tuple]:
 
 def _deliver_state(state: _ExeState) -> None:
     """Deliver a step's tasks (in issue order) from their completed
-    cells — each task exactly once, as the union of its per-shard
-    fragments; the execution normalizes them by sorting, so arrival
-    order never shows."""
+    cells — each task exactly once, as the per-combo fragment lists of
+    its cells; the execution takes unions over them, so arrival order
+    never shows."""
     exe = state.exe
     for task, cells in zip(state.tasks, state.task_cells):
-        kind = task[0]
-        if kind == TASK_FETCH:
-            info: dict = {}
-            for cell in cells:
-                info.update(cell.info)
-            exe.deliver_fetch(task, [cell.payload for cell in cells], info)
-        elif kind == TASK_EDGE:
-            exe.deliver_edge(task, [cell.payload for cell in cells])
+        if task[0] == TASK_PROBE:
+            exe.deliver_probe(cells[0].checked, cells[0].parts)
         else:
-            exe.deliver_probe(cells[0].checked, cells[0].found)
+            deliver = exe.deliver_fetch if task[0] == TASK_FETCH \
+                else exe.deliver_edge
+            deliver(task, [cell.parts for cell in cells])
     state.tasks = None
     state.task_cells = None
 
@@ -665,32 +703,31 @@ def _group_cells(fresh: list) -> tuple[list, list]:
 
 def _absorb_response(task: tuple, cells: list, responses: list,
                      ready: list) -> None:
-    """Split one wire task's per-shard responses into its cells, mark
-    them done, and collect executions whose last missing cell this was."""
+    """Split one wire task's per-shard response blocks into its cells
+    (views, cut at the blocks' per-combo lengths), mark them done, and
+    collect executions whose last missing cell this was."""
     kind = task[0]
-    if kind == TASK_FETCH:
-        for response in responses:
-            if response is None:
-                continue
-            payloads, info = response
-            for cell, payload in zip(cells, payloads):
-                cell.payload.extend(payload)
-                for v in payload:
-                    cell.info[v] = info[v]
-    elif kind == TASK_EDGE:
-        for payloads in responses:
-            if payloads is None:
-                continue
-            for cell, payload in zip(cells, payloads):
-                cell.payload.extend(payload)
-    else:
-        cell = cells[0]
-        for response in responses:
-            if response is None:
-                continue
-            count, found = response
-            cell.checked += count
-            cell.found.extend(found)
+    for response in responses:
+        if response is None:
+            continue
+        if kind == TASK_PROBE:
+            cells[0].checked += response[0]
+            cells[0].parts.append(response[1])
+            continue
+        # (lens, values, info) of a fetch, (counts, ws, masks) of an edge
+        lens, ids, extra = response[-3:]
+        ids = ids.astype(np.int64, copy=False)  # a frame's packed width
+        if len(lens) != len(cells):
+            raise ShardProtocolError(
+                f"{kind} response answers {len(lens)} combos, the task "
+                f"carried {len(cells)}")
+        start = 0
+        for cell, end in zip(cells, np.cumsum(lens).tolist()):
+            if end > start:
+                cell.parts.append(
+                    (ids[start:end],
+                     extra[start:end] if kind == TASK_EDGE else extra))
+                start = end
     for cell in cells:
         cell.done = True
         for state in cell.waiters:
@@ -708,14 +745,14 @@ def _run_pipelined(exes, backend) -> None:
     cells are complete. Identity with the sequential executor holds
     because (a) each execution still observes its tasks in issue order,
     delivered only when fully merged, (b) cell fragments merge
-    order-independently (sorted payloads, summed probe counts), and
+    order-independently (unions of id arrays, summed probe counts), and
     (c) every execution records its own ``AccessStats`` at delivery —
     dedup shares wire traffic, never accounting.
     """
-    constraint_pos, router = backend.constraint_pos, backend.router
+    router = backend.router
     states = [_ExeState(exe) for exe in exes]
     cells: dict[tuple, _Cell] = {}
-    completions: _queue_mod.Queue = _queue_mod.Queue()
+    completions = _queue_mod.SimpleQueue()
     outstanding = 0
     dedup_hits = 0
     wave_index = 0
@@ -729,7 +766,9 @@ def _run_pipelined(exes, backend) -> None:
         ready = []
         if fresh:
             wire_tasks, wire_groups = _group_cells(fresh)
-            shard_sets = _route_tasks(wire_tasks, constraint_pos, router)
+            shard_sets = None if router is None else [
+                _route_task(task, router, backend.target_by_pos)
+                for task in wire_tasks]
 
             def _on_task(i, responses, _tasks=wire_tasks,
                          _groups=wire_groups):

@@ -51,11 +51,25 @@ from repro.core.executor import (
     ExecutionResult,
     _check_coverage,
     _edge_check_geometry,
+    _edge_matrix,
+    _source_pools,
+)
+from repro.core.packed import (
+    COMPARE,
+    FetchBlock,
+    PackedInfo,
+    classify,
+    exact_float,
 )
 from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import EngineError, PlanError, UnverifiableEdge
 from repro.graph.frozen import FrozenGraph
-from repro.util.arrays import in_sorted, pack_matrix, take_segments
+from repro.util.arrays import (
+    in_sorted,
+    pack_matrix,
+    sorted_unique,
+    take_segments,
+)
 
 # numpy's first np.unique call lazily imports numpy.ma (~20ms); force
 # it at import time so no query pays it as first-execution latency.
@@ -93,7 +107,7 @@ class GraphKernel:
 
     __slots__ = ("graph", "ids", "out_ptr", "out_dst", "num_nodes",
                  "_edge_keys", "_val_num", "_val_object", "_val_code",
-                 "_code_table", "_pred_cache", "_mask_cache",
+                 "_code_table", "_info", "_pred_cache", "_mask_cache",
                  "_adj_cache")
 
     def __init__(self, graph: FrozenGraph):
@@ -108,6 +122,7 @@ class GraphKernel:
         self._val_object = None
         self._val_code = None
         self._code_table = None
+        self._info = None
         self._pred_cache: dict = {}
         self._mask_cache: dict = {}
         self._adj_cache: dict = {}
@@ -220,6 +235,20 @@ class GraphKernel:
             self._code_table = code_table
         return self._val_num, self._val_object, self._val_code
 
+    def info_columns(self):
+        """``(kinds, nums)`` by row position: every node's value as
+        :func:`repro.core.packed.classify` reads it, built on first use —
+        what a shard gathers a fetch response's node info from."""
+        if self._info is None:
+            kinds = np.zeros(self.num_nodes, dtype=np.uint8)
+            nums = np.zeros(self.num_nodes, dtype=np.int64)
+            positions, labels = self.graph._pos, self.graph._labels
+            for node, value in self.graph._values.items():
+                i = positions[node]
+                kinds[i], nums[i] = classify(labels[i], value)
+            self._info = kinds, nums
+        return self._info
+
     def _compile_predicate(self, predicate):
         """Per-atom micro-ops when every atom vectorizes, else None
         (whole-predicate object fallback).
@@ -249,14 +278,8 @@ class GraphKernel:
                     return None
                 atoms.append(("eq", code))
                 continue
-            if (atom.op not in _RANGE_OPS or isinstance(constant, bool)
-                    or not isinstance(constant, (int, float))):
-                return None
-            try:
-                as_float = float(constant)
-            except OverflowError:
-                return None
-            if as_float != constant:
+            as_float = exact_float(constant)
+            if atom.op not in _RANGE_OPS or as_float is None:
                 return None
             atoms.append(("num", atom.op, as_float))
         return atoms
@@ -309,15 +332,7 @@ class GraphKernel:
             recheck = True
             if column is None:
                 column = val_num[positions]
-            _, op, constant = item
-            if op == "<":
-                mask &= column < constant
-            elif op == "<=":
-                mask &= column <= constant
-            elif op == ">":
-                mask &= column > constant
-            else:
-                mask &= column >= constant
+            mask &= COMPARE[item[1]](column, item[2])
         if recheck:
             exotic = val_object[positions]
             if exotic.any():
@@ -396,18 +411,6 @@ class _SeenCombos:
 
 
 # ------------------------------------------------------------------- node phase
-def _pool_arrays(op_or_check, candidates: dict):
-    """Candidate pools of the source nodes as sorted arrays, in plan
-    order — array twin of the sequential ``_source_pools``."""
-    missing = [q for q in op_or_check.source_nodes if q not in candidates]
-    if missing:
-        raise PlanError(
-            f"fetch for node {getattr(op_or_check, 'target', op_or_check)} "
-            f"uses nodes {missing} with no candidates yet; plan is out of "
-            f"order")
-    return [candidates[q] for q in op_or_check.source_nodes]
-
-
 def _combo_matrix(pools):
     """``(n, k)`` matrix enumerating the cartesian product of the pools
     (row order matches ``itertools.product``: last pool cycles fastest)."""
@@ -523,7 +526,7 @@ def _index_edge_vec(check, candidates: dict, context: KernelContext,
                     stats: AccessStats, seen_edge: dict, edges: list):
     """Vectorized index-driven edge verification (the paper's method)."""
     target_pool, other_pos, forward = _edge_check_geometry(check, candidates)
-    combos = _combo_matrix(_pool_arrays(check, candidates))
+    combos = _combo_matrix(_source_pools(check, candidates))
     if len(combos) == 0:
         return
     packed = pack_matrix(combos)
@@ -572,7 +575,7 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
         if op.is_initial:
             found = _initial_op(context, op, stats, seen_initial)
         else:
-            combos = _combo_matrix(_pool_arrays(op, candidates))
+            combos = _combo_matrix(_source_pools(op, candidates))
             if len(combos) == 0:
                 found = kernel.ids[:0]
             else:
@@ -612,10 +615,8 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
                 raise UnverifiableEdge(
                     f"unknown edge-check mode {check.mode!r}")
 
-    if edges:  # one (src row, dst row) matrix
-        src, dst = zip(*edges)
-        edges = np.concatenate(src + dst).reshape(2, -1)
-    return ExecutionResult(plan, stats, candidates, edges, schema_index.graph)
+    return ExecutionResult(plan, stats, candidates, _edge_matrix(edges),
+                           schema_index.graph)
 
 
 # ----------------------------------------------------------------- shard kernels
@@ -626,22 +627,13 @@ def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
     and behind the shard server. ``graph`` is the shard's CSR snapshot
     and ``owned_sorted`` its owned node ids as a sorted int64 array.
 
-    ``fetch`` is per-combo index lookups (already O(1) each); ``edge``
+    Every response is arrays, the ones the frame carries: all combos of
+    a ``fetch`` / ``edge`` task are probed with one ``fetch_many`` (no
+    cache — a shard lives for days), a fetch's node info is gathered
+    from the snapshot's :meth:`GraphKernel.info_columns`, and ``edge``
     and ``probe`` resolve edges with batched CSR membership tests.
     """
     kind = task[0]
-    if kind == TASK_FETCH:
-        _, cpos, combos = task
-        constraint = schema_index.constraint_at(cpos)
-        payloads = []
-        info = {}
-        for combo in combos:
-            payload = schema_index.fetch(constraint, combo)
-            payloads.append(payload)
-            for v in payload:
-                if v not in info:
-                    info[v] = (graph.label_of(v), graph.value_of(v))
-        return payloads, info
     kernel = graph_kernel(graph)
     if kind == TASK_PROBE:
         _, a_nodes, b_nodes = task
@@ -651,35 +643,44 @@ def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
         if len(a_arr):
             a_arr = a_arr[in_sorted(owned_sorted, a_arr)]
         b_arr = np.asarray(b_nodes, dtype=np.int64)
-        checked = len(a_arr) * len(b_arr)
-        sources, targets = kernel.out_edges_into(a_arr, b_arr)
         # a_nodes/b_nodes arrive sorted, so found pairs enumerate in
         # (va, vb) order.
-        return checked, list(zip(sources.tolist(), targets.tolist()))
-    if kind == TASK_EDGE:
-        _, cpos, combos = task
-        constraint = schema_index.constraint_at(cpos)
-        results = []
-        for combo in combos:
-            payload = schema_index.fetch(constraint, combo)
-            if not payload:
-                results.append([])
-                continue
-            # Every w is owned by this shard, so all of w's adjacency is
-            # in the shard graph — both directions resolve locally.
-            targets = np.asarray(payload, dtype=np.int64)
-            flag_pairs = []
-            for member in combo:
-                members = np.full(len(targets), member, dtype=np.int64)
-                forward = kernel.has_edges(members, targets)
-                backward = kernel.has_edges(targets, members)
-                flag_pairs.append(list(zip(forward.tolist(),
-                                           backward.tolist())))
-            results.append([
-                (w, tuple(flags[i] for flags in flag_pairs))
-                for i, w in enumerate(payload)])
-        return results
-    raise PlanError(f"unknown shard task {kind!r}")
+        return (len(a_arr) * len(b_arr),
+                np.column_stack(kernel.out_edges_into(a_arr, b_arr)))
+    if kind not in (TASK_FETCH, TASK_EDGE):
+        raise PlanError(f"unknown shard task {kind!r}")
+    _, cpos, combos = task
+    constraint = schema_index.constraint_at(cpos)
+    arity = len(constraint.source)
+    try:
+        combos = np.asarray(combos, dtype=np.int64).reshape(len(combos), arity)
+    except ValueError:
+        raise PlanError(f"{kind} task for {constraint} carries combos "
+                        f"that are not {arity}-tuples") from None
+    starts, lens, payload = \
+        schema_index.index_for(constraint).fetch_many(combos)
+    values = take_segments(payload, starts, lens)
+    if kind == TASK_FETCH:
+        # Every target of the constraint's index carries its target
+        # label, so the block's label dictionary has one entry.
+        ids = sorted_unique(values)
+        kinds, nums = kernel.info_columns()
+        at = kernel.positions(ids)
+        tags = kinds[at]
+        return FetchBlock(lens, values, PackedInfo(
+            ids, tags, nums[at], [constraint.target] if len(ids) else [],
+            [graph.value_of(v) for v in ids[tags == 3].tolist()]))
+    # Every w is owned by this shard, so all of w's adjacency is in the
+    # shard graph — both directions resolve locally. Bit 2j of an
+    # entry's mask: member j -> w; bit 2j + 1: w -> member j.
+    masks = np.zeros(len(values), dtype=np.int64)
+    for j in range(arity):
+        members = np.repeat(combos[:, j], lens)
+        masks |= kernel.has_edges(members, values).astype(np.int64) << 2 * j
+        masks |= kernel.has_edges(values, members).astype(np.int64) \
+            << 2 * j + 1
+    # (An answer without entries says arity 0, as its frame always has.)
+    return arity if len(values) else 0, lens, values, masks
 
 
 __all__ = [

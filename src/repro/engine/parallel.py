@@ -224,6 +224,10 @@ class ShardBackend(abc.ABC):
         #: scatter task protocol addresses constraints by position).
         #: ``extend`` grows it in place.
         self.constraint_pos = schema.positions()
+        #: position -> the constraint's target label, for owner routing;
+        #: grows with ``constraint_pos``.
+        self.target_by_pos = {pos: constraint.target for constraint, pos
+                              in self.constraint_pos.items()}
         #: Owner-routing metadata (:class:`OwnerRouter`) or None for
         #: broadcast scatter.
         self.router: OwnerRouter | None = None
@@ -311,8 +315,9 @@ class ShardBackend(abc.ABC):
 
     def _grow_positions(self, constraints) -> None:
         for constraint in constraints:
-            self.constraint_pos.setdefault(constraint,
-                                           len(self.constraint_pos))
+            pos = self.constraint_pos.setdefault(constraint,
+                                                 len(self.constraint_pos))
+            self.target_by_pos[pos] = constraint.target
 
 
 class InlineShardBackend(ShardBackend):

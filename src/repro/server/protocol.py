@@ -50,10 +50,10 @@ import json
 import socket
 import struct
 import time
-from itertools import chain
 
 import numpy as np
 
+from repro.core.packed import FetchBlock, PackedInfo
 from repro.util import arrays
 from repro.errors import (
     AdmissionRejected,
@@ -419,17 +419,19 @@ def is_repro_error(exc: Exception) -> bool:
 
 
 # ------------------------------------------------------- shard task codecs
-# The scatter-gather task/response tuples (see repro.core.executor)
-# cross the shard-server wire packed: each function returns (meta,
-# buffers) — meta is a small JSON-safe skeleton riding in the frame
-# header, and every bulk int array rides in a payload buffer packed by
+# The scatter-gather tasks and responses (see repro.core.executor) cross
+# the shard-server wire packed: each function returns (meta, buffers) —
+# meta is a small JSON-safe skeleton riding in the frame header, and
+# every bulk int array rides in a payload buffer packed by
 # arrays.pack_ints (ndarray.tobytes on encode, np.frombuffer over the
 # received memoryview on decode — no per-element Python loops). A
-# buffer reference in the meta is ``[dtype_code, buffer_index]``. The
-# decoded shapes are element-for-element identical to what
-# InlineShardBackend produces — answers, G_Q and AccessStats must not be
-# able to tell the backends apart. Both ends share these functions, so a
-# representation change is a single edit (plus a PROTOCOL_VERSION bump).
+# buffer reference in the meta is ``[dtype_code, buffer_index]``. A
+# response is a block of arrays on both sides: the encoder takes what
+# run_shard_task returned, the decoder hands back the same block as
+# views, so InlineShardBackend and the fleet deliver one shape and
+# answers, G_Q and AccessStats cannot tell the backends apart. Both ends
+# share these functions, so a representation change is a single edit
+# (plus a PROTOCOL_VERSION bump).
 
 def encode_tasks_binary(tasks) -> tuple[list, list[bytes]]:
     """Pack scatter tasks: combos flatten into one ``(n, arity)`` int
@@ -496,67 +498,19 @@ def decode_tasks_binary(metas, payloads) -> list[tuple]:
     return tasks
 
 
-def _pack_fetch_info(id_list, info):
-    """Pack a fetch response's node-info dict against its sorted
-    distinct payload ids, or None when the shapes don't fit the packed
-    form (then the JSON-triples fallback rides in the meta).
-
-    Per id (in ``id_list`` order) one ``tag`` byte — ``label_index * 4 +
-    value_kind`` with kinds 0=None, 1=int, 2=the ``"<label>_<n>"``
-    template every bundled generator emits, 3=anything else — plus one
-    entry in the numbers buffer (the int value, the template's ``n``, or
-    0). Kind-3 values stay JSON, in id order. The ids themselves never
-    travel: both ends derive them from the payload values buffer.
-    """
-    if len(info) != len(id_list):
-        return None
-    labels: list[str] = []
-    label_pos: dict[str, int] = {}
-    tags: list[int] = []
-    nums: list[int] = []
-    others: list = []
-    for v in id_list:
-        pair = info.get(v)
-        if pair is None or not isinstance(pair, tuple) or len(pair) != 2:
-            return None
-        label, value = pair
-        if not isinstance(label, str):
-            return None
-        pos = label_pos.get(label)
-        if pos is None:
-            pos = label_pos[label] = len(labels)
-            labels.append(label)
-            if pos > 62:  # the tag byte must stay u1
-                return None
-        vkind, num = 3, 0
-        if value is None:
-            vkind = 0
-        elif type(value) is int:
-            vkind, num = 1, value
-        elif type(value) is str and value.startswith(label) \
-                and value[len(label):len(label) + 1] == "_":
-            suffix = value[len(label) + 1:]
-            if suffix.isdigit() and str(int(suffix)) == suffix:
-                vkind, num = 2, int(suffix)
-        if vkind == 3:
-            others.append(value)
-        tags.append(pos * 4 + vkind)
-        nums.append(num)
-    return labels, others, tags, nums
-
-
 def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
-    """Pack one scatter wave's responses, aligned with its tasks.
+    """Pack one scatter wave's responses, aligned with its tasks — each
+    what :func:`repro.core.kernels.run_shard_task` returned, its arrays
+    taken as they are.
 
-    fetch: per-combo payload lengths + flattened payload values as two
-    buffers; the node-info dict packs as a label dictionary plus tag and
-    number buffers keyed by the *derived* sorted distinct payload ids
-    (see :func:`_pack_fetch_info` — the dominant JSON cost of a fetch
-    wave), falling back to JSON ``[id, label, value]`` triples when its
-    shape doesn't fit. edge: per-combo entry counts, flattened neighbour
-    ids, and per-entry direction-flag bitmasks (bit ``2j`` = forward,
-    ``2j+1`` = backward for combo member ``j``). probe: the found pairs
-    as one ``(n, 2)`` buffer.
+    fetch (a :class:`~repro.core.packed.FetchBlock`): per-combo payload
+    lengths and the flattened payload values as two buffers; the node
+    info as its label dictionary and kind-3 values in the meta plus the
+    tag and number buffers. The distinct ids never travel: both ends
+    derive them from the values buffer. edge: per-combo entry counts,
+    flattened neighbour ids, and per-entry direction-flag bitmasks (bit
+    ``2j`` = forward, ``2j+1`` = backward for combo member ``j``).
+    probe: the found pairs as one ``(n, 2)`` buffer.
     """
     metas: list = []
     buffers: list[bytes] = []
@@ -568,50 +522,41 @@ def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
 
     for kind, response in zip(kinds, responses):
         if kind == "fetch":
-            payloads, info = response
-            lens = [len(p) for p in payloads]
-            total = sum(lens)
-            values = np.fromiter(chain.from_iterable(payloads),
-                                 dtype=np.int64, count=total)
-            packed = _pack_fetch_info(np.unique(values).tolist(), info)
-            if packed is not None:
-                labels, others, tags, nums = packed
-                metas.append(["fetch", labels, others, push(lens),
-                              push(values), push(tags), push(nums)])
-                continue
-            metas.append(["fetch",
-                          [[v, label, value]
-                           for v, (label, value) in info.items()],
-                          push(lens), push(values)])
+            lens, values, info = response
+            metas.append(["fetch", info.labels, info.others, push(lens),
+                          push(values), push(info.tags), push(info.nums)])
         elif kind == "edge":
-            counts, ws, masks = [], [], []
-            arity = 0
-            for entries in response:
-                counts.append(len(entries))
-                for w, flags in entries:
-                    arity = len(flags)
-                    mask = 0
-                    for j, (fwd, bwd) in enumerate(flags):
-                        if fwd:
-                            mask |= 1 << (2 * j)
-                        if bwd:
-                            mask |= 1 << (2 * j + 1)
-                    ws.append(w)
-                    masks.append(mask)
-            metas.append(["edge", arity, push(counts), push(ws),
+            arity, counts, ws, masks = response
+            metas.append(["edge", int(arity), push(counts), push(ws),
                           push(masks)])
         else:
-            checked, found = response
-            pairs = np.asarray(found, dtype=np.int64)
-            metas.append(["probe", int(checked), len(found), push(pairs)])
+            checked, pairs = response
+            metas.append(["probe", int(checked), len(pairs), push(pairs)])
     return metas, buffers
+
+
+def _negative(ints) -> bool:
+    """Whether a decoded int buffer holds a negative entry (an unsigned
+    packed width cannot)."""
+    return bool(ints.dtype.kind != "u" and ints.size and ints.min() < 0)
+
+
+def _segmented(lens, values, what: str) -> None:
+    """Per-segment lengths must be non-negative and add up to the
+    buffer they slice — a negative one would pass the sum and attribute
+    a node to two combos."""
+    if _negative(lens) or values.size != int(lens.sum()):
+        raise ShardProtocolError(
+            f"{what} buffer disagrees with its lengths")
 
 
 def decode_shard_responses_binary(metas, payloads,
                                   expected_kinds=None) -> list:
-    """Inverse of :func:`encode_shard_responses_binary`, restoring the
-    exact in-memory shapes the scatter executor merges: int node ids,
-    tuple edge flags, hashable probe pairs."""
+    """Inverse of :func:`encode_shard_responses_binary`: the same
+    blocks, their arrays ``np.frombuffer`` views over the received
+    buffers (read-only, any packed width). Everything a later reader
+    would trip over — lengths, label indexes, the kind-3 count — is
+    checked here, so a bad frame is a typed error and never an answer."""
 
     def pull(ref):
         code, index = ref
@@ -626,86 +571,44 @@ def decode_shard_responses_binary(metas, payloads,
                     f"binary response {pos} has kind {kind!r}, expected "
                     f"{expected_kinds[pos]!r}")
             if kind == "fetch":
-                if len(meta) == 7:  # packed info (_pack_fetch_info)
-                    (_, labels, others, lens_ref, vals_ref,
-                     tags_ref, nums_ref) = meta
-                    lens = pull(lens_ref).tolist()
-                    values = pull(vals_ref)
-                    if values.size != sum(lens):
-                        raise ShardProtocolError(
-                            "fetch payload buffer disagrees with its "
-                            "lengths")
-                    ids = np.unique(values).tolist()
-                    tags = pull(tags_ref).tolist()
-                    nums = pull(nums_ref).tolist()
-                    if len(tags) != len(ids) or len(nums) != len(ids):
-                        raise ShardProtocolError(
-                            "fetch info buffers disagree with the "
-                            "distinct payload ids")
-                    info, oi = {}, 0
-                    for v, tag, num in zip(ids, tags, nums):
-                        label = labels[tag >> 2]
-                        vkind = tag & 3
-                        if vkind == 0:
-                            value = None
-                        elif vkind == 1:
-                            value = num
-                        elif vkind == 2:
-                            value = f"{label}_{num}"
-                        else:
-                            value = others[oi]
-                            oi += 1
-                        info[v] = (label, value)
-                else:  # JSON-triples fallback
-                    _, triples, lens_ref, vals_ref = meta
-                    lens = pull(lens_ref).tolist()
-                    values = pull(vals_ref)
-                    if values.size != sum(lens):
-                        raise ShardProtocolError(
-                            "fetch payload buffer disagrees with its "
-                            "lengths")
-                    info = {int(v): (label, value)
-                            for v, label, value in triples}
-                segments, offset = [], 0
-                for n in lens:
-                    segments.append(values[offset:offset + n].tolist())
-                    offset += n
-                out.append((segments, info))
+                (_, labels, others, lens_ref, vals_ref,
+                 tags_ref, nums_ref) = meta
+                lens, values = pull(lens_ref), pull(vals_ref)
+                _segmented(lens, values, "fetch payload")
+                ids = arrays.sorted_unique(values).astype(np.int64)
+                tags, nums = pull(tags_ref), pull(nums_ref)
+                if (tags.size != ids.size or nums.size != ids.size
+                        or not isinstance(labels, list)
+                        or not isinstance(others, list)
+                        or _negative(tags)
+                        or (tags.size and tags.max() >= 4 * len(labels))
+                        or int(np.count_nonzero((tags & 3) == 3))
+                        != len(others)):
+                    raise ShardProtocolError(
+                        "fetch info buffers disagree with the distinct "
+                        "payload ids")
+                out.append(FetchBlock(
+                    lens, values, PackedInfo(ids, tags, nums, labels, others)))
             elif kind == "edge":
                 _, arity, counts_ref, ws_ref, masks_ref = meta
                 if not 0 <= arity <= MAX_EDGE_ARITY:
                     raise ShardProtocolError(
                         f"edge response declares arity {arity!r} "
                         f"(max {MAX_EDGE_ARITY})")
-                counts = pull(counts_ref).tolist()
-                ws = pull(ws_ref).tolist()
-                masks = pull(masks_ref).tolist()
-                if len(ws) != len(masks) or len(ws) != sum(counts):
+                counts, ws, masks = \
+                    pull(counts_ref), pull(ws_ref), pull(masks_ref)
+                _segmented(counts, ws, "edge entry")
+                if masks.size != ws.size:
                     raise ShardProtocolError(
                         "edge buffers disagree with their counts")
-                entries_out, offset = [], 0
-                for n in counts:
-                    entries = []
-                    for k in range(offset, offset + n):
-                        mask = masks[k]
-                        entries.append(
-                            (ws[k],
-                             tuple((bool((mask >> (2 * j)) & 1),
-                                    bool((mask >> (2 * j + 1)) & 1))
-                                   for j in range(arity))))
-                    entries_out.append(entries)
-                    offset += n
-                out.append(entries_out)
+                out.append((arity, counts, ws, masks))
             elif kind == "probe":
                 _, checked, count, pairs_ref = meta
                 pairs = pull(pairs_ref)
                 if pairs.size != count * 2:
                     raise ShardProtocolError(
                         "probe pair buffer disagrees with its count")
-                out.append((int(checked),
-                            [tuple(pair) for pair in
-                             pairs.reshape(count, 2).tolist()] if count
-                            else []))
+                out.append((int(checked), pairs.reshape(count, 2)))
             else:
                 raise ShardProtocolError(
                     f"unknown binary response kind {kind!r}")

@@ -124,11 +124,25 @@ def take_segments(data, starts, lengths):
     return data[index]
 
 
+def sorted_unique(values):
+    """Sorted distinct elements of a 1-d array, by sort + neighbour
+    compare: on the tens to hundreds of ids a fetch returns this is
+    several times faster than ``np.unique``."""
+    if len(values) < 2:
+        return values
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 __all__ = [
     "as_int64",
     "in_sorted",
     "pack_ints",
     "pack_matrix",
+    "sorted_unique",
     "unpack_ints",
     "take_segments",
 ]

@@ -127,3 +127,52 @@ def tiny_graph():
     graph.add_edge(actor, country)
     graph.add_edge(movie2, year)
     return graph
+
+
+# ------------------------------------------------- scatter response blocks
+def same_responses(left, right) -> bool:
+    """Equality over scatter responses — blocks of arrays, on which
+    ``==`` is elementwise and not a bool. Arrays compare by content (a
+    decoded block's views have the packed width, a computed block is
+    int64), ``PackedInfo`` field by field, containers element by
+    element, everything else with ``==``."""
+    import numpy as np
+
+    from repro.core.packed import PackedInfo
+
+    if isinstance(left, PackedInfo) and isinstance(right, PackedInfo):
+        return all(same_responses(getattr(left, name), getattr(right, name))
+                   for name in PackedInfo.__slots__)
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return (isinstance(left, np.ndarray) and isinstance(right, np.ndarray)
+                and left.shape == right.shape and np.array_equal(left, right))
+    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
+        return len(left) == len(right) and all(map(same_responses,
+                                                   left, right))
+    return left == right
+
+
+def fetch_block(payloads, info):
+    """The ``FetchBlock`` a shard would answer with, from a literal:
+    per-combo ``payloads`` and ``{id: (label, value)}`` over their
+    distinct ids. The reference per-node loop the array path replaced."""
+    import numpy as np
+
+    from repro.core.packed import FetchBlock, PackedInfo, classify
+
+    labels, tags, nums, others = [], [], [], []
+    for v in sorted(info):
+        label, value = info[v]
+        if label not in labels:
+            labels.append(label)
+        kind, num = classify(label, value)
+        tags.append(labels.index(label) * 4 + kind)
+        nums.append(num)
+        if kind == 3:
+            others.append(value)
+    as_ints = lambda seq: np.array(seq, dtype=np.int64)  # noqa: E731
+    return FetchBlock(
+        as_ints([len(p) for p in payloads]),
+        as_ints([v for p in payloads for v in p]),
+        PackedInfo(as_ints(sorted(info)), as_ints(tags), as_ints(nums),
+                   labels, others))

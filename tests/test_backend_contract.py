@@ -24,6 +24,7 @@ from repro.engine.parallel import (
     RemoteShardBackend,
 )
 from repro.matching.bounded import canonical_answer
+from tests.conftest import same_responses
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -149,12 +150,12 @@ class TestContract:
         assert all(len(row) == 1 for row in broadcast)
 
         explicit = backend.scatter([task], [all_shards])
-        assert explicit == broadcast
+        assert same_responses(explicit, broadcast)
 
         routed = backend.scatter([task], [frozenset({1})])
         assert [row[0] for i, row in enumerate(routed) if i != 1] == \
             [None, None]
-        assert routed[1][0] == broadcast[1][0]
+        assert same_responses(routed[1][0], broadcast[1][0])
 
         nothing = backend.scatter([task], [frozenset()])
         assert all(row == [None] for row in nothing)
@@ -209,6 +210,10 @@ class TestContract:
         assert report.built >= 1
         assert len(backend.constraint_pos) == before_positions + 1
         assert added in engine.schema
+        # The routing table grew with the position table, not per round.
+        assert backend.target_by_pos == {
+            pos: constraint.target
+            for constraint, pos in backend.constraint_pos.items()}
 
     def test_answers_identical_to_sequential(self, backend_engine, workload,
                                              sequential_fingerprint):

@@ -2,10 +2,13 @@
 
 ``ExecutionResult`` materialises its ``Graph`` on the first ``.gq`` read
 only; a query whose plan leaves some ``cmat(u)`` empty is answered
-without a matcher and so never builds one. The same three session kinds
-(vectorized, sequential, inline scatter) must refuse to serve an
-execution that overran its plan's bound, and the bounded answer must
-match a full-graph oracle on every dataset generator.
+without a matcher and so never builds one. The same session kinds
+(vectorized, sequential, inline scatter, a 2-shard fleet) must refuse
+to serve an execution that overran its plan's bound, and the bounded
+answer must match a full-graph oracle on every dataset generator. The
+scatter front-end additionally keeps ``cmat(u)`` as arrays and filters
+packed node info, so it never calls ``Predicate.evaluate`` on ints or
+template strings.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro import AccessStats, BoundExceeded, connect
@@ -26,9 +30,11 @@ from repro.matching.simulation import simulate
 from repro.matching.vf2 import find_matches
 from repro.pattern import parse_pattern
 from repro.pattern.generator import PatternGenerator
+from repro.pattern.predicates import Predicate
 from repro.server.service import QueryService
+from repro.server.shardserver import ShardServer
 
-SESSIONS = ["vectorized", "sequential", "scatter"]
+SESSIONS = ["vectorized", "sequential", "scatter", "fleet"]
 MATCHING = "m: movie; y: year; m -> y"
 #: No year is that late, so cmat(y) is empty after the node phase.
 UNMATCHABLE = "m: movie; y: year; m -> y; y.value >= 3000"
@@ -41,15 +47,29 @@ def sharded_artifact(tmp_path_factory, imdb_small):
     return path
 
 
+@pytest.fixture(scope="module")
+def shard_fleet(sharded_artifact):
+    servers = [ShardServer(sharded_artifact / f"shard-{i:04d}").start()
+               for i in range(2)]
+    yield [server.address for server in servers]
+    for server in servers:
+        server.stop()
+
+
 @pytest.fixture(params=SESSIONS)
-def engine(request, imdb_small, sharded_artifact):
-    if request.param == "vectorized":
+def engine(request, imdb_small, sharded_artifact, shard_fleet):
+    strategy = request.param
+    if strategy == "vectorized":
         session = connect(imdb_small)
-    elif request.param == "sequential":
+    elif strategy == "sequential":
         session = connect(imdb_small, frozen=False)
-    else:
+    elif strategy == "scatter":
         session = connect(sharded_artifact, backend="inline")
-    assert session.executor_strategy == request.param
+    else:
+        session = connect(sharded_artifact, backend="remote",
+                          shard_addrs=shard_fleet)
+        strategy = "scatter"
+    assert session.executor_strategy == strategy
     with session:
         yield session
 
@@ -102,6 +122,33 @@ def test_result_pickles_without_the_session_graph(engine):
             for v in sorted(clone.gq.nodes())] == \
         [(v, execution.gq.label_of(v), execution.gq.value_of(v))
          for v in sorted(execution.gq.nodes())]
+
+
+@pytest.mark.parametrize("engine", ["scatter", "fleet"], indirect=True)
+def test_scatter_front_end_filters_columns_not_values(engine, monkeypatch):
+    """Ints and ``<label>_<n>`` strings are filtered as packed columns:
+    a scatter execution calls ``Predicate.evaluate`` zero times, and
+    hands over ``cmat(u)`` as arrays — whether or not the query has an
+    answer."""
+    evaluated = []
+    evaluate = Predicate.evaluate
+    monkeypatch.setattr(Predicate, "evaluate", lambda self, value: (
+        evaluated.append(value), evaluate(self, value))[1])
+    for text, matches in (
+            (UNMATCHABLE, False),
+            ('m: movie; y: year; m -> y; m.value = "movie_9999"', False),
+            ('m: movie; y: year; m -> y; m.value = "movie_3"; '
+             'y.value >= 1900; y.value <= 2100', True)):
+        plan = engine.prepare(parse_pattern(text)).plan
+        execution = engine._execute_plan(plan, AccessStats())
+        assert evaluated == []
+        assert execution.unmatchable is not matches
+        pools = execution._pools
+        assert set(pools) == set(plan.pattern.nodes())
+        assert all(isinstance(pool, np.ndarray) and pool.dtype == np.int64
+                   for pool in pools.values())
+        assert all(pool.tolist() == sorted(set(pool.tolist()))
+                   for pool in pools.values())
 
 
 # ------------------------------------------------------------ bound enforced

@@ -190,6 +190,52 @@ def test_answers_identical_across_shard_counts(data, num_shards, semantics):
         canonical_answer(semantics, expected)
 
 
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+def test_memo_hit_under_another_predicate(num_shards):
+    """Two pattern nodes fetched through the same ``(constraint,
+    combo)`` under different predicates: the second is a memo hit — free
+    and unrecorded — and still has to be filtered by its *own*
+    predicate, from the values the first fetch delivered."""
+    from repro.pattern import parse_pattern
+
+    graph = Graph()
+    year = graph.add_node("year", value=2000)
+    other = graph.add_node("year", value=1990)
+    movies = [graph.add_node("movie", value=v)
+              for v in (0, 1, 2, 3, "movie_4", None, 2.5)]
+    for movie in movies:
+        graph.add_edge(movie, year)
+    graph.add_edge(movies[0], other)
+    schema = AccessSchema([AccessConstraint((), "year", 5),
+                           AccessConstraint(("year",), "movie", 10)])
+    pattern = parse_pattern("y: year; a: movie; b: movie; a -> y; b -> y; "
+                            "y.value >= 1995; a.value <= 2; b.value >= 2")
+    plan = generate_plan(pattern, schema, SUBGRAPH)
+    by_movie = [op for op in plan.ops if op.constraint.target == "movie"]
+    assert len(by_movie) == 2
+    assert by_movie[0].constraint == by_movie[1].constraint
+    assert by_movie[0].predicate != by_movie[1].predicate
+
+    seq_stats, scatter_stats = AccessStats(), AccessStats()
+    sequential = execute_plan(plan, SchemaIndex(graph, schema),
+                              stats=seq_stats)
+    scattered = execute_plans_scatter(
+        [plan], inline_backend(graph, schema, num_shards),
+        stats_list=[scatter_stats])[0]
+    assert scattered.candidates == sequential.candidates
+    assert sorted(map(len, scattered.candidates.values())) == [1, 3, 3]
+    assert sorted(scattered.gq.edges()) == sorted(sequential.gq.edges())
+    assert {v: (scattered.gq.label_of(v), scattered.gq.value_of(v))
+            for v in scattered.gq.nodes()} == \
+        {v: (sequential.gq.label_of(v), sequential.gq.value_of(v))
+         for v in sequential.gq.nodes()}
+    assert scatter_stats.as_dict() == seq_stats.as_dict()
+    assert scatter_stats._seen == seq_stats._seen
+    # The year scan, one movie fetch, one edge fetch: the second movie
+    # op and the second edge check are both memo hits.
+    assert scatter_stats.index_fetches == 3
+
+
 # ------------------------------------------------------------- unit tests
 class TestAssignment:
     def test_deterministic_across_calls(self):

@@ -18,15 +18,24 @@ import socket
 import struct
 import time
 
+import numpy as np
 import pytest
 
-from repro import ShardHandshakeMismatch, ShardUnavailable, connect
-from repro.engine.parallel import _ScatterEncoder
+from repro import (
+    AccessConstraint,
+    AccessSchema,
+    Graph,
+    ShardHandshakeMismatch,
+    ShardUnavailable,
+    connect,
+)
+from repro.engine.parallel import ShardRuntime, _ScatterEncoder
 from repro.errors import ShardProtocolError
 from repro.pattern import parse_pattern
 from repro.server import protocol
 from repro.server.shardserver import ShardServer
 from repro.util import arrays
+from tests.conftest import fetch_block, same_responses
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -40,10 +49,13 @@ TASKS = [
 ]
 
 RESPONSES = [
-    (3, [(1, 3), (70000, 4)]),                                  # probe
-    ([[11, 12], [], [2**40]], {5: ("movie", None), 6: ("movie", "x")}),
-    [[(20, ((True, False), (False, True)))], []],               # edge
-    ([], {}),                                                   # empty fetch
+    (3, np.array([(1, 3), (70000, 4)])),                        # probe
+    fetch_block([[11, 12], [], [2**40]],
+                {11: ("movie", None), 12: ("movie", "x"),
+                 2**40: ("movie", "movie_3")}),
+    # edge: one neighbour of combo 0, member 0 -> 20 and 20 -> member 1
+    (2, np.array([1, 0]), np.array([20]), np.array([0b1001])),
+    fetch_block([], {}),                                        # empty fetch
 ]
 KINDS = ["probe", "fetch", "edge", "fetch"]
 
@@ -178,14 +190,19 @@ class TestBinaryCodecs:
         views = [memoryview(buf) for buf in buffers]
         decoded = protocol.decode_shard_responses_binary(
             metas, views, expected_kinds=KINDS)
-        assert decoded == RESPONSES
+        assert same_responses(decoded, RESPONSES)
         checked, pairs = decoded[0]
-        assert type(checked) is int
-        assert all(type(pair) is tuple for pair in pairs)
-        assert all(type(v) is int for v in decoded[1][1])
-        for w, flags in decoded[2][0]:
-            assert type(w) is int
-            assert all(type(f) is bool for pair in flags for f in pair)
+        assert type(checked) is int and pairs.shape == (2, 2)
+        # Decode is views over the received buffers: nothing is copied
+        # out per node, so nothing is writable either.
+        block = decoded[1]
+        for array in (pairs, block.lens, block.values, block.info.tags,
+                      block.info.nums, *decoded[2][1:]):
+            assert isinstance(array, np.ndarray)
+            assert not array.flags.writeable
+        assert block.info.ids.tolist() == [11, 12, 2**40]
+        assert block.info.pairs() == {11: ("movie", None), 12: ("movie", "x"),
+                                      2**40: ("movie", "movie_3")}
 
     def test_frame_density_is_pinned(self):
         """Exact wire sizes of one canonical task frame and one
@@ -195,53 +212,98 @@ class TestBinaryCodecs:
             (0, 1, 2, 3), {"id": 1, "op": "scatter"})
         assert len(frame) == 218
         ids = list(range(1000, 2000))
-        response = ([ids[:600], ids[600:]],
-                    {v: ("movie", f"movie_{v}") for v in ids})
+        response = fetch_block([ids[:600], ids[600:]],
+                               {v: ("movie", f"movie_{v}") for v in ids})
         metas, buffers = protocol.encode_shard_responses_binary(
             ["fetch"], [response])
         frame = protocol.encode_binary(
             {"id": 1, "ok": True, "responses_meta": metas}, buffers)
         assert len(frame) == 5132  # ~5 bytes per fetched node
         decoded = read_frame_bytes(frame)
-        assert protocol.decode_shard_responses_binary(
+        assert same_responses(protocol.decode_shard_responses_binary(
             decoded["responses_meta"], decoded.payloads,
-            expected_kinds=["fetch"]) == [response]
+            expected_kinds=["fetch"]), [response])
 
     def test_packed_fetch_info_roundtrip(self):
-        """The dominant wire cost: a fetch info dict whose keys are the
-        payload's distinct ids, values mixing the ``<label>_<n>``
-        template, plain ints, None, and oddballs — must take the packed
-        path and decode to the identical dict."""
-        response = ([[10, 11], [11, 30]],
-                    {10: ("movie", "movie_7"), 11: ("year", 1984),
-                     30: ("award", None)})
+        """The dominant wire cost: the node info of a fetch, values
+        mixing the ``<label>_<n>`` template, plain ints, None, and
+        oddballs, over several labels — decodes to the identical block
+        and reads back as the identical pairs."""
+        info = {10: ("movie", "movie_7"), 11: ("year", 1984),
+                30: ("award", None)}
+        response = fetch_block([[10, 11], [11, 30]], info)
+        assert response.info.labels == ["movie", "year", "award"]
         metas, buffers = protocol.encode_shard_responses_binary(
             ["fetch"], [response])
-        assert len(metas[0]) == 7  # packed form, not JSON triples
+        assert len(metas[0]) == 7
         [decoded] = protocol.decode_shard_responses_binary(
             metas, [memoryview(b) for b in buffers],
             expected_kinds=["fetch"])
-        assert decoded == ([[10, 11], [11, 30]], response[1])
-        # Values the template can't express ride the JSON escape hatch.
-        odd = ([[5]], {5: ("movie", "movie_007")})  # leading zero
-        metas, buffers = protocol.encode_shard_responses_binary(
-            ["fetch"], [odd])
-        assert len(metas[0]) == 7
-        [decoded] = protocol.decode_shard_responses_binary(
-            metas, buffers, expected_kinds=["fetch"])
-        assert decoded == ([[5]], odd[1])
-
-    def test_fetch_info_fallback_when_keys_diverge(self):
-        """Info keys that aren't the distinct payload ids (nothing the
-        engine produces, but the codec must not corrupt them) fall back
-        to JSON triples."""
-        response = ([[1, 2]], {9: ("movie", "x")})
+        assert same_responses(decoded, response)
+        assert decoded.info.pairs() == info
+        # Values the template can't express ride the meta, in id order.
+        odd = {5: ("movie", "movie_007"), 6: ("movie", [1, "x"]),
+               7: ("movie", 2**70), 8: ("movie", "movie_8")}
+        response = fetch_block([[8, 7, 6, 5]], odd)
+        assert response.info.others == ["movie_007", [1, "x"], 2**70]
         metas, buffers = protocol.encode_shard_responses_binary(
             ["fetch"], [response])
-        assert len(metas[0]) == 4  # fallback form
+        [decoded] = protocol.decode_shard_responses_binary(
+            json.loads(json.dumps(metas)), buffers, expected_kinds=["fetch"])
+        assert same_responses(decoded, response)
+        assert decoded.info.pairs() == odd
+
+    def test_fetch_info_wider_than_a_tag_byte(self):
+        """The JSON-triples fallback is gone: what it carried that the
+        packed form refused — more than 63 labels, so tags past one
+        byte — rides the same width-adaptive columns, and a peer still
+        sending the four-element fallback meta gets a typed error."""
+        info = {v: (f"label{v}", v) for v in range(100, 170)}
+        response = fetch_block([sorted(info)], info)
+        metas, buffers = protocol.encode_shard_responses_binary(
+            ["fetch"], [response])
+        assert len(metas[0]) == 7 and metas[0][5][0] == "u2"
         [decoded] = protocol.decode_shard_responses_binary(
             metas, buffers, expected_kinds=["fetch"])
-        assert decoded == ([[1, 2]], {9: ("movie", "x")})
+        assert same_responses(decoded, response)
+        assert decoded.info.pairs() == info
+        with pytest.raises(ShardProtocolError):
+            protocol.decode_shard_responses_binary(
+                [["fetch", [[9, "movie", "x"]], metas[0][3], metas[0][4]]],
+                buffers, expected_kinds=["fetch"])
+
+    def test_block_codec_is_the_identity_on_what_a_shard_answers(self):
+        """``decode(encode(handle(task)))`` equals the block ``handle``
+        returned, field by field: empty tasks, arity-0 combos, payloads
+        with kind-3 values, every task kind."""
+        graph = Graph()
+        years = [graph.add_node("year", value=1990 + i) for i in range(3)]
+        values = ["movie_0", "movie_007", None, 2.5, ["x", 1], 2**70, 7]
+        movies = [graph.add_node("movie", value=v) for v in values]
+        for i, m in enumerate(movies):
+            graph.add_edge(m, years[i % 3])
+        schema = AccessSchema([AccessConstraint((), "year", 10),
+                               AccessConstraint(("year",), "movie", 10)])
+        runtime = inline_runtime(graph, schema)
+        tasks = [("fetch", 0, [()]), ("fetch", 0, []), ("fetch", 1, []),
+                 ("fetch", 1, [(y,) for y in years] + [(10**6,)]),
+                 ("edge", 1, [(y,) for y in years]), ("edge", 1, []),
+                 ("probe", movies, years), ("probe", [], [])]
+        kinds = [task[0] for task in tasks]
+        answered = [runtime.handle(task) for task in tasks]
+        assert answered[0].lens.tolist() == [3]          # the arity-0 scan
+        assert answered[3].lens.tolist() == [3, 2, 2, 0]
+        assert answered[3].info.labels == ["movie"]
+        assert answered[3].info.others == ["movie_007", 2.5, ["x", 1], 2**70]
+        assert answered[3].info.pairs() == {
+            m: ("movie", v) for m, v in zip(movies, values)}
+        metas, buffers = protocol.encode_shard_responses_binary(
+            kinds, answered)
+        decoded = protocol.decode_shard_responses_binary(
+            json.loads(json.dumps(metas)),
+            [memoryview(b) for b in buffers], expected_kinds=kinds)
+        for task, want, got in zip(tasks, answered, decoded):
+            assert same_responses(got, want), task
 
     def test_kind_mismatch_is_typed(self):
         metas, buffers = protocol.encode_shard_responses_binary(
@@ -282,13 +344,63 @@ class TestBinaryCodecs:
         """An edge entry's flags are one int64 mask, two bits per combo
         member: an arity beyond 31 is a lie, not a bigger loop."""
         metas, buffers = protocol.encode_shard_responses_binary(
-            ["edge"], [[[(20, ((True, False),))]]])
+            ["edge"], [(1, np.array([1]), np.array([20]), np.array([1]))])
         metas[0][1] = arity
         start = time.perf_counter()
         with pytest.raises(ShardProtocolError):
             protocol.decode_shard_responses_binary(
                 metas, buffers, expected_kinds=["edge"])
         assert time.perf_counter() - start < 1.0
+
+
+    @pytest.mark.parametrize("kind, response", [
+        ("fetch", fetch_block([[10, 11, 12]], {10: ("m", 1), 11: ("m", 2),
+                                               12: ("m", 3)})
+         ._replace(lens=np.array([3, -1, 1]))),
+        ("edge", (1, np.array([3, -1, 1]), np.array([10, 11, 12]),
+                  np.array([1, 1, 1]))),
+    ])
+    def test_negative_segment_lengths_are_typed(self, kind, response):
+        """``[3, -1, 1]`` adds up to its three values: sliced without a
+        sign check it gave node 12 to two combos — a wrong answer where
+        the contract says typed error."""
+        metas, buffers = protocol.encode_shard_responses_binary(
+            [kind], [response])
+        with pytest.raises(ShardProtocolError, match="lengths"):
+            protocol.decode_shard_responses_binary(
+                metas, buffers, expected_kinds=[kind])
+
+
+    @pytest.mark.parametrize("lie", ["label", "others", "count"])
+    def test_fetch_info_lies_are_typed(self, lie):
+        """The pairs are rebuilt long after decode (when ``G_Q`` is
+        read), so a tag naming no label, a kind-3 tag with no value
+        behind it or a column of the wrong length must fail the decode,
+        typed, and not an ``IndexError`` in somebody's ``.gq``."""
+        response = fetch_block([[5, 6]], {5: ("movie", "movie_5"),
+                                          6: ("movie", 2.5)})
+        info = response.info
+        if lie == "label":
+            info.tags = info.tags + 4
+        elif lie == "others":
+            info.others = []
+        else:
+            info.nums = info.nums[:1]
+        metas, buffers = protocol.encode_shard_responses_binary(
+            ["fetch"], [response])
+        with pytest.raises(ShardProtocolError, match="info buffers"):
+            protocol.decode_shard_responses_binary(
+                metas, buffers, expected_kinds=["fetch"])
+
+
+def inline_runtime(graph, schema) -> ShardRuntime:
+    """One shard owning all of ``graph``."""
+    from repro.graph.partition import build_shard_indexes, partition_graph
+
+    partition = partition_graph(graph, 1)
+    [index] = build_shard_indexes(partition, schema)
+    [shard] = partition.shards
+    return ShardRuntime(shard.shard_id, shard.graph, index, shard.owned)
 
 
 # ------------------------------------------------------ encode-once cache
