@@ -3,6 +3,6 @@ evaluation (Section VII). Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-See DESIGN.md for the experiment index and EXPERIMENTS.md for reference
-results.
+See DESIGN.md for the experiment index. The engineering benchmark is
+``benchmarks/ledger/`` (declared in ``BENCHMARK.json``).
 """

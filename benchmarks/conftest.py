@@ -3,7 +3,9 @@
 Scale factors are deliberately modest so the whole suite finishes in
 minutes on a laptop; set ``REPRO_BENCH_SCALE`` (e.g. ``0.2``) to run
 closer to the paper's regime. Results are printed as text tables mirroring
-the paper's figures; EXPERIMENTS.md records a reference run.
+the paper's figures; each script's docstring quotes the paper's own
+numbers. Nothing here gates performance — that is the perf ledger
+(``benchmarks/ledger/``, CI job ``ledger-compare``).
 """
 
 from __future__ import annotations

@@ -71,10 +71,6 @@ def main() -> None:
                       f"({served / seconds:,.0f} qps)")
                 assert identical
 
-    print("\nScaling on real hardware (the 1-vs-4-worker comparison):")
-    print("  PYTHONPATH=src python -m repro.cli bench "
-          "--experiment shard-scaling --scale 0.05")
-
 
 if __name__ == "__main__":
     main()

@@ -63,18 +63,6 @@ def latency_summary(seconds: Iterable[float], prefix: str = "") -> dict:
             f"{prefix}max_ms": stats["max"]}
 
 
-def boundedness_summary(snapshot: Mapping, prefix: str = "") -> dict:
-    """Workload-boundedness columns for a row dict, from a server
-    ``metrics`` snapshot: the schema generation being served, the
-    fraction of admission verdicts that found a bounded plan (rescued
-    queries count as bounded), and the rescue counters. ``prefix``
-    namespaces the keys like :func:`latency_summary`."""
-    return {f"{prefix}schema_version": snapshot.get("schema_version", 0),
-            f"{prefix}bounded_fraction": snapshot.get("bounded_fraction"),
-            f"{prefix}rescued": snapshot.get("rescued", 0),
-            f"{prefix}rescue_failed": snapshot.get("rescue_failed", 0)}
-
-
 def render_series(points: Iterable[tuple], x_label: str, y_label: str,
                   title: str = "") -> str:
     """Render (x, y) points as the text analogue of one figure series."""

@@ -21,7 +21,7 @@ Subcommands::
                    [--log-format json]
     repro metrics  [host:8642] [--json]                  # live snapshot
     repro bench    --experiment exp1 [--experiment ...] [--dataset imdb]
-                   [--scale 0.05] [--artifact art/]
+                   [--scale 0.05]
 
 Patterns use the text DSL of :mod:`repro.pattern.dsl`; schemas are the
 JSON documents of :meth:`repro.constraints.schema.AccessSchema.save`;
@@ -391,62 +391,38 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+#: ``repro bench`` experiments: name -> (``repro.bench`` function, whether
+#: it takes ``--dataset``). The one table behind the ``--experiment``
+#: help and its validation.
+_EXPERIMENTS = {
+    "exp1": ("exp1_percentages", False),
+    "exp3": ("exp3_algorithm_times", False),
+    "fig5-varying-g": ("fig5_varying_g", True),
+    "fig5-varying-q": ("fig5_varying_q", True),
+    "fig5-varying-a": ("fig5_varying_a", True),
+    "fig5-index-size": ("fig5_index_size", True),
+    "fig6-instance": ("fig6_instance_bounded", True),
+}
+
+
 def _cmd_bench(args) -> int:
-    from repro.bench import (
-        engine_throughput,
-        exp1_percentages,
-        exp3_algorithm_times,
-        extension_rescue,
-        fig5_index_size,
-        fig5_varying_a,
-        fig5_varying_g,
-        fig5_varying_q,
-        fig6_instance_bounded,
-        obs_overhead,
-        remote_fleet,
-        render_table,
-        serve_load,
-        shard_scaling,
-        warm_start,
-    )
-    per_dataset = {
-        "fig5-varying-g": fig5_varying_g,
-        "fig5-varying-q": fig5_varying_q,
-        "fig5-varying-a": fig5_varying_a,
-        "fig5-index-size": fig5_index_size,
-        "fig6-instance": fig6_instance_bounded,
-        "extension-rescue": extension_rescue,
-        "remote-fleet": remote_fleet,
-    }
-    #: Experiments that can serve from a compiled artifact (--artifact).
-    artifact_aware = {
-        "engine-throughput": engine_throughput,
-        "warm-start": warm_start,
-        "serve-load": serve_load,
-        "shard-scaling": shard_scaling,
-        "obs-overhead": obs_overhead,
-    }
-    experiments = args.experiment
-    known = {"exp1", "exp3", *per_dataset, *artifact_aware}
-    for name in experiments:
-        if name not in known:
-            print(f"unknown experiment {name!r}", file=sys.stderr)
+    from repro import bench
+
+    for name in args.experiment:
+        if name not in _EXPERIMENTS:
+            print(f"unknown experiment {name!r}; choose from "
+                  f"{', '.join(_EXPERIMENTS)}", file=sys.stderr)
             return 2
     # One process, one memoized dataset build: every experiment in the
     # list shares the repro.bench.datasets caches (the CI smoke path).
-    for name in experiments:
-        if name == "exp1":
-            rows = exp1_percentages(scale=args.scale)
-        elif name == "exp3":
-            rows = exp3_algorithm_times(scale=args.scale)
-        elif name in artifact_aware:
-            rows = artifact_aware[name](args.dataset, scale=args.scale,
-                                        artifact=args.artifact)
-        else:
-            rows = per_dataset[name](args.dataset, scale=args.scale)
-        print(render_table(rows, title=f"{name} "
-                                       f"(dataset={args.dataset}, "
-                                       f"scale={args.scale})"))
+    for name in args.experiment:
+        function, per_dataset = _EXPERIMENTS[name]
+        run = getattr(bench, function)
+        rows = run(args.dataset, scale=args.scale) if per_dataset \
+            else run(scale=args.scale)
+        print(bench.render_table(rows, title=f"{name} "
+                                             f"(dataset={args.dataset}, "
+                                             f"scale={args.scale})"))
     return 0
 
 
@@ -635,20 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run paper experiments")
     p_bench.add_argument("--experiment", required=True, action="append",
-                         help="exp1 | exp3 | fig5-varying-g | fig5-varying-q"
-                              " | fig5-varying-a | fig5-index-size"
-                              " | fig6-instance | engine-throughput"
-                              " | warm-start | serve-load | shard-scaling"
-                              " | remote-fleet | extension-rescue"
-                              " | obs-overhead; "
-                              "repeatable — experiments in one invocation "
-                              "share one dataset build")
+                         help=" | ".join(_EXPERIMENTS) + "; repeatable — "
+                              "experiments in one invocation share one "
+                              "dataset build")
     p_bench.add_argument("--dataset", default="imdb")
     p_bench.add_argument("--scale", type=float, default=0.05)
-    p_bench.add_argument("--artifact",
-                         help="compiled artifact for artifact-aware "
-                              "experiments (engine-throughput, warm-start, "
-                              "serve-load)")
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

@@ -513,19 +513,18 @@ class ProcessShardBackend(ShardBackend):
             # (send_bytes of a pickle is what Connection.send does
             # internally, so worker-side recv() is unchanged).
             blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-            for _, conn, _ in self._workers:
-                conn.send_bytes(blob)
+            for _, conn, worker_shards in self._workers:
+                try:
+                    conn.send_bytes(blob)
+                except OSError:
+                    raise self._worker_died(worker_shards) from None
             by_shard: dict[int, object] = {}
             errors: list[str] = []
             for _, conn, worker_shards in self._workers:
                 try:
                     kind, payload = conn.recv()
                 except EOFError:
-                    self._closed = True
-                    self._terminate()
-                    raise EngineError(
-                        f"shard worker for shards {worker_shards} died "
-                        f"mid-round") from None
+                    raise self._worker_died(worker_shards) from None
                 # Drain every worker before raising: each sends exactly
                 # one response per round, and leaving responses queued
                 # would desynchronize the next round's pipes.
@@ -536,6 +535,15 @@ class ProcessShardBackend(ShardBackend):
             if errors:
                 raise EngineError(f"shard worker error: {'; '.join(errors)}")
         return by_shard
+
+    def _worker_died(self, worker_shards) -> EngineError:
+        """A worker's pipe broke: the survivors may hold rounds nobody
+        will drain, so the whole pool closes (call under ``_lock``)."""
+        self._closed = True
+        atexit.unregister(self.close)
+        self._terminate()
+        return EngineError(
+            f"shard worker for shards {worker_shards} died")
 
     def scatter(self, tasks: list[tuple],
                 shard_sets: list | None = None) -> list[list]:

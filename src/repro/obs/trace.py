@@ -11,8 +11,8 @@ contract that matters is the overhead one:
   tracing on?" — it opens a :class:`child_span`, which no-ops unless a
   parent span is *active in the current context*. With no recorder
   installed nothing is ever active, so the disabled cost is one
-  ``ContextVar`` read per instrumentation point (gated in CI at <5% of
-  prepared qps by ``benchmarks/bench_obs.py``).
+  ``ContextVar`` read per instrumentation point — the path every perf
+  ledger workload's end-to-end ``qps`` is measured on.
 * **Byte-identical answers.** Spans observe; they never touch plans,
   answers or :class:`~repro.accounting.AccessStats` (property-tested in
   ``tests/test_obs.py``).

@@ -184,14 +184,13 @@ class TestBench:
                      "--experiment", "nope", "--scale", "0.01"]) == 2
         assert "ebchk_max_ms" not in capsys.readouterr().out
 
-    def test_warm_start_with_artifact(self, tmp_path, capsys):
-        artifact = tmp_path / "artifact"
-        code = main(["bench", "--experiment", "warm-start",
-                     "--dataset", "imdb", "--scale", "0.01",
-                     "--artifact", str(artifact)])
-        assert code == 0
-        assert "warm_open" in capsys.readouterr().out
-        assert (artifact / "manifest.json").is_file()
+    def test_retired_experiment_names_the_valid_ones(self, capsys):
+        assert main(["bench", "--experiment", "engine-throughput"]) == 2
+        err = capsys.readouterr().err
+        assert "engine-throughput" in err
+        for name in ("exp1", "exp3", "fig5-varying-g", "fig5-varying-q",
+                     "fig5-varying-a", "fig5-index-size", "fig6-instance"):
+            assert name in err
 
     def test_fig6_via_cli(self, capsys):
         code = main(["bench", "--experiment", "fig6-instance",

@@ -104,6 +104,27 @@ class TestExtendSchema:
             == len(plan.added)
         assert len(imdb_engine.query(q).answer) > 0
 
+    @pytest.mark.parametrize("semantics", [SUBGRAPH, SIMULATION])
+    def test_minimum_m_extension_bounds_every_rescued_pattern(
+            self, semantics, imdb_small):
+        """Rescue totality: from the type (1) constraints alone, the
+        minimum-M extension bounds the whole unbounded workload slice."""
+        graph, schema = imdb_small
+        engine = connect((graph, AccessSchema([c for c in schema
+                                               if c.is_type1])))
+        generator = PatternGenerator.from_graph(graph, rng=random.Random(42),
+                                                schema=schema)
+        unbounded = [q for q in generator.generate_many(40)
+                     if not is_effectively_bounded(q, engine.schema,
+                                                   semantics).bounded][:8]
+        assert len(unbounded) == 8
+        plan = plan_extension(engine, unbounded, semantics=semantics)
+        assert plan.added and all(c.bound <= plan.m for c in plan.added)
+        assert engine.extend_schema(plan.added).version == 1
+        assert all(is_effectively_bounded(q, engine.schema,
+                                          semantics).bounded
+                   for q in unbounded)
+
     def test_provenance_recorded(self, imdb_engine):
         plan = plan_extension(imdb_engine, [parse_pattern(UNBOUNDED)])
         imdb_engine.extend_schema(plan.added,
@@ -722,14 +743,3 @@ class TestServerRescue:
         assert "bounded_fraction" in snapshot
         assert snapshot["engine"]["schema_version"] \
             == snapshot["schema_version"]
-
-
-# --------------------------------------------- reporting summary
-def test_boundedness_summary_columns():
-    from repro.bench.reporting import boundedness_summary
-
-    row = boundedness_summary({"schema_version": 2, "bounded_fraction": 0.5,
-                               "rescued": 3, "rescue_failed": 1},
-                              prefix="srv_")
-    assert row == {"srv_schema_version": 2, "srv_bounded_fraction": 0.5,
-                   "srv_rescued": 3, "srv_rescue_failed": 1}

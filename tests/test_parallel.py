@@ -372,6 +372,51 @@ class TestProcessPool:
             ProcessShardBackend(sharded_artifact, [0], AccessSchema([]),
                                 workers=0)
 
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_dead_worker_is_a_typed_error_and_closes_the_pool(
+            self, victim, sharded_artifact, workload):
+        import os
+        import signal
+
+        sub, _ = workload
+        engine = connect(sharded_artifact, workers=2)
+        try:
+            engine.query(sub[0], stats=AccessStats())
+            process = engine._shards._workers[victim][0]
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=5)
+            assert not process.is_alive()
+            with pytest.raises(EngineError, match="died"):
+                engine.query(sub[0], stats=AccessStats())
+            with pytest.raises(EngineError, match="closed"):
+                engine.query(sub[0], stats=AccessStats())
+            assert not any(worker[0].is_alive()
+                           for worker in engine._shards._workers)
+        finally:
+            engine.close()
+            engine.close()
+
+
+def test_label_partition_routes_each_task_to_one_shard(tmp_path, imdb_small,
+                                                       workload):
+    """On a label-partitioned cover every fetch and edge task has one
+    owner, so owner routing sends exactly 1/shards of a broadcast."""
+    graph, schema = imdb_small
+    sub, sim = workload
+    labels = sorted({graph.label_of(v) for v in graph.nodes()})
+    shard_of_label = {label: i % 4 for i, label in enumerate(labels)}
+    connect((graph, schema)).save(
+        tmp_path / "by-label", shards=4,
+        shard_assignment={v: shard_of_label[graph.label_of(v)]
+                          for v in graph.nodes()})
+    with connect(tmp_path / "by-label", backend="inline") as engine:
+        engine.query_batch(sub, SUBGRAPH, stats=AccessStats())
+        engine.query_batch(sim, SIMULATION, stats=AccessStats())
+        backend = engine._shards
+        assert backend.scatter_messages > 0
+        assert backend.scatter_messages_broadcast \
+            == 4 * backend.scatter_messages
+
 
 class TestDeterminism:
     """Satellite: parallel and sequential runs are byte-identical."""
