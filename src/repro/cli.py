@@ -357,7 +357,7 @@ def _cmd_serve(args) -> int:
         asyncio.run(_serve())
     finally:
         service.close()
-    snapshot = service.metrics.snapshot()
+    snapshot = service.local_snapshot()
     print(f"shutdown complete: answered={snapshot['answered']} "
           f"rejected={sum(snapshot['rejected'].values())} "
           f"rescued={snapshot['rescued']} "

@@ -408,6 +408,13 @@ class QueryEngine:
         return self._schema_index
 
     @property
+    def backend(self):
+        """The :class:`~repro.engine.parallel.ShardBackend` of a sharded
+        session (its scatter counters, ``wire_stats()``,
+        ``shard_metrics()``), or ``None`` for an ordinary session."""
+        return self._shards
+
+    @property
     def sharded(self) -> bool:
         """True for scatter-gather sessions opened from sharded artifacts."""
         return self._shards is not None

@@ -111,7 +111,7 @@ def workload_stats(engine, labels: set[str]) -> WorkloadStats:
         counts: dict = {}
         bounds: dict = {}
         for shard_counts, shard_bounds in \
-                engine._shards.extension_stats(sorted(labels)):
+                engine.backend.extension_stats(sorted(labels)):
             for label, count in shard_counts.items():
                 counts[label] = counts.get(label, 0) + count
             for key, bound in shard_bounds.items():

@@ -57,6 +57,7 @@ import atexit
 import json
 import multiprocessing
 import pickle
+import signal
 import threading
 import time
 from typing import Sequence
@@ -381,7 +382,13 @@ def _shard_worker_main(conn, artifact_path: str, shard_ids: list[int]) -> None:
     a failed round reports instead of wedging the parent. The ready
     message carries each shard's owned-label set, the per-label half of
     the parent's owner-routing metadata.
+
+    SIGTERM gets its default action back first: a forked worker inherits
+    the parent's Python handlers, and one that raises (``SystemExit``)
+    would otherwise become an error reply mid-round while the worker
+    lives on past the pool's ``terminate()``.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         from repro.engine import persist
         runtimes = persist.load_shard_runtimes(artifact_path, shard_ids)
@@ -426,7 +433,7 @@ def _shard_worker_main(conn, artifact_path: str, shard_ids: list[int]) -> None:
             else:
                 raise EngineError(f"unknown worker message {kind!r}")
             conn.send(("ok", payload))
-        except BaseException as exc:  # noqa: BLE001 — keep serving
+        except Exception as exc:  # noqa: BLE001 — keep serving
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
     conn.close()
 

@@ -748,7 +748,7 @@ def save_extended_sharded(engine, source, path) -> dict:
     src_manifest = _read_manifest(source)
     if src_manifest.get("layout") != "sharded":
         raise EngineError(f"artifact at {source} is not sharded")
-    backend = getattr(engine, "_shards", None)
+    backend = engine.backend
     if not isinstance(backend, InlineShardBackend):
         raise EngineError(
             "saving an extended sharded artifact requires an inline "

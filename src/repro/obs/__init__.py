@@ -1,19 +1,21 @@
 """Observability: distributed tracing, fleet telemetry, and export.
 
-Three small pieces, one contract (see DESIGN.md § Observability):
+Small pieces, one contract (see DESIGN.md § Observability):
 
 * :mod:`repro.obs.trace` — span trees over the request path, propagated
   in-process via ``contextvars`` and across the shard wire as a
   ``trace`` field; near-zero-cost when no recorder is installed.
-* :mod:`repro.obs.promexport` — Prometheus text rendering of the
-  ``metrics`` snapshot plus the scrape endpoint behind
-  ``repro serve --metrics-port``.
+* :mod:`repro.obs.registry` — every exported metric declared once, and
+  the store the service and shard servers add to by declared name;
+  :mod:`repro.obs.promexport` (Prometheus text and the scrape endpoint)
+  and :mod:`repro.obs.report` (the ``repro metrics`` table) walk it.
 * :mod:`repro.obs.logs` — structured (text/JSON) logging under the
   ``repro.*`` namespace with trace ids stamped on request-scoped lines.
 """
 
 from repro.obs.logs import setup_logging
 from repro.obs.promexport import MetricsHTTPServer, render_prometheus
+from repro.obs.registry import METRICS, MetricStore
 from repro.obs.report import render_metrics_table
 from repro.obs.trace import (
     Span,
@@ -26,6 +28,8 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "METRICS",
+    "MetricStore",
     "MetricsHTTPServer",
     "Span",
     "Trace",

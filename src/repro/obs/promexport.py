@@ -1,12 +1,10 @@
 """Prometheus text-format export of a service metrics snapshot.
 
-:func:`render_prometheus` turns the JSON snapshot the ``metrics`` op
-already serves (front-end counters + merged per-shard fleet snapshots +
-bound-utilization histogram) into Prometheus exposition text, and
-:class:`MetricsHTTPServer` serves it on ``GET /metrics`` from a
-background thread — ``repro serve --metrics-port`` wires the two
-together. Rendering is read-only over one snapshot dict: no state, no
-client library, no new dependency.
+:func:`render_prometheus` walks the declared metrics
+(:mod:`repro.obs.registry`) over the JSON the ``metrics`` op serves, and
+:class:`MetricsHTTPServer` serves the text on ``GET /metrics`` from a
+background thread (``repro serve --metrics-port``). No state, no client
+library, no new dependency.
 """
 
 from __future__ import annotations
@@ -16,25 +14,13 @@ import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.obs.registry import HISTOGRAM, HISTOGRAM_PARTS, METRICS, QUANTILES, SUMMARY, samples
+
 _log = logging.getLogger("repro.metrics")
 
-#: Snapshot keys exported as plain ``repro_<key>`` gauges/counters when
-#: present (counter-like names get a ``_total`` suffix).
-_COUNTERS = ("requests", "admitted", "answered", "answered_inline",
-             "deadline_expired", "errors", "batches", "batched_requests",
-             "reloads", "rescued", "rescue_failed", "rescued_constraints")
-_GAUGES = ("qps", "recent_qps", "bounded_fraction", "uptime_s",
-           "mean_batch_size", "queue_depth", "window_size")
-
-#: Per-shard integer fields from the fleet ``shards`` block exported as
-#: ``repro_shard_<field>{shard="..."}``.
-_SHARD_FIELDS = ("requests", "scatter_rounds", "tasks_handled",
-                 "extensions_applied", "reloads", "traced_requests")
-
-#: Backend scatter counters (front-end side) from the ``backend`` block.
-_BACKEND_FIELDS = ("scatter_rounds", "tasks_scattered", "scatter_messages",
-                   "scatter_messages_broadcast", "reconnects",
-                   "rounds_overlapped")
+#: Prometheus TYPE per kind where the two differ: the quantile labels are
+#: names ("p50"), which a Prometheus summary would reject.
+_TYPE = {SUMMARY: "gauge"}
 
 
 def _escape(value) -> str:
@@ -43,172 +29,45 @@ def _escape(value) -> str:
 
 
 def _num(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    if isinstance(value, str):
+        return "1"  # a shard's error text: the series marks the shard
+    return str(int(value)) if isinstance(value, int) else repr(float(value))
 
 
-class _Writer:
-    """Accumulates exposition lines, emitting HELP/TYPE once per metric."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self._seen: set[str] = set()
-
-    def sample(self, name: str, value, labels: dict | None = None, *,
-               kind: str = "gauge", help_text: str = "") -> None:
-        if value is None:
-            return
-        if name not in self._seen:
-            self._seen.add(name)
-            if help_text:
-                self.lines.append(f"# HELP {name} {help_text}")
-            self.lines.append(f"# TYPE {name} {kind}")
-        label_s = ""
-        if labels:
-            inner = ",".join(f'{k}="{_escape(v)}"'
-                             for k, v in sorted(labels.items()))
-            label_s = "{" + inner + "}"
-        self.lines.append(f"{name}{label_s} {_num(value)}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+def _line(name: str, labels: dict, value) -> str:
+    inner = ",".join(f'{k}="{_escape(v)}"' for k, v in sorted(labels.items()))
+    return f"{name}{{{inner}}} {_num(value)}" if inner else f"{name} {_num(value)}"
 
 
 def render_prometheus(snapshot: dict) -> str:
-    """Render one service metrics snapshot as Prometheus text.
-
-    Tolerant of partial snapshots (a minimal :class:`ServerMetrics`
-    snapshot renders fine; fleet/engine blocks are exported only when
-    present), so the same renderer serves unit tests, single-process
-    services, and remote-shard fleets.
-    """
-    w = _Writer()
-    for key in _COUNTERS:
-        w.sample(f"repro_{key}_total", snapshot.get(key), kind="counter")
-    for key in _GAUGES:
-        w.sample(f"repro_{key}", snapshot.get(key))
-    for reason, count in sorted(snapshot.get("rejected", {}).items()):
-        w.sample("repro_rejected_total", count, {"reason": reason},
-                 kind="counter",
-                 help_text="Requests rejected at admission, by reason.")
-    for quantile, value in sorted(snapshot.get("latency_ms", {}).items()):
-        w.sample("repro_latency_ms", value, {"quantile": str(quantile)},
-                 help_text="Answer latency over the sliding window, ms.")
-
-    # Bound telemetry: the paper's worst-case access bound vs what the
-    # query actually touched, as a cumulative utilization histogram.
-    bound = snapshot.get("bound_utilization")
-    if bound:
-        cumulative = 0
-        for le, count in bound.get("buckets", ()):
-            cumulative += count
-            infinite = isinstance(le, str) or le == float("inf")
-            w.sample("repro_bound_utilization_bucket", cumulative,
-                     {"le": "+Inf" if infinite else _num(le)},
-                     kind="histogram",
-                     help_text=("Actual accesses / admitted worst-case "
-                                "bound, per answered query."))
-        w.sample("repro_bound_utilization_sum", bound.get("utilization_sum"))
-        w.sample("repro_bound_utilization_count", bound.get("samples"))
-        w.sample("repro_bound_violations_total", bound.get("violations"),
-                 kind="counter",
-                 help_text=("Answered queries whose actual accesses "
-                            "exceeded the admitted bound (should stay 0)."))
-        w.sample("repro_bound_admitted_accesses_total",
-                 bound.get("bound_sum"), kind="counter")
-        w.sample("repro_bound_actual_accesses_total",
-                 bound.get("actual_sum"), kind="counter")
-
-    backend = snapshot.get("backend")
-    if backend:
-        w.sample("repro_backend_num_shards", backend.get("num_shards"))
-        for field in _BACKEND_FIELDS:
-            w.sample(f"repro_backend_{field}_total", backend.get(field),
-                     kind="counter")
-        w.sample("repro_scatter_dedup_hits_total",
-                 backend.get("scatter_dedup_hits"), kind="counter",
-                 help_text=("Cross-execution fetch/edge cells answered "
-                            "from an in-flight duplicate instead of a "
-                            "second shard round trip."))
-        # Front-end wire telemetry: bytes each way per shard connection
-        # plus cumulative request-encode time.
-        for entry in backend.get("wire_by_shard", ()):
-            if not isinstance(entry, dict):
-                continue
-            shard_label = str(entry.get("shard_id", "?"))
-            for direction, field in (("sent", "bytes_sent"),
-                                     ("received", "bytes_received")):
-                w.sample("repro_shard_wire_bytes_total", entry.get(field),
-                         {"shard": shard_label, "direction": direction},
-                         kind="counter",
-                         help_text=("Bytes on the wire per shard "
-                                    "connection, by direction "
-                                    "(front-end side)."))
-            w.sample("repro_shard_wire_encode_ms_total",
-                     entry.get("encode_ms"), {"shard": shard_label},
-                     kind="counter",
-                     help_text=("Cumulative request-encode time per "
-                                "shard connection, ms."))
-            w.sample("repro_shard_inflight", entry.get("inflight"),
-                     {"shard": shard_label},
-                     help_text=("Requests currently awaiting a response "
-                                "on the shard connection."))
-            w.sample("repro_shard_inflight_peak", entry.get("inflight_peak"),
-                     {"shard": shard_label},
-                     help_text=("High-water mark of concurrently "
-                                "in-flight requests per shard "
-                                "connection."))
-
-    for shard in snapshot.get("shards", ()):
-        if not isinstance(shard, dict):
+    """Render one ``metrics`` snapshot as Prometheus text: each declared
+    metric with a value in it, its HELP and TYPE lines ahead of its
+    samples. A partial snapshot renders the families it has values for."""
+    lines: list[str] = []
+    for metric in METRICS:
+        found = samples(metric, snapshot)
+        if not found:
             continue
-        labels = {"shard": str(shard.get("shard_id", "?"))}
-        if "error" in shard:
-            w.sample("repro_shard_unreachable", 1, labels,
-                     help_text="Shard whose metrics fan-out failed.")
-            continue
-        for field in _SHARD_FIELDS:
-            w.sample(f"repro_shard_{field}_total", shard.get(field), labels,
-                     kind="counter",
-                     help_text=f"Per-shard-server {field}.")
-        w.sample("repro_shard_scatter_seconds_total",
-                 shard.get("scatter_seconds"), labels, kind="counter")
-        w.sample("repro_shard_uptime_s", shard.get("uptime_s"), labels)
-        wire = shard.get("wire")
-        if isinstance(wire, dict):
-            # Server-side byte counters, labelled from the shard's own
-            # perspective (its "sent" is the front-end's "received").
-            for direction, field in (("sent", "bytes_sent"),
-                                     ("received", "bytes_received")):
-                w.sample("repro_shard_server_wire_bytes_total",
-                         wire.get(field),
-                         {"shard": labels["shard"],
-                          "direction": direction}, kind="counter",
-                         help_text=("Bytes on the wire per shard server, "
-                                    "by direction (server side)."))
-
-    plan_cache = snapshot.get("plan_cache")
-    if plan_cache:
-        w.sample("repro_plan_cache_hits_total", plan_cache.get("hits"),
-                 kind="counter")
-        w.sample("repro_plan_cache_misses_total", plan_cache.get("misses"),
-                 kind="counter")
-        w.sample("repro_plan_cache_size", plan_cache.get("size"))
-
-    tracing = snapshot.get("tracing")
-    if tracing:
-        w.sample("repro_traces_finished_total",
-                 tracing.get("traces_finished"), kind="counter")
-        w.sample("repro_slow_queries_total", tracing.get("slow_queries"),
-                 kind="counter")
-
-    engine = snapshot.get("engine")
-    if isinstance(engine, dict):
-        w.sample("repro_schema_version", engine.get("schema_version"))
-    return w.text()
+        lines += [f"# HELP {metric.name} {metric.help}",
+                  f"# TYPE {metric.name} {_TYPE.get(metric.kind, metric.kind)}"]
+        for _, labels, value in found:
+            if metric.kind == SUMMARY:
+                lines += [_line(metric.name, {**labels, "quantile": q},
+                                value[q]) for q in QUANTILES if q in value]
+            elif metric.kind == HISTOGRAM:
+                parts = {suffix: value[key]
+                         for suffix, key in HISTOGRAM_PARTS.items()}
+                cumulative = 0
+                for le, n in parts.pop("_bucket"):
+                    cumulative += n
+                    lines.append(_line(metric.name + "_bucket", {
+                        **labels, "le": le if isinstance(le, str)
+                        else _num(le)}, cumulative))
+                lines += [_line(metric.name + suffix, labels, part)
+                          for suffix, part in parts.items()]
+            else:
+                lines.append(_line(metric.name, labels, value))
+    return "\n".join(lines) + "\n"
 
 
 class _Handler(BaseHTTPRequestHandler):

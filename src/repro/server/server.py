@@ -244,7 +244,7 @@ class QueryServer:
                 raise ServerError(f"unknown op {op!r}")
         except Exception as exc:  # noqa: BLE001 — a request must never kill the loop
             if not protocol.is_repro_error(exc):
-                self.service.metrics.record_error()
+                self.service.metrics.inc("errors")
                 exc = ServerError(f"internal error: {type(exc).__name__}: {exc}")
             await self._write(writer, write_lock,
                               protocol.error_response(request_id, exc),
@@ -310,7 +310,7 @@ class QueryServer:
             else:
                 outcome = await self._execute_queued(item)
             if isinstance(outcome, DeadlineExceeded):
-                self.service.metrics.record_deadline_expired()
+                self.service.metrics.inc("deadline_expired")
                 if root is not None:
                     root.set(status="deadline_expired")
                 await self._write(writer, write_lock,
@@ -322,8 +322,11 @@ class QueryServer:
                 raise outcome
             if root is not None:
                 root.set(status="answered")
-            self.service.metrics.record_answered(
-                self._loop.time() - item.admitted_at, inline=inline)
+            # The latency window is clocked from admission; the queued
+            # lane's answers are ``answered`` minus the inline ones.
+            self.service.metrics.add({
+                "answered": 1, "answered_inline": inline,
+                "latency_ms": (self._loop.time() - item.admitted_at) * 1e3})
             await self._write(writer, write_lock,
                               {"id": request_id, "ok": True, **outcome},
                               binary=binary)
@@ -367,7 +370,7 @@ class QueryServer:
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
-            self.service.metrics.record_rejected("overloaded")
+            self.service.metrics.inc("rejected.overloaded")
             raise ServiceOverloaded(
                 f"request queue at capacity ({self.service.max_queue});"
                 f" retry with backoff",

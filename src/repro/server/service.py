@@ -33,6 +33,7 @@ result without planning anything.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 
 from repro.core.actualized import SEMANTICS, SUBGRAPH
@@ -52,10 +53,10 @@ from repro.errors import (
     ServerError,
 )
 from repro.matching.simulation import relation_pairs
+from repro.obs.registry import METRICS, MetricStore
 from repro.obs.trace import Span, TraceRecorder, activate, child_span
 from repro.pattern.dsl import parse_pattern
 from repro.pattern.pattern import Pattern
-from repro.server.metrics import ServerMetrics
 
 #: Largest admitted bound (``worst_case_total_accessed``) the front-end
 #: answers on the thread that read the frame instead of handing it to
@@ -192,7 +193,9 @@ class QueryService:
         # may now rescue it.
         self._rescue_failures = PlanCache(maxsize=512)
         self.tracer = tracer
-        self.metrics = ServerMetrics()
+        #: Counters, bound histogram and latency window, added to by
+        #: their declared names (:mod:`repro.obs.registry`).
+        self.metrics = MetricStore("service")
         # Admission parse cache: serving traffic repeats a handful of
         # query texts, so the DSL parse is paid once per text, not per
         # request (patterns are read-only once built — sharing is safe).
@@ -217,7 +220,7 @@ class QueryService:
         plan's worst-case access bound exceeds ``max_cost``; either way
         nothing touches the data graph.
         """
-        self.metrics.record_request()
+        self.metrics.inc("requests")
         with child_span("admission", semantics=semantics) as span:
             if isinstance(pattern, str):
                 pattern = self._parse(pattern)
@@ -227,7 +230,7 @@ class QueryService:
             try:
                 prepared = self.engine.prepare(pattern, semantics)
             except NotEffectivelyBounded:
-                self.metrics.record_rejected("unbounded")
+                self.metrics.inc("rejected.unbounded")
                 raise
             admitted = self._finish_admission(prepared, pattern, semantics,
                                               limit)
@@ -241,13 +244,13 @@ class QueryService:
         path (which re-prepares under the rescue lock)."""
         cost = prepared.worst_case_total_accessed
         if self.max_cost is not None and cost > self.max_cost:
-            self.metrics.record_rejected("over_budget")
+            self.metrics.inc("rejected.over_budget")
             raise AdmissionRejected(
                 f"query bound {cost:g} exceeds the admission budget "
                 f"{self.max_cost:g} (worst-case data accessed; raise "
                 f"--max-cost or tighten the pattern)",
                 cost=cost, budget=self.max_cost)
-        self.metrics.record_admitted()
+        self.metrics.inc("admitted")
         return AdmittedQuery(pattern=pattern, semantics=semantics, cost=cost,
                              prepared=prepared,
                              limit=self.answer_limit if limit is None
@@ -289,7 +292,7 @@ class QueryService:
                 and failed_at == self.engine.schema_version:
             # Known unrescuable at this generation: fail fast without
             # re-planning (and without touching the rescue lock).
-            self.metrics.record_rescue_failed()
+            self.metrics.inc("rescue_failed")
             raise NotEffectivelyBounded(
                 f"not effectively bounded, and not rescuable within "
                 f"extend-budget {self.extend_budget} (cached verdict at "
@@ -304,7 +307,7 @@ class QueryService:
                 # rescued only once admission (the cost budget) accepts.
                 admitted = self._finish_admission(prepared, pattern,
                                                   semantics, limit)
-                self.metrics.record_rescued(0)
+                self.metrics.inc("rescued")
                 if rsp is not None:
                     rsp.set(constraints_added=0, piggybacked=True)
                 return admitted
@@ -326,18 +329,19 @@ class QueryService:
             except ExtensionError as exc:
                 self._rescue_failures.put(failure_key,
                                           engine.schema_version)
-                self.metrics.record_rescue_failed()
+                self.metrics.inc("rescue_failed")
                 raise NotEffectivelyBounded(
                     f"not effectively bounded, and not rescuable within "
                     f"extend-budget {self.extend_budget}: {exc}") from exc
             prepared = engine.prepare(pattern, semantics)
-            # record_rescued only after the cost-budget half accepts:
+            # Counted only after the cost-budget half accepts:
             # "rescued" means re-admitted, not merely bounded — an
             # over-budget rescue is an AdmissionRejected, and counting
             # it rescued would fake the bounded_fraction.
             admitted = self._finish_admission(prepared, pattern, semantics,
                                               limit)
-            self.metrics.record_rescued(len(report.added))
+            self.metrics.add({"rescued": 1,
+                              "rescued_constraints": len(report.added)})
             if rsp is not None:
                 rsp.set(constraints_added=len(report.added),
                         schema_version=engine.schema_version)
@@ -372,7 +376,7 @@ class QueryService:
         its batch-mates.
         """
         engine = self._acquire_engine()
-        self.metrics.record_batch(len(requests))
+        self.metrics.add({"batches": 1, "batched_requests": len(requests)})
         # Tracing crosses the thread boundary explicitly: the first
         # traced request's root span hosts the batch span (and the wave
         # and shard-RPC spans execution emits under it); batch-mates
@@ -423,11 +427,22 @@ class QueryService:
         try:
             run = engine.query(request.pattern, request.semantics)
         except BoundExceeded as exc:
-            self.metrics.record_bound(exc.bound, exc.accessed)
+            self._observe_bound(exc.bound, exc.accessed)
             return exc
         except ReproError as exc:
             return exc
         return self._serialize_safe(request, run)
+
+    def _observe_bound(self, bound, accessed: int) -> None:
+        """Bound telemetry for one executed query: the admission-time
+        worst-case bound (the paper's promise) against the accesses the
+        execution really made. Utilization over 1.0 is a violation — a
+        soundness bug, counted loudly."""
+        self.metrics.add({
+            "bound_utilization": accessed / bound if bound > 0 else 1.0,
+            "bound_utilization.bound_sum": bound,
+            "bound_utilization.actual_sum": accessed,
+            "bound_utilization.violations": accessed > bound})
 
     def _serialize_safe(self, request: AdmittedQuery, run):
         """Serialize one answer; any failure stays that one request's
@@ -443,7 +458,7 @@ class QueryService:
         # Bound telemetry: the admitted worst-case bound vs what this
         # execution actually touched — the tightness of the paper's
         # promise, per answered query, tracing on or off.
-        self.metrics.record_bound(request.cost, run.stats.total_accessed)
+        self._observe_bound(request.cost, run.stats.total_accessed)
         if request.span is not None:
             request.span.set(bound=request.cost,
                              accessed=run.stats.total_accessed)
@@ -494,8 +509,8 @@ class QueryService:
             # transitions) — the remembered configuration is untouched.
             config = config.replace(workers=0, backend="auto",
                                     shard_addrs=())
-        elif isinstance(self._engine._shards, RemoteShardBackend):
-            self._engine._shards.reload_fleet()
+        elif isinstance(self._engine.backend, RemoteShardBackend):
+            self._engine.backend.reload_fleet()
         engine = connect(path, config=config)
         to_close = None
         with self._engine_lock:
@@ -515,7 +530,7 @@ class QueryService:
         # failures recorded against the old engine's generations would
         # wrongly fast-fail queries the new graph can rescue.
         self._rescue_failures.clear()
-        self.metrics.record_reload()
+        self.metrics.inc("reloads")
         return {"artifact": str(path), "nodes": engine.graph.num_nodes,
                 "edges": engine.graph.num_edges,
                 "constraints": len(engine.schema),
@@ -535,14 +550,40 @@ class QueryService:
         self.engine.close()
 
     # -- inspection ----------------------------------------------------------
-    def snapshot(self, queue_depth: int = 0) -> dict:
-        """The ``metrics`` endpoint payload: live counters + latency
-        percentiles + engine/cache context — plus, on a sharded session,
-        the backend's scatter accounting, and on a remote fleet the
-        per-shard server snapshots gathered over the wire (so one
-        ``metrics`` call observes the whole topology)."""
-        engine = self.engine
+    def local_snapshot(self) -> dict:
+        """What the service recorded plus the gauges derived from it — no
+        engine or fleet context, so no shard round trip."""
         doc = self.metrics.snapshot()
+        uptime = time.monotonic() - self.metrics.started
+        bound = doc["bound_utilization"]
+        bound["mean_utilization"] = (bound["utilization_sum"]
+                                     / bound["samples"]
+                                     if bound["samples"] else 0.0)
+        # Of the queries with a final admission verdict, the share with a
+        # bounded plan. A rescued query counts as bounded (its unbounded
+        # rejection is repaid): this describes the schema served *now*.
+        verdicts = doc["admitted"] + max(
+            0, doc["rejected"]["unbounded"] - doc["rescued"])
+        doc.update({
+            "bounded_fraction": (doc["admitted"] / verdicts
+                                 if verdicts else 1.0),
+            "uptime_s": uptime,
+            "qps": doc["answered"] / uptime if uptime > 0 else 0.0,
+            "recent_qps": self.metrics.recent_rate("latency_ms"),
+            "window_size": self.metrics.window,
+            "mean_batch_size": (doc["batched_requests"] / doc["batches"]
+                                if doc["batches"] else 0.0),
+        })
+        return doc
+
+    def snapshot(self, queue_depth: int = 0) -> dict:
+        """The ``metrics`` endpoint payload: :meth:`local_snapshot` +
+        engine/cache context — plus, on a sharded session, the backend's
+        scatter accounting, and on a remote fleet the per-shard server
+        snapshots gathered over the wire (so one ``metrics`` call
+        observes the whole topology)."""
+        engine = self.engine
+        doc = self.local_snapshot()
         doc.update(self._fleet_snapshot(engine))
         if self.tracer is not None:
             doc["tracing"] = self.tracer.snapshot()
@@ -574,35 +615,26 @@ class QueryService:
 
     @staticmethod
     def _fleet_snapshot(engine: QueryEngine) -> dict:
-        """Backend scatter accounting, plus per-shard server snapshots
-        fanned out over the wire when the backend is remote. A shard
-        whose metrics round fails degrades to an error entry — telemetry
-        must never take the service down with it."""
-        from repro.engine.parallel import RemoteShardBackend, ShardBackend
+        """The backend's declared counters, plus per-shard server
+        snapshots fanned out over the wire when the backend is remote. A
+        shard whose metrics round fails degrades to an error entry —
+        telemetry must never take the service down with it."""
+        from repro.engine.parallel import RemoteShardBackend
 
-        backend = getattr(engine, "_shards", None)
-        if not isinstance(backend, ShardBackend):
+        backend = engine.backend
+        if backend is None:
             return {}
+        counters = [m.place.split(".")[1] for m in METRICS
+                    if m.section == "backend"]
         doc: dict = {"backend": {
             "kind": type(backend).__name__,
-            "num_shards": backend.num_shards,
-            "workers": backend.workers,
             "owner_routing": backend.router is not None,
-            "scatter_rounds": backend.scatter_rounds,
-            "tasks_scattered": backend.tasks_scattered,
-            "scatter_messages": backend.scatter_messages,
-            "scatter_messages_broadcast": backend.scatter_messages_broadcast,
-            "rounds_overlapped": backend.rounds_overlapped,
-            "scatter_dedup_hits": backend.scatter_dedup_hits,
-        }}
+            **{key: getattr(backend, key) for key in counters
+               if hasattr(backend, key)}}}
         if isinstance(backend, RemoteShardBackend):
-            doc["backend"]["reconnects"] = backend.reconnects
             wire = backend.wire_stats()
-            doc["backend"]["wire"] = {
-                "bytes_sent": sum(w["bytes_sent"] for w in wire),
-                "bytes_received": sum(w["bytes_received"] for w in wire),
-                "encode_ms": round(sum(w["encode_ms"] for w in wire), 3),
-            }
+            doc["backend"]["wire"] = {key: sum(w[key] for w in wire) for key
+                                      in ("bytes_sent", "bytes_received", "encode_ms")}
             doc["backend"]["wire_by_shard"] = wire
             try:
                 doc["shards"] = backend.shard_metrics()

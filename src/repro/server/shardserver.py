@@ -43,6 +43,7 @@ from repro.errors import (
     ShardHandshakeMismatch,
     ShardProtocolError,
 )
+from repro.obs.registry import MetricStore
 from repro.server import protocol
 
 _log = logging.getLogger("repro.shardserver")
@@ -101,21 +102,9 @@ class ShardServer:
         self._server: _ShardTCPServer | None = None
         self._thread: threading.Thread | None = None
         self._stop_requested = threading.Event()
-        self._started = time.monotonic()
-        # -- metrics (ints only; torn reads are harmless) -------------------
-        self.requests = 0
-        self.scatter_rounds = 0
-        self.tasks_handled = 0
-        self.extensions_applied = 0
-        self.reloads = 0
-        #: Requests that arrived carrying a front-end trace context.
-        self.traced_requests = 0
-        #: Cumulative wall time spent executing scatter rounds.
-        self.scatter_seconds = 0.0
-        # -- wire telemetry -------------------------------------------------
-        self.wire_bytes_received = 0
-        self.wire_bytes_sent = 0
-        self.binary_frames_received = 0
+        #: Requests, rounds, tasks and wire bytes, added to by their
+        #: declared names (:mod:`repro.obs.registry`).
+        self.metrics = MetricStore("shard")
         #: Deepest per-connection read-ahead observed: >1 proves a
         #: front-end really had multiple requests in flight on one
         #: connection (the pipelining overlap the wire stat gates on).
@@ -210,13 +199,13 @@ class ShardServer:
     # -- dispatch -------------------------------------------------------------
     def dispatch(self, doc: dict) -> dict:
         trace = protocol.decode_trace(doc)
+        self.metrics.add({"requests": 1, "traced_requests": trace is not None})
         if trace is None:
             return self._dispatch(doc)
         # A traced request: time the op server-side and report it back
         # as ``server_ms`` so the front-end's shard_rpc span can split
         # network wait from shard work; the shard's own log line carries
         # the same trace id the front-end span tree does.
-        self.traced_requests += 1
         t0 = time.perf_counter()
         response = self._dispatch(doc)
         server_ms = (time.perf_counter() - t0) * 1000.0
@@ -231,7 +220,6 @@ class ShardServer:
 
     def _dispatch(self, doc: dict) -> dict:
         op = doc.get("op")
-        self.requests += 1
         if op == "hello":
             return self._op_hello(doc)
         if op == "scatter":
@@ -250,7 +238,7 @@ class ShardServer:
             with self._lock:
                 pass  # serialize against a concurrent extend
             self._load()
-            self.reloads += 1
+            self.metrics.inc("reloads")
             return {"op": "reload", "shard_id": self.shard_id,
                     "schema_version": self.schema_version,
                     "manifest_sha256": self.manifest_sha256}
@@ -295,13 +283,12 @@ class ShardServer:
             units = sum(len(task[2]) if task[0] in ("fetch", "edge")
                         else 1 for task in tasks)
             time.sleep(self.task_cost_s * units)
-        self.scatter_rounds += 1
-        self.tasks_handled += len(tasks)
         metas, buffers = protocol.encode_shard_responses_binary(
             [task[0] for task in tasks], raw)
         response = protocol.Frame({"responses_meta": metas},
                                   payloads=buffers, binary=True)
-        self.scatter_seconds += time.perf_counter() - t0
+        self.metrics.add({"scatter_rounds": 1, "tasks_handled": len(tasks),
+                          "scatter_seconds": time.perf_counter() - t0})
         return response
 
     def _op_extend(self, doc: dict) -> dict:
@@ -309,7 +296,7 @@ class ShardServer:
                        for item in doc.get("constraints", ())]
         with self._lock:
             result = self.runtime.extend(constraints)
-        self.extensions_applied += result["built"]
+        self.metrics.inc("extensions_applied", result["built"])
         return {"result": result}
 
     def _op_metrics(self) -> dict:
@@ -319,22 +306,11 @@ class ShardServer:
             "owned_nodes": len(self.runtime.owned),
             "owned_labels": len(self.runtime.owned_labels()),
             "schema_version": self.schema_version,
-            "requests": self.requests,
-            "scatter_rounds": self.scatter_rounds,
-            "tasks_handled": self.tasks_handled,
-            "extensions_applied": self.extensions_applied,
-            "reloads": self.reloads,
-            "traced_requests": self.traced_requests,
-            "scatter_seconds": round(self.scatter_seconds, 6),
-            "uptime_s": time.monotonic() - self._started,
+            **self.metrics.snapshot(),
+            "uptime_s": time.monotonic() - self.metrics.started,
             "pipeline_depth_peak": self.pipeline_depth_peak,
             "delay_ms": round(self.delay_s * 1000.0, 3),
             "task_cost_ms": round(self.task_cost_s * 1000.0, 3),
-            "wire": {
-                "bytes_received": self.wire_bytes_received,
-                "bytes_sent": self.wire_bytes_sent,
-                "binary_frames_received": self.binary_frames_received,
-            },
         }
 
     def __repr__(self) -> str:
@@ -390,9 +366,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 except (ShardProtocolError, ServerError, OSError) as exc:
                     work.put(("error", exc, None))
                     return
-                server.wire_bytes_received += frame.nbytes
-                if frame.binary:
-                    server.binary_frames_received += 1
+                server.metrics.add({
+                    "wire.bytes_received": frame.nbytes,
+                    "wire.binary_frames_received": frame.binary})
                 self._unanswered += 1
                 if self._unanswered > server.pipeline_depth_peak:
                     server.pipeline_depth_peak = self._unanswered
@@ -442,7 +418,7 @@ class _Handler(socketserver.StreamRequestHandler):
             data = protocol.encode_binary(doc, payloads) if binary \
                 else protocol.encode(doc)
             self.wfile.write(data)
-            self.server.shard_server.wire_bytes_sent += len(data)
+            self.server.shard_server.metrics.inc("wire.bytes_sent", len(data))
             return True
         except (OSError, ValueError):
             return False
@@ -507,9 +483,10 @@ def run(args) -> int:
           f"{server.address} (schema v{server.schema_version})",
           flush=True)
     server.wait_until_stopped()
-    print(f"shard {server.shard_id} stopped: {server.requests} requests, "
-          f"{server.scatter_rounds} scatter rounds, "
-          f"{server.tasks_handled} tasks", flush=True)
+    counts = server.metrics
+    print(f"shard {server.shard_id} stopped: {counts['requests']} requests, "
+          f"{counts['scatter_rounds']} scatter rounds, "
+          f"{counts['tasks_handled']} tasks", flush=True)
     return 0
 
 

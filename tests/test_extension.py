@@ -39,6 +39,7 @@ from repro.graph.generators import imdb_like, random_labeled_graph
 from repro.matching.bounded import canonical_answer
 from repro.pattern import parse_pattern
 from repro.pattern.generator import PatternGenerator
+from tests.conftest import distinct_valued_graph
 
 _SETTINGS = dict(max_examples=10, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -371,9 +372,9 @@ class TestGreedyMemoization:
 def graphs_and_queries(draw):
     seed = draw(st.integers(0, 10_000))
     num_nodes = draw(st.integers(8, 24))
-    graph = random_labeled_graph(num_nodes, draw(st.integers(2, 4)),
-                                 draw(st.integers(num_nodes, 3 * num_nodes)),
-                                 seed=seed, value_range=20)
+    graph = distinct_valued_graph(num_nodes, draw(st.integers(2, 4)),
+                                  draw(st.integers(num_nodes, 3 * num_nodes)),
+                                  seed=seed)
     generator = PatternGenerator.from_graph(graph, rng=random.Random(seed + 1))
     queries = [generator.generate(num_nodes=draw(st.integers(2, 4)),
                                   num_predicates=draw(st.integers(0, 1)))
@@ -463,7 +464,7 @@ def test_extended_sharded_artifact_detects_corruption(tmp_path_factory,
     including catalog.json and the incrementally added index payloads —
     raises a typed artifact error at open, never a quiet wrong answer."""
     tmp_path = tmp_path_factory.mktemp("ext-corrupt")
-    graph = random_labeled_graph(16, 3, 40, seed=seed, value_range=10)
+    graph = distinct_valued_graph(16, 3, 40, seed=seed, value_range=10)
     schema = discover_schema(graph, type1_max=3, unit_max=2)
     engine = connect((graph, AccessSchema(list(schema))))
     engine.save(tmp_path / "art", shards=2)
@@ -663,7 +664,7 @@ class TestServerRescue:
             with pytest.raises(NotEffectivelyBounded):
                 service.rescue("x: nolabel; y: nolabel2; x -> y")
         assert len(calls) == 1  # planned once, then the cached verdict
-        assert service.metrics.rescue_failed == 3
+        assert service.metrics["rescue_failed"] == 3
         # A successful rescue bumps the generation, which invalidates
         # the cached failure: the next attempt plans again.
         service.rescue(UNBOUNDED)
@@ -696,7 +697,7 @@ class TestServerRescue:
         assert len(results) == 6
         # One extension happened; the rest re-admitted on its generation.
         assert engine.schema_version == 1
-        assert service.metrics.rescued == 6
+        assert service.metrics["rescued"] == 6
 
     def test_reload_clears_rescue_failure_cache(self, tmp_path,
                                                 monkeypatch):
@@ -712,13 +713,13 @@ class TestServerRescue:
                                workers=2, extend_budget=0)  # budget too small
         with pytest.raises(NotEffectivelyBounded):
             service.rescue(UNBOUNDED)
-        assert service.metrics.rescue_failed == 1
+        assert service.metrics["rescue_failed"] == 1
         service.reload_artifact(tmp_path / "art")
         service.extend_budget = 10 ** 6
         # Without the clear, the cached v0 failure would short-circuit.
         admitted = service.rescue(UNBOUNDED)
         assert admitted.cost > 0
-        assert service.metrics.rescued == 1
+        assert service.metrics["rescued"] == 1
 
     def test_over_budget_rescue_not_counted_rescued(self):
         """A rescue whose re-prepared plan exceeds max_cost is an
@@ -732,8 +733,8 @@ class TestServerRescue:
                                max_cost=0.5)
         with pytest.raises(AdmissionRejected):
             service.rescue(UNBOUNDED)
-        assert service.metrics.rescued == 0
-        assert service.metrics.rejected_over_budget == 1
+        assert service.metrics["rescued"] == 0
+        assert service.metrics["rejected.over_budget"] == 1
 
     def test_service_snapshot_carries_schema_fields(self, rescue_server):
         _, service = rescue_server

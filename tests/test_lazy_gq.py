@@ -179,7 +179,7 @@ def test_overrun_is_refused_not_served(engine, monkeypatch):
     service = QueryService(engine)
     reply = service.execute_batch([service.admit(MATCHING + "; y.value >= 0")])
     assert isinstance(reply[0], BoundExceeded)
-    assert service.metrics.bound_violations == 1
+    assert service.metrics["bound_utilization.violations"] == 1
 
 
 # -------------------------------------------------- oracle, every generator

@@ -13,7 +13,10 @@ Covers the tentpole acceptance criteria of the observability PR:
 * bound telemetry: the admitted worst-case bound vs actual accesses as
   a utilization histogram whose overflow bucket stays empty;
 * the Prometheus renderer, scrape endpoint, ``repro metrics`` CLI,
-  structured JSON logging, and the recent-qps staleness fix.
+  structured JSON logging, and the recent-qps staleness fix;
+* the one declared set: every numeric value of a fleet snapshot is
+  declared in :mod:`repro.obs.registry`, every declared metric renders
+  on both surfaces, and the Prometheus text passes an exposition check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import re
 import socket
 import time
 import urllib.request
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro import AccessStats, connect
 from repro.core.actualized import SIMULATION, SUBGRAPH
+from repro.errors import AdmissionRejected
 from repro.matching.bounded import canonical_answer
 from repro.obs import (
     MetricsHTTPServer,
@@ -45,9 +50,16 @@ from repro.obs import (
     setup_logging,
 )
 from repro.obs.logs import JsonFormatter, TraceIdFilter
+from repro.obs.registry import (
+    HISTOGRAM,
+    HISTOGRAM_PARTS,
+    METRICS,
+    SUMMARY,
+    MetricStore,
+    samples,
+)
 from repro.server import QueryService, ServeClient, ServerThread, protocol
 from repro.server import service as service_module
-from repro.server.metrics import BOUND_BUCKETS, ServerMetrics
 from repro.server.shardserver import ShardServer
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -257,31 +269,37 @@ class TestTraceWireField:
 
 # --------------------------------------------------------- server metrics
 class TestServerMetricsTelemetry:
-    def test_recent_qps_zero_when_window_stale(self):
-        metrics = ServerMetrics()
+    @pytest.fixture()
+    def service(self, imdb_small):
+        service = QueryService(connect(imdb_small), workers=1)
+        yield service
+        service.close()
+
+    def test_recent_qps_zero_when_window_stale(self, service):
         for _ in range(10):
-            metrics.record_answered(0.001)
-        assert metrics.snapshot()["recent_qps"] > 0
+            service.metrics.add({"answered": 1, "latency_ms": 1.0})
+        assert service.snapshot()["recent_qps"] > 0
         # Age the whole window past the staleness horizon.
         stale = time.monotonic() - 3600.0
-        with metrics._lock:
-            metrics._finished_at.clear()
-            metrics._finished_at.extend([stale + i * 0.01
-                                         for i in range(10)])
-        snapshot = metrics.snapshot()
+        with service.metrics._lock:
+            window = service.metrics._windows["latency_ms"]
+            aged = [(stale + i * 0.01, ms) for i, (_, ms) in enumerate(window)]
+            window.clear()
+            window.extend(aged)
+        snapshot = service.snapshot()
         assert snapshot["recent_qps"] == 0.0
         assert snapshot["qps"] > 0  # lifetime rate unaffected
 
-    def test_window_size_reported(self):
-        assert ServerMetrics(window=7).snapshot()["window_size"] == 7
+    def test_window_size_reported(self, service):
+        service.metrics = MetricStore("service", window=7)
+        assert service.snapshot()["window_size"] == 7
 
-    def test_bound_histogram_math(self):
-        metrics = ServerMetrics()
-        metrics.record_bound(100, 10)    # 0.1  -> first bucket
-        metrics.record_bound(100, 95)    # 0.95 -> le 1.0
-        metrics.record_bound(100, 130)   # violation -> +Inf bucket
-        metrics.record_bound(0, 0)       # degenerate bound counts as 1.0
-        bound = metrics.snapshot()["bound_utilization"]
+    def test_bound_histogram_math(self, service):
+        service._observe_bound(100, 10)    # 0.1  -> first bucket
+        service._observe_bound(100, 95)    # 0.95 -> le 1.0
+        service._observe_bound(100, 130)   # violation -> +Inf bucket
+        service._observe_bound(0, 0)       # degenerate bound counts as 1.0
+        bound = service.snapshot()["bound_utilization"]
         assert bound["samples"] == 4
         assert bound["violations"] == 1
         assert bound["bound_sum"] == 300
@@ -293,31 +311,62 @@ class TestServerMetricsTelemetry:
         assert bound["mean_utilization"] == pytest.approx(
             (0.1 + 0.95 + 1.3 + 1.0) / 4)
 
-    def test_answers_are_counted_per_lane_on_every_surface(self):
-        metrics = ServerMetrics()
-        metrics.record_answered(0.001, inline=True)
-        metrics.record_answered(0.002)
-        snapshot = metrics.snapshot()
+    def test_answers_are_counted_per_lane_on_every_surface(self, service):
+        service.metrics.add({"answered": 1, "answered_inline": True,
+                             "latency_ms": 1.0})
+        service.metrics.add({"answered": 1, "answered_inline": False,
+                             "latency_ms": 2.0})
+        snapshot = service.snapshot()
         assert (snapshot["answered"], snapshot["answered_inline"]) == (2, 1)
         text = render_prometheus(snapshot)
         assert "# TYPE repro_answered_inline_total counter" in text
         assert "repro_answered_inline_total 1" in text
         assert re.search(r"answered_inline +1\n", render_metrics_table(snapshot))
 
-    def test_snapshot_is_strict_json(self):
-        metrics = ServerMetrics()
-        metrics.record_bound(10, 10)
-        text = json.dumps(metrics.snapshot(), allow_nan=False)
+    def test_snapshot_is_strict_json(self, service):
+        service._observe_bound(10, 10)
+        text = json.dumps(service.snapshot(), allow_nan=False)
         assert "+Inf" in text
+
+    def test_undeclared_name_is_an_error(self, service):
+        with pytest.raises(KeyError):
+            service.metrics.inc("answerd")
+
+
+def test_concurrent_adds_lose_no_update():
+    """The store is shared by the event loop and the worker threads (a
+    shard server's reader and dispatch threads): every increment lands,
+    the invariant a read-modify-write without the lock could break."""
+    import sys
+    import threading
+
+    store = MetricStore("shard")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work():
+            for _ in range(2000):
+                store.add({"requests": 1, "wire.bytes_sent": 3})
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (store["requests"], store["wire.bytes_sent"]) == (16_000, 48_000)
 
 
 # ------------------------------------------------------------ exporters
 def _sample_snapshot():
-    metrics = ServerMetrics()
-    metrics.record_request()
-    metrics.record_admitted()
-    metrics.record_answered(0.005)
-    metrics.record_bound(200, 50)
+    metrics = MetricStore("service")
+    metrics.inc("requests")
+    metrics.inc("admitted")
+    metrics.add({"answered": 1, "latency_ms": 5.0})
+    metrics.add({"bound_utilization": 50 / 200,
+                 "bound_utilization.bound_sum": 200,
+                 "bound_utilization.actual_sum": 50})
     snapshot = metrics.snapshot()
     snapshot["shards"] = [
         {"shard_id": 0, "requests": 3, "tasks_handled": 5,
@@ -405,8 +454,174 @@ class TestMetricsTable:
         assert "error" in text  # unreachable shard degrades to a row
 
     def test_tolerates_minimal_snapshot(self):
-        assert "traffic" in render_metrics_table(ServerMetrics().snapshot())
+        assert "traffic" in render_metrics_table(
+            MetricStore("service").snapshot())
         assert render_metrics_table({}) == ""
+
+
+# ------------------------------------------------------ one declared set
+_SAMPLE_LINE = re.compile(r"^([a-zA-Z_:][\w:]*)(?:\{(.*)\})? (\S+)$")
+_PARTS = re.compile(r"_(bucket|sum|count)$")
+
+
+def exposition_problems(text: str) -> list[str]:
+    """What a Prometheus text-format reader would reject or misread: a
+    family without exactly one HELP and one TYPE line ahead of its first
+    sample, a family whose samples are split, a histogram typed under
+    another name than its ``_bucket``/``_sum``/``_count`` samples' base
+    or whose cumulative buckets do not end at ``+Inf`` = ``_count``, and
+    a ``quantile`` label that names no quantile."""
+    problems, meta, types, families = [], {}, {}, []
+    buckets, counts = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            _, word, family, *rest = line.split(" ", 3)
+            meta.setdefault(family, Counter())[word] += 1
+            if family in families:
+                problems.append(f"{word} of {family} after its samples")
+            if word == "TYPE":
+                types[family] = rest[0]
+            continue
+        name, label_text, value = _SAMPLE_LINE.match(line).groups()
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', label_text or ""))
+        base = _PARTS.sub("", name)
+        family = base if types.get(base) == "histogram" else name
+        if not families or families[-1] != family:
+            if family in families:
+                problems.append(f"samples of {family} are split")
+            families.append(family)
+        if types.get(family) == "histogram":
+            if family.endswith("_bucket") or family == name:
+                problems.append(f"histogram {family} is not typed under "
+                                f"the base of its samples")
+            key = tuple(sorted((k, v) for k, v in labels.items()
+                               if k != "le"))
+            if name.endswith("_bucket"):
+                buckets.setdefault((family, key), []).append(
+                    (labels.get("le"), float(value)))
+            elif name.endswith("_count"):
+                counts[(family, key)] = float(value)
+        elif _PARTS.search(name):
+            problems.append(f"{name} outside a histogram family")
+        if "quantile" in labels \
+                and not re.fullmatch(r"p\d+|max", labels["quantile"]):
+            problems.append(f"{name} quantile={labels['quantile']!r} is "
+                            f"not a quantile")
+    for family in dict.fromkeys(families):
+        if meta.get(family) != Counter({"HELP": 1, "TYPE": 1}):
+            problems.append(f"{family}: HELP/TYPE lines "
+                            f"{dict(meta.get(family, {}))}")
+    for key, series in buckets.items():
+        values = [n for _, n in series]
+        if values != sorted(values) or series[-1][0] != "+Inf" \
+                or values[-1] != counts.get(key):
+            problems.append(f"{key[0]} buckets are not cumulative up to "
+                            f"+Inf = _count")
+    return list(dict.fromkeys(problems))
+
+
+#: Snapshot paths other programs read — the perf ledger
+#: (``benchmarks/ledger``) and the CI smokes. Whatever the registry
+#: declares, these keep their place.
+COMPAT_PATHS = (
+    "plan_cache.hits", "plan_cache.misses", "plan_cache.evictions",
+    "latency_ms.p50", "mean_batch_size", "answered", "answered_inline",
+    "rescued", "schema_version", "bounded_fraction",
+    "bound_utilization.samples", "bound_utilization.violations",
+    "bound_utilization.mean_utilization", "backend.kind",
+    "backend.scatter_rounds", "backend.wire.bytes_sent",
+    "backend.wire.bytes_received")
+
+
+def _numeric_leaves(doc, path=()):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numeric_leaves(value, (*path, key))
+    elif isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        for i, item in enumerate(doc):
+            yield from _numeric_leaves(item, (*path, i))
+    elif isinstance(doc, list) and doc \
+            or isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def _table_rows(text: str) -> dict[str, set]:
+    rows: dict[str, set] = {}
+    for line in text.splitlines():
+        if line.startswith("  "):
+            rows[section].add(line.split()[0])
+        else:
+            section = line
+            rows[section] = set()
+    return rows
+
+
+class TestOneDeclaredSet:
+    """A 2-shard fleet behind a traced service: the snapshot, the
+    Prometheus text and the table all come from one declaration."""
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, sharded_artifacts, fleets):
+        engine = connect(sharded_artifacts[2], backend="remote",
+                         shard_addrs=fleets[2])
+        service = QueryService(engine, workers=2, max_cost=100_000,
+                               extend_budget=1000,
+                               tracer=TraceRecorder(slow_ms=10_000.0))
+        try:
+            with ServerThread(service) as handle, \
+                    ServeClient(handle.host, handle.port) as client:
+                for text in (BOUNDED, BOUNDED, "s: studio; m: movie; m -> s"):
+                    client.query(text)
+                with pytest.raises(AdmissionRejected):
+                    client.query("m: movie; a: actor; y: year; "
+                                 "m -> y; m -> a")
+            snapshot = service.snapshot()
+        finally:
+            service.close()
+        assert snapshot["rejected"]["over_budget"] == 1
+        # One shard's metrics round failing, as a fleet reports it.
+        degraded = dict(snapshot, shards=[
+            *snapshot["shards"], {"shard_id": 2, "error": "gone"}])
+        return snapshot, degraded
+
+    def test_every_numeric_value_is_declared(self, snapshot):
+        live, _ = snapshot
+        declared = set()
+        for metric in METRICS:
+            for path, _, value in samples(metric, live):
+                parts = value if metric.kind == SUMMARY else \
+                    HISTOGRAM_PARTS.values() if metric.kind == HISTOGRAM \
+                    else None
+                declared.update([path] if parts is None
+                                else [(*path, key) for key in parts])
+        leaves = {path for path in _numeric_leaves(live)
+                  if path[-1] != "shard_id"}  # the label of a shard's dict
+        assert leaves - declared == set()
+
+    def test_every_declared_metric_renders_on_both_surfaces(self, snapshot):
+        _, degraded = snapshot
+        text = render_prometheus(degraded)
+        rows = _table_rows(render_metrics_table(degraded))
+        sampled = {line.split("{")[0].split(" ")[0]
+                   for line in text.splitlines() if not line.startswith("#")}
+        for metric in METRICS:
+            assert sampled & {metric.name, f"{metric.name}_bucket"}, metric
+            path, labels, _ = samples(metric, degraded)[0]
+            row = {SUMMARY: "p50", HISTOGRAM: "histogram"}.get(
+                metric.kind, path[-1])
+            assert row in rows[metric.section.format(**labels)], metric
+
+    def test_exposition_of_a_full_fleet_snapshot(self, snapshot):
+        _, degraded = snapshot
+        assert exposition_problems(render_prometheus(degraded)) == []
+
+    def test_paths_other_programs_read_stay(self, snapshot):
+        live, _ = snapshot
+        for path in COMPAT_PATHS:
+            doc = live
+            for key in path.split("."):
+                doc = doc[key]
+            assert isinstance(doc, (int, float, str)), path
 
 
 # ------------------------------------------------------- structured logs
@@ -508,6 +723,47 @@ def _reject(constant):
     raise ValueError(f"non-strict JSON constant {constant}")
 
 
+def test_serve_cli_scrape_and_clean_shutdown(tmp_path):
+    """``repro serve`` as a process: it answers, its scrape endpoint
+    passes the exposition check, and a ``shutdown`` op drains it to exit
+    0 with the summary line built from the service's own snapshot."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--dataset", "imdb",
+         "--scale", "0.01", "--port", "0", "--metrics-port", "0", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+    try:
+        lines = []
+        while not any(line.startswith("serving on") for line in lines):
+            line = proc.stdout.readline()
+            assert line, "".join(lines)
+            lines.append(line)
+        port = int(re.search(r"serving on [\d.]+:(\d+)", lines[-1])[1])
+        scrape = re.search(r"metrics=(\S+)\)", lines[-1])[1]
+        with ServeClient("127.0.0.1", port) as client:
+            assert client.query(BOUNDED).answer_count > 0
+            with urllib.request.urlopen(scrape) as response:
+                text = response.read().decode()
+            assert "repro_answered_total 1" in text
+            assert exposition_problems(text) == []
+            client.shutdown()
+        out, _ = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, out
+    assert "shutdown complete: answered=1 " in out
+
+
 # ----------------------------------------------------- traced serving
 class TestTracedServing:
     def _two_traced_requests(self, imdb_small, monkeypatch, lane):
@@ -568,8 +824,6 @@ class TestTracedServing:
         assert snapshot["answered_inline"] == snapshot["answered"] == 2
 
     def test_rejected_request_trace_has_status(self, imdb_small):
-        from repro.errors import AdmissionRejected
-
         recorder = TraceRecorder()
         service = QueryService(connect(imdb_small), workers=1,
                                max_cost=0.5, tracer=recorder)
@@ -610,7 +864,7 @@ class TestTracedServing:
                                 else "queued")
 
     def test_untraced_service_records_bound_telemetry(self, imdb_small):
-        """record_bound is unconditional: the histogram fills with the
+        """Bound telemetry is unconditional: the histogram fills with the
         tracer off (the near-zero-cost path still has telemetry)."""
         service = QueryService(connect(imdb_small), workers=1)
         try:

@@ -396,6 +396,57 @@ class TestProcessPool:
             engine.close()
             engine.close()
 
+    def test_sigterm_kills_a_worker_whose_parent_handles_it(
+            self, sharded_artifact, workload, tmp_path, monkeypatch):
+        """A forked worker inherits the parent's Python signal handlers.
+        One that raises ``SystemExit`` (a CLI's graceful stop does) must
+        not turn a SIGTERM mid-round into an error reply from a worker
+        that lives on: the worker dies and the pool reports it dead."""
+        import os
+        import signal
+        import threading
+        import time
+
+        from repro.engine.parallel import ShardRuntime
+
+        sub, _ = workload
+        marker = tmp_path / "mid-round"
+        handle = ShardRuntime.handle
+
+        def slow_handle(runtime, task):
+            marker.touch()
+            time.sleep(30)
+            return handle(runtime, task)
+
+        def stop(signum, frame):
+            raise SystemExit(f"terminated by signal {signum}")
+
+        monkeypatch.setattr(ShardRuntime, "handle", slow_handle)
+        previous = signal.signal(signal.SIGTERM, stop)
+        try:
+            engine = connect(sharded_artifact, workers=1,
+                             mp_context=multiprocessing.get_context("fork"))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        process = engine._shards._workers[0][0]
+
+        def terminate_mid_round():
+            deadline = time.monotonic() + 20
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(process.pid, signal.SIGTERM)
+
+        killer = threading.Thread(target=terminate_mid_round, daemon=True)
+        killer.start()
+        try:
+            with pytest.raises(EngineError, match="died"):
+                engine.query(sub[0], stats=AccessStats())
+            process.join(timeout=5)
+            assert not process.is_alive()
+        finally:
+            killer.join(timeout=30)
+            engine.close()
+
 
 def test_label_partition_routes_each_task_to_one_shard(tmp_path, imdb_small,
                                                        workload):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AccessConstraint, AccessSchema, GraphDelta, connect
+from repro import AccessConstraint, GraphDelta, connect
 from repro.constraints.discovery import discover_schema
 from repro.constraints.index import FrozenConstraintIndex, SchemaIndex
 from repro.core.actualized import SIMULATION, SUBGRAPH
@@ -29,9 +29,9 @@ from repro.errors import (
     EngineError,
 )
 from repro.graph.frozen import FrozenGraph
-from repro.graph.generators import random_labeled_graph
 from repro.matching.simulation import relation_pairs
 from repro.pattern.generator import PatternGenerator
+from tests.conftest import distinct_valued_graph
 
 _SETTINGS = dict(max_examples=12, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -322,8 +322,7 @@ def graph_and_patterns(draw, max_nodes=30, num_labels=4):
     seed = draw(st.integers(0, 10_000))
     num_nodes = draw(st.integers(8, max_nodes))
     num_edges = draw(st.integers(num_nodes, 3 * num_nodes))
-    graph = random_labeled_graph(num_nodes, num_labels, num_edges,
-                                 seed=seed, value_range=20)
+    graph = distinct_valued_graph(num_nodes, num_labels, num_edges, seed=seed)
     if graph.num_edges == 0:
         nodes = list(graph.nodes())
         graph.add_edge(nodes[0], nodes[1])

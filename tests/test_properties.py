@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from repro.core.covers import compute_covers
 from repro.graph.generators import random_labeled_graph
 from repro.matching.simulation import relation_pairs, simulate, simulation_holds
 from repro.matching.vf2 import find_matches
+from repro.pattern import parse_pattern
 from repro.pattern.generator import PatternGenerator
 
 _SETTINGS = dict(max_examples=25, deadline=None,
@@ -270,3 +272,20 @@ def test_worst_case_bounds_hold_at_runtime(data):
     assert result.gq.num_nodes <= plan.worst_case_gq_nodes
     for u in pattern.nodes():
         assert len(result.candidates[u]) <= plan.size_bound(u)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "range hints assume one node per distinct value (core/plan.py); two "
+    "L1 nodes share the value 15 here, so the bound is an estimate"))
+def test_range_hint_bound_with_a_shared_value():
+    """The general case of the range-hint caveat, pinned: on this graph
+    the plan for ``L3 -> L1 (= 15)`` promises 6 accesses and makes 8,
+    which the engine refuses as ``BoundExceeded``. Sound bounds here
+    change what the perf ledger admits, so the fix is its own change."""
+    from repro import AccessStats
+    graph = random_labeled_graph(10, 4, 15, seed=2765, value_range=20)
+    schema = discover_schema(graph, type1_max=3, unit_max=2)
+    plan = qplan(parse_pattern("a: L3; b: L1; a -> b; b.value = 15"), schema)
+    stats = AccessStats()
+    execute_plan(plan, SchemaIndex(graph, schema), stats=stats)
+    assert stats.total_accessed <= plan.worst_case_total_accessed

@@ -456,9 +456,10 @@ class TestLiveNegotiation:
                 stats = remote._shards.wire_stats()
                 assert all(s["bytes_sent"] > 0 and s["bytes_received"] > 0
                            for s in stats)
-            assert any(s.binary_frames_received > 0 for s in servers)
-            assert all(s.wire_bytes_received > 0 and s.wire_bytes_sent > 0
+            assert any(s.metrics["wire.binary_frames_received"] > 0
                        for s in servers)
+            assert all(s.metrics["wire.bytes_received"] > 0
+                       and s.metrics["wire.bytes_sent"] > 0 for s in servers)
         finally:
             for server in servers:
                 server.stop()
@@ -584,7 +585,7 @@ class TestLiveMalformedFrames:
             assert time.perf_counter() - start < 1.0
             assert response["ok"] is False and response["id"] == 7
             assert response["error"] == "ShardProtocolError"
-            assert server.tasks_handled == 0
+            assert server.metrics["tasks_handled"] == 0
             pong = self._exchange(
                 server, protocol.encode({"id": 8, "op": "ping"}),
                 half_close=True)
