@@ -1,13 +1,18 @@
-"""Sharded scatter-gather execution: compile once, fan out everywhere.
+"""Sharded scatter-gather execution: compile once, serve it two ways.
 
 Walkthrough of the sharding subsystem (DESIGN.md "Sharded execution"):
 
 1. compile a dataset stand-in into a *sharded* artifact — an exact node
    cover into halo shards, each with its own access-constraint indexes;
-2. open it inline (``workers=0``) and over a worker-process pool
-   (``workers=2``) and show the answers are byte-identical to the
-   sequential engine — along with the access accounting;
-3. time a batched prepared workload at each worker count.
+2. open it as the merged view (``connect(path)``, the single-host
+   default) and scattered over the shards in this process
+   (``backend="inline"``), and show both give answers *and* access
+   accounting byte-identical to the sequential engine;
+3. time each with the answer memo bypassed: batches of the prepared
+   workload, then the same queries one at a time.
+
+Scaling past one host is the ``repro shard-serve`` fleet's job
+(``backend="remote"``; see ``examples/README.md``).
 
 Run with ``PYTHONPATH=src python examples/shard_scaling.py``.
 """
@@ -18,22 +23,44 @@ import json
 import tempfile
 import time
 
+from repro import connect
 from repro.accounting import AccessStats
 from repro.bench.datasets import get_dataset, get_workload
 from repro.core.ebchk import is_effectively_bounded
-from repro import connect
 from repro.engine import inspect_artifact, render_inspection
 from repro.matching.bounded import canonical_answer
 
-SCALE = 0.02
+SCALE = 0.05
 SHARDS = 4
-DISTINCT = 6
-BATCHES = 10
+DISTINCT = 8
+ROUNDS = 30
+
+
+def fingerprint(engine, workload) -> str:
+    """Canonical answers plus every access counter, as one string."""
+    runs = [engine.query(q, stats=AccessStats(), refresh=True)
+            for q in workload]
+    return json.dumps([(canonical_answer("subgraph", run.answer),
+                        run.execution.stats.as_dict()) for run in runs])
+
+
+def qps(engine, workload) -> tuple[float, float]:
+    """(batched, one-at-a-time) queries per second, memo bypassed."""
+    start = time.perf_counter()
+    for _ in range(ROUNDS):
+        engine.query_batch(workload, stats=AccessStats())
+    batched = ROUNDS * len(workload) / (time.perf_counter() - start)
+    start = time.perf_counter()
+    for _ in range(ROUNDS):
+        for q in workload:
+            engine.query(q, refresh=True)
+    single = ROUNDS * len(workload) / (time.perf_counter() - start)
+    return batched, single
 
 
 def main() -> None:
     graph, schema = get_dataset("imdb", SCALE)
-    pool = get_workload("imdb", SCALE, count=100)
+    pool = get_workload("imdb", SCALE, count=200)
     workload = [q for q in pool
                 if is_effectively_bounded(q, schema, "subgraph").bounded]
     workload = workload[:DISTINCT]
@@ -42,9 +69,7 @@ def main() -> None:
     sequential = connect((graph, schema))
     for query in workload:
         sequential.prepare(query)
-    reference = [canonical_answer("subgraph",
-                                  sequential.query(q).answer)
-                 for q in workload]
+    reference = fingerprint(sequential, workload)
 
     with tempfile.TemporaryDirectory(prefix="repro-shards-") as artifact:
         # One partition + per-shard index build, persisted with per-shard
@@ -52,23 +77,19 @@ def main() -> None:
         sequential.save(artifact, shards=SHARDS)
         print()
         print(render_inspection(inspect_artifact(artifact)))
+        print()
 
-        for workers in (0, 2):
-            with connect(artifact, workers=workers) as engine:
-                answers = [canonical_answer("subgraph",
-                                            engine.query(q).answer)
-                           for q in workload]
-                identical = json.dumps(answers) == json.dumps(reference)
-                start = time.perf_counter()
-                served = 0
-                for _ in range(BATCHES):
-                    served += len(engine.query_batch(workload,
-                                                     stats=AccessStats()))
-                seconds = time.perf_counter() - start
-                print(f"\nworkers={workers}: answers identical to "
-                      f"sequential: {identical}; "
-                      f"{served} prepared queries in {seconds:.3f}s "
-                      f"({served / seconds:,.0f} qps)")
+        for name, backend in (("merged view", "auto"),
+                              ("inline scatter", "inline")):
+            start = time.perf_counter()
+            with connect(artifact, backend=backend) as engine:
+                opened = time.perf_counter() - start
+                identical = fingerprint(engine, workload) == reference
+                batched, single = qps(engine, workload)
+                print(f"{name:>14} ({engine.executor_strategy}): open "
+                      f"{opened:.2f}s; answers and accounting identical "
+                      f"to sequential: {identical}; {batched:,.0f} qps "
+                      f"batched, {single:,.0f} qps one at a time")
                 assert identical
 
 

@@ -287,13 +287,11 @@ def _cmd_serve(args) -> int:
     shard_addrs = _parse_shard_addrs(args.shard_addrs)
     if args.artifact:
         engine = connect(args.artifact, validate=args.validate,
-                         workers=args.exec_workers,
                          backend="remote" if shard_addrs else "auto",
                          shard_addrs=shard_addrs)
-    elif args.exec_workers or shard_addrs:
-        flag = "--exec-workers" if args.exec_workers else "--shard-addrs"
-        print(f"{flag} requires --artifact pointing at a sharded "
-              f"artifact (repro compile --shards N)", file=sys.stderr)
+    elif shard_addrs:
+        print("--shard-addrs requires --artifact pointing at a sharded "
+              "artifact (repro compile --shards N)", file=sys.stderr)
         return 2
     elif args.graph and args.schema:
         schema = AccessSchema.load(args.schema)
@@ -341,8 +339,7 @@ def _cmd_serve(args) -> int:
         scrape = "" if metrics_http is None \
             else f", metrics=http://{args.host}:{metrics_http.port}/metrics"
         print(f"serving on {server.host}:{server.port} "
-              f"(workers={service.workers}, "
-              f"exec-workers={engine.exec_workers}, max-cost={budget}, "
+              f"(workers={service.workers}, max-cost={budget}, "
               f"extend={extend}, trace={'on' if tracer else 'off'}, "
               f"schema=v{engine.schema_version}, "
               f"graph={engine.graph.num_nodes} nodes "
@@ -478,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "artifact's plan cache (repeatable)")
     p_compile.add_argument("--shards", type=int, default=0,
                            help="write a sharded artifact with this many "
-                                "halo shards (serve it with "
-                                "`repro serve --exec-workers N`)")
+                                "halo shards (serve it merged with "
+                                "`repro serve`, or over a "
+                                "`repro shard-serve` fleet)")
     p_compile.add_argument("--validate", action="store_true",
                            help="verify G |= A before saving")
     p_compile.add_argument("--inspect", metavar="ARTIFACT",
@@ -531,10 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "printed on startup)")
     p_serve.add_argument("--workers", type=int, default=4,
                          help="worker threads executing query batches")
-    p_serve.add_argument("--exec-workers", type=int, default=0,
-                         help="worker *processes* executing shard fetches "
-                              "(requires a sharded --artifact; 0 runs "
-                              "shards, if any, in-process)")
     p_serve.add_argument("--max-cost", type=float, default=None,
                          help="admission budget: reject queries whose "
                               "worst-case access bound exceeds this "

@@ -299,8 +299,8 @@ def _index_edge(check, candidates: dict[int, set[int]],
 # Task tuples sent to every shard, and the block of arrays each shard
 # answers with (repro.core.kernels.run_shard_task is the shard-side
 # handler; the block is what the binary frame carries, so a backend
-# delivers it as it is — computed in-process, unpickled, or as views
-# over a received frame):
+# delivers it as it is — computed in-process or as views over a
+# received frame):
 #
 #   ("fetch", cpos, [combo, ...])  -> FetchBlock(lens, values, info):
 #                                     lens[i] ids of values per combo,
@@ -557,7 +557,7 @@ def execute_plans_scatter(plans: list[QueryPlan], backend,
     """Execute ``plans`` by scatter-gather over ``backend``'s shards.
 
     ``backend`` is a :class:`~repro.engine.parallel.ShardBackend`
-    (inline shards, a worker-process pool, or a remote fleet). The
+    (inline shards or a remote fleet). The
     driver gives every execution per-shard progress: each logical fetch
     is decomposed into ``(kind, constraint, combo)`` cells, identical
     cells from different executions travel to a shard once and fan back

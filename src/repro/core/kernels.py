@@ -623,8 +623,8 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
 def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
     """Execute one scatter task against one shard — the worker-side half
     of the task protocol in :mod:`repro.core.executor`.
-    :mod:`repro.engine.parallel` calls it inline, from worker processes
-    and behind the shard server. ``graph`` is the shard's CSR snapshot
+    :mod:`repro.engine.parallel` calls it inline, and the shard server
+    behind the wire. ``graph`` is the shard's CSR snapshot
     and ``owned_sorted`` its owned node ids as a sorted int64 array.
 
     Every response is arrays, the ones the frame carries: all combos of

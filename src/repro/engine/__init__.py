@@ -22,7 +22,6 @@ from repro.engine.extension import (
 )
 from repro.engine.parallel import (
     InlineShardBackend,
-    ProcessShardBackend,
     ShardRuntime,
 )
 from repro.engine.persist import (
@@ -32,7 +31,6 @@ from repro.engine.persist import (
     save_engine,
     save_extended_sharded,
     save_sharded_engine,
-    verify_sharded_artifact,
 )
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "InlineShardBackend",
     "PlanCache",
     "PreparedQuery",
-    "ProcessShardBackend",
     "QueryEngine",
     "ShardRuntime",
     "inspect_artifact",
@@ -52,6 +49,5 @@ __all__ = [
     "save_engine",
     "save_extended_sharded",
     "save_sharded_engine",
-    "verify_sharded_artifact",
     "workload_stats",
 ]

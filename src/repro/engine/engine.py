@@ -339,8 +339,10 @@ class QueryEngine:
         cache) as an artifact directory; returns the manifest. A save
         from a mutable session freezes its current state, repairing any
         staleness at ``path``. ``shards=N`` writes the sharded layout
-        instead (partition + per-shard sub-artifacts), which is what
-        ``repro.connect(path, workers=N)`` serves from.
+        instead (partition + per-shard sub-artifacts), which
+        ``repro.connect(path)`` serves merged, ``backend="inline"``
+        scattered in-process, and a ``repro shard-serve`` fleet over
+        the wire.
         ``shard_assignment`` overrides the default node→shard cover (see
         :func:`repro.graph.partition.partition_graph`) — e.g. a
         label-partitioned cover that concentrates each label on few
@@ -363,9 +365,8 @@ class QueryEngine:
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:
-        """Release the shard backend (terminates worker processes for
-        ``workers=N`` sessions). Idempotent; a no-op for ordinary
-        sessions."""
+        """Release the shard backend (closes a fleet session's
+        connections). Idempotent; a no-op for ordinary sessions."""
         if self._shards is not None:
             self._shards.close()
 
@@ -403,7 +404,7 @@ class QueryEngine:
         if self._shards is not None:
             raise EngineError(
                 "a sharded session holds its indexes in shards (possibly "
-                "in worker processes); execution goes through the "
+                "in shard-serve processes); execution goes through the "
                 "scatter-gather path, not a single schema index")
         return self._schema_index
 
@@ -424,12 +425,6 @@ class QueryEngine:
         """The resolved plan-execution strategy: ``"scatter"`` for
         sharded sessions, else ``"vectorized"`` or ``"sequential"``."""
         return self._executor
-
-    @property
-    def exec_workers(self) -> int:
-        """Worker processes executing fetches (0 = in-process shards or
-        an ordinary unsharded session)."""
-        return self._shards.workers if self._shards is not None else 0
 
     @property
     def generation(self) -> int:
@@ -729,8 +724,7 @@ class QueryEngine:
     def __repr__(self) -> str:
         kind = "frozen" if self.frozen else "mutable"
         if self._shards is not None:
-            kind = f"sharded x{self._shards.num_shards}, " \
-                   f"workers={self._shards.workers}"
+            kind = f"sharded x{self._shards.num_shards}"
         return (f"QueryEngine({kind}, graph={self._graph!r}, "
                 f"constraints={len(self.schema)}, cache={self._cache!r})")
 

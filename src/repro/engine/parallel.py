@@ -1,5 +1,4 @@
-"""Shard backends: inline shards, the worker-process pool, and the
-networked shard fleet.
+"""Shard backends: inline shards and the networked shard fleet.
 
 The scatter-gather executor (:func:`repro.core.executor.
 execute_plans_scatter`) is written against the :class:`ShardBackend`
@@ -20,17 +19,11 @@ contract:
   targets only, so the disjoint-union identity of
   :mod:`repro.graph.partition` extends to the new indexes).
 
-Three implementations live here:
+Two implementations live here:
 
 * :class:`InlineShardBackend` — shards held in-process
   (``backend="inline"``); ``scatter`` is a plain loop. This is the
-  reference the other two are tested against.
-* :class:`ProcessShardBackend` — shards held by worker *processes*, each
-  warm-started from its per-shard artifact directory
-  (:mod:`repro.engine.persist`). Only task/response tuples ever cross a
-  process boundary — graphs and indexes are loaded worker-side from
-  disk, so the pool is start-method agnostic (``fork`` and ``spawn``
-  both work; CI smokes ``spawn`` on Python 3.12, the strictest mode).
+  reference the remote backend is tested against.
 * :class:`RemoteShardBackend` — shards held by standalone ``repro
   shard-serve`` processes (:mod:`repro.server.shardserver`), reached
   over the wire protocol of :mod:`repro.server.protocol` (scatter
@@ -40,24 +33,19 @@ Three implementations live here:
   bounded retry with backoff on transient faults, and typed
   :class:`~repro.errors.ShardUnavailable` errors once retries exhaust.
 
-Thread safety: the in-process backends serialize ``scatter`` rounds
-(inline excepted — frozen reads need none). The remote backend is
-pipelined: requests are correlated by id, each connection has a reader
-thread, and ``scatter_submit`` lets several rounds overlap on the same
-connections — per-task completion callbacks fire from the reader
-threads the moment a task's own shards have answered. Retry backoff
-runs on the per-shard reader thread, so one shard mid-backoff never
-stalls another shard's traffic.
+Thread safety: the inline backend takes no lock — frozen reads need
+none. The remote backend is pipelined: requests are correlated by id,
+each connection has a reader thread, and ``scatter_submit`` lets
+several rounds overlap on the same connections — per-task completion
+callbacks fire from the reader threads the moment a task's own shards
+have answered. Retry backoff runs on the per-shard reader thread, so
+one shard mid-backoff never stalls another shard's traffic.
 """
 
 from __future__ import annotations
 
 import abc
-import atexit
 import json
-import multiprocessing
-import pickle
-import signal
 import threading
 import time
 from typing import Sequence
@@ -210,9 +198,9 @@ class ShardBackend(abc.ABC):
 
     :func:`repro.core.executor.execute_plans_scatter` and the engine's
     schema-extension path are written against exactly this surface;
-    :class:`InlineShardBackend`, :class:`ProcessShardBackend` and
-    :class:`RemoteShardBackend` all subclass it, and
-    ``tests/test_backend_contract.py`` runs one suite over all three.
+    :class:`InlineShardBackend` and :class:`RemoteShardBackend` both
+    subclass it, and ``tests/test_backend_contract.py`` runs one suite
+    over both.
 
     Subclasses must call ``super().__init__(schema)`` (which seeds
     ``constraint_pos`` and the round counters) and use
@@ -253,12 +241,6 @@ class ShardBackend(abc.ABC):
     def num_shards(self) -> int:
         """Number of shards in the partition."""
 
-    @property
-    def workers(self) -> int:
-        """Local worker processes backing the shards (0 when the shards
-        are in-process or remote)."""
-        return 0
-
     @abc.abstractmethod
     def scatter(self, tasks: list[tuple],
                 shard_sets: list | None = None) -> list[list]:
@@ -279,7 +261,7 @@ class ShardBackend(abc.ABC):
 
         The base implementation is synchronous — it runs
         :meth:`scatter` and completes every task before returning —
-        so the in-process backends serve the scatter driver in
+        so the inline backend serves the scatter driver in
         lock-step rounds. :class:`RemoteShardBackend` overrides it with
         a truly asynchronous path.
         """
@@ -369,242 +351,6 @@ class InlineShardBackend(ShardBackend):
 
     def __repr__(self) -> str:
         return f"InlineShardBackend(shards={self.num_shards})"
-
-
-# ------------------------------------------------------------- worker process
-def _shard_worker_main(conn, artifact_path: str, shard_ids: list[int]) -> None:
-    """Worker-process entry point (module-level: spawn-picklable).
-
-    Warm-starts the assigned shards from the sharded artifact at
-    ``artifact_path`` and serves ``("scatter", tasks, shard_lists)``
-    requests until a ``("close",)`` sentinel (or EOF) arrives. Responses
-    are ``("ok", {shard_id: [response, ...]})`` or ``("error", repr)`` —
-    a failed round reports instead of wedging the parent. The ready
-    message carries each shard's owned-label set, the per-label half of
-    the parent's owner-routing metadata.
-
-    SIGTERM gets its default action back first: a forked worker inherits
-    the parent's Python handlers, and one that raises (``SystemExit``)
-    would otherwise become an error reply mid-round while the worker
-    lives on past the pool's ``terminate()``.
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        from repro.engine import persist
-        runtimes = persist.load_shard_runtimes(artifact_path, shard_ids)
-    except BaseException as exc:  # noqa: BLE001 — report, then exit
-        try:
-            conn.send(("fatal", f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", {r.shard_id: r.owned_labels() for r in runtimes}))
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        kind = message[0]
-        if kind == "close":
-            break
-        try:
-            if kind == "scatter":
-                _, tasks, shard_lists = message
-                payload = {}
-                for runtime in runtimes:
-                    if shard_lists is None:
-                        responses = [runtime.handle(task) for task in tasks]
-                    else:
-                        responses = [runtime.handle(task)
-                                     if runtime.shard_id in routed else None
-                                     for task, routed
-                                     in zip(tasks, shard_lists)]
-                    payload[runtime.shard_id] = responses
-            elif kind == "stats":
-                _, labels = message
-                payload = {runtime.shard_id: runtime.extension_stats(labels)
-                           for runtime in runtimes}
-            elif kind == "extend":
-                _, docs = message
-                constraints = [AccessConstraint.from_dict(doc)
-                               for doc in docs]
-                payload = {runtime.shard_id: runtime.extend(constraints)
-                           for runtime in runtimes}
-            else:
-                raise EngineError(f"unknown worker message {kind!r}")
-            conn.send(("ok", payload))
-        except Exception as exc:  # noqa: BLE001 — keep serving
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    conn.close()
-
-
-class ProcessShardBackend(ShardBackend):
-    """Worker-process pool over the shards of a sharded artifact.
-
-    Parameters
-    ----------
-    artifact_path:
-        Sharded artifact directory every worker warm-starts from.
-    shard_ids:
-        All shard ids in the artifact, in partition order.
-    schema:
-        The access schema (for the constraint-position table).
-    workers:
-        Number of worker processes; shards are dealt round-robin, so
-        ``workers`` may be smaller than the shard count.
-    mp_context:
-        A ``multiprocessing`` context; defaults to the interpreter's
-        current start method (``multiprocessing.get_context()``), so a
-        global ``set_start_method("spawn")`` is honoured.
-    owner_routing:
-        Build the :class:`OwnerRouter` from ``partition.bin`` plus the
-        workers' ready messages (default); False broadcasts every task.
-    """
-
-    def __init__(self, artifact_path, shard_ids: Sequence[int], schema, *,
-                 workers: int, mp_context=None, owner_routing: bool = True):
-        if workers < 1:
-            raise EngineError(f"workers must be >= 1, got {workers}")
-        super().__init__(schema)
-        self._shard_ids = list(shard_ids)
-        self._lock = threading.Lock()
-        self._closed = False
-        ctx = mp_context if mp_context is not None \
-            else multiprocessing.get_context()
-        workers = min(workers, len(self._shard_ids))
-        assignments = [self._shard_ids[w::workers] for w in range(workers)]
-        self._workers = []
-        try:
-            for worker_shards in assignments:
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_shard_worker_main,
-                    args=(child_conn, str(artifact_path), worker_shards),
-                    daemon=True)
-                process.start()
-                child_conn.close()
-                self._workers.append((process, parent_conn, worker_shards))
-            labels_by_shard: dict[int, list[str]] = {}
-            for process, conn, worker_shards in self._workers:
-                kind, payload = conn.recv()
-                if kind != "ready":
-                    raise EngineError(
-                        f"shard worker failed to start: {payload}")
-                labels_by_shard.update(payload)
-            if owner_routing:
-                from repro.engine import persist
-                self.router = OwnerRouter(
-                    persist.load_partition_owners(artifact_path),
-                    labels_by_shard)
-        except BaseException:
-            self._terminate()
-            raise
-        atexit.register(self.close)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shard_ids)
-
-    @property
-    def workers(self) -> int:
-        return len(self._workers)
-
-    def _round(self, message: tuple) -> dict:
-        """Broadcast one message to every worker and gather the merged
-        ``{shard_id: payload}`` responses. Rounds serialize under a lock
-        (see module docstring)."""
-        with self._lock:
-            if self._closed:
-                raise EngineError("shard worker pool is closed")
-            # Serialize the broadcast once, not once per worker
-            # (send_bytes of a pickle is what Connection.send does
-            # internally, so worker-side recv() is unchanged).
-            blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-            for _, conn, worker_shards in self._workers:
-                try:
-                    conn.send_bytes(blob)
-                except OSError:
-                    raise self._worker_died(worker_shards) from None
-            by_shard: dict[int, object] = {}
-            errors: list[str] = []
-            for _, conn, worker_shards in self._workers:
-                try:
-                    kind, payload = conn.recv()
-                except EOFError:
-                    raise self._worker_died(worker_shards) from None
-                # Drain every worker before raising: each sends exactly
-                # one response per round, and leaving responses queued
-                # would desynchronize the next round's pipes.
-                if kind != "ok":
-                    errors.append(str(payload))
-                else:
-                    by_shard.update(payload)
-            if errors:
-                raise EngineError(f"shard worker error: {'; '.join(errors)}")
-        return by_shard
-
-    def _worker_died(self, worker_shards) -> EngineError:
-        """A worker's pipe broke: the survivors may hold rounds nobody
-        will drain, so the whole pool closes (call under ``_lock``)."""
-        self._closed = True
-        atexit.unregister(self.close)
-        self._terminate()
-        return EngineError(
-            f"shard worker for shards {worker_shards} died")
-
-    def scatter(self, tasks: list[tuple],
-                shard_sets: list | None = None) -> list[list]:
-        """One scatter round: every worker runs its shards' routed
-        tasks; responses come back in shard order."""
-        self._record_round(tasks, shard_sets)
-        by_shard = self._round(("scatter", tasks, shard_sets))
-        return [by_shard[shard_id] for shard_id in self._shard_ids]
-
-    def extension_stats(self, labels: Sequence[str]) -> list[tuple]:
-        """Per-shard (label counts, neighbour bounds) in shard order."""
-        by_shard = self._round(("stats", list(labels)))
-        return [by_shard[shard_id] for shard_id in self._shard_ids]
-
-    def extend(self, constraints: Sequence[AccessConstraint]) -> list[dict]:
-        """One extension round: every worker builds shard-local indexes
-        for the added constraints over its shards' owned targets.
-        Constraints cross the pipe as their JSON documents; the position
-        table grows before returning so the parent may publish the new
-        catalog generation immediately."""
-        by_shard = self._round(("extend", [c.to_dict() for c in constraints]))
-        self._grow_positions(constraints)
-        return [by_shard[shard_id] for shard_id in self._shard_ids]
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            # Drop the exit hook's strong reference: a process that
-            # opens and closes many pools must not accumulate them.
-            atexit.unregister(self.close)
-            for _, conn, _ in self._workers:
-                try:
-                    conn.send(("close",))
-                except (BrokenPipeError, OSError):
-                    pass
-            for process, conn, _ in self._workers:
-                process.join(timeout=5)
-                conn.close()
-            self._terminate(join=False)
-
-    def _terminate(self, join: bool = True) -> None:
-        for process, _, _ in self._workers:
-            if process.is_alive():
-                process.terminate()
-                if join:
-                    process.join(timeout=5)
-
-    def __repr__(self) -> str:
-        return (f"ProcessShardBackend(shards={self.num_shards}, "
-                f"workers={len(self._workers)}, "
-                f"closed={self._closed})")
 
 
 # ------------------------------------------------------------- remote fleet
@@ -1387,7 +1133,6 @@ class RemoteShardBackend(ShardBackend):
 __all__ = [
     "InlineShardBackend",
     "OwnerRouter",
-    "ProcessShardBackend",
     "RemoteShardBackend",
     "ShardBackend",
     "ShardRuntime",

@@ -530,37 +530,28 @@ def artifact_layout(path) -> str:
 
 #: Where the shards of a sharded artifact live (``SessionConfig.backend``);
 #: ``auto`` resolves from the other fields, see :func:`_resolve_backend`.
-BACKENDS = ("auto", "inline", "process", "remote")
+BACKENDS = ("auto", "inline", "remote")
 
 
 def _resolve_backend(config) -> str:
     """The backend ``config`` asks for, with ``auto`` resolved:
-    ``remote`` when shard addresses are given, ``process`` when workers
-    are, and otherwise still ``auto`` — the merged view, where a sharded
-    artifact is served as one graph by the ordinary plan executors
-    (in-process scatter over shards only adds coordination overhead on
-    one CPU). Contradictory combinations are rejected, never silently
-    ignored."""
+    ``remote`` when shard addresses are given, and otherwise still
+    ``auto`` — the merged view, where a sharded artifact is served as
+    one graph by the ordinary plan executors (on one host, scatter over
+    shards only adds coordination overhead). Contradictory combinations
+    are rejected, never silently ignored."""
     backend = config.backend
     if backend not in BACKENDS:
         raise EngineError(f"unknown backend {backend!r}; expected one "
                           f"of {BACKENDS}")
-    if backend == "auto":
-        if config.shard_addrs:
-            backend = "remote"
-        elif config.workers:
-            backend = "process"
+    if backend == "auto" and config.shard_addrs:
+        backend = "remote"
     if backend == "remote" and not config.shard_addrs:
         raise EngineError("backend='remote' needs shard_addrs "
                           "(one host:port per shard)")
     if backend != "remote" and config.shard_addrs:
         raise EngineError(f"shard_addrs only applies to backend='remote', "
                           f"not {backend!r}")
-    if backend == "process" and not config.workers:
-        raise EngineError("backend='process' needs workers >= 1")
-    if backend != "process" and config.workers:
-        raise EngineError(f"backend={backend!r} holds no worker pool; it "
-                          f"is incompatible with workers")
     return backend
 
 
@@ -578,7 +569,7 @@ def load_engine(path, config):
 
     A *sharded* artifact (``repro compile --shards N``) opens under the
     resolved backend (:func:`_resolve_backend`): the merged view, inline
-    shards, a worker-process pool, or a remote fleet. Any explicit
+    shards, or a remote fleet. Any explicit
     backend is rejected for single-layout artifacts rather than
     silently ignored.
     """
@@ -638,8 +629,9 @@ def save_sharded_engine(engine, path, shards: int,
         shard-0000/ …   one complete single-layout artifact per shard:
                         halo graph + owned-target constraint indexes
 
-    Workers warm-start from the shard sub-artifacts, so nothing larger
-    than task/response tuples ever crosses a process boundary.
+    ``repro shard-serve`` warm-starts from a shard sub-artifact, so
+    nothing larger than task/response frames ever crosses a process
+    boundary.
     """
     from repro import __version__
     from repro.engine.cache import PlanCache
@@ -825,8 +817,7 @@ def _shard_manifests(path: Path, manifest: dict,
                      only=None) -> list[tuple[int, Path, dict]]:
     """Verify and read shard manifests against the top-level root of
     trust; raises on any mismatch. ``only`` restricts the work to a set
-    of shard ids (workers verify just their assignment — the parent's
-    whole-tree sweep covers the rest)."""
+    of shard ids (a shard server verifies just its own shard)."""
     shard_meta = manifest.get("shards")
     if not isinstance(shard_meta, list) or not shard_meta:
         raise ArtifactCorrupt(
@@ -851,22 +842,6 @@ def _shard_manifests(path: Path, manifest: dict,
                 path=str(manifest_path))
         out.append((shard_id, shard_path, _read_manifest(shard_path)))
     return out
-
-
-def verify_sharded_artifact(path, manifest: dict | None = None) -> int:
-    """Eagerly checksum a sharded artifact's whole tree (top payloads,
-    every shard manifest, every shard payload). Returns the shard count;
-    raises :class:`~repro.errors.ArtifactCorrupt` on the first mismatch —
-    corrupting any single shard is detected *before* a worker ever
-    serves from it."""
-    path = Path(path)
-    if manifest is None:
-        manifest = _read_manifest(path)
-    _read_payloads(path, manifest)
-    shard_entries = _shard_manifests(path, manifest)
-    for _, shard_path, shard_manifest in shard_entries:
-        _read_payloads(shard_path, shard_manifest)
-    return len(shard_entries)
 
 
 def read_sharded_manifest(path) -> dict:
@@ -925,8 +900,8 @@ def load_partition_owners(path, manifest: dict | None = None) -> dict:
 
 def load_shard_runtimes(path, shard_ids) -> list:
     """Load the given shards of a sharded artifact into
-    :class:`~repro.engine.parallel.ShardRuntime` objects (the worker
-    warm-start path; also used inline for ``workers=0``)."""
+    :class:`~repro.engine.parallel.ShardRuntime` objects (the merged
+    view, the inline backend and ``repro shard-serve`` all start here)."""
     from repro.engine.parallel import ShardRuntime
 
     path = Path(path)
@@ -973,7 +948,6 @@ def _load_sharded_engine(path: Path, manifest: dict, config, backend: str):
     from repro.engine.engine import QueryEngine
     from repro.engine.parallel import (
         InlineShardBackend,
-        ProcessShardBackend,
         RemoteShardBackend,
     )
     from repro.graph.partition import GraphSummary, merge_shard_runtimes
@@ -986,20 +960,13 @@ def _load_sharded_engine(path: Path, manifest: dict, config, backend: str):
         raise EngineError(
             "validate=True is not supported for scatter-gather serving: "
             "cardinality bounds are a property of the merged index; "
-            "open the merged view (backend='auto', no workers) or "
+            "open the merged view (backend='auto') or "
             "validate before compiling")
     shard_meta = manifest.get("shards")
     if not isinstance(shard_meta, list) or not shard_meta:
         raise ArtifactCorrupt(
             f"sharded artifact at {path} lists no shards", path=str(path))
     num_shards = len(shard_meta)
-    if backend == "process":
-        # Workers checksum-verify only the shards they load, so the
-        # whole-tree sweep runs in the parent: corrupting any single
-        # shard is detected here, before a worker ever serves from it.
-        # The in-process paths skip the sweep — loading every shard
-        # below performs the identical verification exactly once.
-        verify_sharded_artifact(path, manifest)
     try:
         schema = AccessSchema.from_dict(manifest["schema"])
         plans_payload = json.loads((path / PLANS_FILE).read_bytes())
@@ -1036,11 +1003,6 @@ def _load_sharded_engine(path: Path, manifest: dict, config, backend: str):
         shards = RemoteShardBackend(list(config.shard_addrs), schema,
                                     artifact_path=path, manifest=manifest,
                                     config=config)
-    elif backend == "process":
-        shards = ProcessShardBackend(path, range(num_shards), schema,
-                                     workers=config.workers,
-                                     mp_context=config.mp_context,
-                                     owner_routing=config.owner_routing)
     else:
         runtimes = load_shard_runtimes(path, range(num_shards))
         shards = InlineShardBackend(runtimes, schema,
@@ -1192,5 +1154,4 @@ __all__ = [
     "shard_dir_name",
     "stale_info",
     "unpack_buffers",
-    "verify_sharded_artifact",
 ]

@@ -46,7 +46,7 @@ class GraphSummary:
     """Lightweight stand-in for a graph a session does not hold.
 
     A sharded :class:`~repro.engine.engine.QueryEngine` session keeps the
-    data in its shards (possibly in worker processes); the parent only
+    data in its shards (possibly in shard-serve processes); the parent only
     needs the aggregate numbers for banners, metrics and benchmarks.
     """
 
@@ -257,8 +257,8 @@ def merge_shard_runtimes(runtimes, schema):
 
     The inverse of sharding, used to serve a sharded artifact as an
     ordinary single-graph session (what ``repro.connect(path)`` does
-    when given neither workers nor shard addresses): on one CPU,
-    in-process scatter over shards only adds coordination overhead, and
+    when given no backend and no shard addresses): on one host,
+    scatter over shards only adds coordination overhead, and
     merging back unlocks the (much faster) sequential/vectorized plan
     executors.
 

@@ -115,7 +115,6 @@ METRICS: tuple[Metric, ...] = (*_section("traffic", [
     ("plan_cache.maxsize", "plan_cache_maxsize", GAUGE, "Plan-cache capacity."),
 ]), *_section("backend", [
     ("backend.num_shards", "backend_num_shards", GAUGE, "Shards served."),
-    ("backend.workers", "backend_workers", GAUGE, "Local worker processes backing the shards."),
     ("backend.scatter_rounds", "backend_scatter_rounds_total", COUNTER, "Scatter rounds sent."),
     ("backend.tasks_scattered", "backend_tasks_scattered_total", COUNTER, "Tasks in those rounds."),
     ("backend.scatter_messages", "backend_scatter_messages_total", COUNTER, "(task, shard) sends."),
@@ -168,7 +167,6 @@ METRICS: tuple[Metric, ...] = (*_section("traffic", [
     ("engine.edges", "engine_edges", GAUGE, "Edges of the served graph."),
     ("engine.constraints", "engine_constraints", GAUGE, "Access constraints served."),
     ("engine.schema_version", "schema_version", GAUGE, "Schema generation the engine serves."),
-    ("engine.exec_workers", "engine_exec_workers", GAUGE, "Worker processes executing fetches."),
 ]), *_section("admission", [
     ("max_cost", "max_cost", GAUGE, "Admission budget: the largest worst-case bound admitted."),
     ("bounded_fraction", "bounded_fraction", GAUGE,

@@ -163,14 +163,14 @@ class QueryService:
         self._engine_lock = threading.Lock()
         # In-flight batch counts per engine (by id) plus engines retired
         # by a reload that still have batches running: a retired
-        # engine's shard worker pool is closed the moment its last
-        # batch drains, not at process exit.
+        # engine's fleet connections close the moment its last batch
+        # drains, not at process exit.
         self._engine_refs: dict[int, int] = {}
         self._retired: dict[int, QueryEngine] = {}
         # The configuration the service was opened under, remembered
         # independently of the current engine: every reload reopens
         # under it, so a sharded -> single -> sharded chain restores the
-        # worker pool (or fleet, codec and timeouts included) instead of
+        # backend (a fleet with its timeouts included) instead of
         # silently dropping it.
         self._session_config = engine.session_config
         self.max_cost = max_cost
@@ -503,12 +503,11 @@ class QueryService:
 
         config = self._session_config.replace(validate=validate)
         if artifact_layout(path) != "sharded":
-            # The pool / fleet settings apply whenever the target is
+            # The backend / fleet settings apply whenever the target is
             # sharded; a single-layout target has no shards to put
             # anywhere (a reload must stay total across layout
             # transitions) — the remembered configuration is untouched.
-            config = config.replace(workers=0, backend="auto",
-                                    shard_addrs=())
+            config = config.replace(backend="auto", shard_addrs=())
         elif isinstance(self._engine.backend, RemoteShardBackend):
             self._engine.backend.reload_fleet()
         engine = connect(path, config=config)
@@ -519,8 +518,8 @@ class QueryService:
             if old is not engine:
                 if self._engine_refs.get(id(old)):
                     # Batches already dispatched finish on the old
-                    # snapshot; its worker pool closes when the last
-                    # one drains (see _release_engine).
+                    # snapshot; its fleet connections close when the
+                    # last one drains (see _release_engine).
                     self._retired[id(old)] = old
                 else:
                     to_close = old
@@ -539,9 +538,9 @@ class QueryService:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Release the serving engine's shard worker pool — and any
-        pools still held by engines retired through reloads (the CLI
-        calls this after a clean shutdown; idempotent)."""
+        """Release the serving engine's shard backend — and any backends
+        still held by engines retired through reloads (the CLI calls
+        this after a clean shutdown; idempotent)."""
         with self._engine_lock:
             retired = list(self._retired.values())
             self._retired.clear()
@@ -607,7 +606,6 @@ class QueryService:
                        "schema_version": engine.schema_version,
                        "frozen": engine.frozen,
                        "sharded": engine.sharded,
-                       "exec_workers": engine.exec_workers,
                        "artifact": (str(engine.artifact_path)
                                     if engine.artifact_path else None)},
         })

@@ -2,10 +2,10 @@
 
 ``repro shard-serve --artifact <dir>/shard-NNNN --port P`` warm-starts
 one :class:`~repro.engine.parallel.ShardRuntime` from its per-shard
-sub-artifact (checksum-verified against the top manifest, exactly like a
-pool worker) and serves the backend contract over the wire protocol of
-:mod:`repro.server.protocol` — ``scatter`` rounds as packed binary
-frames, every other op as JSON lines:
+sub-artifact (checksum-verified against the top manifest, exactly like
+the in-process backends) and serves the backend contract over the wire
+protocol of :mod:`repro.server.protocol` — ``scatter`` rounds as packed
+binary frames, every other op as JSON lines:
 
 * ``hello`` — the handshake: protocol version, artifact format version,
   shard id, shard-manifest checksum, schema version, owned labels. The
@@ -114,7 +114,7 @@ class ShardServer:
     # -- state ----------------------------------------------------------------
     def _load(self) -> None:
         """(Re)load the shard runtime and handshake facts from disk —
-        the same checksum-verified path a pool worker warm-starts
+        the same checksum-verified path the in-process backends load
         through."""
         from repro.engine import persist
 

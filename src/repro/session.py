@@ -7,16 +7,16 @@ signature:
 >>> import repro
 >>> engine = repro.connect("artifacts/imdb")                  # artifact
 >>> engine = repro.connect((graph, schema))                   # in-memory
->>> engine = repro.connect("artifacts/imdb", workers=4)       # worker pool
+>>> engine = repro.connect("artifacts/imdb-sharded", backend="inline")
 >>> engine = repro.connect(
 ...     "artifacts/imdb", backend="remote",
 ...     shard_addrs=["10.0.0.1:8650", "10.0.0.2:8650"])       # shard fleet
 
 All session options live on one frozen :class:`SessionConfig`; keyword
 arguments to :func:`connect` are shorthand for overriding its fields, so
-``connect(p, workers=4)`` and ``connect(p, config=SessionConfig(
-workers=4))`` are the same call. A config is a value — it travels whole
-to the artifact loader and the fleet backend, and the opened engine
+``connect(p, backend="inline")`` and ``connect(p, config=SessionConfig(
+backend="inline"))`` are the same call. A config is a value — it travels
+whole to the artifact loader and the fleet backend, and the opened engine
 keeps it as ``engine.session_config`` so a reconnect (the server's hot
 reload) reopens under exactly the settings it was opened with.
 """
@@ -35,7 +35,7 @@ class SessionConfig:
     """Every knob of a :func:`connect` call, as one immutable value.
 
     Fields group by which sources consult them; irrelevant fields are
-    ignored (an in-memory open never looks at ``workers``), except where
+    ignored (an in-memory open never looks at ``allow_stale``), except where
     the combination is contradictory enough to reject — those rules live
     with the loader (:func:`repro.engine.persist.load_engine`).
 
@@ -44,18 +44,17 @@ class SessionConfig:
 
     Artifacts: ``allow_stale``, and — for sharded artifacts — where the
     shards live, ``backend``: ``inline`` (scatter over shards held in
-    this process), ``process`` (a pool of ``workers`` worker processes,
-    started under ``mp_context``), or ``remote`` (a running ``repro
-    shard-serve`` fleet). ``auto`` (default) infers ``remote`` from
-    ``shard_addrs``, ``process`` from ``workers``, and otherwise merges
-    the shards back into one graph served like a single-layout artifact
-    — in one process, scatter over local shards only adds coordination.
+    this process) or ``remote`` (a running ``repro shard-serve`` fleet).
+    ``auto`` (default) infers ``remote`` from ``shard_addrs`` and
+    otherwise merges the shards back into one graph served like a
+    single-layout artifact — on one host, scatter over local shards only
+    adds coordination.
 
     Remote fleet: ``shard_addrs`` (one ``host:port`` per shard, any
     order), the two timeouts, bounded retry (``retries``/
     ``retry_backoff_s``) and ``owner_routing`` (``False`` broadcasts
-    every task — the reference routing mode; also honoured by the local
-    backends).
+    every task — the reference routing mode; also honoured by the inline
+    backend).
     """
 
     frozen: bool = True
@@ -64,8 +63,6 @@ class SessionConfig:
     plan_cache: object | None = None
     # -- artifact sources ---------------------------------------------------
     allow_stale: bool = False
-    workers: int = 0
-    mp_context: object | None = None
     # -- shard fleet --------------------------------------------------------
     backend: str = "auto"
     shard_addrs: Sequence[str] = ()
@@ -95,9 +92,9 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
     * ``str`` / ``Path`` — a compiled artifact directory
       (``repro compile``). Single-layout artifacts warm-start an
       ordinary session; sharded artifacts open under ``config.backend``
-      — merged into one graph, scattered over shards in this process,
-      over a worker pool (``workers=N``), or against a running
-      shard-server fleet (``shard_addrs=[...]``).
+      — merged into one graph, scattered over shards in this process
+      (``backend="inline"``), or against a running shard-server fleet
+      (``shard_addrs=[...]``).
     * ``(graph, schema)`` — an in-memory graph under an access schema;
       snapshot + index are built on the spot.
     * ``(backend, schema, graph_summary)`` — a pre-built
@@ -108,7 +105,7 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
     keyword ``overrides`` applied on top. Returns a
     :class:`~repro.engine.QueryEngine` carrying the resolved config as
     ``session_config``; close it (or use it as a context manager) to
-    release pools and fleet connections.
+    release fleet connections.
     """
     from repro.engine.engine import QueryEngine
 

@@ -1,7 +1,7 @@
-"""The ShardBackend contract, parameterized over all three backends.
+"""The ShardBackend contract, parameterized over both backends.
 
-Inline (shards in this process), process (worker pool), and remote
-(shard-server fleet over TCP) implement one abstract contract
+Inline (shards in this process) and remote (shard-server fleet over
+TCP) implement one abstract contract
 (:class:`repro.engine.parallel.ShardBackend`); these tests pin the parts
 the scatter executor relies on — shard count, constraint positions,
 scatter alignment under owner routing, extension-stats merging, online
@@ -20,7 +20,6 @@ from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
 from repro.engine.parallel import (
     InlineShardBackend,
-    ProcessShardBackend,
     RemoteShardBackend,
 )
 from repro.matching.bounded import canonical_answer
@@ -29,7 +28,7 @@ from tests.conftest import same_responses
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 SHARDS = 3
-BACKENDS = ["inline", "process", "remote"]
+BACKENDS = ["inline", "remote"]
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +79,6 @@ def backend_engine(request, sharded_artifact, shard_fleet):
     if kind == "inline":
         engine = connect(sharded_artifact, backend="inline")
         expected = InlineShardBackend
-    elif kind == "process":
-        engine = connect(sharded_artifact, workers=2)
-        expected = ProcessShardBackend
     else:
         engine = connect(sharded_artifact, backend="remote",
                          shard_addrs=shard_fleet)
@@ -124,22 +120,22 @@ def sequential_fingerprint(imdb_small, workload):
 class TestContract:
     def test_is_shard_backend(self, backend_engine):
         engine, expected = backend_engine
-        backend = engine._shards
+        backend = engine.backend
         assert isinstance(backend, expected)
         assert isinstance(backend, ShardBackend)
         assert backend.num_shards == SHARDS
 
     def test_constraint_positions_match_schema(self, backend_engine):
         engine, _ = backend_engine
-        assert engine._shards.constraint_pos == engine.schema.positions()
+        assert engine.backend.constraint_pos == engine.schema.positions()
         # Positions are dense and start at 0 regardless of backend.
-        positions = sorted(engine._shards.constraint_pos.values())
+        positions = sorted(engine.backend.constraint_pos.values())
         assert positions == list(range(len(positions)))
 
     def test_scatter_alignment_and_routing_equivalence(self, backend_engine,
                                                        imdb_small):
         engine, _ = backend_engine
-        backend = engine._shards
+        backend = engine.backend
         graph, _ = imdb_small
         nodes = sorted(graph.nodes())[:8]
         task = ("probe", nodes[:4], nodes[4:])
@@ -162,7 +158,7 @@ class TestContract:
 
     def test_scatter_counters(self, backend_engine, imdb_small):
         engine, _ = backend_engine
-        backend = engine._shards
+        backend = engine.backend
         graph, _ = imdb_small
         nodes = sorted(graph.nodes())[:4]
         task = ("probe", nodes[:2], nodes[2:])
@@ -178,7 +174,7 @@ class TestContract:
         engine, _ = backend_engine
         graph, _ = imdb_small
         labels = sorted({graph.label_of(v) for v in graph.nodes()})[:3]
-        per_shard = engine._shards.extension_stats(labels)
+        per_shard = engine.backend.extension_stats(labels)
         assert len(per_shard) == SHARDS
         merged: dict = {}
         for counts, _bounds in per_shard:
@@ -191,7 +187,7 @@ class TestContract:
 
     def test_extend_grows_positions_and_is_idempotent(self, backend_engine):
         engine, _ = backend_engine
-        backend = engine._shards
+        backend = engine.backend
         existing = next(iter(engine.schema))
         before = dict(backend.constraint_pos)
         results = backend.extend([existing])
@@ -201,7 +197,7 @@ class TestContract:
 
     def test_extend_schema_online(self, backend_engine):
         engine, _ = backend_engine
-        backend = engine._shards
+        backend = engine.backend
         added = AccessConstraint(("actor",), "movie", 64)
         if added in engine.schema:
             pytest.skip("fixture schema already carries the constraint")
@@ -223,7 +219,7 @@ class TestContract:
     def test_close_idempotent(self, sharded_artifact, shard_fleet,
                               backend_engine):
         engine, _ = backend_engine
-        backend = engine._shards
+        backend = engine.backend
         engine.close()
         backend.close()
         backend.close()

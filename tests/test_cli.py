@@ -260,10 +260,3 @@ class TestShardedCompile:
         assert "shards: 2" in out
         assert "cross-shard edges" in out
         assert "shard-0001" in out
-
-    def test_exec_workers_requires_artifact(self, artifacts, capsys):
-        pattern, schema, graph = artifacts
-        code = main(["serve", "--graph", str(graph), "--schema",
-                     str(schema), "--exec-workers", "2"])
-        assert code == 2
-        assert "--exec-workers requires" in capsys.readouterr().err

@@ -7,7 +7,7 @@ The correctness spine:
   access accounting (property-tested);
 * a rescued query answers exactly like a cold engine built directly on
   the extended schema ``A_M`` (property-tested);
-* sharded extension (inline and worker pools) matches the unsharded
+* sharded extension (an inline-scatter session) matches the unsharded
   engine, builds per-shard indexes for added constraints only, and the
   extended sharded artifact round-trips with full corruption detection.
 """
@@ -194,18 +194,18 @@ class TestShardedExtension:
         assert merged.label_counts == direct.label_counts
         assert merged.neighbor_bounds == direct.neighbor_bounds
 
-    def test_worker_pool_extension(self, sharded_artifact, imdb_engine):
+    def test_inline_session_extension(self, sharded_artifact, imdb_engine):
         q = parse_pattern(UNBOUNDED)
         plan_ref = plan_extension(imdb_engine, [q])
         imdb_engine.extend_schema(plan_ref.added)
         expected = canonical_answer(SUBGRAPH, imdb_engine.query(q).answer)
-        with connect(sharded_artifact, workers=2) as pooled:
-            plan = plan_extension(pooled, [q])
+        with connect(sharded_artifact, backend="inline") as scattered:
+            plan = plan_extension(scattered, [q])
             assert plan.added == plan_ref.added
-            report = pooled.extend_schema(plan.added)
+            report = scattered.extend_schema(plan.added)
             assert sum(info["built"] for info in report.per_shard) \
                 == 3 * len(plan.added)
-            assert canonical_answer(SUBGRAPH, pooled.query(q).answer) \
+            assert canonical_answer(SUBGRAPH, scattered.query(q).answer) \
                 == expected
 
     def test_extended_artifact_roundtrip(self, sharded_artifact, tmp_path):

@@ -929,7 +929,7 @@ class TestRemoteTracing:
                 with activate(root):
                     run = engine.query(query, SUBGRAPH)
                 trace = root.trace.finish()
-                assert engine._shards.reconnects >= 1
+                assert engine.backend.reconnects >= 1
         finally:
             for server in servers:
                 server.stop()

@@ -1,15 +1,14 @@
-"""Sharded artifacts, the worker-process pool, and sharded sessions.
+"""Sharded artifacts and sharded sessions.
 
 Covers the round-trip contract (compile --shards -> warm open ->
-identical answers), single-shard corruption detection, the
-fork-and-spawn worker pool, the sharded ``QueryEngine`` session guards,
-and the execution-memo + determinism regressions.
+identical answers), single-shard corruption detection, the sharded
+``QueryEngine`` session guards, hot reload of inline and fleet
+sessions, and the execution-memo + determinism regressions.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +19,7 @@ from repro import AccessConstraint, AccessSchema, AccessStats, Graph, \
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
 from repro.engine import persist
-from repro.engine.parallel import ProcessShardBackend
+from repro.engine.parallel import InlineShardBackend
 from repro.errors import ArtifactCorrupt, ArtifactError, EngineError
 from repro.matching.bounded import canonical_answer
 
@@ -92,7 +91,7 @@ class TestShardedRoundTrip:
             self, sharded_artifact, sequential_engine, workload):
         expected = reference_answers(sequential_engine, workload)
         with connect(sharded_artifact, backend="inline") as engine:
-            assert engine.sharded and engine.exec_workers == 0
+            assert isinstance(engine.backend, InlineShardBackend)
             assert reference_answers(engine, workload) == expected
 
     def test_plan_cache_rehydrated(self, sharded_artifact, workload):
@@ -159,13 +158,6 @@ class TestShardedRoundTrip:
 
 
 class TestShardedSessionGuards:
-    def test_workers_rejected_for_single_artifact(self, tmp_path,
-                                                  sequential_engine):
-        path = tmp_path / "single"
-        sequential_engine.save(path)
-        with pytest.raises(EngineError, match="not sharded"):
-            connect(path, workers=2)
-
     def test_no_schema_index(self, sharded_artifact):
         with connect(sharded_artifact, backend="inline") as engine:
             with pytest.raises(EngineError, match="sharded session"):
@@ -189,9 +181,9 @@ class TestShardedSessionGuards:
 
 
 class TestMergedSequentialStrategy:
-    """Satellite: a sharded artifact opened with neither workers nor
-    shard addresses serves the merged view (``backend="auto"``) —
-    in-process scatter on one CPU only paid coordination overhead."""
+    """A sharded artifact opened with no backend and no shard addresses
+    serves the merged view (``backend="auto"``) — scatter over shards on
+    one host only pays coordination overhead."""
 
     def test_auto_resolves_to_merged_sequential(self, sharded_artifact,
                                                 sequential_engine,
@@ -226,14 +218,16 @@ class TestMergedSequentialStrategy:
             assert engine.stats.plan_cache_hits == 1
             assert engine.stats.plan_cache_misses == 0
 
-    def test_inline_backend_incompatible_with_workers(
-            self, sharded_artifact):
-        with pytest.raises(EngineError, match="incompatible with workers"):
-            connect(sharded_artifact, backend="inline", workers=1)
-
     def test_unknown_backend_rejected(self, sharded_artifact):
         with pytest.raises(EngineError, match="unknown backend"):
             connect(sharded_artifact, backend="bogus")
+        removed = "process"  # the deleted worker-pool backend
+        with pytest.raises(EngineError,
+                           match="'auto', 'inline', 'remote'") as excinfo:
+            connect(sharded_artifact, backend=removed)
+        assert f"{removed!r}" in str(excinfo.value)
+        with pytest.raises(EngineError, match="unknown session option"):
+            connect(sharded_artifact, workers=2)
 
     def test_inline_backend_rejected_for_single_layout(
             self, tmp_path, sequential_engine):
@@ -265,7 +259,7 @@ class TestCorruptionDetection:
     def test_any_single_shard_payload_corruption_detected(
             self, tmp_path, sequential_engine):
         """Flipping one byte in any file of any shard is detected at
-        open — before a worker ever serves from it."""
+        open — before any shard serves from it."""
         path = tmp_path / "art"
         sequential_engine.save(path, shards=SHARDS)
         for shard_id in range(SHARDS):
@@ -323,131 +317,6 @@ def test_single_byte_shard_corruption_property(tmp_path_factory, position,
         connect(path)
 
 
-class TestProcessPool:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_worker_pool_identical_answers(self, start_method,
-                                           sharded_artifact,
-                                           sequential_engine, workload):
-        """The multiprocessing smoke: warm-started workers answer
-        identically under fork *and* spawn (the strictest start method —
-        nothing may depend on inherited memory)."""
-        ctx = multiprocessing.get_context(start_method)
-        expected = reference_answers(sequential_engine, workload)
-        with connect(sharded_artifact, workers=2, mp_context=ctx) as engine:
-            assert engine.exec_workers == 2
-            assert reference_answers(engine, workload) == expected
-
-    def test_more_workers_than_shards_clamped(self, sharded_artifact,
-                                              workload):
-        sub, _ = workload
-        with connect(sharded_artifact, workers=SHARDS + 5) as engine:
-            assert engine.exec_workers == SHARDS
-            assert engine.query(sub[0]).answer is not None
-
-    def test_close_is_idempotent_and_final(self, sharded_artifact,
-                                           workload):
-        sub, _ = workload
-        engine = connect(sharded_artifact, workers=1)
-        engine.query(sub[0], stats=AccessStats())
-        engine.close()
-        engine.close()
-        with pytest.raises(EngineError, match="closed"):
-            engine.query(sub[0], stats=AccessStats())
-
-    def test_batch_through_worker_pool(self, sharded_artifact,
-                                       sequential_engine, workload):
-        sub, sim = workload
-        batch = [(q, SUBGRAPH) for q in sub] + [(q, SIMULATION) for q in sim]
-        expected = [canonical_answer(semantics, run.answer)
-                    for (_, semantics), run in zip(
-                        batch, sequential_engine.query_batch(
-                            batch, stats=AccessStats()))]
-        with connect(sharded_artifact, workers=2) as engine:
-            runs = engine.query_batch(batch, stats=AccessStats())
-            assert [canonical_answer(semantics, run.answer)
-                    for (_, semantics), run in zip(batch, runs)] == expected
-
-    def test_invalid_worker_count(self, sharded_artifact):
-        with pytest.raises(EngineError):
-            ProcessShardBackend(sharded_artifact, [0], AccessSchema([]),
-                                workers=0)
-
-    @pytest.mark.parametrize("victim", [0, 1])
-    def test_dead_worker_is_a_typed_error_and_closes_the_pool(
-            self, victim, sharded_artifact, workload):
-        import os
-        import signal
-
-        sub, _ = workload
-        engine = connect(sharded_artifact, workers=2)
-        try:
-            engine.query(sub[0], stats=AccessStats())
-            process = engine._shards._workers[victim][0]
-            os.kill(process.pid, signal.SIGKILL)
-            process.join(timeout=5)
-            assert not process.is_alive()
-            with pytest.raises(EngineError, match="died"):
-                engine.query(sub[0], stats=AccessStats())
-            with pytest.raises(EngineError, match="closed"):
-                engine.query(sub[0], stats=AccessStats())
-            assert not any(worker[0].is_alive()
-                           for worker in engine._shards._workers)
-        finally:
-            engine.close()
-            engine.close()
-
-    def test_sigterm_kills_a_worker_whose_parent_handles_it(
-            self, sharded_artifact, workload, tmp_path, monkeypatch):
-        """A forked worker inherits the parent's Python signal handlers.
-        One that raises ``SystemExit`` (a CLI's graceful stop does) must
-        not turn a SIGTERM mid-round into an error reply from a worker
-        that lives on: the worker dies and the pool reports it dead."""
-        import os
-        import signal
-        import threading
-        import time
-
-        from repro.engine.parallel import ShardRuntime
-
-        sub, _ = workload
-        marker = tmp_path / "mid-round"
-        handle = ShardRuntime.handle
-
-        def slow_handle(runtime, task):
-            marker.touch()
-            time.sleep(30)
-            return handle(runtime, task)
-
-        def stop(signum, frame):
-            raise SystemExit(f"terminated by signal {signum}")
-
-        monkeypatch.setattr(ShardRuntime, "handle", slow_handle)
-        previous = signal.signal(signal.SIGTERM, stop)
-        try:
-            engine = connect(sharded_artifact, workers=1,
-                             mp_context=multiprocessing.get_context("fork"))
-        finally:
-            signal.signal(signal.SIGTERM, previous)
-        process = engine._shards._workers[0][0]
-
-        def terminate_mid_round():
-            deadline = time.monotonic() + 20
-            while not marker.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            os.kill(process.pid, signal.SIGTERM)
-
-        killer = threading.Thread(target=terminate_mid_round, daemon=True)
-        killer.start()
-        try:
-            with pytest.raises(EngineError, match="died"):
-                engine.query(sub[0], stats=AccessStats())
-            process.join(timeout=5)
-            assert not process.is_alive()
-        finally:
-            killer.join(timeout=30)
-            engine.close()
-
-
 def test_label_partition_routes_each_task_to_one_shard(tmp_path, imdb_small,
                                                        workload):
     """On a label-partitioned cover every fetch and edge task has one
@@ -463,7 +332,7 @@ def test_label_partition_routes_each_task_to_one_shard(tmp_path, imdb_small,
     with connect(tmp_path / "by-label", backend="inline") as engine:
         engine.query_batch(sub, SUBGRAPH, stats=AccessStats())
         engine.query_batch(sim, SIMULATION, stats=AccessStats())
-        backend = engine._shards
+        backend = engine.backend
         assert backend.scatter_messages > 0
         assert backend.scatter_messages_broadcast \
             == 4 * backend.scatter_messages
@@ -580,7 +449,7 @@ class TestFetchMemoization:
 
 class TestServeSharded:
     """The server stack over a sharded engine: admission cost unchanged
-    (bounds are plan properties), answers unchanged, worker pool closed
+    (bounds are plan properties), answers unchanged, backend closed
     cleanly by the service."""
 
     def test_serve_over_sharded_engine(self, sharded_artifact,
@@ -589,7 +458,7 @@ class TestServeSharded:
         from repro.server import QueryService, ServeClient, ServerThread
 
         sub, _ = workload
-        engine = connect(sharded_artifact, workers=1)
+        engine = connect(sharded_artifact, backend="inline")
         expected_cost = sequential_engine.prepare(
             sub[0], SUBGRAPH).worst_case_total_accessed
         expected = sequential_engine.query(
@@ -605,7 +474,7 @@ class TestServeSharded:
             assert body.answer_count == len(expected.answer)
             assert body.accessed == expected.stats.total_accessed
             assert snapshot["engine"]["sharded"] is True
-            assert snapshot["engine"]["exec_workers"] == 1
+            assert snapshot["backend"]["kind"] == "InlineShardBackend"
         finally:
             service.close()
 
@@ -638,28 +507,25 @@ class TestReviewRegressions:
         engine.save(path, shards=2)  # a fresh save is the repair
         connect(path).close()
 
-    def test_worker_error_round_does_not_desync_pipes(self, sharded_artifact,
-                                                      workload):
-        """A failed round reports once per round and the *next* round
-        still returns correct, aligned responses."""
-        sub, _ = workload
-        with connect(sharded_artifact, workers=2) as engine:
-            good = canonical_answer(
-                SUBGRAPH, engine.query(sub[0], stats=AccessStats()).answer)
-            with pytest.raises(EngineError, match="shard worker error"):
-                engine._shards.scatter([("bogus-task-kind",)])
-            after = canonical_answer(
-                SUBGRAPH, engine.query(sub[0], stats=AccessStats()).answer)
-            assert after == good
+    @pytest.fixture()
+    def shard_fleet(self, sharded_artifact):
+        from repro.server.shardserver import ShardServer
 
-    def test_reload_closes_drained_old_pool(self, sharded_artifact,
-                                            workload):
-        """Hot reload must not leak the previous engine's worker pool:
-        with no batches in flight the old pool closes immediately."""
+        servers = [ShardServer(sharded_artifact / persist.shard_dir_name(i))
+                   .start() for i in range(SHARDS)]
+        yield [server.address for server in servers]
+        for server in servers:
+            server.stop()
+
+    def test_reload_closes_drained_old_fleet(self, sharded_artifact,
+                                             shard_fleet, workload):
+        """Hot reload must not leak the previous engine's fleet session:
+        with no batches in flight its connections close immediately."""
         from repro.server import QueryService
 
         sub, _ = workload
-        old = connect(sharded_artifact, workers=1)
+        old = connect(sharded_artifact, backend="remote",
+                      shard_addrs=shard_fleet)
         service = QueryService(old, workers=2)
         try:
             assert service.execute_batch(
@@ -667,8 +533,10 @@ class TestReviewRegressions:
             service.reload_artifact(sharded_artifact)
             new = service.engine
             assert new is not old
-            assert new.exec_workers == 1  # worker count preserved
-            with pytest.raises(EngineError, match="closed"):
+            assert new.session_config.shard_addrs \
+                == old.session_config.shard_addrs
+            with pytest.raises(EngineError,
+                               match="remote shard backend is closed"):
                 old.query(sub[0], stats=AccessStats())
             assert service.execute_batch(
                 [service.admit(sub[0], SUBGRAPH)])
@@ -679,7 +547,7 @@ class TestReviewRegressions:
                                             sharded_artifact, imdb_small,
                                             workload):
         """Hot reload stays total across layout transitions: sharded
-        (with workers) -> single opens inline; single -> sharded works."""
+        (inline) -> single opens unsharded; single -> sharded works."""
         from repro.server import QueryService
 
         graph, schema = imdb_small
@@ -688,7 +556,7 @@ class TestReviewRegressions:
         connect((graph, schema)).save(single)
 
         service = QueryService(
-            connect(sharded_artifact, workers=1))
+            connect(sharded_artifact, backend="inline"))
         try:
             service.reload_artifact(single)
             assert service.engine.sharded is False
@@ -696,9 +564,9 @@ class TestReviewRegressions:
                 [service.admit(sub[0], SUBGRAPH)])
             service.reload_artifact(sharded_artifact)
             assert service.engine.sharded is True
-            # The configured worker pool is restored, not silently lost
+            # The configured backend is restored, not silently lost
             # across the single-layout hop.
-            assert service.engine.exec_workers == 1
+            assert isinstance(service.engine.backend, InlineShardBackend)
             assert service.execute_batch(
                 [service.admit(sub[0], SUBGRAPH)])
         finally:
@@ -706,8 +574,9 @@ class TestReviewRegressions:
 
     def test_inline_open_detects_corruption_without_double_read(
             self, tmp_path, imdb_small):
-        """The inline path skips the eager sweep but still detects a
-        corrupt shard (loading verifies every shard exactly once)."""
+        """Neither in-process open sweeps the tree eagerly, and both
+        detect a corrupt shard (loading verifies every shard exactly
+        once)."""
         graph, schema = imdb_small
         path = tmp_path / "art"
         connect((graph, schema)).save(path, shards=2)
@@ -718,4 +587,4 @@ class TestReviewRegressions:
         with pytest.raises(ArtifactError):
             connect(path)
         with pytest.raises(ArtifactError):
-            connect(path, workers=2)
+            connect(path, backend="inline")

@@ -167,12 +167,12 @@ class TestPipelinedIdentity:
                 t.join()
             assert results[0] == expected
             assert results[1] == expected
-            assert remote._shards.rounds_overlapped > 0
+            assert remote.backend.rounds_overlapped > 0
 
 
 # ------------------------------------------------- scatter_submit contract
 SHARDS = 3
-BACKENDS = ["inline", "process", "remote"]
+BACKENDS = ["inline", "remote"]
 
 
 @pytest.fixture(scope="module")
@@ -188,13 +188,11 @@ def contract_fleet(artifacts):
 def any_backend(request, artifacts, contract_fleet):
     if request.param == "inline":
         engine = connect(artifacts[4], backend="inline")
-    elif request.param == "process":
-        engine = connect(artifacts[4], workers=2)
     else:
         engine = connect(artifacts[4], backend="remote",
                          shard_addrs=contract_fleet)
     try:
-        yield engine._shards
+        yield engine.backend
     finally:
         engine.close()
 
@@ -258,7 +256,7 @@ class TestOverlap:
         try:
             engine = connect(artifacts[1], backend="remote",
                              shard_addrs=[server.address])
-            backend = engine._shards
+            backend = engine.backend
             try:
                 fired = []
                 done = threading.Event()
@@ -290,7 +288,7 @@ class TestCrossExecutionDedup:
                                                        workload):
         sub, _ = workload
         with connect(artifacts[2], backend="inline") as engine:
-            backend = engine._shards
+            backend = engine.backend
             plan = engine.prepare(sub[0], SUBGRAPH).plan
             # Two executions of one plan: identical fetch streams, so
             # every first-round cell dedups against its twin.
@@ -351,7 +349,7 @@ class TestFailure:
         engine = connect(path, backend="remote",
                          shard_addrs=[s.address for s in servers],
                          retries=1, retry_backoff_s=1.0)
-        backend = engine._shards
+        backend = engine.backend
         try:
             # Warm both connections, then kill shard 1 for good.
             backend.scatter([task])

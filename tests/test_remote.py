@@ -263,7 +263,7 @@ class TestRemoteIdentity:
                        for q in sim]
                 assert before == expected[:len(sub)]
                 assert after == expected
-                assert remote._shards.reconnects >= 1
+                assert remote.backend.reconnects >= 1
             finally:
                 remote.close()
         finally:
@@ -375,7 +375,7 @@ class TestWireFailures:
             try:
                 assert fingerprint(engine, sub[0], SUBGRAPH) == expected
                 assert servers[0].tripped
-                assert engine._shards.reconnects >= 1
+                assert engine.backend.reconnects >= 1
             finally:
                 engine.close()
         finally:
@@ -441,7 +441,7 @@ class TestConnectSurface:
                      backend="inline") as inline:
             assert inline.session_config == config.replace(backend="inline")
             assert inline.executor_strategy == "scatter"
-            backend = inline._shards
+            backend = inline.backend
             with connect((backend, inline.schema, inline.graph),
                          config=config) as assembled:
                 assert assembled.session_config == config

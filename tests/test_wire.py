@@ -453,7 +453,7 @@ class TestLiveNegotiation:
             with connect(artifact, backend="remote",
                          shard_addrs=[s.address for s in servers]) as remote:
                 assert answers(remote) == expected
-                stats = remote._shards.wire_stats()
+                stats = remote.backend.wire_stats()
                 assert all(s["bytes_sent"] > 0 and s["bytes_received"] > 0
                            for s in stats)
             assert any(s.metrics["wire.binary_frames_received"] > 0
@@ -481,14 +481,14 @@ class TestLiveNegotiation:
         service = QueryService(opened, workers=1)
         try:
             expected = answers(opened)
-            assert opened._shards.router is None
+            assert opened.backend.router is None
             service.reload_artifact(artifact)
             reloaded = service.engine
             assert reloaded is not opened
             assert reloaded.session_config == opened.session_config
-            assert reloaded._shards.router is None
+            assert reloaded.backend.router is None
             assert answers(reloaded) == expected
-            backend = reloaded._shards
+            backend = reloaded.backend
             assert backend.scatter_messages == \
                 backend.scatter_messages_broadcast > 0
         finally:
