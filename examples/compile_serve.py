@@ -44,7 +44,9 @@ def compile_artifact(path: Path) -> None:
         engine.prepare(parse_pattern(text, name=name))
     build_seconds = time.perf_counter() - start
     manifest = engine.save(path)
-    total = sum(meta["bytes"] for meta in manifest["files"].values())
+    # Top-level files plus every shard unit (a plain save is one shard).
+    total = sum(meta["bytes"] for meta in manifest["files"].values()) \
+        + sum(meta["bytes"] for meta in manifest["shards"])
     print(f"compiled in {1000 * build_seconds:.1f} ms -> {total} bytes, "
           f"{manifest['plans']['entries']} cached plans\n")
 

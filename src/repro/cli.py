@@ -146,25 +146,16 @@ def _cmd_compile(args) -> int:
             print(f"note: {pattern_path} is not effectively bounded ({exc})",
                   file=sys.stderr)
     manifest = engine.save(args.out, shards=args.shards)
-    if args.shards:
-        total_bytes = sum(meta["bytes"] for meta in manifest["files"].values())
-        total_bytes += sum(meta["bytes"] for meta in manifest["shards"])
-        partition = manifest["partition"]
-        print(f"compiled sharded artifact {args.out}: "
-              f"{manifest['graph']['nodes']} nodes, "
-              f"{manifest['graph']['edges']} edges across "
-              f"{partition['num_shards']} shards "
-              f"({partition['cross_edges']} cross-shard edges), "
-              f"{manifest['plans']['entries']} cached plans "
-              f"({compiled} compiled now), {total_bytes} bytes")
-    else:
-        total_bytes = sum(meta["bytes"] for meta in manifest["files"].values())
-        print(f"compiled artifact {args.out}: "
-              f"{manifest['graph']['nodes']} nodes, "
-              f"{manifest['graph']['edges']} edges, "
-              f"{len(manifest['index'])} constraint indexes, "
-              f"{manifest['plans']['entries']} cached plans "
-              f"({compiled} compiled now), {total_bytes} bytes")
+    total_bytes = sum(meta["bytes"] for meta in manifest["files"].values())
+    total_bytes += sum(meta["bytes"] for meta in manifest["shards"])
+    partition = manifest["partition"]
+    print(f"compiled artifact {args.out}: "
+          f"{manifest['graph']['nodes']} nodes, "
+          f"{manifest['graph']['edges']} edges across "
+          f"{partition['num_shards']} shards "
+          f"({partition['cross_edges']} cross-shard edges), "
+          f"{manifest['plans']['entries']} cached plans "
+          f"({compiled} compiled now), {total_bytes} bytes")
     return 0
 
 
@@ -186,16 +177,12 @@ def _cmd_extend(args) -> int:
         print("extend requires at least one --pattern file or --workload",
               file=sys.stderr)
         return 2
-    layout = persist.artifact_layout(args.artifact)
     out = args.out or args.artifact
-    # Extension rewrites per-shard indexes, so a sharded artifact must
-    # open as a real shard session, not the merged view.
-    engine = connect(args.artifact,
-                     backend="inline" if layout == "sharded" else "auto")
+    # Extension rewrites per-shard indexes, so the artifact opens as a
+    # shard session, not the merged view.
+    engine = connect(args.artifact, backend="inline")
     try:
         before_version = engine.schema_version
-        before_cells = None if engine.sharded \
-            else engine.schema_index.total_size
         plan = plan_extension(engine, queries, m=args.extend_budget,
                               semantics=args.semantics,
                               max_added=args.max_added)
@@ -205,10 +192,7 @@ def _cmd_extend(args) -> int:
             if Path(out).resolve() != Path(args.artifact).resolve():
                 # --out is a promise: the follow-up artifact must exist
                 # even when no constraints were needed.
-                if layout == "sharded":
-                    persist.save_extended_sharded(engine, args.artifact, out)
-                else:
-                    engine.save(out)
+                persist.save_extended_sharded(engine, args.artifact, out)
                 print(f"copied unchanged artifact to {out}")
             return 0
         report = engine.extend_schema(
@@ -216,20 +200,14 @@ def _cmd_extend(args) -> int:
             provenance={"origin": "extend-cli", "m": plan.m,
                         "queries": len(queries),
                         "semantics": args.semantics})
-        if layout == "sharded":
-            persist.save_extended_sharded(engine, args.artifact, out)
-        else:
-            engine.save(out)
+        persist.save_extended_sharded(engine, args.artifact, out)
         print(f"extended {args.artifact} -> {out}: schema "
               f"v{before_version} -> v{report.version} (M={plan.m})")
         for constraint in report.added:
             print(f"  + {constraint}")
-        delta = f"+{report.added_cells} cells"
-        if before_cells is not None:
-            delta += (f" ({before_cells} -> "
-                      f"{before_cells + report.added_cells})")
-        print(f"index-size delta: {delta} across {report.built} new "
-              f"indexes, built in {report.build_seconds * 1000:.1f} ms")
+        print(f"index-size delta: +{report.added_cells} cells across "
+              f"{report.built} new indexes, built in "
+              f"{report.build_seconds * 1000:.1f} ms")
         return 0
     finally:
         engine.close()
@@ -290,8 +268,8 @@ def _cmd_serve(args) -> int:
                          backend="remote" if shard_addrs else "auto",
                          shard_addrs=shard_addrs)
     elif shard_addrs:
-        print("--shard-addrs requires --artifact pointing at a sharded "
-              "artifact (repro compile --shards N)", file=sys.stderr)
+        print("--shard-addrs requires --artifact (repro compile "
+              "--shards N)", file=sys.stderr)
         return 2
     elif args.graph and args.schema:
         schema = AccessSchema.load(args.schema)
@@ -473,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--pattern", action="append",
                            help="pattern file to pre-compile into the "
                                 "artifact's plan cache (repeatable)")
-    p_compile.add_argument("--shards", type=int, default=0,
-                           help="write a sharded artifact with this many "
-                                "halo shards (serve it merged with "
+    p_compile.add_argument("--shards", type=int, default=1,
+                           help="number of halo shards (default 1: the "
+                                "whole graph; serve any count merged with "
                                 "`repro serve`, or over a "
                                 "`repro shard-serve` fleet)")
     p_compile.add_argument("--validate", action="store_true",
@@ -491,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "extend", help="extend an artifact's access schema so a workload "
                        "becomes bounded (M-bounded extension, Section V)")
     p_extend.add_argument("--artifact", required=True,
-                          help="compiled artifact directory (single or "
-                               "sharded) to extend")
+                          help="compiled artifact directory to extend")
     p_extend.add_argument("--pattern", action="append",
                           help="pattern file the extension must make "
                                "bounded (repeatable)")
@@ -554,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "per shard, in shard order (repeatable, or "
                               "one comma-separated list); serves scatter "
                               "waves from the fleet instead of local "
-                              "shards (requires a sharded --artifact)")
+                              "shards (requires --artifact)")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          help="expose a Prometheus scrape endpoint on "
                               "this HTTP port (0 binds an ephemeral one; "
@@ -575,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_shard = sub.add_parser(
         "shard-serve",
-        help="serve one shard of a sharded artifact over TCP")
+        help="serve one shard of an artifact over TCP")
     shardserver.add_flags(p_shard)
     p_shard.set_defaults(func=shardserver.run)
 

@@ -28,7 +28,6 @@ from repro.engine.persist import (
     inspect_artifact,
     load_engine,
     render_inspection,
-    save_engine,
     save_extended_sharded,
     save_sharded_engine,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "pattern_fingerprint",
     "plan_extension",
     "render_inspection",
-    "save_engine",
     "save_extended_sharded",
     "save_sharded_engine",
     "workload_stats",

@@ -333,15 +333,16 @@ class QueryEngine:
         engine._executor = "scatter"
         return engine
 
-    def save(self, path, *, shards: int | None = None,
+    def save(self, path, *, shards: int = 1,
              shard_assignment: dict | None = None) -> dict:
         """Persist the session's compiled state (snapshot, indexes, plan
-        cache) as an artifact directory; returns the manifest. A save
-        from a mutable session freezes its current state, repairing any
-        staleness at ``path``. ``shards=N`` writes the sharded layout
-        instead (partition + per-shard sub-artifacts), which
-        ``repro.connect(path)`` serves merged, ``backend="inline"``
-        scattered in-process, and a ``repro shard-serve`` fleet over
+        cache, schema catalog) as an artifact of ``shards`` halo shards;
+        returns the top manifest. A save from a mutable session freezes
+        its current state, repairing any staleness at ``path``. The
+        default is one shard, the whole graph with its node ids and
+        indexes as they are. ``repro.connect(path)`` serves any shard
+        count merged, ``backend="inline"`` scatters over the shards
+        in-process, and a ``repro shard-serve`` fleet serves them over
         the wire.
         ``shard_assignment`` overrides the default node→shard cover (see
         :func:`repro.graph.partition.partition_graph`) — e.g. a
@@ -353,13 +354,8 @@ class QueryEngine:
                 "a sharded session does not hold the full graph; "
                 "re-compile from the source data (repro compile --shards) "
                 "instead of re-saving")
-        if shard_assignment is not None and not shards:
-            raise EngineError("shard_assignment requires shards=N")
-        if shards:
-            manifest = persist.save_sharded_engine(
-                self, path, shards, assignment=shard_assignment)
-        else:
-            manifest = persist.save_engine(self, path)
+        manifest = persist.save_sharded_engine(
+            self, path, shards, assignment=shard_assignment)
         self.artifact_path = Path(path)
         return manifest
 
@@ -417,7 +413,8 @@ class QueryEngine:
 
     @property
     def sharded(self) -> bool:
-        """True for scatter-gather sessions opened from sharded artifacts."""
+        """True for scatter-gather sessions (``backend="inline"`` or
+        ``"remote"``); the merged view of an artifact is not one."""
         return self._shards is not None
 
     @property

@@ -65,17 +65,19 @@ from repro.session import SessionConfig
 
 
 class ShardRuntime:
-    """One shard's in-memory state: halo graph, owned set, shard index."""
+    """One shard's in-memory state: halo graph, owned set, shard index.
+    ``owned=None`` is the one shard of a one-shard partition, which owns
+    its whole graph."""
 
     __slots__ = ("shard_id", "graph", "schema_index", "owned",
                  "_owned_sorted", "_owned_labels")
 
     def __init__(self, shard_id: int, graph, schema_index,
-                 owned: Sequence[int]):
+                 owned: Sequence[int] | None):
         self.shard_id = shard_id
         self.graph = graph
         self.schema_index = schema_index
-        self.owned = frozenset(owned)
+        self.owned = frozenset(graph.nodes() if owned is None else owned)
         self._owned_sorted = kernels.sorted_id_array(self.owned)
         self._owned_labels: list[str] | None = None
 
@@ -161,7 +163,9 @@ class OwnerRouter:
     go only to shards owning a source candidate, ``fetch``/``edge``
     tasks only to shards owning at least one node of the constraint's
     target label — every skipped shard would have contributed an empty
-    response, so the merged result is unchanged.
+    response, so the merged result is unchanged. A one-shard partition
+    has nothing to route: its one shard gets every task, and neither
+    backend builds a router for it.
     """
 
     __slots__ = ("_owner_of", "_label_shards", "num_shards")
@@ -318,7 +322,7 @@ class InlineShardBackend(ShardBackend):
             raise EngineError("a shard backend needs at least one shard")
         super().__init__(schema)
         self.runtimes = runtimes
-        if owner_routing:
+        if owner_routing and len(runtimes) > 1:
             self.router = OwnerRouter(
                 {r.shard_id: r.owned for r in runtimes},
                 {r.shard_id: r.owned_labels() for r in runtimes})
@@ -507,9 +511,9 @@ class RemoteShardBackend(ShardBackend):
     """The backend contract over a fleet of ``repro shard-serve``
     processes.
 
-    The front-end opens the *same* sharded artifact directory the fleet
-    serves from (plans, catalog, partition — everything except the shard
-    graphs) and handshakes every address: exact protocol and artifact
+    The front-end opens the *same* artifact directory the fleet serves
+    from (plans, catalog, partition — everything except the shard units)
+    and handshakes every address: exact protocol and artifact
     format-version agreement plus a manifest-checksum match against the
     top manifest's per-shard root of trust, so a fleet serving a
     different compile fails loudly at connect, never silently mid-wave.
@@ -538,8 +542,8 @@ class RemoteShardBackend(ShardBackend):
         super().__init__(schema)
         self._artifact_path = artifact_path
         if manifest is None:
-            manifest = persist.read_sharded_manifest(artifact_path)
-        shard_meta = manifest.get("shards") or []
+            manifest = persist.read_manifest(artifact_path)
+        shard_meta = manifest["shards"]
         if len(shard_addrs) != len(shard_meta):
             raise EngineError(
                 f"artifact at {artifact_path} has {len(shard_meta)} "
@@ -584,10 +588,9 @@ class RemoteShardBackend(ShardBackend):
                 raise ShardHandshakeMismatch(
                     f"shard addresses cover no server for shards "
                     f"{missing}", expected=self._shard_ids)
-            if config.owner_routing:
+            if config.owner_routing and len(shard_meta) > 1:
                 self.router = OwnerRouter(
-                    persist.load_partition_owners(artifact_path,
-                                                  manifest=manifest),
+                    persist.load_partition_owners(artifact_path),
                     labels_by_shard)
         except BaseException:
             for conn in conns:

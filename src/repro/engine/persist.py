@@ -14,29 +14,35 @@ prepared canonical forms:
     ...
     engine = repro.connect("artifact/")        # warm: ~10-40x faster
 
-Artifact layout (one directory)::
+Every artifact has one layout: a top directory over ``N >= 1`` shard
+units (``repro compile --shards N``; a plain save is one shard, the
+identity partition — see :func:`save_sharded_engine` and DESIGN.md
+"Persistent compiled artifacts")::
 
-    manifest.json     format version, byte order, graph stats, access
-                      schema, per-constraint index metadata, file
-                      checksums (the root of trust)
-    graph.bin         FrozenGraph CSR buffers (binary container)
-    graph.meta.json   label table + sparse node-value map
-    index.bin         per-constraint FrozenConstraintIndex buffers
+    manifest.json     format version, byte order, graph and partition
+                      stats, access schema, plan count, checksums of the
+                      files below *and* of every shard manifest (the
+                      root of trust over the whole tree)
     plans.json        plan-cache contents (compiled plans + cached
                       negative EBChk verdicts, keyed by canonical form)
+    catalog.json      schema catalog: generation history + provenance
+    partition.bin     owned-node ids per shard (none for one shard: it
+                      owns its whole graph)
     STALE             marker written by ``QueryEngine.apply`` when the
                       served graph diverges from the snapshot
+    shard-0000/ …     one shard unit per shard:
+      manifest.json     shard id, graph stats, schema, per-constraint
+                        index metadata, checksums of the three files
+      graph.bin         FrozenGraph CSR buffers of the (halo) graph
+      graph.meta.json   label table + sparse node-value map
+      index.bin         FrozenConstraintIndex buffers over owned targets
 
-A *sharded* artifact (``repro compile --shards N``; see
-:func:`save_sharded_engine` and DESIGN.md "Sharded execution") nests one
-such directory per shard under a top-level manifest that also checksums
-every shard manifest, ``plans.json`` and ``partition.bin`` — corruption
-anywhere in the tree is detected at open.
-
-The binary container is struct/array-based — a magic header followed by
+A shard unit is not an artifact: opening one raises an
+:class:`~repro.errors.ArtifactError` naming its artifact. The binary
+container is struct/array-based — a magic header followed by
 named int64 sections, 8-byte aligned so loading can hand out zero-copy
 ``memoryview`` slices over one bytes object. No pickle anywhere. Every
-payload file is SHA-256 checksummed in the manifest; corruption raises
+payload file is SHA-256 checksummed in its manifest; corruption raises
 :class:`~repro.errors.ArtifactCorrupt`, a format bump raises
 :class:`~repro.errors.ArtifactVersionMismatch`, and a stale marker
 raises :class:`~repro.errors.ArtifactStale` (all loud, never a wrong
@@ -78,15 +84,13 @@ from repro.pattern.pattern import Pattern
 from repro.pattern.predicates import Atom, Predicate
 
 #: Bump on any incompatible change to buffers, JSON layouts, or the
-#: canonical pattern fingerprint. Version 2 added the sharded layout
-#: (``layout: "sharded"`` manifests referencing per-shard sub-artifacts
-#: plus ``partition.bin``); single-directory artifacts are bumped with it
-#: so one number describes the whole artifact family. Version 3 added
-#: the schema catalog (``catalog.json``: generation history + extension
-#: provenance, checksummed like every payload). Only the current version
+#: canonical pattern fingerprint. Version 2 added the sharded layout,
+#: version 3 the schema catalog (``catalog.json``). Version 4 made the
+#: sharded layout the only one: a plain save is one shard, and a shard
+#: unit holds only its graph and indexes. Only the current version
 #: opens; anything else is a typed
 #: :class:`~repro.errors.ArtifactVersionMismatch` asking for a re-compile.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 FORMAT_NAME = "repro-engine-artifact"
 
@@ -99,19 +103,17 @@ CATALOG_FILE = "catalog.json"
 STALE_FILE = "STALE"
 PARTITION_FILE = "partition.bin"
 
-#: Files whose checksums a single-layout manifest records (everything
-#: but itself and the stale marker).
-PAYLOAD_FILES = (GRAPH_FILE, GRAPH_META_FILE, INDEX_FILE, PLANS_FILE,
-                 CATALOG_FILE)
+#: Files the top manifest checksums, beside every shard manifest.
+TOP_FILES = (PLANS_FILE, PARTITION_FILE, CATALOG_FILE)
 
-#: Top-level payload files of a sharded-layout artifact; each shard
-#: directory is additionally a complete single-layout artifact.
-SHARDED_PAYLOAD_FILES = (PLANS_FILE, PARTITION_FILE, CATALOG_FILE)
+#: Files a shard unit's manifest checksums.
+SHARD_FILES = (GRAPH_FILE, GRAPH_META_FILE, INDEX_FILE)
 
 
 def shard_dir_name(shard_id: int) -> str:
-    """Directory name of one shard inside a sharded artifact."""
+    """Directory name of one shard unit inside an artifact."""
     return f"shard-{shard_id:04d}"
+
 
 _BIN_MAGIC = b"RPROBIN1"
 _ITEM = 8  # int64 buffers only
@@ -316,25 +318,37 @@ def _decode_plan_entries(payload: dict, schema: AccessSchema):
 
 
 # ------------------------------------------------------------------------- saving
-def save_engine(engine, path) -> dict:
-    """Write ``engine``'s compiled state to the artifact directory
-    ``path`` (created if needed, overwritten if present) and return the
-    manifest. Clears any stale marker: a fresh save *is* the repair.
-    """
+def _checksums(contents: dict) -> dict:
+    return {name: {"sha256": hashlib.sha256(data).hexdigest(),
+                   "bytes": len(data)}
+            for name, data in contents.items()}
+
+
+def _commit(path: Path, contents: dict, manifest: dict) -> str:
+    """Write ``contents``, then the manifest that checksums them, and
+    return the manifest's SHA-256. Manifest last: a crash mid-save leaves
+    a manifest that does not match its payloads, which opens as
+    corruption, never as a trustworthy artifact."""
+    for name, data in contents.items():
+        (path / name).write_bytes(data)
+    text = (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+    (path / MANIFEST_FILE).write_bytes(text)
+    return hashlib.sha256(text).hexdigest()
+
+
+def _save_shard(path: Path, shard_id: int, graph, schema,
+                schema_index) -> tuple[dict, str]:
+    """Write one shard unit — ``graph`` and the index of every
+    constraint of ``schema`` — to ``path``; returns its manifest and the
+    manifest's SHA-256 (which the top manifest records)."""
     from repro import __version__  # late: repro/__init__ defines it last
 
-    path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-
-    graph = engine.graph
-    if not isinstance(graph, FrozenGraph):
-        graph = FrozenGraph.from_graph(graph)
     graph_buffers, graph_meta = graph.to_buffers()
-
     index_buffers: dict = {}
     index_meta = []
-    for i, constraint in enumerate(engine.schema):
-        index = engine.schema_index.index_for(constraint)
+    for i, constraint in enumerate(schema):
+        index = schema_index.index_for(constraint)
         if isinstance(index, ConstraintIndex):
             index = index.freeze()
         for name, buf in index.to_buffers().items():
@@ -343,57 +357,172 @@ def save_engine(engine, path) -> dict:
                            "num_keys": index.num_keys,
                            "size": index.size,
                            "max_entry": index.max_entry})
-
-    plan_entries = _encode_plan_entries(engine)
-
     contents = {
         GRAPH_FILE: pack_buffers(graph_buffers),
         GRAPH_META_FILE: json.dumps(graph_meta).encode("utf-8"),
         INDEX_FILE: pack_buffers(index_buffers),
+    }
+    manifest = {
+        "format": FORMAT_NAME,
+        "format_version": FORMAT_VERSION,
+        "shard": shard_id,
+        "library_version": __version__,
+        "byteorder": sys.byteorder,
+        "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges,
+                  "labels": len(graph.labels())},
+        "schema": schema.to_dict(),
+        "index": index_meta,
+        "files": _checksums(contents),
+    }
+    return manifest, _commit(path, contents, manifest)
+
+
+def _write_artifact(engine, path, units: list, graph_info: dict,
+                    cross_edges: int) -> dict:
+    """Write ``engine``'s artifact at ``path`` and return its top
+    manifest. ``units`` holds one ``(graph, schema_index, owned)`` per
+    shard; ``owned=None`` means the shard owns its whole graph. Clears
+    any stale marker: a fresh save *is* the repair."""
+    from repro import __version__
+
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    shard_meta = []
+    owned_buffers = {}
+    for shard_id, (graph, schema_index, owned) in enumerate(units):
+        unit, digest = _save_shard(path / shard_dir_name(shard_id),
+                                   shard_id, graph, engine.schema,
+                                   schema_index)
+        if owned is None:
+            owned_nodes, owned_edges = graph.num_nodes, graph.num_edges
+        else:
+            owned_nodes = len(owned)
+            owned_edges = sum(graph.out_degree(v) for v in owned)
+        if len(units) > 1:
+            owned_buffers[f"s{shard_id}.owned"] = array("q", sorted(owned))
+        shard_meta.append({
+            "manifest_sha256": digest,
+            "nodes": graph.num_nodes,
+            "edges": graph.num_edges,
+            "owned_nodes": owned_nodes,
+            "owned_edges": owned_edges,
+            "halo_nodes": graph.num_nodes - owned_nodes,
+            "bytes": sum(meta["bytes"] for meta in unit["files"].values()),
+        })
+    plan_entries = _encode_plan_entries(engine)
+    contents = {
         PLANS_FILE: json.dumps({"entries": plan_entries}).encode("utf-8"),
+        PARTITION_FILE: pack_buffers(owned_buffers),
         CATALOG_FILE: json.dumps(engine.catalog.to_dict()).encode("utf-8"),
     }
     manifest = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
-        "layout": "single",
         "library_version": __version__,
         "byteorder": sys.byteorder,
-        "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges,
-                  "labels": len(graph.labels())},
+        "graph": graph_info,
         "schema": engine.schema.to_dict(),
         "schema_version": engine.catalog.version,
-        "index": index_meta,
+        "partition": {"num_shards": len(units), "cross_edges": cross_edges},
+        "shards": shard_meta,
         "plans": {"entries": len(plan_entries)},
-        "files": {name: {"sha256": hashlib.sha256(data).hexdigest(),
-                         "bytes": len(data)}
-                  for name, data in contents.items()},
+        "files": _checksums(contents),
     }
-    for name, data in contents.items():
-        (path / name).write_bytes(data)
-    # Manifest last: a crash mid-save leaves a manifest that does not
-    # match its payloads, which load_engine reports as corruption.
-    (path / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n",
-                                      encoding="utf-8")
+    _commit(path, contents, manifest)
     (path / STALE_FILE).unlink(missing_ok=True)
     return manifest
 
 
+def save_sharded_engine(engine, path, shards: int = 1,
+                        assignment: dict | None = None) -> dict:
+    """Write ``engine``'s compiled state (graph, indexes, plan cache,
+    schema catalog) as an artifact of ``shards`` halo shards at ``path``
+    (created if needed, overwritten if present); returns the top
+    manifest.
+
+    ``shards=1`` with no ``assignment`` is the identity partition: its
+    one shard is the session's own frozen graph and indexes, written
+    with no partition pass, no index rebuild and no owned-node list, so
+    node ids are unchanged. Otherwise the graph is partitioned
+    (:func:`~repro.graph.partition.partition_graph`, which
+    ``assignment`` overrides) and each shard's indexes are built over
+    its owned targets. ``repro shard-serve`` warm-starts from one shard
+    unit, so nothing larger than task/response frames ever crosses a
+    process boundary.
+    """
+    from repro.graph.partition import build_shard_indexes, partition_graph
+
+    if shards < 1:
+        raise EngineError(f"shards must be >= 1, got {shards}")
+    graph = engine.graph
+    if not isinstance(graph, FrozenGraph):
+        graph = FrozenGraph.from_graph(graph)
+    if shards == 1 and assignment is None:
+        units = [(graph, engine.schema_index, None)]
+        cross_edges = 0
+    else:
+        partition = partition_graph(graph, shards, assignment=assignment)
+        units = [(shard.graph, schema_index, shard.owned)
+                 for shard, schema_index in zip(
+                     partition.shards,
+                     build_shard_indexes(partition, engine.schema))]
+        cross_edges = partition.cross_edges
+    return _write_artifact(engine, path, units,
+                           {"nodes": graph.num_nodes,
+                            "edges": graph.num_edges,
+                            "labels": len(graph.labels())},
+                           cross_edges)
+
+
+def save_extended_sharded(engine, source, path) -> dict:
+    """Persist an inline session — typically one grown by
+    ``extend_schema`` — as an artifact at ``path``, reusing the
+    partition of the artifact it was opened from (``source``).
+
+    This is the on-disk half of incremental extension: the partition is
+    **not** recomputed and no index is rebuilt — each shard unit is
+    re-serialized from its loaded runtime, whose indexes for the added
+    constraints were built incrementally over owned targets only.
+    ``path`` may equal ``source`` (in-place extension: the loaded
+    payloads are plain in-memory bytes, so overwriting is safe).
+    """
+    from repro.engine.parallel import InlineShardBackend
+
+    if not isinstance(engine.backend, InlineShardBackend):
+        raise EngineError(
+            "saving an extended artifact requires an inline session "
+            "(repro.connect(path, backend='inline'))")
+    source_manifest = read_manifest(source)
+    manifest = _write_artifact(
+        engine, path,
+        [(runtime.graph, runtime.schema_index, runtime.owned)
+         for runtime in engine.backend.runtimes],
+        source_manifest.get("graph", {}),
+        source_manifest.get("partition", {}).get("cross_edges"))
+    engine.artifact_path = Path(path)
+    return manifest
+
+
 # ------------------------------------------------------------------------ loading
-def _read_manifest(path: Path) -> dict:
-    manifest_path = path / MANIFEST_FILE
-    if not manifest_path.is_file():
-        raise ArtifactCorrupt(f"no artifact manifest at {manifest_path}",
-                              path=str(path))
+def _read_bytes(file_path: Path, what: str = "artifact file") -> bytes:
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ArtifactCorrupt(f"unreadable artifact manifest: {exc}",
-                              path=str(manifest_path)) from exc
+        return file_path.read_bytes()
+    except OSError as exc:
+        raise ArtifactCorrupt(f"missing {what} {file_path}: {exc}",
+                              path=str(file_path)) from exc
+
+
+def _parse_manifest(path: Path, data: bytes) -> dict:
+    """The version-checked manifest (top or shard unit) at ``path``."""
+    try:
+        manifest = json.loads(data)
+    except ValueError as exc:
+        raise ArtifactCorrupt(f"unreadable artifact manifest at {path}: "
+                              f"{exc}", path=str(path)) from exc
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise ArtifactCorrupt(
-            f"{manifest_path} is not a {FORMAT_NAME} manifest",
-            path=str(manifest_path))
+            f"{path / MANIFEST_FILE} is not a {FORMAT_NAME} manifest",
+            path=str(path))
     found = manifest.get("format_version")
     if found != FORMAT_VERSION:
         raise ArtifactVersionMismatch(
@@ -404,9 +533,30 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _read_payloads(path: Path, manifest: dict) -> dict:
-    expected = SHARDED_PAYLOAD_FILES \
-        if manifest.get("layout") == "sharded" else PAYLOAD_FILES
+def read_manifest(path) -> dict:
+    """The version-checked top manifest of the artifact at ``path`` —
+    the root of trust every open starts from (the remote handshake reads
+    its expectations from it: format version, schema version and the
+    per-shard manifest checksums). A shard unit is not an artifact and
+    raises :class:`~repro.errors.ArtifactError` naming its artifact."""
+    path = Path(path)
+    manifest = _parse_manifest(
+        path, _read_bytes(path / MANIFEST_FILE, "artifact manifest"))
+    if "shard" in manifest:
+        raise ArtifactError(
+            f"{path} is shard {manifest['shard']} of the artifact at "
+            f"{path.parent}, not an artifact: open {path.parent} (or "
+            f"serve this shard with repro shard-serve --artifact {path})")
+    shards = manifest.get("shards")
+    if not isinstance(shards, list) or not shards:
+        raise ArtifactCorrupt(f"artifact at {path} lists no shards",
+                              path=str(path))
+    return manifest
+
+
+def _read_payloads(path: Path, manifest: dict, expected) -> dict:
+    """The files ``manifest`` checksums, each verified by size and
+    SHA-256; ``expected`` names exactly which files it must list."""
     files = manifest.get("files")
     if not isinstance(files, dict) or set(files) != set(expected):
         raise ArtifactCorrupt(
@@ -415,11 +565,7 @@ def _read_payloads(path: Path, manifest: dict) -> dict:
     payloads = {}
     for name, meta in files.items():
         file_path = path / name
-        try:
-            data = file_path.read_bytes()
-        except OSError as exc:
-            raise ArtifactCorrupt(f"missing artifact file {file_path}: {exc}",
-                                  path=str(file_path)) from exc
+        data = _read_bytes(file_path)
         if len(data) != meta.get("bytes"):
             raise ArtifactCorrupt(
                 f"{file_path}: size {len(data)} != recorded {meta.get('bytes')}",
@@ -469,37 +615,6 @@ def _decode_catalog(path: Path, schema: AccessSchema, payload: bytes):
             path=str(path / CATALOG_FILE)) from exc
 
 
-def _load_frozen_parts(path: Path, manifest: dict):
-    """``(catalog, graph, indexes, plans_payload)`` from a single-layout
-    artifact directory whose manifest has already been read."""
-    payloads = _read_payloads(path, manifest)
-    byteswap = manifest.get("byteorder") != sys.byteorder
-    try:
-        schema = AccessSchema.from_dict(manifest["schema"])
-        graph_meta = json.loads(payloads[GRAPH_META_FILE])
-        plans_payload = json.loads(payloads[PLANS_FILE])
-    except (KeyError, ValueError) as exc:
-        raise ArtifactCorrupt(f"malformed artifact JSON at {path}: {exc}",
-                              path=str(path)) from exc
-    catalog = _decode_catalog(path, schema, payloads[CATALOG_FILE])
-
-    graph_buffers = unpack_buffers(payloads[GRAPH_FILE], byteswap=byteswap,
-                                   source=GRAPH_FILE)
-    graph = FrozenGraph.from_buffers(graph_buffers, graph_meta)
-
-    index_buffers = unpack_buffers(payloads[INDEX_FILE], byteswap=byteswap,
-                                   source=INDEX_FILE)
-    per_constraint: dict[str, dict] = {}
-    for name, buf in index_buffers.items():
-        prefix, _, field = name.partition(".")
-        per_constraint.setdefault(prefix, {})[field] = buf
-    indexes = {}
-    for i, constraint in enumerate(schema):
-        indexes[constraint] = FrozenConstraintIndex.from_buffers(
-            constraint, per_constraint.get(f"c{i}", {}))
-    return catalog, graph, indexes, plans_payload
-
-
 def _decode_plan_cache(path: Path, plans_payload: dict, schema,
                        cache_size: int):
     """Rehydrate a plan cache, never letting LRU capacity silently evict
@@ -519,27 +634,111 @@ def _decode_plan_cache(path: Path, plans_payload: dict, schema,
     return plan_cache
 
 
-def artifact_layout(path) -> str:
-    """``"single"`` or ``"sharded"`` for the artifact at ``path``.
+def _decode_owners(path: Path, manifest: dict, data: bytes) -> dict:
+    """``{shard_id: owned node ids}`` from ``partition.bin``; ``None``
+    for the one shard of a one-shard artifact, which owns its whole
+    graph and has no list."""
+    num_shards = len(manifest["shards"])
+    if num_shards == 1:
+        return {0: None}
+    buffers = unpack_buffers(data,
+                             byteswap=manifest.get("byteorder")
+                             != sys.byteorder,
+                             source=PARTITION_FILE)
+    owners = {}
+    for shard_id in range(num_shards):
+        owned = buffers.get(f"s{shard_id}.owned")
+        if owned is None:
+            raise ArtifactCorrupt(
+                f"{path / PARTITION_FILE} is missing the owned-node "
+                f"buffer for shard {shard_id}",
+                path=str(path / PARTITION_FILE))
+        owners[shard_id] = list(owned)
+    return owners
 
-    Reads (and version-checks) the manifest only — used by callers that
-    must pick open parameters by layout, e.g. the server's hot reload.
-    """
-    return _read_manifest(Path(path)).get("layout", "single")
+
+def _load_shard(path: Path, manifest: dict, shard_id: int):
+    """``(graph, schema_index)`` of one shard unit, its manifest checked
+    against the checksum the top manifest records for it."""
+    if not 0 <= shard_id < len(manifest["shards"]):
+        raise ArtifactCorrupt(f"artifact at {path} has no shard {shard_id}",
+                              path=str(path))
+    unit_path = path / shard_dir_name(shard_id)
+    data = _read_bytes(unit_path / MANIFEST_FILE, "shard manifest")
+    if hashlib.sha256(data).hexdigest() \
+            != manifest["shards"][shard_id].get("manifest_sha256"):
+        raise ArtifactCorrupt(
+            f"{unit_path / MANIFEST_FILE}: checksum mismatch (shard "
+            f"{shard_id} is corrupt or was modified; re-compile)",
+            path=str(unit_path / MANIFEST_FILE))
+    unit = _parse_manifest(unit_path, data)
+    payloads = _read_payloads(unit_path, unit, SHARD_FILES)
+    byteswap = unit.get("byteorder") != sys.byteorder
+    try:
+        schema = AccessSchema.from_dict(unit["schema"])
+        graph_meta = json.loads(payloads[GRAPH_META_FILE])
+    except (KeyError, ValueError) as exc:
+        raise ArtifactCorrupt(f"malformed artifact JSON at {unit_path}: "
+                              f"{exc}", path=str(unit_path)) from exc
+    graph = FrozenGraph.from_buffers(
+        unpack_buffers(payloads[GRAPH_FILE], byteswap=byteswap,
+                       source=GRAPH_FILE), graph_meta)
+    per_constraint: dict[str, dict] = {}
+    for name, buf in unpack_buffers(payloads[INDEX_FILE], byteswap=byteswap,
+                                    source=INDEX_FILE).items():
+        prefix, _, field = name.partition(".")
+        per_constraint.setdefault(prefix, {})[field] = buf
+    indexes = {constraint: FrozenConstraintIndex.from_buffers(
+                   constraint, per_constraint.get(f"c{i}", {}))
+               for i, constraint in enumerate(schema)}
+    return graph, SchemaIndex.from_prebuilt(graph, schema, indexes)
 
 
-#: Where the shards of a sharded artifact live (``SessionConfig.backend``);
-#: ``auto`` resolves from the other fields, see :func:`_resolve_backend`.
+def _load_runtimes(path: Path, manifest: dict, payloads: dict,
+                   shard_ids) -> list:
+    from repro.engine.parallel import ShardRuntime
+
+    owners = _decode_owners(path, manifest, payloads[PARTITION_FILE])
+    return [ShardRuntime(shard_id, *_load_shard(path, manifest, shard_id),
+                         owners[shard_id])
+            for shard_id in shard_ids]
+
+
+def load_shard_runtimes(path, shard_ids) -> list:
+    """Load the given shards of the artifact at ``path`` into
+    :class:`~repro.engine.parallel.ShardRuntime` objects, verifying the
+    top files and each shard unit (``repro shard-serve`` starts here)."""
+    path = Path(path)
+    manifest = read_manifest(path)
+    payloads = _read_payloads(path, manifest, TOP_FILES)
+    return _load_runtimes(path, manifest, payloads, shard_ids)
+
+
+def load_partition_owners(path) -> dict:
+    """``{shard_id: [owned node ids]}`` of a multi-shard artifact,
+    through the same verified read as every open — the node-ownership
+    half of the owner-routing metadata (see
+    :class:`~repro.engine.parallel.OwnerRouter`). Reads only the top
+    files, so a front-end that holds no graph can still route probes."""
+    path = Path(path)
+    manifest = read_manifest(path)
+    payloads = _read_payloads(path, manifest, TOP_FILES)
+    return _decode_owners(path, manifest, payloads[PARTITION_FILE])
+
+
+#: Where the shards of an artifact are served from
+#: (``SessionConfig.backend``); ``auto`` resolves from the other fields,
+#: see :func:`_resolve_backend`.
 BACKENDS = ("auto", "inline", "remote")
 
 
 def _resolve_backend(config) -> str:
     """The backend ``config`` asks for, with ``auto`` resolved:
     ``remote`` when shard addresses are given, and otherwise still
-    ``auto`` — the merged view, where a sharded artifact is served as
-    one graph by the ordinary plan executors (on one host, scatter over
-    shards only adds coordination overhead). Contradictory combinations
-    are rejected, never silently ignored."""
+    ``auto`` — the merged view, where an artifact is served as one graph
+    by the ordinary plan executors (on one host, scatter over shards
+    only adds coordination overhead). Contradictory combinations are
+    rejected, never silently ignored."""
     backend = config.backend
     if backend not in BACKENDS:
         raise EngineError(f"unknown backend {backend!r}; expected one "
@@ -552,6 +751,16 @@ def _resolve_backend(config) -> str:
     if backend != "remote" and config.shard_addrs:
         raise EngineError(f"shard_addrs only applies to backend='remote', "
                           f"not {backend!r}")
+    if backend != "auto" and not config.frozen:
+        raise EngineError(
+            f"backend={backend!r} serves frozen shards; frozen=False "
+            f"thaws the merged view (backend='auto')")
+    if backend != "auto" and config.validate:
+        raise EngineError(
+            "validate=True is not supported for scatter-gather serving: "
+            "cardinality bounds are a property of the merged index; "
+            "open the merged view (backend='auto') or "
+            "validate before compiling")
     return backend
 
 
@@ -560,453 +769,68 @@ def load_engine(path, config):
     under ``config``, a :class:`~repro.session.SessionConfig` (which
     documents every field; :func:`repro.connect` is the caller).
 
-    The frozen path (default) is the warm start: CSR buffers are adopted
-    zero-copy, constraint indexes decode lazily, and the plan cache is
+    The top manifest and its files (plans, partition, catalog) are read
+    and checksum-verified for every backend, then the shards open under
+    the resolved backend (:func:`_resolve_backend`): merged into one
+    graph (``auto``), held in this process (``inline``) or served by a
+    fleet (``remote``). The merged view is the warm start: CSR buffers
+    are adopted zero-copy, constraint indexes decode lazily (one shard
+    is the whole graph and needs no merge), and the plan cache is
     rehydrated so previously prepared canonical forms skip EBChk/QPlan.
-    ``frozen=False`` thaws the graph into a mutable session (paying a
-    mutable index rebuild) with the plan cache still warm — the only
-    loaded flavour that supports ``apply``.
-
-    A *sharded* artifact (``repro compile --shards N``) opens under the
-    resolved backend (:func:`_resolve_backend`): the merged view, inline
-    shards, or a remote fleet. Any explicit
-    backend is rejected for single-layout artifacts rather than
-    silently ignored.
+    ``frozen=False`` thaws the merged graph into a mutable session
+    (paying a mutable index rebuild) with the plan cache still warm —
+    the only loaded flavour that supports ``apply``.
     """
     from repro.engine.engine import QueryEngine
+    from repro.engine.parallel import InlineShardBackend, RemoteShardBackend
+    from repro.graph.partition import GraphSummary, merge_shard_runtimes
 
     backend = _resolve_backend(config)
     path = Path(path)
-    manifest = _read_manifest(path)
+    manifest = read_manifest(path)
     stale = stale_info(path)
     if stale is not None and not config.allow_stale:
         raise ArtifactStale(
             f"artifact at {path} is stale ({stale.get('reason', 'unknown')}); "
             f"re-compile it or pass allow_stale=True",
             reason=stale.get("reason"))
-    if manifest.get("layout") == "sharded":
-        return _load_sharded_engine(path, manifest, config, backend)
-    if backend != "auto":
-        raise EngineError(
-            f"artifact at {path} is not sharded; backend={backend!r} needs "
-            f"a sharded artifact (repro compile --shards N)")
-    catalog, graph, indexes, plans_payload = _load_frozen_parts(path, manifest)
-    schema = catalog.current
-    plan_cache = _decode_plan_cache(path, plans_payload, schema,
-                                    config.cache_size)
-
-    if config.frozen:
-        schema_index = SchemaIndex.from_prebuilt(graph, schema, indexes)
-        engine = QueryEngine(graph, catalog, frozen=True,
-                             validate=config.validate,
-                             cache_size=config.cache_size,
-                             plan_cache=plan_cache, schema_index=schema_index)
-    else:
-        engine = QueryEngine(graph.thaw(), catalog, frozen=False,
-                             validate=config.validate,
-                             cache_size=config.cache_size,
-                             plan_cache=plan_cache)
-
-    engine.artifact_path = path
-    return engine
-
-
-# ----------------------------------------------------------------- sharded layout
-def save_sharded_engine(engine, path, shards: int,
-                        assignment: dict | None = None) -> dict:
-    """Partition ``engine``'s graph into ``shards`` halo shards and write
-    a sharded artifact directory.
-
-    Layout::
-
-        manifest.json   layout "sharded": partition stats, schema, plan
-                        count, checksums of the top payloads *and* of
-                        every shard manifest (the root of trust covers
-                        the whole tree)
-        plans.json      the engine's plan cache (shared by all shards —
-                        plans depend on Q and A only)
-        partition.bin   per-shard owned-node id buffers
-        shard-0000/ …   one complete single-layout artifact per shard:
-                        halo graph + owned-target constraint indexes
-
-    ``repro shard-serve`` warm-starts from a shard sub-artifact, so
-    nothing larger than task/response frames ever crosses a process
-    boundary.
-    """
-    from repro import __version__
-    from repro.engine.cache import PlanCache
-    from repro.graph.partition import build_shard_indexes, partition_graph
-
-    if shards < 1:
-        raise EngineError(f"shards must be >= 1, got {shards}")
-    graph = engine.graph
-    if not isinstance(graph, FrozenGraph):
-        graph = FrozenGraph.from_graph(graph)
-    partition = partition_graph(graph, shards, assignment=assignment)
-    shard_indexes = build_shard_indexes(partition, engine.schema)
-
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-
-    shard_meta = []
-    for shard, schema_index in zip(partition.shards, shard_indexes):
-        shard_path = path / shard_dir_name(shard.shard_id)
-        session = _ShardSession(graph=shard.graph, catalog=engine.catalog,
-                                schema_index=schema_index,
-                                plan_cache=PlanCache(1))
-        manifest = save_engine(session, shard_path)
-        manifest_bytes = (shard_path / MANIFEST_FILE).read_bytes()
-        shard_meta.append({
-            "dir": shard_dir_name(shard.shard_id),
-            "manifest_sha256": hashlib.sha256(manifest_bytes).hexdigest(),
-            "nodes": shard.graph.num_nodes,
-            "edges": shard.graph.num_edges,
-            "owned_nodes": len(shard.owned),
-            "owned_edges": shard.owned_edges,
-            "halo_nodes": shard.num_halo,
-            "bytes": sum(meta["bytes"]
-                         for meta in manifest["files"].values()),
-        })
-
-    partition_buffers = {
-        f"s{shard.shard_id}.owned": array("q", shard.owned)
-        for shard in partition.shards
-    }
-    plan_entries = _encode_plan_entries(engine)
-    contents = {
-        PLANS_FILE: json.dumps({"entries": plan_entries}).encode("utf-8"),
-        PARTITION_FILE: pack_buffers(partition_buffers),
-        CATALOG_FILE: json.dumps(engine.catalog.to_dict()).encode("utf-8"),
-    }
-    manifest = {
-        "format": FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
-        "layout": "sharded",
-        "library_version": __version__,
-        "byteorder": sys.byteorder,
-        "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges,
-                  "labels": len(graph.labels())},
-        "schema": engine.schema.to_dict(),
-        "schema_version": engine.catalog.version,
-        "partition": {"num_shards": partition.num_shards,
-                      "cross_edges": partition.cross_edges},
-        "shards": shard_meta,
-        "plans": {"entries": len(plan_entries)},
-        "files": {name: {"sha256": hashlib.sha256(data).hexdigest(),
-                         "bytes": len(data)}
-                  for name, data in contents.items()},
-    }
-    for name, data in contents.items():
-        (path / name).write_bytes(data)
-    # Manifest last: a crash mid-save reads as corruption, never as a
-    # trustworthy artifact.
-    (path / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n",
-                                      encoding="utf-8")
-    # A fresh save is the repair for staleness, as in save_engine.
-    (path / STALE_FILE).unlink(missing_ok=True)
-    return manifest
-
-
-class _ShardSession:
-    """The slice of the ``QueryEngine`` surface :func:`save_engine`
-    needs, for saving one shard as a standard artifact."""
-
-    def __init__(self, graph, catalog, schema_index, plan_cache):
-        self.graph = graph
-        self.catalog = catalog
-        self.schema = catalog.current
-        self.schema_index = schema_index
-        self.plan_cache = plan_cache
-
-
-def save_extended_sharded(engine, source, path) -> dict:
-    """Persist an inline sharded session — typically one grown by
-    ``extend_schema`` — as a sharded artifact at ``path``, reusing the
-    partition of the artifact it was opened from (``source``).
-
-    This is the on-disk half of incremental extension: the partition is
-    **not** recomputed and no index is rebuilt — each shard directory is
-    re-serialized from its loaded runtime, whose indexes for the added
-    constraints were built incrementally over owned targets only.
-    ``path`` may equal ``source`` (in-place extension: the loaded
-    payloads are plain in-memory bytes, so overwriting is safe).
-    """
-    from repro import __version__
-    from repro.engine.cache import PlanCache
-    from repro.engine.parallel import InlineShardBackend
-
-    source = Path(source)
-    path = Path(path)
-    src_manifest = _read_manifest(source)
-    if src_manifest.get("layout") != "sharded":
-        raise EngineError(f"artifact at {source} is not sharded")
-    backend = engine.backend
-    if not isinstance(backend, InlineShardBackend):
-        raise EngineError(
-            "saving an extended sharded artifact requires an inline "
-            "sharded session (repro.connect(path, backend='inline'))")
-    try:
-        partition_bytes = (source / PARTITION_FILE).read_bytes()
-    except OSError as exc:
-        raise ArtifactCorrupt(
-            f"missing artifact file {source / PARTITION_FILE}: {exc}",
-            path=str(source / PARTITION_FILE)) from exc
-    if src_manifest.get("byteorder") != sys.byteorder:
-        # Everything else re-encodes natively below; re-encode the
-        # copied partition payload too so one byteorder describes the
-        # whole new artifact.
-        partition_bytes = pack_buffers(unpack_buffers(
-            partition_bytes, byteswap=True, source=PARTITION_FILE))
-    path.mkdir(parents=True, exist_ok=True)
-
-    shard_meta = []
-    for runtime in backend.runtimes:
-        shard_path = path / shard_dir_name(runtime.shard_id)
-        session = _ShardSession(graph=runtime.graph, catalog=engine.catalog,
-                                schema_index=runtime.schema_index,
-                                plan_cache=PlanCache(1))
-        manifest = save_engine(session, shard_path)
-        manifest_bytes = (shard_path / MANIFEST_FILE).read_bytes()
-        shard_meta.append({
-            "dir": shard_dir_name(runtime.shard_id),
-            "manifest_sha256": hashlib.sha256(manifest_bytes).hexdigest(),
-            "nodes": runtime.graph.num_nodes,
-            "edges": runtime.graph.num_edges,
-            "owned_nodes": len(runtime.owned),
-            "owned_edges": sum(runtime.graph.out_degree(v)
-                               for v in runtime.owned),
-            "halo_nodes": runtime.graph.num_nodes - len(runtime.owned),
-            "bytes": sum(meta["bytes"]
-                         for meta in manifest["files"].values()),
-        })
-
-    plan_entries = _encode_plan_entries(engine)
-    contents = {
-        PLANS_FILE: json.dumps({"entries": plan_entries}).encode("utf-8"),
-        PARTITION_FILE: partition_bytes,
-        CATALOG_FILE: json.dumps(engine.catalog.to_dict()).encode("utf-8"),
-    }
-    manifest = {
-        "format": FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
-        "layout": "sharded",
-        "library_version": __version__,
-        "byteorder": sys.byteorder,
-        "graph": dict(src_manifest.get("graph", {})),
-        "schema": engine.schema.to_dict(),
-        "schema_version": engine.catalog.version,
-        "partition": dict(src_manifest.get("partition", {})),
-        "shards": shard_meta,
-        "plans": {"entries": len(plan_entries)},
-        "files": {name: {"sha256": hashlib.sha256(data).hexdigest(),
-                         "bytes": len(data)}
-                  for name, data in contents.items()},
-    }
-    for name, data in contents.items():
-        (path / name).write_bytes(data)
-    # Manifest last, staleness cleared by the fresh save — the same
-    # crash-safety discipline as save_engine/save_sharded_engine.
-    (path / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n",
-                                      encoding="utf-8")
-    (path / STALE_FILE).unlink(missing_ok=True)
-    engine.artifact_path = path
-    return manifest
-
-
-def _shard_manifests(path: Path, manifest: dict,
-                     only=None) -> list[tuple[int, Path, dict]]:
-    """Verify and read shard manifests against the top-level root of
-    trust; raises on any mismatch. ``only`` restricts the work to a set
-    of shard ids (a shard server verifies just its own shard)."""
-    shard_meta = manifest.get("shards")
-    if not isinstance(shard_meta, list) or not shard_meta:
-        raise ArtifactCorrupt(
-            f"sharded artifact at {path} lists no shards", path=str(path))
-    out = []
-    for shard_id, meta in enumerate(shard_meta):
-        if only is not None and shard_id not in only:
-            continue
-        shard_path = path / meta.get("dir", shard_dir_name(shard_id))
-        manifest_path = shard_path / MANIFEST_FILE
-        try:
-            manifest_bytes = manifest_path.read_bytes()
-        except OSError as exc:
-            raise ArtifactCorrupt(
-                f"missing shard manifest {manifest_path}: {exc}",
-                path=str(manifest_path)) from exc
-        digest = hashlib.sha256(manifest_bytes).hexdigest()
-        if digest != meta.get("manifest_sha256"):
-            raise ArtifactCorrupt(
-                f"{manifest_path}: checksum mismatch (shard "
-                f"{shard_id} is corrupt or was modified; re-compile)",
-                path=str(manifest_path))
-        out.append((shard_id, shard_path, _read_manifest(shard_path)))
-    return out
-
-
-def read_sharded_manifest(path) -> dict:
-    """The (version-checked) manifest of a *sharded* artifact; raises
-    :class:`~repro.errors.ArtifactCorrupt` for the single layout. The
-    remote-backend handshake reads its expectations from this — the
-    artifact format version, schema version and per-shard manifest
-    checksums every ``repro shard-serve`` process must agree with at
-    connect time."""
-    manifest = _read_manifest(Path(path))
-    if manifest.get("layout") != "sharded":
-        raise ArtifactCorrupt(f"artifact at {path} is not sharded",
-                              path=str(path))
-    return manifest
-
-
-def load_partition_owners(path, manifest: dict | None = None) -> dict:
-    """``{shard_id: [owned node ids]}`` from ``partition.bin``, checksum
-    verified against the manifest — the node-ownership half of the
-    owner-routing metadata (see
-    :class:`~repro.engine.parallel.OwnerRouter`). Reads only the
-    partition payload, so a front-end that holds no graph can still
-    route probes."""
-    path = Path(path)
-    if manifest is None:
-        manifest = read_sharded_manifest(path)
-    meta = (manifest.get("files") or {}).get(PARTITION_FILE)
-    if not isinstance(meta, dict):
-        raise ArtifactCorrupt(
-            f"artifact manifest at {path} does not list {PARTITION_FILE}",
-            path=str(path))
-    file_path = path / PARTITION_FILE
-    try:
-        data = file_path.read_bytes()
-    except OSError as exc:
-        raise ArtifactCorrupt(f"missing artifact file {file_path}: {exc}",
-                              path=str(file_path)) from exc
-    if hashlib.sha256(data).hexdigest() != meta.get("sha256"):
-        raise ArtifactCorrupt(
-            f"{file_path}: checksum mismatch (artifact is corrupt or was "
-            f"modified; re-compile it)", path=str(file_path))
-    buffers = unpack_buffers(data,
-                             byteswap=manifest.get("byteorder")
-                             != sys.byteorder,
-                             source=PARTITION_FILE)
-    owners: dict[int, list[int]] = {}
-    for shard_id in range(len(manifest.get("shards") or ())):
-        owned = buffers.get(f"s{shard_id}.owned")
-        if owned is None:
-            raise ArtifactCorrupt(
-                f"{file_path} is missing the owned-node buffer for "
-                f"shard {shard_id}", path=str(file_path))
-        owners[shard_id] = list(owned)
-    return owners
-
-
-def load_shard_runtimes(path, shard_ids) -> list:
-    """Load the given shards of a sharded artifact into
-    :class:`~repro.engine.parallel.ShardRuntime` objects (the merged
-    view, the inline backend and ``repro shard-serve`` all start here)."""
-    from repro.engine.parallel import ShardRuntime
-
-    path = Path(path)
-    manifest = _read_manifest(path)
-    if manifest.get("layout") != "sharded":
-        raise ArtifactCorrupt(f"artifact at {path} is not sharded",
-                              path=str(path))
-    payloads = _read_payloads(path, manifest)
-    byteswap = manifest.get("byteorder") != sys.byteorder
-    partition_buffers = unpack_buffers(payloads[PARTITION_FILE],
-                                       byteswap=byteswap,
-                                       source=PARTITION_FILE)
-    shard_ids = list(shard_ids)
-    shard_entries = {shard_id: (shard_path, shard_manifest)
-                     for shard_id, shard_path, shard_manifest
-                     in _shard_manifests(path, manifest,
-                                         only=set(shard_ids))}
-    runtimes = []
-    for shard_id in shard_ids:
-        if shard_id not in shard_entries:
-            raise ArtifactCorrupt(
-                f"sharded artifact at {path} has no shard {shard_id}",
-                path=str(path))
-        owned = partition_buffers.get(f"s{shard_id}.owned")
-        if owned is None:
-            raise ArtifactCorrupt(
-                f"{path / PARTITION_FILE} is missing the owned-node "
-                f"buffer for shard {shard_id}",
-                path=str(path / PARTITION_FILE))
-        shard_path, shard_manifest = shard_entries[shard_id]
-        catalog, graph, indexes, _ = _load_frozen_parts(shard_path,
-                                                        shard_manifest)
-        schema_index = SchemaIndex.from_prebuilt(graph, catalog.current,
-                                                 indexes)
-        runtimes.append(ShardRuntime(shard_id, graph, schema_index,
-                                     list(owned)))
-    return runtimes
-
-
-def _load_sharded_engine(path: Path, manifest: dict, config, backend: str):
-    """The sharded half of :func:`load_engine` (staleness already
-    checked); ``backend`` is the resolved backend, ``"auto"`` meaning
-    the merged view."""
-    from repro.engine.engine import QueryEngine
-    from repro.engine.parallel import (
-        InlineShardBackend,
-        RemoteShardBackend,
-    )
-    from repro.graph.partition import GraphSummary, merge_shard_runtimes
-
-    if not config.frozen:
-        raise EngineError(
-            "sharded artifacts open frozen only; incremental updates go "
-            "through re-compile (repro compile --shards) + hot reload")
-    if config.validate and backend != "auto":
-        raise EngineError(
-            "validate=True is not supported for scatter-gather serving: "
-            "cardinality bounds are a property of the merged index; "
-            "open the merged view (backend='auto') or "
-            "validate before compiling")
-    shard_meta = manifest.get("shards")
-    if not isinstance(shard_meta, list) or not shard_meta:
-        raise ArtifactCorrupt(
-            f"sharded artifact at {path} lists no shards", path=str(path))
-    num_shards = len(shard_meta)
+    payloads = _read_payloads(path, manifest, TOP_FILES)
     try:
         schema = AccessSchema.from_dict(manifest["schema"])
-        plans_payload = json.loads((path / PLANS_FILE).read_bytes())
+        plans_payload = json.loads(payloads[PLANS_FILE])
         graph_info = manifest["graph"]
         summary = GraphSummary(num_nodes=int(graph_info["nodes"]),
                                num_edges=int(graph_info["edges"]),
                                num_labels=int(graph_info["labels"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactCorrupt(f"malformed sharded manifest at {path}: {exc}",
+        raise ArtifactCorrupt(f"malformed artifact manifest at {path}: {exc}",
                               path=str(path)) from exc
-    try:
-        catalog_payload = (path / CATALOG_FILE).read_bytes()
-    except OSError as exc:
-        raise ArtifactCorrupt(
-            f"missing artifact file {path / CATALOG_FILE}: {exc}",
-            path=str(path / CATALOG_FILE)) from exc
-    catalog = _decode_catalog(path, schema, catalog_payload)
-    plan_cache = _decode_plan_cache(path, plans_payload, schema,
+    catalog = _decode_catalog(path, schema, payloads[CATALOG_FILE])
+    plan_cache = _decode_plan_cache(path, plans_payload, catalog.current,
                                     config.cache_size)
 
-    if backend == "auto":
-        runtimes = load_shard_runtimes(path, range(num_shards))
-        merged_graph, merged_index = merge_shard_runtimes(runtimes,
-                                                          catalog.current)
-        engine = QueryEngine(merged_graph, catalog, frozen=True,
-                             validate=config.validate,
-                             cache_size=config.cache_size,
-                             plan_cache=plan_cache,
-                             schema_index=merged_index)
-        engine.artifact_path = path
-        return engine
-
     if backend == "remote":
-        shards = RemoteShardBackend(list(config.shard_addrs), schema,
+        shards = RemoteShardBackend(list(config.shard_addrs), catalog.current,
                                     artifact_path=path, manifest=manifest,
                                     config=config)
     else:
-        runtimes = load_shard_runtimes(path, range(num_shards))
-        shards = InlineShardBackend(runtimes, schema,
-                                    owner_routing=config.owner_routing)
+        runtimes = _load_runtimes(path, manifest, payloads,
+                                  range(len(manifest["shards"])))
+        if backend == "inline":
+            shards = InlineShardBackend(runtimes, catalog.current,
+                                        owner_routing=config.owner_routing)
+        else:
+            graph, schema_index = merge_shard_runtimes(runtimes,
+                                                       catalog.current)
+            if not config.frozen:
+                graph, schema_index = graph.thaw(), None
+            engine = QueryEngine(graph, catalog, frozen=config.frozen,
+                                 validate=config.validate,
+                                 cache_size=config.cache_size,
+                                 plan_cache=plan_cache,
+                                 schema_index=schema_index)
+            engine.artifact_path = path
+            return engine
     engine = QueryEngine._assemble_from_shards(
         shards, catalog, summary, plan_cache=plan_cache,
         cache_size=config.cache_size)
@@ -1015,83 +839,92 @@ def _load_sharded_engine(path: Path, manifest: dict, config, backend: str):
 
 
 # ---------------------------------------------------------------------- inspection
+def _file_status(file_path: Path, sha256, size=None) -> str:
+    if not file_path.is_file():
+        return "missing"
+    data = file_path.read_bytes()
+    if (size is None or len(data) == size) \
+            and hashlib.sha256(data).hexdigest() == sha256:
+        return "ok"
+    return "MISMATCH"
+
+
 def inspect_artifact(path) -> dict:
     """Metadata of an artifact without loading it — format and library
-    versions, graph stats, per-constraint index sizes, cached plan count,
-    staleness, and per-file checksum status (for debugging CI failures).
-    """
+    versions, graph and partition stats, per-shard ownership, index
+    cells per constraint (summed over shards), cached plan count,
+    generation log, staleness, and the checksum status of every file in
+    the tree (for debugging CI failures)."""
     path = Path(path)
-    manifest = _read_manifest(path)
-    files = {}
-    for name, meta in manifest.get("files", {}).items():
-        file_path = path / name
-        if not file_path.is_file():
-            status = "missing"
-        else:
-            data = file_path.read_bytes()
-            if (len(data) == meta.get("bytes")
-                    and hashlib.sha256(data).hexdigest() == meta.get("sha256")):
-                status = "ok"
-            else:
-                status = "MISMATCH"
-        files[name] = {"bytes": meta.get("bytes"), "status": status}
+    manifest = read_manifest(path)
+    files = {name: {"bytes": meta.get("bytes"),
+                    "status": _file_status(path / name, meta.get("sha256"),
+                                           meta.get("bytes"))}
+             for name, meta in manifest.get("files", {}).items()}
+    shards = []
+    index: dict[str, dict] = {}
+    for shard_id, meta in enumerate(manifest["shards"]):
+        name = shard_dir_name(shard_id)
+        status = _file_status(path / name / MANIFEST_FILE,
+                              meta.get("manifest_sha256"))
+        shards.append({**meta, "name": name, "status": status})
+        if status != "ok":
+            continue
+        unit = json.loads((path / name / MANIFEST_FILE).read_bytes())
+        for file_name, file_meta in unit.get("files", {}).items():
+            files[f"{name}/{file_name}"] = {
+                "bytes": file_meta.get("bytes"),
+                "status": _file_status(path / name / file_name,
+                                       file_meta.get("sha256"),
+                                       file_meta.get("bytes"))}
+        for entry in unit.get("index", ()):
+            key = json.dumps(entry.get("constraint"), sort_keys=True)
+            cells = index.setdefault(key, {"constraint": entry.get("constraint"),
+                                           "num_keys": 0, "size": 0})
+            cells["num_keys"] += entry.get("num_keys", 0)
+            cells["size"] += entry.get("size", 0)
     info = {
         "path": str(path),
         "format": manifest.get("format"),
         "format_version": manifest.get("format_version"),
-        "layout": manifest.get("layout", "single"),
         "library_version": manifest.get("library_version"),
         "byteorder": manifest.get("byteorder"),
         "graph": manifest.get("graph", {}),
-        "constraints": len(manifest.get("index", [])),
-        "index": manifest.get("index", []),
+        "constraints": len(manifest.get("schema", {})
+                           .get("constraints", [])),
+        "index": list(index.values()),
         "cached_plans": manifest.get("plans", {}).get("entries", 0),
         "schema_version": manifest.get("schema_version", 0),
         "generations": [],
         "stale": stale_info(path),
         "files": files,
+        "partition": manifest.get("partition", {}),
+        "shards": shards,
     }
-    catalog_path = path / CATALOG_FILE
-    if catalog_path.is_file():
-        try:
-            catalog_doc = json.loads(catalog_path.read_text(encoding="utf-8"))
-            info["generations"] = [
-                {"version": gen.get("version"),
-                 "added": len(gen.get("added", ())),
-                 "size": gen.get("size"),
-                 "provenance": gen.get("provenance", {})}
-                for gen in catalog_doc.get("generations", ())]
-        except (OSError, ValueError):
-            info["generations"] = [{"version": None,
-                                    "provenance": {"error": "unreadable"}}]
-    if info["layout"] == "sharded":
-        info["constraints"] = len(manifest.get("schema", {})
-                                  .get("constraints", []))
-        info["partition"] = manifest.get("partition", {})
-        shards = []
-        for shard_id, meta in enumerate(manifest.get("shards", [])):
-            shard_path = path / meta.get("dir", shard_dir_name(shard_id))
-            manifest_path = shard_path / MANIFEST_FILE
-            if not manifest_path.is_file():
-                status = "missing"
-            else:
-                digest = hashlib.sha256(
-                    manifest_path.read_bytes()).hexdigest()
-                status = "ok" if digest == meta.get("manifest_sha256") \
-                    else "MISMATCH"
-            shards.append({**meta, "status": status})
-        info["shards"] = shards
+    try:
+        catalog_doc = json.loads((path / CATALOG_FILE).read_text(
+            encoding="utf-8"))
+        info["generations"] = [
+            {"version": gen.get("version"),
+             "added": len(gen.get("added", ())),
+             "size": gen.get("size"),
+             "provenance": gen.get("provenance", {})}
+            for gen in catalog_doc.get("generations", ())]
+    except (OSError, ValueError):
+        info["generations"] = [{"version": None,
+                                "provenance": {"error": "unreadable"}}]
     return info
 
 
 def render_inspection(info: dict) -> str:
     """Human-readable rendering of :func:`inspect_artifact` output."""
     graph = info.get("graph", {})
+    partition = info.get("partition", {})
     lines = [
         f"artifact: {info['path']}",
         f"  format: {info['format']} v{info['format_version']} "
-        f"({info.get('layout', 'single')} layout, library "
-        f"{info['library_version']}, {info['byteorder']}-endian)",
+        f"(library {info['library_version']}, "
+        f"{info['byteorder']}-endian)",
         f"  graph: {graph.get('nodes')} nodes, {graph.get('edges')} edges, "
         f"{graph.get('labels')} labels",
         f"  constraints: {info['constraints']}",
@@ -1110,45 +943,42 @@ def render_inspection(info: dict) -> str:
             f"(origin {origin}{', ' + extras if extras else ''})")
     for name, meta in info.get("files", {}).items():
         lines.append(f"  file {name}: {meta['bytes']} bytes [{meta['status']}]")
-    if info.get("layout") == "sharded":
-        partition = info.get("partition", {})
-        lines.append(f"  shards: {partition.get('num_shards')}, "
-                     f"cross-shard edges: {partition.get('cross_edges')}")
-        for meta in info.get("shards", ()):
-            lines.append(
-                f"    {meta.get('dir')}: {meta.get('owned_nodes')} owned + "
-                f"{meta.get('halo_nodes')} halo nodes, "
-                f"{meta.get('owned_edges')} owned edges "
-                f"({meta.get('nodes')} nodes / {meta.get('edges')} edges "
-                f"stored, {meta.get('bytes')} bytes) "
-                f"sha256 {str(meta.get('manifest_sha256'))[:12]}… "
-                f"[{meta.get('status')}]")
-        return "\n".join(lines)
-    total_cells = sum(entry.get("size", 0) for entry in info.get("index", ()))
+    lines.append(f"  shards: {partition.get('num_shards')}, "
+                 f"cross-shard edges: {partition.get('cross_edges')}")
+    for meta in info.get("shards", ()):
+        lines.append(
+            f"    {meta.get('name')}: {meta.get('owned_nodes')} owned + "
+            f"{meta.get('halo_nodes')} halo nodes, "
+            f"{meta.get('owned_edges')} owned edges "
+            f"({meta.get('nodes')} nodes / {meta.get('edges')} edges "
+            f"stored, {meta.get('bytes')} bytes) "
+            f"sha256 {str(meta.get('manifest_sha256'))[:12]}… "
+            f"[{meta.get('status')}]")
+    total_cells = sum(entry["size"] for entry in info.get("index", ()))
     largest = sorted(info.get("index", ()),
-                     key=lambda e: e.get("size", 0), reverse=True)[:5]
+                     key=lambda e: e["size"], reverse=True)[:5]
     lines.append(f"  index cells: {total_cells} across "
                  f"{info['constraints']} constraints; largest:")
     for entry in largest:
-        constraint = entry.get("constraint", {})
+        constraint = entry.get("constraint") or {}
         source = ",".join(constraint.get("source", ())) or "∅"
         lines.append(f"    {source} -> ({constraint.get('target')}, "
-                     f"{constraint.get('bound')}): {entry.get('num_keys')} "
-                     f"keys, {entry.get('size')} cells")
+                     f"{constraint.get('bound')}): {entry['num_keys']} "
+                     f"keys, {entry['size']} cells")
     return "\n".join(lines)
 
 
 __all__ = [
     "FORMAT_VERSION",
     "ArtifactError",
-    "artifact_layout",
     "inspect_artifact",
     "load_engine",
+    "load_partition_owners",
     "load_shard_runtimes",
     "mark_stale",
     "pack_buffers",
+    "read_manifest",
     "render_inspection",
-    "save_engine",
     "save_extended_sharded",
     "save_sharded_engine",
     "shard_dir_name",

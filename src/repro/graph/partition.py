@@ -255,22 +255,28 @@ def build_shard_indexes(partition: GraphPartition, schema) -> list:
 def merge_shard_runtimes(runtimes, schema):
     """Fold loaded shard runtimes back into one frozen graph + index.
 
-    The inverse of sharding, used to serve a sharded artifact as an
-    ordinary single-graph session (what ``repro.connect(path)`` does
-    when given no backend and no shard addresses): on one host,
-    scatter over shards only adds coordination overhead, and
-    merging back unlocks the (much faster) sequential/vectorized plan
-    executors.
+    The inverse of sharding, used to serve an artifact as an ordinary
+    single-graph session (what ``repro.connect(path)`` does when given
+    no backend and no shard addresses): on one host, scatter over shards
+    only adds coordination overhead, and merging back unlocks the (much
+    faster) sequential/vectorized plan executors.
 
     Correctness rests on the partition invariants: the exact cover means
     every node and every directed edge is owned by exactly one shard, so
     collecting owned nodes and owned out-edges reconstructs the source
     graph exactly; and each per-shard index enumerates owned targets
     only, so the dict-union of the shard entries per key is the global
-    index entry. Returns ``(FrozenGraph, SchemaIndex)``.
+    index entry. One runtime is the identity partition: its graph and
+    indexes are returned as they are (lazily decoded indexes stay
+    lazy). Returns ``(FrozenGraph, SchemaIndex)`` over ``schema``.
     """
     from repro.constraints.index import FrozenConstraintIndex, SchemaIndex
 
+    if len(runtimes) == 1:
+        (runtime,) = runtimes
+        return runtime.graph, SchemaIndex.from_prebuilt(
+            runtime.graph, schema,
+            {c: runtime.schema_index.index_for(c) for c in schema})
     builder = Graph()
     for runtime in runtimes:
         graph = runtime.graph

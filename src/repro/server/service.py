@@ -167,12 +167,6 @@ class QueryService:
         # drains, not at process exit.
         self._engine_refs: dict[int, int] = {}
         self._retired: dict[int, QueryEngine] = {}
-        # The configuration the service was opened under, remembered
-        # independently of the current engine: every reload reopens
-        # under it, so a sharded -> single -> sharded chain restores the
-        # backend (a fleet with its timeouts included) instead of
-        # silently dropping it.
-        self._session_config = engine.session_config
         self.max_cost = max_cost
         self.workers = workers
         self.max_batch = max_batch
@@ -488,7 +482,9 @@ class QueryService:
         they started on, later admissions and batches use the new one.
         Raises the usual artifact errors
         (:class:`~repro.errors.ArtifactCorrupt`, ...) and leaves the old
-        engine serving when the load fails.
+        engine serving when the load fails. The artifact opens under the
+        serving engine's ``session_config`` (backend, fleet addresses,
+        timeouts) with ``validate`` replaced.
 
         A remote-backed session reloads in two phases: first every shard
         server is told to re-read its shard from disk
@@ -498,19 +494,13 @@ class QueryService:
         handshake against still-stale servers.
         """
         from repro.engine.parallel import RemoteShardBackend
-        from repro.engine.persist import artifact_layout
         from repro.session import connect
 
-        config = self._session_config.replace(validate=validate)
-        if artifact_layout(path) != "sharded":
-            # The backend / fleet settings apply whenever the target is
-            # sharded; a single-layout target has no shards to put
-            # anywhere (a reload must stay total across layout
-            # transitions) — the remembered configuration is untouched.
-            config = config.replace(backend="auto", shard_addrs=())
-        elif isinstance(self._engine.backend, RemoteShardBackend):
-            self._engine.backend.reload_fleet()
-        engine = connect(path, config=config)
+        current = self._engine
+        if isinstance(current.backend, RemoteShardBackend):
+            current.backend.reload_fleet()
+        engine = connect(path, config=current.session_config.replace(
+            validate=validate))
         to_close = None
         with self._engine_lock:
             old = self._engine

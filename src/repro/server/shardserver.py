@@ -1,9 +1,9 @@
-"""Standalone shard server: one shard of a sharded artifact behind TCP.
+"""Standalone shard server: one shard of an artifact behind TCP.
 
 ``repro shard-serve --artifact <dir>/shard-NNNN --port P`` warm-starts
-one :class:`~repro.engine.parallel.ShardRuntime` from its per-shard
-sub-artifact (checksum-verified against the top manifest, exactly like
-the in-process backends) and serves the backend contract over the wire
+one :class:`~repro.engine.parallel.ShardRuntime` from its shard unit
+(checksum-verified against the top manifest, exactly like the
+in-process backends) and serves the backend contract over the wire
 protocol of :mod:`repro.server.protocol` — ``scatter`` rounds as packed
 binary frames, every other op as JSON lines:
 
@@ -26,7 +26,6 @@ while ``extend``/``reload`` serialize under a lock.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import queue
 import random
@@ -68,7 +67,7 @@ def resolve_shard_artifact(artifact, shard_id: int | None = None):
 
 
 class ShardServer:
-    """One shard of a sharded artifact, served over TCP.
+    """One shard of an artifact, served over TCP.
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`). The server owns no partition-global state: handshake
@@ -118,23 +117,20 @@ class ShardServer:
         through."""
         from repro.engine import persist
 
-        manifest = persist.read_sharded_manifest(self.root)
-        shard_meta = manifest.get("shards") or []
+        manifest = persist.read_manifest(self.root)
+        shard_meta = manifest["shards"]
         if not 0 <= self.shard_id < len(shard_meta):
             raise EngineError(
                 f"artifact at {self.root} has {len(shard_meta)} shards; "
                 f"there is no shard {self.shard_id}")
-        meta = shard_meta[self.shard_id]
-        shard_dir = self.root / meta.get(
-            "dir", persist.shard_dir_name(self.shard_id))
-        manifest_bytes = (shard_dir / persist.MANIFEST_FILE).read_bytes()
         runtime = persist.load_shard_runtimes(self.root,
                                               [self.shard_id])[0]
         with self._lock:
             self.runtime = runtime
             self.format_version = manifest.get("format_version")
             self.schema_version = manifest.get("schema_version")
-            self.manifest_sha256 = hashlib.sha256(manifest_bytes).hexdigest()
+            self.manifest_sha256 = \
+                shard_meta[self.shard_id]["manifest_sha256"]
 
     @property
     def address(self) -> str:
@@ -496,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Serve one shard of a sharded artifact over TCP")
+        description="Serve one shard of an artifact over TCP")
     add_flags(parser)
     return run(parser.parse_args(argv))
 

@@ -42,13 +42,13 @@ class SessionConfig:
     All sources: ``frozen``, ``validate``, ``cache_size``,
     ``plan_cache``.
 
-    Artifacts: ``allow_stale``, and — for sharded artifacts — where the
-    shards live, ``backend``: ``inline`` (scatter over shards held in
-    this process) or ``remote`` (a running ``repro shard-serve`` fleet).
-    ``auto`` (default) infers ``remote`` from ``shard_addrs`` and
-    otherwise merges the shards back into one graph served like a
-    single-layout artifact — on one host, scatter over local shards only
-    adds coordination.
+    Artifacts: ``allow_stale``, and where the shards live, ``backend``:
+    ``inline`` (scatter over shards held in this process) or ``remote``
+    (a running ``repro shard-serve`` fleet). ``auto`` (default) infers
+    ``remote`` from ``shard_addrs`` and otherwise merges the shards back
+    into one graph (a one-shard artifact already is one) — on one host,
+    scatter over local shards only adds coordination. ``frozen=False``
+    thaws the merged graph.
 
     Remote fleet: ``shard_addrs`` (one ``host:port`` per shard, any
     order), the two timeouts, bounded retry (``retries``/
@@ -90,11 +90,10 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
     ``source`` selects the session kind:
 
     * ``str`` / ``Path`` — a compiled artifact directory
-      (``repro compile``). Single-layout artifacts warm-start an
-      ordinary session; sharded artifacts open under ``config.backend``
-      — merged into one graph, scattered over shards in this process
-      (``backend="inline"``), or against a running shard-server fleet
-      (``shard_addrs=[...]``).
+      (``repro compile``), opened under ``config.backend`` — merged into
+      one graph (an ordinary warm-started session), scattered over
+      shards in this process (``backend="inline"``), or against a
+      running shard-server fleet (``shard_addrs=[...]``).
     * ``(graph, schema)`` — an in-memory graph under an access schema;
       snapshot + index are built on the spot.
     * ``(backend, schema, graph_summary)`` — a pre-built
@@ -119,7 +118,7 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
         if cfg.backend not in ("auto", "inline") or cfg.shard_addrs:
             raise EngineError(
                 "an in-memory (graph, schema) source has no shards; "
-                "backend/shard_addrs apply to sharded artifacts")
+                "backend/shard_addrs apply to artifacts")
         engine = QueryEngine(graph, schema, frozen=cfg.frozen,
                              validate=cfg.validate,
                              cache_size=cfg.cache_size,

@@ -112,7 +112,8 @@ class TestCompile:
         capsys.readouterr()
         assert main(["compile", "--inspect", str(artifact)]) == 0
         out = capsys.readouterr().out
-        assert "format: repro-engine-artifact v3" in out
+        assert "format: repro-engine-artifact v4" in out
+        assert "shards: 1," in out
         assert "schema version: 0" in out
         assert "[ok]" in out
 
@@ -125,7 +126,7 @@ class TestCompile:
         artifact = tmp_path / "artifact"
         main(["compile", "--graph", str(graph), "--schema", str(schema),
               "--out", str(artifact)])
-        payload = artifact / "index.bin"
+        payload = artifact / "shard-0000" / "index.bin"
         payload.write_bytes(payload.read_bytes()[:-8])
         code = main(["run", "--artifact", str(artifact),
                      "--pattern", str(pattern)])
@@ -236,8 +237,8 @@ class TestShardedCompile:
                      "--pattern", str(pattern), "--shards", "3"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "compiled sharded artifact" in out
-        assert "3 shards" in out
+        assert "compiled artifact" in out
+        assert "across 3 shards" in out
 
         assert main(["run", "--graph", str(graph), "--schema", str(schema),
                      "--pattern", str(pattern)]) == 0
@@ -256,7 +257,6 @@ class TestShardedCompile:
         capsys.readouterr()
         assert main(["compile", "--inspect", str(artifact)]) == 0
         out = capsys.readouterr().out
-        assert "sharded layout" in out
         assert "shards: 2" in out
         assert "cross-shard edges" in out
         assert "shard-0001" in out

@@ -68,7 +68,7 @@ def sharded_artifact(tmp_path_factory, imdb_small, workload):
         engine.prepare(q, SIMULATION)
     path = tmp_path_factory.mktemp("sharded") / "artifact"
     manifest = engine.save(path, shards=SHARDS)
-    assert manifest["layout"] == "sharded"
+    assert manifest["partition"]["num_shards"] == SHARDS
     return path
 
 
@@ -138,7 +138,6 @@ class TestShardedRoundTrip:
 
     def test_inspect_reports_shard_layout(self, sharded_artifact):
         info = persist.inspect_artifact(sharded_artifact)
-        assert info["layout"] == "sharded"
         assert info["partition"]["num_shards"] == SHARDS
         assert len(info["shards"]) == SHARDS
         assert all(meta["status"] == "ok" for meta in info["shards"])
@@ -170,14 +169,20 @@ class TestShardedSessionGuards:
                 engine.save(sharded_artifact)
             with pytest.raises(EngineError):
                 engine.apply(GraphDelta())
-        with pytest.raises(EngineError, match="frozen only"):
-            connect(sharded_artifact, frozen=False)
         with pytest.raises(EngineError, match="validate"):
             connect(sharded_artifact, validate=True, backend="inline")
 
-    def test_zero_shards_save_is_single(self, tmp_path, sequential_engine):
-        manifest = sequential_engine.save(tmp_path / "art", shards=0)
-        assert manifest["layout"] == "single"
+    def test_mutable_open_thaws_the_merged_view(self, sharded_artifact,
+                                                workload):
+        with connect(sharded_artifact) as frozen, \
+                connect(sharded_artifact, frozen=False) as thawed:
+            assert not thawed.frozen
+            assert reference_answers(thawed, workload) \
+                == reference_answers(frozen, workload)
+
+    def test_zero_shards_save_is_rejected(self, tmp_path, sequential_engine):
+        with pytest.raises(EngineError, match="shards must be >= 1"):
+            sequential_engine.save(tmp_path / "art", shards=0)
 
 
 class TestMergedSequentialStrategy:
@@ -229,12 +234,16 @@ class TestMergedSequentialStrategy:
         with pytest.raises(EngineError, match="unknown session option"):
             connect(sharded_artifact, workers=2)
 
-    def test_inline_backend_rejected_for_single_layout(
-            self, tmp_path, sequential_engine):
-        path = tmp_path / "single"
+    def test_inline_backend_serves_a_plain_save(
+            self, tmp_path, sequential_engine, workload):
+        """A plain save is one shard: it scatters in-process too, with
+        no owner router (one shard has nothing to route)."""
+        path = tmp_path / "plain"
         sequential_engine.save(path)
-        with pytest.raises(EngineError, match="not sharded"):
-            connect(path, backend="inline")
+        with connect(path, backend="inline") as engine:
+            assert engine.backend.router is None
+            assert reference_answers(engine, workload) \
+                == reference_answers(sequential_engine, workload)
 
     def test_validate_allowed_on_merged_view(self, sharded_artifact):
         # The merged index is the global index, so cardinality bounds
@@ -263,7 +272,7 @@ class TestCorruptionDetection:
         path = tmp_path / "art"
         sequential_engine.save(path, shards=SHARDS)
         for shard_id in range(SHARDS):
-            for name in persist.PAYLOAD_FILES:
+            for name in persist.SHARD_FILES:
                 target = path / persist.shard_dir_name(shard_id) / name
                 data = bytearray(target.read_bytes())
                 data[len(data) // 2] ^= 0xFF
@@ -283,6 +292,26 @@ class TestCorruptionDetection:
         target.write_bytes(bytes(data))
         with pytest.raises(ArtifactError):
             connect(path)
+
+    def test_shard_unit_is_not_an_artifact(self, sharded_artifact):
+        """A shard unit holds a halo graph and indexes over its owned
+        targets only: it never opens as if it were the whole graph, but
+        it is exactly what one shard server serves."""
+        from repro.server.shardserver import ShardServer
+
+        unit = sharded_artifact / persist.shard_dir_name(1)
+        for frozen in (True, False):
+            with pytest.raises(ArtifactError,
+                               match=str(sharded_artifact)) as info:
+                connect(unit, frozen=frozen)
+            assert not isinstance(info.value, ArtifactCorrupt)
+        server = ShardServer(unit).start()
+        try:
+            assert server.shard_id == 1
+            assert server.manifest_sha256 == persist.read_manifest(
+                sharded_artifact)["shards"][1]["manifest_sha256"]
+        finally:
+            server.stop()
 
     def test_missing_shard_dir_detected(self, tmp_path, sequential_engine):
         import shutil
@@ -307,7 +336,7 @@ def test_single_byte_shard_corruption_property(tmp_path_factory, position,
                            AccessConstraint(("movie",), "year", 5)])
     path = tmp_path_factory.mktemp("corrupt") / "art"
     connect((graph, schema)).save(path, shards=SHARDS)
-    files = sorted(persist.PAYLOAD_FILES)
+    files = sorted(persist.SHARD_FILES)
     target = path / persist.shard_dir_name(shard) \
         / files[int(position * len(files)) % len(files)]
     data = bytearray(target.read_bytes())
@@ -493,7 +522,7 @@ class TestServeSharded:
 class TestReviewRegressions:
     def test_stale_sharded_artifact_refused(self, tmp_path, imdb_small):
         """A sharded artifact marked stale must refuse to open, exactly
-        like the single layout — and a fresh sharded save repairs it."""
+        like a plain save — and a fresh sharded save repairs it."""
         from repro.errors import ArtifactStale
 
         graph, schema = imdb_small
@@ -543,32 +572,28 @@ class TestReviewRegressions:
         finally:
             service.close()
 
-    def test_reload_across_artifact_layouts(self, tmp_path,
-                                            sharded_artifact, imdb_small,
-                                            workload):
-        """Hot reload stays total across layout transitions: sharded
-        (inline) -> single opens unsharded; single -> sharded works."""
+    def test_reload_across_shard_counts(self, tmp_path, imdb_small,
+                                        workload):
+        """Hot reload across shard counts 2 -> 1 -> 2 keeps the session's
+        backend: every hop reopens inline."""
         from repro.server import QueryService
 
         graph, schema = imdb_small
         sub, _ = workload
-        single = tmp_path / "single"
-        connect((graph, schema)).save(single)
+        engine = connect((graph, schema))
+        engine.save(tmp_path / "two", shards=2)
+        engine.save(tmp_path / "one")
 
-        service = QueryService(
-            connect(sharded_artifact, backend="inline"))
+        service = QueryService(connect(tmp_path / "two", backend="inline"))
         try:
-            service.reload_artifact(single)
-            assert service.engine.sharded is False
-            assert service.execute_batch(
-                [service.admit(sub[0], SUBGRAPH)])
-            service.reload_artifact(sharded_artifact)
-            assert service.engine.sharded is True
-            # The configured backend is restored, not silently lost
-            # across the single-layout hop.
-            assert isinstance(service.engine.backend, InlineShardBackend)
-            assert service.execute_batch(
-                [service.admit(sub[0], SUBGRAPH)])
+            for path, shards in ((tmp_path / "one", 1),
+                                 (tmp_path / "two", 2)):
+                service.reload_artifact(path)
+                backend = service.engine.backend
+                assert isinstance(backend, InlineShardBackend)
+                assert len(backend.runtimes) == shards
+                assert service.execute_batch(
+                    [service.admit(sub[0], SUBGRAPH)])
         finally:
             service.close()
 

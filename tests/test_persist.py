@@ -208,6 +208,26 @@ class TestSaveOpen:
         loaded = connect(tmp_path / "a")
         assert loaded.graph.num_edges == graph.num_edges
 
+    def test_plain_save_keeps_node_ids(self, tmp_path):
+        """A plain save is the identity partition: no renumbering, so
+        the reopened graph has the original's ids, labels and values."""
+        from repro import AccessSchema, Graph
+
+        graph = Graph()
+        for node_id, label, value in ((7, "movie", "m7"), (3, "year", 1999),
+                                      (42, "movie", None), (11, "year", 2001)):
+            graph.add_node(label, value=value, node_id=node_id)
+        graph.add_edge(7, 3)
+        graph.add_edge(42, 11)
+        schema = AccessSchema([AccessConstraint(("movie",), "year", 1)])
+        connect((graph, schema)).save(tmp_path / "a")
+        loaded = connect(tmp_path / "a").graph
+        assert sorted(loaded.nodes()) == sorted(graph.nodes())
+        for v in graph.nodes():
+            assert loaded.label_of(v) == graph.label_of(v)
+            assert loaded.value_of(v) == graph.value_of(v)
+        assert sorted(loaded.edges()) == sorted(graph.edges())
+
     def test_manifest_contents(self, saved):
         engine, patterns, path = saved
         info = persist.inspect_artifact(path)
@@ -223,18 +243,19 @@ class TestSaveOpen:
 class TestFailureModes:
     def test_corrupt_graph_payload(self, saved):
         _, _, path = saved
-        target = path / persist.GRAPH_FILE
+        target = path / "shard-0000" / persist.GRAPH_FILE
         data = bytearray(target.read_bytes())
         data[len(data) // 2] ^= 0xFF
         target.write_bytes(bytes(data))
         with pytest.raises(ArtifactCorrupt):
             connect(path)
         info = persist.inspect_artifact(path)
-        assert info["files"][persist.GRAPH_FILE]["status"] == "MISMATCH"
+        assert info["files"][f"shard-0000/{persist.GRAPH_FILE}"]["status"] \
+            == "MISMATCH"
 
     def test_truncated_index_payload(self, saved):
         _, _, path = saved
-        target = path / persist.INDEX_FILE
+        target = path / "shard-0000" / persist.INDEX_FILE
         target.write_bytes(target.read_bytes()[:-16])
         with pytest.raises(ArtifactCorrupt):
             connect(path)
@@ -255,6 +276,18 @@ class TestFailureModes:
             connect(path)
         assert info.value.found == persist.FORMAT_VERSION + 1
         assert info.value.supported == persist.FORMAT_VERSION
+
+    def test_v3_manifest_refused(self, saved):
+        """Format 3 had a second, single-directory layout; there is no
+        reader for it, only a typed request to re-compile."""
+        _, _, path = saved
+        manifest_path = path / persist.MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactVersionMismatch, match="re-compile") as info:
+            connect(path)
+        assert (info.value.found, info.value.supported) == (3, 4)
 
     def test_garbage_manifest(self, saved):
         _, _, path = saved
@@ -376,18 +409,20 @@ def test_roundtrip_answers_identical(data):
        flip=st.integers(1, 255))
 @settings(**_SETTINGS)
 def test_any_single_byte_corruption_is_detected(data, position, flip):
-    """Flipping one byte of any payload file never yields a quietly
-    wrong engine: open_path raises a typed artifact error."""
+    """Flipping one byte of any file a plain save writes, bar the top
+    manifest (the root of trust), never yields a quietly wrong engine:
+    the open raises a typed artifact error."""
     import tempfile
+    from pathlib import Path
 
     graph, _ = data
     schema = discover_schema(graph, type1_max=1000, unit_max=1000)
     engine = connect((graph, schema))
     with tempfile.TemporaryDirectory() as artifact:
-        from pathlib import Path
         engine.save(artifact)
-        files = sorted(persist.PAYLOAD_FILES)
-        target = Path(artifact) / files[int(position * len(files)) % len(files)]
+        files = sorted(p for p in Path(artifact).rglob("*") if p.is_file()
+                       and p != Path(artifact) / persist.MANIFEST_FILE)
+        target = files[int(position * len(files)) % len(files)]
         data_bytes = bytearray(target.read_bytes())
         data_bytes[int(position * len(data_bytes))] ^= flip
         target.write_bytes(bytes(data_bytes))

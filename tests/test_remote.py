@@ -36,6 +36,7 @@ from repro import (
 )
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
+from repro.errors import ArtifactCorrupt
 from repro.matching.bounded import canonical_answer
 from repro.server import protocol
 from repro.server.shardserver import ShardServer, resolve_shard_artifact
@@ -449,20 +450,42 @@ class TestConnectSurface:
             assert merged.session_config == SessionConfig()
             assert merged.executor_strategy in ("vectorized", "sequential")
 
-    def test_remote_requires_sharded_artifact_and_addrs(self, artifacts,
-                                                        tmp_path,
-                                                        imdb_small):
+    def test_remote_requires_sharded_artifact_and_addrs(self, artifacts):
         with pytest.raises(EngineError):
             connect(artifacts[1], backend="remote")  # no addrs
         with pytest.raises(EngineError):
             connect(artifacts[1], shard_addrs=["127.0.0.1:1"],
                     backend="inline")  # addrs without remote
-        graph, schema = imdb_small
-        single = tmp_path / "single"
-        connect((graph, schema)).save(single)
-        with pytest.raises(EngineError):
-            connect(single, backend="remote",
-                    shard_addrs=["127.0.0.1:1"])  # single layout
+        with pytest.raises(EngineError, match="1 shards"):
+            connect(artifacts[1], backend="remote",
+                    shard_addrs=["127.0.0.1:1", "127.0.0.1:2"])
+
+    def test_remote_open_verifies_the_top_files(self, tmp_path, artifacts):
+        """The front-end reads plans.json (the admitted bounds) through
+        the same checksum-verified path as every other open."""
+        import shutil
+
+        path = tmp_path / "art"
+        shutil.copytree(artifacts[2], path)
+        servers = [ShardServer(path / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        addrs = [server.address for server in servers]
+        plans = path / "plans.json"
+        original = plans.read_bytes()
+        try:
+            flipped = bytearray(original)
+            flipped[len(flipped) // 2] ^= 0x01
+            plans.write_bytes(bytes(flipped))
+            with pytest.raises(ArtifactCorrupt, match="checksum"):
+                connect(path, backend="remote", shard_addrs=addrs)
+            plans.unlink()
+            with pytest.raises(ArtifactCorrupt, match="missing"):
+                connect(path, backend="remote", shard_addrs=addrs)
+            plans.write_bytes(original)
+            connect(path, backend="remote", shard_addrs=addrs).close()
+        finally:
+            for server in servers:
+                server.stop()
 
     def test_resolve_shard_artifact(self, artifacts):
         root, shard_id = resolve_shard_artifact(artifacts[2] / "shard-0001")
