@@ -45,7 +45,7 @@ the edge phase — see DESIGN.md for the argument, and the property tests in
 
 from __future__ import annotations
 
-import queue as _queue_mod
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -740,9 +740,11 @@ def _absorb_response(task: tuple, cells: list, responses: list,
 def _run_pipelined(exes, backend) -> None:
     """Per-shard-progress driver over ``backend.scatter_submit``.
 
-    Completions arrive per wire task on a queue (possibly from backend
-    reader threads); an execution is re-advanced the moment its own
-    cells are complete. Identity with the sequential executor holds
+    Completions arrive per wire task, while ``backend.wait`` pumps
+    replies on this thread (or on whichever thread pumps for a shared
+    backend, or a recovery thread's typed failure), and queue up here;
+    an execution is re-advanced the moment its own cells are complete.
+    Identity with the sequential executor holds
     because (a) each execution still observes its tasks in issue order,
     delivered only when fully merged, (b) cell fragments merge
     order-independently (unions of id arrays, summed probe counts), and
@@ -752,7 +754,7 @@ def _run_pipelined(exes, backend) -> None:
     router = backend.router
     states = [_ExeState(exe) for exe in exes]
     cells: dict[tuple, _Cell] = {}
-    completions = _queue_mod.SimpleQueue()
+    completions: deque = deque()
     outstanding = 0
     dedup_hits = 0
     wave_index = 0
@@ -772,7 +774,7 @@ def _run_pipelined(exes, backend) -> None:
 
             def _on_task(i, responses, _tasks=wire_tasks,
                          _groups=wire_groups):
-                completions.put((_tasks[i], _groups[i], responses))
+                completions.append((_tasks[i], _groups[i], responses))
 
             with child_span("wave", index=wave_index,
                             tasks=len(wire_tasks)):
@@ -781,16 +783,12 @@ def _run_pipelined(exes, backend) -> None:
             wave_index += 1
         if not outstanding:
             break
-        task, group, responses = completions.get()
-        outstanding -= 1
-        while True:
+        backend.wait(lambda: completions)
+        while completions:
+            task, group, responses = completions.popleft()
+            outstanding -= 1
             if isinstance(responses, Exception):
                 raise responses
             _absorb_response(task, group, responses, ready)
-            try:
-                task, group, responses = completions.get_nowait()
-            except _queue_mod.Empty:
-                break
-            outstanding -= 1
     if dedup_hits:
         backend.scatter_dedup_hits += dedup_hits

@@ -34,21 +34,30 @@ Two implementations live here:
   :class:`~repro.errors.ShardUnavailable` errors once retries exhaust.
 
 Thread safety: the inline backend takes no lock — frozen reads need
-none. The remote backend is pipelined: requests are correlated by id,
-each connection has a reader thread, and ``scatter_submit`` lets
-several rounds overlap on the same connections — per-task completion
-callbacks fire from the reader threads the moment a task's own shards
-have answered. Retry backoff runs on the per-shard reader thread, so
-one shard mid-backoff never stalls another shard's traffic.
+none. The remote backend is pipelined and, while every shard is
+healthy, runs no thread of its own. Requests are correlated by id;
+``scatter_submit`` sends on the caller's thread, and several rounds may
+overlap on the same connections. :meth:`ShardBackend.wait` reads the
+replies on the thread that waits: one ``poll`` over the live
+connections, non-blocking reads into a per-connection buffer, frames
+split off it, and per-task completions fired the moment a task's own
+shards have answered. Several threads may wait on one backend: one
+pumps at a time, the others sleep until a pass ends and re-check their
+own completions. A transient fault hands its connection to a
+short-lived recovery thread (backoff, reconnect, replay, retransmit),
+so one shard mid-backoff never stalls another shard's traffic.
 """
 
 from __future__ import annotations
 
 import abc
 import json
+import select
+import socket
 import threading
 import time
-from typing import Sequence
+from functools import partial
+from typing import NamedTuple, Sequence
 
 from repro.constraints.index import FrozenConstraintIndex
 from repro.constraints.schema import AccessConstraint
@@ -260,8 +269,10 @@ class ShardBackend(abc.ABC):
         task index — with the task's per-shard response row (aligned
         with shard order, ``None`` for unrouted shards) once every
         routed shard answered, or with an :class:`Exception` when the
-        task's round failed. Completions may arrive on backend reader
-        threads, out of submission order, and before this call returns.
+        task's round failed. Completions fire inside this call
+        (synchronous backends) or inside :meth:`wait`, out of
+        submission order; a caller submits, then waits until its own
+        completions are in.
 
         The base implementation is synchronous — it runs
         :meth:`scatter` and completes every task before returning —
@@ -272,6 +283,11 @@ class ShardBackend(abc.ABC):
         responses = self.scatter(tasks, shard_sets)
         for i in range(len(tasks)):
             on_task(i, [row[i] for row in responses])
+
+    def wait(self, done) -> None:
+        """Drive completions on the calling thread until ``done()`` is
+        true. A synchronous backend has completed every task inside
+        :meth:`scatter_submit`, so this returns at once."""
 
     @abc.abstractmethod
     def extension_stats(self, labels: Sequence[str]) -> list[tuple]:
@@ -405,54 +421,54 @@ class _ScatterEncoder:
         return protocol.binary_frame(header, payload)
 
 
-class _PendingRequest:
+class _PendingRequest(NamedTuple):
     """One in-flight request on a shard connection: the encoded frame
     bytes (kept for retransmission after a reconnect — the request id is
     reused, so correlation survives), the completion callback, and the
     optional ``shard_rpc`` span the completion closes."""
 
-    __slots__ = ("rid", "data", "on_done", "span")
-
-    def __init__(self, rid: int, data: bytes, on_done, span):
-        self.rid = rid
-        self.data = data
-        self.on_done = on_done
-        self.span = span
+    data: bytes
+    on_done: object
+    span: object
 
 
 class _ShardConn:
     """One front-end connection to one ``repro shard-serve`` process.
 
     Requests are correlated by id, so several may be in flight at once:
-    submitters append to ``pending`` and send under ``lock``, while the
-    connection's reader thread (:meth:`RemoteShardBackend._reader_loop`)
-    pops completions as response frames arrive, in whatever order the
-    server answers rounds. ``sock is None`` means "currently
-    disconnected"; the reader reconnects (re-handshakes, replays
-    extensions, retransmits ``pending``) on demand. The wire counters
-    (bytes each way, encode seconds, in-flight peak) persist across
-    reconnects — they describe the shard's slot, not one socket.
+    submitters append to ``pending`` and send under ``lock``, while
+    whichever thread pumps (:meth:`RemoteShardBackend.wait`) reads
+    replies into ``buf`` and pops completions as frames split off it,
+    in whatever order the server answers rounds. ``sock is None`` means
+    "currently disconnected". While ``recovering``, a recovery thread
+    owns the connection and the pump leaves it alone; the thread
+    reconnects (re-handshakes, replays extensions, retransmits
+    ``pending``). The wire counters (bytes each way, encode seconds,
+    in-flight peak) persist across reconnects — they describe the
+    shard's slot, not one socket.
     """
 
-    __slots__ = ("addr", "host", "port", "sock", "file", "shard_id",
+    __slots__ = ("addr", "host", "port", "sock", "buf", "shard_id",
                  "next_id", "bytes_sent", "bytes_received",
-                 "encode_s", "lock", "cond", "pending", "reader",
-                 "fail_streak", "inflight_peak")
+                 "encode_s", "lock", "pending", "recovering",
+                 "quiet_since", "fail_streak", "inflight_peak")
 
     def __init__(self, addr: str):
         self.addr = addr
         self.host, self.port = parse_shard_addr(addr)
         self.sock = None
-        self.file = None
+        self.buf = bytearray()
         self.shard_id: int | None = None
         self.next_id = 0
         self.bytes_sent = 0
         self.bytes_received = 0
         self.encode_s = 0.0
         self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
         self.pending: dict[int, _PendingRequest] = {}
-        self.reader: threading.Thread | None = None
+        self.recovering = False
+        #: When the connection last delivered a byte, or last went from
+        #: idle to having a request in flight (``time.monotonic``).
+        self.quiet_since = 0.0
         #: Consecutive transient faults with no successfully-read frame
         #: in between — the retry budget spans reconnects that only
         #: manage to fail again (e.g. a server that truncates every
@@ -460,26 +476,39 @@ class _ShardConn:
         self.fail_streak = 0
         self.inflight_peak = 0
 
-    def send(self, doc: dict) -> int:
-        """Send one control op (JSON lines); scatter rounds go through
+    def take_frame(self, buf: bytearray):
+        """Split the next whole reply off the front of ``buf``, or None
+        until one is in. Wire garbage raises a ShardProtocolError that
+        names the shard."""
+        from repro.server import protocol
+        try:
+            frame, size = protocol.split_frame(buf)
+        except ReproError as exc:
+            raise ShardProtocolError(f"shard {self.addr}: {exc}",
+                                     addr=self.addr) from None
+        if frame is not None:
+            del buf[:size]
+            self.bytes_received += size
+        return frame
+
+    def call(self, doc: dict) -> dict:
+        """One blocking control-op round trip (JSON lines): the
+        handshake and the replay after a reconnect, while no pump reads
+        this connection. Scatter rounds go through
         :meth:`RemoteShardBackend._submit`."""
         from repro.server import protocol
         self.next_id += 1
+        request_id = self.next_id
         started = time.perf_counter()
-        data = protocol.encode({"id": self.next_id, **doc})
+        data = protocol.encode({"id": request_id, **doc})
         self.encode_s += time.perf_counter() - started
         self.sock.sendall(data)
         self.bytes_sent += len(data)
-        return self.next_id
-
-    def recv(self, request_id: int) -> dict:
-        from repro.server import protocol
-        try:
-            response = protocol.read_frame(self.file)
-        except ShardProtocolError as exc:
-            raise ShardProtocolError(f"shard {self.addr}: {exc}",
-                                     addr=self.addr) from None
-        self.bytes_received += response.nbytes
+        while (response := self.take_frame(self.buf)) is None:
+            data = self.sock.recv(_RECV_BYTES)
+            if not data:
+                raise EOFError("peer closed the connection")
+            self.buf += data
         if response.get("id") != request_id:
             raise ShardProtocolError(
                 f"shard {self.addr}: response id {response.get('id')!r} "
@@ -488,23 +517,28 @@ class _ShardConn:
             protocol.raise_error(response)
         return response
 
-    def call(self, doc: dict) -> dict:
-        return self.recv(self.send(doc))
-
     def close(self) -> None:
-        for stream in (self.file, self.sock):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-        self.sock = None
-        self.file = None
+        """Drop the socket. Shut down first, so a pump blocked polling
+        it wakes up."""
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            sock.close()
 
 
 #: Transient connection faults worth a bounded retry: refused/reset/
 #: timed-out sockets and peers that hung up (cleanly or mid-frame).
 _TRANSIENT = (OSError, EOFError)
+
+#: Bytes asked of the kernel per read of a shard connection.
+_RECV_BYTES = 65536
+
+#: Longest a pump polls while some connection is recovering, so the
+#: restored socket (or the recovery's failed completions) are picked up.
+_RECOVERY_POLL_S = 0.02
 
 
 class RemoteShardBackend(ShardBackend):
@@ -562,8 +596,12 @@ class RemoteShardBackend(ShardBackend):
         self.request_timeout = config.request_timeout
         self.retries = config.retries
         self.retry_backoff_s = config.retry_backoff_s
-        self._lock = threading.Lock()
-        self._closed = False
+        self._closed = threading.Event()
+        #: Leader/follower hand-off of :meth:`wait`: ``_pumping`` is true
+        #: while one thread pumps; the others wait on the condition,
+        #: which is notified after every pass.
+        self._pump_cond = threading.Condition()
+        self._pumping = False
         #: Online extensions to replay after a shard restart (a restart
         #: warm-starts from the artifact, which predates them).
         self._applied_extensions: list[dict] = []
@@ -612,7 +650,7 @@ class RemoteShardBackend(ShardBackend):
             raise ShardUnavailable(
                 f"cannot connect to shard server {conn.addr}: {exc}",
                 addr=conn.addr, shard_id=conn.shard_id) from None
-        conn.file = conn.sock.makefile("rb")
+        conn.buf = bytearray()
         try:
             hello = conn.call({
                 "op": "hello",
@@ -664,130 +702,192 @@ class RemoteShardBackend(ShardBackend):
                        "constraints": list(self._applied_extensions)})
 
     # -- pipelined submission -------------------------------------------------
-    def _submit(self, conn: _ShardConn, doc: dict, on_done, span=None) -> int:
-        """Register and send one request on ``conn``; ``on_done`` fires
-        exactly once — with the response frame, or with a typed
-        exception — from the connection's reader thread (or inline for
-        server-side typed errors read there). Never blocks on the
-        network beyond the send itself: faults are handed to the reader
-        thread, whose bounded reconnect/retransmit path runs its backoff
-        without holding any lock another shard's traffic needs."""
-        from repro.server import protocol
-
-        started = time.perf_counter()
-        scatter = doc.get("_scatter")
+    def _submit(self, conn: _ShardConn, encode, on_done, span=None) -> int:
+        """Register and send one request on ``conn``, on the caller's
+        thread; ``encode(request_id)`` returns its frame bytes.
+        ``on_done`` fires exactly once — with the response frame, or
+        with a typed exception — inside :meth:`wait` on whichever thread
+        pumps, or on a recovery thread once the connection's retries
+        run out. Never blocks on the network beyond the send itself: a
+        failed send hands the connection to recovery."""
         with conn.lock:
-            if self._closed:
+            if self._closed.is_set():
                 raise EngineError("remote shard backend is closed")
             conn.next_id += 1
             rid = conn.next_id
-            if scatter is not None:
-                encoder, key = scatter
-                envelope = {"id": rid, **{k: v for k, v in doc.items()
-                                          if k != "_scatter"}}
-                data = encoder.encode(key, envelope)
-            else:
-                data = protocol.encode({"id": rid, **doc})
+            started = time.perf_counter()
+            data = encode(rid)
             conn.encode_s += time.perf_counter() - started
-            conn.pending[rid] = _PendingRequest(rid, data, on_done, span)
+            if not conn.pending:
+                conn.quiet_since = time.monotonic()
+            conn.pending[rid] = _PendingRequest(data, on_done, span)
             depth = len(conn.pending)
             if depth > conn.inflight_peak:
                 conn.inflight_peak = depth
-            self._ensure_reader(conn)
-            if conn.sock is not None:
+            sock = conn.sock
+            if sock is not None:
                 try:
-                    conn.sock.sendall(data)
+                    sock.sendall(data)
                     conn.bytes_sent += len(data)
-                except OSError:
-                    # Leave the entry pending: the reader notices the
-                    # dead socket and reconnects + retransmits.
-                    conn.close()
-            conn.cond.notify_all()
+                    return rid
+                except OSError as exc:
+                    error = exc
+            else:
+                error = ShardUnavailable(
+                    f"connection to shard server {conn.addr} is down",
+                    addr=conn.addr, shard_id=conn.shard_id)
+        # Reconnect (unless a recovery is under way already); the
+        # retransmit carries this request.
+        self._fault(conn, sock, error)
         return rid
 
-    def _ensure_reader(self, conn: _ShardConn) -> None:
-        """Start (or restart) the connection's reader thread. Caller
-        holds ``conn.lock``."""
-        if conn.reader is None or not conn.reader.is_alive():
-            conn.reader = threading.Thread(
-                target=self._reader_loop, args=(conn,),
-                name=f"repro-shard-reader-{conn.addr}", daemon=True)
-            conn.reader.start()
+    def wait(self, done) -> None:
+        """Pump replies on the calling thread until ``done()`` is true.
 
-    def _reader_loop(self, conn: _ShardConn) -> None:
-        """Per-connection reader: correlates response frames to pending
-        requests by id. Sleeps (condition wait) whenever nothing is
-        pending, so an idle connection never trips the read timeout.
-        Exits after exhausting the retry budget or desynchronizing —
-        the next submit starts a fresh reader."""
+        One thread pumps at a time. Another waiter sleeps on the pump
+        condition, which the pumper notifies after every pass, and
+        re-checks its own ``done()`` — so a reply the pumper delivered
+        for it returns it at once."""
+        cond = self._pump_cond
+        while True:
+            with cond:
+                while self._pumping and not done():
+                    cond.wait()
+                if done():
+                    return
+                if self._closed.is_set():
+                    raise EngineError("remote shard backend is closed")
+                self._pumping = True
+            try:
+                self._pump()
+            finally:
+                with cond:
+                    self._pumping = False
+                    cond.notify_all()
+
+    def _pump(self) -> None:
+        """One pass: poll every live connection (a thread may submit on
+        any of them while this one pumps), read what has arrived, and
+        fire the completion of every whole reply. A connection that
+        faulted, or stayed silent for ``request_timeout`` with requests
+        in flight, goes to a recovery thread. While any connection is
+        down or recovering, the poll is capped at
+        :data:`_RECOVERY_POLL_S`, so a restored socket (or a recovery's
+        failed completions) are picked up."""
+        poller = select.poll()
+        live: dict[int, tuple] = {}
+        degraded = False
+        for conn in self._conns.values():
+            sock = conn.sock
+            fd = -1 if sock is None or conn.recovering else sock.fileno()
+            if fd < 0:
+                degraded = True
+                continue
+            live[fd] = (conn, sock, conn.buf)
+            poller.register(fd, select.POLLIN)
+        quiet = [conn.quiet_since for conn, _, _ in live.values()
+                 if conn.pending]
+        timeout = min(quiet) + self.request_timeout - time.monotonic() \
+            if quiet else _RECOVERY_POLL_S
+        if degraded:
+            timeout = min(timeout, _RECOVERY_POLL_S)
+        for fd, _ in poller.poll(max(timeout, 0.0) * 1000.0):
+            conn, sock, buf = live.pop(fd)
+            try:
+                data = sock.recv(_RECV_BYTES)
+            except OSError as exc:
+                self._fault(conn, sock, exc)
+                continue
+            if not data:
+                self._fault(conn, sock, EOFError(
+                    "peer closed the connection"))
+                continue
+            conn.quiet_since = time.monotonic()
+            buf += data
+            self._deliver(conn, sock, buf)
+        now = time.monotonic()
+        for conn, sock, _ in live.values():
+            if conn.pending \
+                    and now - conn.quiet_since >= self.request_timeout:
+                self._fault(conn, sock, TimeoutError(
+                    f"no reply from shard server {conn.addr} in "
+                    f"{self.request_timeout} s"))
+
+    def _deliver(self, conn: _ShardConn, sock, buf: bytearray) -> None:
+        """Fire the completion of every whole reply in ``buf``, the
+        buffer of ``conn``'s socket ``sock``."""
         from repro.server import protocol
 
-        try:
-            while True:
-                with conn.lock:
-                    while not conn.pending and not self._closed:
-                        conn.cond.wait()
-                    if self._closed:
-                        break
-                    file = conn.file
-                    disconnected = conn.sock is None
-                if disconnected:
-                    if not self._recover(conn, ShardUnavailable(
-                            f"connection to shard server {conn.addr} "
-                            f"is down", addr=conn.addr,
-                            shard_id=conn.shard_id)):
-                        return
-                    continue
-                try:
-                    frame = protocol.read_frame(file)
-                except ShardProtocolError as exc:
-                    # Wire garbage — the stream cannot be trusted.
-                    self._fail_pending(conn, ShardProtocolError(
-                        f"shard {conn.addr}: {exc}", addr=conn.addr))
-                    return
-                except (OSError, EOFError, ValueError) as exc:
-                    # Timeout, reset, peer hang-up, or our own side
-                    # closing the socket mid-read: transient.
-                    conn.close()
-                    if not self._recover(conn, exc):
-                        return
-                    continue
-                conn.bytes_received += frame.nbytes
-                rid = frame.get("id")
-                with conn.lock:
-                    entry = conn.pending.pop(rid, None)
-                    conn.fail_streak = 0
-                if entry is None:
-                    self._fail_pending(conn, ShardProtocolError(
-                        f"shard {conn.addr}: response id {rid!r} matches "
-                        f"no in-flight request", addr=conn.addr))
-                    return
-                if not frame.get("ok"):
-                    # Typed server-side error; the stream stays in sync.
-                    try:
-                        protocol.raise_error(frame)
-                    except ReproError as exc:
-                        self._complete(entry, exc)
-                    continue
+        while True:
+            try:
+                frame = conn.take_frame(buf)
+            except ShardProtocolError as exc:
+                # Wire garbage — the stream cannot be trusted.
+                self._fail_pending(conn, exc, sock)
+                return
+            if frame is None:
+                return
+            rid = frame.get("id")
+            with conn.lock:
+                if conn.sock is not sock:
+                    return  # handed to recovery, which retransmits
+                entry = conn.pending.pop(rid, None)
+                conn.fail_streak = 0
+            if entry is None:
+                self._fail_pending(conn, ShardProtocolError(
+                    f"shard {conn.addr}: response id {rid!r} matches "
+                    f"no in-flight request", addr=conn.addr), sock)
+                return
+            if frame.get("ok"):
                 self._complete(entry, frame)
+                continue
+            # Typed server-side error; the stream stays in sync.
+            try:
+                protocol.raise_error(frame)
+            except ReproError as exc:
+                self._complete(entry, exc)
+
+    def _fault(self, conn: _ShardConn, sock, error: Exception) -> None:
+        """A transient fault on ``conn``'s socket ``sock`` (None for a
+        connection that is down): hand the connection to a short-lived
+        recovery thread running :meth:`_recover`, unless it moved on
+        already. The pump leaves it alone until the thread is done."""
+        with conn.lock:
+            if conn.sock is not sock or conn.recovering \
+                    or self._closed.is_set():
+                return
+            conn.recovering = True
+            conn.close()
+        threading.Thread(target=self._recovery, args=(conn, error),
+                         name=f"repro-shard-recover-{conn.addr}",
+                         daemon=True).start()
+
+    def _recovery(self, conn: _ShardConn, error: Exception) -> None:
+        try:
+            self._recover(conn, error)
         except BaseException as exc:  # pragma: no cover - defensive
             self._fail_pending(conn, ShardUnavailable(
-                f"shard reader for {conn.addr} failed: {exc!r}",
+                f"shard recovery for {conn.addr} failed: {exc!r}",
                 addr=conn.addr, shard_id=conn.shard_id))
             raise
+        finally:
+            with conn.lock:
+                conn.recovering = False
+            with self._pump_cond:
+                self._pump_cond.notify_all()
 
-    def _recover(self, conn: _ShardConn, error: Exception) -> bool:
+    def _recover(self, conn: _ShardConn, error: Exception) -> None:
         """Bounded reconnect/retransmit after a transient fault, run on
-        the connection's reader thread — the backoff sleeps hold no
+        the connection's recovery thread — the backoff sleeps hold no
         lock, so every other shard keeps answering while this one is
         mid-backoff. The retry budget (``fail_streak``) only resets when
         a response frame is actually read, so a server that reconnects
-        happily but keeps truncating responses still exhausts it.
-        Returns False once the pending requests have been failed."""
+        happily but keeps truncating responses still exhausts it. Fails
+        the pending requests once the budget is spent."""
         last = error
         while True:
             with conn.lock:
-                if self._closed:
+                if self._closed.is_set():
                     break
                 conn.fail_streak += 1
                 attempt = conn.fail_streak
@@ -797,11 +897,12 @@ class RemoteShardBackend(ShardBackend):
                     f"is unavailable after {self.retries + 1} attempts: "
                     f"{last}", addr=conn.addr, shard_id=conn.shard_id,
                     attempts=self.retries + 1))
-                return False
-            time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
+                return
+            if self._closed.wait(self.retry_backoff_s * (2 ** (attempt - 1))):
+                break
             fatal = None
             with conn.lock:
-                if self._closed:
+                if self._closed.is_set():
                     break
                 for entry in conn.pending.values():
                     if entry.span is not None:
@@ -815,7 +916,8 @@ class RemoteShardBackend(ShardBackend):
                         data = conn.pending[rid].data
                         conn.sock.sendall(data)
                         conn.bytes_sent += len(data)
-                    return True
+                    conn.quiet_since = time.monotonic()
+                    return
                 except _TRANSIENT as exc:
                     conn.close()
                     last = exc
@@ -827,31 +929,33 @@ class RemoteShardBackend(ShardBackend):
                     fatal = exc
             if fatal is not None:
                 self._fail_pending(conn, fatal)
-                return False
+                return
         self._fail_pending(conn, ShardUnavailable(
             "remote shard backend is closed", addr=conn.addr,
             shard_id=conn.shard_id))
-        return False
 
-    def _fail_pending(self, conn: _ShardConn, exc: Exception) -> None:
+    def _fail_pending(self, conn: _ShardConn, exc: Exception,
+                      sock=None) -> None:
         """Fail every in-flight request on ``conn`` with ``exc`` (in
-        request order) and reset the retry budget — the next round
-        starts with a fresh one, exactly like the pre-pipelined
-        per-round retry semantics."""
+        request order), disconnect it, and reset the retry budget — the
+        next round starts with a fresh one, exactly like the
+        pre-pipelined per-round retry semantics. Given ``sock``, only
+        while that socket is still the connection's."""
         with conn.lock:
+            if sock is not None and conn.sock is not sock:
+                return
             entries = [conn.pending[rid] for rid in sorted(conn.pending)]
             conn.pending.clear()
             conn.fail_streak = 0
             conn.close()
-            conn.cond.notify_all()
         for entry in entries:
             self._complete(entry, exc)
 
     @staticmethod
     def _complete(entry: _PendingRequest, result) -> None:
         """Close the request's span and fire its callback exactly once.
-        Spans may end on reader threads — ``Trace.record`` is written
-        for that."""
+        Spans may end on any thread — ``Trace.record`` is written for
+        that."""
         span = entry.span
         if span is not None:
             if isinstance(result, Exception):
@@ -862,58 +966,40 @@ class RemoteShardBackend(ShardBackend):
         if entry.on_done is not None:
             entry.on_done(result)
 
-    def _request_round(self, messages: dict[int, dict]) -> dict[int, dict]:
-        """Send one request per participating shard and gather the
-        responses. All sends go out before any wait, the fleet works the
-        round concurrently, and per-shard faults retry on the per-shard
-        reader threads — a healthy shard's answer is consumed while an
-        unhealthy one is still mid-backoff. Every shard's completion is
-        awaited before any error is raised (completions are exactly-once
-        per request, so nothing is left to desynchronize later rounds).
+    def _request_round(self, doc: dict) -> list[dict]:
+        """Send ``doc`` to every shard and gather the replies in shard
+        order, without their ``id`` / ``ok``. All sends go out before
+        any wait, the fleet works the round concurrently, and per-shard
+        faults retry on recovery threads — a healthy shard's answer is
+        consumed while an unhealthy one is still mid-backoff. Every
+        shard's completion is awaited before any error is raised
+        (completions are exactly-once per request, so nothing is left to
+        desynchronize later rounds).
 
-        With a span active in the calling context, each participating
-        shard gets a ``shard_rpc`` child span and its request carries the
-        trace context as the optional ``trace`` wire field — the shard
-        server stamps its request log with the same trace id and reports
-        its server-side time back as ``server_ms``."""
-        if not messages:
-            return {}
+        With a span active in the calling context, each shard gets a
+        ``shard_rpc`` child span and its request carries the trace
+        context as the optional ``trace`` wire field — the shard server
+        stamps its request log with the same trace id and reports its
+        server-side time back as ``server_ms``."""
+        from repro.server import protocol
+
         parent = current_span()
-        lock = threading.Lock()
-        done = threading.Event()
         results: dict[int, object] = {}
-
-        def _gather(shard_id):
-            def on_done(result):
-                with lock:
-                    results[shard_id] = result
-                    if len(results) == len(messages):
-                        done.set()
-            return on_done
-
-        for shard_id, doc in messages.items():
-            span = None
+        for shard_id in self._shard_ids:
+            conn, span, sent = self._conns[shard_id], None, doc
             if parent is not None:
-                from repro.server import protocol
-
                 span = parent.child("shard_rpc", shard=shard_id,
-                                    addr=self._conns[shard_id].addr,
-                                    rpc=str(doc.get("op")))
-                doc = {**doc, "trace": protocol.encode_trace(span)}
-            self._submit(self._conns[shard_id], doc, _gather(shard_id),
-                         span=span)
-        done.wait()
-        out: dict[int, dict] = {}
-        errors: list[Exception] = []
-        for shard_id in sorted(messages):
-            result = results[shard_id]
-            if isinstance(result, Exception):
-                errors.append(result)
-            else:
-                out[shard_id] = result
-        if errors:
-            raise errors[0]
-        return out
+                                    addr=conn.addr, rpc=str(doc.get("op")))
+                sent = {**doc, "trace": protocol.encode_trace(span)}
+            self._submit(conn, lambda rid, _doc=sent: protocol.encode(
+                {"id": rid, **_doc}), partial(results.__setitem__, shard_id),
+                span=span)
+        self.wait(lambda: len(results) == len(self._shard_ids))
+        for shard_id in self._shard_ids:
+            if isinstance(results[shard_id], Exception):
+                raise results[shard_id]
+        return [{k: v for k, v in results[shard_id].items()
+                 if k not in ("id", "ok")} for shard_id in self._shard_ids]
 
     # -- contract -------------------------------------------------------------
     @property
@@ -940,9 +1026,8 @@ class RemoteShardBackend(ShardBackend):
                        on_task=None) -> None:
         """Asynchronous scatter: each task completes — ``on_task(i,
         per-shard row)`` — the moment its own routed shards have
-        answered, independent of the rest of the round, and response
-        decode runs on the reader threads, overlapping the network and
-        the other shards' compute. Several rounds may be in flight on
+        answered, independent of the rest of the round; the replies are
+        read and decoded inside :meth:`wait`. Several rounds may be in flight on
         the same connections at once (request-id correlation keeps them
         straight); ``rounds_overlapped`` counts the rounds submitted
         while an earlier one was still pending."""
@@ -1007,35 +1092,22 @@ class RemoteShardBackend(ShardBackend):
         parent = current_span()
         for shard_id, indices in sent_indices.items():
             conn = self._conns[shard_id]
-            doc: dict = {"op": "scatter", "_scatter": (encoder, indices)}
+            envelope: dict = {"op": "scatter"}
             span = None
             if parent is not None:
                 span = parent.child("shard_rpc", shard=shard_id,
                                     addr=conn.addr, rpc="scatter")
-                doc["trace"] = protocol.encode_trace(span)
+                envelope["trace"] = protocol.encode_trace(span)
             self._submit(
-                conn, doc,
-                lambda result, _sid=shard_id, _ind=indices:
-                    _shard_done(_sid, _ind, result),
-                span=span)
+                conn, lambda rid, _env=envelope, _ind=indices:
+                    encoder.encode(_ind, {"id": rid, **_env}),
+                partial(_shard_done, shard_id, indices), span=span)
 
     def scatter(self, tasks: list[tuple],
                 shard_sets: list | None = None) -> list[list]:
-        if not tasks:
-            self._record_round(tasks, shard_sets)
-            return [[] for _ in self._shard_ids]
-        lock = threading.Lock()
-        done = threading.Event()
         outcomes: dict[int, object] = {}
-
-        def on_task(i, outcome):
-            with lock:
-                outcomes[i] = outcome
-                if len(outcomes) == len(tasks):
-                    done.set()
-
-        self.scatter_submit(tasks, shard_sets, on_task)
-        done.wait()
+        self.scatter_submit(tasks, shard_sets, outcomes.__setitem__)
+        self.wait(lambda: len(outcomes) == len(tasks))
         for i in range(len(tasks)):
             outcome = outcomes[i]
             if isinstance(outcome, Exception):
@@ -1048,23 +1120,18 @@ class RemoteShardBackend(ShardBackend):
     def extension_stats(self, labels: Sequence[str]) -> list[tuple]:
         from repro.server import protocol
 
-        labels = list(labels)
-        results = self._request_round(
-            {shard_id: {"op": "extension_stats", "labels": labels}
-             for shard_id in self._shard_ids})
-        return [protocol.decode_extension_stats(results[shard_id])
-                for shard_id in self._shard_ids]
+        return [protocol.decode_extension_stats(result) for result in
+                self._request_round({"op": "extension_stats",
+                                     "labels": list(labels)})]
 
     def extend(self, constraints: Sequence[AccessConstraint]) -> list[dict]:
         docs = [c.to_dict() for c in constraints]
-        results = self._request_round(
-            {shard_id: {"op": "extend", "constraints": docs}
-             for shard_id in self._shard_ids})
+        replies = self._request_round({"op": "extend", "constraints": docs})
         self._applied_extensions.extend(docs)
         self._grow_positions(constraints)
         out = []
-        for shard_id in self._shard_ids:
-            result = results[shard_id].get("result") or {}
+        for shard_id, reply in zip(self._shard_ids, replies):
+            result = reply.get("result") or {}
             out.append({"shard_id": int(result.get("shard_id", shard_id)),
                         "built": int(result.get("built", 0)),
                         "cells": int(result.get("cells", 0))})
@@ -1073,18 +1140,12 @@ class RemoteShardBackend(ShardBackend):
     # -- fleet management -----------------------------------------------------
     def ping(self) -> bool:
         """Round-trip every shard connection."""
-        results = self._request_round(
-            {shard_id: {"op": "ping"} for shard_id in self._shard_ids})
-        return all(results[shard_id].get("op") == "pong"
-                   for shard_id in self._shard_ids)
+        return all(reply.get("op") == "pong"
+                   for reply in self._request_round({"op": "ping"}))
 
     def shard_metrics(self) -> list[dict]:
         """Per-shard server metrics snapshots, in shard order."""
-        results = self._request_round(
-            {shard_id: {"op": "metrics"} for shard_id in self._shard_ids})
-        return [{k: v for k, v in results[shard_id].items()
-                 if k not in ("id", "ok")}
-                for shard_id in self._shard_ids]
+        return self._request_round({"op": "metrics"})
 
     def wire_stats(self) -> list[dict]:
         """Per-shard client-side wire counters, in shard order — a local
@@ -1107,30 +1168,28 @@ class RemoteShardBackend(ShardBackend):
         re-compile of the artifact tree it serves). The front-end must
         re-open its own session afterwards — the query service's hot
         reload drives both halves in that order."""
-        results = self._request_round(
-            {shard_id: {"op": "reload"} for shard_id in self._shard_ids})
-        return [{k: v for k, v in results[shard_id].items()
-                 if k not in ("id", "ok")}
-                for shard_id in self._shard_ids]
+        return self._request_round({"op": "reload"})
 
     def close(self) -> None:
         """Close the fleet connections (idempotent). The servers keep
         running — they belong to the deployment, not to this session.
-        Reader threads wake, fail any still-pending requests, and
-        exit."""
-        with self._lock:
-            if self._closed:
+        Still-pending requests fail, and a recovery thread mid-backoff
+        wakes and exits."""
+        with self._pump_cond:
+            if self._closed.is_set():
                 return
-            self._closed = True
+            self._closed.set()
         for conn in self._conns.values():
             self._fail_pending(conn, EngineError(
                 "remote shard backend is closed"))
+        with self._pump_cond:
+            self._pump_cond.notify_all()
 
     def __repr__(self) -> str:
         addrs = [self._conns[shard_id].addr for shard_id in self._shard_ids
                  if shard_id in self._conns]
         return (f"RemoteShardBackend(shards={self.num_shards}, "
-                f"addrs={addrs}, closed={self._closed})")
+                f"addrs={addrs}, closed={self._closed.is_set()})")
 
 
 __all__ = [

@@ -149,9 +149,9 @@ METRICS: tuple[Metric, ...] = (*_section("traffic", [
     ("shards[].owned_nodes", "shard_owned_nodes", GAUGE, "Nodes the shard owns."),
     ("shards[].owned_labels", "shard_owned_labels", GAUGE, "Labels among the owned nodes."),
     ("shards[].schema_version", "shard_schema_version", GAUGE, "Schema generation served."),
-    ("shards[].pipeline_depth_peak", "shard_pipeline_depth_peak", GAUGE, "Deepest read-ahead."),
+    ("shards[].pipeline_depth_peak", "shard_pipeline_depth_peak", GAUGE,
+     "Requests read per connection before one is answered; reads 1 (no read-ahead)."),
     ("shards[].delay_ms", "shard_delay_ms", GAUGE, "Injected scatter latency, ms."),
-    ("shards[].task_cost_ms", "shard_task_cost_ms", GAUGE, "Injected compute per work unit, ms."),
 ], "shard"), *_section("shard[{shard}].wire", [
     ("shards[].wire." + _BYTES, "shard_server_wire_bytes_total", COUNTER,
      "Bytes on the wire per shard server, by direction (server side)."),

@@ -176,13 +176,6 @@ def encode_binary(doc: dict, buffers=()) -> bytes:
     return binary_frame(header, encode_payload(buffers))
 
 
-def _check_frame_size(header_len: int, payload_len: int) -> None:
-    if header_len + payload_len > MAX_FRAME_BYTES:
-        raise ShardProtocolError(
-            f"binary frame of {header_len + payload_len} bytes exceeds "
-            f"{MAX_FRAME_BYTES} bytes")
-
-
 def _split_payload(view: memoryview) -> list:
     """Slice a payload section into zero-copy per-buffer memoryviews."""
     if len(view) < _U32.size:
@@ -223,82 +216,95 @@ def _assemble_binary(body: memoryview, header_len: int,
     return Frame(doc, payloads=payloads, nbytes=nbytes, binary=True)
 
 
+def split_frame(buf) -> tuple[Frame | None, int]:
+    """Split the first frame (either framing, sniffed by first byte) off
+    the front of the byte buffer ``buf``: ``(frame, size)`` once ``buf``
+    holds all ``size`` bytes of it, else ``(None, need)`` — ``need`` is
+    the buffer length known to be required so far (the 12-byte head,
+    then head plus declared lengths; 0 for a JSON line until its
+    newline). A frame split off a mutable buffer owns a copy of its
+    bytes, so the caller may consume ``buf`` in place.
+
+    Every framing check lives here: :class:`ShardProtocolError` for a
+    bad magic or a declared length over :data:`MAX_FRAME_BYTES` (from
+    the fixed head alone, before any body is buffered), a JSON line with
+    no newline in its first ``MAX_LINE_BYTES + 1`` bytes, or a corrupt
+    payload section; :class:`ServerError` for a line that is not a JSON
+    object."""
+    if not buf:
+        return None, 1
+    if buf[0] != BINARY_MAGIC[0]:
+        end = buf.find(b"\n", 0, MAX_LINE_BYTES + 1)
+        if end < 0:
+            if len(buf) > MAX_LINE_BYTES:
+                raise ShardProtocolError(
+                    f"protocol frame exceeds {MAX_LINE_BYTES} bytes")
+            return None, 0
+        return Frame(decode(bytes(buf[:end + 1])), nbytes=end + 1), end + 1
+    if len(buf) < _BINARY_HEAD.size:
+        return None, _BINARY_HEAD.size
+    magic, header_len, payload_len = _BINARY_HEAD.unpack_from(buf)
+    if magic != BINARY_MAGIC:
+        raise ShardProtocolError(f"bad binary frame magic {magic!r}")
+    if header_len + payload_len > MAX_FRAME_BYTES:
+        raise ShardProtocolError(
+            f"binary frame of {header_len + payload_len} bytes exceeds "
+            f"{MAX_FRAME_BYTES} bytes")
+    size = _BINARY_HEAD.size + header_len + payload_len
+    if len(buf) < size:
+        return None, size
+    body = memoryview(buf)[_BINARY_HEAD.size:size]
+    if not isinstance(buf, bytes):
+        body = memoryview(body.tobytes())
+    return _assemble_binary(body, header_len, size), size
+
+
 def read_frame(file) -> Frame:
-    """Read one frame — either framing, sniffed by first byte — from a
-    buffered binary stream.
+    """Read one frame from a buffered binary stream, through
+    :func:`split_frame`.
 
     Raises :class:`EOFError` when the peer hung up cleanly *or* mid-
     frame (a truncated frame is indistinguishable from a death between
-    frames, and both are transient faults to a retrying caller);
-    :class:`ShardProtocolError` on framing violations — an overlong
-    frame, a bad magic/length prefix, a corrupt payload section (a peer
-    speaking garbage is not transient, and the bounded reads mean it
-    cannot balloon server memory either); and :class:`ServerError` on a
-    well-framed line that is not a JSON object.
+    frames, and both are transient faults to a retrying caller), and
+    :func:`split_frame`'s errors on framing violations (a peer speaking
+    garbage is not transient, and the bounded reads mean it cannot
+    balloon server memory either).
     """
-    first = file.read(1)
-    if not first:
-        raise EOFError("peer closed the connection")
-    if first == BINARY_MAGIC[:1]:
-        rest = file.read(_BINARY_HEAD.size - 1)
-        if len(rest) < _BINARY_HEAD.size - 1:
-            raise EOFError("peer closed the connection mid-frame")
-        magic, header_len, payload_len = _BINARY_HEAD.unpack(first + rest)
-        if magic != BINARY_MAGIC:
-            raise ShardProtocolError(
-                f"bad binary frame magic {magic!r}")
-        _check_frame_size(header_len, payload_len)
-        body = file.read(header_len + payload_len)
-        if len(body) < header_len + payload_len:
-            raise EOFError("peer closed the connection mid-frame")
-        return _assemble_binary(
-            memoryview(body), header_len,
-            _BINARY_HEAD.size + header_len + payload_len)
-    line = first + file.readline(MAX_LINE_BYTES)
-    if not line.endswith(b"\n"):
-        if len(line) > MAX_LINE_BYTES:
-            raise ShardProtocolError(
-                f"protocol frame exceeds {MAX_LINE_BYTES} bytes")
-        raise EOFError("peer closed the connection mid-frame")
-    return Frame(decode(line), nbytes=len(line))
+    buf, need = b"", 1
+    while True:
+        more = file.read(need - len(buf)) if need \
+            else file.readline(MAX_LINE_BYTES + 1 - len(buf))
+        if not more:
+            raise EOFError("peer closed the connection mid-frame" if buf
+                           else "peer closed the connection")
+        buf += more
+        frame, need = split_frame(buf)
+        if frame is not None:
+            return frame
 
 
 async def read_frame_async(reader) -> Frame:
     """:func:`read_frame` over an :class:`asyncio.StreamReader` — same
-    sniffing, same size bounds, same error contract."""
+    splitter, same size bounds, same error contract."""
     import asyncio
-    try:
-        first = await reader.readexactly(1)
-    except asyncio.IncompleteReadError:
-        raise EOFError("peer closed the connection") from None
-    if first == BINARY_MAGIC[:1]:
+    buf, need = b"", 1
+    while True:
         try:
-            rest = await reader.readexactly(_BINARY_HEAD.size - 1)
+            more = await (reader.readexactly(need - len(buf)) if need
+                          else reader.readline())
         except asyncio.IncompleteReadError:
-            raise EOFError("peer closed the connection mid-frame") from None
-        magic, header_len, payload_len = _BINARY_HEAD.unpack(first + rest)
-        if magic != BINARY_MAGIC:
-            raise ShardProtocolError(f"bad binary frame magic {magic!r}")
-        _check_frame_size(header_len, payload_len)
-        try:
-            body = await reader.readexactly(header_len + payload_len)
-        except asyncio.IncompleteReadError:
-            raise EOFError("peer closed the connection mid-frame") from None
-        return _assemble_binary(
-            memoryview(body), header_len,
-            _BINARY_HEAD.size + header_len + payload_len)
-    try:
-        line = first + await reader.readline()
-    except ValueError:
-        # The stream limit tripped (asyncio wraps LimitOverrunError).
-        raise ShardProtocolError(
-            f"protocol frame exceeds {MAX_LINE_BYTES} bytes") from None
-    if not line.endswith(b"\n"):
-        if len(line) > MAX_LINE_BYTES:
+            more = b""
+        except ValueError:
+            # The stream limit tripped (asyncio wraps LimitOverrunError).
             raise ShardProtocolError(
-                f"protocol frame exceeds {MAX_LINE_BYTES} bytes")
-        raise EOFError("peer closed the connection mid-frame")
-    return Frame(decode(line), nbytes=len(line))
+                f"protocol frame exceeds {MAX_LINE_BYTES} bytes") from None
+        if not more:
+            raise EOFError("peer closed the connection mid-frame" if buf
+                           else "peer closed the connection")
+        buf += more
+        frame, need = split_frame(buf)
+        if frame is not None:
+            return frame
 
 
 def connect_retry(host: str, port: int, *, timeout: float,

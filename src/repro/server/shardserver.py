@@ -19,15 +19,15 @@ any number of stateless front-ends opened with
 ``repro.connect(artifact, backend="remote", shard_addrs=[...])`` — the
 front-end needs only the artifact's top-level files (manifest, plans,
 partition, catalog), never a shard graph. Each connection is served by
-its own thread; ``scatter`` reads are lock-free over the frozen shard
-state, mirroring :class:`~repro.engine.parallel.InlineShardBackend`,
-while ``extend``/``reload`` serialize under a lock.
+one thread that reads a frame, answers it and reads the next;
+``scatter`` reads are lock-free over the frozen shard state, mirroring
+:class:`~repro.engine.parallel.InlineShardBackend`, while
+``extend``/``reload`` serialize under a lock.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
 import random
 import re
 import socketserver
@@ -78,25 +78,18 @@ class ShardServer:
 
     def __init__(self, artifact, *, host: str = "127.0.0.1", port: int = 0,
                  shard_id: int | None = None,
-                 delay_ms: float = 0.0, delay_jitter_ms: float = 0.0,
-                 task_cost_ms: float = 0.0):
+                 delay_ms: float = 0.0, delay_jitter_ms: float = 0.0):
         self.root, self.shard_id = resolve_shard_artifact(artifact, shard_id)
         self.host = host
         self.port = port
         #: Injected scatter latency (testing/benchmarking a skewed
-        #: fleet). Measured from frame *arrival*, not dispatch: with the
-        #: connection handler's read-ahead, several delayed requests
-        #: overlap their waits exactly like genuinely slow concurrent
-        #: work would.
+        #: fleet), slept before each scatter round is handled. It is
+        #: serial per request: a connection answers one frame before it
+        #: reads the next, so requests pipelined on one connection queue
+        #: behind it. Handshakes and management ops stay fast.
         self.delay_s = max(0.0, delay_ms) / 1000.0
         self.delay_jitter_s = max(0.0, delay_jitter_ms) / 1000.0
         self._delay_rng = random.Random()
-        #: Injected *serial* compute per scatter task (a hot/overloaded
-        #: shard). Unlike ``delay_ms`` this does not overlap across
-        #: in-flight requests: the connection worker pays it per task
-        #: while later requests queue behind — the regime where
-        #: cross-execution dedup and read-ahead matter.
-        self.task_cost_s = max(0.0, task_cost_ms) / 1000.0
         self._lock = threading.Lock()
         self._server: _ShardTCPServer | None = None
         self._thread: threading.Thread | None = None
@@ -104,17 +97,13 @@ class ShardServer:
         #: Requests, rounds, tasks and wire bytes, added to by their
         #: declared names (:mod:`repro.obs.registry`).
         self.metrics = MetricStore("shard")
-        #: Deepest per-connection read-ahead observed: >1 proves a
-        #: front-end really had multiple requests in flight on one
-        #: connection (the pipelining overlap the wire stat gates on).
-        self.pipeline_depth_peak = 0
         self._load()
 
     # -- state ----------------------------------------------------------------
     def _load(self) -> None:
         """(Re)load the shard runtime and handshake facts from disk —
         the same checksum-verified path the in-process backends load
-        through."""
+        through. A ``reload`` calls it under the dispatch lock."""
         from repro.engine import persist
 
         manifest = persist.read_manifest(self.root)
@@ -123,14 +112,11 @@ class ShardServer:
             raise EngineError(
                 f"artifact at {self.root} has {len(shard_meta)} shards; "
                 f"there is no shard {self.shard_id}")
-        runtime = persist.load_shard_runtimes(self.root,
-                                              [self.shard_id])[0]
-        with self._lock:
-            self.runtime = runtime
-            self.format_version = manifest.get("format_version")
-            self.schema_version = manifest.get("schema_version")
-            self.manifest_sha256 = \
-                shard_meta[self.shard_id]["manifest_sha256"]
+        self.runtime = persist.load_shard_runtimes(self.root,
+                                                   [self.shard_id])[0]
+        self.format_version = manifest.get("format_version")
+        self.schema_version = manifest.get("schema_version")
+        self.manifest_sha256 = shard_meta[self.shard_id]["manifest_sha256"]
 
     @property
     def address(self) -> str:
@@ -182,16 +168,6 @@ class ShardServer:
     def request_stop(self) -> None:
         self._stop_requested.set()
 
-    def scatter_delay_for(self, doc: dict) -> float:
-        """Injected latency for one request (0 unless configured and
-        the request is a scatter — the handshake and management ops stay
-        fast so tests and probes are not slowed down)."""
-        if not self.delay_s or doc.get("op") != "scatter":
-            return 0.0
-        jitter = self._delay_rng.uniform(0.0, self.delay_jitter_s) \
-            if self.delay_jitter_s else 0.0
-        return self.delay_s + jitter
-
     # -- dispatch -------------------------------------------------------------
     def dispatch(self, doc: dict) -> dict:
         trace = protocol.decode_trace(doc)
@@ -231,9 +207,10 @@ class ShardServer:
         if op == "metrics":
             return self._op_metrics()
         if op == "reload":
+            # Held across the load: an extend arriving meanwhile must
+            # land on the new runtime, not on the one being replaced.
             with self._lock:
-                pass  # serialize against a concurrent extend
-            self._load()
+                self._load()
             self.metrics.inc("reloads")
             return {"op": "reload", "shard_id": self.shard_id,
                     "schema_version": self.schema_version,
@@ -263,6 +240,9 @@ class ShardServer:
         }
 
     def _op_scatter(self, doc: dict) -> dict:
+        if self.delay_s:
+            time.sleep(self.delay_s
+                       + self._delay_rng.uniform(0.0, self.delay_jitter_s))
         t0 = time.perf_counter()
         if "tasks_meta" not in doc:
             raise ShardProtocolError(
@@ -272,13 +252,6 @@ class ShardServer:
             doc["tasks_meta"], getattr(doc, "payloads", ()))
         runtime = self.runtime  # one snapshot for the whole round
         raw = [runtime.handle(task) for task in tasks]
-        if self.task_cost_s:
-            # Charge per work unit (source combo; probes count one), so
-            # the injected cost tracks the work actually sent — wire-
-            # level task grouping does not discount it, dedup does.
-            units = sum(len(task[2]) if task[0] in ("fetch", "edge")
-                        else 1 for task in tasks)
-            time.sleep(self.task_cost_s * units)
         metas, buffers = protocol.encode_shard_responses_binary(
             [task[0] for task in tasks], raw)
         response = protocol.Frame({"responses_meta": metas},
@@ -304,9 +277,10 @@ class ShardServer:
             "schema_version": self.schema_version,
             **self.metrics.snapshot(),
             "uptime_s": time.monotonic() - self.metrics.started,
-            "pipeline_depth_peak": self.pipeline_depth_peak,
+            # Kept for the readers of the field: a connection answers
+            # each frame before it reads the next.
+            "pipeline_depth_peak": 1,
             "delay_ms": round(self.delay_s * 1000.0, 3),
-            "task_cost_ms": round(self.task_cost_s * 1000.0, 3),
         }
 
     def __repr__(self) -> str:
@@ -322,17 +296,16 @@ class _ShardTCPServer(socketserver.ThreadingTCPServer):
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One connection, pipelined: the handler thread reads ahead —
-    stamping each frame's arrival and queueing it — while a per-
-    connection worker thread dispatches and responds strictly in
-    arrival order (the front-end correlates by request id, but in-order
-    responses keep the stream trivially self-synchronizing). Reading
-    request N+1 while request N computes is what lets one connection
-    carry several rounds at once. Typed :mod:`repro.errors` exceptions
-    serialize as typed error responses; anything else is a server bug
-    and reports opaquely. A malformed, overlong or truncated frame gets
-    one typed error response, then the connection is closed (the stream
-    cannot be trusted past it)."""
+    """One connection, one thread: read a frame, dispatch it, write the
+    reply, loop. Replies go out in request order on the thread that read
+    the request. A front-end may still pipeline several requests on the
+    connection: the kernel's socket buffer holds the next frame while
+    this one computes, and under the GIL a read-ahead thread would
+    overlap nothing. Typed :mod:`repro.errors` exceptions serialize as
+    typed error responses; anything else is a server bug and reports
+    opaquely. A malformed, overlong or truncated frame gets one typed
+    error response, then the connection is closed (the stream cannot be
+    trusted past it)."""
 
     def setup(self) -> None:
         super().setup()
@@ -346,68 +319,33 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         server = self.server.shard_server
-        work: queue.Queue = queue.Queue()
-        self._worker_dead = False
-        self._unanswered = 0  # read but not yet responded (GIL-atomic)
-        worker = threading.Thread(
-            target=self._drain, args=(server, work),
-            name="shard-serve-worker", daemon=True)
-        worker.start()
-        try:
-            while not self._worker_dead:
-                try:
-                    frame = protocol.read_frame(self.rfile)
-                except EOFError:
-                    return
-                except (ShardProtocolError, ServerError, OSError) as exc:
-                    work.put(("error", exc, None))
-                    return
-                server.metrics.add({
-                    "wire.bytes_received": frame.nbytes,
-                    "wire.binary_frames_received": frame.binary})
-                self._unanswered += 1
-                if self._unanswered > server.pipeline_depth_peak:
-                    server.pipeline_depth_peak = self._unanswered
-                work.put(("frame", frame, time.monotonic()))
-        finally:
-            work.put(("eof", None, None))
-            worker.join()
-
-    def _drain(self, server: ShardServer, work: queue.Queue) -> None:
-        """The connection's in-order dispatch loop."""
-        try:
-            while True:
-                kind, item, arrival = work.get()
-                if kind == "eof":
-                    return
-                if kind == "error":
-                    self._respond(protocol.error_response(
-                        None, item if protocol.is_repro_error(item)
-                        else ServerError("unreadable frame")))
-                    return
-                delay = server.scatter_delay_for(item)
-                if delay:
-                    remaining = arrival + delay - time.monotonic()
-                    if remaining > 0:
-                        time.sleep(remaining)
-                request_id = item.get("id")
-                payloads = ()
-                try:
-                    response = server.dispatch(item)
-                    payloads = getattr(response, "payloads", ())
-                    response = {"id": request_id, "ok": True, **response}
-                except Exception as exc:  # noqa: BLE001 — keep serving
-                    if not protocol.is_repro_error(exc):
-                        exc = ServerError(
-                            f"internal error: {type(exc).__name__}")
-                    response = protocol.error_response(request_id, exc)
-                ok = self._respond(response, payloads=payloads,
-                                   binary=item.binary)
-                self._unanswered -= 1
-                if not ok:
-                    return
-        finally:
-            self._worker_dead = True
+        while True:
+            try:
+                frame = protocol.read_frame(self.rfile)
+            except EOFError:
+                return
+            except (ShardProtocolError, ServerError, OSError) as exc:
+                self._respond(protocol.error_response(
+                    None, exc if protocol.is_repro_error(exc)
+                    else ServerError("unreadable frame")))
+                return
+            server.metrics.add({
+                "wire.bytes_received": frame.nbytes,
+                "wire.binary_frames_received": frame.binary})
+            request_id = frame.get("id")
+            payloads = ()
+            try:
+                response = server.dispatch(frame)
+                payloads = getattr(response, "payloads", ())
+                response = {"id": request_id, "ok": True, **response}
+            except Exception as exc:  # noqa: BLE001 — keep serving
+                if not protocol.is_repro_error(exc):
+                    exc = ServerError(
+                        f"internal error: {type(exc).__name__}")
+                response = protocol.error_response(request_id, exc)
+            if not self._respond(response, payloads=payloads,
+                                 binary=frame.binary):
+                return
 
     def _respond(self, doc: dict, payloads=(), binary: bool = False) -> bool:
         try:
@@ -439,19 +377,14 @@ def add_flags(parser) -> None:
                         help="structured log format for the repro.* "
                              "logger namespace (default: text)")
     parser.add_argument("--delay-ms", type=float, default=0.0,
-                        help="inject this much latency (from frame "
-                             "arrival) into every scatter round — a "
+                        help="sleep this long before answering each "
+                             "scatter round, serially per request — a "
                              "skewed-fleet straggler for benchmarks and "
                              "smoke tests; answers are unaffected "
                              "(default: 0)")
     parser.add_argument("--delay-jitter-ms", type=float, default=0.0,
                         help="add up to this much uniformly-random extra "
                              "latency per scatter round (default: 0)")
-    parser.add_argument("--task-cost-ms", type=float, default=0.0,
-                        help="inject this much serial compute per scatter "
-                             "work unit (combos for fetch/edge tasks, 1 "
-                             "per probe) — a hot shard whose cost scales "
-                             "with the work it is sent (default: 0)")
 
 
 def run(args) -> int:
@@ -468,8 +401,7 @@ def run(args) -> int:
         else protocol.DEFAULT_SHARD_PORT + shard_id
     server = ShardServer(root, host=args.host, port=port, shard_id=shard_id,
                          delay_ms=args.delay_ms,
-                         delay_jitter_ms=args.delay_jitter_ms,
-                         task_cost_ms=args.task_cost_ms)
+                         delay_jitter_ms=args.delay_jitter_ms)
     server.start()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: server.request_stop())

@@ -218,7 +218,7 @@ class TestParser:
         from repro.cli import build_parser
         from repro.server import shardserver
 
-        argv = ["--artifact", "art/shard-0003", "--task-cost-ms", "2"]
+        argv = ["--artifact", "art/shard-0003", "--delay-ms", "2"]
         via_cli = build_parser().parse_args(["shard-serve", *argv])
         assert via_cli.func is shardserver.run
         own = argparse.ArgumentParser()

@@ -335,7 +335,7 @@ class TestServerMetricsTelemetry:
 
 def test_concurrent_adds_lose_no_update():
     """The store is shared by the event loop and the worker threads (a
-    shard server's reader and dispatch threads): every increment lands,
+    shard server's per-connection threads): every increment lands,
     the invariant a read-modify-write without the lock could break."""
     import sys
     import threading

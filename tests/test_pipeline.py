@@ -10,8 +10,9 @@ Covers the acceptance criteria of the barrier-free scatter PR:
 * the ``scatter_submit`` contract on all three backends — exactly-once
   completion per task, alignment with ``scatter``;
 * rounds genuinely overlap on one connection (``rounds_overlapped``,
-  per-connection ``inflight_peak`` wire stat, server-side
-  ``pipeline_depth_peak``);
+  per-connection ``inflight_peak`` wire stat), and a thread waiting on
+  a shared backend returns as soon as whichever thread pumps delivers
+  its reply;
 * cross-execution cell dedup shares wire traffic without sharing
   accounting (per-execution ``AccessStats`` stay exact);
 * a healthy shard keeps answering while another shard sits in retry
@@ -140,9 +141,13 @@ class TestPipelinedIdentity:
 
     def test_concurrent_batches_identical_and_overlapped(
             self, artifacts, delayed_fleets, workload):
-        """Two batches served concurrently over one backend: answers
-        stay byte-identical while rounds from the two drivers genuinely
-        interleave on the shared connections (request-id correlation)."""
+        """Batches served concurrently over one backend, by more threads
+        than cores and with a short switch interval: answers stay
+        byte-identical while rounds from the drivers genuinely
+        interleave on the shared connections (request-id correlation)
+        and the threads take turns pumping them."""
+        import sys
+
         sub, sim = workload
         batch = [(q, SUBGRAPH) for q in sub] + [(q, SIMULATION) for q in sim]
         with connect(artifacts[4], backend="inline") as inline:
@@ -154,19 +159,24 @@ class TestPipelinedIdentity:
 
             def worker(slot):
                 # stats=... forces real execution (no memoized answers),
-                # so both drivers stay active on the wire together.
+                # so every driver stays active on the wire together.
                 runs = remote.query_batch(batch, stats=AccessStats())
                 results[slot] = [canonical_answer(sem, run.answer)
                                  for (_, sem), run in zip(batch, runs)]
 
-            threads = [threading.Thread(target=worker, args=(slot,))
-                       for slot in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert results[0] == expected
-            assert results[1] == expected
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=worker, args=(slot,))
+                           for slot in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert [results[slot] for slot in range(4)] == [expected] * 4
             assert remote.backend.rounds_overlapped > 0
 
 
@@ -216,7 +226,8 @@ class TestScatterSubmitContract:
                 done.set()
 
         any_backend.scatter_submit(tasks, None, on_task)
-        assert done.wait(10.0)
+        any_backend.wait(done.is_set)
+        assert done.is_set()
         for i in range(len(tasks)):
             assert same_responses(fired[i],
                                   [row[i] for row in expected])
@@ -235,7 +246,8 @@ class TestScatterSubmitContract:
 
         any_backend.scatter_submit([task, task],
                                    [frozenset({1}), frozenset()], on_task)
-        assert done.wait(10.0)
+        any_backend.wait(done.is_set)
+        assert done.is_set()
         assert fired[1] == [None] * any_backend.num_shards  # unrouted
         assert [r for i, r in enumerate(fired[0]) if i != 1] == \
             [None] * (any_backend.num_shards - 1)
@@ -246,8 +258,8 @@ class TestScatterSubmitContract:
 class TestOverlap:
     def test_rounds_overlap_on_one_connection(self, artifacts, imdb_small):
         """Two submits back-to-back against a slow shard: the second
-        goes out while the first is still in flight, and both the
-        client and the server observe pipeline depth 2."""
+        goes out while the first is still in flight, so the client
+        observes pipeline depth 2 on one connection."""
         graph, _ = imdb_small
         nodes = sorted(graph.nodes())[:4]
         task = ("probe", nodes[:2], nodes[2:])
@@ -269,17 +281,56 @@ class TestOverlap:
                 backend.scatter_submit([task], None, on_task)
                 backend.scatter_submit([task], None, on_task)
                 peak = max(w["inflight"] for w in backend.wire_stats())
-                assert done.wait(10.0)
+                backend.wait(done.is_set)
                 assert backend.rounds_overlapped >= 1
                 assert peak >= 2
                 assert max(w["inflight_peak"]
                            for w in backend.wire_stats()) >= 2
                 assert same_responses(fired[0], fired[1])
-                assert server.pipeline_depth_peak >= 2
             finally:
                 engine.close()
         finally:
             server.stop()
+
+    def test_waiter_returns_when_the_pumper_delivers_its_reply(
+            self, artifacts, imdb_small):
+        """Leader/follower on one backend: thread A pumps while its own
+        reply sits behind a 300 ms shard; thread B's reply from the fast
+        shard is read by A, and B returns at once instead of after A's
+        next frame."""
+        graph, _ = imdb_small
+        nodes = sorted(graph.nodes())[:4]
+        task = ("probe", nodes[:2], nodes[2:])
+        path = artifacts[2]
+        servers = [ShardServer(path / "shard-0000", delay_ms=300.0).start(),
+                   ShardServer(path / "shard-0001").start()]
+        engine = connect(path, backend="remote",
+                         shard_addrs=[s.address for s in servers])
+        backend = engine.backend
+        try:
+            backend.scatter([task])  # warm both connections
+            slow_done, fast_done = threading.Event(), threading.Event()
+            elapsed: dict[str, float] = {}
+
+            def run(name, shard, event):
+                start = time.monotonic()
+                backend.scatter_submit([task], [frozenset({shard})],
+                                       lambda i, row: event.set())
+                backend.wait(event.is_set)
+                elapsed[name] = time.monotonic() - start
+
+            slow = threading.Thread(target=run, args=("slow", 0, slow_done))
+            slow.start()
+            time.sleep(0.05)  # the slow waiter is pumping by now
+            run("fast", 1, fast_done)
+            slow.join(10.0)
+            assert not slow.is_alive()
+            assert elapsed["fast"] < 0.15
+            assert elapsed["slow"] >= 0.25
+        finally:
+            engine.close()
+            for server in servers:
+                server.stop()
 
 
 # --------------------------------------------------------------- dedup
@@ -370,12 +421,12 @@ class TestFailure:
             backend.scatter_submit([task, task],
                                    [frozenset({0}), frozenset({1})],
                                    on_task)
-            assert healthy_done.wait(5.0)
+            backend.wait(healthy_done.is_set)
             healthy_elapsed = time.monotonic() - start
             # Shard 1's first backoff alone is 1s; the healthy answer
             # must not be serialized behind it.
             assert healthy_elapsed < 0.8
-            assert dead_done.wait(30.0)
+            backend.wait(dead_done.is_set)
             assert isinstance(dead_result[0], ShardUnavailable)
         finally:
             engine.close()

@@ -11,11 +11,14 @@ Covers the tentpole acceptance criteria of the distributed-serving PR:
   partial answer), and retry-then-succeed against a flaky-once shard;
 * :class:`~repro.errors.ShardUnavailable` surfacing through the query
   server as the same typed error;
+* an ``extend`` racing a shard ``reload`` is kept, and a fleet session
+  runs no thread while healthy and gives back every thread and fd;
 * the ``repro.connect`` entry point and its ``SessionConfig`` surface.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import threading
@@ -406,6 +409,97 @@ class TestWireFailures:
                         client.query(format_pattern(sub[1]))
         finally:
             service.close()
+            for server in servers:
+                server.stop()
+
+
+# ----------------------------------------------------------- shard server
+def test_extend_during_reload_lands_on_the_new_runtime(artifacts,
+                                                       monkeypatch):
+    """An ``extend`` that arrives while a ``reload`` is loading waits
+    for the swap and is applied to the new runtime, instead of to
+    the old one the swap then throws away."""
+    from repro.engine import persist
+
+    server = ShardServer(artifacts[2] / "shard-0000")
+    added = AccessConstraint(("actor",), "movie", 64)
+    assert not server.runtime.schema_index.has_index(added)
+    loading = threading.Event()
+    load = persist.load_shard_runtimes
+
+    def slow_load(*args, **kwargs):
+        loading.set()
+        time.sleep(0.3)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(persist, "load_shard_runtimes", slow_load)
+    reload = threading.Thread(target=server.dispatch,
+                              args=({"op": "reload"},))
+    reload.start()
+    assert loading.wait(5.0)
+    server.dispatch({"op": "extend", "constraints": [added.to_dict()]})
+    reload.join(10.0)
+    assert not reload.is_alive()
+    assert server.metrics["reloads"] == 1
+    assert server.runtime.schema_index.has_index(added)
+
+
+def _shard_threads() -> list[str]:
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("repro-shard-")]
+
+
+def _usage() -> tuple[int, int]:
+    return threading.active_count(), len(os.listdir("/proc/self/fd"))
+
+
+def _settles(check, timeout: float = 5.0) -> bool:
+    """Poll ``check`` until it holds or ``timeout`` passes (server-side
+    handler threads notice a hang-up asynchronously)."""
+    deadline = time.monotonic() + timeout
+    while not check():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+class TestBoundedResources:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open fds through /proc")
+    def test_threads_and_fds_return_after_restart_and_close(
+            self, artifacts, workload):
+        """A healthy session runs no thread of its own, a shard restart
+        costs one short-lived recovery thread, and ``close()`` gives
+        back every thread and fd the session took."""
+        sub, sim = workload
+        queries = [(q, SUBGRAPH) for q in sub] + [(q, SIMULATION) for q in sim]
+        path = artifacts[2]
+        servers = [ShardServer(path / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        try:
+            threads, fds = _usage()
+            engine = connect(path, backend="remote",
+                             shard_addrs=[s.address for s in servers],
+                             retry_backoff_s=0.01)
+
+            def run(count):
+                for i in range(count):
+                    query, semantics = queries[i % len(queries)]
+                    engine.query(query, semantics, refresh=True)
+
+            run(50)
+            assert _shard_threads() == []
+            port = servers[1].port
+            servers[1].stop()
+            servers[1] = ShardServer(path / "shard-0001", port=port).start()
+            run(50)
+            assert engine.backend.reconnects >= 1
+            assert _settles(lambda: _shard_threads() == [])
+            engine.close()
+            assert _settles(lambda: _usage()[0] <= threads), _usage()
+            assert _settles(lambda: _usage()[1] <= fds), _usage()
+        finally:
             for server in servers:
                 server.stop()
 

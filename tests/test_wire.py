@@ -1,6 +1,7 @@
 """The binary scatter wire format: framing and packed codecs.
 
-Covers the shard wire at the unit level (frame layout round-trips,
+Covers the shard wire at the unit level (frame layout round-trips, the
+buffer frame splitter against ``read_frame`` on chunked streams,
 width-adaptive int packing, the packed task/response codecs restoring
 exact shapes, header ints that lie about their buffers, frame density
 pinned as byte counts, encode-once scatter caching) and over live
@@ -20,6 +21,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AccessConstraint,
@@ -163,6 +166,64 @@ class TestFraming:
         data = b'{"pad":"' + b"x" * protocol.MAX_LINE_BYTES + b'"}\n'
         with pytest.raises(ShardProtocolError, match="bytes"):
             read_frame_bytes(data)
+
+
+_DOCS = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=12)),
+    max_size=4)
+_FRAMES = st.one_of(
+    _DOCS.map(protocol.encode),
+    st.builds(protocol.encode_binary, _DOCS,
+              st.lists(st.binary(max_size=40), max_size=4)))
+
+
+def _frame_facts(frame: protocol.Frame) -> tuple:
+    return (dict(frame), frame.binary, frame.nbytes,
+            [bytes(view) for view in frame.payloads])
+
+
+class TestFrameSplitter:
+    @given(frames=st.lists(_FRAMES, max_size=8), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_stream_splits_like_read_frame(self, frames, data):
+        """Any run of frames of both framings, cut into arbitrary
+        chunks, splits off a consumed-in-place buffer into exactly the
+        frames ``read_frame`` reads from the whole stream."""
+        stream = b"".join(frames)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(stream)), max_size=12)))
+        chunks = [stream[a:b] for a, b in
+                  zip([0, *cuts], [*cuts, len(stream)])]
+        buf = bytearray()
+        split = []
+        for chunk in chunks:
+            buf += chunk
+            while True:
+                frame, size = protocol.split_frame(buf)
+                if frame is None:
+                    break
+                del buf[:size]  # split frames hold no view into buf
+                split.append(frame)
+        assert not buf
+        reader = io.BufferedReader(io.BytesIO(stream))
+        read = [protocol.read_frame(reader) for _ in frames]
+        assert [_frame_facts(f) for f in split] == \
+            [_frame_facts(f) for f in read]
+
+    def test_bad_head_raises_from_the_fixed_head_alone(self):
+        """A bad magic or a declared length over the cap is refused
+        from the 12-byte head: no prefix of it ever asks for more bytes
+        than the head itself, so nothing over the cap is buffered."""
+        bad_magic = b"\xabXYZ" + struct.pack(">II", 1, 1)
+        oversize = struct.pack(">4sII", protocol.BINARY_MAGIC,
+                               protocol.MAX_FRAME_BYTES, 1)
+        for head in (bad_magic, oversize):
+            for cut in range(len(head)):
+                frame, need = protocol.split_frame(bytearray(head[:cut]))
+                assert frame is None and need <= len(head)
+            with pytest.raises(ShardProtocolError):
+                protocol.split_frame(bytearray(head))
 
 
 # ---------------------------------------------------------- packed codecs
