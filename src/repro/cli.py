@@ -42,7 +42,7 @@ from repro.constraints.schema import AccessSchema
 from repro.core.actualized import SEMANTICS, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
 from repro.core.qplan import generate_plan
-from repro.errors import NotEffectivelyBounded, ReproError
+from repro.errors import NotEffectivelyBounded, ReproError, ServerError
 from repro.graph import io as graph_io
 from repro.matching.simulation import relation_pairs
 from repro.pattern.dsl import parse_pattern
@@ -223,12 +223,17 @@ def _parse_shard_addrs(values) -> list[str]:
 
 
 def _parse_addr(value: str) -> tuple[str, int]:
-    """``host:port`` / bare port / bare host -> ``(host, port)``."""
+    """``host:port`` / bare port / bare host -> ``(host, port)``; a
+    port that is not a number is a :class:`ServerError`."""
     from repro.server import protocol
 
     if ":" in value:
         host, _, port = value.rpartition(":")
-        return host or "127.0.0.1", int(port)
+        try:
+            return host or "127.0.0.1", int(port)
+        except ValueError:
+            raise ServerError(f"bad address {value!r}: port {port!r} is "
+                              f"not a number") from None
     if value.isdigit():
         return "127.0.0.1", int(value)
     return value, protocol.DEFAULT_PORT
@@ -265,7 +270,6 @@ def _cmd_serve(args) -> int:
     shard_addrs = _parse_shard_addrs(args.shard_addrs)
     if args.artifact:
         engine = connect(args.artifact, validate=args.validate,
-                         backend="remote" if shard_addrs else "auto",
                          shard_addrs=shard_addrs)
     elif shard_addrs:
         print("--shard-addrs requires --artifact (repro compile "
@@ -288,10 +292,8 @@ def _cmd_serve(args) -> int:
         tracer = TraceRecorder(slow_ms=args.slow_query_ms)
     service = QueryService(engine, max_cost=args.max_cost,
                            workers=args.workers, max_batch=args.max_batch,
-                           batch_window_ms=args.batch_window_ms,
                            max_queue=args.max_queue,
                            extend_budget=args.extend_budget,
-                           extend_max_added=args.extend_max_added,
                            tracer=tracer)
 
     async def _serve() -> None:
@@ -513,17 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-batch", type=int, default=32,
                          help="max requests funnelled into one "
                               "query_batch call")
-    p_serve.add_argument("--batch-window-ms", type=float, default=0.0,
-                         help="extra wait for stragglers once the queue "
-                              "is drained (0 = adaptive batching only)")
     p_serve.add_argument("--max-queue", type=int, default=256,
                          help="queued-request bound before load shedding")
     p_serve.add_argument("--extend-budget", type=int, default=None,
                          help="rescue unbounded queries by extending the "
                               "schema online with constraints bounded by "
                               "M (default: rescue disabled)")
-    p_serve.add_argument("--extend-max-added", type=int, default=None,
-                         help="max constraints one rescue may add")
     p_serve.add_argument("--validate", action="store_true",
                          help="verify G |= A before serving")
     p_serve.add_argument("--shard-addrs", action="append", default=[],

@@ -5,8 +5,9 @@ execute_plans_scatter`) is written against the :class:`ShardBackend`
 contract:
 
 * ``num_shards`` / ``constraint_pos`` — layout metadata;
-* ``scatter(tasks, shard_sets=None)`` — run the tasks against the
-  shards, returning one response list per shard, aligned with ``tasks``.
+* ``scatter_submit(tasks, shard_sets, on_task)`` then ``wait(done)`` —
+  run one round of tasks against the shards; ``on_task(i, row)`` fires
+  once per task with its per-shard response row (shard order).
   ``shard_sets`` is the owner-routing hook: when given, ``shard_sets[i]``
   is the set of shard ids that must execute ``tasks[i]``, and every
   other shard's entry for that task is ``None``. Routing is *sound* by
@@ -22,7 +23,7 @@ contract:
 Two implementations live here:
 
 * :class:`InlineShardBackend` — shards held in-process
-  (``backend="inline"``); ``scatter`` is a plain loop. This is the
+  (``backend="inline"``); a round is a plain loop. This is the
   reference the remote backend is tested against.
 * :class:`RemoteShardBackend` — shards held by standalone ``repro
   shard-serve`` processes (:mod:`repro.server.shardserver`), reached
@@ -230,8 +231,8 @@ class ShardBackend(abc.ABC):
         #: grows with ``constraint_pos``.
         self.target_by_pos = {pos: constraint.target for constraint, pos
                               in self.constraint_pos.items()}
-        #: Owner-routing metadata (:class:`OwnerRouter`) or None for
-        #: broadcast scatter.
+        #: Owner-routing metadata (:class:`OwnerRouter`); None on a
+        #: one-shard partition, where a broadcast is the routing.
         self.router: OwnerRouter | None = None
         #: Round accounting: ``scatter_messages`` counts (task, shard)
         #: executions — the fan-out owner routing exists to cut — and
@@ -255,34 +256,16 @@ class ShardBackend(abc.ABC):
         """Number of shards in the partition."""
 
     @abc.abstractmethod
-    def scatter(self, tasks: list[tuple],
-                shard_sets: list | None = None) -> list[list]:
-        """Run one wave of tasks; one response list per shard, aligned
-        with ``tasks``. With ``shard_sets``, a shard's entry for a task
-        it was not routed is ``None``."""
-
-    def scatter_submit(self, tasks: list[tuple],
-                       shard_sets: list | None = None,
-                       on_task=None) -> None:
-        """Pipelined scatter: submit one round and complete tasks
-        individually. ``on_task(i, responses)`` fires exactly once per
-        task index — with the task's per-shard response row (aligned
-        with shard order, ``None`` for unrouted shards) once every
-        routed shard answered, or with an :class:`Exception` when the
-        task's round failed. Completions fire inside this call
-        (synchronous backends) or inside :meth:`wait`, out of
-        submission order; a caller submits, then waits until its own
-        completions are in.
-
-        The base implementation is synchronous — it runs
-        :meth:`scatter` and completes every task before returning —
-        so the inline backend serves the scatter driver in
-        lock-step rounds. :class:`RemoteShardBackend` overrides it with
-        a truly asynchronous path.
-        """
-        responses = self.scatter(tasks, shard_sets)
-        for i in range(len(tasks)):
-            on_task(i, [row[i] for row in responses])
+    def scatter_submit(self, tasks: list[tuple], shard_sets: list | None,
+                       on_task) -> None:
+        """Submit one round and complete tasks individually.
+        ``on_task(i, responses)`` fires exactly once per task index —
+        with the task's per-shard response row (aligned with shard
+        order, ``None`` for unrouted shards) once every routed shard
+        answered, or with an :class:`Exception` when the task's round
+        failed. Completions fire inside this call (the inline backend)
+        or inside :meth:`wait`, out of submission order; a caller
+        submits, then waits until its own completions are in."""
 
     def wait(self, done) -> None:
         """Drive completions on the calling thread until ``done()`` is
@@ -324,21 +307,19 @@ class ShardBackend(abc.ABC):
 
 
 class InlineShardBackend(ShardBackend):
-    """All shards in the current process; ``scatter`` is a loop.
+    """All shards in the current process; a round is a loop that
+    completes every task before ``scatter_submit`` returns.
 
-    Frozen shard state makes concurrent ``scatter`` calls safe without
-    locking — reads only. ``owner_routing=False`` drops the router and
-    broadcasts every task (the reference mode benchmarks compare
-    against).
+    Frozen shard state makes concurrent rounds safe without locking —
+    reads only.
     """
 
-    def __init__(self, runtimes: list[ShardRuntime], schema, *,
-                 owner_routing: bool = True):
+    def __init__(self, runtimes: list[ShardRuntime], schema):
         if not runtimes:
             raise EngineError("a shard backend needs at least one shard")
         super().__init__(schema)
         self.runtimes = runtimes
-        if owner_routing and len(runtimes) > 1:
+        if len(runtimes) > 1:
             self.router = OwnerRouter(
                 {r.shard_id: r.owned for r in runtimes},
                 {r.shard_id: r.owned_labels() for r in runtimes})
@@ -347,15 +328,14 @@ class InlineShardBackend(ShardBackend):
     def num_shards(self) -> int:
         return len(self.runtimes)
 
-    def scatter(self, tasks: list[tuple],
-                shard_sets: list | None = None) -> list[list]:
+    def scatter_submit(self, tasks: list[tuple], shard_sets: list | None,
+                       on_task) -> None:
         self._record_round(tasks, shard_sets)
-        if shard_sets is None:
-            return [[runtime.handle(task) for task in tasks]
-                    for runtime in self.runtimes]
-        return [[runtime.handle(task) if runtime.shard_id in routed else None
-                 for task, routed in zip(tasks, shard_sets)]
-                for runtime in self.runtimes]
+        for i, task in enumerate(tasks):
+            routed = None if shard_sets is None else shard_sets[i]
+            on_task(i, [runtime.handle(task)
+                        if routed is None or runtime.shard_id in routed
+                        else None for runtime in self.runtimes])
 
     def extension_stats(self, labels: Sequence[str]) -> list[tuple]:
         return [runtime.extension_stats(labels)
@@ -564,8 +544,8 @@ class RemoteShardBackend(ShardBackend):
     disagreements raise their own typed errors immediately (they are
     deployment bugs, not weather).
 
-    The timeouts, retry budget and ``owner_routing`` come from
-    ``config`` (the session's :class:`~repro.session.SessionConfig`).
+    The timeouts and retry budget come from ``config`` (the session's
+    :class:`~repro.session.SessionConfig`).
     """
 
     def __init__(self, shard_addrs: Sequence[str], schema, *,
@@ -626,7 +606,7 @@ class RemoteShardBackend(ShardBackend):
                 raise ShardHandshakeMismatch(
                     f"shard addresses cover no server for shards "
                     f"{missing}", expected=self._shard_ids)
-            if config.owner_routing and len(shard_meta) > 1:
+            if len(shard_meta) > 1:
                 self.router = OwnerRouter(
                     persist.load_partition_owners(artifact_path),
                     labels_by_shard)
@@ -1021,9 +1001,8 @@ class RemoteShardBackend(ShardBackend):
                 f"with the {len(kinds)} tasks sent", addr=conn.addr)
         return decoded
 
-    def scatter_submit(self, tasks: list[tuple],
-                       shard_sets: list | None = None,
-                       on_task=None) -> None:
+    def scatter_submit(self, tasks: list[tuple], shard_sets: list | None,
+                       on_task) -> None:
         """Asynchronous scatter: each task completes — ``on_task(i,
         per-shard row)`` — the moment its own routed shards have
         answered, independent of the rest of the round; the replies are
@@ -1056,8 +1035,8 @@ class RemoteShardBackend(ShardBackend):
         state_lock = threading.Lock()
 
         # Tasks routed to no shard at all (unknown label) complete
-        # immediately with an all-None row, exactly like a synchronous
-        # ``scatter``'s broadcast-of-nothing.
+        # immediately with an all-None row, exactly as on the inline
+        # backend.
         for i, count in enumerate(remaining):
             if count == 0:
                 on_task(i, rows[i])
@@ -1102,20 +1081,6 @@ class RemoteShardBackend(ShardBackend):
                 conn, lambda rid, _env=envelope, _ind=indices:
                     encoder.encode(_ind, {"id": rid, **_env}),
                 partial(_shard_done, shard_id, indices), span=span)
-
-    def scatter(self, tasks: list[tuple],
-                shard_sets: list | None = None) -> list[list]:
-        outcomes: dict[int, object] = {}
-        self.scatter_submit(tasks, shard_sets, outcomes.__setitem__)
-        self.wait(lambda: len(outcomes) == len(tasks))
-        for i in range(len(tasks)):
-            outcome = outcomes[i]
-            if isinstance(outcome, Exception):
-                raise outcome
-        # scatter_submit completes per task row; the synchronous
-        # contract wants per-shard rows — transpose.
-        return [[outcomes[i][slot] for i in range(len(tasks))]
-                for slot, _ in enumerate(self._shard_ids)]
 
     def extension_stats(self, labels: Sequence[str]) -> list[tuple]:
         from repro.server import protocol

@@ -817,8 +817,7 @@ def load_engine(path, config):
         runtimes = _load_runtimes(path, manifest, payloads,
                                   range(len(manifest["shards"])))
         if backend == "inline":
-            shards = InlineShardBackend(runtimes, catalog.current,
-                                        owner_routing=config.owner_routing)
+            shards = InlineShardBackend(runtimes, catalog.current)
         else:
             graph, schema_index = merge_shard_runtimes(runtimes,
                                                        catalog.current)

@@ -89,7 +89,6 @@ METRICS: tuple[Metric, ...] = (*_section("traffic", [
     ("queue_depth", "queue_depth", GAUGE, "Requests waiting for the worker pool."),
     ("workers", "workers", GAUGE, "Threads executing queued batches."),
     ("max_batch", "max_batch", GAUGE, "Most requests in one batch."),
-    ("batch_window_ms", "batch_window_ms", GAUGE, "Time a forming batch waits for stragglers, ms."),
     ("max_queue", "max_queue", GAUGE, "Queue capacity; admission sheds load beyond it."),
 ], "service"), *_section("bound_utilization", [
     ("bound_utilization", "bound_utilization", HISTOGRAM,

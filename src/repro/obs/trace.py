@@ -196,17 +196,10 @@ class TraceRecorder:
         Root-span duration above which a finished trace is dumped to the
         ``repro.slowquery`` logger and retained in :attr:`slow`.
         ``None`` disables the slow-query log.
-    slow_sample:
-        Log every Nth slow trace (1 = every one). Counter-based, not
-        random: deterministic under test and in replayed workloads.
     """
 
-    def __init__(self, *, max_traces: int = 64, slow_ms: float | None = None,
-                 slow_sample: int = 1):
-        if slow_sample < 1:
-            raise ValueError(f"slow_sample must be >= 1, got {slow_sample}")
+    def __init__(self, *, max_traces: int = 64, slow_ms: float | None = None):
         self.slow_ms = slow_ms
-        self.slow_sample = slow_sample
         self._lock = threading.Lock()
         self._recent: deque[Trace] = deque(maxlen=max_traces)
         self._slow: deque[Trace] = deque(maxlen=max_traces)
@@ -230,11 +223,9 @@ class TraceRecorder:
                 return
             self.slow_queries += 1
             self._slow.append(trace)
-            sampled = (self.slow_queries % self.slow_sample) == 0
-        if sampled:
-            _slow_log.warning(
-                "slow query: %s took %.1f ms (threshold %.1f ms)\n%s",
-                root.name, root.duration_ms, self.slow_ms, trace.render())
+        _slow_log.warning(
+            "slow query: %s took %.1f ms (threshold %.1f ms)\n%s",
+            root.name, root.duration_ms, self.slow_ms, trace.render())
 
     def recent(self) -> list[Trace]:
         with self._lock:

@@ -15,8 +15,7 @@ plan's worst-case bound — picks its lane
   replies right there, on the thread that read the frame;
 * **queued** — anything larger, and every query on a scatter-backed
   session: the request joins a bounded queue; the **batcher** task
-  drains whatever is queued (up to ``max_batch``, waiting
-  ``batch_window_ms`` for stragglers only if configured) — under load,
+  drains whatever is queued, up to ``max_batch`` — under load,
   batches form naturally while workers are busy; a worker thread
   funnels the batch through ``engine.query_batch`` (duplicate patterns
   execute once) and serializes answers; the handler writes each
@@ -409,20 +408,10 @@ class QueryServer:
             assembly = (item.request.span.child("batch_assembly")
                         if item.request.span is not None else None)
             batch = [item]
-            while len(batch) < self.service.max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                    self._forming += 1
-                except asyncio.QueueEmpty:
-                    if self.service.batch_window_ms <= 0:
-                        break
-                    try:
-                        batch.append(await asyncio.wait_for(
-                            self._queue.get(),
-                            self.service.batch_window_ms / 1000.0))
-                        self._forming += 1
-                    except asyncio.TimeoutError:
-                        break
+            while (len(batch) < self.service.max_batch
+                   and not self._queue.empty()):
+                batch.append(self._queue.get_nowait())
+                self._forming += 1
             for queued in batch[1:]:
                 if queued.queue_span is not None:
                     queued.queue_span.end()

@@ -80,6 +80,10 @@ from repro.pattern.pattern import Pattern
 #: leaves a factor of two below that (and of five in time).
 INLINE_MAX_COST = 20_000
 
+#: Matches/pairs a response carries when the request sets no ``limit``
+#: (the count is always exact).
+DEFAULT_LIMIT = 10
+
 
 @dataclass
 class AdmittedQuery:
@@ -95,7 +99,7 @@ class AdmittedQuery:
     semantics: str
     cost: float
     prepared: PreparedQuery = field(repr=False)
-    limit: int = 10
+    limit: int = DEFAULT_LIMIT
     #: The request's root span when tracing is on (the explicit hand-off
     #: across the event-loop -> worker-thread boundary, which does not
     #: propagate contextvars).
@@ -117,27 +121,18 @@ class QueryService:
         Worker threads executing batches (the front-end owns the pool;
         recorded here for metrics).
     max_batch:
-        Most requests funnelled into one ``query_batch`` call.
-    batch_window_ms:
-        Extra time a forming batch waits for stragglers once the queue
-        is drained. ``0`` (default) batches adaptively: whatever queued
-        while workers were busy forms the next batch, with no added
-        latency when the service is idle.
+        Most requests funnelled into one ``query_batch`` call. Batching
+        is adaptive: whatever queued while workers were busy forms the
+        next batch, with no added latency when the service is idle.
     max_queue:
         Bound on queued-but-unexecuted requests; admission sheds load
         beyond it with :class:`~repro.errors.ServiceOverloaded`.
-    answer_limit:
-        Default cap on matches/pairs returned per response (requests may
-        lower or raise it; the count is always exact).
     extend_budget:
         The rescue pipeline's ``M``: a query rejected as unbounded is
         parked and the schema extended online with constraints whose
         bounds are at most this (Section V's M-bounded extension).
         ``None`` (default) disables rescue — unbounded stays a final,
         typed rejection.
-    extend_max_added:
-        Size cap on one rescue's extension: more added constraints than
-        this fails the rescue instead of ballooning the index set.
     tracer:
         A :class:`~repro.obs.trace.TraceRecorder`; the front-end roots a
         span tree per request and the instrumented path (admission,
@@ -148,9 +143,7 @@ class QueryService:
 
     def __init__(self, engine: QueryEngine, *, max_cost: float | None = None,
                  workers: int = 4, max_batch: int = 32,
-                 batch_window_ms: float = 0.0, max_queue: int = 256,
-                 answer_limit: int = 10, extend_budget: int | None = None,
-                 extend_max_added: int | None = None,
+                 max_queue: int = 256, extend_budget: int | None = None,
                  tracer: TraceRecorder | None = None):
         if not engine.frozen:
             raise ServerError(
@@ -170,11 +163,8 @@ class QueryService:
         self.max_cost = max_cost
         self.workers = workers
         self.max_batch = max_batch
-        self.batch_window_ms = batch_window_ms
         self.max_queue = max_queue
-        self.answer_limit = answer_limit
         self.extend_budget = extend_budget
-        self.extend_max_added = extend_max_added
         # Rescues serialize: one off-path extension at a time; queries
         # parked behind it re-check admission under the lock and usually
         # ride the winner's new schema generation for free.
@@ -247,7 +237,7 @@ class QueryService:
         self.metrics.inc("admitted")
         return AdmittedQuery(pattern=pattern, semantics=semantics, cost=cost,
                              prepared=prepared,
-                             limit=self.answer_limit if limit is None
+                             limit=DEFAULT_LIMIT if limit is None
                              else limit)
 
     # -- rescue (online M-bounded extension) ---------------------------------
@@ -268,8 +258,8 @@ class QueryService:
         ``extend_budget``, build indexes for only the added constraints,
         publish the new catalog generation, and re-admit. Raises
         :class:`~repro.errors.NotEffectivelyBounded` when no extension
-        within the budget (or the size cap) bounds the query — then the
-        rejection really is final at this schema generation.
+        within the budget bounds the query — then the rejection really
+        is final at this schema generation.
         """
         if not self.can_rescue:
             raise ServerError(
@@ -311,8 +301,7 @@ class QueryService:
                 with child_span("plan_extension"):
                     plan = plan_extension(engine, [pattern],
                                           m=self.extend_budget,
-                                          semantics=semantics,
-                                          max_added=self.extend_max_added)
+                                          semantics=semantics)
                 with child_span("extend_schema",
                                 added=len(plan.added)):
                     report = engine.extend_schema(
@@ -582,7 +571,6 @@ class QueryService:
             "queue_depth": queue_depth,
             "workers": self.workers,
             "max_batch": self.max_batch,
-            "batch_window_ms": self.batch_window_ms,
             "max_queue": self.max_queue,
             "max_cost": self.max_cost,
             "extend_budget": self.extend_budget,

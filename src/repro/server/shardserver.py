@@ -359,8 +359,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 def add_flags(parser) -> None:
-    """The ``shard-serve`` flags, declared once for ``repro shard-serve``
-    and ``python -m repro.server.shardserver``."""
+    """The ``repro shard-serve`` flags."""
     parser.add_argument("--artifact", required=True,
                         help="per-shard directory (<artifact>/shard-NNNN)")
     parser.add_argument("--shard-id", type=int, default=None,
@@ -418,27 +417,9 @@ def run(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.server.shardserver`` — the same parser and
-    foreground loop as ``repro shard-serve``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Serve one shard of an artifact over TCP")
-    add_flags(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(None))
-
-
 __all__ = [
     "ShardServer",
     "add_flags",
-    "main",
     "resolve_shard_artifact",
     "run",
 ]

@@ -51,10 +51,9 @@ class SessionConfig:
     thaws the merged graph.
 
     Remote fleet: ``shard_addrs`` (one ``host:port`` per shard, any
-    order), the two timeouts, bounded retry (``retries``/
-    ``retry_backoff_s``) and ``owner_routing`` (``False`` broadcasts
-    every task — the reference routing mode; also honoured by the inline
-    backend).
+    order), the two timeouts and bounded retry (``retries``/
+    ``retry_backoff_s``). A multi-shard backend always routes each task
+    to the shards that own what it can report.
     """
 
     frozen: bool = True
@@ -70,7 +69,6 @@ class SessionConfig:
     request_timeout: float = 30.0
     retries: int = 2
     retry_backoff_s: float = 0.1
-    owner_routing: bool = True
 
     def replace(self, **overrides) -> "SessionConfig":
         """A copy with ``overrides`` applied; unknown names raise

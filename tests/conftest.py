@@ -178,6 +178,20 @@ def same_responses(left, right) -> bool:
     return left == right
 
 
+def run_round(backend, tasks, shard_sets=None) -> list[list]:
+    """One scatter round through the backend contract — submit, then
+    wait for every task: one per-shard response row per task (``None``
+    for a shard the task was not routed to). A task that failed raises
+    its error."""
+    rows: dict[int, object] = {}
+    backend.scatter_submit(tasks, shard_sets, rows.__setitem__)
+    backend.wait(lambda: len(rows) == len(tasks))
+    for outcome in rows.values():
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [rows[i] for i in range(len(tasks))]
+
+
 def fetch_block(payloads, info):
     """The ``FetchBlock`` a shard would answer with, from a literal:
     per-combo ``payloads`` and ``{id: (label, value)}`` over their

@@ -23,7 +23,7 @@ from repro.engine.parallel import (
     RemoteShardBackend,
 )
 from repro.matching.bounded import canonical_answer
-from tests.conftest import same_responses
+from tests.conftest import run_round, same_responses
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -141,20 +141,19 @@ class TestContract:
         task = ("probe", nodes[:4], nodes[4:])
         all_shards = frozenset(range(SHARDS))
 
-        broadcast = backend.scatter([task])
+        [broadcast] = run_round(backend, [task])
         assert len(broadcast) == SHARDS
-        assert all(len(row) == 1 for row in broadcast)
 
-        explicit = backend.scatter([task], [all_shards])
+        [explicit] = run_round(backend, [task], [all_shards])
         assert same_responses(explicit, broadcast)
 
-        routed = backend.scatter([task], [frozenset({1})])
-        assert [row[0] for i, row in enumerate(routed) if i != 1] == \
+        [routed] = run_round(backend, [task], [frozenset({1})])
+        assert [value for i, value in enumerate(routed) if i != 1] == \
             [None, None]
-        assert same_responses(routed[1][0], broadcast[1][0])
+        assert same_responses(routed[1], broadcast[1])
 
-        nothing = backend.scatter([task], [frozenset()])
-        assert all(row == [None] for row in nothing)
+        [nothing] = run_round(backend, [task], [frozenset()])
+        assert nothing == [None] * SHARDS
 
     def test_scatter_counters(self, backend_engine, imdb_small):
         engine, _ = backend_engine
@@ -164,7 +163,7 @@ class TestContract:
         task = ("probe", nodes[:2], nodes[2:])
         rounds = backend.scatter_rounds
         messages = backend.scatter_messages
-        backend.scatter([task], [frozenset({0})])
+        run_round(backend, [task], [frozenset({0})])
         assert backend.scatter_rounds == rounds + 1
         assert backend.scatter_messages == messages + 1
         assert backend.scatter_messages <= backend.scatter_messages_broadcast

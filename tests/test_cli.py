@@ -211,8 +211,8 @@ class TestParser:
             main([])
 
     def test_shard_serve_flags_are_declared_once(self):
-        """``repro shard-serve`` and ``python -m repro.server.shardserver``
-        parse through the same declaration and run the same loop."""
+        """``repro shard-serve`` parses through the one declaration,
+        ``shardserver.add_flags``, and runs ``shardserver.run``."""
         import argparse
 
         from repro.cli import build_parser
@@ -225,6 +225,13 @@ class TestParser:
         shardserver.add_flags(own)
         assert vars(own.parse_args(argv)).items() <= vars(via_cli).items()
         assert via_cli.port is None  # resolved to 8650 + shard id by run()
+
+    def test_metrics_address_with_a_bad_port_is_a_typed_error(self, capsys):
+        """A port that is not a number ends in ``error: …`` and exit 1,
+        before any connect, not in a traceback."""
+        assert main(["metrics", "localhost:abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'abc'" in err
 
 
 class TestShardedCompile:

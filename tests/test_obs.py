@@ -222,14 +222,14 @@ class TestSpanModel:
         assert seen == [root]
 
     def test_slow_query_log_and_sampling(self, caplog):
-        recorder = TraceRecorder(slow_ms=0.0, slow_sample=2)
+        recorder = TraceRecorder(slow_ms=0.0)
         with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
             for _ in range(4):
                 recorder.trace("request").trace.finish()
-        # Counter-based sampling: every 2nd slow trace is logged.
+        # Every slow trace is retained and logged.
         assert recorder.slow_queries == 4
         assert len(recorder.slow()) == 4
-        assert len(caplog.records) == 2
+        assert len(caplog.records) == 4
         assert "slow query" in caplog.records[0].message
 
     def test_recorder_retention_is_bounded(self):

@@ -7,8 +7,9 @@ Covers the acceptance criteria of the barrier-free scatter PR:
   (the sequential reference) at shard counts {1, 2, 4} under both
   semantics, against randomly-delayed shard servers (hypothesis
   property test);
-* the ``scatter_submit`` contract on all three backends — exactly-once
-  completion per task, alignment with ``scatter``;
+* the ``scatter_submit`` contract on both backends — exactly-once
+  completion per task, rows aligned with each shard's own
+  ``ShardRuntime.handle``;
 * rounds genuinely overlap on one connection (``rounds_overlapped``,
   per-connection ``inflight_peak`` wire stat), and a thread waiting on
   a shared backend returns as soon as whichever thread pumps delivers
@@ -37,9 +38,10 @@ from repro import AccessStats, ShardUnavailable, connect
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
 from repro.core.executor import execute_plans_scatter
+from repro.engine.persist import load_shard_runtimes
 from repro.matching.bounded import canonical_answer
 from repro.server.shardserver import ShardServer
-from tests.conftest import same_responses
+from tests.conftest import run_round, same_responses
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -209,12 +211,16 @@ def any_backend(request, artifacts, contract_fleet):
 
 class TestScatterSubmitContract:
     def test_exactly_once_and_aligned_with_scatter(self, any_backend,
-                                                   imdb_small):
+                                                   artifacts, imdb_small):
+        """Each task fires once, with the row every shard's own
+        ``ShardRuntime.handle`` gives for it, in shard order."""
         graph, _ = imdb_small
         nodes = sorted(graph.nodes())[:8]
         tasks = [("probe", nodes[:4], nodes[4:]),
                  ("probe", nodes[:2], nodes[2:4])]
-        expected = any_backend.scatter(tasks)
+        runtimes = load_shard_runtimes(artifacts[4], range(4))
+        expected = [[runtime.handle(task) for runtime in runtimes]
+                    for task in tasks]
 
         fired: dict[int, list] = {}
         done = threading.Event()
@@ -229,8 +235,7 @@ class TestScatterSubmitContract:
         any_backend.wait(done.is_set)
         assert done.is_set()
         for i in range(len(tasks)):
-            assert same_responses(fired[i],
-                                  [row[i] for row in expected])
+            assert same_responses(fired[i], expected[i])
 
     def test_routed_and_unrouted_tasks(self, any_backend, imdb_small):
         graph, _ = imdb_small
@@ -308,7 +313,7 @@ class TestOverlap:
                          shard_addrs=[s.address for s in servers])
         backend = engine.backend
         try:
-            backend.scatter([task])  # warm both connections
+            run_round(backend, [task])  # warm both connections
             slow_done, fast_done = threading.Event(), threading.Event()
             elapsed: dict[str, float] = {}
 
@@ -403,7 +408,7 @@ class TestFailure:
         backend = engine.backend
         try:
             # Warm both connections, then kill shard 1 for good.
-            backend.scatter([task])
+            run_round(backend, [task])
             servers[1].stop()
 
             healthy_done = threading.Event()

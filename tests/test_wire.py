@@ -529,29 +529,27 @@ class TestLiveNegotiation:
         """Regression: reload used to rebuild the fleet settings from
         six attributes of the live backend, silently dropping any
         session option not among them. The reopened session must run
-        under ``engine.session_config`` whole — pinned here on
-        ``owner_routing=False``, whose effect (no router, every task to
-        every shard) is observable on the reopened backend."""
+        under ``engine.session_config`` whole — pinned here on every
+        fleet setting at a non-default value, each read back from the
+        reopened backend."""
         from repro.server import QueryService
 
         servers = [ShardServer(artifact / f"shard-{i:04d}").start()
                    for i in range(2)]
+        fleet = {"connect_timeout": 4.5, "request_timeout": 12.5,
+                 "retries": 5, "retry_backoff_s": 0.05}
         opened = connect(artifact, backend="remote",
-                         shard_addrs=[s.address for s in servers],
-                         owner_routing=False)
+                         shard_addrs=[s.address for s in servers], **fleet)
         service = QueryService(opened, workers=1)
         try:
             expected = answers(opened)
-            assert opened.backend.router is None
             service.reload_artifact(artifact)
             reloaded = service.engine
             assert reloaded is not opened
             assert reloaded.session_config == opened.session_config
-            assert reloaded.backend.router is None
+            assert {name: getattr(reloaded.backend, name)
+                    for name in fleet} == fleet
             assert answers(reloaded) == expected
-            backend = reloaded.backend
-            assert backend.scatter_messages == \
-                backend.scatter_messages_broadcast > 0
         finally:
             service.close()
             for server in servers:
