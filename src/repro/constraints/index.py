@@ -2,70 +2,40 @@
 
 For a constraint ``S -> (l, N)`` over a graph ``G``, the index maps every
 S-labeled node set that occurs in ``G`` (canonically ordered by label) to
-the tuple of its common neighbours labeled ``l``. Retrieval is a single
-hash lookup — the O(N) access the paper's access-schema definition
-requires. The paper realized these as MySQL tables + B-tree indices; an
-in-memory hash map provides the same contract.
+its common neighbours labeled ``l``: each target ``w`` contributes one
+cell per S-labeled subset of its neighbourhood (a per-label product),
+the paper's "table in which each tuple encodes an actualized
+constraint". The paper stored these tables in MySQL with a B-tree over
+the key; retrieval here is a binary search over sorted keys, the flat
+form of the paper's B-tree, then an O(N) payload read.
 
-Construction enumerates, for each target node ``w`` labeled ``l``, the
-S-labeled subsets of ``w``'s neighbourhood (a per-label product), which is
-the same work the paper's "create a table in which each tuple encodes an
-actualized constraint" performs.
-
-Two storage variants share one retrieval interface
-(:class:`BaseConstraintIndex`):
-
-* :class:`ConstraintIndex` — mutable, set-valued payloads, optional
-  member tracking for incremental maintenance.
-* :class:`FrozenConstraintIndex` — read-only, payloads stored as sorted
-  tuples (no per-set overhead, zero-copy ``fetch``); the variant a frozen
-  :class:`~repro.engine.engine.QueryEngine` session selects.
-
-Plan execution (:mod:`repro.core.executor`) and incremental evaluation
-(:mod:`repro.core.incremental`) are written against the shared interface,
-so they run on either variant unchanged.
+:class:`ConstraintIndex` is the mutable variant (a dict of sets, with
+optional member tracking for incremental maintenance);
+:class:`FrozenConstraintIndex` is three int64 arrays built with array
+operations straight from a :class:`~repro.graph.frozen.FrozenGraph`'s
+CSR — the variant a frozen session selects and an artifact stores. Both
+serve the retrieval interface plan execution is written against.
 """
 
 from __future__ import annotations
 
-import threading
-from array import array
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.accounting import AccessStats
 from repro.constraints.schema import AccessConstraint, AccessSchema
-from repro.errors import ConstraintViolation, SchemaError
+from repro.errors import ArtifactCorrupt, ConstraintViolation, SchemaError
+from repro.graph.frozen import FrozenGraph
 from repro.graph.graph import GraphView
-from repro.util.arrays import as_int64, pack_matrix
-
-
-def _keys_for_target(constraint: AccessConstraint, w: int, graph: GraphView):
-    """Enumerate the canonical keys of S-labeled neighbour sets of ``w``."""
-    source = constraint.source
-    if not source:
-        yield ()
-        return
-    neighbours = graph.neighbors(w)
-    per_label: list[list[int]] = []
-    for label in source:  # already sorted canonically
-        bucket = [v for v in neighbours if graph.label_of(v) == label]
-        if not bucket:
-            return
-        per_label.append(sorted(bucket))
-    yield from product(*per_label)
+from repro.util.arrays import as_int64, pack_matrix, sorted_unique
 
 
 class BaseConstraintIndex:
-    """Shared retrieval/inspection interface of the two index variants.
-
-    Subclasses provide ``self.constraint`` and ``self._entries`` — a
-    mapping from canonical S-labeled key tuples to payload collections
-    (sets for the mutable variant, sorted tuples for the frozen one).
-    Everything below depends only on that contract.
-    """
+    """What the two index variants share; each provides ``constraint``,
+    ``_lookup``, ``keys``, ``num_keys``, ``max_entry``, ``size`` and
+    ``violations``."""
 
     __slots__ = ()
 
@@ -95,8 +65,7 @@ class BaseConstraintIndex:
 
         For type (1) constraints pass an empty key.
         """
-        payload = self._entries.get(tuple(key), ())
-        result = tuple(payload)
+        result = self._lookup(tuple(key))
         if stats is not None:
             stats.record_fetch(result)
         return result
@@ -107,33 +76,9 @@ class BaseConstraintIndex:
         return self.fetch(self.canonical_key(nodes, graph), stats=stats)
 
     # -- inspection -------------------------------------------------------------------
-    @property
-    def num_keys(self) -> int:
-        return len(self._entries)
-
-    @property
-    def max_entry(self) -> int:
-        """Largest payload observed — the *actual* cardinality bound."""
-        return max((len(p) for p in self._entries.values()), default=0)
-
-    @property
-    def size(self) -> int:
-        """Total cells stored (key members + payload members), comparable
-        to the paper's index-size measure in Fig. 5(d,h,l)."""
-        return sum(len(key) + len(payload) for key, payload in self._entries.items())
-
     def is_satisfied(self) -> bool:
         """Does the graph satisfy the cardinality side of the constraint?"""
         return self.max_entry <= self.constraint.bound
-
-    def violations(self) -> list[tuple[tuple[int, ...], int]]:
-        """Keys whose payload exceeds the bound, with their counts."""
-        bound = self.constraint.bound
-        return [(key, len(payload)) for key, payload in self._entries.items()
-                if len(payload) > bound]
-
-    def keys(self):
-        return self._entries.keys()
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.constraint}, keys={self.num_keys}, "
@@ -163,24 +108,20 @@ class ConstraintIndex(BaseConstraintIndex):
         # key-member node -> set of keys containing it
         self._member_keys: dict[int, set[tuple[int, ...]]] = {}
         if graph is not None:
-            self.build(graph)
+            for w in graph.nodes_with_label(constraint.target):
+                self.add_target(w, graph)
+            if constraint.is_type1:
+                # A type (1) index has the key () even in an empty graph.
+                self._entries.setdefault((), set())
 
     # -- construction -------------------------------------------------------------
-    def build(self, graph: GraphView) -> "ConstraintIndex":
-        """(Re)build the index from scratch over ``graph``."""
-        self._entries = {}
-        self._target_cells = {}
-        self._member_keys = {}
-        for w in graph.nodes_with_label(self.constraint.target):
-            self.add_target(w, graph)
-        if self.constraint.is_type1:
-            # A type (1) index has the single key () even in an empty graph.
-            self._entries.setdefault((), set())
-        return self
 
     def add_target(self, w: int, graph: GraphView) -> None:
         """Insert the cells contributed by target node ``w``."""
-        for key in self._keys_for_target(w, graph):
+        neighbours = graph.neighbors(w)
+        buckets = [sorted(v for v in neighbours if graph.label_of(v) == label)
+                   for label in self.constraint.source]
+        for key in product(*buckets):
             payload = self._entries.setdefault(key, set())
             payload.add(w)
             if self._track:
@@ -225,216 +166,248 @@ class ConstraintIndex(BaseConstraintIndex):
                     keys.discard(key)
         self._member_keys.pop(node, None)
 
-    def _keys_for_target(self, w: int, graph: GraphView):
-        return _keys_for_target(self.constraint, w, graph)
+    def cells_of(self, w: int) -> set[tuple[int, ...]]:
+        """Keys whose payload holds target ``w`` (requires
+        ``track_members=True``)."""
+        return self._target_cells.get(w, set())
 
     def freeze(self) -> "FrozenConstraintIndex":
         """Compact this index into a read-only :class:`FrozenConstraintIndex`."""
-        return FrozenConstraintIndex.from_entries(self.constraint, self._entries)
+        entries = self._entries
+        arity = len(self.constraint.source)
+        keys = np.array(list(entries), dtype=np.int64).reshape(
+            len(entries), arity)
+        lengths = [len(payload) for payload in entries.values()]
+        targets = np.fromiter(chain.from_iterable(entries.values()),
+                              dtype=np.int64, count=sum(lengths))
+        return FrozenConstraintIndex.from_cells(
+            self.constraint, np.repeat(keys, lengths, axis=0), targets)
+
+    # -- retrieval / inspection ---------------------------------------------------
+    def _lookup(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(self._entries.get(key, ()))
+
+    def keys(self):
+        return self._entries.keys()
+
+    @property
+    def num_keys(self) -> int:
+        return len(self._entries)
+
+    @property
+    def max_entry(self) -> int:
+        """Largest payload observed — the *actual* cardinality bound."""
+        return max((len(p) for p in self._entries.values()), default=0)
+
+    @property
+    def size(self) -> int:
+        """Total cells stored (key members + payload members), comparable
+        to the paper's index-size measure in Fig. 5(d,h,l)."""
+        return sum(len(key) + len(payload) for key, payload in self._entries.items())
+
+    def violations(self, keys: Iterable[tuple[int, ...]] | None = None
+                   ) -> list[tuple[tuple[int, ...], int]]:
+        """Keys whose payload exceeds the bound, with their counts; only
+        among ``keys`` when given."""
+        bound = self.constraint.bound
+        entries = self._entries
+        return [(key, len(entries[key]))
+                for key in (entries if keys is None else keys)
+                if len(entries.get(key, ())) > bound]
+
+
+class _Adjacency:
+    """One pass over a frozen graph's CSR, shared by every index of one
+    build: the deduplicated undirected ``(target, neighbour)`` pairs as
+    CSR positions (which follow sorted node ids), grouped by the pair's
+    ``(target label, neighbour label)`` codes and sorted by ``(target,
+    neighbour)`` within a group."""
+
+    def __init__(self, graph: GraphView, owned: Iterable[int] | None):
+        if not isinstance(graph, FrozenGraph):
+            graph = FrozenGraph.from_graph(graph)
+        views = graph.int64_views()
+        ids = self.ids = views["ids"]
+        n = max(len(ids), 1)
+        self.code_of = {label: code
+                        for code, label in enumerate(sorted(graph.labels()))}
+        codes = self.codes = np.empty(len(ids), dtype=np.int64)
+        for label, code in self.code_of.items():
+            codes[np.searchsorted(ids, np.fromiter(
+                graph.nodes_with_label(label), dtype=np.int64))] = code
+        self.owned = None if owned is None else \
+            np.isin(ids, np.fromiter(owned, dtype=np.int64))
+        # The in-rows are the transpose of the out-rows: the out-rows and
+        # their mirror are every (node, neighbour) pair.
+        source = np.repeat(np.arange(len(ids), dtype=np.int64),
+                           np.diff(views["out_ptr"]))
+        target = np.searchsorted(ids, views["out_dst"])
+        pairs = sorted_unique(np.concatenate((source * n + target,
+                                              target * n + source)))
+        target, neighbour = pairs // n, pairs % n
+        groups = len(self.code_of) ** 2
+        group = codes[target] * len(self.code_of) + codes[neighbour]
+        order = np.argsort(group.astype(np.min_scalar_type(groups)),
+                           kind="stable")
+        self.target, self.neighbour = target[order], neighbour[order]
+        self.bounds = np.searchsorted(group[order], np.arange(groups + 1))
+
+    def cells(self, constraint: AccessConstraint) -> tuple:
+        """``(keys, targets)``: an ``(m, arity)`` matrix of canonical key
+        tuples and the target of each row, as node ids, one row per cell
+        of ``constraint``. Each target row is expanded label by label
+        into the product of its neighbour buckets."""
+        code = self.code_of.get(constraint.target, -1)
+        rows = np.flatnonzero(self.codes == code)
+        if self.owned is not None:
+            rows = rows[self.owned[rows]]
+        columns = []
+        for label in constraint.source:
+            group = code * len(self.code_of) + self.code_of.get(label, -1)
+            lo, hi = self.bounds[group:group + 2] \
+                if code >= 0 and label in self.code_of else (0, 0)
+            counts = np.bincount(self.target[lo:hi], minlength=len(self.ids))
+            first = lo + np.cumsum(counts) - counts
+            width = counts[rows]
+            pick = np.repeat(np.arange(len(rows)), width)
+            offset = np.arange(len(pick)) - np.repeat(np.cumsum(width) - width,
+                                                      width)
+            rows = rows[pick]
+            columns = [column[pick] for column in columns]
+            columns.append(self.ids[self.neighbour[first[rows] + offset]])
+        keys = np.stack(columns, axis=1) if columns \
+            else np.empty((len(rows), 0), dtype=np.int64)
+        return keys, self.ids[rows]
+
+
+def build_frozen_indexes(graph: GraphView, constraints: Iterable[AccessConstraint],
+                         owned: Iterable[int] | None = None) -> dict:
+    """``{constraint: FrozenConstraintIndex}`` over ``graph`` from one
+    pass over its CSR. ``owned`` restricts the indexed targets to those
+    node ids: a shard's build over its owned targets, whose union over
+    the shards is the global index."""
+    adjacency = _Adjacency(graph, owned)
+    return {constraint: FrozenConstraintIndex.from_cells(
+                constraint, *adjacency.cells(constraint))
+            for constraint in constraints}
+
+
+def _group(keys, targets) -> tuple:
+    """Sort cells by ``(key..., target)`` and cut them into runs of equal
+    key: the ``(keys, payload_ptr, payload)`` layout of a frozen index.
+    An arity-0 index has its one key ``()`` even with no targets."""
+    order = np.lexsort((targets, *keys.T[::-1]))
+    keys, payload = keys[order], np.ascontiguousarray(targets[order])
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    runs = np.flatnonzero(first) if keys.shape[1] else np.zeros(1, np.int64)
+    return (np.ascontiguousarray(keys[first]).reshape(-1),
+            np.append(runs, len(payload)).astype(np.int64), payload)
 
 
 class FrozenConstraintIndex(BaseConstraintIndex):
-    """Read-optimized index: payloads stored as sorted tuples.
+    """Read-only index held as three int64 arrays.
 
-    Construction does the same per-target enumeration as
-    :class:`ConstraintIndex.build` but the finished entries are compact
-    tuples — no per-set hash-table overhead, and :meth:`fetch` returns the
-    stored tuple without copying. The trade-off: no mutation, so no
+    ``keys`` is the canonical key tuples concatenated (arity ints per
+    key) in sorted tuple order, ``payload_ptr`` a CSR offset array into
+    ``payload``, which holds each key's targets sorted. These arrays are
+    what :meth:`to_buffers` writes to an artifact and :meth:`from_buffers`
+    adopts from one, zero-copy. On first use their shapes and key order
+    are checked — a bad artifact raises
+    :class:`~repro.errors.ArtifactCorrupt` before any answer is read —
+    and the keys are packed into searchsorted-comparable scalars
+    (:func:`repro.util.arrays.pack_matrix`). No mutation, so no
     incremental maintenance (rebuild or use the mutable variant instead).
-
-    An instance created by :meth:`from_buffers` (the artifact warm-start
-    path) holds the flat int64 buffers and decodes them into the entry
-    dict **lazily on first access**, so opening an artifact pays only for
-    the constraints a workload actually touches. The decode is guarded by
-    a per-instance lock: concurrent first-touch from several worker
-    threads (the query server's executor pool) publishes exactly one
-    entry dict, and no thread can observe the half-built state where the
-    buffers are already dropped but the entries are not yet assigned.
     """
 
-    __slots__ = ("constraint", "_entry_data", "_raw_buffers", "_decode_lock",
-                 "_kernel")
+    __slots__ = ("constraint", "_keys", "_payload_ptr", "_payload", "_probe")
 
     def __init__(self, constraint: AccessConstraint, graph: GraphView | None = None,
                  targets: Iterable[int] | None = None):
+        """Index ``constraint`` over ``graph`` (an empty index when None);
+        ``targets`` restricts the indexed target nodes, as a shard's
+        build over its owned targets does."""
         self.constraint = constraint
-        self._entry_data: dict[tuple[int, ...], tuple[int, ...]] | None = {}
-        self._raw_buffers = None
-        self._decode_lock = threading.Lock()
-        #: Lazily-built numpy probe state (packed keys + CSR payload);
-        #: see :meth:`kernel_buffers`. The index is immutable, so the
-        #: cache never invalidates.
-        self._kernel = None
-        if graph is not None:
-            self.build(graph, targets=targets)
+        if graph is None:
+            empty = np.empty(0, dtype=np.int64)
+            self._adopt(empty, np.zeros(1, dtype=np.int64), empty)
+        else:
+            self._adopt(*_group(*_Adjacency(graph, targets).cells(constraint)))
 
-    @property
-    def _entries(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        entries = self._entry_data
-        if entries is None:
-            with self._decode_lock:
-                entries = self._entry_data
-                if entries is None:
-                    entries = self._decode_buffers()
-                    # Publish the finished dict before releasing the raw
-                    # buffers: unlocked readers only ever see None (and
-                    # take the lock) or the complete mapping.
-                    self._entry_data = entries
-                    self._raw_buffers = None
-        return entries
-
-    def build(self, graph: GraphView,
-              targets: Iterable[int] | None = None) -> "FrozenConstraintIndex":
-        """Build the compact index from scratch over ``graph``.
-
-        ``targets`` restricts the enumerated target nodes (they must all
-        carry the constraint's target label) — the shard-local build path
-        (:func:`repro.graph.partition.build_shard_indexes`) indexes only
-        the nodes a shard *owns*, so the union of shard entries for any
-        key equals the global entry.
-        """
-        staging: dict[tuple[int, ...], set[int]] = {}
-        if targets is None:
-            targets = graph.nodes_with_label(self.constraint.target)
-        for w in targets:
-            for key in _keys_for_target(self.constraint, w, graph):
-                staging.setdefault(key, set()).add(w)
-        if self.constraint.is_type1:
-            staging.setdefault((), set())
-        self._entry_data = {key: tuple(sorted(payload))
-                            for key, payload in staging.items()}
-        self._raw_buffers = None
-        self._kernel = None
-        return self
+    def _adopt(self, keys, payload_ptr, payload) -> None:
+        self._keys, self._payload_ptr, self._payload = keys, payload_ptr, payload
+        self._probe = None
 
     @classmethod
-    def from_entries(cls, constraint: AccessConstraint,
-                     entries: dict[tuple[int, ...], Iterable[int]]) -> "FrozenConstraintIndex":
-        """Freeze an already-computed entry mapping (used by ``freeze``)."""
-        frozen = cls(constraint)
-        frozen._entry_data = {key: tuple(sorted(payload))
-                              for key, payload in entries.items()}
-        return frozen
+    def from_cells(cls, constraint: AccessConstraint, keys,
+                   targets) -> "FrozenConstraintIndex":
+        """Index the cells ``keys[i] -> targets[i]`` (an ``(m, arity)``
+        key matrix and ``m`` targets, in any order, no duplicates)."""
+        index = cls(constraint)
+        index._adopt(*_group(keys, targets))
+        return index
+
+    @classmethod
+    def merge(cls, constraint: AccessConstraint,
+              parts: Sequence["FrozenConstraintIndex"]) -> "FrozenConstraintIndex":
+        """One index over the union of ``parts``, indexes of ``constraint``
+        over disjoint target sets (the shards of a partition)."""
+        arity = len(constraint.source)
+        keys = [np.repeat(part._keys.reshape(part.num_keys, arity),
+                          np.diff(part._payload_ptr), axis=0)
+                for part in parts]
+        return cls.from_cells(constraint, np.concatenate(keys),
+                              np.concatenate([p._payload for p in parts]))
 
     # -- binary snapshot interface (repro.engine.persist) -----------------------
     def to_buffers(self) -> dict:
-        """Flatten the entries into three int64 buffers.
-
-        ``keys`` holds the canonical key tuples concatenated (arity ints
-        per key, in sorted key order), ``payload_ptr`` is a CSR-style
-        offset array into ``payload``, which holds the concatenated
-        payload tuples. :meth:`from_buffers` is the exact inverse.
-        """
-        keys = array("q")
-        payload_ptr = array("q", [0])
-        payload = array("q")
-        entries = self._entries
-        for key in sorted(entries):
-            keys.extend(key)
-            payload.extend(entries[key])
-            payload_ptr.append(len(payload))
-        return {"keys": keys, "payload_ptr": payload_ptr, "payload": payload}
+        """The index's three int64 arrays (see the class docstring);
+        :meth:`from_buffers` is the exact inverse."""
+        return {"keys": self._keys, "payload_ptr": self._payload_ptr,
+                "payload": self._payload}
 
     @classmethod
     def from_buffers(cls, constraint: AccessConstraint,
                      buffers: dict) -> "FrozenConstraintIndex":
-        """Adopt :meth:`to_buffers` output without decoding it yet.
-
-        The buffers (``array('q')`` or memoryviews over a loaded
-        artifact) are kept as-is; the entry dict is materialized on first
-        retrieval/inspection. Shape problems therefore surface on first
-        use, as :class:`~repro.errors.ArtifactCorrupt`.
-        """
+        """Adopt :meth:`to_buffers` output (``array('q')``, memoryviews
+        over a loaded artifact, or ndarrays) without copying it."""
         try:
             raw = (buffers["keys"], buffers["payload_ptr"], buffers["payload"])
         except KeyError as exc:
-            from repro.errors import ArtifactCorrupt
             raise ArtifactCorrupt(
                 f"index buffers for {constraint} are missing section {exc}") from exc
         index = cls(constraint)
-        index._entry_data = None
-        index._raw_buffers = raw
+        index._adopt(*(as_int64(buf) for buf in raw))
         return index
 
-    def _decode_buffers(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        from repro.errors import ArtifactCorrupt
-        keys_flat, payload_ptr, payload = self._raw_buffers
+    def _probe_state(self) -> tuple:
+        """``(packed_keys, num_keys)``, checked and cached on first use."""
+        if self._probe is not None:
+            return self._probe
         arity = len(self.constraint.source)
-        starts = list(payload_ptr)
-        values = list(payload)
-        num_keys = len(starts) - 1
-        if (num_keys < 0 or len(keys_flat) != num_keys * arity
-                or (starts and (starts[0] != 0 or starts[-1] != len(values)))
-                or any(starts[i] > starts[i + 1] for i in range(num_keys))):
-            raise ArtifactCorrupt(
-                f"index buffers for {self.constraint} have inconsistent shapes")
-        if arity == 0:
-            return {(): tuple(values)} if num_keys else {}
-        key_iter = zip(*[iter(list(keys_flat))] * arity)
-        return {key: tuple(values[starts[i]:starts[i + 1]])
-                for i, key in enumerate(key_iter)}
-
-    # -- batched (vectorized) retrieval ------------------------------------------
-    def kernel_buffers(self) -> tuple:
-        """``(packed_keys, payload_ptr, payload, arity, num_keys)`` numpy
-        probe state, built lazily and cached.
-
-        ``packed_keys`` encodes each canonical key tuple as one
-        searchsorted-comparable scalar (:func:`repro.util.arrays.
-        pack_matrix`), in the same sorted order :meth:`to_buffers` writes;
-        ``payload_ptr``/``payload`` are the CSR payload layout. A
-        warm-started index builds this directly from its raw artifact
-        buffers — zero-copy, without ever decoding the entry dict; a
-        fresh index flattens its entries once.
-        """
-        kernel = self._kernel
-        if kernel is None:
-            # Benign race: concurrent first calls build twice, last
-            # write wins, both are correct (same immutable inputs).
-            kernel = self._build_kernel()
-            self._kernel = kernel
-        return kernel
-
-    def _build_kernel(self) -> tuple:
-        from repro.errors import ArtifactCorrupt
-        arity = len(self.constraint.source)
-        # Take a local reference: the lazy dict decode nulls _raw_buffers
-        # after publishing _entry_data, and either source is valid.
-        raw = self._raw_buffers
-        if raw is not None:
-            keys_flat = as_int64(raw[0])
-            payload_ptr = as_int64(raw[1])
-            payload = as_int64(raw[2])
-        else:
-            entries = self._entries
-            ordered = sorted(entries)
-            keys_flat = np.fromiter(
-                (member for key in ordered for member in key),
-                dtype=np.int64, count=len(ordered) * arity)
-            lengths = np.fromiter((len(entries[key]) for key in ordered),
-                                  dtype=np.int64, count=len(ordered))
-            payload_ptr = np.zeros(len(ordered) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=payload_ptr[1:])
-            payload = np.fromiter(
-                (w for key in ordered for w in entries[key]),
-                dtype=np.int64, count=int(payload_ptr[-1]))
+        keys, payload_ptr = self._keys, self._payload_ptr
         num_keys = len(payload_ptr) - 1
-        if (num_keys < 0 or (arity and len(keys_flat) != num_keys * arity)
-                or (num_keys >= 0 and (len(payload_ptr) == 0
-                                       or payload_ptr[0] != 0
-                                       or payload_ptr[-1] != len(payload)))
+        if (num_keys < 0 or len(keys) != num_keys * arity
+                or payload_ptr[0] != 0 or payload_ptr[-1] != len(self._payload)
                 or np.any(np.diff(payload_ptr) < 0)):
             raise ArtifactCorrupt(
                 f"index buffers for {self.constraint} have inconsistent "
                 f"shapes")
-        if arity:
-            packed = pack_matrix(keys_flat.reshape(num_keys, arity))
-            if num_keys > 1 and np.any(packed[:-1] > packed[1:]):
-                raise ArtifactCorrupt(
-                    f"index keys for {self.constraint} are not sorted")
-        else:
-            packed = keys_flat[:0]
-        return (packed, payload_ptr, payload, arity, num_keys)
+        packed = pack_matrix(keys.reshape(num_keys, arity)) if arity else keys
+        if np.any(packed[:-1] > packed[1:]):
+            raise ArtifactCorrupt(
+                f"index keys for {self.constraint} are not sorted")
+        self._probe = (packed, num_keys)
+        return self._probe
+
+    # -- retrieval / inspection ---------------------------------------------------
+    def _lookup(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """A binary search through :meth:`fetch_many`."""
+        if len(key) != len(self.constraint.source):
+            return ()
+        starts, lengths, payload = self.fetch_many(
+            np.array(key, dtype=np.int64).reshape(1, len(key)))
+        return tuple(payload[starts[0]:starts[0] + lengths[0]].tolist())
 
     def fetch_many(self, combos, packed=None) -> tuple:
         """Batched :meth:`fetch`: probe many canonical keys in one
@@ -449,10 +422,10 @@ class FrozenConstraintIndex(BaseConstraintIndex):
         :mod:`repro.core.kernels`), unlike :meth:`fetch` which records
         unconditionally when given stats.
         """
-        packed_keys, payload_ptr, payload, arity, num_keys = \
-            self.kernel_buffers()
+        packed_keys, num_keys = self._probe_state()
+        payload_ptr, payload = self._payload_ptr, self._payload
         n = len(combos)
-        if arity == 0:
+        if not self.constraint.source:
             length = len(payload) if num_keys else 0
             return (np.zeros(n, dtype=np.int64),
                     np.full(n, length, dtype=np.int64), payload)
@@ -469,6 +442,34 @@ class FrozenConstraintIndex(BaseConstraintIndex):
         lengths = np.where(hits, payload_ptr[index + 1] - starts, 0)
         return np.where(hits, starts, 0), lengths, payload
 
+    def keys(self) -> list[tuple[int, ...]]:
+        rows = self._keys.reshape(self.num_keys, len(self.constraint.source))
+        return [tuple(row) for row in rows.tolist()]
+
+    @property
+    def num_keys(self) -> int:
+        return self._probe_state()[1]
+
+    @property
+    def max_entry(self) -> int:
+        """Largest payload observed — the *actual* cardinality bound."""
+        return int(np.diff(self._payload_ptr).max()) if self.num_keys else 0
+
+    @property
+    def size(self) -> int:
+        """Total cells stored (key members + payload members), comparable
+        to the paper's index-size measure in Fig. 5(d,h,l)."""
+        self._probe_state()
+        return len(self._keys) + len(self._payload)
+
+    def violations(self) -> list[tuple[tuple[int, ...], int]]:
+        """Keys whose payload exceeds the bound, with their counts."""
+        self._probe_state()
+        counts = np.diff(self._payload_ptr)
+        over = np.flatnonzero(counts > self.constraint.bound).tolist()
+        keys = self.keys() if over else []
+        return [(keys[i], int(counts[i])) for i in over]
+
 
 class SchemaIndex:
     """All indexes of an access schema over one graph.
@@ -477,7 +478,9 @@ class SchemaIndex:
     constraint index per constraint plus the graph reference. With
     ``frozen=True`` the read-optimized :class:`FrozenConstraintIndex`
     variant is built instead of the mutable default (incompatible with
-    ``track_members``).
+    ``track_members``), all constraints from one pass over the graph's
+    CSR (a graph that is not a :class:`FrozenGraph` is frozen once for
+    the build).
 
     Examples
     --------
@@ -501,28 +504,17 @@ class SchemaIndex:
         self.graph = graph
         self.schema = schema
         self.frozen = frozen
+        self._indexes: dict[AccessConstraint, BaseConstraintIndex] = \
+            build_frozen_indexes(graph, schema) if frozen else {
+                c: ConstraintIndex(c, graph, track_members=track_members)
+                for c in schema}
         #: Constraint indexes constructed by (or adopted into) this
         #: object — the counter the incremental-extension acceptance
         #: criterion asserts on: growing the schema by k constraints
         #: must raise ``builds`` by exactly k, never by a full rebuild.
-        self.builds = 0
-        self._indexes: dict[AccessConstraint, BaseConstraintIndex] = {}
-        for constraint in schema:
-            self._indexes[constraint] = self._build_one(constraint, track_members)
+        self.builds = len(self._indexes)
         if validate:
             self.validate()
-
-    def _build_one(self, constraint: AccessConstraint,
-                   track_members: bool) -> BaseConstraintIndex:
-        if self.frozen:
-            if track_members:
-                raise SchemaError(
-                    "a frozen index cannot track members (it is immutable)")
-            self.builds += 1
-            return FrozenConstraintIndex(constraint, self.graph)
-        self.builds += 1
-        return ConstraintIndex(constraint, self.graph,
-                               track_members=track_members)
 
     @classmethod
     def from_prebuilt(cls, graph: GraphView, schema: AccessSchema,
@@ -568,10 +560,13 @@ class SchemaIndex:
         M-bounded extensions in Section V)."""
         if constraint in self._indexes:
             return self._indexes[constraint]
+        if self.frozen and track_members:
+            raise SchemaError(
+                "a frozen index cannot track members (it is immutable)")
         self.schema.add(constraint)
-        index = self._build_one(constraint, track_members)
-        self._indexes[constraint] = index
-        return index
+        return self.adopt_index(constraint, FrozenConstraintIndex(
+            constraint, self.graph) if self.frozen else ConstraintIndex(
+            constraint, self.graph, track_members=track_members))
 
     def adopt_index(self, constraint: AccessConstraint,
                     index: BaseConstraintIndex,

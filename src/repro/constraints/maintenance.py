@@ -35,13 +35,18 @@ class MaintenanceReport:
     refreshed_targets:
         (constraint, node) pairs whose index cells were recomputed.
     violations:
-        Constraints whose cardinality bound no longer holds after the
-        update, with a witness key and count each.
+        Keys whose payload exceeds their constraint's bound after the
+        update, with the count each — among the keys the refreshed
+        targets were added to, the only payloads an update can grow.
+    inspected_cells:
+        Distinct (constraint, key) cells checked for ``violations`` — a
+        function of ``ΔG ∪ NbG(ΔG)``, not of ``|G|``.
     """
 
     dirty_nodes: set[int] = field(default_factory=set)
     refreshed_targets: list[tuple[AccessConstraint, int]] = field(default_factory=list)
     violations: list[tuple[AccessConstraint, tuple[int, ...], int]] = field(default_factory=list)
+    inspected_cells: int = 0
 
     @property
     def still_satisfied(self) -> bool:
@@ -107,17 +112,19 @@ class MaintainedSchemaIndex:
         report.dirty_nodes = {v for v in report.dirty_nodes if graph.has_node(v)}
 
         # Refresh the cells contributed by dirty target nodes. Key sets of
-        # untouched targets are unchanged by construction (see module doc).
+        # untouched targets are unchanged by construction (see module doc),
+        # and a payload only grows when a refreshed target joins it, so
+        # those keys are the only ones that can newly exceed the bound.
         for constraint in self.schema:
             index = self.schema_index.index_for(constraint)
+            touched: set[tuple[int, ...]] = set()
             for node in report.dirty_nodes:
                 if graph.label_of(node) == constraint.target:
                     index.remove_target(node)
                     index.add_target(node, graph)
                     report.refreshed_targets.append((constraint, node))
-
-        for constraint in self.schema:
-            index = self.schema_index.index_for(constraint)
-            for key, count in index.violations():
+                    touched |= index.cells_of(node)
+            report.inspected_cells += len(touched)
+            for key, count in index.violations(sorted(touched)):
                 report.violations.append((constraint, key, count))
         return report

@@ -23,10 +23,10 @@ everything that does not depend on the data graph:
 
 **Thread safety.** A *frozen* session may serve ``prepare``/``query``/
 ``query_batch`` from several threads concurrently: the graph snapshot
-and frozen indexes are read-only, the plan caches lock internally, lazy
-index decode publishes atomically, and session accounting folds under a
-lock. (The worst that concurrent duplicates can do is compute the same
-memoized answer twice — last write wins, both are correct.) The
+and frozen indexes are read-only arrays, the plan caches lock
+internally, and session accounting folds under a lock. (The worst that
+concurrent duplicates can do is compute the same memoized answer twice
+— last write wins, both are correct.) The
 :mod:`repro.server` worker pool relies on exactly this contract. Mutable
 sessions (``frozen=False``) make no such promise: ``apply`` must not
 race queries.
@@ -44,7 +44,7 @@ from typing import Iterable
 
 from repro.accounting import AccessStats
 from repro.constraints.catalog import SchemaCatalog
-from repro.constraints.index import ConstraintIndex, FrozenConstraintIndex
+from repro.constraints.index import ConstraintIndex, build_frozen_indexes
 from repro.constraints.maintenance import MaintainedSchemaIndex, MaintenanceReport
 from repro.constraints.schema import AccessConstraint, AccessSchema
 from repro.core import kernels
@@ -670,8 +670,8 @@ class QueryEngine:
             per_shard = self._shards.extend(added)
             cells = sum(info["cells"] for info in per_shard)
         elif self.frozen:
-            for constraint in added:
-                index = FrozenConstraintIndex(constraint, self._graph)
+            for constraint, index in build_frozen_indexes(
+                    self._graph, added).items():
                 self._schema_index.adopt_index(constraint, index)
                 cells += index.size
         else:

@@ -60,7 +60,7 @@ import time
 from functools import partial
 from typing import NamedTuple, Sequence
 
-from repro.constraints.index import FrozenConstraintIndex
+from repro.constraints.index import build_frozen_indexes
 from repro.constraints.schema import AccessConstraint
 from repro.core import kernels
 from repro.errors import (
@@ -142,21 +142,16 @@ class ShardRuntime:
         The index goes live (``adopt_index``) before the constraint is
         appended to the shard's schema, mirroring the parent catalog's
         publish ordering."""
-        built = 0
+        added = list(dict.fromkeys(
+            c for c in constraints if not self.schema_index.has_index(c)))
         cells = 0
-        for constraint in constraints:
-            if self.schema_index.has_index(constraint):
-                continue
-            targets = [w for w in
-                       self.graph.nodes_with_label(constraint.target)
-                       if w in self.owned]
-            index = FrozenConstraintIndex(constraint, self.graph,
-                                          targets=targets)
+        for constraint, index in build_frozen_indexes(
+                self.graph, added, owned=self.owned).items():
             self.schema_index.adopt_index(constraint, index)
             self.schema_index.schema.add(constraint)
-            built += 1
             cells += index.size
-        return {"shard_id": self.shard_id, "built": built, "cells": cells}
+        return {"shard_id": self.shard_id, "built": len(added),
+                "cells": cells}
 
     def __repr__(self) -> str:
         return (f"ShardRuntime({self.shard_id}, owned={len(self.owned)}, "

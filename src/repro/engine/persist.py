@@ -120,15 +120,9 @@ _ITEM = 8  # int64 buffers only
 
 
 # --------------------------------------------------------------- binary container
-def _buffer_bytes(buf) -> bytes:
-    """Raw bytes of an int64 buffer (array('q') or memoryview)."""
-    if isinstance(buf, array):
-        return buf.tobytes()
-    return bytes(buf)
-
-
 def pack_buffers(buffers: dict) -> bytes:
-    """Serialize named int64 buffers into one binary blob.
+    """Serialize named int64 buffers (anything with ``tobytes``: an
+    ``array('q')``, an ndarray or a memoryview) into one binary blob.
 
     Layout: magic, ``<I`` buffer count, then per buffer ``<H`` name
     length, UTF-8 name, ``<Q`` payload byte length, zero padding to an
@@ -139,7 +133,7 @@ def pack_buffers(buffers: dict) -> bytes:
     out = bytearray(_BIN_MAGIC)
     out += struct.pack("<I", len(buffers))
     for name, buf in buffers.items():
-        raw = _buffer_bytes(buf)
+        raw = buf.tobytes()
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded))
         out += encoded
@@ -773,9 +767,9 @@ def load_engine(path, config):
     and checksum-verified for every backend, then the shards open under
     the resolved backend (:func:`_resolve_backend`): merged into one
     graph (``auto``), held in this process (``inline``) or served by a
-    fleet (``remote``). The merged view is the warm start: CSR buffers
-    are adopted zero-copy, constraint indexes decode lazily (one shard
-    is the whole graph and needs no merge), and the plan cache is
+    fleet (``remote``). The merged view is the warm start: CSR and
+    index buffers are adopted zero-copy (one shard is the whole graph
+    and needs no merge), and the plan cache is
     rehydrated so previously prepared canonical forms skip EBChk/QPlan.
     ``frozen=False`` thaws the merged graph into a mutable session
     (paying a mutable index rebuild) with the plan cache still warm —

@@ -236,20 +236,12 @@ def build_shard_indexes(partition: GraphPartition, schema) -> list:
     guarantees the global entry for any key is the disjoint union of the
     shard entries — the identity the scatter-gather merge relies on.
     """
-    from repro.constraints.index import FrozenConstraintIndex, SchemaIndex
+    from repro.constraints.index import SchemaIndex, build_frozen_indexes
 
-    shard_indexes = []
-    for shard in partition.shards:
-        owned = set(shard.owned)
-        indexes = {}
-        for constraint in schema:
-            targets = [w for w in shard.graph.nodes_with_label(constraint.target)
-                       if w in owned]
-            indexes[constraint] = FrozenConstraintIndex(
-                constraint, shard.graph, targets=targets)
-        shard_indexes.append(
-            SchemaIndex.from_prebuilt(shard.graph, schema, indexes))
-    return shard_indexes
+    return [SchemaIndex.from_prebuilt(
+                shard.graph, schema,
+                build_frozen_indexes(shard.graph, schema, owned=shard.owned))
+            for shard in partition.shards]
 
 
 def merge_shard_runtimes(runtimes, schema):
@@ -265,10 +257,11 @@ def merge_shard_runtimes(runtimes, schema):
     every node and every directed edge is owned by exactly one shard, so
     collecting owned nodes and owned out-edges reconstructs the source
     graph exactly; and each per-shard index enumerates owned targets
-    only, so the dict-union of the shard entries per key is the global
-    index entry. One runtime is the identity partition: its graph and
-    indexes are returned as they are (lazily decoded indexes stay
-    lazy). Returns ``(FrozenGraph, SchemaIndex)`` over ``schema``.
+    only, so regrouping the shards' concatenated cells
+    (:meth:`~repro.constraints.index.FrozenConstraintIndex.merge`) gives
+    the global index. One runtime is the identity partition: its graph
+    and indexes are returned as they are, still the arrays of the loaded
+    artifact. Returns ``(FrozenGraph, SchemaIndex)`` over ``schema``.
     """
     from repro.constraints.index import FrozenConstraintIndex, SchemaIndex
 
@@ -289,16 +282,10 @@ def merge_shard_runtimes(runtimes, schema):
             for w in graph.out_neighbors(v):
                 builder.add_edge(v, w)
     merged_graph = FrozenGraph.from_graph(builder)
-
-    indexes = {}
-    for constraint in schema:
-        entries: dict[tuple, list] = {}
-        for runtime in runtimes:
-            index = runtime.schema_index.index_for(constraint)
-            for key in index.keys():
-                entries.setdefault(tuple(key), []).extend(index.fetch(key))
-        indexes[constraint] = FrozenConstraintIndex.from_entries(
-            constraint, entries)
+    indexes = {constraint: FrozenConstraintIndex.merge(
+                   constraint, [runtime.schema_index.index_for(constraint)
+                                for runtime in runtimes])
+               for constraint in schema}
     return merged_graph, SchemaIndex.from_prebuilt(merged_graph, schema,
                                                    indexes)
 

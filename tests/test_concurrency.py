@@ -7,9 +7,9 @@ thread pool; these tests pin that contract down:
 * N threads querying one engine get answers identical to sequential
   execution, across both semantics, including the race on plan
   compilation (fresh engine, no pre-warm);
-* the :class:`~repro.constraints.index.FrozenConstraintIndex` lazy
-  buffer decode publishes exactly once under concurrent first-touch
-  (regression test for the decode race).
+* a :class:`~repro.constraints.index.FrozenConstraintIndex` opened
+  from an artifact answers identically under concurrent first-touch
+  (its arrays are checked and its keys packed on first use).
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from repro import connect
+from repro import AccessSchema, connect
 from repro.constraints.index import FrozenConstraintIndex
 from repro.constraints.schema import AccessConstraint
 from repro.core.actualized import SIMULATION, SUBGRAPH
@@ -124,26 +125,28 @@ def _year_index_fixture():
     return graph, constraint
 
 
-def test_frozen_index_lazy_decode_race(monkeypatch):
-    """Concurrent first-touch of a buffer-backed index decodes once and
-    every thread sees the complete entry mapping."""
+def test_frozen_index_concurrent_first_touch(tmp_path, monkeypatch):
+    """Concurrent first ``fetch`` / ``fetch_many`` on an index opened from
+    an artifact: its arrays are checked and its keys packed on first use,
+    and every thread reads the same answers as the freshly built index."""
     graph, constraint = _year_index_fixture()
     eager = FrozenConstraintIndex(constraint, graph)
-    buffers = eager.to_buffers()
-    lazy = FrozenConstraintIndex.from_buffers(constraint, buffers)
+    with connect((graph, AccessSchema([constraint]))) as engine:
+        engine.save(tmp_path / "art")
+    opened = connect(tmp_path / "art").schema_index.index_for(constraint)
 
-    decode_calls = []
-    original = FrozenConstraintIndex._decode_buffers
+    original = FrozenConstraintIndex._probe_state
 
-    def slow_decode(self):
-        decode_calls.append(threading.get_ident())
-        time.sleep(0.05)  # widen the race window
+    def slow_first_touch(self):
+        if self._probe is None:
+            time.sleep(0.05)  # widen the race window
         return original(self)
 
-    monkeypatch.setattr(FrozenConstraintIndex, "_decode_buffers",
-                        slow_decode)
+    monkeypatch.setattr(FrozenConstraintIndex, "_probe_state",
+                        slow_first_touch)
 
     keys = sorted(eager.keys())
+    combos = np.array(keys, dtype=np.int64)
     barrier = threading.Barrier(THREADS)
     results: list = [None] * THREADS
     errors: list = []
@@ -151,7 +154,12 @@ def test_frozen_index_lazy_decode_race(monkeypatch):
     def first_touch(slot: int) -> None:
         try:
             barrier.wait()
-            results[slot] = [lazy.fetch(key) for key in keys]
+            if slot % 2:
+                results[slot] = [opened.fetch(key) for key in keys]
+            else:
+                starts, lengths, payload = opened.fetch_many(combos)
+                results[slot] = [tuple(payload[s:s + n].tolist())
+                                 for s, n in zip(starts, lengths)]
         except Exception as exc:  # noqa: BLE001 — surfaced below
             errors.append(exc)
 
@@ -163,10 +171,6 @@ def test_frozen_index_lazy_decode_race(monkeypatch):
         thread.join()
 
     assert not errors
-    assert len(decode_calls) == 1, \
-        f"buffers decoded {len(decode_calls)} times; must publish once"
     expected = [eager.fetch(key) for key in keys]
     for slot in range(THREADS):
         assert results[slot] == expected
-    # The buffers were released exactly once the entries were published.
-    assert lazy._raw_buffers is None

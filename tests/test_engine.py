@@ -1,6 +1,7 @@
 """Tests for the QueryEngine session facade, its plan cache, and the
 frozen index read path."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -465,7 +466,11 @@ class TestFrozenIndex:
         index = FrozenConstraintIndex(constraint, g)
         payload = index.fetch((m,))
         assert payload == tuple(sorted(years))
-        assert index.fetch((m,)) is payload  # stored tuple, no copy
+        # The batched probe hands out the stored payload array, no copy.
+        starts, lengths, stored = index.fetch_many(
+            np.array([[m]], dtype=np.int64))
+        assert stored is index.to_buffers()["payload"]
+        assert tuple(stored[starts[0]:starts[0] + lengths[0]]) == payload
 
     def test_freeze_from_mutable(self):
         g = Graph()

@@ -11,7 +11,7 @@ import pytest
 
 from repro import AccessConstraint, AccessSchema, Graph, GraphDelta, SchemaIndex
 from repro.constraints.maintenance import MaintainedSchemaIndex
-from repro.graph.generators import random_labeled_graph
+from repro.graph.generators import imdb_like, random_labeled_graph
 
 
 def assert_same_as_rebuild(maintained: MaintainedSchemaIndex):
@@ -148,3 +148,28 @@ class TestRandomizedEquivalence:
                 continue
             maintained.apply(delta)
             assert_same_as_rebuild(maintained)
+
+
+class TestLocalViolationCheck:
+    @staticmethod
+    def fresh_movie_delta(graph):
+        """A new movie with a new year and a new award: its ΔG ∪ Nb(ΔG)
+        is the same three nodes whatever the size of the graph."""
+        movie, year, award = (max(graph.nodes()) + i for i in (1, 2, 3))
+        return (GraphDelta()
+                .add_node(movie, "movie")
+                .add_node(year, "year", value=1850)
+                .add_node(award, "award")
+                .add_edge(movie, year)
+                .add_edge(movie, award))
+
+    def test_inspected_cells_do_not_grow_with_the_graph(self):
+        inspected = []
+        for scale in (0.02, 0.08):
+            graph, schema = imdb_like(scale=scale, seed=7)
+            maintained = MaintainedSchemaIndex(graph,
+                                               AccessSchema(list(schema)))
+            report = maintained.apply(self.fresh_movie_delta(graph))
+            assert_same_as_rebuild(maintained)
+            inspected.append(report.inspected_cells)
+        assert inspected == [6, 6]

@@ -126,7 +126,8 @@ def test_shard_indexes_union_to_global(data, num_shards):
     partition = partition_graph(graph, num_shards)
     shard_indexes = build_shard_indexes(partition, schema)
     for constraint in schema:
-        global_entries = global_index.index_for(constraint)._entries
+        index = global_index.index_for(constraint)
+        global_entries = {key: index.fetch(key) for key in index.keys()}
         merged: dict = {}
         for sx in shard_indexes:
             for key in sx.index_for(constraint).keys():

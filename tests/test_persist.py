@@ -12,6 +12,7 @@ import json
 import random
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -120,17 +121,24 @@ class TestFrozenGraphBuffers:
 
 
 class TestFrozenIndexBuffers:
-    def test_round_trip_and_lazy_decode(self, imdb_small):
+    def test_round_trip_and_zero_copy_open(self, imdb_small):
         graph, schema = imdb_small
         sx = SchemaIndex(graph, schema, frozen=True)
         for constraint in schema:
             index = sx.index_for(constraint)
+            blob = persist.pack_buffers(index.to_buffers())
             rebuilt = FrozenConstraintIndex.from_buffers(
-                constraint, index.to_buffers())
-            assert rebuilt._entry_data is None, "decode must be lazy"
+                constraint, persist.unpack_buffers(blob))
+            for name, buf in rebuilt.to_buffers().items():
+                assert buf.tobytes() == index.to_buffers()[name].tobytes()
+                if len(buf):
+                    assert np.shares_memory(
+                        buf, np.frombuffer(blob, dtype=np.uint8)), \
+                        f"{name} of an opened index must alias the blob"
             assert rebuilt.num_keys == index.num_keys
-            assert rebuilt._entry_data is not None
-            assert dict(rebuilt._entries) == dict(index._entries)
+            assert rebuilt.keys() == index.keys()
+            assert [rebuilt.fetch(k) for k in rebuilt.keys()] == \
+                [index.fetch(k) for k in index.keys()]
 
     def test_shape_mismatch_raises_on_first_use(self):
         constraint = AccessConstraint(("a",), "b", 3)
