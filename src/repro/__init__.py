@@ -35,7 +35,6 @@ from repro.constraints import (
     AccessConstraint,
     AccessSchema,
     ConstraintIndex,
-    MaintainedSchemaIndex,
     SchemaCatalog,
     SchemaIndex,
     discover_schema,
@@ -107,7 +106,6 @@ __all__ = [
     "FrozenGraph",
     "Graph",
     "GraphDelta",
-    "MaintainedSchemaIndex",
     "SchemaCatalog",
     "MatchTimeout",
     "NotEffectivelyBounded",

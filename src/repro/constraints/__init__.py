@@ -13,8 +13,8 @@ with an index that retrieves those neighbours in O(N). An *access schema*
   over a concrete graph, with O(N) ``fetch``.
 * :mod:`~repro.constraints.discovery` — mining constraints from data
   (degree bounds, global label counts, FD-style bounds, aggregates).
-* :mod:`~repro.constraints.maintenance` — incremental index maintenance
-  under graph deltas.
+* :mod:`~repro.constraints.maintenance` — the next generation of a
+  snapshot and its indexes under a graph delta, patched locally.
 """
 
 from repro.constraints.schema import AccessConstraint, AccessSchema
@@ -27,7 +27,7 @@ from repro.constraints.discovery import (
     discover_functional,
     discover_schema,
 )
-from repro.constraints.maintenance import MaintainedSchemaIndex, MaintenanceReport
+from repro.constraints.maintenance import MaintenanceReport
 
 __all__ = [
     "AccessConstraint",
@@ -41,6 +41,5 @@ __all__ = [
     "discover_general",
     "discover_functional",
     "discover_schema",
-    "MaintainedSchemaIndex",
     "MaintenanceReport",
 ]

@@ -9,12 +9,13 @@ constraint". The paper stored these tables in MySQL with a B-tree over
 the key; retrieval here is a binary search over sorted keys, the flat
 form of the paper's B-tree, then an O(N) payload read.
 
-:class:`ConstraintIndex` is the mutable variant (a dict of sets, with
-optional member tracking for incremental maintenance);
 :class:`FrozenConstraintIndex` is three int64 arrays built with array
 operations straight from a :class:`~repro.graph.frozen.FrozenGraph`'s
-CSR — the variant a frozen session selects and an artifact stores. Both
-serve the retrieval interface plan execution is written against.
+CSR — what a session serves, an artifact stores, and ΔG patches
+(:meth:`FrozenConstraintIndex.patched`). :class:`ConstraintIndex` is
+the same index as a dict of sets, built target by target: the reference
+build the array build is checked against. Both serve the retrieval
+interface plan execution is written against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.constraints.schema import AccessConstraint, AccessSchema
 from repro.errors import ArtifactCorrupt, ConstraintViolation, SchemaError
 from repro.graph.frozen import FrozenGraph
 from repro.graph.graph import GraphView
-from repro.util.arrays import as_int64, pack_matrix, sorted_unique
+from repro.util.arrays import as_int64, in_sorted, pack_matrix, sorted_unique, take_segments
 
 
 class BaseConstraintIndex:
@@ -86,90 +87,27 @@ class BaseConstraintIndex:
 
 
 class ConstraintIndex(BaseConstraintIndex):
-    """Mutable index for one access constraint over one graph.
+    """Mutable index for one access constraint over one graph, built
+    target by target: the reference build the array build of
+    :class:`FrozenConstraintIndex` is checked against."""
 
-    Parameters
-    ----------
-    track_members:
-        When True, reverse maps (node -> keys it appears in) are kept so
-        the index supports incremental maintenance; costs extra memory.
-    """
+    __slots__ = ("constraint", "_entries")
 
-    __slots__ = ("constraint", "_entries", "_track",
-                 "_target_cells", "_member_keys")
-
-    def __init__(self, constraint: AccessConstraint, graph: GraphView | None = None,
-                 track_members: bool = False):
+    def __init__(self, constraint: AccessConstraint, graph: GraphView | None = None):
         self.constraint = constraint
         self._entries: dict[tuple[int, ...], set[int]] = {}
-        self._track = track_members
-        # target node -> set of keys whose payload contains it
-        self._target_cells: dict[int, set[tuple[int, ...]]] = {}
-        # key-member node -> set of keys containing it
-        self._member_keys: dict[int, set[tuple[int, ...]]] = {}
-        if graph is not None:
-            for w in graph.nodes_with_label(constraint.target):
-                self.add_target(w, graph)
-            if constraint.is_type1:
-                # A type (1) index has the key () even in an empty graph.
-                self._entries.setdefault((), set())
-
-    # -- construction -------------------------------------------------------------
-
-    def add_target(self, w: int, graph: GraphView) -> None:
-        """Insert the cells contributed by target node ``w``."""
-        neighbours = graph.neighbors(w)
-        buckets = [sorted(v for v in neighbours if graph.label_of(v) == label)
-                   for label in self.constraint.source]
-        for key in product(*buckets):
-            payload = self._entries.setdefault(key, set())
-            payload.add(w)
-            if self._track:
-                self._target_cells.setdefault(w, set()).add(key)
-                for member in key:
-                    self._member_keys.setdefault(member, set()).add(key)
-
-    def remove_target(self, w: int) -> None:
-        """Remove every cell contributed by target node ``w`` (requires
-        ``track_members=True``)."""
-        if not self._track:
-            raise SchemaError("index was built without member tracking")
-        for key in self._target_cells.pop(w, ()):
-            payload = self._entries.get(key)
-            if payload is None:
-                continue
-            payload.discard(w)
-            if not payload and key != ():
-                del self._entries[key]
-                for member in key:
-                    keys = self._member_keys.get(member)
-                    if keys is not None:
-                        keys.discard(key)
-                        if not keys:
-                            del self._member_keys[member]
-
-    def drop_keys_with(self, node: int) -> None:
-        """Remove every key containing ``node`` (after node deletion)."""
-        if not self._track:
-            raise SchemaError("index was built without member tracking")
-        for key in list(self._member_keys.get(node, ())):
-            payload = self._entries.pop(key, set())
-            for w in payload:
-                cells = self._target_cells.get(w)
-                if cells is not None:
-                    cells.discard(key)
-            for member in key:
-                if member == node:
-                    continue
-                keys = self._member_keys.get(member)
-                if keys is not None:
-                    keys.discard(key)
-        self._member_keys.pop(node, None)
-
-    def cells_of(self, w: int) -> set[tuple[int, ...]]:
-        """Keys whose payload holds target ``w`` (requires
-        ``track_members=True``)."""
-        return self._target_cells.get(w, set())
+        if graph is None:
+            return
+        for w in graph.nodes_with_label(constraint.target):
+            neighbours = graph.neighbors(w)
+            buckets = [sorted(v for v in neighbours
+                              if graph.label_of(v) == label)
+                       for label in constraint.source]
+            for key in product(*buckets):
+                self._entries.setdefault(key, set()).add(w)
+        if constraint.is_type1:
+            # A type (1) index has the key () even in an empty graph.
+            self._entries.setdefault((), set())
 
     def freeze(self) -> "FrozenConstraintIndex":
         """Compact this index into a read-only :class:`FrozenConstraintIndex`."""
@@ -205,25 +143,23 @@ class ConstraintIndex(BaseConstraintIndex):
         to the paper's index-size measure in Fig. 5(d,h,l)."""
         return sum(len(key) + len(payload) for key, payload in self._entries.items())
 
-    def violations(self, keys: Iterable[tuple[int, ...]] | None = None
-                   ) -> list[tuple[tuple[int, ...], int]]:
-        """Keys whose payload exceeds the bound, with their counts; only
-        among ``keys`` when given."""
+    def violations(self) -> list[tuple[tuple[int, ...], int]]:
+        """Keys whose payload exceeds the bound, with their counts."""
         bound = self.constraint.bound
-        entries = self._entries
-        return [(key, len(entries[key]))
-                for key in (entries if keys is None else keys)
-                if len(entries.get(key, ())) > bound]
+        return [(key, len(payload)) for key, payload in self._entries.items()
+                if len(payload) > bound]
 
 
 class _Adjacency:
     """One pass over a frozen graph's CSR, shared by every index of one
-    build: the deduplicated undirected ``(target, neighbour)`` pairs as
-    CSR positions (which follow sorted node ids), grouped by the pair's
-    ``(target label, neighbour label)`` codes and sorted by ``(target,
-    neighbour)`` within a group."""
+    build: the deduplicated undirected ``(target, neighbour)`` pairs,
+    grouped by the pair's ``(target label, neighbour label)`` codes and
+    sorted by ``(target, neighbour)`` within a group. Targets index
+    ``self.rows`` (every node, or the node ids ``rows`` when given: the
+    cells of a few targets, read from their own CSR rows only);
+    neighbours are CSR positions, which follow sorted node ids."""
 
-    def __init__(self, graph: GraphView, owned: Iterable[int] | None):
+    def __init__(self, graph: GraphView, rows: Iterable[int] | None = None):
         if not isinstance(graph, FrozenGraph):
             graph = FrozenGraph.from_graph(graph)
         views = graph.int64_views()
@@ -231,42 +167,63 @@ class _Adjacency:
         n = max(len(ids), 1)
         self.code_of = {label: code
                         for code, label in enumerate(sorted(graph.labels()))}
-        codes = self.codes = np.empty(len(ids), dtype=np.int64)
-        for label, code in self.code_of.items():
-            codes[np.searchsorted(ids, np.fromiter(
-                graph.nodes_with_label(label), dtype=np.int64))] = code
-        self.owned = None if owned is None else \
-            np.isin(ids, np.fromiter(owned, dtype=np.int64))
-        # The in-rows are the transpose of the out-rows: the out-rows and
-        # their mirror are every (node, neighbour) pair.
-        source = np.repeat(np.arange(len(ids), dtype=np.int64),
-                           np.diff(views["out_ptr"]))
-        target = np.searchsorted(ids, views["out_dst"])
-        pairs = sorted_unique(np.concatenate((source * n + target,
-                                              target * n + source)))
-        target, neighbour = pairs // n, pairs % n
+        if rows is None:
+            codes = np.empty(len(ids), dtype=np.int64)
+            for label, code in self.code_of.items():
+                codes[np.searchsorted(ids, np.fromiter(
+                    graph.nodes_with_label(label), dtype=np.int64))] = code
+            # The in-rows are the transpose of the out-rows: the out-rows
+            # and their mirror are every (node, neighbour) pair.
+            source = np.repeat(np.arange(len(ids), dtype=np.int64),
+                               np.diff(views["out_ptr"]))
+            target = np.searchsorted(ids, views["out_dst"])
+            pairs = sorted_unique(np.concatenate((source * n + target,
+                                                  target * n + source)))
+            target, neighbour = pairs // n, pairs % n
+            self.rows, self.codes = ids, codes
+            group = codes[target] * len(self.code_of) + codes[neighbour]
+        else:
+            self.rows = np.array(sorted(rows), dtype=np.int64)
+            at = np.searchsorted(ids, self.rows)
+            targets, neighbours = [], []
+            for ptr, data in ((views["out_ptr"], views["out_dst"]),
+                              (views["in_ptr"], views["in_src"])):
+                starts = ptr[at]
+                lengths = ptr[at + 1] - starts
+                targets.append(np.repeat(np.arange(len(at)), lengths))
+                neighbours.append(take_segments(data, starts, lengths))
+            pairs = sorted_unique(np.concatenate(targets) * n
+                                  + np.searchsorted(ids, np.concatenate(neighbours)))
+            target, neighbour = pairs // n, pairs % n
+            unique, inverse = np.unique(neighbour, return_inverse=True)
+            codes = np.array([self.code_of[graph._labels[i]] for i in
+                              np.concatenate((at, unique)).tolist()],
+                             dtype=np.int64)
+            self.codes = codes[:len(at)]
+            group = self.codes[target] * len(self.code_of) \
+                + codes[len(at):][inverse]
         groups = len(self.code_of) ** 2
-        group = codes[target] * len(self.code_of) + codes[neighbour]
         order = np.argsort(group.astype(np.min_scalar_type(groups)),
                            kind="stable")
         self.target, self.neighbour = target[order], neighbour[order]
         self.bounds = np.searchsorted(group[order], np.arange(groups + 1))
 
-    def cells(self, constraint: AccessConstraint) -> tuple:
+    def cells(self, constraint: AccessConstraint, only=None) -> tuple:
         """``(keys, targets)``: an ``(m, arity)`` matrix of canonical key
         tuples and the target of each row, as node ids, one row per cell
-        of ``constraint``. Each target row is expanded label by label
-        into the product of its neighbour buckets."""
+        of ``constraint`` (of the targets in the sorted id array ``only``
+        when given). Each target row is expanded label by label into the
+        product of its neighbour buckets."""
         code = self.code_of.get(constraint.target, -1)
         rows = np.flatnonzero(self.codes == code)
-        if self.owned is not None:
-            rows = rows[self.owned[rows]]
+        if only is not None:
+            rows = rows[in_sorted(only, self.rows[rows])]
         columns = []
         for label in constraint.source:
             group = code * len(self.code_of) + self.code_of.get(label, -1)
             lo, hi = self.bounds[group:group + 2] \
                 if code >= 0 and label in self.code_of else (0, 0)
-            counts = np.bincount(self.target[lo:hi], minlength=len(self.ids))
+            counts = np.bincount(self.target[lo:hi], minlength=len(self.rows))
             first = lo + np.cumsum(counts) - counts
             width = counts[rows]
             pick = np.repeat(np.arange(len(rows)), width)
@@ -277,7 +234,7 @@ class _Adjacency:
             columns.append(self.ids[self.neighbour[first[rows] + offset]])
         keys = np.stack(columns, axis=1) if columns \
             else np.empty((len(rows), 0), dtype=np.int64)
-        return keys, self.ids[rows]
+        return keys, self.rows[rows]
 
 
 def build_frozen_indexes(graph: GraphView, constraints: Iterable[AccessConstraint],
@@ -286,9 +243,10 @@ def build_frozen_indexes(graph: GraphView, constraints: Iterable[AccessConstrain
     pass over its CSR. ``owned`` restricts the indexed targets to those
     node ids: a shard's build over its owned targets, whose union over
     the shards is the global index."""
-    adjacency = _Adjacency(graph, owned)
+    adjacency = _Adjacency(graph)
+    owned = None if owned is None else np.array(sorted(owned), dtype=np.int64)
     return {constraint: FrozenConstraintIndex.from_cells(
-                constraint, *adjacency.cells(constraint))
+                constraint, *adjacency.cells(constraint, owned))
             for constraint in constraints}
 
 
@@ -316,8 +274,8 @@ class FrozenConstraintIndex(BaseConstraintIndex):
     are checked — a bad artifact raises
     :class:`~repro.errors.ArtifactCorrupt` before any answer is read —
     and the keys are packed into searchsorted-comparable scalars
-    (:func:`repro.util.arrays.pack_matrix`). No mutation, so no
-    incremental maintenance (rebuild or use the mutable variant instead).
+    (:func:`repro.util.arrays.pack_matrix`). Never mutated: ΔG yields a
+    patched copy (:meth:`patched`).
     """
 
     __slots__ = ("constraint", "_keys", "_payload_ptr", "_payload", "_probe")
@@ -332,7 +290,9 @@ class FrozenConstraintIndex(BaseConstraintIndex):
             empty = np.empty(0, dtype=np.int64)
             self._adopt(empty, np.zeros(1, dtype=np.int64), empty)
         else:
-            self._adopt(*_group(*_Adjacency(graph, targets).cells(constraint)))
+            self._adopt(*_group(*_Adjacency(graph).cells(
+                constraint, None if targets is None
+                else np.array(sorted(targets), dtype=np.int64))))
 
     def _adopt(self, keys, payload_ptr, payload) -> None:
         self._keys, self._payload_ptr, self._payload = keys, payload_ptr, payload
@@ -358,6 +318,50 @@ class FrozenConstraintIndex(BaseConstraintIndex):
                 for part in parts]
         return cls.from_cells(constraint, np.concatenate(keys),
                               np.concatenate([p._payload for p in parts]))
+
+    def patched(self, removed, old_keys, keys, targets) -> tuple:
+        """This index with the cells of the targets ``removed`` (sorted
+        ids; ``old_keys`` their cells' keys) replaced by the cells
+        ``keys[i] -> targets[i]``: the runs of the keys either side names
+        are regrouped and spliced back in key order, every other run is
+        copied as a block. Returns ``(index, (keys, counts))`` of the runs
+        the new cells joined — the only payloads a patch can grow."""
+        ptr, payload = self._payload_ptr, self._payload
+        packed, num_keys = self._probe_state()
+        index = type(self)(self.constraint)
+        arity = len(self.constraint.source)
+        probe = pack_matrix(np.concatenate((old_keys, keys)))
+        at = np.minimum(np.searchsorted(packed, probe), max(num_keys - 1, 0))
+        hit = packed[at] == probe if num_keys else np.zeros(len(at), bool)
+        runs = sorted_unique(at[hit])
+        keep = np.ones(num_keys, dtype=bool)
+        keep[runs] = False
+        counts = np.diff(ptr)
+        table = self._keys.reshape(num_keys, arity)
+        lengths = counts[runs]
+        entries = take_segments(payload, ptr[runs], lengths)
+        stay = ~in_sorted(removed, entries)
+        run_keys, run_ptr, run_payload = _group(
+            np.concatenate((np.repeat(table[runs], lengths, axis=0)[stay],
+                            keys)),
+            np.concatenate((entries[stay], targets)))
+        run_counts = np.diff(run_ptr)
+        run_keys = run_keys.reshape(len(run_counts), arity)
+        kept, kept_packed = counts[keep], packed[keep]
+        run_packed = pack_matrix(run_keys)
+        at = np.searchsorted(kept_packed, run_packed)
+        kept_ptr = np.concatenate(([0], np.cumsum(kept)))
+        new_counts = np.insert(kept, at, run_counts)
+        index._adopt(
+            np.insert(table[keep], at, run_keys, axis=0).reshape(-1),
+            np.concatenate(([0], np.cumsum(new_counts))),
+            np.insert(payload[np.repeat(keep, counts)],
+                      np.repeat(kept_ptr[at], run_counts), run_payload))
+        # Sorted by construction: the first-use check has nothing to find.
+        index._probe = (np.insert(kept_packed, at, run_packed),
+                        len(new_counts))
+        joined = in_sorted(sorted_unique(pack_matrix(keys)), run_packed)
+        return index, (run_keys[joined], run_counts[joined])
 
     # -- binary snapshot interface (repro.engine.persist) -----------------------
     def to_buffers(self) -> dict:
@@ -393,7 +397,7 @@ class FrozenConstraintIndex(BaseConstraintIndex):
             raise ArtifactCorrupt(
                 f"index buffers for {self.constraint} have inconsistent "
                 f"shapes")
-        packed = pack_matrix(keys.reshape(num_keys, arity)) if arity else keys
+        packed = pack_matrix(keys.reshape(num_keys, arity))
         if np.any(packed[:-1] > packed[1:]):
             raise ArtifactCorrupt(
                 f"index keys for {self.constraint} are not sorted")
@@ -477,10 +481,9 @@ class SchemaIndex:
     This is the object query plans execute against: it owns one
     constraint index per constraint plus the graph reference. With
     ``frozen=True`` the read-optimized :class:`FrozenConstraintIndex`
-    variant is built instead of the mutable default (incompatible with
-    ``track_members``), all constraints from one pass over the graph's
-    CSR (a graph that is not a :class:`FrozenGraph` is frozen once for
-    the build).
+    variant is built instead of the per-target :class:`ConstraintIndex`
+    default, all constraints from one pass over the graph's CSR (a graph
+    that is not a :class:`FrozenGraph` is frozen once for the build).
 
     Examples
     --------
@@ -496,18 +499,13 @@ class SchemaIndex:
     """
 
     def __init__(self, graph: GraphView, schema: AccessSchema,
-                 track_members: bool = False, validate: bool = False,
-                 frozen: bool = False):
-        if frozen and track_members:
-            raise SchemaError(
-                "a frozen index cannot track members (it is immutable)")
+                 validate: bool = False, frozen: bool = False):
         self.graph = graph
         self.schema = schema
         self.frozen = frozen
         self._indexes: dict[AccessConstraint, BaseConstraintIndex] = \
-            build_frozen_indexes(graph, schema) if frozen else {
-                c: ConstraintIndex(c, graph, track_members=track_members)
-                for c in schema}
+            build_frozen_indexes(graph, schema) if frozen \
+            else {c: ConstraintIndex(c, graph) for c in schema}
         #: Constraint indexes constructed by (or adopted into) this
         #: object — the counter the incremental-extension acceptance
         #: criterion asserts on: growing the schema by k constraints
@@ -554,19 +552,15 @@ class SchemaIndex:
         except KeyError:
             raise SchemaError(f"no index built for {constraint}") from None
 
-    def add_constraint(self, constraint: AccessConstraint,
-                       track_members: bool = False) -> BaseConstraintIndex:
+    def add_constraint(self, constraint: AccessConstraint) -> BaseConstraintIndex:
         """Extend the schema with a constraint and build its index (used by
         M-bounded extensions in Section V)."""
         if constraint in self._indexes:
             return self._indexes[constraint]
-        if self.frozen and track_members:
-            raise SchemaError(
-                "a frozen index cannot track members (it is immutable)")
         self.schema.add(constraint)
         return self.adopt_index(constraint, FrozenConstraintIndex(
             constraint, self.graph) if self.frozen else ConstraintIndex(
-            constraint, self.graph, track_members=track_members))
+            constraint, self.graph))
 
     def adopt_index(self, constraint: AccessConstraint,
                     index: BaseConstraintIndex,

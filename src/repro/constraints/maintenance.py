@@ -7,20 +7,23 @@ underlying graph G. It suffices to inspect ``ΔG ∪ NbG(ΔG)``."
 The key observation (which the implementation exploits) is that the cells
 an index stores are derived *per target node* from that node's
 neighbourhood: a change to edge ``(u, v)`` only alters the neighbourhoods
-of ``u`` and ``v``, so refreshing the cells contributed by the dirty nodes
-— plus dropping keys that mention deleted nodes — restores the index
-exactly, without touching the rest of ``G``.
+of ``u`` and ``v``, so replacing the cells of the dirty targets restores
+the index exactly, without touching the rest of ``G``. Nothing is
+modified in place: :func:`apply_delta` builds the next generation — a
+patched :class:`~repro.graph.frozen.FrozenGraph` and a
+:class:`SchemaIndex` that shares every index the delta cannot reach —
+beside the current one, which stays readable throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.constraints.index import SchemaIndex
-from repro.constraints.schema import AccessConstraint, AccessSchema
-from repro.errors import GraphError
-from repro.graph.delta import EdgeChange, GraphDelta, NodeChange
-from repro.graph.graph import Graph
+import numpy as np
+
+from repro.constraints.index import SchemaIndex, _Adjacency
+from repro.constraints.schema import AccessConstraint
+from repro.graph.delta import GraphDelta
 
 
 @dataclass
@@ -41,90 +44,68 @@ class MaintenanceReport:
     inspected_cells:
         Distinct (constraint, key) cells checked for ``violations`` — a
         function of ``ΔG ∪ NbG(ΔG)``, not of ``|G|``.
+    touched_labels:
+        Labels, before or after the update, of the nodes inserted,
+        deleted or with a changed neighbourhood: a query none of whose
+        labels is here has the same answer as before.
     """
 
     dirty_nodes: set[int] = field(default_factory=set)
     refreshed_targets: list[tuple[AccessConstraint, int]] = field(default_factory=list)
     violations: list[tuple[AccessConstraint, tuple[int, ...], int]] = field(default_factory=list)
     inspected_cells: int = 0
+    touched_labels: set[str] = field(default_factory=set)
 
     @property
     def still_satisfied(self) -> bool:
         return not self.violations
 
 
-class MaintainedSchemaIndex:
-    """A :class:`SchemaIndex` that stays consistent under graph deltas.
+def apply_delta(schema_index: SchemaIndex,
+                delta: GraphDelta) -> tuple[SchemaIndex, MaintenanceReport]:
+    """``schema_index ⊕ ΔG``: the next generation, built beside this one.
 
-    The wrapped indexes are built with member tracking, enabling local
-    removals. :meth:`apply` mutates the graph and the indexes together.
+    ``delta`` is checked as a whole first (a bad change raises
+    :class:`~repro.errors.GraphError` and nothing is built). A constraint
+    index is patched when a dirty target's changed neighbour has a label
+    in its source (or, for a type (1) constraint, a target came or went);
+    every other index object is reused as is.
     """
-
-    def __init__(self, graph: Graph, schema: AccessSchema):
-        if not isinstance(graph, Graph):
-            raise GraphError("maintenance requires a mutable Graph")
-        self.schema_index = SchemaIndex(graph, schema, track_members=True)
-
-    @property
-    def graph(self) -> Graph:
-        return self.schema_index.graph
-
-    @property
-    def schema(self) -> AccessSchema:
-        return self.schema_index.schema
-
-    def apply(self, delta: GraphDelta) -> MaintenanceReport:
-        """Apply ``delta`` to the graph and repair every index locally."""
-        graph = self.graph
-        report = MaintenanceReport()
-        deleted: set[int] = set()
-
-        for change in delta:
-            if isinstance(change, NodeChange):
-                if change.insert:
-                    graph.add_node(change.label, value=change.value,
-                                   node_id=change.node)
-                    report.dirty_nodes.add(change.node)
-                else:
-                    node = change.node
-                    neighbours = set(graph.neighbors(node))
-                    label = graph.label_of(node)
-                    for constraint in self.schema:
-                        index = self.schema_index.index_for(constraint)
-                        if constraint.target == label:
-                            index.remove_target(node)
-                        if label in constraint.source:
-                            index.drop_keys_with(node)
-                    graph.remove_node(node)
-                    deleted.add(node)
-                    report.dirty_nodes |= neighbours
-                    report.dirty_nodes.discard(node)
-            elif isinstance(change, EdgeChange):
-                if change.insert:
-                    graph.add_edge(change.source, change.target)
-                else:
-                    graph.remove_edge(change.source, change.target)
-                report.dirty_nodes.add(change.source)
-                report.dirty_nodes.add(change.target)
-            else:  # pragma: no cover - defensive
-                raise GraphError(f"unknown change type {change!r}")
-
-        report.dirty_nodes = {v for v in report.dirty_nodes if graph.has_node(v)}
-
-        # Refresh the cells contributed by dirty target nodes. Key sets of
-        # untouched targets are unchanged by construction (see module doc),
-        # and a payload only grows when a refreshed target joins it, so
-        # those keys are the only ones that can newly exceed the bound.
-        for constraint in self.schema:
-            index = self.schema_index.index_for(constraint)
-            touched: set[tuple[int, ...]] = set()
-            for node in report.dirty_nodes:
-                if graph.label_of(node) == constraint.target:
-                    index.remove_target(node)
-                    index.add_target(node, graph)
-                    report.refreshed_targets.append((constraint, node))
-                    touched |= index.cells_of(node)
-            report.inspected_cells += len(touched)
-            for key, count in index.violations(sorted(touched)):
-                report.violations.append((constraint, key, count))
-        return report
+    old = schema_index.graph
+    patch = delta.resolve(old)
+    graphs = (old, old.patched(patch))
+    # Each touched node's label before and after (None: absent).
+    labels = {v: (patch.old_label(v), patch.label_of(v))
+              for v in sorted(patch.out)}
+    report = MaintenanceReport(dirty_nodes=patch.dirty(), touched_labels={
+        label for pair in labels.values() for label in pair if label})
+    adjacency = None
+    indexes = {}
+    for constraint in schema_index.schema:
+        index = indexes[constraint] = schema_index.index_for(constraint)
+        source, target = set(constraint.source), constraint.target
+        refresh = [v for v, pair in labels.items() if target in pair
+                   and (patch.changed.get(v, set()) & source
+                        or (not source and v in patch.labels))]
+        if not refresh:
+            continue
+        if adjacency is None:  # the touched rows of both graphs, once
+            adjacency = [_Adjacency(graph, rows=[
+                v for v, pair in labels.items() if pair[i] is not None])
+                for i, graph in enumerate(graphs)]
+        removed, added = (np.array([v for v in refresh
+                                    if labels[v][i] == target], dtype=np.int64)
+                          for i in (0, 1))
+        index, (keys, counts) = index.patched(
+            removed, adjacency[0].cells(constraint, only=removed)[0],
+            *adjacency[1].cells(constraint, only=added))
+        indexes[constraint] = index
+        report.refreshed_targets += [(constraint, v) for v in added.tolist()]
+        report.inspected_cells += len(counts)
+        report.violations += [
+            (constraint, tuple(key), count)
+            for key, count in zip(keys.tolist(), counts.tolist())
+            if count > constraint.bound]
+    patched = SchemaIndex.from_prebuilt(graphs[1], schema_index.schema, indexes)
+    patched.builds = schema_index.builds
+    return patched, report

@@ -73,8 +73,8 @@ class ExecutionResult:
     """Outcome of executing a plan: ``stats``, and ``G_Q`` held as data —
     the pools ``cmat(u)``, the verified edges as a ``(src row, dst row)``
     pair (an int64 matrix from the kernels, two tuples otherwise) and
-    the source of the kept nodes' ``(label, value)``: the frozen
-    snapshot, or a dict of exactly those nodes. ``gq`` (the fetched
+    the source of the kept nodes' ``(label, value)``: the graph the
+    plan ran on, or a dict of exactly those nodes. ``gq`` (the fetched
     subgraph, ``Q(G_Q) = Q(G)``) and ``candidates`` (the pools as sets)
     are built on first read. ``unmatchable``: some ``cmat(u)`` is empty,
     so ``Q(G)`` is too — a match, or a simulation relation, is total.
@@ -187,10 +187,8 @@ def execute_plan(plan: QueryPlan, schema_index: SchemaIndex,
             else:  # pragma: no cover - defensive
                 raise UnverifiableEdge(f"unknown edge-check mode {check.mode!r}")
 
-    # Copied now: a mutable session's graph may change under the result.
-    info = {v: (graph.label_of(v), graph.value_of(v))
-            for pool in candidates.values() for v in pool}
-    return ExecutionResult(plan, stats, candidates, tuple(zip(*edges_found)), info)
+    return ExecutionResult(plan, stats, candidates, tuple(zip(*edges_found)),
+                           graph)
 
 
 def _source_pools(op_or_check, candidates: dict):

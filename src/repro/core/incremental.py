@@ -10,8 +10,9 @@ effectively bounded, *re-evaluating from scratch already accesses a
 bounded amount of data* — the work that actually scales with ΔG is index
 maintenance, which :mod:`repro.constraints.maintenance` performs locally
 (inspecting ``ΔG ∪ Nb(ΔG)`` only). This module packages the two on top of
-a mutable :class:`~repro.engine.engine.QueryEngine` session (so plan
-compilation is cached per canonical pattern form) and adds a delta-level
+a :class:`~repro.engine.engine.QueryEngine` session (so plan compilation
+is cached per canonical pattern form, and each delta publishes a patched
+generation of the snapshot and its indexes) and adds a delta-level
 shortcut: a registered query is only re-evaluated when some changed
 node's label is *relevant* to it (appears in the query or in a constraint
 its plan uses); otherwise the cached answer stands.
@@ -32,7 +33,7 @@ from repro.core.actualized import SUBGRAPH
 from repro.engine.engine import PreparedQuery, QueryEngine
 from repro.errors import PatternError, ReproError
 from repro.graph.delta import GraphDelta
-from repro.graph.graph import Graph
+from repro.graph.graph import GraphView
 from repro.pattern.pattern import Pattern
 
 
@@ -84,17 +85,18 @@ class IncrementalEvaluator:
     2
     """
 
-    def __init__(self, graph: Graph, schema: AccessSchema):
-        self._engine = QueryEngine(graph, schema, frozen=False)
+    def __init__(self, graph: GraphView, schema: AccessSchema):
+        self._engine = QueryEngine(graph, schema)
         self._queries: dict[str, RegisteredQuery] = {}
 
     @property
     def engine(self) -> QueryEngine:
-        """The underlying mutable engine session."""
+        """The underlying engine session."""
         return self._engine
 
     @property
-    def graph(self) -> Graph:
+    def graph(self) -> GraphView:
+        """The current generation's snapshot (``G ⊕ ΔG`` so far)."""
         return self._engine.graph
 
     @property
@@ -142,55 +144,21 @@ class IncrementalEvaluator:
 
     # -- updates --------------------------------------------------------------------
     def apply(self, delta: GraphDelta) -> MaintenanceReport:
-        """Apply ΔG: repair indexes locally, re-answer affected queries.
+        """Apply ΔG: publish the patched generation, re-answer the
+        queries whose relevant labels it touched.
 
         Raises if the update breaks a constraint the schema declares —
         stale bounds would silently invalidate every registered plan.
         """
-        touched_labels = self._labels_touched(delta)
         report = self._engine.apply(delta)
         if not report.still_satisfied:
             violated = ", ".join(str(c) for c, _, _ in report.violations)
             raise ReproError(
                 f"update violates access constraints: {violated}")
         for entry in self._queries.values():
-            if touched_labels & entry.relevant_labels:
+            if report.touched_labels & entry.relevant_labels:
                 self._evaluate(entry)
         return report
-
-    def _labels_touched(self, delta: GraphDelta) -> set[str]:
-        """Labels of nodes whose neighbourhood the delta changes (computed
-        against the pre-state so deletions are observable)."""
-        from repro.graph.delta import EdgeChange, NodeChange
-        graph = self.graph
-        labels: set[str] = set()
-        pending: dict[int, str] = {}
-
-        def label_of(node: int) -> str | None:
-            if node in pending:
-                return pending[node]
-            if graph.has_node(node):
-                return graph.label_of(node)
-            return None
-
-        for change in delta:
-            if isinstance(change, NodeChange):
-                if change.insert:
-                    pending[change.node] = change.label
-                    labels.add(change.label)
-                else:
-                    label = label_of(change.node)
-                    if label:
-                        labels.add(label)
-                    if graph.has_node(change.node):
-                        for other in graph.neighbors(change.node):
-                            labels.add(graph.label_of(other))
-            elif isinstance(change, EdgeChange):
-                for node in (change.source, change.target):
-                    label = label_of(node)
-                    if label:
-                        labels.add(label)
-        return labels
 
     def _evaluate(self, entry: RegisteredQuery) -> None:
         run = entry.prepared.run(stats=entry.stats)

@@ -27,13 +27,12 @@ counter (including the distinct-node set) are therefore byte-identical
 to :func:`~repro.core.executor.execute_plan`; the property suite in
 ``tests/test_kernels.py`` pins this.
 
-Everything here requires a frozen session: a
+Everything here reads what every session holds: a
 :class:`~repro.graph.frozen.FrozenGraph` snapshot (whose ``array('q')``
 or memoryview buffers become zero-copy ndarray views) and
 :class:`~repro.constraints.index.FrozenConstraintIndex` payload buffers.
-:func:`can_vectorize` is the gate the engine's executor selection
-uses; a mutable (``frozen=False``) session fails it and runs the
-sequential path.
+The sequential executor stays as the oracle the property suites compare
+against.
 """
 
 from __future__ import annotations
@@ -83,14 +82,6 @@ np.unique(np.empty(0, dtype=np.int64))
 _RANGE_OPS = frozenset(("<", "<=", ">", ">="))
 
 
-def can_vectorize(schema_index) -> bool:
-    """True when ``schema_index`` can serve the vectorized executor:
-    CSR graph snapshot, all-frozen indexes."""
-    return (schema_index is not None
-            and isinstance(schema_index.graph, FrozenGraph)
-            and getattr(schema_index, "frozen", False))
-
-
 def sorted_id_array(ids):
     """Sorted int64 ndarray from an id collection (shard owned sets)."""
     return np.array(sorted(ids), dtype=np.int64)
@@ -106,9 +97,8 @@ class GraphKernel:
     """
 
     __slots__ = ("graph", "ids", "out_ptr", "out_dst", "num_nodes",
-                 "_edge_keys", "_val_num", "_val_object", "_val_code",
-                 "_code_table", "_info", "_pred_cache", "_mask_cache",
-                 "_adj_cache")
+                 "_edge_keys", "_columns", "_info", "_pred_cache",
+                 "_mask_cache", "_adj_cache")
 
     def __init__(self, graph: FrozenGraph):
         views = graph.int64_views()
@@ -118,10 +108,7 @@ class GraphKernel:
         self.out_dst = views["out_dst"]
         self.num_nodes = len(self.ids)
         self._edge_keys = None
-        self._val_num = None
-        self._val_object = None
-        self._val_code = None
-        self._code_table = None
+        self._columns = None
         self._info = None
         self._pred_cache: dict = {}
         self._mask_cache: dict = {}
@@ -190,7 +177,9 @@ class GraphKernel:
 
     # -- predicate masks -----------------------------------------------------
     def _value_columns(self):
-        if self._val_num is None:
+        """``(val_num, val_object, val_code, code_table)``, built on
+        first use and stored in one assignment."""
+        if self._columns is None:
             val_num = np.full(self.num_nodes, np.nan)
             val_object = np.zeros(self.num_nodes, dtype=bool)
             val_code = np.zeros(self.num_nodes, dtype=np.int64)
@@ -229,11 +218,8 @@ class GraphKernel:
                         val_object[i] = True
                 else:  # strings and friends
                     val_object[i] = True
-            self._val_num = val_num
-            self._val_object = val_object
-            self._val_code = val_code
-            self._code_table = code_table
-        return self._val_num, self._val_object, self._val_code
+            self._columns = val_num, val_object, val_code, code_table
+        return self._columns
 
     def info_columns(self):
         """``(kinds, nums)`` by row position: every node's value as
@@ -260,7 +246,7 @@ class GraphKernel:
         code of a constant the snapshot never carries is -1, matching
         nothing). ``!=``, ``None`` and unhashable constants stay scalar.
         """
-        self._value_columns()
+        code_table = self._value_columns()[3]
         atoms = []
         for atom in predicate.atoms:
             constant = atom.constant
@@ -273,7 +259,7 @@ class GraphKernel:
                     if constant != constant:  # NaN: == is always False
                         atoms.append(("eq", -1))
                         continue
-                    code = self._code_table.get(constant, -1)
+                    code = code_table.get(constant, -1)
                 except TypeError:  # unhashable constant
                     return None
                 atoms.append(("eq", code))
@@ -318,7 +304,7 @@ class GraphKernel:
                 dtype=bool, count=count)
             self._mask_cache[cache_key] = mask
             return mask
-        val_num, val_object, val_code = self._value_columns()
+        val_num, val_object, val_code, _ = self._value_columns()
         positions = self.positions(nodes)
         mask = np.ones(count, dtype=bool)
         column = codes = None
@@ -386,6 +372,33 @@ def kernel_context(schema_index: SchemaIndex) -> KernelContext:
         context = KernelContext(schema_index)
         schema_index._kernel_ctx = context
     return context
+
+
+def inherit(schema_index: SchemaIndex, previous: SchemaIndex) -> None:
+    """Seed the kernel state of ``schema_index`` (``previous`` ⊕ ΔG)
+    with the cached lookups ΔG cannot change: probes of the index objects
+    both share and, after an edge-only ΔG, value columns, predicate masks
+    and type (1) scans. Copies: readers of ``previous`` still fill them."""
+    old = getattr(previous, "_kernel_ctx", None)
+    if old is None:
+        return
+    context = kernel_context(schema_index)
+    shared = {c for c in schema_index.schema if previous.has_index(c)
+              and previous.index_for(c) is schema_index.index_for(c)}
+    context.fetch_cache = {key: entry
+                           for key, entry in old.fetch_cache.copy().items()
+                           if key[0] in shared}
+    graph, before = schema_index.graph, previous.graph
+    if not (graph._pos is before._pos and graph._labels is before._labels
+            and graph._values is before._values):
+        return
+    kernel, old_kernel = context.graph_kernel, old.graph_kernel
+    kernel._columns, kernel._info = old_kernel._columns, old_kernel._info
+    kernel._pred_cache = old_kernel._pred_cache.copy()
+    kernel._mask_cache = old_kernel._mask_cache.copy()
+    context.initial_cache = {key: entry
+                             for key, entry in old.initial_cache.copy().items()
+                             if key[0] in shared}
 
 
 class _SeenCombos:
@@ -553,13 +566,14 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
                             edge_mode: str = MODE_PLAN) -> ExecutionResult:
     """Array-kernel twin of :func:`~repro.core.executor.execute_plan`.
 
-    Requires :func:`can_vectorize` conditions; answers, candidates,
-    ``G_Q`` and ``AccessStats`` are byte-identical to the sequential
-    executor (property-tested).
+    Requires a frozen schema index over a :class:`FrozenGraph`; answers,
+    candidates, ``G_Q`` and ``AccessStats`` are byte-identical to the
+    sequential executor (property-tested).
     """
     if edge_mode not in (MODE_PLAN, MODE_PROBE):
         raise PlanError(f"unknown edge mode {edge_mode!r}")
-    if not can_vectorize(schema_index):
+    if not (schema_index.frozen
+            and isinstance(schema_index.graph, FrozenGraph)):
         raise EngineError(
             "vectorized execution needs numpy plus a frozen session "
             "(FrozenGraph snapshot and frozen constraint indexes)")
@@ -686,9 +700,9 @@ def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
 __all__ = [
     "GraphKernel",
     "KernelContext",
-    "can_vectorize",
     "execute_plan_vectorized",
     "graph_kernel",
+    "inherit",
     "kernel_context",
     "run_shard_task",
     "sorted_id_array",

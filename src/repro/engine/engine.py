@@ -13,23 +13,21 @@ everything that does not depend on the data graph:
   answer of each prepared query reused until the graph changes;
 * ``query_batch(...)`` serves multi-query workloads, executing each
   distinct query once per batch;
-* a frozen session (the default) snapshots the graph into CSR form
-  (:class:`~repro.graph.frozen.FrozenGraph`) and builds the compact
-  read-only :class:`~repro.constraints.index.FrozenConstraintIndex`
-  variant; a mutable session instead wraps
-  :class:`~repro.constraints.maintenance.MaintainedSchemaIndex` so
-  ``apply(delta)`` repairs indexes locally and invalidates cached
-  answers (plans survive — they depend on ``Q`` and ``A`` only).
+* the graph is a CSR snapshot (:class:`~repro.graph.frozen.FrozenGraph`)
+  with one read-only :class:`~repro.constraints.index.FrozenConstraintIndex`
+  per constraint; ``apply(delta)`` builds the next generation beside them
+  and publishes it, invalidating cached answers (plans survive — they
+  depend on ``Q`` and ``A`` only).
 
-**Thread safety.** A *frozen* session may serve ``prepare``/``query``/
-``query_batch`` from several threads concurrently: the graph snapshot
-and frozen indexes are read-only arrays, the plan caches lock
-internally, and session accounting folds under a lock. (The worst that
-concurrent duplicates can do is compute the same memoized answer twice
-— last write wins, both are correct.) The
-:mod:`repro.server` worker pool relies on exactly this contract. Mutable
-sessions (``frozen=False``) make no such promise: ``apply`` must not
-race queries.
+**Thread safety.** A session may serve ``prepare``/``query``/
+``query_batch`` from several threads concurrently: the snapshot and
+indexes are read-only arrays, the plan caches lock internally, and
+session accounting folds under a lock. (The worst that concurrent
+duplicates can do is compute the same memoized answer twice — last
+write wins, both are correct.) The :mod:`repro.server` worker pool
+relies on exactly this contract. The writers (``apply``,
+``extend_schema``) serialize on one lock; an execution loads the schema
+index, and with it the graph, once: one generation, never a mix.
 
 See DESIGN.md ("The QueryEngine session") for the lifecycle and cache
 keying details.
@@ -44,24 +42,19 @@ from typing import Iterable
 
 from repro.accounting import AccessStats
 from repro.constraints.catalog import SchemaCatalog
-from repro.constraints.index import ConstraintIndex, build_frozen_indexes
-from repro.constraints.maintenance import MaintainedSchemaIndex, MaintenanceReport
+from repro.constraints.index import SchemaIndex, build_frozen_indexes
+from repro.constraints.maintenance import MaintenanceReport, apply_delta
 from repro.constraints.schema import AccessConstraint, AccessSchema
 from repro.core import kernels
 from repro.core.actualized import SEMANTICS, SUBGRAPH
-from repro.core.executor import (
-    MODE_PLAN,
-    ExecutionResult,
-    execute_plan,
-    execute_plans_scatter,
-)
+from repro.core.executor import MODE_PLAN, ExecutionResult, execute_plans_scatter
 from repro.core.plan import EdgeCheck, FetchOp, QueryPlan
 from repro.core.qplan import generate_plan
 from repro.engine.cache import PlanCache, pattern_fingerprint
 from repro.errors import BoundExceeded, EngineError, NotEffectivelyBounded
 from repro.graph.delta import GraphDelta
 from repro.graph.frozen import FrozenGraph
-from repro.graph.graph import Graph, GraphView
+from repro.graph.graph import GraphView
 from repro.matching.bounded import BoundedRun, match_in_gq
 from repro.matching.simulation import simulate
 from repro.matching.vf2 import find_matches
@@ -150,13 +143,16 @@ class PreparedQuery:
         real run, not a memoized answer).
         """
         engine = self.engine
+        # Read before executing: an answer is memoized under the
+        # generation it may have been computed from, never a later one.
+        generation = engine._generation
         if (not refresh and stats is None and self._run is not None
-                and self._run_generation == engine.generation):
+                and self._run_generation == generation):
             return self._run
         run_stats = AccessStats()
         execution = engine._execute_plan(self.plan, run_stats)
         engine._account(run_stats, stats)
-        return self._finish_run(execution)
+        return self._finish_run(execution, generation)
 
     def warm(self) -> "PreparedQuery":
         """Run the plan once through the array kernels with the
@@ -167,18 +163,19 @@ class PreparedQuery:
         initial-scan caches) so the first *served* execution already
         runs at steady-state latency. The warming run records nothing:
         the caches only ever skip probing and filtering work, never the
-        per-execution accounting. A no-op for sessions the vectorized
-        executor does not serve (sequential or scatter-gather).
+        per-execution accounting. A no-op on a sharded session.
         """
         engine = self.engine
-        if engine._executor == "vectorized":
+        if engine._shards is None:
             kernels.execute_plan_vectorized(self.plan, engine._schema_index)
         return self
 
-    def _finish_run(self, execution: ExecutionResult) -> BoundedRun:
+    def _finish_run(self, execution: ExecutionResult,
+                    generation: int) -> BoundedRun:
         """Enforce the plan's bound, match inside ``G_Q`` and memoize the
-        answer. An overrun is a bug in EBChk / QPlan or in an index, so
-        its answer is neither served nor kept."""
+        answer under ``generation``, read before the execution started.
+        An overrun is a bug in EBChk / QPlan or in an index, so its
+        answer is neither served nor kept."""
         accessed = execution.stats.total_accessed
         if accessed > self._bound:
             raise BoundExceeded(
@@ -192,7 +189,7 @@ class PreparedQuery:
                                  execution)
         run = BoundedRun(answer=answer, execution=execution)
         self._run = run
-        self._run_generation = self.engine.generation
+        self._run_generation = generation
         return run
 
     @property
@@ -223,11 +220,6 @@ class QueryEngine:
 
     Parameters
     ----------
-    frozen:
-        Snapshot the graph into CSR form and build compact read-only
-        indexes (the default; fastest for query-serving sessions).
-        ``frozen=False`` keeps the mutable graph and enables
-        :meth:`apply` for incremental updates.
     validate:
         Verify ``G |= A`` (cardinality bounds) after the index build.
     cache_size:
@@ -237,11 +229,10 @@ class QueryEngine:
         **same schema** (e.g. several snapshots of a growing graph).
 
     Plans run through the numpy array-kernel executor
-    (:mod:`repro.core.kernels`) whenever the session qualifies — numpy
-    importable, frozen CSR snapshot, frozen indexes — and through the
-    sequential executor otherwise (:attr:`executor_strategy` reports
-    which). Answers, ``G_Q`` and access accounting are identical either
-    way.
+    (:mod:`repro.core.kernels`), or scatter-gather over the shards of a
+    sharded session (:attr:`executor_strategy` reports which). Answers,
+    ``G_Q`` and access accounting are identical either way, and equal to
+    the sequential oracle :func:`~repro.core.executor.execute_plan`.
     """
 
     #: The :class:`~repro.session.SessionConfig` this session was opened
@@ -249,21 +240,33 @@ class QueryEngine:
     #: directly constructed engine carries the defaults).
     session_config = SessionConfig()
 
-    def __init__(self, graph: GraphView, schema, *,
-                 frozen: bool = True, validate: bool = False,
+    def __init__(self, graph: GraphView, schema, *, validate: bool = False,
                  cache_size: int = 128, plan_cache: PlanCache | None = None,
                  schema_index=None):
+        self._init_session(schema, plan_cache, cache_size)
+        if schema_index is None:
+            snapshot = graph if isinstance(graph, FrozenGraph) \
+                else FrozenGraph.from_graph(graph)
+            schema_index = SchemaIndex(snapshot, self.schema, frozen=True,
+                                       validate=validate)
+        elif validate:
+            schema_index.validate()
+        #: The published generation: the graph is ``_schema_index.graph``,
+        #: so one attribute store swaps both.
+        self._schema_index = schema_index
+
+    def _init_session(self, schema, plan_cache, cache_size: int,
+                      shards=None, summary=None) -> None:
+        """The state every session holds, sharded or not."""
         # ``schema`` may be a bare AccessSchema (wrapped in a fresh
         # generation-0 catalog) or a SchemaCatalog (the artifact load
         # path, preserving recorded generations).
         self._catalog = schema if isinstance(schema, SchemaCatalog) \
             else SchemaCatalog(schema)
-        schema = self._catalog.current
-        self.frozen = frozen
         self.stats = AccessStats()
-        #: Shard backend of a sharded session (None for ordinary
-        #: sessions); see :meth:`_assemble_from_shards`.
-        self._shards = None
+        #: Shard backend and partition summary of a sharded session
+        #: (None for ordinary sessions); see :meth:`_assemble_from_shards`.
+        self._shards, self._summary = shards, summary
         #: Artifact directory this session was loaded from / saved to, if
         #: any; ``apply`` marks it stale the moment the served graph
         #: diverges from the on-disk snapshot.
@@ -274,37 +277,10 @@ class QueryEngine:
         # this session's graph snapshot and answers.
         self._prepared = PlanCache(cache_size)
         self._stats_lock = threading.Lock()
+        #: Serializes the writers (apply, extend_schema, save).
+        self._write_lock = threading.Lock()
         self._generation = 0
-        if frozen:
-            snapshot = graph if isinstance(graph, FrozenGraph) \
-                else FrozenGraph.from_graph(graph)
-            self._graph: GraphView = snapshot
-            self._maintained: MaintainedSchemaIndex | None = None
-            if schema_index is None:
-                from repro.constraints.index import SchemaIndex
-                schema_index = SchemaIndex(snapshot, schema, frozen=True,
-                                           validate=validate)
-            elif validate:
-                schema_index.validate()
-            self._schema_index = schema_index
-        else:
-            if schema_index is not None:
-                raise EngineError(
-                    "a prebuilt schema index requires a frozen session")
-            if not isinstance(graph, Graph):
-                raise EngineError(
-                    "a mutable engine session requires a mutable Graph "
-                    f"(got {type(graph).__name__}); use frozen=True for "
-                    "read-only views")
-            self._maintained = MaintainedSchemaIndex(graph, schema)
-            self._graph = graph
-            self._schema_index = self._maintained.schema_index
-            if validate:
-                self._schema_index.validate()
-        #: The resolved plan-execution strategy (see
-        #: :attr:`executor_strategy`).
-        self._executor = "vectorized" \
-            if kernels.can_vectorize(self._schema_index) else "sequential"
+        self._schema_index = None
 
     @classmethod
     def _assemble_from_shards(cls, backend, schema, graph_summary, *,
@@ -316,31 +292,17 @@ class QueryEngine:
         backend handle; :attr:`graph` is the partition's
         :class:`~repro.graph.partition.GraphSummary`."""
         engine = cls.__new__(cls)
-        engine._catalog = schema if isinstance(schema, SchemaCatalog) \
-            else SchemaCatalog(schema)
-        engine.frozen = True
-        engine.stats = AccessStats()
-        engine._shards = backend
-        engine.artifact_path = None
-        engine._cache = plan_cache if plan_cache is not None \
-            else PlanCache(cache_size)
-        engine._prepared = PlanCache(cache_size)
-        engine._stats_lock = threading.Lock()
-        engine._generation = 0
-        engine._graph = graph_summary
-        engine._maintained = None
-        engine._schema_index = None
-        engine._executor = "scatter"
+        engine._init_session(schema, plan_cache, cache_size, backend,
+                             graph_summary)
         return engine
 
     def save(self, path, *, shards: int = 1,
              shard_assignment: dict | None = None) -> dict:
         """Persist the session's compiled state (snapshot, indexes, plan
         cache, schema catalog) as an artifact of ``shards`` halo shards;
-        returns the top manifest. A save from a mutable session freezes
-        its current state, repairing any staleness at ``path``. The
-        default is one shard, the whole graph with its node ids and
-        indexes as they are. ``repro.connect(path)`` serves any shard
+        returns the top manifest. A save writes the current generation,
+        repairing any staleness at ``path``. The default is one shard,
+        the whole graph with its node ids and indexes as they are. ``repro.connect(path)`` serves any shard
         count merged, ``backend="inline"`` scatters over the shards
         in-process, and a ``repro shard-serve`` fleet serves them over
         the wire.
@@ -354,9 +316,10 @@ class QueryEngine:
                 "a sharded session does not hold the full graph; "
                 "re-compile from the source data (repro compile --shards) "
                 "instead of re-saving")
-        manifest = persist.save_sharded_engine(
-            self, path, shards, assignment=shard_assignment)
-        self.artifact_path = Path(path)
+        with self._write_lock:
+            manifest = persist.save_sharded_engine(
+                self, path, shards, assignment=shard_assignment)
+            self.artifact_path = Path(path)
         return manifest
 
     # -- lifecycle ------------------------------------------------------------
@@ -391,8 +354,11 @@ class QueryEngine:
 
     @property
     def graph(self) -> GraphView:
-        """The graph being served (the CSR snapshot when frozen)."""
-        return self._graph
+        """The graph being served: the current generation's CSR
+        snapshot, or a sharded session's partition summary."""
+        if self._shards is not None:
+            return self._summary
+        return self._schema_index.graph
 
     @property
     def schema_index(self):
@@ -419,9 +385,9 @@ class QueryEngine:
 
     @property
     def executor_strategy(self) -> str:
-        """The resolved plan-execution strategy: ``"scatter"`` for
-        sharded sessions, else ``"vectorized"`` or ``"sequential"``."""
-        return self._executor
+        """The plan-execution strategy: ``"scatter"`` for sharded
+        sessions, else ``"vectorized"``."""
+        return "vectorized" if self._shards is None else "scatter"
 
     @property
     def generation(self) -> int:
@@ -573,9 +539,10 @@ class QueryEngine:
             unique.setdefault(id(prepared.plan), prepared)
         runs: dict[int, BoundedRun] = {}
         to_execute: list[tuple[int, PreparedQuery]] = []
+        generation = self._generation
         for run_key, prepared in unique.items():
             if (stats is None and prepared._run is not None
-                    and prepared._run_generation == self.generation):
+                    and prepared._run_generation == generation):
                 runs[run_key] = prepared._run
             else:
                 to_execute.append((run_key, prepared))
@@ -589,33 +556,33 @@ class QueryEngine:
             for (run_key, prepared), execution, run_stats in zip(
                     to_execute, executions, stats_list):
                 self._account(run_stats, stats)
-                runs[run_key] = prepared._finish_run(execution)
+                runs[run_key] = prepared._finish_run(execution, generation)
         return [runs[id(prepared.plan)] for prepared in prepared_list]
 
     # -- updates --------------------------------------------------------------------
     def apply(self, delta: GraphDelta) -> MaintenanceReport:
-        """Apply ΔG through the incremental-maintenance path.
-
-        Only mutable sessions support updates. Indexes are repaired
-        locally (inspecting ``ΔG ∪ Nb(ΔG)`` only) and the generation
-        counter is bumped, invalidating every cached *answer*. Cached
-        *plans* remain valid: they depend on ``Q`` and ``A``, not on the
-        graph.
-        """
-        if self._maintained is None:
+        """Apply ΔG: build the next generation beside the current one
+        (:func:`~repro.constraints.maintenance.apply_delta`) and publish
+        it in one attribute store; only then does the generation go up,
+        invalidating cached *answers* (cached plans depend on ``Q`` and
+        ``A`` only). A bad change raises :class:`~repro.errors.GraphError`
+        and leaves the session exactly as it was. Readers keep running
+        throughout, on one generation or the next."""
+        if self._shards is not None:
             raise EngineError(
-                "cannot apply updates to a frozen engine session; open "
-                "with frozen=False for incremental maintenance")
-        if self.artifact_path is not None:
-            # Mark before mutating: even a half-applied delta means the
-            # on-disk snapshot no longer answers for this session. A
-            # later save() re-compiles the artifact and clears the mark.
-            from repro.engine import persist
-            persist.mark_stale(self.artifact_path,
-                               f"graph delta applied at generation "
-                               f"{self._generation + 1}")
-        report = self._maintained.apply(delta)
-        self._generation += 1
+                "a sharded session cannot apply graph deltas; re-compile "
+                "the artifact from the updated source data")
+        with self._write_lock:
+            schema_index, report = apply_delta(self._schema_index, delta)
+            kernels.inherit(schema_index, self._schema_index)
+            if self.artifact_path is not None:
+                # Marked before publishing; save() clears the mark.
+                from repro.engine import persist
+                persist.mark_stale(self.artifact_path,
+                                   f"graph delta applied at generation "
+                                   f"{self._generation + 1}")
+            self._schema_index = schema_index
+            self._generation += 1
         return report
 
     # -- schema extension ------------------------------------------------------
@@ -634,11 +601,12 @@ class QueryEngine:
         (property-tested). Returns an
         :class:`~repro.engine.extension.ExtensionReport`.
 
-        A frozen session stays safely readable throughout — concurrent
+        The session stays safely readable throughout — concurrent
         ``prepare``/``query`` calls observe either the old generation or
-        the new one. The on-disk artifact (if any) is *not* touched: it
-        remains a valid, older-generation snapshot; use ``repro extend``
-        (or re-save) to persist the extension.
+        the new one — and serializes with :meth:`apply`, so no ΔG loses
+        an index adopted here. The on-disk artifact (if any) is *not*
+        touched: it remains a valid, older-generation snapshot; use
+        ``repro extend`` (or re-save) to persist the extension.
         """
         import time as _time
 
@@ -662,27 +630,23 @@ class QueryEngine:
 
         per_shard = None
         cells = 0
-        if self._shards is not None:
-            # Shard-local builds over owned targets only: the disjoint
-            # union of the new per-shard entries equals the global index
-            # entry, exactly as for the base constraints (see
-            # repro.graph.partition).
-            per_shard = self._shards.extend(added)
-            cells = sum(info["cells"] for info in per_shard)
-        elif self.frozen:
-            for constraint, index in build_frozen_indexes(
-                    self._graph, added).items():
-                self._schema_index.adopt_index(constraint, index)
-                cells += index.size
-        else:
-            for constraint in added:
-                index = ConstraintIndex(constraint, self._graph,
-                                        track_members=True)
-                self._schema_index.adopt_index(constraint, index)
-                cells += index.size
-        # Publish last: only now can a reader compile against the new
-        # constraints — whose indexes are already live everywhere.
-        generation = self._catalog.extend(added, provenance=provenance)
+        with self._write_lock:
+            if self._shards is not None:
+                # Shard-local builds over owned targets only: the
+                # disjoint union of the new per-shard entries equals the
+                # global index entry, exactly as for the base constraints
+                # (see repro.graph.partition).
+                per_shard = self._shards.extend(added)
+                cells = sum(info["cells"] for info in per_shard)
+            else:
+                schema_index = self._schema_index
+                for constraint, index in build_frozen_indexes(
+                        schema_index.graph, added).items():
+                    schema_index.adopt_index(constraint, index)
+                    cells += index.size
+            # Publish last: only now can a reader compile against the new
+            # constraints — whose indexes are already live everywhere.
+            generation = self._catalog.extend(added, provenance=provenance)
         return ExtensionReport(
             version=generation.version, added=tuple(added), built=len(added),
             added_cells=cells,
@@ -693,20 +657,18 @@ class QueryEngine:
     def _execute_plan(self, plan: QueryPlan, stats: AccessStats,
                       edge_mode: str = MODE_PLAN) -> ExecutionResult:
         """Execute one compiled plan through this session's strategy:
-        array kernels or sequentially against the schema index, or
-        scatter-gather over the shard backend. Answers and accounting
-        are identical either way (see :mod:`repro.core.executor`)."""
-        with child_span("execute", strategy=self._executor, plans=1):
-            if self._executor == "vectorized":
-                return kernels.execute_plan_vectorized(
-                    plan, self._schema_index, stats=stats,
-                    edge_mode=edge_mode)
-            if self._shards is not None:
+        array kernels against the published schema index (one load: one
+        generation), or scatter-gather over the shard backend. Answers
+        and accounting are identical either way (see
+        :mod:`repro.core.executor`)."""
+        if self._shards is not None:
+            with child_span("execute", strategy="scatter", plans=1):
                 return execute_plans_scatter(
                     [plan], self._shards, stats_list=[stats],
                     edge_mode=edge_mode)[0]
-            return execute_plan(plan, self._schema_index, stats=stats,
-                                edge_mode=edge_mode)
+        with child_span("execute", strategy="vectorized", plans=1):
+            return kernels.execute_plan_vectorized(
+                plan, self._schema_index, stats=stats, edge_mode=edge_mode)
 
     def _account(self, run_stats: AccessStats,
                  caller_stats: AccessStats | None) -> None:
@@ -719,10 +681,9 @@ class QueryEngine:
             caller_stats.merge(run_stats)
 
     def __repr__(self) -> str:
-        kind = "frozen" if self.frozen else "mutable"
-        if self._shards is not None:
-            kind = f"sharded x{self._shards.num_shards}"
-        return (f"QueryEngine({kind}, graph={self._graph!r}, "
+        kind = f"generation {self._generation}" if self._shards is None \
+            else f"sharded x{self._shards.num_shards}"
+        return (f"QueryEngine({kind}, graph={self.graph!r}, "
                 f"constraints={len(self.schema)}, cache={self._cache!r})")
 
 

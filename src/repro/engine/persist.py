@@ -64,11 +64,7 @@ import sys
 from array import array
 from pathlib import Path
 
-from repro.constraints.index import (
-    ConstraintIndex,
-    FrozenConstraintIndex,
-    SchemaIndex,
-)
+from repro.constraints.index import FrozenConstraintIndex, SchemaIndex
 from repro.constraints.schema import AccessSchema
 from repro.core.plan import EdgeCheck, FetchOp, QueryPlan
 from repro.errors import (
@@ -343,8 +339,6 @@ def _save_shard(path: Path, shard_id: int, graph, schema,
     index_meta = []
     for i, constraint in enumerate(schema):
         index = schema_index.index_for(constraint)
-        if isinstance(index, ConstraintIndex):
-            index = index.freeze()
         for name, buf in index.to_buffers().items():
             index_buffers[f"c{i}.{name}"] = buf
         index_meta.append({"constraint": constraint.to_dict(),
@@ -448,11 +442,10 @@ def save_sharded_engine(engine, path, shards: int = 1,
 
     if shards < 1:
         raise EngineError(f"shards must be >= 1, got {shards}")
-    graph = engine.graph
-    if not isinstance(graph, FrozenGraph):
-        graph = FrozenGraph.from_graph(graph)
+    schema_index = engine.schema_index
+    graph = schema_index.graph
     if shards == 1 and assignment is None:
-        units = [(graph, engine.schema_index, None)]
+        units = [(graph, schema_index, None)]
         cross_edges = 0
     else:
         partition = partition_graph(graph, shards, assignment=assignment)
@@ -745,10 +738,6 @@ def _resolve_backend(config) -> str:
     if backend != "remote" and config.shard_addrs:
         raise EngineError(f"shard_addrs only applies to backend='remote', "
                           f"not {backend!r}")
-    if backend != "auto" and not config.frozen:
-        raise EngineError(
-            f"backend={backend!r} serves frozen shards; frozen=False "
-            f"thaws the merged view (backend='auto')")
     if backend != "auto" and config.validate:
         raise EngineError(
             "validate=True is not supported for scatter-gather serving: "
@@ -771,9 +760,8 @@ def load_engine(path, config):
     index buffers are adopted zero-copy (one shard is the whole graph
     and needs no merge), and the plan cache is
     rehydrated so previously prepared canonical forms skip EBChk/QPlan.
-    ``frozen=False`` thaws the merged graph into a mutable session
-    (paying a mutable index rebuild) with the plan cache still warm —
-    the only loaded flavour that supports ``apply``.
+    Only the merged view accepts ``apply``; the first delta marks the
+    artifact stale.
     """
     from repro.engine.engine import QueryEngine
     from repro.engine.parallel import InlineShardBackend, RemoteShardBackend
@@ -815,10 +803,7 @@ def load_engine(path, config):
         else:
             graph, schema_index = merge_shard_runtimes(runtimes,
                                                        catalog.current)
-            if not config.frozen:
-                graph, schema_index = graph.thaw(), None
-            engine = QueryEngine(graph, catalog, frozen=config.frozen,
-                                 validate=config.validate,
+            engine = QueryEngine(graph, catalog, validate=config.validate,
                                  cache_size=config.cache_size,
                                  plan_cache=plan_cache,
                                  schema_index=schema_index)

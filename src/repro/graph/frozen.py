@@ -8,7 +8,8 @@ library (matchers, index builders, executors) runs on it unchanged.
 
 The snapshot renumbers nothing: node ids are preserved, so candidate sets
 and match relations computed on a ``FrozenGraph`` are directly comparable
-with those computed on the source :class:`Graph`.
+with those computed on the source :class:`Graph`. A snapshot is never
+modified: :meth:`FrozenGraph.patched` builds ``G ⊕ ΔG`` beside it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,32 @@ from array import array
 from bisect import bisect_left
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.graph.graph import Graph, GraphView
+from repro.graph.graph import GraphView
 from repro.util.arrays import as_int64
+
+
+def _q_view(values) -> memoryview:
+    """An int64 ndarray as the ``'q'`` memoryview the snapshot stores
+    (indexing and iteration yield Python ints, as over ``array('q')``)."""
+    return memoryview(np.ascontiguousarray(values, dtype=np.int64)) \
+        .cast("B").cast("q")
+
+
+def _splice_rows(ptr, data, keep, at, rows) -> tuple:
+    """CSR ``(ptr, data)`` without the rows ``~keep`` and with ``rows``
+    (sorted lists) inserted before kept row positions ``at``."""
+    counts = np.diff(ptr)
+    kept = counts[keep]
+    kept_ptr = np.concatenate(([0], np.cumsum(kept)))
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter((v for row in rows for v in row), dtype=np.int64,
+                       count=int(lengths.sum()))
+    data = np.insert(data[np.repeat(keep, counts)],
+                     np.repeat(kept_ptr[at], lengths), flat)
+    return np.concatenate(([0], np.cumsum(np.insert(kept, at, lengths)))), data
 
 
 class FrozenGraph(GraphView):
@@ -27,6 +51,7 @@ class FrozenGraph(GraphView):
 
     Examples
     --------
+    >>> from repro.graph.graph import Graph
     >>> g = Graph()
     >>> a = g.add_node("A"); b = g.add_node("B")
     >>> g.add_edge(a, b)
@@ -39,18 +64,24 @@ class FrozenGraph(GraphView):
     __slots__ = ("_ids", "_pos", "_labels", "_values", "_out_ptr", "_out_dst",
                  "_in_ptr", "_in_src", "_by_label", "_num_edges", "_kernel")
 
-    def __init__(self, ids, pos, labels, values, out_ptr, out_dst,
-                 in_ptr, in_src, by_label, num_edges):
+    def __init__(self, ids, labels, values, out_ptr, out_dst, in_ptr, in_src,
+                 pos=None, by_label=None):
         self._ids = ids              # array('q'): index -> node id (sorted)
-        self._pos = pos              # dict: node id -> index
         self._labels = labels        # list[str] by index
         self._values = values        # dict: node id -> value (sparse)
         self._out_ptr = out_ptr      # array('q') of length n+1
         self._out_dst = out_dst      # array('q'): node ids, sorted per row
         self._in_ptr = in_ptr
         self._in_src = in_src
+        self._num_edges = len(out_dst)
+        if pos is None:  # derived unless shared with a previous snapshot
+            pos, buckets = {}, {}
+            for i, (v, label) in enumerate(zip(ids, labels)):
+                pos[v] = i
+                buckets.setdefault(label, []).append(v)
+            by_label = {label: tuple(vs) for label, vs in buckets.items()}
+        self._pos = pos              # dict: node id -> index
         self._by_label = by_label    # label -> tuple of node ids
-        self._num_edges = num_edges
         #: Lazily-built per-graph kernel state (repro.core.kernels); the
         #: snapshot is immutable, so the cache never invalidates.
         self._kernel = None
@@ -59,34 +90,46 @@ class FrozenGraph(GraphView):
     def from_graph(cls, graph: GraphView) -> "FrozenGraph":
         """Build a frozen snapshot from any graph view."""
         ids = array("q", sorted(graph.nodes()))
-        pos = {v: i for i, v in enumerate(ids)}
-        labels = [graph.label_of(v) for v in ids]
-        values = {}
-        by_label: dict[str, list[int]] = {}
-        for i, v in enumerate(ids):
-            value = graph.value_of(v)
-            if value is not None:
-                values[v] = value
-            by_label.setdefault(labels[i], []).append(v)
+        values = {v: value for v in ids
+                  if (value := graph.value_of(v)) is not None}
+        csr = []
+        for neighbours in (graph.out_neighbors, graph.in_neighbors):
+            ptr, data = array("q", [0]), array("q")
+            for v in ids:
+                data.extend(sorted(neighbours(v)))
+                ptr.append(len(data))
+            csr += [ptr, data]
+        return cls(ids, [graph.label_of(v) for v in ids], values, *csr)
 
-        out_ptr = array("q", [0])
-        out_dst = array("q")
-        in_ptr = array("q", [0])
-        in_src = array("q")
-        num_edges = 0
-        for v in ids:
-            row = sorted(graph.out_neighbors(v))
-            out_dst.extend(row)
-            num_edges += len(row)
-            out_ptr.append(len(out_dst))
-        for v in ids:
-            row = sorted(graph.in_neighbors(v))
-            in_src.extend(row)
-            in_ptr.append(len(in_src))
-
-        frozen_by_label = {label: tuple(vs) for label, vs in by_label.items()}
-        return cls(ids, pos, labels, values, out_ptr, out_dst,
-                   in_ptr, in_src, frozen_by_label, num_edges)
+    def patched(self, patch) -> "FrozenGraph":
+        """``G ⊕ ΔG`` for a :class:`~repro.graph.delta.Patch` resolved
+        against this snapshot: only the touched CSR rows are rebuilt, the
+        others are copied in blocks, and when no node came or went the
+        id, label and value structures are shared."""
+        ids = as_int64(self._ids)
+        touched = sorted(patch.out)
+        keep = np.ones(len(ids), dtype=bool)
+        keep[[self._pos[v] for v in touched if v in self._pos]] = False
+        live = [v for v in touched if patch.label_of(v) is not None]
+        at = np.searchsorted(ids[keep], np.array(live, dtype=np.int64))
+        csr = []
+        for ptr, data, rows in ((self._out_ptr, self._out_dst, patch.out),
+                                (self._in_ptr, self._in_src, patch.inn)):
+            csr += map(_q_view, _splice_rows(
+                as_int64(ptr), as_int64(data), keep, at,
+                [sorted(rows[v]) for v in live]))
+        if not patch.labels:
+            return type(self)(self._ids, self._labels, self._values, *csr,
+                              pos=self._pos, by_label=self._by_label)
+        values = dict(self._values)
+        for v in patch.labels:
+            values.pop(v, None)
+            if patch.values.get(v) is not None:
+                values[v] = patch.values[v]
+        labels = np.insert(np.array(self._labels, dtype=object)[keep], at,
+                           [patch.label_of(v) for v in live]).tolist()
+        return type(self)(_q_view(np.insert(ids[keep], at, live)), labels,
+                          values, *csr)
 
     # -- binary snapshot interface (repro.engine.persist) -----------------------
     def to_buffers(self) -> tuple[dict, dict]:
@@ -131,13 +174,7 @@ class FrozenGraph(GraphView):
                 or (n and (out_ptr[n] != len(out_dst)
                            or in_ptr[n] != len(in_src)))):
             raise GraphError("frozen-graph buffer shapes are inconsistent")
-        pos = {v: i for i, v in enumerate(ids)}
-        by_label: dict[str, list[int]] = {}
-        for i, v in enumerate(ids):
-            by_label.setdefault(labels[i], []).append(v)
-        frozen_by_label = {label: tuple(vs) for label, vs in by_label.items()}
-        return cls(ids, pos, labels, values, out_ptr, out_dst,
-                   in_ptr, in_src, frozen_by_label, len(out_dst))
+        return cls(ids, labels, values, out_ptr, out_dst, in_ptr, in_src)
 
     def int64_views(self) -> dict:
         """Zero-copy numpy int64 views over the CSR buffers.
@@ -215,16 +252,6 @@ class FrozenGraph(GraphView):
     def in_degree(self, node: int) -> int:
         i = self._index(node)
         return self._in_ptr[i + 1] - self._in_ptr[i]
-
-    def thaw(self) -> Graph:
-        """Convert back to a mutable :class:`Graph`."""
-        g = Graph()
-        for v in self._ids:
-            g.add_node(self.label_of(v), value=self._values.get(v), node_id=v)
-        for v in self._ids:
-            for w in self.out_neighbors(v):
-                g.add_edge(v, w)
-        return g
 
     def __repr__(self) -> str:
         return (f"FrozenGraph(nodes={self.num_nodes}, edges={self.num_edges}, "

@@ -145,11 +145,6 @@ class QueryService:
                  workers: int = 4, max_batch: int = 32,
                  max_queue: int = 256, extend_budget: int | None = None,
                  tracer: TraceRecorder | None = None):
-        if not engine.frozen:
-            raise ServerError(
-                "QueryService requires a frozen engine session (the "
-                "thread-safe read path); updates go through compile + "
-                "hot reload instead")
         if workers < 1 or max_batch < 1 or max_queue < 1:
             raise ServerError("workers, max_batch and max_queue must be >= 1")
         self._engine = engine
@@ -582,7 +577,6 @@ class QueryService:
                        "edges": engine.graph.num_edges,
                        "constraints": len(engine.schema),
                        "schema_version": engine.schema_version,
-                       "frozen": engine.frozen,
                        "sharded": engine.sharded,
                        "artifact": (str(engine.artifact_path)
                                     if engine.artifact_path else None)},

@@ -39,16 +39,14 @@ class SessionConfig:
     the combination is contradictory enough to reject — those rules live
     with the loader (:func:`repro.engine.persist.load_engine`).
 
-    All sources: ``frozen``, ``validate``, ``cache_size``,
-    ``plan_cache``.
+    All sources: ``validate``, ``cache_size``, ``plan_cache``.
 
     Artifacts: ``allow_stale``, and where the shards live, ``backend``:
     ``inline`` (scatter over shards held in this process) or ``remote``
     (a running ``repro shard-serve`` fleet). ``auto`` (default) infers
     ``remote`` from ``shard_addrs`` and otherwise merges the shards back
     into one graph (a one-shard artifact already is one) — on one host,
-    scatter over local shards only adds coordination. ``frozen=False``
-    thaws the merged graph.
+    scatter over local shards only adds coordination.
 
     Remote fleet: ``shard_addrs`` (one ``host:port`` per shard, any
     order), the two timeouts and bounded retry (``retries``/
@@ -56,7 +54,6 @@ class SessionConfig:
     to the shards that own what it can report.
     """
 
-    frozen: bool = True
     validate: bool = False
     cache_size: int = 128
     plan_cache: object | None = None
@@ -117,8 +114,7 @@ def connect(source, *, config: SessionConfig | None = None, **overrides):
             raise EngineError(
                 "an in-memory (graph, schema) source has no shards; "
                 "backend/shard_addrs apply to artifacts")
-        engine = QueryEngine(graph, schema, frozen=cfg.frozen,
-                             validate=cfg.validate,
+        engine = QueryEngine(graph, schema, validate=cfg.validate,
                              cache_size=cfg.cache_size,
                              plan_cache=cfg.plan_cache)
     elif isinstance(source, tuple) and len(source) == 3:

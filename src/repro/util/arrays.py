@@ -36,8 +36,8 @@ def as_int64(buffer):
 def pack_matrix(rows):
     """Encode an ``(n, k)`` int64 matrix as ``n`` comparable scalars.
 
-    ``k == 1`` returns the column itself; ``k > 1`` returns fixed-width
-    byte strings (sign-flipped big-endian rows) whose memcmp order equals
+    ``k == 0`` returns zeros (every row is the empty tuple), ``k == 1``
+    the column itself; ``k > 1`` returns fixed-width byte strings (sign-flipped big-endian rows) whose memcmp order equals
     signed lexicographic row order. Sorting / searchsorted over the
     result therefore agrees with Python's tuple order — the order
     ``FrozenConstraintIndex.to_buffers`` writes its keys in.
@@ -47,8 +47,8 @@ def pack_matrix(rows):
         raise ValueError(f"pack_matrix expects a 2-d matrix, got shape "
                          f"{rows.shape}")
     n, k = rows.shape
-    if k == 1:
-        return np.ascontiguousarray(rows[:, 0])
+    if k <= 1:
+        return np.ascontiguousarray(rows[:, 0]) if k else np.zeros(n, np.int64)
     flipped = np.ascontiguousarray((rows ^ _SIGN_BIT).astype(">i8"))
     return flipped.view(f"S{8 * k}").reshape(n)
 

@@ -162,14 +162,14 @@ class TestCatalogCacheKeying:
         y = g.add_node("year", value=2000)
         m = g.add_node("movie")
         g.add_edge(m, y)
-        engine = connect((g, AccessSchema([c1()])), frozen=False)
+        engine = connect((g, AccessSchema([c1()])))
         q = parse_pattern(MY_QUERY)
         with pytest.raises(NotEffectivelyBounded):
             engine.query(q)
         engine.extend_schema([c2()])
         assert len(engine.query(q).answer) == 1
-        # The adopted mutable index participates in incremental
-        # maintenance: a delta must repair it, not bypass it.
+        # The adopted index is patched by the next delta like every
+        # other: a delta must repair it, not bypass it.
         from repro import GraphDelta
         delta = GraphDelta()
         m2 = 10

@@ -9,7 +9,9 @@ thread pool; these tests pin that contract down:
   compilation (fresh engine, no pre-warm);
 * a :class:`~repro.constraints.index.FrozenConstraintIndex` opened
   from an artifact answers identically under concurrent first-touch
-  (its arrays are checked and its keys packed on first use).
+  (its arrays are checked and its keys packed on first use);
+* readers querying while ``apply`` publishes generations each see one
+  whole generation, never a mix and never an older one than before.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro import AccessSchema, connect
+from repro import AccessSchema, GraphDelta, connect
 from repro.constraints.index import FrozenConstraintIndex
 from repro.constraints.schema import AccessConstraint
 from repro.core.actualized import SIMULATION, SUBGRAPH
@@ -174,3 +176,39 @@ def test_frozen_index_concurrent_first_touch(tmp_path, monkeypatch):
     expected = [eager.fetch(key) for key in keys]
     for slot in range(THREADS):
         assert results[slot] == expected
+
+
+def test_readers_see_whole_generations_while_apply_publishes():
+    """Each delta adds one movie of the year: a reader's answer count is
+    the generation it read plus one, and never goes down."""
+    graph = Graph()
+    year = graph.add_node("year", value=2000)
+    graph.add_edge(graph.add_node("movie"), year)
+    engine = connect((graph, AccessSchema([
+        AccessConstraint((), "year", 10),
+        AccessConstraint(("year",), "movie", 1000)])))
+    from repro.pattern import parse_pattern
+    query = parse_pattern("m: movie; y: year; m -> y")
+    deltas = 60
+    done = threading.Event()
+    seen: list[list[int]] = [[] for _ in range(4)]
+
+    def read(out):
+        while not done.is_set():
+            out.append(len(engine.query(query, refresh=True).answer))
+
+    readers = [threading.Thread(target=read, args=(out,)) for out in seen]
+    for reader in readers:
+        reader.start()
+    for i in range(deltas):
+        movie = 100 + i
+        engine.apply(GraphDelta().add_node(movie, "movie")
+                     .add_edge(movie, year))
+    done.set()
+    for reader in readers:
+        reader.join(10)
+    assert engine.generation == deltas
+    assert len(engine.query(query).answer) == deltas + 1
+    for counts in seen:
+        assert counts and counts == sorted(counts)
+        assert all(1 <= count <= deltas + 1 for count in counts)

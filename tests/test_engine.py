@@ -21,7 +21,6 @@ from repro.constraints.index import (
     SchemaIndex,
 )
 from repro.engine.cache import pattern_fingerprint
-from repro.errors import SchemaError
 from repro.matching.bounded import bvf2
 from repro.matching.simulation import relation_pairs
 from repro.matching.vf2 import find_matches
@@ -315,48 +314,101 @@ class TestEngineEvaluation:
 
 
 class TestEngineInvalidation:
-    def _mutable_engine(self):
+    def _session(self, schema=None):
         g = Graph()
         y = g.add_node("year", value=2000)
         m = g.add_node("movie")
         g.add_edge(m, y)
-        schema = AccessSchema([AccessConstraint((), "year", 10),
-                               AccessConstraint(("year",), "movie", 10)])
-        return g, y, connect((g, schema), frozen=False)
+        schema = schema or AccessSchema([
+            AccessConstraint((), "year", 10),
+            AccessConstraint(("year",), "movie", 10)])
+        return g, y, connect((g, schema))
 
     def test_apply_invalidates_answers_not_plans(self):
-        _, y, engine = self._mutable_engine()
+        g, y, engine = self._session()
         q = parse_pattern(MY_QUERY)
         before = engine.query(q)
         assert len(before.answer) == 1
         delta = GraphDelta().add_node(9, "movie").add_edge(9, y)
         report = engine.apply(delta)
         assert report.still_satisfied
+        assert engine.executor_strategy == "vectorized"
         after = engine.query(q)
         assert after is not before
         assert len(after.answer) == 2
         # The plan survived: one miss total, the re-query was a hit.
         assert engine.stats.plan_cache_misses == 1
         assert engine.stats.plan_cache_hits == 1
+        # The caller's graph is the source of a snapshot, never modified.
+        assert not g.has_node(9)
 
     def test_generation_bumps_per_apply(self):
-        _, y, engine = self._mutable_engine()
+        _, y, engine = self._session()
         assert engine.generation == 0
         engine.apply(GraphDelta().add_node(9, "movie").add_edge(9, y))
         engine.apply(GraphDelta().remove_edge(9, y))
         assert engine.generation == 2
 
-    def test_frozen_engine_refuses_apply(self, imdb_small_module):
-        graph, schema = imdb_small_module
-        engine = connect((graph, schema))
-        with pytest.raises(EngineError):
-            engine.apply(GraphDelta().add_node(10**6, "movie"))
+    def test_answer_is_memoized_under_the_generation_it_read(
+            self, monkeypatch):
+        """A run against generation g that finishes after g + 1 is
+        published is not memoized as g + 1's answer."""
+        from repro.core import kernels
 
-    def test_mutable_engine_requires_mutable_graph(self, imdb_small_module):
-        from repro.graph.frozen import FrozenGraph
-        graph, schema = imdb_small_module
-        with pytest.raises(EngineError):
-            connect((FrozenGraph.from_graph(graph), schema), frozen=False)
+        _, y, engine = self._session()
+        q = parse_pattern(MY_QUERY)
+        real = kernels.execute_plan_vectorized
+        fired = []
+
+        def execute_then_apply(*args, **kwargs):
+            execution = real(*args, **kwargs)
+            if not fired:
+                fired.append(True)
+                engine.apply(GraphDelta().add_node(9, "movie")
+                             .add_edge(9, y))
+            return execution
+
+        monkeypatch.setattr(kernels, "execute_plan_vectorized",
+                            execute_then_apply)
+        stale = engine.query(q)
+        assert len(stale.answer) == 1 and engine.generation == 1
+        fresh = engine.query(q)
+        assert fresh is not stale and len(fresh.answer) == 2
+
+    def test_apply_and_extend_schema_from_threads_both_land(
+            self, monkeypatch):
+        """The writers serialize: an index ``extend_schema`` adopts is
+        never lost to an ``apply`` publishing a generation built from
+        the schema index it read before the adoption."""
+        import threading
+        import time
+
+        from repro.engine import engine as engine_module
+
+        _, y, engine = self._session(
+            AccessSchema([AccessConstraint((), "year", 10)]))
+        added = AccessConstraint(("year",), "movie", 10)
+        real = engine_module.build_frozen_indexes
+        building = threading.Event()
+
+        def slow_build(*args, **kwargs):
+            building.set()
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "build_frozen_indexes", slow_build)
+        extend = threading.Thread(target=engine.extend_schema,
+                                  args=([added],))
+        extend.start()
+        assert building.wait(5)
+        apply = threading.Thread(target=engine.apply, args=(
+            GraphDelta().add_node(9, "movie").add_edge(9, y),))
+        apply.start()
+        extend.join(5)
+        apply.join(5)
+        assert engine.generation == 1 and engine.schema_version == 1
+        assert engine.schema_index.fetch(added, (y,)) == (1, 9)
+        assert len(engine.query(parse_pattern(MY_QUERY)).answer) == 2
 
 
 class TestSharedPlanCache:
@@ -480,19 +532,6 @@ class TestFrozenIndex:
         constraint = AccessConstraint(("movie",), "year", 1)
         frozen = ConstraintIndex(constraint, g).freeze()
         assert frozen.fetch((m,)) == (y,)
-
-    def test_frozen_rejects_member_tracking(self, imdb_small_module):
-        graph, schema = imdb_small_module
-        with pytest.raises(SchemaError):
-            SchemaIndex(graph, schema, frozen=True, track_members=True)
-
-    def test_frozen_add_constraint_rejects_member_tracking(
-            self, imdb_small_module):
-        graph, schema = imdb_small_module
-        sx = SchemaIndex(graph, AccessSchema(list(schema)[:2]), frozen=True)
-        with pytest.raises(SchemaError):
-            sx.add_constraint(AccessConstraint(("movie",), "year", 99),
-                              track_members=True)
 
     def test_frozen_type1_key_present_in_empty_graph(self):
         constraint = AccessConstraint((), "year", 5)

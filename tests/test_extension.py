@@ -255,7 +255,7 @@ def _downgrade_to_v2(artifact: Path) -> None:
 
 
 def test_v2_manifest_refused_naming_recompile(tmp_path, imdb_engine):
-    """A version-2 manifest (any shard count, frozen or not) is a typed
+    """A version-2 manifest (any shard count) is a typed
     ``ArtifactVersionMismatch`` telling the user to re-compile — and a
     refused hot reload leaves the serving engine untouched."""
     from repro.server import QueryService
@@ -266,12 +266,11 @@ def test_v2_manifest_refused_naming_recompile(tmp_path, imdb_engine):
     imdb_engine.save(tmp_path / "arts", shards=2)
     for path in (tmp_path / "art", tmp_path / "arts"):
         _downgrade_to_v2(path)
-        for frozen in (True, False):
-            with pytest.raises(ArtifactVersionMismatch,
-                               match="re-compile") as info:
-                connect(path, frozen=frozen)
-            assert info.value.found == 2
-            assert info.value.supported == persist.FORMAT_VERSION
+        with pytest.raises(ArtifactVersionMismatch,
+                           match="re-compile") as info:
+            connect(path)
+        assert info.value.found == 2
+        assert info.value.supported == persist.FORMAT_VERSION
     service = QueryService(imdb_engine, workers=1)
     try:
         with pytest.raises(ArtifactVersionMismatch):

@@ -79,13 +79,21 @@ class TestFrozenSpecific:
         assert fz.nodes_with_label("nope") == ()
         assert fz.label_count("nope") == 0
 
-    def test_thaw_round_trip(self, pair):
+    def test_patched_is_built_beside_the_snapshot(self, pair):
+        """``patched`` returns ``G ⊕ ΔG`` as a new snapshot equal to a
+        fresh freeze of it, and leaves the source snapshot as it was."""
+        from repro.graph import GraphDelta
+
         g, fz = pair
-        thawed = fz.thaw()
-        assert isinstance(thawed, Graph)
-        assert set(thawed.edges()) == set(g.edges())
-        assert {v: thawed.label_of(v) for v in thawed.nodes()} == \
-               {v: g.label_of(v) for v in g.nodes()}
+        before = fz.to_buffers()
+        v = next(iter(g.nodes()))
+        delta = GraphDelta().add_node(10**6, "fresh", value=3) \
+            .add_edge(10**6, v).remove_node(v)
+        patched = fz.patched(delta.resolve(fz))
+        assert fz.to_buffers() == before and fz.has_node(v)
+        delta.apply(g)
+        assert patched.to_buffers() == FrozenGraph.from_graph(g).to_buffers()
+        assert patched.value_of(10**6) == 3 and not patched.has_node(v)
 
     def test_preserves_node_ids(self):
         g = Graph()

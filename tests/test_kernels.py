@@ -23,7 +23,7 @@ from repro import AccessStats, SchemaIndex, ebchk, execute_plan, qplan, \
     sebchk, sqplan
 from repro.constraints.discovery import discover_schema
 from repro.core.executor import MODE_PLAN, MODE_PROBE
-from repro.core.kernels import can_vectorize, execute_plan_vectorized
+from repro.core.kernels import execute_plan_vectorized
 from repro.errors import EngineError
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_labeled_graph
@@ -102,7 +102,6 @@ def test_vectorized_equals_sequential(data, semantics, edge_mode):
         return
     frozen = FrozenGraph.from_graph(graph)
     sx = SchemaIndex(frozen, schema, frozen=True)
-    assert can_vectorize(sx)
     run_both(plan, sx, sx, edge_mode=edge_mode)
 
 
@@ -153,7 +152,6 @@ def test_merged_shard_view_equals_direct_index(data, shards):
     merged_graph, merged_index = merge_shard_runtimes(runtimes, schema)
     assert merged_graph.num_nodes == graph.num_nodes
     assert merged_graph.num_edges == graph.num_edges
-    assert can_vectorize(merged_index)
     run_both(plan, direct, merged_index)
 
 
@@ -183,10 +181,10 @@ def test_warm_started_buffers_equal_fresh(data):
 
 
 def test_can_vectorize_requires_frozen_session():
+    """Vectorized execution refuses a schema index that is not frozen."""
     graph = random_labeled_graph(10, 2, 20, seed=3, value_range=5)
     schema = discover_schema(graph)
     mutable = SchemaIndex(graph, schema)
-    assert not can_vectorize(mutable)
     rng = random.Random(5)
     pattern = PatternGenerator.from_graph(graph, rng=rng).generate(
         num_nodes=2)

@@ -3,7 +3,7 @@
 ``ExecutionResult`` materialises its ``Graph`` on the first ``.gq`` read
 only; a query whose plan leaves some ``cmat(u)`` empty is answered
 without a matcher and so never builds one. The same session kinds
-(vectorized, sequential, inline scatter, a 2-shard fleet) must refuse
+(vectorized, inline scatter, a 2-shard fleet) must refuse
 to serve an execution that overran its plan's bound, and the bounded
 answer must match a full-graph oracle on every dataset generator. The
 scatter front-end additionally keeps ``cmat(u)`` as arrays and filters
@@ -34,7 +34,7 @@ from repro.pattern.predicates import Predicate
 from repro.server.service import QueryService
 from repro.server.shardserver import ShardServer
 
-SESSIONS = ["vectorized", "sequential", "scatter", "fleet"]
+SESSIONS = ["vectorized", "scatter", "fleet"]
 MATCHING = "m: movie; y: year; m -> y"
 #: No year is that late, so cmat(y) is empty after the node phase.
 UNMATCHABLE = "m: movie; y: year; m -> y; y.value >= 3000"
@@ -61,8 +61,6 @@ def engine(request, imdb_small, sharded_artifact, shard_fleet):
     strategy = request.param
     if strategy == "vectorized":
         session = connect(imdb_small)
-    elif strategy == "sequential":
-        session = connect(imdb_small, frozen=False)
     elif strategy == "scatter":
         session = connect(sharded_artifact, backend="inline")
     else:
@@ -174,8 +172,6 @@ def test_overrun_is_refused_not_served(engine, monkeypatch):
     assert engine.stats.total_accessed > before
     assert engine.prepare(fresh)._run is None
 
-    if not engine.frozen:
-        return  # the service only fronts frozen sessions
     service = QueryService(engine)
     reply = service.execute_batch([service.admit(MATCHING + "; y.value >= 0")])
     assert isinstance(reply[0], BoundExceeded)

@@ -210,11 +210,17 @@ class TestSaveOpen:
             "loading must not silently evict persisted plans"
 
     def test_save_from_mutable_session(self, tmp_path, imdb_small):
+        """A session that applied ΔG saves its current generation."""
         graph, schema = imdb_small
-        engine = connect((graph.copy(), schema), frozen=False)
+        engine = connect((graph, schema))
+        nodes = sorted(graph.nodes())
+        engine.apply(GraphDelta().add_edge(nodes[-1], nodes[0])
+                     .add_node(nodes[-1] + 1, "movie"))
         engine.save(tmp_path / "a")
         loaded = connect(tmp_path / "a")
-        assert loaded.graph.num_edges == graph.num_edges
+        assert loaded.graph.num_edges == graph.num_edges + 1
+        assert loaded.graph.num_nodes == graph.num_nodes + 1
+        assert loaded.graph.to_buffers() == engine.graph.to_buffers()
 
     def test_plain_save_keeps_node_ids(self, tmp_path):
         """A plain save is the identity partition: no renumbering, so
@@ -322,15 +328,10 @@ class TestStaleness:
         delta.add_edge(next_id, nodes[0])
         return delta
 
-    def test_frozen_loaded_engine_refuses_apply(self, saved):
-        _, _, path = saved
-        loaded = connect(path)
-        with pytest.raises(EngineError):
-            loaded.apply(self.delta(loaded.graph))
-
     def test_apply_marks_artifact_stale(self, saved):
         engine, patterns, path = saved
-        mutable = connect(path, frozen=False)
+        mutable = connect(path)
+        assert persist.stale_info(path) is None
         mutable.apply(self.delta(mutable.graph))
         assert persist.stale_info(path) is not None
         with pytest.raises(ArtifactStale):
@@ -340,7 +341,7 @@ class TestStaleness:
 
     def test_save_repairs_staleness(self, saved):
         _, patterns, path = saved
-        mutable = connect(path, frozen=False)
+        mutable = connect(path)
         mutable.apply(self.delta(mutable.graph))
         mutable.save(path)
         assert persist.stale_info(path) is None
@@ -350,8 +351,11 @@ class TestStaleness:
             subgraph_answer_set(mutable.query(patterns[0]))
 
     def test_mutable_warm_start_keeps_plans(self, saved):
+        """Plans loaded with the artifact survive ΔG: they depend on Q
+        and A only."""
         _, patterns, path = saved
-        mutable = connect(path, frozen=False)
+        mutable = connect(path)
+        mutable.apply(self.delta(mutable.graph))
         for pattern in patterns:
             mutable.prepare(pattern)
         assert mutable.stats.plan_cache_hits == len(patterns)

@@ -520,7 +520,8 @@ class TestConnectSurface:
 
     @pytest.mark.parametrize("removed", [{"executor": "sequential"},
                                          {"strategy": "scatter"},
-                                         {"scatter_pipeline": False}])
+                                         {"scatter_pipeline": False},
+                                         {"frozen": False}])
     def test_removed_options_hit_the_typo_guard(self, imdb_small, removed):
         with pytest.raises(EngineError, match="unknown session option"):
             connect(imdb_small, **removed)
@@ -542,7 +543,7 @@ class TestConnectSurface:
                 assert assembled.session_config == config
         with connect(artifacts[2]) as merged:
             assert merged.session_config == SessionConfig()
-            assert merged.executor_strategy in ("vectorized", "sequential")
+            assert merged.executor_strategy == "vectorized"
 
     def test_remote_requires_sharded_artifact_and_addrs(self, artifacts):
         with pytest.raises(EngineError):

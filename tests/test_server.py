@@ -87,14 +87,6 @@ def test_protocol_unknown_error_degrades_to_server_error():
 
 
 # -- service core -----------------------------------------------------------
-def test_service_requires_frozen_engine(imdb_small):
-    graph, schema = imdb_small
-    mutable = connect((graph.thaw() if hasattr(graph, "thaw")
-                               else graph, schema), frozen=False)
-    with pytest.raises(ServerError, match="frozen"):
-        QueryService(mutable)
-
-
 def test_admission_over_budget_is_typed_and_unexecuted(engine):
     service = QueryService(engine, max_cost=1.0)
     accessed_before = engine.stats.total_accessed
