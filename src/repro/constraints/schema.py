@@ -54,6 +54,7 @@ class AccessConstraint:
         object.__setattr__(self, "source", source_tuple)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "_source_set", frozenset(source_tuple))
 
     # -- shape ------------------------------------------------------------------
     @property
@@ -78,7 +79,7 @@ class AccessConstraint:
         return len(self.source) + 1
 
     def source_set(self) -> frozenset[str]:
-        return frozenset(self.source)
+        return self._source_set
 
     def __str__(self) -> str:
         left = ",".join(self.source) if self.source else "∅"
@@ -109,6 +110,10 @@ class AccessSchema:
     def __init__(self, constraints: Iterable[AccessConstraint] = ()):
         self._constraints: list[AccessConstraint] = []
         self._by_target: dict[str, list[AccessConstraint]] = {}
+        # Per target label: the tightest type (1) constraint, and the
+        # constraints with a source (the ones Γ actualizes).
+        self._type1: dict[str, AccessConstraint] = {}
+        self._sourced: dict[str, list[AccessConstraint]] = {}
         self._seen: set[AccessConstraint] = set()
         for constraint in constraints:
             self.add(constraint)
@@ -121,7 +126,13 @@ class AccessSchema:
             return False
         self._seen.add(constraint)
         self._constraints.append(constraint)
-        self._by_target.setdefault(constraint.target, []).append(constraint)
+        target = constraint.target
+        self._by_target.setdefault(target, []).append(constraint)
+        if constraint.source:
+            self._sourced.setdefault(target, []).append(constraint)
+        elif target not in self._type1 or \
+                constraint.bound < self._type1[target].bound:
+            self._type1[target] = constraint
         return True
 
     def extend(self, constraints: Iterable[AccessConstraint]) -> int:
@@ -138,13 +149,15 @@ class AccessSchema:
         """All constraints whose target label is ``label``."""
         return list(self._by_target.get(label, ()))
 
+    def sourced_for(self, label: str) -> list[AccessConstraint]:
+        """The constraints with a non-empty source whose target label is
+        ``label``, in insertion order (the caller must not mutate it)."""
+        return self._sourced.get(label, [])
+
     def type1_for(self, label: str) -> AccessConstraint | None:
-        """The tightest type (1) constraint on ``label``, if any."""
-        best = None
-        for constraint in self._by_target.get(label, ()):
-            if constraint.is_type1 and (best is None or constraint.bound < best.bound):
-                best = constraint
-        return best
+        """The tightest type (1) constraint on ``label`` (the first added
+        among equals), if any."""
+        return self._type1.get(label)
 
     def targets(self) -> set[str]:
         return set(self._by_target.keys())

@@ -66,40 +66,18 @@ def actualize(pattern: Pattern, schema: AccessSchema,
     neighbourhood is scanned once.
     """
     check_semantics(semantics)
+    labels = pattern._labels
     gamma: list[ActualizedConstraint] = []
-    for node in sorted(pattern.nodes()):
-        label = pattern.label_of(node)
+    for node in sorted(labels):
         pool = None
-        for constraint in schema.by_target(label):
-            if constraint.is_type1:
-                continue
+        for constraint in schema.sourced_for(labels[node]):
             if pool is None:
                 pool = neighbour_pool(pattern, node, semantics)
-            members = {v for v in pool
-                       if pattern.label_of(v) in constraint.source_set()}
-            present_labels = {pattern.label_of(v) for v in members}
-            if present_labels != constraint.source_set():
+                present = {labels[v] for v in pool}
+            sources = constraint.source_set()
+            if not sources <= present:
                 continue  # no S-labeled subset exists among the neighbours
+            members = {v for v in pool if labels[v] in sources}
             gamma.append(ActualizedConstraint(constraint, node,
                                               frozenset(members)))
     return gamma
-
-
-def actualized_by_target(gamma: list[ActualizedConstraint]
-                         ) -> dict[int, list[ActualizedConstraint]]:
-    """Group Γ by target pattern node."""
-    by_target: dict[int, list[ActualizedConstraint]] = {}
-    for phi in gamma:
-        by_target.setdefault(phi.target, []).append(phi)
-    return by_target
-
-
-def inverted_index(gamma: list[ActualizedConstraint]
-                   ) -> dict[int, list[ActualizedConstraint]]:
-    """The paper's ``L[v]``: for each pattern node, the actualized
-    constraints whose ``V̄_S^u`` contains it."""
-    index: dict[int, list[ActualizedConstraint]] = {}
-    for phi in gamma:
-        for member in phi.neighbours:
-            index.setdefault(member, []).append(phi)
-    return index

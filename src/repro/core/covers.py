@@ -18,6 +18,7 @@ The fixpoint runs the worklist of algorithm EBChk (Fig. 3) with the
 uncovered-label sets ``ct[φ]``; when every actualized constraint touches
 each label at most once, the cheaper counter variant ``n[φ]`` of
 Theorem 2(2) is used automatically (force either via ``use_counters``).
+Both variants key their state by φ's position in Γ.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.core.actualized import (
     ActualizedConstraint,
     actualize,
     check_semantics,
-    inverted_index,
 )
 from repro.pattern.pattern import Pattern
 
@@ -63,12 +63,12 @@ class CoverResult:
     @property
     def nodes_complete(self) -> bool:
         """``VCov(Q, A) = V_Q``."""
-        return not self.uncovered_nodes
+        return len(self.node_cover) == self.pattern.num_nodes
 
     @property
     def edges_complete(self) -> bool:
         """``ECov(Q, A) = E_Q``."""
-        return not self.uncovered_edges
+        return len(self.edge_cover) == self.pattern.num_edges
 
     @property
     def complete(self) -> bool:
@@ -84,17 +84,19 @@ def counters_are_safe(gamma: list[ActualizedConstraint], pattern: Pattern) -> bo
     This holds in both of the paper's special cases (distinct parent
     labels; only type (1)/(2) constraints) and is checked directly here.
     """
-    for phi in gamma:
-        labels = [pattern.label_of(v) for v in phi.neighbours]
-        if len(labels) != len(set(labels)):
-            return False
-    return True
+    labels = pattern._labels
+    return all(len({labels[v] for v in phi.neighbours}) == len(phi.neighbours)
+               for phi in gamma)
 
 
 def compute_covers(pattern: Pattern, schema: AccessSchema,
                    semantics: str = SUBGRAPH,
                    use_counters: bool | None = None) -> CoverResult:
     """Compute ``VCov/ECov`` (or ``sVCov/sECov``) via the EBChk worklist.
+
+    The worklist keys its counters ``n[φ]``, label sets ``ct[φ]`` and
+    satisfied flags by φ's position in Γ, and ``L[v]`` lists positions,
+    so the fixpoint never hashes an actualized constraint.
 
     Parameters
     ----------
@@ -107,72 +109,58 @@ def compute_covers(pattern: Pattern, schema: AccessSchema,
     gamma = actualize(pattern, schema, semantics)
     if use_counters is None:
         use_counters = counters_are_safe(gamma, pattern)
+    labels = pattern._labels
 
     # Seed: nodes whose label has a type (1) constraint (line 3 of Fig. 3).
     covered: set[int] = set()
     covered_by: dict[int, ActualizedConstraint | None] = {}
     worklist: list[int] = []
-    for node in pattern.nodes():
-        if schema.type1_for(pattern.label_of(node)) is not None:
+    for node, label in labels.items():
+        if schema.type1_for(label) is not None:
             covered.add(node)
             covered_by[node] = None
             worklist.append(node)
 
-    by_member = inverted_index(gamma)
+    by_member: dict[int, list[int]] = {}  # L[v], as positions in Γ
+    for i, phi in enumerate(gamma):
+        for member in phi.neighbours:
+            by_member.setdefault(member, []).append(i)
     if use_counters:
-        remaining: dict[ActualizedConstraint, int] = {
-            phi: len(phi.constraint.source) for phi in gamma}
-
-        def consume(phi: ActualizedConstraint, node: int) -> bool:
-            remaining[phi] -= 1
-            return remaining[phi] == 0
+        remaining = [len(phi.constraint.source) for phi in gamma]
     else:
-        pending: dict[ActualizedConstraint, set[str]] = {
-            phi: set(phi.constraint.source) for phi in gamma}
-
-        def consume(phi: ActualizedConstraint, node: int) -> bool:
-            pending[phi].discard(pattern.label_of(node))
-            return not pending[phi]
-
-    satisfied: set[ActualizedConstraint] = set()
+        pending = [set(phi.constraint.source) for phi in gamma]
+    satisfied = [False] * len(gamma)
     while worklist:
         node = worklist.pop()
-        for phi in by_member.get(node, ()):
-            if phi in satisfied:
+        for i in by_member.get(node, ()):
+            if satisfied[i]:
                 continue
-            if consume(phi, node):
-                satisfied.add(phi)
-                target = phi.target
-                if target not in covered:
-                    covered.add(target)
-                    covered_by[target] = phi
-                    worklist.append(target)
+            if use_counters:
+                remaining[i] -= 1
+                if remaining[i]:
+                    continue
+            else:
+                pending[i].discard(labels[node])
+                if pending[i]:
+                    continue
+            satisfied[i] = True
+            target = gamma[i].target
+            if target not in covered:
+                covered.add(target)
+                covered_by[target] = gamma[i]
+                worklist.append(target)
 
     # Edge cover: (u1, u2) is covered iff some satisfied φ targets one
     # endpoint while the other endpoint is a covered member of V̄_S^u
     # (then an S-labeled set containing it and only covered nodes exists).
-    edge_cover: set[tuple[int, int]] = set()
-    for edge in pattern.edges():
-        if _edge_covered(edge, gamma, satisfied, covered):
-            edge_cover.add(edge)
-
+    usable = [phi for phi, ok in zip(gamma, satisfied) if ok]
+    verified = {pair for phi in usable for member in phi.neighbours
+                if member in covered
+                for pair in ((member, phi.target), (phi.target, member))}
     return CoverResult(pattern=pattern, semantics=semantics,
-                       node_cover=covered, edge_cover=edge_cover,
-                       gamma=gamma, covered_by=covered_by, usable=satisfied)
-
-
-def _edge_covered(edge: tuple[int, int], gamma: list[ActualizedConstraint],
-                  satisfied: set[ActualizedConstraint],
-                  covered: set[int]) -> bool:
-    u1, u2 = edge
-    for phi in gamma:
-        if phi not in satisfied:
-            continue
-        if phi.target == u2 and u1 in phi.neighbours and u1 in covered:
-            return True
-        if phi.target == u1 and u2 in phi.neighbours and u2 in covered:
-            return True
-    return False
+                       node_cover=covered,
+                       edge_cover={e for e in pattern.edges() if e in verified},
+                       gamma=gamma, covered_by=covered_by, usable=set(usable))
 
 
 def edge_cover_witnesses(edge: tuple[int, int],

@@ -18,6 +18,13 @@ Two practical refinements, both noted in DESIGN.md:
 * **Edge checks** — after node fetches are fixed, each query edge is
   assigned its cheapest covering constraint for verification (the paper's
   "Building G_Q" step); the cost arithmetic matches Example 6.
+
+The loop runs over a per-pattern table built once from Γ: each target's
+actualized constraints with ``N`` and their neighbours pre-split per
+source label, the range hint of every node, and for every node the
+targets whose ``check`` reads its size, so a node is re-checked only
+after one of those sizes moved. The table changes no choice: the plan is
+the one the paper's loop produces, op for op.
 """
 
 from __future__ import annotations
@@ -25,12 +32,7 @@ from __future__ import annotations
 import math
 
 from repro.constraints.schema import AccessSchema
-from repro.core.actualized import (
-    SIMULATION,
-    SUBGRAPH,
-    ActualizedConstraint,
-    actualized_by_target,
-)
+from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.covers import compute_covers
 from repro.core.plan import (
     EDGE_VIA_INDEX,
@@ -69,63 +71,103 @@ def generate_plan(pattern: Pattern, schema: AccessSchema,
             uncovered_edges=covers.uncovered_edges)
 
     plan = QueryPlan(pattern=pattern, schema=schema, semantics=semantics)
-    by_target = actualized_by_target(covers.gamma)
-
-    size: dict[int, float] = {u: math.inf for u in pattern.nodes()}
-    fetched: dict[int, bool] = {u: False for u in pattern.nodes()}
-
-    def hint(node: int) -> float:
-        if not use_range_hints:
-            return math.inf
-        return pattern.predicate_of(node).max_distinct_values()
+    labels, predicates = pattern._labels, pattern._predicates
+    nodes = sorted(labels)
+    # Γ per target, each φ with N and its neighbours split per source
+    # label (in S's order; members in V̄'s iteration order, so ties break
+    # on the first member, as check(u) always has).
+    table: dict[int, list] = {}
+    # readers[v]: the targets whose check(u) reads size[v].
+    readers: dict[int, set[int]] = {u: set() for u in nodes}
+    for phi in covers.gamma:
+        groups = [(label, [v for v in phi.neighbours if labels[v] == label])
+                  for label in phi.constraint.source]
+        table.setdefault(phi.target, []).append(
+            (phi, float(phi.bound), groups))
+        for v in phi.neighbours:
+            readers[v].add(phi.target)
+    # size[u] is the worst-case |cmat(u)|; it is finite iff u is fetched.
+    size: dict[int, float] = dict.fromkeys(nodes, math.inf)
+    hint = {u: predicates[u].max_distinct_values() if use_range_hints
+            else math.inf for u in nodes}
 
     # Lines 2-6 of Fig. 4: seed from type (1) constraints.
-    for node in sorted(pattern.nodes()):
-        constraint = schema.type1_for(pattern.label_of(node))
+    for node in nodes:
+        constraint = schema.type1_for(labels[node])
         if constraint is None:
             continue
         bound = float(constraint.bound)
-        size[node] = min(bound, hint(node))
-        fetched[node] = True
+        size[node] = min(bound, hint[node])
         plan.ops.append(FetchOp(
             target=node, source_nodes=(), constraint=constraint,
-            predicate=pattern.predicate_of(node),
+            predicate=predicates[node],
             fetch_bound=bound, size_bound=size[node]))
 
-    # Lines 7-9: reduce until fixpoint (check/ocheck).
-    max_rounds = 4 * pattern.num_nodes * pattern.num_nodes + 4
+    # Lines 7-9: reduce until fixpoint. check(u) is the cheapest φ whose
+    # sources are all fetched, N · Π size[v] with the smallest fetched
+    # neighbour per source label (worst-case optimality). A node is
+    # re-checked only after a size it reads has changed: otherwise
+    # check(u) would repeat its last answer.
+    stale = {u for u in nodes if u in table}
+    max_rounds = 4 * len(nodes) * len(nodes) + 4
     for _ in range(max_rounds):
         improved = False
-        for node in sorted(pattern.nodes()):
-            choice = _best_fetch(node, by_target.get(node, ()), pattern,
-                                 size, fetched)
-            if choice is None:
+        for node in nodes:
+            if node not in stale:
                 continue
-            phi, sources, cost = choice
-            new_size = min(cost, hint(node), size[node])
+            stale.discard(node)
+            best = None
+            for phi, bound, groups in table.get(node, ()):
+                choice = _cheapest_sources(groups, size, bound)
+                if choice is not None and (best is None or choice[1] < best[2]):
+                    best = (phi, *choice)
+            if best is None:
+                continue
+            phi, sources, cost = best
+            new_size = min(cost, hint[node], size[node])
             if new_size >= size[node]:
                 continue
             size[node] = new_size
-            fetched[node] = True
+            stale |= readers[node]
             plan.ops.append(FetchOp(
                 target=node, source_nodes=sources, constraint=phi.constraint,
-                predicate=pattern.predicate_of(node),
+                predicate=predicates[node],
                 fetch_bound=cost, size_bound=new_size))
             improved = True
         if not improved:
             break
 
-    missing = [u for u in pattern.nodes() if not fetched[u]]
+    missing = [u for u in nodes if size[u] == math.inf]
     if missing:  # pragma: no cover - guarded by the cover check above
         raise NotEffectivelyBounded(
             f"no fetch operation derivable for nodes {missing}",
             uncovered_nodes=missing)
 
-    plan.edge_checks = [
-        _edge_check(edge, by_target, pattern, size, fetched,
-                    allow_probe_edges)
-        for edge in pattern.edges()
-    ]
+    # The paper's "Building G_Q": verify each edge through the cheapest φ
+    # that targets one endpoint and has the other, fetched, in V̄.
+    for edge in pattern.edges():
+        best = None
+        for target, other in ((edge[1], edge[0]), edge):
+            for phi, bound, groups in table.get(target, ()):
+                if other not in phi.neighbours:
+                    continue
+                choice = _cheapest_sources(groups, size, bound, other,
+                                           labels[other])
+                if choice is not None and (best is None or choice[1] < best[3]):
+                    best = (target, phi, *choice)
+        if best is not None:
+            target, phi, sources, cost = best
+            check = EdgeCheck(edge=edge, mode=EDGE_VIA_INDEX,
+                              fetch_target=target, source_nodes=sources,
+                              constraint=phi.constraint, cost_bound=cost)
+        elif allow_probe_edges:
+            check = EdgeCheck(edge=edge, mode=EDGE_VIA_PROBE,
+                              cost_bound=size[edge[0]] * size[edge[1]])
+        else:
+            raise NotEffectivelyBounded(
+                f"edge {edge} has no covering constraint",
+                uncovered_edges=[edge])
+        plan.edge_checks.append(check)
     return plan
 
 
@@ -140,82 +182,19 @@ def sqplan(pattern: Pattern, schema: AccessSchema, **kwargs) -> QueryPlan:
 
 
 # -- internals -------------------------------------------------------------------
-def _best_fetch(node: int, candidates, pattern: Pattern,
-                size: dict[int, float], fetched: dict[int, bool]):
-    """The paper's ``check(u)``: cheapest usable actualized constraint for
-    ``node``, returning ``(φ, canonical source tuple, cost)`` or None.
-
-    For each source label the minimum-size fetched neighbour is selected —
-    the choice minimizing ``N · Π size[v]`` (worst-case optimality)."""
-    best = None
-    for phi in candidates:
-        sources = _select_sources(phi, pattern, size, fetched)
-        if sources is None:
-            continue
-        cost = float(phi.bound)
-        for v in sources:
-            cost *= size[v]
-        if best is None or cost < best[2]:
-            best = (phi, sources, cost)
-    return best
-
-
-def _select_sources(phi: ActualizedConstraint, pattern: Pattern,
-                    size: dict[int, float], fetched: dict[int, bool],
-                    required: int | None = None) -> tuple[int, ...] | None:
-    """Pick one fetched neighbour per source label of ``phi`` (minimum
-    ``size`` each), optionally forcing ``required`` to be included.
-    Returns the tuple in the constraint's canonical label order, or None
-    if some label has no fetched representative."""
-    chosen: list[int] = []
-    placed_required = required is None
-    for label in phi.constraint.source:
-        if required is not None and pattern.label_of(required) == label:
-            if required not in phi.neighbours or not fetched[required]:
-                return None
-            chosen.append(required)
-            placed_required = True
-            continue
-        best_node = None
-        for v in phi.neighbours:
-            if pattern.label_of(v) != label or not fetched[v]:
-                continue
-            if best_node is None or size[v] < size[best_node]:
-                best_node = v
-        if best_node is None:
+def _cheapest_sources(groups, size: dict[int, float], bound: float,
+                      required: int | None = None,
+                      required_label: str | None = None):
+    """``(sources, N · Π size[v])`` with the first smallest-``size``
+    neighbour per source label — ``required`` for its own label — or None
+    when some label has no fetched representative."""
+    cost = bound
+    sources = []
+    for label, members in groups:
+        v = required if label == required_label \
+            else min(members, key=size.__getitem__)
+        if size[v] == math.inf:
             return None
-        chosen.append(best_node)
-    if not placed_required:
-        return None
-    return tuple(chosen)
-
-
-def _edge_check(edge: tuple[int, int], by_target, pattern: Pattern,
-                size: dict[int, float], fetched: dict[int, bool],
-                allow_probe: bool) -> EdgeCheck:
-    """Assign the cheapest covering constraint to verify ``edge``
-    (the paper's "Building G_Q": find φ_u' and an S-labeled set containing
-    the already-fetched endpoint, fetch common neighbours, intersect)."""
-    u1, u2 = edge
-    best: EdgeCheck | None = None
-    for target, other in ((u2, u1), (u1, u2)):
-        for phi in by_target.get(target, ()):
-            sources = _select_sources(phi, pattern, size, fetched,
-                                      required=other)
-            if sources is None:
-                continue
-            cost = float(phi.bound)
-            for v in sources:
-                cost *= size[v]
-            if best is None or cost < best.cost_bound:
-                best = EdgeCheck(edge=edge, mode=EDGE_VIA_INDEX,
-                                 fetch_target=target, source_nodes=sources,
-                                 constraint=phi.constraint, cost_bound=cost)
-    if best is not None:
-        return best
-    if not allow_probe:
-        raise NotEffectivelyBounded(
-            f"edge {edge} has no covering constraint",
-            uncovered_edges=[edge])
-    return EdgeCheck(edge=edge, mode=EDGE_VIA_PROBE,
-                     cost_bound=size[u1] * size[u2])
+        sources.append(v)
+        cost *= size[v]
+    return tuple(sources), cost

@@ -8,17 +8,22 @@ one rebuilt from scratch with different node ids) pays planning once.
 
 Canonical keys are computed by colour refinement (a directed 1-WL pass
 seeded with node labels + predicate atoms) followed by an exact
-minimisation over the permutations of still-tied nodes. Patterns here are
-tiny (the paper's workloads use 3–7 nodes), so the exact step is cheap;
-a guard falls back to an id-ordered key for adversarially symmetric
-patterns rather than enumerating huge permutation spaces.
+minimisation over the permutations of still-tied nodes. Colours are
+integer ranks: each round ranks the tuples ``(colour, sorted out-colours,
+sorted in-colours)``, which orders classes exactly as the nested tuples
+themselves would, without hashing them. A partition that is already
+discrete on the descriptors (the common case once nodes carry distinct
+``=`` constants) skips refinement. Patterns here are tiny (the paper's
+workloads use 3–7 nodes), so the exact step is cheap; a guard falls back
+to an id-ordered key for adversarially symmetric patterns rather than
+enumerating huge permutation spaces.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Hashable, Iterable
 
 from repro.pattern.pattern import Pattern
@@ -29,38 +34,12 @@ from repro.pattern.pattern import Pattern
 MAX_CANONICAL_ORDERS = 5040  # 7!
 
 
-def _node_descriptor(pattern: Pattern, node: int) -> tuple:
-    """Renaming-invariant description of one pattern node: its label plus
-    the (order-canonicalised) predicate atoms."""
-    predicate = pattern.predicate_of(node)
-    return (pattern.label_of(node),
-            tuple(sorted(str(atom) for atom in predicate.atoms)))
-
-
-def _refine_colors(pattern: Pattern) -> dict[int, tuple]:
-    """Directed colour refinement until the partition stabilises."""
-    colors: dict[int, Hashable] = {
-        u: _node_descriptor(pattern, u) for u in pattern.nodes()}
-    for _ in range(pattern.num_nodes):
-        refined = {
-            u: (colors[u],
-                tuple(sorted(colors[w] for w in pattern.out_neighbors(u))),
-                tuple(sorted(colors[w] for w in pattern.in_neighbors(u))))
-            for u in pattern.nodes()}
-        if len(set(refined.values())) == len(set(colors.values())):
-            colors = refined
-            break
-        colors = refined
-    return colors
-
-
-def _encode(pattern: Pattern, order: tuple[int, ...]) -> tuple:
-    """Encode the pattern with nodes renumbered to positions in ``order``."""
-    position = {node: i for i, node in enumerate(order)}
-    nodes = tuple(_node_descriptor(pattern, node) for node in order)
-    edges = tuple(sorted((position[u], position[v])
-                         for u, v in pattern.edges()))
-    return (nodes, edges)
+def _ranks(values: dict[int, Hashable]) -> tuple[dict[int, int], int]:
+    """``node -> rank of its value among the distinct values``, and the
+    number of distinct values."""
+    distinct = sorted(set(values.values()))
+    rank = {value: i for i, value in enumerate(distinct)}
+    return {u: rank[value] for u, value in values.items()}, len(distinct)
 
 
 def pattern_fingerprint(pattern: Pattern) -> tuple[tuple, tuple[int, ...]]:
@@ -84,30 +63,59 @@ def pattern_fingerprint(pattern: Pattern) -> tuple[tuple, tuple[int, ...]]:
 
 
 def _compute_fingerprint(pattern: Pattern) -> tuple[tuple, tuple[int, ...]]:
-    colors = _refine_colors(pattern)
-    classes: dict[Hashable, list[int]] = {}
-    for node in sorted(pattern.nodes()):
-        classes.setdefault(colors[node], []).append(node)
-    ordered_classes = [classes[color] for color in sorted(classes)]
+    labels, predicates = pattern._labels, pattern._predicates
+    nodes = sorted(labels)
+    # A node's descriptor: its label plus its order-canonicalised atoms.
+    descriptor = {u: (labels[u], tuple(sorted(map(str, predicates[u].atoms))))
+                  for u in nodes}
+    edges = list(pattern.edges())
+    if len(set(descriptor.values())) == len(nodes):
+        # Discrete already: refinement only appends to distinct colours,
+        # so the canonical order is the descriptor order.
+        order = tuple(sorted(nodes, key=descriptor.__getitem__))
+    else:
+        order = _tied_order(pattern, nodes, descriptor, edges)
+    return (tuple(descriptor[u] for u in order),
+            _encode_edges(edges, order)), order
+
+
+def _tied_order(pattern: Pattern, nodes: list[int], descriptor: dict,
+                edges: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Refine the colours, then pick the least edge encoding over the
+    permutations of each colour class."""
+    colour, count = _ranks(descriptor)
+    out, into = pattern._out, pattern._in
+    for _ in nodes:  # directed refinement until the partition is stable
+        colour, refined = _ranks({
+            u: (c, tuple(sorted([colour[w] for w in out[u]])),
+                tuple(sorted([colour[w] for w in into[u]])))
+            for u, c in colour.items()})
+        if refined == count:
+            break
+        count = refined
+    classes: list[list[int]] = [[] for _ in range(count)]
+    for u in nodes:
+        classes[colour[u]].append(u)
 
     total_orders = 1
-    for members in ordered_classes:
+    for members in classes:
         for k in range(2, len(members) + 1):
             total_orders *= k
         if total_orders > MAX_CANONICAL_ORDERS:
             # Too symmetric for the exact step: stable id-ordered fallback
             # (identical resubmissions still hit; renumbered clones miss).
-            order = tuple(sorted(pattern.nodes()))
-            return _encode(pattern, order), order
+            return tuple(nodes)
+    # Tied nodes share a descriptor, so every arrangement encodes the same
+    # node part: the first least edge tuple decides.
+    best = min(product(*map(permutations, classes)),
+               key=lambda arrangement: _encode_edges(edges, chain(*arrangement)))
+    return tuple(chain(*best))
 
-    best_key, best_order = None, None
-    for arrangement in product(*(permutations(members)
-                                 for members in ordered_classes)):
-        order = tuple(node for members in arrangement for node in members)
-        key = _encode(pattern, order)
-        if best_key is None or key < best_key:
-            best_key, best_order = key, order
-    return best_key, best_order
+
+def _encode_edges(edges: list[tuple[int, int]], order) -> tuple:
+    """The pattern's edges renumbered to positions in ``order``."""
+    position = {u: i for i, u in enumerate(order)}
+    return tuple(sorted([(position[u], position[v]) for u, v in edges]))
 
 
 class PlanCache:

@@ -16,7 +16,11 @@ Example — the paper's Q0 (Fig. 1):
     a -> c;  s -> c
     y.value >= 2011;  y.value <= 2013
 
-Comments start with ``#`` and run to end of line.
+Comments start with ``#`` and run to end of line. A constant is a
+quoted string (``"..."`` or ``'...'``; a backslash escapes the next
+character, and ``\\n``, ``\\t``, ``\\r``, ``\\uXXXX`` and
+``\\UXXXXXXXX`` name characters), ``True`` / ``False``, an int or a
+float; ``;`` and ``#`` inside a quoted string are part of it.
 """
 
 from __future__ import annotations
@@ -27,10 +31,20 @@ from repro.errors import DslError
 from repro.pattern.pattern import Pattern
 from repro.pattern.predicates import Atom, Predicate
 
-_NODE_RE = re.compile(r"^(?P<name>\w+)\s*:\s*(?P<label>[\w./-]+)$")
-_EDGE_RE = re.compile(r"^\w+(\s*->\s*\w+)+$")
-_PRED_RE = re.compile(
-    r"^(?P<name>\w+)\.value\s*(?P<op>=|!=|<=|>=|<|>)\s*(?P<constant>.+)$")
+#: The three statement kinds; no statement can match two of them.
+_STATEMENT_RE = re.compile(
+    r"^(?:(?P<name>\w+)\s*:\s*(?P<label>[\w./-]+)"
+    r"|(?P<subject>\w+)\.value\s*(?P<op>=|!=|<=|>=|<|>)\s*(?P<constant>.+)"
+    r"|(?P<edge>\w+(?:\s*->\s*\w+)+))$")
+_ARROW_RE = re.compile(r"\s*->\s*")
+#: One statement of a line with quotes: unquoted text and quoted strings
+#: (an unterminated one runs to the end of the line).
+_CHUNK_RE = re.compile(
+    r"""(?:[^;#"']+|"(?:[^"\\]|\\.?)*"?|'(?:[^'\\]|\\.?)*'?)*""")
+_STRING_RE = re.compile(r""""(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*'""", re.S)
+_ESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.)", re.S)
+_UNESCAPED = {"n": "\n", "t": "\t", "r": "\r"}
+_ESCAPED = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
 def parse_pattern(text: str, name: str = "") -> Pattern:
@@ -42,51 +56,79 @@ def parse_pattern(text: str, name: str = "") -> Pattern:
     pattern = Pattern(name=name)
     ids: dict[str, int] = {}
     pending_predicates: list[tuple[str, Atom, int]] = []
-
-    statements = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        for statement in line.split(";"):
-            statement = statement.strip()
-            if statement:
-                statements.append((lineno, statement))
-
+    statements = enumerate(text.splitlines(), start=1)
+    if ";" in text or "#" in text:
+        statements = [(lineno, statement) for lineno, line in statements
+                      for statement in _split_line(line)]
     for lineno, statement in statements:
-        node_match = _NODE_RE.match(statement)
-        if node_match:
-            node_name = node_match.group("name")
+        statement = statement.strip()
+        if not statement:
+            continue
+        match = _STATEMENT_RE.match(statement)
+        if match is None:
+            raise DslError(
+                f"line {lineno}: cannot parse statement {statement!r}")
+        node_name, label, subject, op, constant, _ = match.groups()
+        if label is not None:
             if node_name in ids:
-                raise DslError(f"line {lineno}: node {node_name!r} declared twice")
-            ids[node_name] = pattern.add_node(node_match.group("label"))
-            continue
-
-        pred_match = _PRED_RE.match(statement)
-        if pred_match:
-            constant = _parse_constant(pred_match.group("constant"), lineno)
-            atom = Atom(pred_match.group("op"), constant)
-            pending_predicates.append((pred_match.group("name"), atom, lineno))
-            continue
-
-        if _EDGE_RE.match(statement):
-            chain = [part.strip() for part in statement.split("->")]
+                raise DslError(
+                    f"line {lineno}: node {node_name!r} declared twice")
+            ids[node_name] = pattern.add_node(label)
+        elif op is not None:
+            atom = Atom(op, _parse_constant(constant, lineno))
+            pending_predicates.append((subject, atom, lineno))
+        else:
+            chain = _ARROW_RE.split(statement)
             for source, target in zip(chain, chain[1:]):
                 for endpoint in (source, target):
                     if endpoint not in ids:
                         raise DslError(
-                            f"line {lineno}: edge references undeclared node {endpoint!r}")
+                            f"line {lineno}: edge references undeclared "
+                            f"node {endpoint!r}")
                 pattern.add_edge(ids[source], ids[target])
-            continue
 
-        raise DslError(f"line {lineno}: cannot parse statement {statement!r}")
-
+    atoms: dict[int, list[Atom]] = {}
     for node_name, atom, lineno in pending_predicates:
         if node_name not in ids:
             raise DslError(
                 f"line {lineno}: predicate references undeclared node {node_name!r}")
-        node = ids[node_name]
-        pattern.set_predicate(node, pattern.predicate_of(node).and_(Predicate((atom,))))
-
+        atoms.setdefault(ids[node_name], []).append(atom)
+    for node, node_atoms in atoms.items():
+        pattern.set_predicate(node, Predicate(tuple(node_atoms)))
     return pattern
+
+
+def _split_line(line: str) -> list[str]:
+    """The statements of one line: split at ``;`` up to a ``#`` comment,
+    where neither counts inside a quoted string."""
+    if '"' not in line and "'" not in line:
+        return line.split("#", 1)[0].split(";")
+    parts = []
+    start = 0
+    while True:
+        end = _CHUNK_RE.match(line, start).end()
+        parts.append(line[start:end])
+        if end == len(line) or line[end] == "#":
+            return parts
+        start = end + 1
+
+
+def _unescape(match: re.Match) -> str:
+    code = match.group(1)
+    return chr(int(code[1:], 16)) if len(code) > 1 \
+        else _UNESCAPED.get(code, code)
+
+
+def _quote(text: str) -> str:
+    """``text`` as a DSL string constant: plain printable text is only
+    wrapped in quotes, anything else is escaped."""
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(
+        _ESCAPED.get(ch) or (ch if ch.isprintable() else
+                             f"\\u{ord(ch):04x}" if ord(ch) < 0x10000
+                             else f"\\U{ord(ch):08x}")
+        for ch in text) + '"'
 
 
 def _parse_constant(raw: str, lineno: int):
@@ -94,9 +136,15 @@ def _parse_constant(raw: str, lineno: int):
     if not raw:
         raise DslError(f"line {lineno}: empty predicate constant")
     if raw[0] in "\"'":
-        if len(raw) < 2 or raw[-1] != raw[0]:
+        body = raw[1:-1]
+        if len(raw) > 1 and raw[-1] == raw[0] and raw[0] not in body \
+                and "\\" not in body:
+            return body
+        if _STRING_RE.fullmatch(raw) is None:
             raise DslError(f"line {lineno}: unterminated string constant {raw!r}")
-        return raw[1:-1]
+        return _ESCAPE_RE.sub(_unescape, body)
+    if raw in ("True", "False"):
+        return raw == "True"
     try:
         return int(raw)
     except ValueError:
@@ -118,6 +166,7 @@ def format_pattern(pattern: Pattern) -> str:
     for node in sorted(pattern.nodes()):
         for atom in pattern.predicate_of(node).atoms:
             constant = atom.constant
-            rendered = f'"{constant}"' if isinstance(constant, str) else repr(constant)
+            rendered = _quote(constant) if isinstance(constant, str) \
+                else repr(constant)
             lines.append(f"{names[node]}.value {atom.op} {rendered}")
     return "\n".join(lines)

@@ -7,9 +7,7 @@ from repro.core.actualized import (
     SIMULATION,
     SUBGRAPH,
     actualize,
-    actualized_by_target,
     check_semantics,
-    inverted_index,
     neighbour_pool,
 )
 from repro.errors import PatternError
@@ -93,14 +91,6 @@ class TestHelpers:
         check_semantics(SIMULATION)
         with pytest.raises(PatternError):
             check_semantics("bisimulation")
-
-    def test_by_target_and_inverted(self, q0, a0_schema):
-        gamma = actualize(q0, a0_schema, SUBGRAPH)
-        by_target = actualized_by_target(gamma)
-        assert set(by_target) == {2, 3, 4, 5}
-        inv = inverted_index(gamma)
-        # movie (2) appears in the neighbour sets of actor and actress.
-        assert {phi.target for phi in inv[2]} == {3, 4}
 
     def test_str(self, q0, a0_schema):
         gamma = actualize(q0, a0_schema, SUBGRAPH)

@@ -1,9 +1,13 @@
 """Tests for the pattern text DSL."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine.cache import pattern_fingerprint
 from repro.errors import DslError
-from repro.pattern import format_pattern, parse_pattern
+from repro.pattern import Pattern, format_pattern, parse_pattern
+from repro.pattern.predicates import Predicate
 from tests.conftest import Q0_TEXT
 
 
@@ -88,3 +92,55 @@ class TestFormat:
     def test_string_constants_quoted(self):
         q = parse_pattern('c: country; c.value = "uk"')
         assert '"uk"' in format_pattern(q)
+
+    def test_plain_strings_render_unescaped(self):
+        q = parse_pattern('a: actor; a.value = "actor_24"')
+        assert format_pattern(q) == 'n0: actor\nn0.value = "actor_24"'
+
+    @pytest.mark.parametrize("constant", [
+        "a;b", "a#b", "x\ny", 'say "hi"', "back\\slash", "tab\there",
+        "\u2028", "", True, False, 1, 1.0, -0.0, "1", "True"])
+    def test_constants_round_trip(self, constant):
+        q = Pattern()
+        q.add_node("A", Predicate.of(("=", constant)))
+        atom = parse_pattern(format_pattern(q)).predicate_of(0).atoms[0]
+        assert type(atom.constant) is type(constant)
+        assert repr(atom.constant) == repr(constant)
+
+    def test_quotes_protect_separators_not_comments_outside(self):
+        q = parse_pattern('a: A; a.value = "x;#y" # a "comment"; b: B')
+        assert q.num_nodes == 1
+        assert q.predicate_of(0).atoms[0].constant == "x;#y"
+
+    def test_bools_parse_as_bools(self):
+        q = parse_pattern("a: A; a.value = True")
+        assert q.predicate_of(0).atoms[0].constant is True
+
+
+_CONSTANTS = st.one_of(st.text(), st.integers(), st.booleans(),
+                       st.floats())
+
+
+@st.composite
+def _patterns(draw):
+    q = Pattern()
+    for _ in range(draw(st.integers(1, 4))):
+        atoms = draw(st.lists(st.tuples(
+            st.sampled_from(("=", "!=", "<", "<=", ">", ">=")), _CONSTANTS),
+            max_size=3))
+        q.add_node(draw(st.sampled_from(("A", "B", "c.d/e-f"))),
+                   Predicate.of(*atoms))
+    nodes = sorted(q.nodes())
+    for u, v in draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                        st.sampled_from(nodes)), unique=True)):
+        q.add_edge(u, v)
+    return q
+
+
+@given(q=_patterns())
+@settings(max_examples=200, deadline=None)
+def test_format_parse_round_trip_keeps_the_key(q):
+    """Any str / int / float / bool constant survives the text a client
+    sends, so the served pattern has the submitted pattern's key."""
+    assert pattern_fingerprint(parse_pattern(format_pattern(q)))[0] == \
+        pattern_fingerprint(q)[0]
