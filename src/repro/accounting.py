@@ -5,14 +5,45 @@ library threads an :class:`AccessStats` recorder through every index fetch
 and adjacency probe. Benchmarks use it to report ``|accessed| / |G|``
 (Fig. 5(d,h,l) of the paper) and tests use it to verify the worst-case
 bounds computed by query plans.
+
+The distinct nodes an execution saw are kept as int64 arrays from the
+index payload on: each fetch appends the id array it returned (the
+kernels and the scatter executor hand over their payload arrays as they
+are), and the sorted distinct ids are built only when someone reads
+them (:meth:`AccessStats.seen_ids`, ``distinct_nodes``). No Python int
+is made per fetched node. A session's running total is a
+:class:`SessionStats`: every execution is folded into a bool bitmap
+over the published graph's node ids ``0 … n-1``, with any id outside
+that range (a sparse or negative id) in a small overflow array, so the
+session total is exact on every graph at one byte per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
-@dataclass
+from repro.util.arrays import sorted_unique
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.setflags(write=False)
+
+#: Pending ids that make an :class:`AccessStats` fold its id arrays into
+#: one sorted distinct array (at least this many, or twice the last
+#: fold): a recorder reused across many executions stays proportional
+#: to the distinct nodes it saw.
+_FOLD_AT = 1 << 16
+
+
+def _as_ids(nodes):
+    """``nodes`` as a 1-d int64 array (an int64 array passes as it is)."""
+    if isinstance(nodes, np.ndarray) and nodes.dtype == np.int64:
+        return nodes
+    return np.fromiter(nodes, dtype=np.int64)
+
+
+@dataclass(eq=False)
 class AccessStats:
     """Counters for one query evaluation.
 
@@ -27,11 +58,14 @@ class AccessStats:
     index_fetches:
         Number of index fetch operations issued.
     distinct_nodes:
-        Distinct data nodes seen across all fetches.
+        Distinct data nodes seen across all fetches (``len(seen_ids())``).
     plan_cache_hits / plan_cache_misses:
         Plan-cache outcomes recorded by the
         :class:`~repro.engine.engine.QueryEngine` while preparing queries.
         Zero outside engine workloads.
+
+    Two recorders are equal when every counter and :meth:`seen_ids`
+    are.
     """
 
     nodes_fetched: int = 0
@@ -39,11 +73,22 @@ class AccessStats:
     index_fetches: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    _seen: set = field(default_factory=set, repr=False)
+    #: The recorded id arrays, duplicates and all; after a fold, one
+    #: sorted distinct array followed by what came since.
+    _ids: list = field(default_factory=list, init=False, repr=False)
+    #: Ids appended since the last fold, and the count that folds them.
+    _pending: int = field(default=0, init=False, repr=False)
+    _fold_at: int = field(default=_FOLD_AT, init=False, repr=False)
 
     @property
     def distinct_nodes(self) -> int:
-        return len(self._seen)
+        return len(self.seen_ids())
+
+    def seen_ids(self):
+        """The distinct node ids seen, as a sorted int64 array."""
+        if self._pending:
+            self._fold()
+        return self._ids[0] if self._ids else _NO_IDS
 
     @property
     def total_accessed(self) -> int:
@@ -52,12 +97,10 @@ class AccessStats:
 
     def record_fetch(self, nodes) -> None:
         """Record one index fetch returning ``nodes``."""
+        ids = _as_ids(nodes)
         self.index_fetches += 1
-        count = 0
-        for node in nodes:
-            count += 1
-            self._seen.add(node)
-        self.nodes_fetched += count
+        self.nodes_fetched += len(ids)
+        self._note(ids)
 
     def record_edge_checks(self, count: int) -> None:
         self.edges_checked += count
@@ -66,29 +109,27 @@ class AccessStats:
         """Record an index fetch issued to *verify edges*: the fetched
         entries count as edge examinations (the paper's Example 1 counts
         them this way), not as node fetches."""
+        ids = _as_ids(nodes)
         self.index_fetches += 1
-        count = 0
-        for node in nodes:
-            count += 1
-            self._seen.add(node)
-        self.edges_checked += count
+        self.edges_checked += len(ids)
+        self._note(ids)
 
-    def record_fetch_batch(self, fetches: int, nodes: int, seen) -> None:
-        """Record ``fetches`` index fetches returning ``nodes`` entries in
-        total, with ``seen`` the distinct-node update (an iterable of the
-        fetched node ids). Totals are identical to ``fetches`` individual
-        :meth:`record_fetch` calls — the vectorized executor uses this to
-        reproduce, not approximate, the sequential accounting."""
+    def record_fetch_batch(self, fetches: int, ids) -> None:
+        """Record ``fetches`` index fetches that returned the int64 array
+        ``ids`` between them (duplicates included). Totals are identical
+        to ``fetches`` individual :meth:`record_fetch` calls — the
+        vectorized executors use this to reproduce, not approximate, the
+        sequential accounting."""
         self.index_fetches += fetches
-        self.nodes_fetched += nodes
-        self._seen.update(seen)
+        self.nodes_fetched += len(ids)
+        self._note(ids)
 
-    def record_edge_fetch_batch(self, fetches: int, edges: int, seen) -> None:
+    def record_edge_fetch_batch(self, fetches: int, ids) -> None:
         """Batch form of :meth:`record_edge_fetch`: ``fetches`` edge-phase
-        index fetches returning ``edges`` entries in total."""
+        index fetches that returned the int64 array ``ids``."""
         self.index_fetches += fetches
-        self.edges_checked += edges
-        self._seen.update(seen)
+        self.edges_checked += len(ids)
+        self._note(ids)
 
     def record_cache_hit(self) -> None:
         """Record one plan-cache hit (a prepare served without planning)."""
@@ -105,7 +146,36 @@ class AccessStats:
         self.index_fetches += other.index_fetches
         self.plan_cache_hits += other.plan_cache_hits
         self.plan_cache_misses += other.plan_cache_misses
-        self._seen |= other._seen
+        self._absorb(other._id_arrays())
+
+    # -- the id record ---------------------------------------------------------
+    def _note(self, ids) -> None:
+        if len(ids):
+            self._ids.append(ids)
+            self._pending += len(ids)
+            if self._pending >= self._fold_at:
+                self._fold()
+
+    def _absorb(self, arrays) -> None:
+        for ids in arrays:
+            self._note(ids)
+
+    def _id_arrays(self) -> list:
+        """Arrays whose union is the distinct ids seen (shared, not
+        copied: recorded arrays are never written to)."""
+        return self._ids
+
+    def _fold(self) -> None:
+        folded = sorted_unique(np.concatenate(self._ids))
+        self._ids = [folded]
+        self._pending = 0
+        self._fold_at = max(_FOLD_AT, 2 * len(folded))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AccessStats):
+            return NotImplemented
+        return (self.as_dict() == other.as_dict()
+                and np.array_equal(self.seen_ids(), other.seen_ids()))
 
     def as_dict(self) -> dict:
         return {
@@ -117,3 +187,66 @@ class AccessStats:
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
         }
+
+
+class SessionStats(AccessStats):
+    """A session's running total (``QueryEngine.stats``): the same
+    counters, with the distinct ids folded into a bool bitmap over node
+    ids ``0 … size-1`` instead of kept as arrays. Ids outside that range
+    go to a sorted overflow array, so the total is exact on any graph;
+    a session grows the bitmap (:meth:`grow`) when it publishes a
+    larger graph. Not thread-safe: the engine folds under its stats
+    lock."""
+
+    def __init__(self, size: int = 0):
+        super().__init__()
+        self._bitmap = np.zeros(size, dtype=bool)
+        self._overflow = _NO_IDS
+
+    @property
+    def distinct_nodes(self) -> int:
+        return int(np.count_nonzero(self._bitmap)) + len(self._overflow)
+
+    def seen_ids(self):
+        inside = np.flatnonzero(self._bitmap)
+        if not len(self._overflow):
+            return inside
+        return np.sort(np.concatenate((inside, self._overflow)))
+
+    def grow(self, size: int) -> None:
+        """Cover node ids ``0 … size-1``; overflow ids now inside move
+        into the bitmap."""
+        if size <= len(self._bitmap):
+            return
+        bitmap = np.zeros(size, dtype=bool)
+        bitmap[:len(self._bitmap)] = self._bitmap
+        self._bitmap = bitmap
+        overflow, self._overflow = self._overflow, _NO_IDS
+        self._absorb([overflow])
+
+    def _note(self, ids) -> None:
+        self._absorb([ids])
+
+    def _absorb(self, arrays) -> None:
+        if not arrays:
+            return
+        ids = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        if not len(ids):
+            return
+        bitmap = self._bitmap
+        # Viewed unsigned, a negative id is larger than any size: one
+        # reduction checks both ends of the range.
+        unsigned = ids.view(np.uint64)
+        if unsigned.max() < len(bitmap):
+            bitmap[ids] = True
+            return
+        inside = unsigned < len(bitmap)
+        bitmap[ids[inside]] = True
+        self._overflow = sorted_unique(
+            np.concatenate((self._overflow, ids[~inside])))
+
+    def _id_arrays(self) -> list:
+        return [self.seen_ids()]
+
+
+__all__ = ["AccessStats", "SessionStats"]

@@ -446,8 +446,7 @@ class _ScatterExecution:
             zip([(cpos, combo) for combo in combos], fragments))
         parts = [part for parts in fragments for part in parts]
         fetched = _concat([ids for ids, _ in parts])
-        self.stats.record_fetch_batch(len(combos), len(fetched),
-                                      fetched.tolist())
+        self.stats.record_fetch_batch(len(combos), fetched)
         op, op_combos = self.pending_op
         self.pending_op = None
         if len(op_combos) != len(combos):  # the rest were memo hits
@@ -493,8 +492,7 @@ class _ScatterExecution:
         for combo, parts in zip(combos, fragments):
             self.edge_memo[(cpos, combo)] = parts
         fetched = _concat([ws for parts in fragments for ws, _ in parts])
-        self.stats.record_edge_fetch_batch(len(combos), len(fetched),
-                                           fetched.tolist())
+        self.stats.record_edge_fetch_batch(len(combos), fetched)
 
     def deliver_probe(self, checked, found) -> None:
         self.edges.extend((pairs[:, 0], pairs[:, 1]) for pairs in found)

@@ -22,10 +22,11 @@ unrecorded, and node/edge phases keep separate memos. The kernels keep a
 per-phase, per-constraint *seen-combo* set (a sorted packed array)
 instead of a payload memo — the index is immutable, so re-probing a seen
 combo returns exactly what the memo held, and only unseen combos are
-recorded. Answers, candidate sets, ``G_Q`` and every ``AccessStats``
-counter (including the distinct-node set) are therefore byte-identical
-to :func:`~repro.core.executor.execute_plan`; the property suite in
-``tests/test_kernels.py`` pins this.
+recorded, by handing the fetched payload array to the recorder as it
+is. Answers, candidate sets, ``G_Q`` and every ``AccessStats`` counter
+(including the distinct ids, ``seen_ids()``) are therefore
+byte-identical to :func:`~repro.core.executor.execute_plan`; the
+property suite in ``tests/test_kernels.py`` pins this.
 
 Everything here reads what every session holds: a
 :class:`~repro.graph.frozen.FrozenGraph` snapshot (whose ``array('q')``
@@ -418,9 +419,10 @@ class _SeenCombos:
 
     def add(self, packed_combos):
         if self.packed is None:
-            self.packed = np.unique(packed_combos)
+            self.packed = sorted_unique(packed_combos)
         else:
-            self.packed = np.union1d(self.packed, packed_combos)
+            self.packed = sorted_unique(
+                np.concatenate((self.packed, packed_combos)))
 
 
 # ------------------------------------------------------------------- node phase
@@ -454,12 +456,12 @@ def _batched_fetch(context: "KernelContext", constraint, combos, packed,
     The probe itself is a pure lookup into an immutable index, so its
     result is cached on the session keyed by ``(constraint, packed
     combo bytes)`` — a repeated query pays a dict hit. The *recording*
-    (counters and the distinct-node set) is computed fresh against this
+    (counters and the distinct-node ids) is computed fresh against this
     execution's stats. Returns the cache entry ``[starts, lengths,
-    payload, gathered, gathered_list, unique_payload_or_None,
-    unique_packed_or_None]``: ``payload`` is the index's whole buffer
-    that ``starts``/``lengths`` index into; ``gathered`` is the
-    per-combo concatenation in combo order.
+    payload, gathered, unique_payload_or_None, unique_packed_or_None]``:
+    ``payload`` is the index's whole buffer that ``starts``/``lengths``
+    index into; ``gathered`` is the per-combo concatenation in combo
+    order.
     """
     key = (constraint, packed.tobytes())
     entry = context.fetch_cache.get(key)
@@ -467,33 +469,27 @@ def _batched_fetch(context: "KernelContext", constraint, combos, packed,
         index = context.schema_index.index_for(constraint)
         starts, lengths, payload = index.fetch_many(combos, packed)
         gathered = take_segments(payload, starts, lengths)
-        entry = [starts, lengths, payload, gathered, gathered.tolist(),
-                 None, None]
+        entry = [starts, lengths, payload, gathered, None, None]
         context.fetch_cache[key] = entry
-    starts, lengths, payload, _, gathered_list = entry[:5]
+    starts, lengths, payload, gathered = entry[:4]
     if seen.packed is None:  # first fetch per (phase, constraint):
         new_count = len(packed)  # everything is new, skip the mask
     else:
         new = seen.new_mask(packed)
         new_count = int(new.sum())
     if new_count:
-        if new_count == len(packed):
-            fetched = len(gathered_list)
-            recorded = gathered_list
-        else:
-            fetched = int(lengths[new].sum())
-            recorded = take_segments(payload, starts[new],
-                                     lengths[new]).tolist()
+        recorded = gathered if new_count == len(packed) \
+            else take_segments(payload, starts[new], lengths[new])
         if edge_phase:
-            stats.record_edge_fetch_batch(new_count, fetched, recorded)
+            stats.record_edge_fetch_batch(new_count, recorded)
         else:
-            stats.record_fetch_batch(new_count, fetched, recorded)
+            stats.record_fetch_batch(new_count, recorded)
         if seen.packed is None:
             # First add for this (phase, constraint): the sorted-unique
             # form is a pure function of the batch — serve it cached.
-            unique_packed = entry[6]
+            unique_packed = entry[5]
             if unique_packed is None:
-                unique_packed = entry[6] = np.unique(packed)
+                unique_packed = entry[5] = sorted_unique(packed)
             seen.packed = unique_packed
         else:
             seen.add(packed)
@@ -515,12 +511,12 @@ def _initial_op(context: KernelContext, op, stats: AccessStats,
         else:
             kernel = context.graph_kernel
             found = payload[kernel.predicate_mask(op.predicate, payload)]
-        entry = (len(payload), payload.tolist(), found)
+        entry = (payload, found)
         context.initial_cache[cache_key] = entry
-    payload_count, payload_list, found = entry
+    payload, found = entry
     if op.constraint not in seen_initial:
         seen_initial.add(op.constraint)
-        stats.record_fetch_batch(1, payload_count, payload_list)
+        stats.record_fetch_batch(1, payload)
     return found
 
 
@@ -539,9 +535,10 @@ def _index_edge_vec(check, candidates: dict, context: KernelContext,
                     stats: AccessStats, seen_edge: dict, edges: list):
     """Vectorized index-driven edge verification (the paper's method)."""
     target_pool, other_pos, forward = _edge_check_geometry(check, candidates)
-    combos = _combo_matrix(_source_pools(check, candidates))
-    if len(combos) == 0:
+    pools = _source_pools(check, candidates)
+    if not all(map(len, pools)):
         return
+    combos = _combo_matrix(pools)
     packed = pack_matrix(combos)
     seen = seen_edge.setdefault(check.constraint, _SeenCombos())
     entry = _batched_fetch(context, check.constraint, combos, packed,
@@ -589,18 +586,19 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
         if op.is_initial:
             found = _initial_op(context, op, stats, seen_initial)
         else:
-            combos = _combo_matrix(_source_pools(op, candidates))
-            if len(combos) == 0:
+            pools = _source_pools(op, candidates)
+            if not all(map(len, pools)):
                 found = kernel.ids[:0]
             else:
+                combos = _combo_matrix(pools)
                 packed = pack_matrix(combos)
                 seen = seen_node.setdefault(op.constraint, _SeenCombos())
                 entry = _batched_fetch(context, op.constraint, combos,
                                        packed, stats, seen,
                                        edge_phase=False)
-                if entry[5] is None:
-                    entry[5] = np.unique(entry[3])
-                raw = entry[5]
+                if entry[4] is None:
+                    entry[4] = sorted_unique(entry[3])
+                raw = entry[4]
                 if op.predicate.is_trivial or len(raw) == 0:
                     found = raw
                 else:

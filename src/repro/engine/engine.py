@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.accounting import AccessStats
+from repro.accounting import AccessStats, SessionStats
 from repro.constraints.catalog import SchemaCatalog
 from repro.constraints.index import SchemaIndex, build_frozen_indexes
 from repro.constraints.maintenance import MaintenanceReport, apply_delta
@@ -254,6 +254,7 @@ class QueryEngine:
         #: The published generation: the graph is ``_schema_index.graph``,
         #: so one attribute store swaps both.
         self._schema_index = schema_index
+        self.stats.grow(schema_index.graph.num_nodes)
 
     def _init_session(self, schema, plan_cache, cache_size: int,
                       shards=None, summary=None) -> None:
@@ -263,7 +264,10 @@ class QueryEngine:
         # path, preserving recorded generations).
         self._catalog = schema if isinstance(schema, SchemaCatalog) \
             else SchemaCatalog(schema)
-        self.stats = AccessStats()
+        #: The session's running total; its distinct ids are a bitmap
+        #: over the served graph's node ids.
+        self.stats = SessionStats(
+            0 if summary is None else summary.num_nodes)
         #: Shard backend and partition summary of a sharded session
         #: (None for ordinary sessions); see :meth:`_assemble_from_shards`.
         self._shards, self._summary = shards, summary
@@ -581,6 +585,8 @@ class QueryEngine:
                 persist.mark_stale(self.artifact_path,
                                    f"graph delta applied at generation "
                                    f"{self._generation + 1}")
+            with self._stats_lock:
+                self.stats.grow(schema_index.graph.num_nodes)
             self._schema_index = schema_index
             self._generation += 1
         return report
@@ -672,9 +678,10 @@ class QueryEngine:
 
     def _account(self, run_stats: AccessStats,
                  caller_stats: AccessStats | None) -> None:
-        """Fold one execution's accounting into the session totals and,
-        when given, the caller's recorder. The session merge is locked:
-        concurrent worker threads must not lose counts."""
+        """Fold one execution's accounting into the session totals (its
+        ids into the session bitmap) and, when given, the caller's
+        recorder. The session merge is locked: concurrent worker threads
+        must not lose counts."""
         with self._stats_lock:
             self.stats.merge(run_stats)
         if caller_stats is not None and caller_stats is not self.stats:

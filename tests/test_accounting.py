@@ -1,6 +1,13 @@
-"""Tests for access accounting."""
+"""Tests for access accounting: the per-execution array record and the
+session's bitmap total, checked against plain Python-set oracles."""
 
-from repro.accounting import AccessStats
+import pickle
+
+import numpy as np
+
+from repro import AccessConstraint, AccessSchema, Graph, GraphDelta, connect
+from repro.accounting import AccessStats, SessionStats
+from repro.pattern import parse_pattern
 
 
 class TestAccessStats:
@@ -63,3 +70,156 @@ class TestAccessStats:
                                 "index_fetches", "distinct_nodes",
                                 "total_accessed", "plan_cache_hits",
                                 "plan_cache_misses"}
+
+    def test_seen_ids_are_sorted_distinct_int64(self):
+        stats = AccessStats()
+        stats.record_fetch((5, 1, 5))
+        stats.record_fetch_batch(2, np.array([3, 1, -2], dtype=np.int64))
+        stats.record_edge_fetch_batch(1, np.array([7], dtype=np.int64))
+        ids = stats.seen_ids()
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [-2, 1, 3, 5, 7]
+        assert stats.distinct_nodes == 5
+        assert (stats.nodes_fetched, stats.edges_checked,
+                stats.index_fetches) == (6, 1, 4)
+
+    def test_equality_compares_counters_and_ids(self):
+        a, b = AccessStats(), AccessStats()
+        a.record_fetch([1, 2])
+        b.record_fetch([2, 1])
+        assert a == b
+        b.record_fetch_batch(0, np.empty(0, dtype=np.int64))
+        assert a == b
+        c = AccessStats()
+        c.record_fetch([1, 3])
+        assert a != c                     # same counters, other ids
+        assert a != "stats"
+
+    def test_pickle_round_trip(self):
+        stats = AccessStats()
+        stats.record_fetch([4, 2, 4])
+        stats.record_edge_checks(3)
+        assert pickle.loads(pickle.dumps(stats)) == stats
+        session = SessionStats(4)
+        session.merge(stats)
+        again = pickle.loads(pickle.dumps(session))
+        assert again == session
+        assert again.seen_ids().tolist() == [2, 4]
+
+    def test_a_reused_recorder_folds_its_arrays(self):
+        """A recorder fed many executions keeps its distinct ids, not
+        every array it was handed."""
+        stats = AccessStats()
+        chunk = np.arange(1000, dtype=np.int64)
+        for _ in range(200):
+            stats.record_fetch_batch(1, chunk)
+        assert len(stats._ids) < 100
+        assert stats.nodes_fetched == 200_000
+        assert stats.distinct_nodes == 1000
+
+
+class TestSessionStats:
+    def test_bitmap_and_overflow_are_exact(self):
+        session = SessionStats(10)
+        oracle: set[int] = set()
+        for ids in ([0, 3, 9, 3], [-1, 10, 2**40, 9], [], [5, -1]):
+            run = AccessStats()
+            run.record_fetch(ids)
+            session.merge(run)
+            oracle |= set(ids)
+            assert session.distinct_nodes == len(oracle)
+            assert session.seen_ids().tolist() == sorted(oracle)
+        assert session.nodes_fetched == 10
+        assert session.index_fetches == 4
+
+    def test_grow_moves_overflow_into_the_bitmap(self):
+        session = SessionStats(2)
+        run = AccessStats()
+        run.record_fetch([1, 4, 7, -3])
+        session.merge(run)
+        session.grow(8)
+        assert session._overflow.tolist() == [-3]
+        assert session.seen_ids().tolist() == [-3, 1, 4, 7]
+        session.grow(4)                   # never shrinks
+        assert len(session._bitmap) == 8
+        assert session.distinct_nodes == 4
+
+    def test_a_caller_recorder_can_absorb_a_session(self):
+        session = SessionStats(3)
+        run = AccessStats()
+        run.record_fetch([2, 8])
+        session.merge(run)
+        total = AccessStats()
+        total.merge(session)
+        assert total == session
+
+
+# ---------------------------------------------------- the session union
+def _years_and_movies(year_ids, movie_ids) -> Graph:
+    """Years with the given ids; movie ``i`` points at year ``i % |years|``."""
+    graph = Graph()
+    years = [graph.add_node("year", value=2000 + i, node_id=node)
+             for i, node in enumerate(year_ids)]
+    for i, node in enumerate(movie_ids):
+        graph.add_node("movie", value=i, node_id=node)
+        graph.add_edge(node, years[i % len(years)])
+    return graph
+
+
+_SCHEMA = [AccessConstraint((), "year", 50),
+           AccessConstraint(("year",), "movie", 50)]
+_PATTERNS = [f"y: year; m: movie; m -> y; y.value >= {2000 + k}"
+             for k in (3, 1, 4, 0)] + ["y: year; y.value <= 2001"]
+
+
+def _assert_session_union(engine, patterns, oracle: set | None = None):
+    """Run every pattern once and check the session's distinct-node
+    total against the plain set union of the runs' ``seen_ids()``."""
+    oracle = set() if oracle is None else oracle
+    for text in patterns:
+        run = engine.query(parse_pattern(text), refresh=True)
+        oracle |= set(run.stats.seen_ids().tolist())
+        assert engine.stats.distinct_nodes == len(oracle)
+    assert engine.stats.seen_ids().tolist() == sorted(oracle)
+    return oracle
+
+
+def test_session_union_over_a_query_sequence():
+    graph = _years_and_movies(range(5), range(5, 35))
+    with connect((graph, AccessSchema(list(_SCHEMA)))) as engine:
+        oracle = _assert_session_union(engine, _PATTERNS)
+        assert 0 < len(oracle) <= graph.num_nodes
+
+
+def test_session_union_across_an_apply_past_the_bitmap():
+    graph = _years_and_movies(range(5), range(5, 35))
+    with connect((graph, AccessSchema(list(_SCHEMA)))) as engine:
+        oracle = _assert_session_union(engine, _PATTERNS)
+        size = len(engine.stats._bitmap)
+        delta = GraphDelta().add_node(35, "year", value=2010)
+        for node in range(36, 46):
+            delta.add_node(node, "movie", value=100 + node)
+            delta.add_edge(node, 35)
+        engine.apply(delta)
+        assert len(engine.stats._bitmap) == engine.graph.num_nodes > size
+        oracle = _assert_session_union(engine, _PATTERNS, oracle)
+        assert max(oracle) >= size        # new nodes were counted
+
+
+def test_session_union_with_sparse_and_negative_ids():
+    graph = _years_and_movies([-7, 3, 10**9, -1, 2],
+                              [-100 - i for i in range(20)] + [40, 50])
+    with connect((graph, AccessSchema(list(_SCHEMA)))) as engine:
+        oracle = _assert_session_union(engine, _PATTERNS)
+        assert min(oracle) < 0 and max(oracle) >= engine.graph.num_nodes
+        assert len(engine.stats._overflow)
+
+
+def test_session_union_on_an_inline_two_shard_session(tmp_path):
+    graph = _years_and_movies(range(5), range(5, 35))
+    with connect((graph, AccessSchema(list(_SCHEMA)))) as engine:
+        engine.save(tmp_path / "art", shards=2)
+    with connect(tmp_path / "art", backend="inline") as engine:
+        assert engine.sharded
+        assert len(engine.stats._bitmap) == engine.graph.num_nodes
+        _assert_session_union(engine, _PATTERNS)

@@ -74,25 +74,32 @@ def test_threaded_queries_match_sequential(imdb_small, workload):
         rng = random.Random(seed)
         order = list(enumerate(workload))
         rng.shuffle(order)
-        results = {}
+        results, seen = {}, set()
         for index, (query, semantics) in order:
             run = engine.query(query, semantics,
                                refresh=bool(rng.getrandbits(1)))
             results[index] = _canonical(run, semantics)
-        return results
+            seen.update(run.stats.seen_ids().tolist())
+        return results, seen
 
     with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        all_results = list(pool.map(hammer, range(THREADS)))
+        all_results, all_seen = zip(*pool.map(hammer, range(THREADS)))
 
     for results in all_results:
         for index, (query, semantics) in enumerate(workload):
             assert results[index] == expected[index], \
                 f"thread answer diverged for {query!r} under {semantics}"
 
-    # Accounting survived the stampede: every prepare was a hit or miss.
+    # Accounting survived the stampede: every prepare was a hit or miss,
+    # and the session's distinct nodes are the union of every run's (a
+    # memoized answer is a run some thread executed and accounted).
     stats = engine.stats
     assert stats.plan_cache_hits + stats.plan_cache_misses \
         == THREADS * len(workload)
+    oracle = set().union(*all_seen)
+    assert oracle
+    assert stats.distinct_nodes == len(oracle)
+    assert stats.seen_ids().tolist() == sorted(oracle)
 
 
 def test_threaded_batches_match_sequential(imdb_small, workload):

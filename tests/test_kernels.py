@@ -5,7 +5,7 @@ The contract pinned here is strict: for any plan the vectorized executor
 same candidates, the same ``G_Q`` (nodes, labels, values, edges), and
 the *same accounting* — every counter of
 :class:`~repro.accounting.AccessStats` including the deduplicated
-``_seen`` set — as the reference sequential executor. Properties are
+``seen_ids()`` — as the reference sequential executor. Properties are
 drawn hypothesis-style over random graphs/patterns/semantics, over both
 edge modes, over shard counts {1, 2, 4} served through the merged view,
 and over warm-started (memoryview) vs freshly built (array) CSR buffers.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -75,7 +76,7 @@ def assert_byte_identical(seq, vec, seq_stats, vec_stats):
     assert vec.candidates == seq.candidates
     assert _gq_snapshot(vec.gq) == _gq_snapshot(seq.gq)
     assert vec_stats.as_dict() == seq_stats.as_dict()
-    assert vec_stats._seen == seq_stats._seen
+    assert np.array_equal(vec_stats.seen_ids(), seq_stats.seen_ids())
 
 
 def run_both(plan, seq_index, vec_index, edge_mode=MODE_PLAN):
@@ -94,7 +95,7 @@ def run_both(plan, seq_index, vec_index, edge_mode=MODE_PLAN):
 @settings(**_SETTINGS)
 def test_vectorized_equals_sequential(data, semantics, edge_mode):
     """Same plan, same index: candidates, G_Q and every stats counter
-    (including the deduplicated ``_seen`` set) are identical."""
+    (including the deduplicated ``seen_ids()``) are identical."""
     graph, pattern, _ = data
     schema = discover_schema(graph, type1_max=1000, unit_max=1000)
     plan = _plan_for(pattern, schema, semantics)

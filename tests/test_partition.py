@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -231,7 +232,7 @@ def test_memo_hit_under_another_predicate(num_shards):
         {v: (sequential.gq.label_of(v), sequential.gq.value_of(v))
          for v in sequential.gq.nodes()}
     assert scatter_stats.as_dict() == seq_stats.as_dict()
-    assert scatter_stats._seen == seq_stats._seen
+    assert np.array_equal(scatter_stats.seen_ids(), seq_stats.seen_ids())
     # The year scan, one movie fetch, one edge fetch: the second movie
     # op and the second edge check are both memo hits.
     assert scatter_stats.index_fetches == 3
