@@ -45,8 +45,9 @@ the edge phase — see DESIGN.md for the argument, and the property tests in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -57,7 +58,13 @@ from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import PlanError, ShardProtocolError, UnverifiableEdge
 from repro.graph.graph import Graph
 from repro.obs.trace import child_span
-from repro.util.arrays import in_sorted, sorted_unique
+from repro.util.arrays import (
+    combo_matrix,
+    in_sorted,
+    pack_matrix,
+    sorted_unique,
+    take_segments,
+)
 
 #: Executor edge-phase modes.
 MODE_PLAN = "plan"      # follow the plan's edge checks (default)
@@ -193,13 +200,15 @@ def execute_plan(plan: QueryPlan, schema_index: SchemaIndex,
 
 def _source_pools(op_or_check, candidates: dict):
     """Candidate pools of the source nodes, in plan order."""
-    missing = [q for q in op_or_check.source_nodes if q not in candidates]
-    if missing:
+    try:
+        return [candidates[q] for q in op_or_check.source_nodes]
+    except KeyError:
+        missing = [q for q in op_or_check.source_nodes
+                   if q not in candidates]
         raise PlanError(
             f"fetch for node {getattr(op_or_check, 'target', op_or_check)} "
             f"uses nodes {missing} with no candidates yet; plan is out of "
-            f"order")
-    return [candidates[q] for q in op_or_check.source_nodes]
+            f"order") from None
 
 
 def _check_coverage(plan: QueryPlan, candidates: dict[int, set[int]]) -> None:
@@ -298,13 +307,14 @@ def _index_edge(check, candidates: dict[int, set[int]],
 # answers with (repro.core.kernels.run_shard_task is the shard-side
 # handler; the block is what the binary frame carries, so a backend
 # delivers it as it is — computed in-process or as views over a
-# received frame):
+# received frame). ``combos`` is an ``(n, arity)`` int64 matrix, a
+# probe's frontiers are sorted int64 arrays:
 #
-#   ("fetch", cpos, [combo, ...])  -> FetchBlock(lens, values, info):
+#   ("fetch", cpos, combos)        -> FetchBlock(lens, values, info):
 #                                     lens[i] ids of values per combo,
 #                                     info = PackedInfo of the distinct
 #                                     ids (repro.core.packed)
-#   ("edge",  cpos, [combo, ...])  -> (arity, counts, ws, masks): per
+#   ("edge",  cpos, combos)        -> (arity, counts, ws, masks): per
 #                                     combo counts[i] neighbours of ws,
 #                                     per neighbour one bitmask (bit 2j:
 #                                     member j -> w, bit 2j + 1: back)
@@ -324,12 +334,15 @@ TASK_PROBE = "probe"
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_IDS.setflags(write=False)
+_ONE_EMPTY_COMBO = np.empty((1, 0), dtype=np.int64)
 
 
 def _concat(fragments: list):
-    """One int64 array from id fragments of any packed width."""
-    if not fragments:
-        return _NO_IDS
+    """One int64 array from id fragments of any packed width (the one
+    fragment itself when it is int64)."""
+    if len(fragments) < 2:
+        return fragments[0].astype(np.int64, copy=False) if fragments \
+            else _NO_IDS
     return np.concatenate(fragments, dtype=np.int64)
 
 
@@ -342,12 +355,170 @@ def _edge_matrix(edges: list):
     return np.concatenate(src + dst, dtype=np.int64).reshape(2, -1)
 
 
-def _combos(item, candidates: dict) -> list:
-    """The source combos of a fetch op or edge check, as the tuples
-    that key memos and cells (``product`` order, like the kernels'
-    ``_combo_matrix`` rows)."""
-    return list(product(*[pool.tolist()
-                          for pool in _source_pools(item, candidates)]))
+def _combo_keys(pools: list) -> tuple:
+    """``(combos, keys)``: ``pools``' product matrix, its rows packed."""
+    if len(pools) == 1:
+        return pools[0].reshape(-1, 1), pools[0].tolist()
+    if not pools:
+        return _ONE_EMPTY_COMBO, [0]
+    combos = combo_matrix(pools)
+    return combos, pack_matrix(combos).tolist()
+
+
+class _Run:
+    """One wire task and the response blocks that answer it, kept whole.
+
+    A fetch / edge run is ``size`` consecutive slots of a cell table from
+    ``start``, open (``task`` None) while its wave collects combos. A
+    block is ``(offsets, lens, ids, extra)``: position ``i`` of the run
+    owns ``ids[offsets[i]:offsets[i] + lens[i]]``, and ``extra`` is the
+    info (fetch) or the per-entry masks (edge). A probe run's blocks
+    are the shards' ``(checked, pairs)``."""
+
+    __slots__ = ("head", "task", "start", "size", "combos", "blocks",
+                 "done", "waiters")
+
+    def __init__(self, head=(), start=0, task=None):
+        self.head, self.task, self.start, self.size = head, task, start, 0
+        self.combos: list = []  # matrices while open, one once closed
+        self.blocks, self.done, self.waiters = [], False, []
+
+    def absorb(self, responses: list, ready: list) -> None:
+        kind = self.task[0]
+        for response in responses:
+            if response is None:
+                continue
+            if kind == TASK_PROBE:
+                self.blocks.append(response)
+                continue
+            # (lens, values, info) of a fetch, (counts, ws, masks) of an edge
+            lens, ids, extra = response[-3:]
+            if len(lens) != self.size:
+                raise ShardProtocolError(
+                    f"{kind} response answers {len(lens)} combos, the task "
+                    f"carried {self.size}")
+            if len(ids):  # (arrays at a frame's packed width: _concat reads)
+                offsets = lens.cumsum(dtype=np.int64) - lens
+                self.blocks.append((offsets, lens, ids, extra))
+        self.done = True
+        for exe in self.waiters:
+            exe.waiting -= 1
+            if not exe.waiting:
+                ready.append(exe)
+        self.waiters = []
+
+
+def _take(offsets, lens, values, sel):
+    """The ``values`` of run positions ``sel``: one view for a slice,
+    one ``take_segments`` for an index array."""
+    if type(sel) is slice:
+        end = sel.stop - 1
+        return values[offsets[sel.start]:offsets[end] + lens[end]]
+    return take_segments(values, offsets[sel], lens[sel])
+
+
+def _fetched(pieces: list) -> tuple:
+    """``(ids, extras, whole)``: the ids of ``pieces``, the extras of
+    the blocks that gave some, and whether that is one whole block."""
+    frags, extras, whole = [], [], False
+    for run, sel in pieces:
+        for offsets, lens, ids, extra in run.blocks:
+            whole = type(sel) is slice and sel.stop - sel.start == run.size
+            if not whole:
+                ids = _take(offsets, lens, ids, sel)
+                if not len(ids):
+                    continue
+            frags.append(ids)
+            extras.append(extra)
+    return _concat(frags), extras, whole and len(frags) == 1
+
+
+def _entries(pieces: list, other_pos: int) -> tuple:
+    """``(ws, masks, others)`` of an edge table's ``pieces``: every
+    neighbour entry, its direction mask and the combo member at
+    ``other_pos`` it was fetched for."""
+    ws, masks, others = [], [], []
+    for run, sel in pieces:
+        column = run.combos[sel, other_pos]
+        for offsets, lens, ids, flags in run.blocks:
+            ws.append(_take(offsets, lens, ids, sel))
+            masks.append(_take(offsets, lens, flags, sel))
+            others.append(column.repeat(lens[sel]))
+    return _concat(ws), _concat(masks), _concat(others)
+
+
+class _Cells:
+    """The cells of one driver call. Per ``(kind, cpos)`` a table maps a
+    packed combo to a slot, so a cell is still one ``(kind, cpos,
+    combo)``, and the slots one wave adds are one wire task (a
+    :class:`_Run`); probe runs are keyed by both frontiers' bytes.
+    ``opened``: the runs the current wave opened, in first-seen order."""
+
+    __slots__ = ("tables", "probes", "opened")
+
+    def __init__(self):
+        #: (kind, cpos) -> (slot per packed combo, first slot per run, runs)
+        self.tables: dict[tuple, tuple] = {}
+        self.probes: dict[tuple, _Run] = {}
+        self.opened: list[_Run] = []
+
+    def lookup(self, head: tuple, keys: list) -> list:
+        """Slots of the packed combos ``keys`` in table ``head``; -1
+        where none is yet."""
+        slot_of = self.tables.setdefault(head, ({}, [], []))[0]
+        return list(map(slot_of.get, keys, repeat(-1)))
+
+    def bind(self, head: tuple, combos, keys: list, slots: list,
+             wanted) -> int:
+        """Give each ``wanted`` combo (positions) without a slot one in
+        this wave's open run, writing it into ``slots``; returns the
+        dedup hits — wanted combos already in the table."""
+        slot_of, starts, runs = self.tables[head]
+        fresh = [i for i in wanted if slots[i] < 0]
+        if fresh:
+            if not runs or runs[-1].task is not None:
+                starts.append(len(slot_of))
+                runs.append(_Run(head, len(slot_of)))
+                self.opened.append(runs[-1])
+            for i in fresh:
+                slots[i] = slot_of[keys[i]] = len(slot_of)
+            runs[-1].combos.append(combos if len(fresh) == len(combos)
+                                   else combos[fresh])
+            runs[-1].size += len(fresh)
+        return len(wanted) - len(fresh)
+
+    def gather(self, head: tuple, slots: list) -> list:
+        """``(run, sel)`` per run holding ``slots``: their positions in
+        the run, a slice when consecutive, else an index array."""
+        _, starts, runs = self.tables[head]
+        at = bisect_right(starts, min(slots)) - 1
+        if at + 1 == len(runs) or max(slots) < starts[at + 1]:
+            parts = {at: slots}
+        else:
+            parts: dict = {}
+            for slot in slots:
+                parts.setdefault(bisect_right(starts, slot) - 1,
+                                 []).append(slot)
+        pieces = []
+        for at, part in parts.items():
+            run, lo = runs[at], min(part)
+            pieces.append((run, slice(lo - run.start, lo - run.start
+                                      + len(part))
+                           if max(part) - lo + 1 == len(part)
+                           else np.array(part, dtype=np.int64) - run.start))
+        return pieces
+
+    def close_wave(self) -> list[_Run]:
+        """The runs opened since the last call, closed into wire tasks."""
+        runs = self.opened[:]
+        self.opened.clear()
+        for run in runs:
+            if run.task is None:
+                combos = run.combos
+                run.combos = combos[0] if len(combos) == 1 \
+                    else np.concatenate(combos)
+                run.task = (*run.head, run.combos)
+        return runs
 
 
 class _ScatterExecution:
@@ -355,82 +526,97 @@ class _ScatterExecution:
 
     It keeps what the kernels keep: ``cmat(u)`` as sorted int64 arrays,
     verified edges as array pairs, and per pattern node the packed info
-    its first fetch delivered. The memos hold, per ``(cpos, combo)``,
-    the fragments of the response blocks that answered it — ``(ids,
-    info)`` in the node phase, ``(ws, masks)`` in the edge phase.
+    its first fetch delivered. Its fetch memo is, per cell table, the
+    slots it has been delivered; the table holds their blocks.
     """
 
-    __slots__ = ("plan", "stats", "edge_mode", "constraint_pos",
-                 "candidates", "node_memo", "edge_memo", "info",
-                 "edges", "op_idx", "phase", "pending_op",
-                 "pending_edges", "done")
+    __slots__ = ("plan", "stats", "edge_mode", "constraint_pos", "cells",
+                 "candidates", "node_memo", "found", "info", "edges",
+                 "op_idx", "next_step", "step", "waiting", "done")
 
-    def __init__(self, plan: QueryPlan, constraint_pos: dict,
+    def __init__(self, plan: QueryPlan, constraint_pos: dict, cells: _Cells,
                  stats: AccessStats, edge_mode: str):
-        self.plan = plan
-        self.stats = stats
-        self.edge_mode = edge_mode
-        self.constraint_pos = constraint_pos
+        self.plan, self.stats, self.edge_mode = plan, stats, edge_mode
+        self.constraint_pos, self.cells = constraint_pos, cells
         self.candidates: dict = {}
-        self.node_memo: dict[tuple, list] = {}
-        self.edge_memo: dict[tuple, list] = {}
+        self.node_memo: dict[tuple, set] = {}  # table -> delivered slots
+        self.found: dict[tuple, list] = {}
         self.info: dict[int, list] = {}
         self.edges: list = []         # (src array, dst array) pairs
         self.op_idx = 0
-        self.phase = "node"
-        self.pending_op = None        # (op, combos) awaiting fetch delivery
-        self.pending_edges = None     # (index check, combos, *geometry)
+        self.next_step = _ScatterExecution._node_step  # unbound: no cycle
+        self.step = None              # (deliver, args) awaiting its runs
+        self.waiting = 0              # its runs not yet answered
         self.done = False
 
-    # -- wave protocol -------------------------------------------------------
-    def next_tasks(self) -> list[tuple]:
-        """Advance through locally-satisfiable steps; return the scatter
-        tasks this execution needs before it can advance further (empty
-        when it just finished)."""
+    def advance(self) -> int:
+        """Deliver the answered step, then run steps until one must wait
+        on unanswered runs (registered here); returns the dedup hits."""
+        hits = 0
         while not self.done:
-            if self.phase == "node":
-                tasks = self._node_tasks()
-            else:
-                tasks = self._edge_tasks()
-            if tasks is not None:
-                return tasks
-        return []
+            if self.step is not None:
+                deliver, args = self.step
+                self.step = None
+                deliver(self, *args)
+                continue
+            step_hits, pieces = self.next_step(self)
+            hits += step_hits
+            waits = {run: None for run, _ in pieces if not run.done}
+            if waits:
+                self.waiting = len(waits)
+                for run in waits:
+                    run.waiters.append(self)
+                break
+        return hits
 
     # -- node phase ----------------------------------------------------------
-    def _node_tasks(self):
-        ops = self.plan.ops
+    def _node_step(self) -> tuple[int, list]:
+        """Run ops up to one needing undelivered combos; bind those."""
+        ops, cells = self.plan.ops, self.cells
         while self.op_idx < len(ops):
             op = ops[self.op_idx]
-            combos = [()] if op.is_initial else _combos(op, self.candidates)
-            cpos = self.constraint_pos[op.constraint]
-            missing = [c for c in combos
-                       if (cpos, c) not in self.node_memo]
-            if missing:
-                self.pending_op = (op, combos)
-                return [(TASK_FETCH, cpos, missing)]
-            self._complete_op(op, *self._gather(cpos, combos))
+            combos, keys = _combo_keys(_source_pools(op, self.candidates))
+            head = (TASK_FETCH, self.constraint_pos[op.constraint])
+            slots = cells.lookup(head, keys)
+            memo = self.node_memo.setdefault(head, set())
+            wanted = [i for i, slot in enumerate(slots) if slot not in memo]
+            if not wanted:
+                self._deliver_fetch(op, head, slots, [], [])
+                continue
+            hits = cells.bind(head, combos, keys, slots, wanted)
+            fresh = [slots[i] for i in wanted]
+            pieces = cells.gather(head, fresh)
+            self.step = (_ScatterExecution._deliver_fetch,
+                         (op, head, slots, fresh, pieces))
+            return hits, pieces
         _check_coverage(self.plan, self.candidates)
-        self.phase = "edge"
-        return None
+        self.next_step = _ScatterExecution._edge_step
+        return 0, []
 
-    def _gather(self, cpos, combos) -> tuple:
-        """The memoized ``(ids, info)`` fragments of ``combos`` and their
-        ids as one array."""
-        memo = self.node_memo
-        parts = [part for combo in combos for part in memo[(cpos, combo)]]
-        return parts, _concat([ids for ids, _ in parts])
+    def _deliver_fetch(self, op, head, slots, fresh, pieces) -> None:
+        if fresh:
+            fetched = _fetched(pieces)
+            self.stats.record_fetch_batch(len(fresh), fetched[0])
+            self.node_memo[head].update(fresh)
+        key = (head, tuple(slots))
+        if key not in self.found:
+            if len(fresh) < len(slots):
+                fetched = _fetched(self.cells.gather(head, slots))
+            ids, infos, whole = fetched if slots else (_NO_IDS, [], False)
+            # Ops repeating a fetch share [distinct ids, infos, the info
+            # of exactly those ids]; a whole block's ids are its info's.
+            self.found[key] = [infos[0].ids if whole else sorted_unique(ids),
+                               infos, None]
+        self._complete_op(op, self.found[key])
 
-    def _complete_op(self, op, parts, fetched) -> None:
-        infos = list({id(info): info for _, info in parts}.values())
-        if len(parts) == 1 and len(fetched) == len(infos[0].ids):
-            # One combo answered by one whole block (every initial
-            # scan): its distinct ids are the block's, already sorted.
-            found = infos[0].ids
-        else:
-            found = sorted_unique(fetched)
+    def _complete_op(self, op, entry: list) -> None:
+        found, infos = entry[0], entry[1]
         if len(found) and not op.predicate.is_trivial:
-            if len(infos) > 1 or len(infos[0].ids) != len(found):
-                infos = [PackedInfo.select(found, infos)]
+            if entry[2] is None:
+                entry[2] = infos[0] if len(infos) == 1 \
+                    and len(infos[0].ids) == len(found) \
+                    else PackedInfo.select(found, infos)
+            infos = [entry[2]]
             found = found[predicate_mask(op.predicate, infos[0])]
         if op.target not in self.candidates:
             self.info[op.target] = infos
@@ -440,90 +626,73 @@ class _ScatterExecution:
         self.candidates[op.target] = found
         self.op_idx += 1
 
-    def deliver_fetch(self, task, fragments) -> None:
-        _, cpos, combos = task
-        self.node_memo.update(
-            zip([(cpos, combo) for combo in combos], fragments))
-        parts = [part for parts in fragments for part in parts]
-        fetched = _concat([ids for ids, _ in parts])
-        self.stats.record_fetch_batch(len(combos), fetched)
-        op, op_combos = self.pending_op
-        self.pending_op = None
-        if len(op_combos) != len(combos):  # the rest were memo hits
-            parts, fetched = self._gather(cpos, op_combos)
-        self._complete_op(op, parts, fetched)
-
     # -- edge phase ----------------------------------------------------------
-    def _edge_tasks(self):
-        if self.pending_edges is None:
-            # All edge checks are independent given the final candidate
-            # sets, so the whole phase needs at most one wave.
-            probing = self.edge_mode == MODE_PROBE
-            probes = list(self.plan.pattern.edges()) if probing else []
-            checks = []
-            for check in () if probing else self.plan.edge_checks:
-                if check.mode == EDGE_VIA_PROBE:
-                    probes.append(check.edge)
-                elif check.mode == EDGE_VIA_INDEX:
-                    # Validates the geometry before scattering any work.
-                    checks.append((check, _combos(check, self.candidates),
-                                   *_edge_check_geometry(check,
-                                                         self.candidates)))
-                else:  # pragma: no cover - defensive
-                    raise UnverifiableEdge(
-                        f"unknown edge-check mode {check.mode!r}")
-            self.pending_edges = checks
-            tasks = [(TASK_PROBE, self.candidates[a].tolist(),
-                      self.candidates[b].tolist()) for a, b in probes]
-            combos_by_cpos: dict[int, dict] = {}  # insertion-ordered sets
-            for check, combos, *_ in checks:
-                combos_by_cpos.setdefault(
-                    self.constraint_pos[check.constraint], {}).update(
-                    dict.fromkeys(combos))
-            tasks.extend((TASK_EDGE, cpos, list(combos))
-                         for cpos, combos in combos_by_cpos.items() if combos)
-            if tasks:
-                return tasks
-        self._finalize_edges()
-        return None
-
-    def deliver_edge(self, task, fragments) -> None:
-        _, cpos, combos = task
-        for combo, parts in zip(combos, fragments):
-            self.edge_memo[(cpos, combo)] = parts
-        fetched = _concat([ws for parts in fragments for ws, _ in parts])
-        self.stats.record_edge_fetch_batch(len(combos), fetched)
-
-    def deliver_probe(self, checked, found) -> None:
-        self.edges.extend((pairs[:, 0], pairs[:, 1]) for pairs in found)
-        self.stats.record_edge_checks(checked)
-
-    def _finalize_edges(self) -> None:
-        # Probe edges were folded in at delivery.
-        for check, combos, target_pool, other_pos, forward \
-                in self.pending_edges:
-            cpos = self.constraint_pos[check.constraint]
-            members, counts, ws, masks = [], [], [], []
-            for combo in combos:
-                for part in self.edge_memo[(cpos, combo)]:
-                    members.append(combo[other_pos])
-                    counts.append(len(part[0]))
-                    ws.append(part[0])
-                    masks.append(part[1])
-            if not ws:
+    def _edge_step(self) -> tuple[int, list]:
+        # All edge checks are independent given the final candidate
+        # sets, so the whole phase is one step. Checks through one
+        # constraint share its combos: each is fetched, and recorded,
+        # for the first check that needs it.
+        probing = self.edge_mode == MODE_PROBE
+        probes = list(self.plan.pattern.edges()) if probing else []
+        checks = []
+        for check in () if probing else self.plan.edge_checks:
+            if check.mode == EDGE_VIA_PROBE:
+                probes.append(check.edge)
+            elif check.mode == EDGE_VIA_INDEX:
+                # Validates the geometry before scattering any work.
+                checks.append((check, *_edge_check_geometry(
+                    check, self.candidates)))
+            else:  # pragma: no cover - defensive
+                raise UnverifiableEdge(
+                    f"unknown edge-check mode {check.mode!r}")
+        cells, hits, runs, requests, seen = self.cells, 0, [], [], {}
+        for task in ((TASK_PROBE, self.candidates[a], self.candidates[b])
+                     for a, b in probes):
+            key = (task[1].tobytes(), task[2].tobytes())
+            hits += key in cells.probes
+            if key not in cells.probes:
+                cells.probes[key] = _Run(task=task)
+                cells.opened.append(cells.probes[key])
+            runs.append(cells.probes[key])
+        pieces = [(run, None) for run in runs]
+        for check, target_pool, other_pos, forward in checks:
+            combos, keys = _combo_keys(_source_pools(check, self.candidates))
+            if not keys:
                 continue
-            ws, masks = _concat(ws), _concat(masks)
-            others = np.repeat(np.array(members, dtype=np.int64), counts)
+            head = (TASK_EDGE, self.constraint_pos[check.constraint])
+            slots = cells.lookup(head, keys)
+            memo = seen.setdefault(head, set())
+            wanted = [i for i, slot in enumerate(slots) if slot not in memo]
+            hits += cells.bind(head, combos, keys, slots, wanted)
+            memo.update(slots)
+            fresh = [slots[i] for i in wanted]
+            requests.append((
+                cells.gather(head, slots), len(fresh),
+                None if len(fresh) == len(slots) else
+                cells.gather(head, fresh) if fresh else [],
+                target_pool, other_pos, forward))
+            pieces += requests[-1][0]
+        self.step = (_ScatterExecution._deliver_edges, (runs, requests))
+        return hits, pieces
+
+    def _deliver_edges(self, runs, requests) -> None:
+        for run in runs:
+            self.edges.extend((pairs[:, 0], pairs[:, 1])
+                              for _, pairs in run.blocks)
+            self.stats.record_edge_checks(sum(n for n, _ in run.blocks))
+        for pieces, fetches, fresh, target_pool, other_pos, forward \
+                in requests:
+            ws, masks, others = _entries(pieces, other_pos)
+            self.stats.record_edge_fetch_batch(
+                fetches, ws if fresh is None else _fetched(fresh)[0])
             # The query edge is (a, b); w matches `fetch_target`: bit
             # 2j of its mask is member j -> w, bit 2j + 1 the way back.
             keep = in_sorted(target_pool, ws) & (
                 masks >> (2 * other_pos + (not forward)) & 1).astype(bool)
             self.edges.append((others[keep], ws[keep]) if forward
                               else (ws[keep], others[keep]))
-        self.pending_edges = None
         self.done = True
 
-    # -- assembly ------------------------------------------------------------
     def result(self) -> ExecutionResult:
         # Trimmed to the kept nodes (as copies): the answer memo holds
         # this, not everything the fetches saw nor the frames it came in.
@@ -553,238 +722,69 @@ def execute_plans_scatter(plans: list[QueryPlan], backend,
     """Execute ``plans`` by scatter-gather over ``backend``'s shards.
 
     ``backend`` is a :class:`~repro.engine.parallel.ShardBackend`
-    (inline shards or a remote fleet). The
-    driver gives every execution per-shard progress: each logical fetch
-    is decomposed into ``(kind, constraint, combo)`` cells, identical
-    cells from different executions travel to a shard once and fan back
-    out, and an execution whose own cells were all answered advances
-    immediately, even while other shards of the same round are still in
-    flight (the backend's ``scatter_submit`` completes tasks out of
-    round order). With a synchronous backend the rounds degenerate to
-    lock-step waves, minus the duplicate tasks.
+    (inline shards or a remote fleet). The driver gives every execution
+    per-shard progress: a logical fetch is a set of ``(kind,
+    constraint, combo)`` cells in per-``(kind, constraint)`` tables,
+    identical cells from different executions travel to a shard once
+    and fan back out, and a wave's wire tasks are the runs its
+    executions opened (per table the slots it added, and each new
+    probe). Completions arrive per wire task while ``backend.wait``
+    pumps replies (on this thread, on whichever thread pumps a shared
+    backend, or as a recovery thread's typed failure); an execution
+    advances the moment the last run it waits on is answered, even
+    while other shards of the round are still in flight. With a
+    synchronous backend the rounds degenerate to lock-step waves, minus
+    the duplicate tasks. With an :class:`~repro.engine.parallel.
+    OwnerRouter`, a task goes only to the shards that can own its
+    results (:func:`_route_task`).
 
-    When the backend carries an :class:`~repro.engine.parallel.
-    OwnerRouter`, each task is scattered only to the shards that can
-    own its results (:func:`_route_task`) instead of broadcast to all.
     Answers, candidate sets, ``G_Q`` and access accounting are identical
-    to :func:`execute_plan` on the unpartitioned graph either way.
+    to :func:`execute_plan` on the unpartitioned graph, because (a) each
+    execution observes its steps in plan order, delivered only when
+    fully merged, (b) blocks merge order-independently (unions of id
+    arrays, summed probe counts), and (c) every execution records its
+    own ``AccessStats`` at delivery — dedup shares wire traffic, never
+    accounting.
     """
     if edge_mode not in (MODE_PLAN, MODE_PROBE):
         raise PlanError(f"unknown edge mode {edge_mode!r}")
     if stats_list is None:
         stats_list = [AccessStats() for _ in plans]
-    exes = [_ScatterExecution(plan, backend.constraint_pos, stats, edge_mode)
+    cells = _Cells()
+    exes = [_ScatterExecution(plan, backend.constraint_pos, cells, stats,
+                              edge_mode)
             for plan, stats in zip(plans, stats_list)]
-    _run_pipelined(exes, backend)
-    return [exe.result() for exe in exes]
-
-
-class _Cell:
-    """One in-flight ``(kind, constraint, combo)`` fetch shared by every
-    execution that needs it. Per-shard array fragments accumulate here:
-    slices of the response blocks (shard payloads are disjoint by
-    ownership, so accumulation order does not matter — the execution
-    only ever takes their union)."""
-
-    __slots__ = ("key", "done", "parts", "checked", "waiters")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.done = False
-        #: fetch: (ids, info) per block; edge: (ws, masks); probe: pairs
-        self.parts: list = []
-        self.checked = 0               # probe only
-        self.waiters: list[_ExeState] = []
-
-
-class _ExeState:
-    """Driver-side bookkeeping for one execution between deliveries."""
-
-    __slots__ = ("exe", "tasks", "task_cells", "missing")
-
-    def __init__(self, exe: _ScatterExecution):
-        self.exe = exe
-        self.tasks = None         # logical tasks of the current step
-        self.task_cells = None    # list[list[_Cell]] aligned with tasks
-        self.missing = 0          # cells not yet done across all tasks
-
-
-def _cell_keys(task: tuple) -> list[tuple]:
-    kind = task[0]
-    if kind == TASK_PROBE:
-        return [(TASK_PROBE, tuple(task[1]), tuple(task[2]))]
-    return [(kind, task[1], combo) for combo in task[2]]
-
-
-def _deliver_state(state: _ExeState) -> None:
-    """Deliver a step's tasks (in issue order) from their completed
-    cells — each task exactly once, as the per-combo fragment lists of
-    its cells; the execution takes unions over them, so arrival order
-    never shows."""
-    exe = state.exe
-    for task, cells in zip(state.tasks, state.task_cells):
-        if task[0] == TASK_PROBE:
-            exe.deliver_probe(cells[0].checked, cells[0].parts)
-        else:
-            deliver = exe.deliver_fetch if task[0] == TASK_FETCH \
-                else exe.deliver_edge
-            deliver(task, [cell.parts for cell in cells])
-    state.tasks = None
-    state.task_cells = None
-
-
-def _advance_state(state: _ExeState, cells: dict, fresh: list) -> int:
-    """Pull the execution's next tasks and bind them to cells, creating
-    cells (appended to ``fresh``) for fetches nobody has issued yet.
-    Steps whose cells are all already complete are delivered inline and
-    the execution keeps advancing. Returns the number of dedup hits
-    (references to cells created by another execution)."""
-    exe = state.exe
-    hits = 0
-    while not exe.done:
-        tasks = exe.next_tasks()
-        if not tasks:
-            break
-        missing = 0
-        groups = []
-        for task in tasks:
-            group = []
-            for key in _cell_keys(task):
-                cell = cells.get(key)
-                if cell is None:
-                    cell = _Cell(key)
-                    cells[key] = cell
-                    fresh.append(cell)
-                else:
-                    hits += 1
-                group.append(cell)
-                if not cell.done:
-                    missing += 1
-                    cell.waiters.append(state)
-            groups.append(group)
-        state.tasks = tasks
-        state.task_cells = groups
-        state.missing = missing
-        if missing:
-            return hits
-        _deliver_state(state)
-    return hits
-
-
-def _group_cells(fresh: list) -> tuple[list, list]:
-    """Coalesce fresh cells into wire tasks: fetch/edge cells group by
-    ``(kind, cpos)`` in first-seen order (all combos of one constraint
-    share a routing set), probes stay single-cell tasks."""
-    wire_tasks: list = []
-    wire_groups: list[list[_Cell]] = []
-    index: dict = {}
-    for cell in fresh:
-        kind = cell.key[0]
-        if kind == TASK_PROBE:
-            wire_tasks.append((TASK_PROBE, list(cell.key[1]),
-                               list(cell.key[2])))
-            wire_groups.append([cell])
-            continue
-        gkey = (kind, cell.key[1])
-        at = index.get(gkey)
-        if at is None:
-            index[gkey] = len(wire_tasks)
-            wire_tasks.append((kind, cell.key[1], [cell.key[2]]))
-            wire_groups.append([cell])
-        else:
-            wire_tasks[at][2].append(cell.key[2])
-            wire_groups[at].append(cell)
-    return wire_tasks, wire_groups
-
-
-def _absorb_response(task: tuple, cells: list, responses: list,
-                     ready: list) -> None:
-    """Split one wire task's per-shard response blocks into its cells
-    (views, cut at the blocks' per-combo lengths), mark them done, and
-    collect executions whose last missing cell this was."""
-    kind = task[0]
-    for response in responses:
-        if response is None:
-            continue
-        if kind == TASK_PROBE:
-            cells[0].checked += response[0]
-            cells[0].parts.append(response[1])
-            continue
-        # (lens, values, info) of a fetch, (counts, ws, masks) of an edge
-        lens, ids, extra = response[-3:]
-        ids = ids.astype(np.int64, copy=False)  # a frame's packed width
-        if len(lens) != len(cells):
-            raise ShardProtocolError(
-                f"{kind} response answers {len(lens)} combos, the task "
-                f"carried {len(cells)}")
-        start = 0
-        for cell, end in zip(cells, np.cumsum(lens).tolist()):
-            if end > start:
-                cell.parts.append(
-                    (ids[start:end],
-                     extra[start:end] if kind == TASK_EDGE else extra))
-                start = end
-    for cell in cells:
-        cell.done = True
-        for state in cell.waiters:
-            state.missing -= 1
-            if not state.missing:
-                ready.append(state)
-        cell.waiters = []
-
-
-def _run_pipelined(exes, backend) -> None:
-    """Per-shard-progress driver over ``backend.scatter_submit``.
-
-    Completions arrive per wire task, while ``backend.wait`` pumps
-    replies on this thread (or on whichever thread pumps for a shared
-    backend, or a recovery thread's typed failure), and queue up here;
-    an execution is re-advanced the moment its own cells are complete.
-    Identity with the sequential executor holds
-    because (a) each execution still observes its tasks in issue order,
-    delivered only when fully merged, (b) cell fragments merge
-    order-independently (unions of id arrays, summed probe counts), and
-    (c) every execution records its own ``AccessStats`` at delivery —
-    dedup shares wire traffic, never accounting.
-    """
     router = backend.router
-    states = [_ExeState(exe) for exe in exes]
-    cells: dict[tuple, _Cell] = {}
     completions: deque = deque()
-    outstanding = 0
-    dedup_hits = 0
-    wave_index = 0
-    ready = list(states)
+    outstanding = dedup_hits = wave_index = 0
+    ready = list(exes)
     while True:
-        fresh: list[_Cell] = []
-        for state in ready:
-            if state.tasks is not None:
-                _deliver_state(state)
-            dedup_hits += _advance_state(state, cells, fresh)
+        for exe in ready:
+            dedup_hits += exe.advance()
         ready = []
-        if fresh:
-            wire_tasks, wire_groups = _group_cells(fresh)
+        runs = cells.close_wave()
+        if runs:
+            tasks = [run.task for run in runs]
             shard_sets = None if router is None else [
                 _route_task(task, router, backend.target_by_pos)
-                for task in wire_tasks]
+                for task in tasks]
 
-            def _on_task(i, responses, _tasks=wire_tasks,
-                         _groups=wire_groups):
-                completions.append((_tasks[i], _groups[i], responses))
+            def _on_task(i, responses, _runs=runs):
+                completions.append((_runs[i], responses))
 
-            with child_span("wave", index=wave_index,
-                            tasks=len(wire_tasks)):
-                backend.scatter_submit(wire_tasks, shard_sets, _on_task)
-            outstanding += len(wire_tasks)
+            with child_span("wave", index=wave_index, tasks=len(tasks)):
+                backend.scatter_submit(tasks, shard_sets, _on_task)
+            outstanding += len(tasks)
             wave_index += 1
         if not outstanding:
             break
         backend.wait(lambda: completions)
         while completions:
-            task, group, responses = completions.popleft()
+            run, responses = completions.popleft()
             outstanding -= 1
             if isinstance(responses, Exception):
                 raise responses
-            _absorb_response(task, group, responses, ready)
+            run.absorb(responses, ready)
     if dedup_hits:
         backend.scatter_dedup_hits += dedup_hits
+    return [exe.result() for exe in exes]

@@ -65,6 +65,7 @@ from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import EngineError, PlanError, UnverifiableEdge
 from repro.graph.frozen import FrozenGraph
 from repro.util.arrays import (
+    combo_matrix,
     in_sorted,
     pack_matrix,
     sorted_unique,
@@ -127,32 +128,51 @@ class GraphKernel:
         absent from the graph resolve to False, like the scalar path.
         Pure lookups into the immutable CSR, so results are cached per
         pair batch — a repeated query's adjacency sweep is a dict hit."""
+        if len(sources) == 0:
+            return self._edge_membership(sources, targets)
+        key = (sources.tobytes(), targets.tobytes())
+        cached = self._adj_cache.get(key)
+        if cached is None:
+            cached = self._adj_cache[key] = \
+                self._edge_membership(sources, targets)
+        return cached
+
+    def _edge_membership(self, sources, targets):
+        """:meth:`has_edges` without the cache: one membership sweep of
+        the ``(source row, destination)`` pairs over the sorted edge
+        keys."""
         n = len(sources)
         if n == 0 or self.num_nodes == 0 or len(self.out_dst) == 0:
             return np.zeros(n, dtype=bool)
-        key = (sources.tobytes(), targets.tobytes())
-        cached = self._adj_cache.get(key)
-        if cached is not None:
-            return cached
-        positions = np.searchsorted(self.ids, sources)
+        positions = self.ids.searchsorted(sources)
         np.minimum(positions, self.num_nodes - 1, out=positions)
         present = self.ids[positions] == sources
-        keys = pack_matrix(np.column_stack((positions, targets)))
-        mask = in_sorted(self._edge_key_array(), keys) & present
-        self._adj_cache[key] = mask
-        return mask
+        edge_keys, width = self._edge_key_array()
+        if width is None:
+            keys = pack_matrix(np.column_stack((positions, targets)))
+        else:
+            # Only a destination in [0, width) can be an edge's.
+            present &= (targets >= 0) & (targets < width)
+            keys = positions * width + targets
+        return in_sorted(edge_keys, keys) & present
 
     def _edge_key_array(self):
-        keys = self._edge_keys
-        if keys is None:
+        """``(keys, width)``: every edge's ``(source row, destination)``
+        as ``row * width + destination`` when that fits an int64, else
+        packed rows (``width`` None) — sorted either way, since rows
+        ascend and each row's destinations are sorted."""
+        if self._edge_keys is None:
             degrees = np.diff(self.out_ptr)
             rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
                              degrees)
-            # Rows ascend and each row's destinations are sorted, so the
-            # packed pairs are globally sorted — searchsorted-ready.
-            keys = pack_matrix(np.column_stack((rows, self.out_dst)))
-            self._edge_keys = keys
-        return keys
+            dst = self.out_dst
+            width = int(dst.max()) + 1
+            if int(dst.min()) >= 0 and self.num_nodes * width < 2 ** 62:
+                self._edge_keys = rows * width + dst, width
+            else:
+                self._edge_keys = \
+                    pack_matrix(np.column_stack((rows, dst))), None
+        return self._edge_keys
 
     def out_edges_into(self, sources, pool):
         """All data edges from ``sources`` into the sorted-unique array
@@ -160,21 +180,25 @@ class GraphKernel:
         |A| x |B| pairwise adjacency probe. Cached like
         :meth:`has_edges`; callers must not mutate the result."""
         if len(sources) == 0 or len(pool) == 0:
-            empty = self.ids[:0]
-            return empty, empty
+            return self._out_edges(sources, pool)
         key = (sources.tobytes(), pool.tobytes(), "out")
         cached = self._adj_cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._adj_cache[key] = self._out_edges(sources, pool)
+        return cached
+
+    def _out_edges(self, sources, pool):
+        """:meth:`out_edges_into` without the cache."""
+        if len(sources) == 0 or len(pool) == 0:
+            empty = self.ids[:0]
+            return empty, empty
         positions = self.positions(sources)
         starts = self.out_ptr[positions]
         lengths = self.out_ptr[positions + 1] - starts
         destinations = take_segments(self.out_dst, starts, lengths)
         origins = np.repeat(sources, lengths)
         mask = in_sorted(pool, destinations)
-        result = origins[mask], destinations[mask]
-        self._adj_cache[key] = result
-        return result
+        return origins[mask], destinations[mask]
 
     # -- predicate masks -----------------------------------------------------
     def _value_columns(self):
@@ -426,27 +450,6 @@ class _SeenCombos:
 
 
 # ------------------------------------------------------------------- node phase
-def _combo_matrix(pools):
-    """``(n, k)`` matrix enumerating the cartesian product of the pools
-    (row order matches ``itertools.product``: last pool cycles fastest)."""
-    if len(pools) == 1:
-        return pools[0].reshape(-1, 1)
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    if total == 0:
-        return np.empty((0, len(pools)), dtype=np.int64)
-    out = np.empty((total, len(pools)), dtype=np.int64)
-    inner = total
-    outer = 1
-    for j, pool in enumerate(pools):
-        inner //= len(pool)
-        column = np.repeat(pool, inner) if inner > 1 else pool
-        out[:, j] = np.tile(column, outer) if outer > 1 else column
-        outer *= len(pool)
-    return out
-
-
 def _batched_fetch(context: "KernelContext", constraint, combos, packed,
                    stats: AccessStats, seen: _SeenCombos, *,
                    edge_phase: bool):
@@ -538,7 +541,7 @@ def _index_edge_vec(check, candidates: dict, context: KernelContext,
     pools = _source_pools(check, candidates)
     if not all(map(len, pools)):
         return
-    combos = _combo_matrix(pools)
+    combos = combo_matrix(pools)
     packed = pack_matrix(combos)
     seen = seen_edge.setdefault(check.constraint, _SeenCombos())
     entry = _batched_fetch(context, check.constraint, combos, packed,
@@ -590,7 +593,7 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
             if not all(map(len, pools)):
                 found = kernel.ids[:0]
             else:
-                combos = _combo_matrix(pools)
+                combos = combo_matrix(pools)
                 packed = pack_matrix(combos)
                 seen = seen_node.setdefault(op.constraint, _SeenCombos())
                 entry = _batched_fetch(context, op.constraint, combos,
@@ -639,33 +642,39 @@ def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
     behind the wire. ``graph`` is the shard's CSR snapshot
     and ``owned_sorted`` its owned node ids as a sorted int64 array.
 
+    A task's combos are an ``(n, arity)`` int64 matrix and its probe
+    frontiers int64 arrays — as the driver built them, or as views over
+    the received frame; hand-built sequences are converted once.
     Every response is arrays, the ones the frame carries: all combos of
-    a ``fetch`` / ``edge`` task are probed with one ``fetch_many`` (no
-    cache — a shard lives for days), a fetch's node info is gathered
-    from the snapshot's :meth:`GraphKernel.info_columns`, and ``edge``
-    and ``probe`` resolve edges with batched CSR membership tests.
+    a ``fetch`` / ``edge`` task are probed with one ``fetch_many``, a
+    fetch's node info is gathered from the snapshot's
+    :meth:`GraphKernel.info_columns`, and ``edge`` and ``probe`` resolve
+    edges with batched CSR membership tests. Nothing is cached: a shard
+    lives for days, and its adjacency answers would pile up.
     """
     kind = task[0]
     kernel = graph_kernel(graph)
     if kind == TASK_PROBE:
-        _, a_nodes, b_nodes = task
+        a_nodes, b_nodes = map(_int64_array, task[1:])
         # Only pairs whose source this shard owns are checked here, so
         # the per-shard counts sum to |A|x|B| exactly once.
-        a_arr = np.asarray(a_nodes, dtype=np.int64)
-        if len(a_arr):
-            a_arr = a_arr[in_sorted(owned_sorted, a_arr)]
-        b_arr = np.asarray(b_nodes, dtype=np.int64)
+        if len(a_nodes):
+            a_nodes = a_nodes[in_sorted(owned_sorted, a_nodes)]
         # a_nodes/b_nodes arrive sorted, so found pairs enumerate in
         # (va, vb) order.
-        return (len(a_arr) * len(b_arr),
-                np.column_stack(kernel.out_edges_into(a_arr, b_arr)))
+        return (len(a_nodes) * len(b_nodes),
+                np.column_stack(kernel._out_edges(a_nodes, b_nodes)))
     if kind not in (TASK_FETCH, TASK_EDGE):
         raise PlanError(f"unknown shard task {kind!r}")
     _, cpos, combos = task
     constraint = schema_index.constraint_at(cpos)
     arity = len(constraint.source)
     try:
-        combos = np.asarray(combos, dtype=np.int64).reshape(len(combos), arity)
+        if not isinstance(combos, np.ndarray) or not len(combos):
+            # (A frame says arity 0 for a task without combos.)
+            combos = _int64_array(combos).reshape(len(combos), arity)
+        if combos.shape[1:] != (arity,):
+            raise ValueError
     except ValueError:
         raise PlanError(f"{kind} task for {constraint} carries combos "
                         f"that are not {arity}-tuples") from None
@@ -683,16 +692,27 @@ def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
             ids, tags, nums[at], [constraint.target] if len(ids) else [],
             [graph.value_of(v) for v in ids[tags == 3].tolist()]))
     # Every w is owned by this shard, so all of w's adjacency is in the
-    # shard graph — both directions resolve locally. Bit 2j of an
-    # entry's mask: member j -> w; bit 2j + 1: w -> member j.
+    # shard graph — both directions resolve locally, for every member
+    # at once: one sweep over (member j -> w) then (w -> member j).
+    # Bit 2j of an entry's mask: member j -> w; bit 2j + 1: w -> member j.
+    members = np.repeat(combos, lens, axis=0).T.ravel()
+    ends = np.tile(values, arity)
+    found = kernel._edge_membership(np.concatenate((members, ends)),
+                                    np.concatenate((ends, members)))
+    bits = found.reshape(2, arity, len(values)).astype(np.int64)
     masks = np.zeros(len(values), dtype=np.int64)
     for j in range(arity):
-        members = np.repeat(combos[:, j], lens)
-        masks |= kernel.has_edges(members, values).astype(np.int64) << 2 * j
-        masks |= kernel.has_edges(values, members).astype(np.int64) \
-            << 2 * j + 1
+        masks |= bits[0, j] << 2 * j | bits[1, j] << 2 * j + 1
     # (An answer without entries says arity 0, as its frame always has.)
     return arity if len(values) else 0, lens, values, masks
+
+
+def _int64_array(values):
+    """An int64 array as it is; any other sequence converted (a task
+    built by hand rather than by the driver or the codec)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    return np.array(values, dtype=np.int64)
 
 
 __all__ = [

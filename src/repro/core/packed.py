@@ -20,6 +20,7 @@ somebody reads ``G_Q`` (:class:`PackedSource`).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -168,6 +169,40 @@ class PackedSource:
         return self._lookup()[node][1]
 
 
+@lru_cache(maxsize=1024)
+def _mask_plan(predicate) -> tuple:
+    """``(ints, texts)`` of :func:`predicate_mask`: the atoms as int64
+    comparisons, or their string constants when every atom is ``=``
+    against a string — each None when some atom has no such reading.
+    Equal predicates have equal verdicts, so they share a plan."""
+    ints, texts = [], []
+    for atom in predicate.atoms:
+        if type(atom.constant) is str:
+            ints = None
+            if atom.op != "=":
+                texts = None
+            elif texts is not None:
+                texts.append(atom.constant)
+            continue
+        texts = None
+        number = exact_float(atom.constant) if atom.op in COMPARE else None
+        if number is None or not number.is_integer() \
+                or abs(number) > _EXACT_INT:
+            ints = None
+        elif ints is not None:
+            ints.append((COMPARE[atom.op], int(number)))
+    return ints or None, tuple(texts) if texts else None
+
+
+@lru_cache(maxsize=1024)
+def _template_number(label: str, texts: tuple):
+    """The ``n`` every one of ``texts`` reads as in ``<label>_<n>``, or
+    None when they do not all read as one such ``n``."""
+    wanted = {classify(label, text) for text in texts}
+    kind, number = next(iter(wanted))
+    return number if len(wanted) == 1 and kind == 2 else None
+
+
 def predicate_mask(predicate, info: PackedInfo):
     """Boolean keep-mask over ``info.ids`` — the verdicts of
     ``predicate.evaluate(value)`` per node, without the values.
@@ -185,22 +220,10 @@ def predicate_mask(predicate, info: PackedInfo):
     if not predicate.atoms:
         return np.ones(len(tags), dtype=bool)
     kinds = tags & 3 if len(info.labels) > 1 else tags
-    ints, texts = [], []  # None once some atom has no such reading
-    for atom in predicate.atoms:
-        if type(atom.constant) is str:
-            ints = None
-            if atom.op != "=":
-                texts = None
-            elif texts is not None:
-                texts.append(atom.constant)
-            continue
-        texts = None
-        number = exact_float(atom.constant) if atom.op in COMPARE else None
-        if number is None or not number.is_integer() \
-                or abs(number) > _EXACT_INT:
-            ints = None
-        elif ints is not None:
-            ints.append((COMPARE[atom.op], int(number)))
+    try:
+        ints, texts = _mask_plan(predicate)
+    except TypeError:  # an unhashable constant: nothing to cache it by
+        ints, texts = _mask_plan.__wrapped__(predicate)
     nums = info.nums.astype(np.int64, copy=False)
     if ints:
         mask = kinds == 1
@@ -210,9 +233,8 @@ def predicate_mask(predicate, info: PackedInfo):
     elif texts:
         mask = np.zeros(len(tags), dtype=bool)
         for index, label in enumerate(info.labels):
-            wanted = {classify(label, text) for text in texts}
-            kind, number = next(iter(wanted))
-            if len(wanted) == 1 and kind == 2:
+            number = _template_number(label, texts)
+            if number is not None:
                 mask |= (tags == index * 4 + 2) & (nums == number)
         slow = (kinds & 1) == 1
     else:

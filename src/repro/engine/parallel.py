@@ -192,9 +192,10 @@ class OwnerRouter:
         return self._label_shards.get(label, frozenset())
 
     def shards_owning_any(self, nodes) -> frozenset:
-        """Shards owning at least one of ``nodes``."""
-        owner_of = self._owner_of
-        return frozenset(owner_of[v] for v in nodes if v in owner_of)
+        """Shards owning at least one of ``nodes`` (an int64 array)."""
+        owners = set(map(self._owner_of.get, nodes.tolist()))
+        owners.discard(None)
+        return frozenset(owners)
 
     def __repr__(self) -> str:
         return (f"OwnerRouter(shards={self.num_shards}, "
@@ -367,18 +368,18 @@ class _ScatterEncoder:
 
     A broadcast (or any routing that sends one task list to several
     shards) would otherwise re-encode the identical task list per
-    shard; this caches the heavy parts — the ``tasks_meta`` header
-    fragment plus the packed payload section — keyed by task-index
-    tuple, and splices the tiny per-shard envelope (``id``, ``op``,
-    ``trace``) around the cached bytes at send time. Encoding cost is
-    therefore paid once per *distinct* task list, not once per shard.
+    shard; this caches the heavy parts — the task metas and the packed
+    payload section — keyed by task-index tuple, and each shard's frame
+    dumps its small envelope (``id``, ``op``, ``trace``) with the cached
+    metas as one header. Packing cost is therefore paid once per
+    *distinct* task list, not once per shard.
     """
 
     __slots__ = ("tasks", "_parts")
 
     def __init__(self, tasks: list[tuple]):
         self.tasks = tasks
-        self._parts: dict[tuple, tuple[bytes, bytes]] = {}
+        self._parts: dict[tuple, tuple[list, bytes]] = {}
 
     def encode(self, key: tuple, envelope: dict) -> bytes:
         """One shard's complete scatter frame bytes."""
@@ -387,12 +388,11 @@ class _ScatterEncoder:
         if parts is None:
             metas, buffers = protocol.encode_tasks_binary(
                 [self.tasks[i] for i in key])
-            parts = (json.dumps(metas, separators=(",", ":")).encode(),
-                     protocol.encode_payload(buffers))
+            parts = (metas, protocol.encode_payload(buffers))
             self._parts[key] = parts
         metas, payload = parts
-        head = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-        header = head[:-1] + b',"tasks_meta":' + metas + b"}"
+        header = json.dumps({**envelope, "tasks_meta": metas},
+                            separators=(",", ":")).encode("utf-8")
         return protocol.binary_frame(header, payload)
 
 

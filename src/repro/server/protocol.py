@@ -440,8 +440,8 @@ def is_repro_error(exc: Exception) -> bool:
 # (plus a PROTOCOL_VERSION bump).
 
 def encode_tasks_binary(tasks) -> tuple[list, list[bytes]]:
-    """Pack scatter tasks: combos flatten into one ``(n, arity)`` int
-    matrix buffer per task, probe frontiers into one buffer per side."""
+    """Pack scatter tasks: a task's ``(n, arity)`` combo matrix is one
+    buffer, as it is; probe frontiers are one buffer per side."""
     metas: list = []
     buffers: list[bytes] = []
 
@@ -454,20 +454,28 @@ def encode_tasks_binary(tasks) -> tuple[list, list[bytes]]:
         kind = task[0]
         if kind == "probe":
             _, a_nodes, b_nodes = task
-            metas.append(["probe", push(np.asarray(a_nodes, dtype=np.int64)),
-                          push(np.asarray(b_nodes, dtype=np.int64))])
+            metas.append(["probe", push(a_nodes), push(b_nodes)])
         else:
             _, cpos, combos = task
-            arity = len(combos[0]) if combos else 0
-            matrix = np.asarray(combos, dtype=np.int64)
-            metas.append([kind, int(cpos), len(combos), arity, push(matrix)])
+            count, arity = np.shape(combos) if len(combos) else (0, 0)
+            metas.append([kind, int(cpos), count, arity, push(combos)])
     return metas, buffers
+
+
+def _read_only_int64(ints):
+    """``ints`` (a decoded buffer of any packed width) as a read-only
+    int64 array: the view itself when it is ``i8``."""
+    if ints.dtype != np.int64:
+        ints = ints.astype(np.int64)
+        ints.flags.writeable = False
+    return ints
 
 
 def decode_tasks_binary(metas, payloads) -> list[tuple]:
     """Inverse of :func:`encode_tasks_binary`, adopting the payload
-    memoryviews in place and restoring the exact task tuples (int
-    ``cpos``, tuple combos, list frontiers)."""
+    memoryviews in place: int ``cpos``, combos as a read-only
+    ``(count, arity)`` int64 matrix and probe frontiers as read-only
+    int64 arrays (views over the frame at the ``i8`` width)."""
 
     def pull(ref):
         code, index = ref
@@ -479,8 +487,8 @@ def decode_tasks_binary(metas, payloads) -> list[tuple]:
             kind = meta[0]
             if kind == "probe":
                 _, a_ref, b_ref = meta
-                tasks.append(("probe", pull(a_ref).tolist(),
-                              pull(b_ref).tolist()))
+                tasks.append(("probe", _read_only_int64(pull(a_ref)),
+                              _read_only_int64(pull(b_ref))))
             elif kind in ("fetch", "edge"):
                 _, cpos, count, arity, ref = meta
                 flat = pull(ref)
@@ -491,10 +499,8 @@ def decode_tasks_binary(metas, payloads) -> list[tuple]:
                     raise ShardProtocolError(
                         f"task buffer holds {flat.size} ints, expected "
                         f"{count}x{arity}")
-                combos = [tuple(row) for row in
-                          flat.reshape(count, arity).tolist()] if count \
-                    else []
-                tasks.append((kind, int(cpos), combos))
+                tasks.append((kind, int(cpos), _read_only_int64(
+                    flat.reshape(count, arity))))
             else:
                 raise ShardProtocolError(
                     f"unknown binary task kind {kind!r}")

@@ -53,6 +53,28 @@ def pack_matrix(rows):
     return flipped.view(f"S{8 * k}").reshape(n)
 
 
+def combo_matrix(pools):
+    """``(n, k)`` int64 matrix enumerating the cartesian product of the
+    1-d int64 ``pools`` (row order matches ``itertools.product``: the
+    last pool cycles fastest). No pools is the one empty combo."""
+    if len(pools) == 1:
+        return pools[0].reshape(-1, 1)
+    total = 1
+    for pool in pools:
+        total *= len(pool)
+    out = np.empty((total, len(pools)), dtype=np.int64)
+    if total == 0:
+        return out
+    inner = total
+    outer = 1
+    for j, pool in enumerate(pools):
+        inner //= len(pool)
+        column = np.repeat(pool, inner) if inner > 1 else pool
+        out[:, j] = np.tile(column, outer) if outer > 1 else column
+        outer *= len(pool)
+    return out
+
+
 #: Wire dtype codes for :func:`pack_ints` / :func:`unpack_ints`. All
 #: multi-byte widths are explicit little-endian so a packed buffer means
 #: the same thing on any peer, whatever its native byte order.
@@ -73,7 +95,8 @@ def pack_ints(values):
     arr = np.asarray(values, dtype=np.int64).reshape(-1)
     code = "i8"
     if arr.size:
-        lo, hi = int(arr.min()), int(arr.max())
+        lo = int(np.minimum.reduce(arr))
+        hi = int(np.maximum.reduce(arr))
         if 0 <= lo and hi <= 0xFF:
             code = "u1"
         elif 0 <= lo and hi <= 0xFFFF:
@@ -105,7 +128,7 @@ def in_sorted(haystack, needles):
     strings :func:`pack_matrix` produces)."""
     if len(haystack) == 0:
         return np.zeros(len(needles), dtype=bool)
-    positions = np.searchsorted(haystack, needles)
+    positions = haystack.searchsorted(needles)
     np.minimum(positions, len(haystack) - 1, out=positions)
     return haystack[positions] == needles
 
@@ -114,13 +137,12 @@ def take_segments(data, starts, lengths):
     """Gather ragged segments ``data[starts[i] : starts[i]+lengths[i]]``
     concatenated into one array (CSR payload gather without a Python
     loop)."""
-    total = int(lengths.sum())
+    ends = lengths.cumsum(dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return data[:0]
-    out_offsets = np.cumsum(lengths) - lengths
-    index = (np.arange(total, dtype=np.int64)
-             - np.repeat(out_offsets, lengths)
-             + np.repeat(starts, lengths))
+    index = np.arange(total, dtype=np.int64)
+    index += (starts - ends + lengths).repeat(lengths)
     return data[index]
 
 
@@ -130,7 +152,8 @@ def sorted_unique(values):
     several times faster than ``np.unique``."""
     if len(values) < 2:
         return values
-    values = np.sort(values)
+    values = values.copy()
+    values.sort()
     keep = np.empty(len(values), dtype=bool)
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -139,6 +162,7 @@ def sorted_unique(values):
 
 __all__ = [
     "as_int64",
+    "combo_matrix",
     "in_sorted",
     "pack_ints",
     "pack_matrix",

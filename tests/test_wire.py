@@ -13,6 +13,7 @@ hang, clean close).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import socket
@@ -45,10 +46,10 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 CHEAP = parse_pattern("m: movie; y: year; m -> y")
 
 TASKS = [
-    ("probe", [1, 2, 70000], [3, 4]),
-    ("fetch", 0, [(5,), (6,), (2**40,)]),
-    ("edge", 1, [(7, 8), (9, 10)]),
-    ("fetch", 2, []),
+    ("probe", np.array([1, 2, 70000]), np.array([3, 4])),
+    ("fetch", 0, np.array([[5], [6], [2**40]])),
+    ("edge", 1, np.array([[7, 8], [9, 10]])),
+    ("fetch", 2, np.empty((0, 0), dtype=np.int64)),
 ]
 
 RESPONSES = [
@@ -65,6 +66,25 @@ KINDS = ["probe", "fetch", "edge", "fetch"]
 
 def read_frame_bytes(data: bytes) -> protocol.Frame:
     return protocol.read_frame(io.BufferedReader(io.BytesIO(data)))
+
+
+def assert_same_tasks(decoded, sent) -> None:
+    """Decoded tasks are the sent ones, in exact shapes: an int ``cpos``,
+    and every combo matrix and probe frontier a read-only int64 array
+    of the sent shape — ``(count, arity)`` for combos — and values."""
+    assert len(decoded) == len(sent)
+    for got, want in zip(decoded, sent):
+        assert len(got) == 3 and got[0] == want[0]
+        if got[0] == "probe":
+            pairs = zip(got[1:], want[1:])
+        else:
+            assert type(got[1]) is int and got[1] == want[1]
+            pairs = [(got[2], want[2])]
+        for array, expected in pairs:
+            assert isinstance(array, np.ndarray) and array.dtype == np.int64
+            assert not array.flags.writeable
+            assert array.shape == np.shape(expected)
+            assert np.array_equal(array, expected)
 
 
 # ------------------------------------------------------------- packing
@@ -233,16 +253,11 @@ class TestBinaryCodecs:
         # The metas ride in the frame header, i.e. through JSON.
         metas = json.loads(json.dumps(metas))
         views = [memoryview(buf) for buf in buffers]
-        decoded = protocol.decode_tasks_binary(metas, views)
-        assert decoded == TASKS
-        # Exact shapes: ints (not numpy scalars), tuple combos.
-        for task in decoded:
-            if task[0] == "probe":
-                assert all(type(v) is int for v in task[1] + task[2])
-            else:
-                assert all(type(combo) is tuple for combo in task[2])
-                assert all(type(v) is int for combo in task[2]
-                           for v in combo)
+        # Every packed width: u1, i4 and i8 buffers all decode to int64.
+        assert {arrays.pack_ints(array)[0] for task in TASKS
+                for array in task[1:] if isinstance(array, np.ndarray)} \
+            == {"u1", "i4", "i8"}
+        assert_same_tasks(protocol.decode_tasks_binary(metas, views), TASKS)
 
     def test_responses_roundtrip_exact_shapes(self):
         metas, buffers = protocol.encode_shard_responses_binary(
@@ -397,8 +412,9 @@ class TestBinaryCodecs:
                 [["fetch", 0, count, arity, ["i8", 0]]], [b""])
         assert time.perf_counter() - start < 1.0
         # The one legitimate arity-0 shape: a single empty combo.
-        assert protocol.decode_tasks_binary(
-            [["fetch", 0, 1, 0, ["i8", 0]]], [b""]) == [("fetch", 0, [()])]
+        assert_same_tasks(protocol.decode_tasks_binary(
+            [["fetch", 0, 1, 0, ["i8", 0]]], [b""]),
+            [("fetch", 0, np.empty((1, 0), dtype=np.int64))])
 
     @pytest.mark.parametrize("arity", [5_000_000, 32, -1])
     def test_edge_arity_cannot_outgrow_its_mask(self, arity):
@@ -482,8 +498,36 @@ class TestScatterEncoder:
             envelope = {"id": shard_id + 1, "op": "scatter"}
             frame = read_frame_bytes(encoder.encode(key, dict(envelope)))
             assert frame["id"] == shard_id + 1 and frame.binary
-            assert protocol.decode_tasks_binary(
-                frame["tasks_meta"], frame.payloads) == expected
+            assert_same_tasks(protocol.decode_tasks_binary(
+                frame["tasks_meta"], frame.payloads), expected)
+
+    @pytest.mark.parametrize("envelope, digests", [
+        ({"id": 1, "op": "scatter"},
+         ["efd25e346aef7a1bff0253a72c1124234731e7a9f0434dde47184b7125d4422c",
+          "39fd2bd2697655fef8e1edc3cff898c23225e563fac19b0a14a8f39d2b4c57ca"]),
+        ({"id": 12, "op": "scatter",
+          "trace": {"trace_id": "0f3a", "span_id": "9c"}},
+         ["9e59a277e15219e643b352d19da412ebf629fb5ef6029c1ee4c857f65b262b90",
+          "d1093b8b82c4e1f6bba0e229818fbeda7a6d0df9ad4157b357956fa3d45e8ca3"]),
+    ])
+    def test_one_dump_frames_equal_the_spliced_ones(self, envelope, digests):
+        """A frame's header is one ``json.dumps`` of the envelope with
+        the metas, byte for byte the envelope-and-metas splice it
+        replaced: the metas spliced in before the envelope's closing
+        brace, then the packed payload section. The digests pin the
+        frames the tuple-combo codec sent for the same tasks."""
+        encoder = _ScatterEncoder(TASKS)
+        for key, digest in zip(((0, 1, 2, 3), (1, 3)), digests):
+            assert hashlib.sha256(
+                encoder.encode(key, dict(envelope))).hexdigest() == digest
+            metas, buffers = protocol.encode_tasks_binary(
+                [TASKS[i] for i in key])
+            head = json.dumps(envelope, separators=(",", ":")).encode()
+            spliced = protocol.binary_frame(
+                head[:-1] + b',"tasks_meta":'
+                + json.dumps(metas, separators=(",", ":")).encode() + b"}",
+                protocol.encode_payload(buffers))
+            assert encoder.encode(key, dict(envelope)) == spliced
 
 
 # ------------------------------------------------------------ live sockets
