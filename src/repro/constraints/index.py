@@ -438,13 +438,14 @@ class FrozenConstraintIndex(BaseConstraintIndex):
             return zeros, zeros.copy(), payload
         if packed is None:
             packed = pack_matrix(combos)
-        positions = np.searchsorted(packed_keys, packed)
-        clipped = np.minimum(positions, num_keys - 1)
-        hits = packed_keys[clipped] == packed
-        index = np.where(hits, clipped, 0)
-        starts = payload_ptr[index]
-        lengths = np.where(hits, payload_ptr[index + 1] - starts, 0)
-        return np.where(hits, starts, 0), lengths, payload
+        positions = packed_keys.searchsorted(packed)
+        np.minimum(positions, num_keys - 1, out=positions)
+        misses = packed_keys[positions] != packed
+        starts = payload_ptr[positions]
+        lengths = payload_ptr[positions + 1] - starts
+        starts[misses] = 0
+        lengths[misses] = 0
+        return starts, lengths, payload
 
     def keys(self) -> list[tuple[int, ...]]:
         rows = self._keys.reshape(self.num_keys, len(self.constraint.source))

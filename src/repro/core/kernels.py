@@ -120,7 +120,7 @@ class GraphKernel:
     def positions(self, nodes):
         """CSR row positions of ``nodes`` (which must all be present —
         payloads and candidates always are)."""
-        return np.searchsorted(self.ids, nodes)
+        return self.ids.searchsorted(nodes)
 
     # -- adjacency -----------------------------------------------------------
     def has_edges(self, sources, targets):

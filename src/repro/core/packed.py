@@ -73,7 +73,7 @@ class PackedInfo:
     def take(self, ids) -> "PackedInfo":
         """The info of ``ids`` (sorted, all present), as copies — the
         result does not keep the frame the columns may be views of."""
-        at = np.searchsorted(self.ids, ids)
+        at = self.ids.searchsorted(ids)
         tags = self.tags[at]
         others = self.others
         if others:
@@ -236,12 +236,12 @@ def predicate_mask(predicate, info: PackedInfo):
             number = _template_number(label, texts)
             if number is not None:
                 mask |= (tags == index * 4 + 2) & (nums == number)
-        slow = (kinds & 1) == 1
+        slow = kinds & 1
     else:
         mask = np.zeros(len(tags), dtype=bool)
         slow = kinds != 0
     if np.count_nonzero(slow):
-        at = np.nonzero(slow)[0]
+        at = np.flatnonzero(slow)
         values = info.take(info.ids[at]).values()
         mask[at] = [predicate.evaluate(value) for value in values]
     return mask

@@ -136,7 +136,9 @@ def in_sorted(haystack, needles):
 def take_segments(data, starts, lengths):
     """Gather ragged segments ``data[starts[i] : starts[i]+lengths[i]]``
     concatenated into one array (CSR payload gather without a Python
-    loop)."""
+    loop; one segment is a view)."""
+    if len(starts) == 1:
+        return data[starts[0]:starts[0] + lengths[0]]
     ends = lengths.cumsum(dtype=np.int64)
     total = int(ends[-1]) if len(ends) else 0
     if total == 0:
