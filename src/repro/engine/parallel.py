@@ -52,7 +52,6 @@ so one shard mid-backoff never stalls another shard's traffic.
 from __future__ import annotations
 
 import abc
-import json
 import select
 import socket
 import threading
@@ -391,9 +390,8 @@ class _ScatterEncoder:
             parts = (metas, protocol.encode_payload(buffers))
             self._parts[key] = parts
         metas, payload = parts
-        header = json.dumps({**envelope, "tasks_meta": metas},
-                            separators=(",", ":")).encode("utf-8")
-        return protocol.binary_frame(header, payload)
+        return protocol.binary_frame(
+            protocol.compact_json({**envelope, "tasks_meta": metas}), payload)
 
 
 class _PendingRequest(NamedTuple):

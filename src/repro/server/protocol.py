@@ -110,9 +110,19 @@ DEFAULT_PORT = 8642
 DEFAULT_SHARD_PORT = 8650
 
 
+#: One compact encoder for every frame: ``json.dumps`` with
+#: ``separators`` would build an encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def compact_json(doc) -> bytes:
+    """``doc`` as compact UTF-8 JSON (a JSON line or a frame header)."""
+    return _COMPACT.encode(doc).encode("utf-8")
+
+
 def encode(doc: dict) -> bytes:
     """One response/request line: compact JSON + newline."""
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8") + b"\n"
+    return compact_json(doc) + b"\n"
 
 
 def decode(line: bytes) -> dict:
@@ -172,7 +182,7 @@ def binary_frame(header: bytes, payload: bytes) -> bytes:
 def encode_binary(doc: dict, buffers=()) -> bytes:
     """One binary frame: ``doc`` as the JSON header plus payload
     buffers. The binary-framed twin of :func:`encode`."""
-    header = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    header = compact_json(doc)
     return binary_frame(header, encode_payload(buffers))
 
 

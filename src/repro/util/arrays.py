@@ -92,7 +92,11 @@ def pack_ints(values):
     :func:`unpack_ints` re-adopts them with ``np.frombuffer``. No
     per-element Python loop on either side.
     """
-    arr = np.asarray(values, dtype=np.int64).reshape(-1)
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" or arr.dtype.itemsize > 8 \
+            or arr.dtype == np.uint64:
+        arr = arr.astype(np.int64)  # (a list of ints past int64 raises)
+    arr = arr.reshape(-1)
     code = "i8"
     if arr.size:
         lo = int(np.minimum.reduce(arr))
@@ -103,7 +107,7 @@ def pack_ints(values):
             code = "u2"
         elif -2**31 <= lo and hi < 2**31:
             code = "i4"
-    if code != "i8":
+    if arr.dtype != _PACK_DTYPES[code]:
         arr = arr.astype(_PACK_DTYPES[code])
     return code, arr.tobytes()
 
