@@ -79,6 +79,7 @@ def combo_matrix(pools):
 #: multi-byte widths are explicit little-endian so a packed buffer means
 #: the same thing on any peer, whatever its native byte order.
 _PACK_DTYPES = {"u1": "u1", "u2": "<u2", "i4": "<i4", "i8": "<i8"}
+_PACK_NP = {code: np.dtype(spec) for code, spec in _PACK_DTYPES.items()}
 
 
 def pack_ints(values):
@@ -93,8 +94,7 @@ def pack_ints(values):
     per-element Python loop on either side.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu" or arr.dtype.itemsize > 8 \
-            or arr.dtype == np.uint64:
+    if arr.dtype.kind not in "iu":
         arr = arr.astype(np.int64)  # (a list of ints past int64 raises)
     arr = arr.reshape(-1)
     code = "i8"
@@ -107,8 +107,8 @@ def pack_ints(values):
             code = "u2"
         elif -2**31 <= lo and hi < 2**31:
             code = "i4"
-    if arr.dtype != _PACK_DTYPES[code]:
-        arr = arr.astype(_PACK_DTYPES[code])
+    if arr.dtype != _PACK_NP[code]:
+        arr = arr.astype(_PACK_NP[code])
     return code, arr.tobytes()
 
 
