@@ -397,7 +397,7 @@ class _Run:
                 raise ShardProtocolError(
                     f"{kind} response answers {len(lens)} combos, the task "
                     f"carried {self.size}")
-            if len(ids):  # (arrays at a frame's packed width: _concat reads)
+            if len(ids):  # kept at the frame's width; _concat widens reads
                 offsets = lens.cumsum(dtype=np.int64) - lens
                 self.blocks.append((offsets, lens, ids, extra))
         self.done = True
