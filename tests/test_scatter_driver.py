@@ -1,7 +1,7 @@
 """The scatter driver's cell tables: golden counts and partial dedup.
 
-* Golden counts: for a fixed batch on a 2-shard inline backend the
-  driver's round accounting (``scatter_rounds``, ``tasks_scattered``,
+* Golden counts: for a fixed batch on 2- and 4-shard inline backends,
+  in both edge modes, the driver's round accounting (``scatter_rounds``, ``tasks_scattered``,
   ``scatter_messages``, ``scatter_dedup_hits``) is deterministic, and so
   are the per-shard wire bytes of a 2-shard ``ShardServer`` fleet
   answering the same patterns one query at a time. Both are pinned to
