@@ -7,11 +7,14 @@ prose. Every such file must parse as a ledger report over the workloads
 and end-to-end metrics ``BENCHMARK.json`` declares, be oracle clean (no
 failed request), and carry the exact ``accessed_per_query`` the
 workloads pin — a bounded plan's accesses are a count, not a timing.
+Each report also needs its ``PR <N>:`` line in CHANGES.md, whose PR
+numbers strictly increase, so losing a changelog entry fails here.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,22 @@ def test_committed_ledger_report(path):
             assert metric["name"] in row["end_to_end"], (name, metric)
         accessed = row["end_to_end"]["accessed_per_query"]["value"]
         assert round(accessed, 2) == ACCESSED_PER_QUERY[name], name
+
+
+def _changelog_prs():
+    lines = (ROOT / "CHANGES.md").read_text().splitlines()
+    return [int(m.group(1)) for m in
+            (re.match(r"PR (\d+):", line) for line in lines) if m]
+
+
+def test_changelog_prs_strictly_increase():
+    prs = _changelog_prs()
+    assert prs
+    assert all(a < b for a, b in zip(prs, prs[1:])), prs
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_PR*.json")),
+                         ids=lambda path: path.name)
+def test_every_report_has_its_changelog_line(path):
+    number = int(re.fullmatch(r"BENCH_PR(\d+)\.json", path.name).group(1))
+    assert number in _changelog_prs(), f"CHANGES.md has no 'PR {number}:' line"
