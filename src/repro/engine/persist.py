@@ -368,24 +368,22 @@ def _save_shard(path: Path, shard_id: int, graph, schema,
 def _write_artifact(engine, path, units: list, graph_info: dict,
                     cross_edges: int) -> dict:
     """Write ``engine``'s artifact at ``path`` and return its top
-    manifest. ``units`` holds one ``(graph, schema_index, owned)`` per
-    shard; ``owned=None`` means the shard owns its whole graph. Clears
-    any stale marker: a fresh save *is* the repair."""
+    manifest. ``units`` holds one ``(graph, schema_index, owned,
+    owned_edges)`` per shard; ``owned=None`` means the shard owns its
+    whole graph. Clears any stale marker: a fresh save *is* the
+    repair."""
     from repro import __version__
 
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     shard_meta = []
     owned_buffers = {}
-    for shard_id, (graph, schema_index, owned) in enumerate(units):
+    for shard_id, (graph, schema_index, owned, owned_edges) in \
+            enumerate(units):
         unit, digest = _save_shard(path / shard_dir_name(shard_id),
                                    shard_id, graph, engine.schema,
                                    schema_index)
-        if owned is None:
-            owned_nodes, owned_edges = graph.num_nodes, graph.num_edges
-        else:
-            owned_nodes = len(owned)
-            owned_edges = sum(graph.out_degree(v) for v in owned)
+        owned_nodes = graph.num_nodes if owned is None else len(owned)
         if len(units) > 1:
             owned_buffers[f"s{shard_id}.owned"] = array("q", sorted(owned))
         shard_meta.append({
@@ -445,11 +443,11 @@ def save_sharded_engine(engine, path, shards: int = 1,
     schema_index = engine.schema_index
     graph = schema_index.graph
     if shards == 1 and assignment is None:
-        units = [(graph, schema_index, None)]
+        units = [(graph, schema_index, None, graph.num_edges)]
         cross_edges = 0
     else:
         partition = partition_graph(graph, shards, assignment=assignment)
-        units = [(shard.graph, schema_index, shard.owned)
+        units = [(shard.graph, schema_index, shard.owned, shard.owned_edges)
                  for shard, schema_index in zip(
                      partition.shards,
                      build_shard_indexes(partition, engine.schema))]
@@ -482,8 +480,10 @@ def save_extended_sharded(engine, source, path) -> dict:
     source_manifest = read_manifest(source)
     manifest = _write_artifact(
         engine, path,
-        [(runtime.graph, runtime.schema_index, runtime.owned)
-         for runtime in engine.backend.runtimes],
+        [(runtime.graph, runtime.schema_index, runtime.owned,
+          shard["owned_edges"])
+         for runtime, shard in zip(engine.backend.runtimes,
+                                   source_manifest["shards"])],
         source_manifest.get("graph", {}),
         source_manifest.get("partition", {}).get("cross_edges"))
     engine.artifact_path = Path(path)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.graph import GraphView
-from repro.util.arrays import as_int64
+from repro.util.arrays import as_int64, take_segments
 
 
 def _q_view(values) -> memoryview:
@@ -44,6 +44,14 @@ def _splice_rows(ptr, data, keep, at, rows) -> tuple:
     data = np.insert(data[np.repeat(keep, counts)],
                      np.repeat(kept_ptr[at], lengths), flat)
     return np.concatenate(([0], np.cumsum(np.insert(kept, at, lengths)))), data
+
+
+def _take_rows(ptr, data, rows) -> tuple:
+    """CSR ``(ptr, data)`` of the rows ``rows`` of ``(ptr, data)``, in
+    that order."""
+    lengths = ptr[rows + 1] - ptr[rows]
+    return (np.concatenate(([0], np.cumsum(lengths))),
+            take_segments(data, ptr[rows], lengths))
 
 
 class FrozenGraph(GraphView):
@@ -100,6 +108,44 @@ class FrozenGraph(GraphView):
                 ptr.append(len(data))
             csr += [ptr, data]
         return cls(ids, [graph.label_of(v) for v in ids], values, *csr)
+
+    @classmethod
+    def from_rows(cls, parts) -> "FrozenGraph":
+        """A snapshot cut from the rows of other snapshots.
+
+        Each part is ``(graph, nodes, out_edges, in_edges)``: boolean
+        masks over ``graph``'s nodes and over the entries of its out and
+        in CSR. The result holds the kept nodes of every part, with their
+        labels and values, and each kept node's rows restricted to the
+        kept entries; an entry may be kept only if its row's node is, and
+        no node may be kept by two parts. Node ids are unchanged and rows
+        stay sorted: they are filtered and reordered by id, never rebuilt.
+        """
+        ids, labels, values = [], [], {}
+        counts, entries = ([], []), ([], [])
+        for graph, nodes, out_edges, in_edges in parts:
+            views = graph.int64_views()
+            kept = views["ids"][nodes]
+            ids.append(kept)
+            labels += [graph._labels[i] for i in np.flatnonzero(nodes).tolist()]
+            values.update((v, graph._values[v]) for v in kept.tolist()
+                          if v in graph._values)
+            for side, (ptr, data, keep) in enumerate((
+                    (views["out_ptr"], views["out_dst"], out_edges),
+                    (views["in_ptr"], views["in_src"], in_edges))):
+                row = np.repeat(np.arange(len(nodes)), np.diff(ptr))
+                counts[side].append(
+                    np.bincount(row[keep], minlength=len(nodes))[nodes])
+                entries[side].append(data[keep])
+        ids = np.concatenate(ids)
+        order = np.argsort(ids, kind="stable")
+        csr = []
+        for side in (0, 1):
+            ptr = np.concatenate(([0], np.cumsum(np.concatenate(counts[side]))))
+            csr += map(_q_view, _take_rows(
+                ptr, np.concatenate(entries[side]), order))
+        return cls(_q_view(ids[order]), [labels[i] for i in order.tolist()],
+                   values, *csr)
 
     def patched(self, patch) -> "FrozenGraph":
         """``G ⊕ ΔG`` for a :class:`~repro.graph.delta.Patch` resolved
@@ -189,6 +235,17 @@ class FrozenGraph(GraphView):
                 "out_dst": as_int64(self._out_dst),
                 "in_ptr": as_int64(self._in_ptr),
                 "in_src": as_int64(self._in_src)}
+
+    def rows_of(self, nodes):
+        """Row of each node id in the int64 array ``nodes`` (all of them
+        in the snapshot): a table lookup when the ids are dense, as
+        generated and loaded graphs are, a binary search otherwise."""
+        ids = as_int64(self._ids)
+        if len(ids) and ids[-1] - ids[0] < 4 * len(ids):
+            table = np.empty(ids[-1] - ids[0] + 1, dtype=np.int64)
+            table[ids - ids[0]] = np.arange(len(ids))
+            return table[nodes - ids[0]]
+        return np.searchsorted(ids, nodes)
 
     # -- read interface ---------------------------------------------------------
     def nodes(self) -> Iterable[int]:

@@ -13,19 +13,22 @@ over all shards, equals the global fetch. Two invariants make that true:
 * **Halo closure** — a shard's graph contains its owned nodes plus every
   neighbour of an owned node (the *halo*), and every edge incident to an
   owned node. An owned node therefore sees its complete neighbourhood
-  inside the shard, which is exactly what index construction
-  (:func:`repro.constraints.index._keys_for_target`) and edge
-  verification (``has_edge`` against an owned endpoint) need. Halo nodes
-  have *incomplete* adjacency and are never used as index targets or
-  probe sources.
+  inside the shard, which is exactly what index construction (the
+  neighbour pairs of :class:`repro.constraints.index._Adjacency`) and
+  edge verification (``has_edge`` against an owned endpoint) need. Halo
+  nodes have *incomplete* adjacency and are never used as index targets
+  or probe sources.
 
-Assignment is label/hash-aware: nodes are dealt round-robin within each
-label bucket (so every label — and with it every type (1) index scan and
-per-label index build — balances across shards), with a stable per-label
-CRC32 offset so small buckets do not all pile onto shard 0. The
-assignment depends only on (sorted node ids per label, num_shards),
-making it reproducible across processes and Python versions — no
-``hash()`` randomization anywhere.
+Everything is an array pass over the parent's frozen CSR. The
+**owner array** holds one shard id per node in sorted-id order: nodes
+are dealt round-robin within each label bucket (so every label, and
+with it every type (1) scan and per-label index build, balances across
+shards) from a stable per-label CRC32 offset, so it is reproducible
+across processes with no ``hash()`` randomization. Each shard is a
+**mask cut**: the CSR entries of every edge with an owned endpoint, and
+the owned nodes plus those edges' endpoints, ids unchanged and rows
+still sorted. The **merged view** takes each node's rows from its owner
+shard, where halo closure makes them complete.
 
 See DESIGN.md ("Sharded execution") for the correctness argument.
 """
@@ -34,11 +37,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.frozen import FrozenGraph
-from repro.graph.graph import Graph, GraphView
+from repro.graph.graph import GraphView
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,8 @@ class GraphPartition:
 
     Examples
     --------
-    >>> g = Graph()
-    >>> nodes = [g.add_node("L") for _ in range(6)]
-    >>> g.add_edge(nodes[0], nodes[1])
-    True
+    >>> from repro.graph.generators import random_labeled_graph
+    >>> g = random_labeled_graph(6, 2, 5, seed=1)
     >>> part = partition_graph(g, 2)
     >>> sorted(v for shard in part.shards for v in shard.owned) == sorted(g.nodes())
     True
@@ -128,39 +130,64 @@ class GraphPartition:
         except KeyError:
             raise GraphError(f"unknown node {node}") from None
 
-    def owned_edge_list(self, shard_id: int) -> Iterator[tuple[int, int]]:
-        """Directed edges owned by ``shard_id`` (source is owned there).
-
-        The concatenation over all shards enumerates every edge of the
-        source graph exactly once — the edge side of the exact cover.
-        """
-        shard = self.shards[shard_id]
-        for v in shard.owned:
-            for w in shard.graph.out_neighbors(v):
-                yield (v, w)
-
     def __repr__(self) -> str:
         return (f"GraphPartition(shards={self.num_shards}, "
                 f"nodes={self.summary.num_nodes}, "
                 f"cross_edges={self.cross_edges})")
 
 
-def assign_nodes(graph: GraphView, num_shards: int) -> dict[int, int]:
-    """Label/hash-aware shard assignment (exact cover of the nodes).
-
-    Within each label bucket nodes are dealt round-robin in sorted-id
-    order, starting from a stable CRC32 offset of the label. Every label
-    is spread as evenly as possible across shards, so per-shard index
-    build cost and type (1) scan payloads balance.
-    """
+def _check_num_shards(num_shards: int) -> None:
     if num_shards < 1:
         raise GraphError(f"num_shards must be >= 1, got {num_shards}")
-    assignment: dict[int, int] = {}
-    for label in sorted(graph.labels()):
+
+
+def assign_nodes(graph: GraphView, num_shards: int) -> np.ndarray:
+    """Label/hash-aware shard assignment (exact cover of the nodes): one
+    int64 owner per node, aligned with the sorted node ids.
+
+    Within each label bucket, in sorted-id order, the node of rank ``i``
+    goes to shard ``(crc32(label) % num_shards + i) % num_shards``. Every
+    label is spread as evenly as possible across shards, so per-shard
+    index build cost and type (1) scan payloads balance.
+    """
+    _check_num_shards(num_shards)
+    ids = np.sort(np.fromiter(graph.nodes(), dtype=np.int64))
+    owner = np.empty(len(ids), dtype=np.int64)
+    for label in graph.labels():
+        rows = np.sort(np.searchsorted(ids, np.fromiter(
+            graph.nodes_with_label(label), dtype=np.int64)))
         offset = zlib.crc32(label.encode("utf-8")) % num_shards
-        for i, v in enumerate(sorted(graph.nodes_with_label(label))):
-            assignment[v] = (offset + i) % num_shards
-    return assignment
+        owner[rows] = (offset + np.arange(len(rows))) % num_shards
+    return owner
+
+
+def _read_assignment(graph: FrozenGraph, assignment: dict,
+                     num_shards: int) -> np.ndarray:
+    """An explicit ``node -> shard id`` dict as the owner array, once
+    checked: it names exactly the graph's nodes, with integer shard ids
+    in range."""
+    unknown = [v for v in assignment if not graph.has_node(v)]
+    if unknown:
+        raise GraphError(
+            f"assignment names nodes not in the graph: {unknown[:5]}")
+    ids = graph.int64_views()["ids"].tolist()
+    missing = [v for v in ids if v not in assignment]
+    if missing:
+        raise GraphError(f"assignment does not cover nodes {missing[:5]}...")
+    kinds = {type(shard) for shard in assignment.values()}
+    wrong = sorted(kind.__name__ for kind in kinds
+                   if issubclass(kind, (bool, np.bool_))
+                   or not issubclass(kind, (int, np.integer)))
+    if wrong:
+        raise GraphError(
+            f"assignment shard ids must be integers, got {', '.join(wrong)}")
+    bad = {shard for shard in assignment.values()
+           if not 0 <= shard < num_shards}
+    if bad:
+        raise GraphError(f"assignment uses shard ids {sorted(bad)} outside "
+                         f"[0, {num_shards})")
+    return np.fromiter(map(assignment.__getitem__, ids), dtype=np.int64,
+                       count=len(ids))
 
 
 def partition_graph(graph: GraphView, num_shards: int,
@@ -168,64 +195,44 @@ def partition_graph(graph: GraphView, num_shards: int,
     """Partition ``graph`` into ``num_shards`` halo shards.
 
     ``assignment`` may override the default :func:`assign_nodes` cover
-    (it must map every node to a shard id in range).
+    (it must map exactly the graph's nodes to integer shard ids in
+    range). Each shard is a mask cut of the frozen CSR: the entries with
+    an owned endpoint, and the owned nodes plus those entries' endpoints.
     """
-    if assignment is None:
-        assignment = assign_nodes(graph, num_shards)
-    else:
-        if num_shards < 1:
-            raise GraphError(f"num_shards must be >= 1, got {num_shards}")
-        missing = [v for v in graph.nodes() if v not in assignment]
-        if missing:
-            raise GraphError(
-                f"assignment does not cover nodes {sorted(missing)[:5]}...")
-        bad = {s for s in assignment.values()
-               if not (0 <= s < num_shards)}
-        if bad:
-            raise GraphError(
-                f"assignment uses shard ids {sorted(bad)} outside "
-                f"[0, {num_shards})")
-
-    builders = [Graph() for _ in range(num_shards)]
-    present: list[set[int]] = [set() for _ in range(num_shards)]
-
-    def ensure(shard: int, v: int) -> None:
-        if v not in present[shard]:
-            builders[shard].add_node(graph.label_of(v),
-                                     value=graph.value_of(v), node_id=v)
-            present[shard].add(v)
-
-    owned_lists: list[list[int]] = [[] for _ in range(num_shards)]
-    owned_edge_counts = [0] * num_shards
-    cross_edges = 0
-    for v in sorted(graph.nodes()):
-        shard = assignment[v]
-        owned_lists[shard].append(v)
-        ensure(shard, v)
-        for w in sorted(graph.out_neighbors(v)):
-            ensure(shard, w)
-            builders[shard].add_edge(v, w)
-            owned_edge_counts[shard] += 1
-            if assignment[w] != shard:
-                cross_edges += 1
-        for w in sorted(graph.in_neighbors(v)):
-            # Halo closure for in-edges: the owner of the *target* also
-            # stores the edge, so every edge incident to an owned node
-            # is present in its shard graph.
-            ensure(shard, w)
-            builders[shard].add_edge(w, v)
-
-    shards = [
-        Shard(shard_id=i, owned=tuple(owned_lists[i]),
-              graph=FrozenGraph.from_graph(builders[i]),
-              owned_edges=owned_edge_counts[i])
-        for i in range(num_shards)
-    ]
+    _check_num_shards(num_shards)
+    if not isinstance(graph, FrozenGraph):
+        graph = FrozenGraph.from_graph(graph)
+    views = graph.int64_views()
+    ids = views["ids"]
+    owner = (assign_nodes(graph, num_shards) if assignment is None
+             else _read_assignment(graph, assignment, num_shards))
+    # Owner of each CSR entry's row node and of the node the entry names.
+    out_pos = graph.rows_of(views["out_dst"])
+    in_pos = graph.rows_of(views["in_src"])
+    out_row = owner[np.repeat(np.arange(len(ids)), np.diff(views["out_ptr"]))]
+    in_row = owner[np.repeat(np.arange(len(ids)), np.diff(views["in_ptr"]))]
+    out_named, in_named = owner[out_pos], owner[in_pos]
+    owned_edges = np.bincount(out_row, minlength=num_shards)
+    shards = []
+    for shard_id in range(num_shards):
+        out_keep = (out_row == shard_id) | (out_named == shard_id)
+        in_keep = (in_row == shard_id) | (in_named == shard_id)
+        # An edge with an owned endpoint sits in both CSRs, so the kept
+        # entries' named nodes are every endpoint of every kept edge.
+        nodes = owner == shard_id
+        nodes[out_pos[out_keep]] = True
+        nodes[in_pos[in_keep]] = True
+        shards.append(Shard(
+            shard_id=shard_id, owned=tuple(ids[owner == shard_id].tolist()),
+            graph=FrozenGraph.from_rows([(graph, nodes, out_keep, in_keep)]),
+            owned_edges=int(owned_edges[shard_id])))
     summary = GraphSummary(num_nodes=graph.num_nodes,
                            num_edges=graph.num_edges,
                            num_labels=len(graph.labels()))
-    return GraphPartition(shards=shards, assignment=assignment,
-                          summary=summary, cross_edges=cross_edges)
+    return GraphPartition(
+        shards=shards, assignment=dict(zip(ids.tolist(), owner.tolist())),
+        summary=summary,
+        cross_edges=int(np.count_nonzero(out_row != out_named)))
 
 
 def build_shard_indexes(partition: GraphPartition, schema) -> list:
@@ -253,11 +260,11 @@ def merge_shard_runtimes(runtimes, schema):
     only adds coordination overhead, and merging back unlocks the (much
     faster) sequential/vectorized plan executors.
 
-    Correctness rests on the partition invariants: the exact cover means
-    every node and every directed edge is owned by exactly one shard, so
-    collecting owned nodes and owned out-edges reconstructs the source
-    graph exactly; and each per-shard index enumerates owned targets
-    only, so regrouping the shards' concatenated cells
+    Correctness rests on the partition invariants: every node is owned
+    by exactly one shard, whose out- and in-rows for it are complete by
+    halo closure, so those rows ordered by id are the source graph's;
+    and each per-shard index enumerates owned targets only, so
+    regrouping the shards' concatenated cells
     (:meth:`~repro.constraints.index.FrozenConstraintIndex.merge`) gives
     the global index. One runtime is the identity partition: its graph
     and indexes are returned as they are, still the arrays of the loaded
@@ -270,18 +277,15 @@ def merge_shard_runtimes(runtimes, schema):
         return runtime.graph, SchemaIndex.from_prebuilt(
             runtime.graph, schema,
             {c: runtime.schema_index.index_for(c) for c in schema})
-    builder = Graph()
+    parts = []
     for runtime in runtimes:
-        graph = runtime.graph
-        for v in sorted(runtime.owned):
-            builder.add_node(graph.label_of(v), value=graph.value_of(v),
-                             node_id=v)
-    for runtime in runtimes:
-        graph = runtime.graph
-        for v in sorted(runtime.owned):
-            for w in graph.out_neighbors(v):
-                builder.add_edge(v, w)
-    merged_graph = FrozenGraph.from_graph(builder)
+        views = runtime.graph.int64_views()
+        nodes = np.isin(views["ids"], np.fromiter(
+            runtime.owned, dtype=np.int64, count=len(runtime.owned)))
+        parts.append((runtime.graph, nodes,
+                      np.repeat(nodes, np.diff(views["out_ptr"])),
+                      np.repeat(nodes, np.diff(views["in_ptr"]))))
+    merged_graph = FrozenGraph.from_rows(parts)
     indexes = {constraint: FrozenConstraintIndex.merge(
                    constraint, [runtime.schema_index.index_for(constraint)
                                 for runtime in runtimes])
@@ -290,18 +294,12 @@ def merge_shard_runtimes(runtimes, schema):
                                                    indexes)
 
 
-def cross_edge_count(graph: GraphView, assignment: dict[int, int]) -> int:
-    """Directed edges whose endpoints are owned by different shards."""
-    return sum(1 for v, w in graph.edges() if assignment[v] != assignment[w])
-
-
 __all__ = [
     "GraphPartition",
     "GraphSummary",
     "Shard",
     "assign_nodes",
     "build_shard_indexes",
-    "cross_edge_count",
     "merge_shard_runtimes",
     "partition_graph",
 ]

@@ -33,13 +33,13 @@ from repro.graph.partition import (
     GraphSummary,
     assign_nodes,
     build_shard_indexes,
-    cross_edge_count,
     partition_graph,
 )
 from repro.matching.bounded import canonical_answer
 from repro.matching.simulation import simulate
 from repro.matching.vf2 import find_matches
 from repro.pattern.generator import PatternGenerator
+from tests.test_partition_oracle import cross_edge_count, owned_edge_list
 
 _SETTINGS = dict(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -91,7 +91,7 @@ def test_partition_preserves_edge_multiset(data, num_shards):
     partition = partition_graph(graph, num_shards)
     owned_edges = sorted(
         edge for shard_id in range(num_shards)
-        for edge in partition.owned_edge_list(shard_id))
+        for edge in owned_edge_list(partition, shard_id))
     assert owned_edges == sorted(graph.edges())
     assert sum(s.owned_edges for s in partition.shards) == graph.num_edges
     assert partition.cross_edges == cross_edge_count(graph,
@@ -242,16 +242,13 @@ def test_memo_hit_under_another_predicate(num_shards):
 class TestAssignment:
     def test_deterministic_across_calls(self):
         graph = random_labeled_graph(30, 3, 60, seed=3)
-        assert assign_nodes(graph, 4) == assign_nodes(graph, 4)
+        assert np.array_equal(assign_nodes(graph, 4), assign_nodes(graph, 4))
 
     def test_labels_balanced(self):
         graph = Graph()
         for _ in range(40):
             graph.add_node("L")
-        counts: dict[int, int] = {}
-        for shard in assign_nodes(graph, 4).values():
-            counts[shard] = counts.get(shard, 0) + 1
-        assert all(count == 10 for count in counts.values())
+        assert np.bincount(assign_nodes(graph, 4)).tolist() == [10] * 4
 
     def test_invalid_shard_count(self):
         graph = Graph()
@@ -267,6 +264,24 @@ class TestAssignment:
             partition_graph(graph, 2, assignment={a: 0})  # missing node
         with pytest.raises(GraphError):
             partition_graph(graph, 2, assignment={a: 0, a + 1: 9})
+
+    def test_float_shard_id_rejected(self):
+        graph = Graph()
+        a, b = graph.add_node("L"), graph.add_node("L")
+        with pytest.raises(GraphError, match="integers, got float"):
+            partition_graph(graph, 2, assignment={a: 0, b: 1.0})
+
+    def test_bool_shard_id_rejected(self):
+        graph = Graph()
+        a, b = graph.add_node("L"), graph.add_node("L")
+        with pytest.raises(GraphError, match="integers, got bool"):
+            partition_graph(graph, 2, assignment={a: 0, b: True})
+
+    def test_unknown_node_rejected(self):
+        graph = Graph()
+        a, b = graph.add_node("L"), graph.add_node("L")
+        with pytest.raises(GraphError, match="not in the graph"):
+            partition_graph(graph, 2, assignment={a: 0, b: 1, b + 7: 0})
 
     def test_single_shard_is_whole_graph(self):
         graph = random_labeled_graph(20, 3, 40, seed=5)
