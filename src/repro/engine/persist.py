@@ -481,7 +481,7 @@ def save_extended_sharded(engine, source, path) -> dict:
     manifest = _write_artifact(
         engine, path,
         [(runtime.graph, runtime.schema_index, runtime.owned,
-          shard["owned_edges"])
+          shard.get("owned_edges"))
          for runtime, shard in zip(engine.backend.runtimes,
                                    source_manifest["shards"])],
         source_manifest.get("graph", {}),
