@@ -236,17 +236,6 @@ class FrozenGraph(GraphView):
                 "in_ptr": as_int64(self._in_ptr),
                 "in_src": as_int64(self._in_src)}
 
-    def rows_of(self, nodes):
-        """Row of each node id in the int64 array ``nodes`` (all of them
-        in the snapshot): a table lookup when the ids are dense, as
-        generated and loaded graphs are, a binary search otherwise."""
-        ids = as_int64(self._ids)
-        if len(ids) and ids[-1] - ids[0] < 4 * len(ids):
-            table = np.empty(ids[-1] - ids[0] + 1, dtype=np.int64)
-            table[ids - ids[0]] = np.arange(len(ids))
-            return table[nodes - ids[0]]
-        return np.searchsorted(ids, nodes)
-
     # -- read interface ---------------------------------------------------------
     def nodes(self) -> Iterable[int]:
         return iter(self._ids)

@@ -207,8 +207,8 @@ def partition_graph(graph: GraphView, num_shards: int,
     owner = (assign_nodes(graph, num_shards) if assignment is None
              else _read_assignment(graph, assignment, num_shards))
     # Owner of each CSR entry's row node and of the node the entry names.
-    out_pos = graph.rows_of(views["out_dst"])
-    in_pos = graph.rows_of(views["in_src"])
+    out_pos = np.searchsorted(ids, views["out_dst"])
+    in_pos = np.searchsorted(ids, views["in_src"])
     out_row = owner[np.repeat(np.arange(len(ids)), np.diff(views["out_ptr"]))]
     in_row = owner[np.repeat(np.arange(len(ids)), np.diff(views["in_ptr"]))]
     out_named, in_named = owner[out_pos], owner[in_pos]
