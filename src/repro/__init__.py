@@ -34,7 +34,6 @@ from repro.accounting import AccessStats
 from repro.constraints import (
     AccessConstraint,
     AccessSchema,
-    ConstraintIndex,
     SchemaCatalog,
     SchemaIndex,
     discover_schema,
@@ -97,7 +96,6 @@ __all__ = [
     "AdmissionRejected",
     "BoundExceeded",
     "BoundednessResult",
-    "ConstraintIndex",
     "ConstraintViolation",
     "DeadlineExceeded",
     "EEPResult",

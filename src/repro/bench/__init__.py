@@ -9,7 +9,6 @@ index for the figure-to-function map.
 from repro.bench.datasets import (
     get_dataset,
     get_engine,
-    get_schema_index,
     get_workload,
 )
 from repro.bench.harness import (
@@ -31,7 +30,6 @@ from repro.bench.reporting import (
 __all__ = [
     "get_dataset",
     "get_engine",
-    "get_schema_index",
     "get_workload",
     "exp1_percentages",
     "exp3_algorithm_times",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from repro.constraints.index import SchemaIndex
 from repro.engine import QueryEngine
 from repro.errors import BenchmarkError
 from repro.graph.generators import dbpedia_like, imdb_like, web_like
@@ -37,17 +36,6 @@ def get_dataset(name: str, scale: float, seed: int = 0):
         raise BenchmarkError(
             f"unknown dataset {name!r}; expected one of {DATASET_NAMES}") from None
     return generator(scale=scale, seed=seed)
-
-
-@lru_cache(maxsize=32)
-def get_schema_index(name: str, scale: float, seed: int = 0,
-                     num_constraints: int | None = None) -> SchemaIndex:
-    """Memoized schema index; ``num_constraints`` restricts ‖A‖ for the
-    Fig. 5(c,g,k) sweep."""
-    graph, schema = get_dataset(name, scale, seed)
-    if num_constraints is not None:
-        schema = schema.restricted_to(num_constraints)
-    return SchemaIndex(graph, schema)
 
 
 @lru_cache(maxsize=32)

@@ -9,8 +9,9 @@ with an index that retrieves those neighbours in O(N). An *access schema*
 * :class:`SchemaCatalog` / :class:`SchemaGeneration` — the versioned
   schema lifecycle: monotonic generations of M-bounded extensions with
   provenance (see :mod:`~repro.constraints.catalog`).
-* :class:`ConstraintIndex` / :class:`SchemaIndex` — the physical indexes
-  over a concrete graph, with O(N) ``fetch``.
+* :class:`SchemaIndex` — the physical indexes over a concrete graph, one
+  array-backed :class:`~repro.constraints.index.FrozenConstraintIndex`
+  per constraint, with O(N) ``fetch``.
 * :mod:`~repro.constraints.discovery` — mining constraints from data
   (degree bounds, global label counts, FD-style bounds, aggregates).
 * :mod:`~repro.constraints.maintenance` — the next generation of a
@@ -19,7 +20,7 @@ with an index that retrieves those neighbours in O(N). An *access schema*
 
 from repro.constraints.schema import AccessConstraint, AccessSchema
 from repro.constraints.catalog import SchemaCatalog, SchemaGeneration
-from repro.constraints.index import ConstraintIndex, SchemaIndex
+from repro.constraints.index import SchemaIndex
 from repro.constraints.discovery import (
     discover_type1,
     discover_unit,
@@ -32,7 +33,6 @@ from repro.constraints.maintenance import MaintenanceReport
 __all__ = [
     "AccessConstraint",
     "AccessSchema",
-    "ConstraintIndex",
     "SchemaCatalog",
     "SchemaGeneration",
     "SchemaIndex",

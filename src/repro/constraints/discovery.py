@@ -13,6 +13,9 @@ each has a counterpart here:
    ``l``-neighbours yields ``S -> (l, N)``: :func:`discover_general`
    computes exactly that group-by through an index build.
 
+:func:`neighbor_label_bounds` is the one neighbour-label scan: discovery,
+Section V's extension planning and a shard's share of it all read it.
+
 :func:`discover_schema` orchestrates the above into a ready-to-use
 :class:`~repro.constraints.schema.AccessSchema`.
 """
@@ -20,11 +23,13 @@ each has a counterpart here:
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Sequence
 
-from repro.constraints.index import ConstraintIndex
+from repro.constraints.index import FrozenConstraintIndex
 from repro.constraints.schema import AccessConstraint, AccessSchema
 from repro.errors import DiscoveryError
+from repro.graph.frozen import FrozenGraph
 from repro.graph.graph import GraphView
 
 
@@ -47,19 +52,32 @@ def discover_type1(graph: GraphView, labels: Iterable[str] | None = None,
     return constraints
 
 
-def neighbor_label_bounds(graph: GraphView) -> dict[tuple[str, str], int]:
+def neighbor_label_bounds(graph: GraphView, nodes: Iterable[int] | None = None,
+                          labels: Iterable[str] | None = None,
+                          ) -> dict[tuple[str, str], int]:
     """For every ordered label pair ``(l, l')`` with at least one adjacency,
     the maximum number of ``l'``-labeled neighbours of any ``l``-node.
 
-    One pass over all adjacency lists — O(|E|).
+    ``nodes`` restricts the ``l``-nodes scanned to those ids (a shard
+    passes its owned nodes, whose neighbourhoods its halo graph holds
+    whole, so the maxima of disjoint node sets merge by max), and
+    ``labels`` restricts both ``l`` and ``l'``. One pass over the
+    scanned nodes' adjacency lists — O(|E|).
     """
+    wanted = None if labels is None else set(labels)
+    if nodes is None:
+        nodes = graph.nodes() if wanted is None else chain.from_iterable(
+            graph.nodes_with_label(label) for label in sorted(wanted))
     bounds: dict[tuple[str, str], int] = {}
-    for v in graph.nodes():
+    for v in nodes:
         label = graph.label_of(v)
+        if wanted is not None and label not in wanted:
+            continue
         counts = Counter(graph.label_of(w) for w in graph.neighbors(v))
         for other, count in counts.items():
             key = (label, other)
-            if count > bounds.get(key, 0):
+            if (wanted is None or other in wanted) \
+                    and count > bounds.get(key, 0):
                 bounds[key] = count
     return bounds
 
@@ -99,13 +117,14 @@ def discover_general(graph: GraphView, source: Sequence[str], target: str,
 
     Builds the index (the group-by) and reads off the maximum group size.
     Returns None when no S-labeled set with an ``l``-neighbour exists or
-    the observed bound exceeds ``max_bound``.
+    the observed bound exceeds ``max_bound``. The build reads a
+    :class:`~repro.graph.frozen.FrozenGraph`'s CSR; any other graph is
+    frozen for each call, so freeze it once when probing many shapes.
     """
     if not source:
         raise DiscoveryError("use discover_type1 for empty-source constraints")
     probe = AccessConstraint(source, target, 0)
-    index = ConstraintIndex(probe, graph)
-    observed = index.max_entry
+    observed = FrozenConstraintIndex(probe, graph).max_entry
     if observed == 0:
         return None
     if max_bound is not None and observed > max_bound:
@@ -134,6 +153,9 @@ def discover_schema(graph: GraphView,
     schema.extend(discover_type1(graph, max_bound=type1_max))
     bounds = neighbor_label_bounds(graph)
     schema.extend(discover_unit(graph, max_bound=unit_max, precomputed=bounds))
+    general_shapes = list(general_shapes)
+    if general_shapes and not isinstance(graph, FrozenGraph):
+        graph = FrozenGraph.from_graph(graph)
     for source, target in general_shapes:
         constraint = discover_general(graph, source, target, max_bound=general_max)
         if constraint is not None:

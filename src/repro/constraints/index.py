@@ -12,15 +12,13 @@ form of the paper's B-tree, then an O(N) payload read.
 :class:`FrozenConstraintIndex` is three int64 arrays built with array
 operations straight from a :class:`~repro.graph.frozen.FrozenGraph`'s
 CSR — what a session serves, an artifact stores, and ΔG patches
-(:meth:`FrozenConstraintIndex.patched`). :class:`ConstraintIndex` is
-the same index as a dict of sets, built target by target: the reference
-build the array build is checked against. Both serve the retrieval
-interface plan execution is written against.
+(:meth:`FrozenConstraintIndex.patched`). :class:`SchemaIndex` holds one
+per constraint of a schema: the retrieval interface plan execution is
+written against.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,123 +29,6 @@ from repro.errors import ArtifactCorrupt, ConstraintViolation, SchemaError
 from repro.graph.frozen import FrozenGraph
 from repro.graph.graph import GraphView
 from repro.util.arrays import as_int64, in_sorted, pack_matrix, sorted_unique, take_segments
-
-
-class BaseConstraintIndex:
-    """What the two index variants share; each provides ``constraint``,
-    ``_lookup``, ``keys``, ``num_keys``, ``max_entry``, ``size`` and
-    ``violations``."""
-
-    __slots__ = ()
-
-    # -- retrieval -------------------------------------------------------------------
-    def canonical_key(self, nodes: Iterable[int], graph: GraphView) -> tuple[int, ...]:
-        """Order ``nodes`` by their labels to match the index key layout.
-
-        Raises :class:`SchemaError` if the nodes do not form an S-labeled
-        set for this constraint.
-        """
-        by_label = {}
-        for node in nodes:
-            label = graph.label_of(node)
-            if label in by_label:
-                raise SchemaError(
-                    f"two nodes with label {label!r} in S-labeled set for {self.constraint}")
-            by_label[label] = node
-        if set(by_label) != set(self.constraint.source):
-            raise SchemaError(
-                f"nodes {sorted(by_label.values())} (labels {sorted(by_label)}) do not "
-                f"form an S-labeled set for {self.constraint}")
-        return tuple(by_label[label] for label in self.constraint.source)
-
-    def fetch(self, key: Sequence[int], stats: AccessStats | None = None) -> tuple[int, ...]:
-        """O(N) retrieval: common neighbours (labeled ``l``) of the
-        S-labeled set given by the canonical ``key``.
-
-        For type (1) constraints pass an empty key.
-        """
-        result = self._lookup(tuple(key))
-        if stats is not None:
-            stats.record_fetch(result)
-        return result
-
-    def fetch_nodes(self, nodes: Iterable[int], graph: GraphView,
-                    stats: AccessStats | None = None) -> tuple[int, ...]:
-        """Like :meth:`fetch`, but accepts the node set in any order."""
-        return self.fetch(self.canonical_key(nodes, graph), stats=stats)
-
-    # -- inspection -------------------------------------------------------------------
-    def is_satisfied(self) -> bool:
-        """Does the graph satisfy the cardinality side of the constraint?"""
-        return self.max_entry <= self.constraint.bound
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}({self.constraint}, keys={self.num_keys}, "
-                f"max_entry={self.max_entry})")
-
-
-class ConstraintIndex(BaseConstraintIndex):
-    """Mutable index for one access constraint over one graph, built
-    target by target: the reference build the array build of
-    :class:`FrozenConstraintIndex` is checked against."""
-
-    __slots__ = ("constraint", "_entries")
-
-    def __init__(self, constraint: AccessConstraint, graph: GraphView | None = None):
-        self.constraint = constraint
-        self._entries: dict[tuple[int, ...], set[int]] = {}
-        if graph is None:
-            return
-        for w in graph.nodes_with_label(constraint.target):
-            neighbours = graph.neighbors(w)
-            buckets = [sorted(v for v in neighbours
-                              if graph.label_of(v) == label)
-                       for label in constraint.source]
-            for key in product(*buckets):
-                self._entries.setdefault(key, set()).add(w)
-        if constraint.is_type1:
-            # A type (1) index has the key () even in an empty graph.
-            self._entries.setdefault((), set())
-
-    def freeze(self) -> "FrozenConstraintIndex":
-        """Compact this index into a read-only :class:`FrozenConstraintIndex`."""
-        entries = self._entries
-        arity = len(self.constraint.source)
-        keys = np.array(list(entries), dtype=np.int64).reshape(
-            len(entries), arity)
-        lengths = [len(payload) for payload in entries.values()]
-        targets = np.fromiter(chain.from_iterable(entries.values()),
-                              dtype=np.int64, count=sum(lengths))
-        return FrozenConstraintIndex.from_cells(
-            self.constraint, np.repeat(keys, lengths, axis=0), targets)
-
-    # -- retrieval / inspection ---------------------------------------------------
-    def _lookup(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self._entries.get(key, ()))
-
-    def keys(self):
-        return self._entries.keys()
-
-    @property
-    def num_keys(self) -> int:
-        return len(self._entries)
-
-    @property
-    def max_entry(self) -> int:
-        """Largest payload observed — the *actual* cardinality bound."""
-        return max((len(p) for p in self._entries.values()), default=0)
-
-    @property
-    def size(self) -> int:
-        """Total cells stored (key members + payload members), comparable
-        to the paper's index-size measure in Fig. 5(d,h,l)."""
-        return sum(len(key) + len(payload) for key, payload in self._entries.items())
-
-    def violations(self) -> list[tuple[tuple[int, ...], int]]:
-        """Keys whose payload exceeds the bound, with their counts."""
-        bound = self.constraint.bound
-        return [(key, len(payload)) for key, payload in self._entries.items()
-                if len(payload) > bound]
 
 
 class _Adjacency:
@@ -263,7 +144,7 @@ def _group(keys, targets) -> tuple:
             np.append(runs, len(payload)).astype(np.int64), payload)
 
 
-class FrozenConstraintIndex(BaseConstraintIndex):
+class FrozenConstraintIndex:
     """Read-only index held as three int64 arrays.
 
     ``keys`` is the canonical key tuples concatenated (arity ints per
@@ -280,19 +161,14 @@ class FrozenConstraintIndex(BaseConstraintIndex):
 
     __slots__ = ("constraint", "_keys", "_payload_ptr", "_payload", "_probe")
 
-    def __init__(self, constraint: AccessConstraint, graph: GraphView | None = None,
-                 targets: Iterable[int] | None = None):
-        """Index ``constraint`` over ``graph`` (an empty index when None);
-        ``targets`` restricts the indexed target nodes, as a shard's
-        build over its owned targets does."""
+    def __init__(self, constraint: AccessConstraint, graph: GraphView | None = None):
+        """Index ``constraint`` over ``graph`` (an empty index when None)."""
         self.constraint = constraint
         if graph is None:
             empty = np.empty(0, dtype=np.int64)
             self._adopt(empty, np.zeros(1, dtype=np.int64), empty)
         else:
-            self._adopt(*_group(*_Adjacency(graph).cells(
-                constraint, None if targets is None
-                else np.array(sorted(targets), dtype=np.int64))))
+            self._adopt(*_group(*_Adjacency(graph).cells(constraint)))
 
     def _adopt(self, keys, payload_ptr, payload) -> None:
         self._keys, self._payload_ptr, self._payload = keys, payload_ptr, payload
@@ -405,13 +281,20 @@ class FrozenConstraintIndex(BaseConstraintIndex):
         return self._probe
 
     # -- retrieval / inspection ---------------------------------------------------
-    def _lookup(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        """A binary search through :meth:`fetch_many`."""
-        if len(key) != len(self.constraint.source):
-            return ()
-        starts, lengths, payload = self.fetch_many(
-            np.array(key, dtype=np.int64).reshape(1, len(key)))
-        return tuple(payload[starts[0]:starts[0] + lengths[0]].tolist())
+    def fetch(self, key: Sequence[int], stats: AccessStats | None = None) -> tuple[int, ...]:
+        """O(N) retrieval: common neighbours (labeled ``l``) of the
+        S-labeled set given by the canonical ``key``, sorted — a binary
+        search through :meth:`fetch_many`. For type (1) constraints pass
+        an empty key."""
+        key = tuple(key)
+        result = ()
+        if len(key) == len(self.constraint.source):
+            starts, lengths, payload = self.fetch_many(
+                np.array(key, dtype=np.int64).reshape(1, len(key)))
+            result = tuple(payload[starts[0]:starts[0] + lengths[0]].tolist())
+        if stats is not None:
+            stats.record_fetch(result)
+        return result
 
     def fetch_many(self, combos, packed=None) -> tuple:
         """Batched :meth:`fetch`: probe many canonical keys in one
@@ -475,15 +358,21 @@ class FrozenConstraintIndex(BaseConstraintIndex):
         keys = self.keys() if over else []
         return [(keys[i], int(counts[i])) for i in over]
 
+    def is_satisfied(self) -> bool:
+        """Does the graph satisfy the cardinality side of the constraint?"""
+        return self.max_entry <= self.constraint.bound
+
+    def __repr__(self) -> str:
+        return (f"FrozenConstraintIndex({self.constraint}, keys={self.num_keys}, "
+                f"max_entry={self.max_entry})")
+
 
 class SchemaIndex:
     """All indexes of an access schema over one graph.
 
     This is the object query plans execute against: it owns one
-    constraint index per constraint plus the graph reference. With
-    ``frozen=True`` the read-optimized :class:`FrozenConstraintIndex`
-    variant is built instead of the per-target :class:`ConstraintIndex`
-    default, all constraints from one pass over the graph's CSR (a graph
+    :class:`FrozenConstraintIndex` per constraint plus the graph
+    reference, all built from one pass over the graph's CSR (a graph
     that is not a :class:`FrozenGraph` is frozen once for the build).
 
     Examples
@@ -500,13 +389,16 @@ class SchemaIndex:
     """
 
     def __init__(self, graph: GraphView, schema: AccessSchema,
-                 validate: bool = False, frozen: bool = False):
+                 validate: bool = False, frozen: bool = True):
+        # ``frozen`` selects nothing: there is one index build. Only
+        # ``True`` is accepted, for callers written when it chose one.
+        if frozen is not True:
+            raise SchemaError("SchemaIndex builds one index kind; "
+                              "frozen=True is the only accepted value")
         self.graph = graph
         self.schema = schema
-        self.frozen = frozen
-        self._indexes: dict[AccessConstraint, BaseConstraintIndex] = \
-            build_frozen_indexes(graph, schema) if frozen \
-            else {c: ConstraintIndex(c, graph) for c in schema}
+        self._indexes: dict[AccessConstraint, FrozenConstraintIndex] = \
+            build_frozen_indexes(graph, schema)
         #: Constraint indexes constructed by (or adopted into) this
         #: object — the counter the incremental-extension acceptance
         #: criterion asserts on: growing the schema by k constraints
@@ -529,8 +421,6 @@ class SchemaIndex:
         sx = cls.__new__(cls)
         sx.graph = graph
         sx.schema = schema
-        sx.frozen = all(isinstance(indexes[c], FrozenConstraintIndex)
-                        for c in schema)
         sx.builds = 0
         sx._indexes = {c: indexes[c] for c in schema}
         return sx
@@ -547,25 +437,27 @@ class SchemaIndex:
         adopted before the catalog publishes the constraint)."""
         return constraint in self._indexes
 
-    def index_for(self, constraint: AccessConstraint) -> BaseConstraintIndex:
+    def index_for(self, constraint: AccessConstraint) -> FrozenConstraintIndex:
         try:
             return self._indexes[constraint]
         except KeyError:
             raise SchemaError(f"no index built for {constraint}") from None
 
-    def add_constraint(self, constraint: AccessConstraint) -> BaseConstraintIndex:
-        """Extend the schema with a constraint and build its index (used by
-        M-bounded extensions in Section V)."""
+    def add_constraint(self, constraint: AccessConstraint) -> FrozenConstraintIndex:
+        """Build the index of a constraint, then extend the schema with it
+        (used by M-bounded extensions in Section V). The index is live
+        before the schema names the constraint, as :meth:`adopt_index`
+        requires."""
         if constraint in self._indexes:
             return self._indexes[constraint]
+        index = self.adopt_index(constraint,
+                                 FrozenConstraintIndex(constraint, self.graph))
         self.schema.add(constraint)
-        return self.adopt_index(constraint, FrozenConstraintIndex(
-            constraint, self.graph) if self.frozen else ConstraintIndex(
-            constraint, self.graph))
+        return index
 
     def adopt_index(self, constraint: AccessConstraint,
-                    index: BaseConstraintIndex,
-                    built: bool = True) -> BaseConstraintIndex:
+                    index: FrozenConstraintIndex,
+                    built: bool = True) -> FrozenConstraintIndex:
         """Register an externally built index for ``constraint`` without
         touching the schema.
 

@@ -24,17 +24,22 @@ Node-phase and edge-phase memos are deliberately separate — an edge-phase
 fetch counts as edge examinations (the paper's Example 1 arithmetic), so
 folding the two would change what the numbers mean, not just their size.
 
-Two execution strategies share the phase logic and produce *identical*
-answers, candidate sets, ``G_Q`` and access accounting:
+Three executors share the phase logic and produce *identical* answers,
+candidate sets, ``G_Q`` and access accounting:
 
-* :func:`execute_plan` — sequential, against one
-  :class:`~repro.constraints.index.SchemaIndex`;
+* :func:`execute_plan` — sequential, one fetch at a time against one
+  :class:`~repro.constraints.index.SchemaIndex`: the reference the
+  identity suites check the other two against;
+* :func:`repro.core.kernels.execute_plan_vectorized` — the same phases
+  over a frozen snapshot, each operation's fetches as one batched probe
+  (what an unsharded session runs);
 * :func:`execute_plans_scatter` — scatter-gather over the shards of a
-  :class:`~repro.graph.partition.GraphPartition` (inline or in worker
-  processes, see :mod:`repro.engine.parallel`): each logical fetch is
-  scattered to every shard, per-shard payloads merge into the global
-  payload (disjoint by ownership), and many executions advance together
-  in waves so one worker round-trip carries a whole batch's work.
+  :class:`~repro.graph.partition.GraphPartition` (held in-process or by
+  a ``repro shard-serve`` fleet, see :mod:`repro.engine.parallel`): each
+  logical fetch is routed to the shards that own its targets, per-shard
+  payloads merge into the global payload (disjoint by ownership), and
+  many executions advance together in waves so one round carries a
+  whole batch's work.
 
 Correctness (``Q(G_Q) = Q(G)``) holds for both semantics because every
 candidate set is a superset of the true matches (fetch operations follow

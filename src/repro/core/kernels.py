@@ -84,11 +84,6 @@ np.unique(np.empty(0, dtype=np.int64))
 _RANGE_OPS = frozenset(("<", "<=", ">", ">="))
 
 
-def sorted_id_array(ids):
-    """Sorted int64 ndarray from an id collection (shard owned sets)."""
-    return np.array(sorted(ids), dtype=np.int64)
-
-
 # ------------------------------------------------------------------ graph kernel
 class GraphKernel:
     """Per-snapshot numpy state: CSR views, packed edge keys, and the
@@ -566,17 +561,16 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
                             edge_mode: str = MODE_PLAN) -> ExecutionResult:
     """Array-kernel twin of :func:`~repro.core.executor.execute_plan`.
 
-    Requires a frozen schema index over a :class:`FrozenGraph`; answers,
+    Requires a schema index over a :class:`FrozenGraph`; answers,
     candidates, ``G_Q`` and ``AccessStats`` are byte-identical to the
     sequential executor (property-tested).
     """
     if edge_mode not in (MODE_PLAN, MODE_PROBE):
         raise PlanError(f"unknown edge mode {edge_mode!r}")
-    if not (schema_index.frozen
-            and isinstance(schema_index.graph, FrozenGraph)):
+    if not isinstance(schema_index.graph, FrozenGraph):
         raise EngineError(
-            "vectorized execution needs numpy plus a frozen session "
-            "(FrozenGraph snapshot and frozen constraint indexes)")
+            "vectorized execution needs a schema index over a "
+            "FrozenGraph snapshot")
     context = kernel_context(schema_index)
     kernel = context.graph_kernel
     stats = stats if stats is not None else AccessStats()
@@ -723,5 +717,4 @@ __all__ = [
     "inherit",
     "kernel_context",
     "run_shard_task",
-    "sorted_id_array",
 ]

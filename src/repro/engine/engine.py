@@ -247,7 +247,7 @@ class QueryEngine:
         if schema_index is None:
             snapshot = graph if isinstance(graph, FrozenGraph) \
                 else FrozenGraph.from_graph(graph)
-            schema_index = SchemaIndex(snapshot, self.schema, frozen=True,
+            schema_index = SchemaIndex(snapshot, self.schema,
                                        validate=validate)
         elif validate:
             schema_index.validate()

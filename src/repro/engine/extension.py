@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.constraints.discovery import neighbor_label_bounds
 from repro.constraints.schema import AccessConstraint
 from repro.core.actualized import SUBGRAPH, check_semantics
 from repro.core.instance import (
@@ -121,26 +122,12 @@ def workload_stats(engine, labels: set[str]) -> WorkloadStats:
         return WorkloadStats(label_counts=counts, neighbor_bounds=bounds)
     graph = engine.graph
     present = labels & graph.labels()
-    counts = {label: graph.label_count(label) for label in present}
-    # Restricted neighbour-bound scan: only nodes carrying a workload
-    # label are visited, and only their workload-labeled neighbours
-    # counted — the same projection :meth:`ShardRuntime.extension_stats`
-    # applies, and all the Section V algorithms ever read. Equals
-    # :func:`repro.constraints.discovery.neighbor_label_bounds`
-    # restricted to ``present`` x ``present``.
-    bounds: dict = {}
-    for label in present:
-        for v in graph.nodes_with_label(label):
-            per_label: dict = {}
-            for w in graph.neighbors(v):
-                other = graph.label_of(w)
-                if other in present:
-                    per_label[other] = per_label.get(other, 0) + 1
-            for other, count in per_label.items():
-                key = (label, other)
-                if count > bounds.get(key, 0):
-                    bounds[key] = count
-    return WorkloadStats(label_counts=counts, neighbor_bounds=bounds)
+    # Only the workload's labels, on both sides of a bound: all the
+    # Section V algorithms ever read, and the projection a shard's
+    # :meth:`~repro.engine.parallel.ShardRuntime.extension_stats` takes.
+    return WorkloadStats(
+        label_counts={label: graph.label_count(label) for label in present},
+        neighbor_bounds=neighbor_label_bounds(graph, labels=present))
 
 
 def plan_extension(engine, queries: Sequence[Pattern], *,

@@ -59,6 +59,9 @@ import time
 from functools import partial
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
+from repro.constraints.discovery import neighbor_label_bounds
 from repro.constraints.index import build_frozen_indexes
 from repro.constraints.schema import AccessConstraint
 from repro.core import kernels
@@ -74,25 +77,26 @@ from repro.session import SessionConfig
 
 
 class ShardRuntime:
-    """One shard's in-memory state: halo graph, owned set, shard index.
-    ``owned=None`` is the one shard of a one-shard partition, which owns
-    its whole graph."""
+    """One shard's in-memory state: halo graph, owned node ids (one
+    sorted, duplicate-free int64 array), shard index. ``owned=None`` is
+    the one shard of a one-shard partition, which owns its whole
+    graph."""
 
     __slots__ = ("shard_id", "graph", "schema_index", "owned",
-                 "_owned_sorted", "_owned_labels")
+                 "_owned_labels")
 
     def __init__(self, shard_id: int, graph, schema_index,
                  owned: Sequence[int] | None):
         self.shard_id = shard_id
         self.graph = graph
         self.schema_index = schema_index
-        self.owned = frozenset(graph.nodes() if owned is None else owned)
-        self._owned_sorted = kernels.sorted_id_array(self.owned)
+        self.owned = np.unique(np.fromiter(
+            graph.nodes() if owned is None else owned, dtype=np.int64))
         self._owned_labels: list[str] | None = None
 
     def handle(self, task: tuple):
         return kernels.run_shard_task(self.graph, self.schema_index,
-                                      self._owned_sorted, task)
+                                      self.owned, task)
 
     def owned_labels(self) -> list[str]:
         """Sorted distinct labels of the shard's *owned* nodes — the
@@ -102,7 +106,7 @@ class ShardRuntime:
         graph are immutable, so the scan runs once per runtime."""
         if self._owned_labels is None:
             self._owned_labels = sorted(
-                {self.graph.label_of(v) for v in self.owned})
+                set(map(self.graph.label_of, self.owned.tolist())))
         return self._owned_labels
 
     def extension_stats(self, labels: Sequence[str]) -> tuple[dict, dict]:
@@ -113,23 +117,13 @@ class ShardRuntime:
         equal :func:`repro.constraints.discovery.neighbor_label_bounds`
         and ``label_count`` over the whole graph."""
         wanted = set(labels)
+        owned = self.owned.tolist()
         counts: dict[str, int] = {}
-        bounds: dict[tuple[str, str], int] = {}
-        for v in self.owned:
-            label = self.graph.label_of(v)
-            if label not in wanted:
-                continue
-            counts[label] = counts.get(label, 0) + 1
-            per_label: dict[str, int] = {}
-            for w in self.graph.neighbors(v):
-                other = self.graph.label_of(w)
-                if other in wanted:
-                    per_label[other] = per_label.get(other, 0) + 1
-            for other, count in per_label.items():
-                key = (label, other)
-                if count > bounds.get(key, 0):
-                    bounds[key] = count
-        return counts, bounds
+        for label in map(self.graph.label_of, owned):
+            if label in wanted:
+                counts[label] = counts.get(label, 0) + 1
+        return counts, neighbor_label_bounds(self.graph, nodes=owned,
+                                             labels=wanted)
 
     def extend(self, constraints: Sequence[AccessConstraint]) -> dict:
         """Build and adopt shard-local indexes for *added* constraints.

@@ -112,10 +112,9 @@ class GraphPartition:
     """
 
     def __init__(self, shards: list[Shard], assignment: dict[int, int],
-                 summary: GraphSummary, cross_edges: int):
+                 cross_edges: int):
         self.shards = shards
         self.assignment = assignment
-        self.summary = summary
         #: Directed edges whose endpoints live in different shards — the
         #: traffic a distributed edge phase would pay for.
         self.cross_edges = cross_edges
@@ -132,7 +131,7 @@ class GraphPartition:
 
     def __repr__(self) -> str:
         return (f"GraphPartition(shards={self.num_shards}, "
-                f"nodes={self.summary.num_nodes}, "
+                f"nodes={len(self.assignment)}, "
                 f"cross_edges={self.cross_edges})")
 
 
@@ -226,12 +225,8 @@ def partition_graph(graph: GraphView, num_shards: int,
             shard_id=shard_id, owned=tuple(ids[owner == shard_id].tolist()),
             graph=FrozenGraph.from_rows([(graph, nodes, out_keep, in_keep)]),
             owned_edges=int(owned_edges[shard_id])))
-    summary = GraphSummary(num_nodes=graph.num_nodes,
-                           num_edges=graph.num_edges,
-                           num_labels=len(graph.labels()))
     return GraphPartition(
         shards=shards, assignment=dict(zip(ids.tolist(), owner.tolist())),
-        summary=summary,
         cross_edges=int(np.count_nonzero(out_row != out_named)))
 
 
@@ -258,7 +253,7 @@ def merge_shard_runtimes(runtimes, schema):
     single-graph session (what ``repro.connect(path)`` does when given
     no backend and no shard addresses): on one host, scatter over shards
     only adds coordination overhead, and merging back unlocks the (much
-    faster) sequential/vectorized plan executors.
+    faster) vectorized plan executor.
 
     Correctness rests on the partition invariants: every node is owned
     by exactly one shard, whose out- and in-rows for it are complete by
@@ -280,8 +275,7 @@ def merge_shard_runtimes(runtimes, schema):
     parts = []
     for runtime in runtimes:
         views = runtime.graph.int64_views()
-        nodes = np.isin(views["ids"], np.fromiter(
-            runtime.owned, dtype=np.int64, count=len(runtime.owned)))
+        nodes = np.isin(views["ids"], runtime.owned)
         parts.append((runtime.graph, nodes,
                       np.repeat(nodes, np.diff(views["out_ptr"])),
                       np.repeat(nodes, np.diff(views["in_ptr"]))))

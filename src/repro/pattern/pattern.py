@@ -170,12 +170,6 @@ class Pattern:
         ``#p`` workload knob)."""
         return sum(len(p.atoms) for p in self._predicates.values())
 
-    @property
-    def total_label_count(self) -> int:
-        """Total number of labels in Q counted with multiplicity (``L_Q``
-        in Section V's extension-size bound)."""
-        return len(self._labels)
-
     def is_connected(self) -> bool:
         """True if the pattern is weakly connected (or empty)."""
         if not self._labels:

@@ -12,7 +12,12 @@ from repro.constraints.discovery import (
     neighbor_label_bounds,
 )
 from repro.errors import DiscoveryError
-from repro.graph.generators import random_labeled_graph
+from repro.graph.generators import (
+    dbpedia_like,
+    imdb_like,
+    random_labeled_graph,
+    web_like,
+)
 
 
 class TestType1:
@@ -48,6 +53,47 @@ class TestNeighborBounds:
         g.add_edge(a, b1)
         g.add_edge(b2, a)  # in-neighbour also counts
         assert neighbor_label_bounds(g)[("a", "b")] == 2
+
+
+def brute_force_bounds(graph, nodes=None, labels=None):
+    """Neighbour-label bounds from the edge list alone."""
+    neighbours = {v: set() for v in graph.nodes()}
+    for source, target in graph.edges():
+        neighbours[source].add(target)
+        neighbours[target].add(source)
+    bounds = {}
+    for v in graph.nodes() if nodes is None else nodes:
+        label = graph.label_of(v)
+        if labels is not None and label not in labels:
+            continue
+        counts = {}
+        for w in neighbours[v]:
+            other = graph.label_of(w)
+            if labels is None or other in labels:
+                counts[other] = counts.get(other, 0) + 1
+        for other, count in counts.items():
+            bounds[label, other] = max(bounds.get((label, other), 0), count)
+    return bounds
+
+
+@pytest.mark.parametrize("generator", (imdb_like, dbpedia_like, web_like))
+def test_neighbor_label_bounds_against_edge_list(generator):
+    """Whole graph, a label restriction, and two disjoint node halves
+    whose maxima merge by max into the whole graph's (what a sharded
+    session's extension statistics rely on)."""
+    graph, _ = generator(scale=0.02, seed=3)
+    assert neighbor_label_bounds(graph) == brute_force_bounds(graph)
+    labels = set(sorted(graph.labels())[::2])
+    assert neighbor_label_bounds(graph, labels=labels) == \
+        brute_force_bounds(graph, labels=labels)
+    nodes = sorted(graph.nodes())
+    halves = [neighbor_label_bounds(graph, nodes=part, labels=labels)
+              for part in (nodes[::2], nodes[1::2])]
+    assert halves[0] == brute_force_bounds(graph, nodes[::2], labels)
+    merged = dict(halves[0])
+    for key, bound in halves[1].items():
+        merged[key] = max(merged.get(key, 0), bound)
+    assert merged == brute_force_bounds(graph, labels=labels)
 
 
 class TestUnit:

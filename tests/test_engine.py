@@ -15,11 +15,7 @@ from repro import (
     PlanCache,
     connect,
 )
-from repro.constraints.index import (
-    ConstraintIndex,
-    FrozenConstraintIndex,
-    SchemaIndex,
-)
+from repro.constraints.index import FrozenConstraintIndex, SchemaIndex
 from repro.engine.cache import pattern_fingerprint
 from repro.matching.bounded import bvf2
 from repro.matching.simulation import relation_pairs
@@ -489,24 +485,9 @@ class TestSharedPlanCache:
 class TestFrozenIndex:
     def test_engine_selects_frozen_variant(self, imdb_engine):
         sx = imdb_engine.schema_index
-        assert sx.frozen
         for constraint in imdb_engine.schema:
             assert isinstance(sx.index_for(constraint),
                               FrozenConstraintIndex)
-
-    def test_frozen_equals_mutable(self, imdb_small_module):
-        graph, schema = imdb_small_module
-        mutable = SchemaIndex(graph, schema)
-        frozen = SchemaIndex(graph, schema, frozen=True)
-        for constraint in schema:
-            mi = mutable.index_for(constraint)
-            fi = frozen.index_for(constraint)
-            assert set(mi.keys()) == set(fi.keys())
-            assert mi.num_keys == fi.num_keys
-            assert mi.max_entry == fi.max_entry
-            assert mi.size == fi.size
-            for key in mi.keys():
-                assert sorted(mi.fetch(key)) == sorted(fi.fetch(key))
 
     def test_frozen_payloads_sorted_and_zero_copy(self):
         g = Graph()
@@ -530,8 +511,8 @@ class TestFrozenIndex:
         m = g.add_node("movie")
         g.add_edge(m, y)
         constraint = AccessConstraint(("movie",), "year", 1)
-        frozen = ConstraintIndex(constraint, g).freeze()
-        assert frozen.fetch((m,)) == (y,)
+        # A mutable graph is frozen for the build.
+        assert FrozenConstraintIndex(constraint, g).fetch((m,)) == (y,)
 
     def test_frozen_type1_key_present_in_empty_graph(self):
         constraint = AccessConstraint((), "year", 5)

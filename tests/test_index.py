@@ -3,7 +3,7 @@
 import pytest
 
 from repro import AccessConstraint, AccessSchema, AccessStats, Graph, SchemaIndex
-from repro.constraints.index import ConstraintIndex
+from repro.constraints.index import FrozenConstraintIndex
 from repro.errors import ConstraintViolation, SchemaError
 
 
@@ -27,16 +27,16 @@ def award_graph():
 class TestType1Index:
     def test_fetch_all_labeled(self, award_graph):
         g, (_, _, _, _, m1, m2, m3) = award_graph
-        idx = ConstraintIndex(AccessConstraint((), "movie", 3), g)
+        idx = FrozenConstraintIndex(AccessConstraint((), "movie", 3), g)
         assert set(idx.fetch(())) == {m1, m2, m3}
 
     def test_satisfied(self, award_graph):
         g, _ = award_graph
-        assert ConstraintIndex(AccessConstraint((), "movie", 3), g).is_satisfied()
-        assert not ConstraintIndex(AccessConstraint((), "movie", 2), g).is_satisfied()
+        assert FrozenConstraintIndex(AccessConstraint((), "movie", 3), g).is_satisfied()
+        assert not FrozenConstraintIndex(AccessConstraint((), "movie", 2), g).is_satisfied()
 
     def test_empty_graph(self):
-        idx = ConstraintIndex(AccessConstraint((), "x", 5), Graph())
+        idx = FrozenConstraintIndex(AccessConstraint((), "x", 5), Graph())
         assert idx.fetch(()) == ()
         assert idx.is_satisfied()
 
@@ -44,21 +44,15 @@ class TestType1Index:
 class TestGeneralIndex:
     def test_pair_fetch_matches_common_neighbors(self, award_graph):
         g, (y1, y2, a1, a2, m1, m2, m3) = award_graph
-        idx = ConstraintIndex(AccessConstraint(("year", "award"), "movie", 4), g)
+        idx = FrozenConstraintIndex(AccessConstraint(("year", "award"), "movie", 4), g)
         # Canonical key order: sorted source labels = (award, year).
         assert set(idx.fetch((a1, y1))) == {m1, m2}
         assert set(idx.fetch((a2, y2))) == {m3}
         assert idx.fetch((a2, y1)) == ()
 
-    def test_fetch_nodes_any_order(self, award_graph):
-        g, (y1, _, a1, _, m1, m2, _) = award_graph
-        idx = ConstraintIndex(AccessConstraint(("year", "award"), "movie", 4), g)
-        assert set(idx.fetch_nodes([y1, a1], g)) == {m1, m2}
-        assert set(idx.fetch_nodes([a1, y1], g)) == {m1, m2}
-
     def test_fetch_agrees_with_brute_force(self, award_graph):
         g, (y1, y2, a1, a2, *_ ) = award_graph
-        idx = ConstraintIndex(AccessConstraint(("year", "award"), "movie", 4), g)
+        idx = FrozenConstraintIndex(AccessConstraint(("year", "award"), "movie", 4), g)
         for y in (y1, y2):
             for a in (a1, a2):
                 brute = {v for v in g.common_neighbors([y, a])
@@ -67,33 +61,25 @@ class TestGeneralIndex:
 
     def test_unit_index(self, award_graph):
         g, (y1, _, _, _, m1, m2, _) = award_graph
-        idx = ConstraintIndex(AccessConstraint(("movie",), "year", 1), g)
+        idx = FrozenConstraintIndex(AccessConstraint(("movie",), "year", 1), g)
         assert idx.fetch((m1,)) == (y1,)
 
     def test_max_entry_and_violations(self, award_graph):
         g, _ = award_graph
-        idx = ConstraintIndex(AccessConstraint(("year", "award"), "movie", 1), g)
+        idx = FrozenConstraintIndex(AccessConstraint(("year", "award"), "movie", 1), g)
         assert idx.max_entry == 2
         assert not idx.is_satisfied()
         assert len(idx.violations()) == 1
 
-    def test_canonical_key_rejects_wrong_labels(self, award_graph):
-        g, (y1, y2, *_ ) = award_graph
-        idx = ConstraintIndex(AccessConstraint(("year", "award"), "movie", 4), g)
-        with pytest.raises(SchemaError):
-            idx.canonical_key([y1, y2], g)  # two years, no award
-        with pytest.raises(SchemaError):
-            idx.canonical_key([y1], g)      # missing label
-
     def test_size_counts_cells(self, award_graph):
         g, _ = award_graph
-        idx = ConstraintIndex(AccessConstraint(("movie",), "year", 1), g)
+        idx = FrozenConstraintIndex(AccessConstraint(("movie",), "year", 1), g)
         # Three movies, one year each: 3 keys x (1 key member + 1 payload).
         assert idx.size == 6
 
     def test_stats_recording(self, award_graph):
         g, (y1, _, a1, *_ ) = award_graph
-        idx = ConstraintIndex(AccessConstraint(("year", "award"), "movie", 4), g)
+        idx = FrozenConstraintIndex(AccessConstraint(("year", "award"), "movie", 4), g)
         stats = AccessStats()
         idx.fetch((a1, y1), stats=stats)
         assert stats.index_fetches == 1
@@ -142,6 +128,35 @@ class TestSchemaIndex:
         assert set(sx.fetch(c, ())) == set(g.nodes_with_label("movie"))
         # idempotent
         assert sx.add_constraint(c) is sx.index_for(c)
+
+    def test_add_constraint_index_live_before_schema_names_it(self, award_graph):
+        """A reader that plans from the schema between the two steps
+        must find the index: it is adopted before ``schema.add`` runs."""
+        g, _ = award_graph
+        schema = AccessSchema()
+        sx = SchemaIndex(g, schema)
+        c = AccessConstraint(("movie",), "year", 1)
+        live_at_publish = []
+        publish = schema.add
+
+        def add(constraint):
+            live_at_publish.append(sx.has_index(constraint))
+            return publish(constraint)
+
+        schema.add = add
+        sx.add_constraint(c)
+        assert live_at_publish == [True]
+        assert c in schema
+
+    def test_one_index_kind(self, award_graph):
+        g, _ = award_graph
+        schema = AccessSchema([AccessConstraint((), "movie", 3)])
+        sx = SchemaIndex(g, schema, frozen=True)
+        assert not hasattr(sx, "frozen")
+        assert all(isinstance(sx.index_for(c), FrozenConstraintIndex)
+                   for c in schema)
+        with pytest.raises(SchemaError):
+            SchemaIndex(g, schema, frozen=None)
 
     def test_total_size_and_size_for(self, award_graph):
         g, _ = award_graph

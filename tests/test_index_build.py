@@ -5,9 +5,9 @@
 frozen CSR. The oracle below is the definition written out: for each
 target node, the product of its neighbours' per-label buckets, collected
 into a dict of sets and flattened in sorted key order. Every build path
-— whole graph, shard-local over owned targets, the merged view of a
-sharded artifact, and :meth:`ConstraintIndex.freeze` — must produce the
-oracle's bytes exactly, since those bytes are the artifact format.
+— whole graph (frozen or mutable), shard-local over owned targets, and
+the merged view of a sharded artifact — must produce the oracle's bytes
+exactly, since those bytes are the artifact format.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AccessConstraint, AccessSchema, Graph, SchemaIndex, connect
-from repro.constraints.index import ConstraintIndex, FrozenConstraintIndex
+from repro.constraints.discovery import discover_general
+from repro.constraints.index import FrozenConstraintIndex, build_frozen_indexes
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import dbpedia_like, imdb_like, web_like
 from repro.graph.partition import build_shard_indexes, partition_graph
@@ -74,8 +75,47 @@ def dataset(request):
 def test_whole_graph_build_matches_oracle(name, scale):
     graph, schema = GENERATORS[name](scale=scale, seed=7)
     frozen = FrozenGraph.from_graph(graph)
-    assert_matches_oracle(SchemaIndex(frozen, schema, frozen=True),
-                          frozen, schema)
+    assert_matches_oracle(SchemaIndex(frozen, schema), frozen, schema)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_schema_index_over_mutable_and_frozen_graph_matches_oracle(name):
+    """A mutable graph is frozen for the build; the bytes are the same."""
+    graph, schema = GENERATORS[name](scale=0.02, seed=7)
+    assert_matches_oracle(SchemaIndex(graph, schema), graph, schema)
+    assert_matches_oracle(SchemaIndex(FrozenGraph.from_graph(graph), schema),
+                          graph, schema)
+
+
+def test_freeze_of_mutable_index_matches_oracle(dataset):
+    """The one-constraint build (``add_constraint``, ``discover_general``)
+    over a mutable graph, which it freezes first: one constraint of each
+    source arity, as each call pays for the freeze."""
+    _, (graph, schema) = dataset
+    by_arity = {len(c.source): c for c in schema}
+    for constraint in by_arity.values():
+        index = FrozenConstraintIndex(constraint, graph)
+        assert buffer_bytes(index) == oracle_buffers(constraint, graph)
+
+
+def test_discover_general_reads_the_largest_payload(dataset):
+    """``discover_general``'s bound is the oracle's largest payload (over
+    the frozen graph, as ``discover_schema`` calls it)."""
+    _, (graph, schema) = dataset
+    frozen = FrozenGraph.from_graph(graph)
+    for constraint in schema:
+        if constraint.is_type1:
+            continue
+        oracle = oracle_buffers(constraint, graph)
+        ptr = array("q")
+        ptr.frombytes(oracle["payload_ptr"])
+        largest = max((b - a for a, b in zip(ptr, ptr[1:])), default=0)
+        found = discover_general(frozen, constraint.source, constraint.target)
+        if largest == 0:
+            assert found is None
+        else:
+            assert found == AccessConstraint(constraint.source,
+                                             constraint.target, largest)
 
 
 @pytest.mark.parametrize("shards", (2, 4))
@@ -95,13 +135,6 @@ def test_merged_artifact_view_matches_oracle(dataset, shards, tmp_path):
         engine.save(tmp_path / "art", shards=shards)
     with connect(tmp_path / "art") as merged:
         assert_matches_oracle(merged.schema_index, graph, schema)
-
-
-def test_freeze_of_mutable_index_matches_oracle(dataset):
-    _, (graph, schema) = dataset
-    for constraint in schema:
-        frozen = ConstraintIndex(constraint, graph).freeze()
-        assert buffer_bytes(frozen) == oracle_buffers(constraint, graph)
 
 
 # ------------------------------------------------------------ edge cases
@@ -139,10 +172,9 @@ def test_hypothesis_build_matches_oracle(graph, constraint, owned_seed):
     assert buffer_bytes(index) == oracle_buffers(constraint, graph)
     targets = [w for w in graph.nodes_with_label(constraint.target)
                if (w + owned_seed) % 3]
-    shard = FrozenConstraintIndex(constraint, graph, targets=targets)
+    (shard,) = build_frozen_indexes(graph, [constraint],
+                                    owned=targets).values()
     assert buffer_bytes(shard) == oracle_buffers(constraint, graph, targets)
-    assert buffer_bytes(ConstraintIndex(constraint, graph).freeze()) == \
-        buffer_bytes(index)
 
 
 def test_self_loop_and_two_way_neighbour():

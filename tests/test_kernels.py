@@ -102,7 +102,7 @@ def test_vectorized_equals_sequential(data, semantics, edge_mode):
     if plan is None:
         return
     frozen = FrozenGraph.from_graph(graph)
-    sx = SchemaIndex(frozen, schema, frozen=True)
+    sx = SchemaIndex(frozen, schema)
     run_both(plan, sx, sx, edge_mode=edge_mode)
 
 
@@ -118,7 +118,7 @@ def test_lazy_gq_is_invisible(data, semantics):
     plan = _plan_for(pattern, schema, semantics)
     if plan is None:
         return
-    sx = SchemaIndex(FrozenGraph.from_graph(graph), schema, frozen=True)
+    sx = SchemaIndex(FrozenGraph.from_graph(graph), schema)
     match = find_matches if semantics == "subgraph" else simulate
     for result in (execute_plan(plan, sx), execute_plan_vectorized(plan, sx)):
         size = result.gq_size
@@ -143,7 +143,7 @@ def test_merged_shard_view_equals_direct_index(data, shards):
     plan = _plan_for(pattern, schema, "subgraph")
     if plan is None:
         return
-    direct = SchemaIndex(FrozenGraph.from_graph(graph), schema, frozen=True)
+    direct = SchemaIndex(FrozenGraph.from_graph(graph), schema)
 
     part = partition_graph(graph, shards)
     shard_indexes = build_shard_indexes(part, schema)
@@ -173,8 +173,8 @@ def test_warm_started_buffers_equal_fresh(data):
         {name: memoryview(bytes(memoryview(buf))).cast("q")
          for name, buf in buffers.items()},
         meta)
-    sx_fresh = SchemaIndex(fresh, schema, frozen=True)
-    sx_warm = SchemaIndex(warm, schema, frozen=True)
+    sx_fresh = SchemaIndex(fresh, schema)
+    sx_warm = SchemaIndex(warm, schema)
     seq_stats, warm_stats = AccessStats(), AccessStats()
     seq = execute_plan_vectorized(plan, sx_fresh, stats=seq_stats)
     vec = execute_plan_vectorized(plan, sx_warm, stats=warm_stats)
@@ -206,7 +206,7 @@ def test_probe_memo_preserves_accounting():
     rng = random.Random(10)
     generator = PatternGenerator.from_graph(graph, rng=rng)
     frozen = FrozenGraph.from_graph(graph)
-    sx = SchemaIndex(frozen, schema, frozen=True)
+    sx = SchemaIndex(frozen, schema)
     checked = 0
     for _ in range(20):
         pattern = generator.generate(num_nodes=3)

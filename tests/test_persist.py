@@ -123,7 +123,7 @@ class TestFrozenGraphBuffers:
 class TestFrozenIndexBuffers:
     def test_round_trip_and_zero_copy_open(self, imdb_small):
         graph, schema = imdb_small
-        sx = SchemaIndex(graph, schema, frozen=True)
+        sx = SchemaIndex(graph, schema)
         for constraint in schema:
             index = sx.index_for(constraint)
             blob = persist.pack_buffers(index.to_buffers())

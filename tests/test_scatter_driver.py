@@ -189,7 +189,7 @@ def cached_answer(kernel, runtime, task):
     ``out_edges_into``."""
     if task[0] == "probe":
         _, a_nodes, b_nodes = task
-        a_nodes = a_nodes[in_sorted(runtime._owned_sorted, a_nodes)]
+        a_nodes = a_nodes[in_sorted(runtime.owned, a_nodes)]
         return (len(a_nodes) * len(b_nodes),
                 np.column_stack(kernel.out_edges_into(a_nodes, b_nodes)))
     _, cpos, combos = task
