@@ -12,14 +12,16 @@ kernels and the scatter executor hand over their payload arrays as they
 are), and the sorted distinct ids are built only when someone reads
 them (:meth:`AccessStats.seen_ids`, ``distinct_nodes``). No Python int
 is made per fetched node. A session's running total is a
-:class:`SessionStats`: every execution is folded into a bool bitmap
-over the published graph's node ids ``0 … n-1``, with any id outside
-that range (a sparse or negative id) in a small overflow array, so the
-session total is exact on every graph at one byte per node.
+:class:`SessionStats`: executions queue their id arrays, and the queue
+is folded in one pass into a bool bitmap over the published graph's
+node ids ``0 … n-1``, with any id outside that range (a sparse or
+negative id) in a small overflow array, so the session total is exact
+on every graph at one byte per node.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,11 @@ _NO_IDS.setflags(write=False)
 #: fold): a recorder reused across many executions stays proportional
 #: to the distinct nodes it saw.
 _FOLD_AT = 1 << 16
+
+#: Queued ids that make a :class:`SessionStats` fold its queue into the
+#: bitmap. One fold of this many ids costs about one in-process request
+#: (a few tens of microseconds), so no request's latency doubles.
+_SESSION_FOLD_AT = 1 << 14
 
 
 def _as_ids(nodes):
@@ -157,8 +164,10 @@ class AccessStats:
                 self._fold()
 
     def _absorb(self, arrays) -> None:
-        for ids in arrays:
-            self._note(ids)
+        self._pending += sum(map(len, arrays))
+        self._ids.extend(arrays)
+        if self._pending >= self._fold_at:
+            self._fold()
 
     def _id_arrays(self) -> list:
         """Arrays whose union is the distinct ids seen (shared, not
@@ -195,42 +204,68 @@ class SessionStats(AccessStats):
     ids ``0 … size-1`` instead of kept as arrays. Ids outside that range
     go to a sorted overflow array, so the total is exact on any graph;
     a session grows the bitmap (:meth:`grow`) when it publishes a
-    larger graph. Not thread-safe: the engine folds under its stats
-    lock."""
+    larger graph.
+
+    A merge only queues the run's id arrays; the queue is folded into
+    the bitmap in one pass once it holds ``_SESSION_FOLD_AT`` ids, and
+    before every read (:meth:`seen_ids`, ``distinct_nodes``,
+    :meth:`grow`, pickling). Writers hold :attr:`lock` (the engine
+    folds each execution under it); the reads take it themselves, so a
+    read never sees a half-folded queue — and must not be made while
+    holding it."""
 
     def __init__(self, size: int = 0):
         super().__init__()
+        self._fold_at = _SESSION_FOLD_AT
         self._bitmap = np.zeros(size, dtype=bool)
         self._overflow = _NO_IDS
+        #: Guards the counters, the queue and the bitmap.
+        self.lock = threading.Lock()
 
     @property
     def distinct_nodes(self) -> int:
-        return int(np.count_nonzero(self._bitmap)) + len(self._overflow)
+        with self.lock:
+            if self._pending:
+                self._fold()
+            return int(np.count_nonzero(self._bitmap)) + len(self._overflow)
 
     def seen_ids(self):
-        inside = np.flatnonzero(self._bitmap)
-        if not len(self._overflow):
-            return inside
-        return np.sort(np.concatenate((inside, self._overflow)))
+        with self.lock:
+            if self._pending:
+                self._fold()
+            inside = np.flatnonzero(self._bitmap)
+            if not len(self._overflow):
+                return inside
+            return np.sort(np.concatenate((inside, self._overflow)))
 
     def grow(self, size: int) -> None:
         """Cover node ids ``0 … size-1``; overflow ids now inside move
         into the bitmap."""
-        if size <= len(self._bitmap):
-            return
-        bitmap = np.zeros(size, dtype=bool)
-        bitmap[:len(self._bitmap)] = self._bitmap
-        self._bitmap = bitmap
-        overflow, self._overflow = self._overflow, _NO_IDS
-        self._absorb([overflow])
+        with self.lock:
+            if size <= len(self._bitmap):
+                return
+            bitmap = np.zeros(size, dtype=bool)
+            bitmap[:len(self._bitmap)] = self._bitmap
+            self._bitmap = bitmap
+            overflow, self._overflow = self._overflow, _NO_IDS
+            self._scatter(overflow)
+            if self._pending:
+                self._fold()
 
-    def _note(self, ids) -> None:
-        self._absorb([ids])
+    def _fold(self) -> None:
+        queued = self._ids
+        self._ids = []
+        self._pending = 0
+        if len(queued) > 1:
+            # Repeated executions record the same cached fetch arrays
+            # over and over; scattering each distinct one once is enough.
+            queued = list({id(ids): ids for ids in queued}.values())
+        self._scatter(queued[0] if len(queued) == 1
+                      else np.concatenate(queued))
 
-    def _absorb(self, arrays) -> None:
-        if not arrays:
-            return
-        ids = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    def _scatter(self, ids) -> None:
+        """Set the bitmap bits of ``ids``; the ones outside it join the
+        overflow."""
         if not len(ids):
             return
         bitmap = self._bitmap
@@ -247,6 +282,18 @@ class SessionStats(AccessStats):
 
     def _id_arrays(self) -> list:
         return [self.seen_ids()]
+
+    def __getstate__(self) -> dict:
+        with self.lock:
+            if self._pending:
+                self._fold()
+            state = self.__dict__.copy()
+        del state["lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.lock = threading.Lock()
 
 
 __all__ = ["AccessStats", "SessionStats"]

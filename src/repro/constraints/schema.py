@@ -55,6 +55,18 @@ class AccessConstraint:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "_source_set", frozenset(source_tuple))
+        object.__setattr__(self, "_hash", hash((source_tuple, target, bound)))
+
+    def __hash__(self) -> int:
+        """The dataclass hash, computed once in ``__init__``: constraints
+        key every kernel cache, and re-hashing the fields per lookup
+        showed in profiles."""
+        return self._hash
+
+    def __reduce__(self):
+        """Pickle the fields only: string hashes differ per process, so
+        the unpickled constraint hashes itself afresh in ``__init__``."""
+        return AccessConstraint, (self.source, self.target, self.bound)
 
     # -- shape ------------------------------------------------------------------
     @property

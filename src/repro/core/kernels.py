@@ -474,7 +474,7 @@ def _batched_fetch(context: "KernelContext", constraint, combos, packed,
         new_count = len(packed)  # everything is new, skip the mask
     else:
         new = seen.new_mask(packed)
-        new_count = int(new.sum())
+        new_count = int(np.count_nonzero(new))
     if new_count:
         recorded = gathered if new_count == len(packed) \
             else take_segments(payload, starts[new], lengths[new])

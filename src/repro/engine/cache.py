@@ -118,6 +118,43 @@ def _encode_edges(edges: list[tuple[int, int]], order) -> tuple:
     return tuple(sorted([(position[u], position[v]) for u, v in edges]))
 
 
+class _HashedKey(tuple):
+    """A cache key tuple that hashes once.
+
+    A plain tuple re-hashes its nested items on every lookup (twice per
+    LRU hit: the lookup and ``move_to_end``); this one hashes to the
+    same value, computed at construction, and compares equal to the
+    plain tuple of its items. It pickles as that plain tuple, since
+    string hashes differ per process.
+    """
+
+    def __new__(cls, items: tuple):
+        key = tuple.__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+def plan_keys(pattern: Pattern, key: tuple, order: tuple[int, ...],
+              semantics: str) -> tuple[tuple, tuple]:
+    """The engine's two cache keys for ``pattern`` (whose fingerprint is
+    ``(key, order)``) under ``semantics``: the plan-cache key
+    ``(key, semantics)`` and the session memo key ``(plan key, order)``.
+    Memoized on the pattern beside its fingerprint, for the semantics it
+    was last prepared under; any mutation resets both."""
+    keys = pattern._plan_keys
+    if keys is None or keys[0] != semantics:
+        plan_key = _HashedKey((key, semantics))
+        keys = pattern._plan_keys = (semantics, plan_key,
+                                     _HashedKey((plan_key, order)))
+    return keys[1:]
+
+
 class PlanCache:
     """LRU cache for prepared plans, keyed on canonical pattern form +
     semantics.

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -50,7 +51,7 @@ from repro.core.actualized import SEMANTICS, SUBGRAPH
 from repro.core.executor import MODE_PLAN, ExecutionResult, execute_plans_scatter
 from repro.core.plan import EdgeCheck, FetchOp, QueryPlan
 from repro.core.qplan import generate_plan
-from repro.engine.cache import PlanCache, pattern_fingerprint
+from repro.engine.cache import PlanCache, pattern_fingerprint, plan_keys
 from repro.errors import BoundExceeded, EngineError, NotEffectivelyBounded
 from repro.graph.delta import GraphDelta
 from repro.graph.frozen import FrozenGraph
@@ -95,12 +96,19 @@ class _CacheEntry:
     error: NotEffectivelyBounded | None = None
 
     def usable_by(self, catalog: SchemaCatalog) -> bool:
-        if self.schema is not catalog.current:
-            return False
-        if self.error is not None and (self.version != catalog.version
-                                       or self.schema_size != len(self.schema)):
-            return False
-        return True
+        return _usable(catalog, self)
+
+
+def _usable(catalog: SchemaCatalog, entry: _CacheEntry) -> bool:
+    """May a session serving ``catalog`` use ``entry`` (see
+    :class:`_CacheEntry`)? Catalog first, so a session binds it once
+    with :func:`functools.partial` as its plan-cache validator."""
+    if entry.schema is not catalog.current:
+        return False
+    if entry.error is not None and (entry.version != catalog.version
+                                    or entry.schema_size != len(entry.schema)):
+        return False
+    return True
 
 
 class PreparedQuery:
@@ -264,6 +272,8 @@ class QueryEngine:
         # path, preserving recorded generations).
         self._catalog = schema if isinstance(schema, SchemaCatalog) \
             else SchemaCatalog(schema)
+        #: The plan cache's validator, bound once per session.
+        self._usable = partial(_usable, self._catalog)
         #: The session's running total; its distinct ids are a bitmap
         #: over the served graph's node ids.
         self.stats = SessionStats(
@@ -280,7 +290,6 @@ class QueryEngine:
         # across re-prepares without the (sharable) plan cache pinning
         # this session's graph snapshot and answers.
         self._prepared = PlanCache(cache_size)
-        self._stats_lock = threading.Lock()
         #: Serializes the writers (apply, extend_schema, save).
         self._write_lock = threading.Lock()
         self._generation = 0
@@ -424,19 +433,18 @@ class QueryEngine:
             raise EngineError(f"unknown semantics {semantics!r}; "
                               f"expected one of {SEMANTICS}")
         key, order = pattern_fingerprint(pattern)
-        cache_key = (key, semantics)
+        cache_key, prepared_key = plan_keys(pattern, key, order, semantics)
         with child_span("plan_cache_lookup") as lookup:
-            entry = self._cache.get(
-                cache_key, validate=lambda e: e.usable_by(self._catalog))
+            entry = self._cache.get(cache_key, validate=self._usable)
             if lookup is not None:
                 lookup.set(hit=entry is not None)
         if entry is not None:
-            with self._stats_lock:
+            with self.stats.lock:
                 self.stats.record_cache_hit()
-            prepared = self._from_entry(entry, cache_key, pattern, order,
+            prepared = self._from_entry(entry, prepared_key, pattern, order,
                                         semantics)
             return prepared.warm() if warm else prepared
-        with self._stats_lock:
+        with self.stats.lock:
             self.stats.record_cache_miss()
         # Snapshot the generation before compiling: a concurrent
         # extension that lands mid-compile leaves the verdict keyed to
@@ -455,13 +463,14 @@ class QueryEngine:
         self._cache.put(cache_key, _CacheEntry(
             order=order, schema=schema, version=version,
             schema_size=len(schema), plan=plan))
-        self._prepared.put((cache_key, order), (plan, prepared))
+        self._prepared.put(prepared_key, (plan, prepared))
         return prepared.warm() if warm else prepared
 
-    def _from_entry(self, entry: _CacheEntry, cache_key, pattern,
+    def _from_entry(self, entry: _CacheEntry, prepared_key, pattern,
                     order: tuple[int, ...], semantics: str) -> PreparedQuery:
         """Rebind a cached compilation to (a possibly renumbered copy of)
-        the pattern it was compiled for."""
+        the pattern it was compiled for; ``prepared_key`` is the session
+        memo key ``(plan-cache key, order)``."""
         if entry.error is not None:
             mapping = dict(zip(entry.order, order))
             # Always a fresh exception: re-raising the cached instance
@@ -477,7 +486,7 @@ class QueryEngine:
         # renumbered resubmission reuses its own PreparedQuery (and its
         # answer memo) just like an identical one. The source plan is
         # stored alongside to detect staleness after a cache overwrite.
-        memoized = self._prepared.get((cache_key, order))
+        memoized = self._prepared.get(prepared_key)
         if memoized is not None and memoized[0] is entry.plan:
             return memoized[1]
         mapping = dict(zip(entry.order, order))
@@ -485,7 +494,7 @@ class QueryEngine:
         plan = entry.plan if identity \
             else _remap_plan(entry.plan, mapping, pattern)
         prepared = PreparedQuery(self, pattern, semantics, plan)
-        self._prepared.put((cache_key, order), (entry.plan, prepared))
+        self._prepared.put(prepared_key, (entry.plan, prepared))
         return prepared
 
     # -- evaluation -------------------------------------------------------------------
@@ -585,8 +594,7 @@ class QueryEngine:
                 persist.mark_stale(self.artifact_path,
                                    f"graph delta applied at generation "
                                    f"{self._generation + 1}")
-            with self._stats_lock:
-                self.stats.grow(schema_index.graph.num_nodes)
+            self.stats.grow(schema_index.graph.num_nodes)
             self._schema_index = schema_index
             self._generation += 1
         return report
@@ -679,10 +687,10 @@ class QueryEngine:
     def _account(self, run_stats: AccessStats,
                  caller_stats: AccessStats | None) -> None:
         """Fold one execution's accounting into the session totals (its
-        ids into the session bitmap) and, when given, the caller's
+        ids queue for the session bitmap) and, when given, the caller's
         recorder. The session merge is locked: concurrent worker threads
         must not lose counts."""
-        with self._stats_lock:
+        with self.stats.lock:
             self.stats.merge(run_stats)
         if caller_stats is not None and caller_stats is not self.stats:
             caller_stats.merge(run_stats)

@@ -356,6 +356,21 @@ def parse_shard_addr(addr: str) -> tuple[str, int]:
                           f"port") from None
 
 
+#: :mod:`repro.server.protocol`, bound by :func:`_wire` on first use. A
+#: top-level import would be circular: ``repro.server`` imports the
+#: query service, which imports :mod:`repro.engine`.
+_protocol = None
+
+
+def _wire():
+    """The wire codec module (imported once, then a global read)."""
+    global _protocol
+    if _protocol is None:
+        from repro.server import protocol
+        _protocol = protocol
+    return _protocol
+
+
 class _ScatterEncoder:
     """Encode-once cache for one scatter round's task bytes.
 
@@ -376,7 +391,7 @@ class _ScatterEncoder:
 
     def encode(self, key: tuple, envelope: dict) -> bytes:
         """One shard's complete scatter frame bytes."""
-        from repro.server import protocol
+        protocol = _wire()
         parts = self._parts.get(key)
         if parts is None:
             metas, buffers = protocol.encode_tasks_binary(
@@ -447,7 +462,7 @@ class _ShardConn:
         """Split the next whole reply off the front of ``buf``, or None
         until one is in. Wire garbage raises a ShardProtocolError that
         names the shard."""
-        from repro.server import protocol
+        protocol = _wire()
         try:
             frame, size = protocol.split_frame(buf)
         except ReproError as exc:
@@ -463,7 +478,7 @@ class _ShardConn:
         handshake and the replay after a reconnect, while no pump reads
         this connection. Scatter rounds go through
         :meth:`RemoteShardBackend._submit`."""
-        from repro.server import protocol
+        protocol = _wire()
         self.next_id += 1
         request_id = self.next_id
         started = time.perf_counter()
@@ -606,7 +621,7 @@ class RemoteShardBackend(ShardBackend):
     def _connect(self, conn: _ShardConn) -> dict:
         """(Re)connect one shard connection and run the handshake;
         returns the server's hello document."""
-        from repro.server import protocol
+        protocol = _wire()
 
         conn.close()
         try:
@@ -783,7 +798,7 @@ class RemoteShardBackend(ShardBackend):
     def _deliver(self, conn: _ShardConn, sock, buf: bytearray) -> None:
         """Fire the completion of every whole reply in ``buf``, the
         buffer of ``conn``'s socket ``sock``."""
-        from repro.server import protocol
+        protocol = _wire()
 
         while True:
             try:
@@ -948,7 +963,7 @@ class RemoteShardBackend(ShardBackend):
         context as the optional ``trace`` wire field — the shard server
         stamps its request log with the same trace id and reports its
         server-side time back as ``server_ms``."""
-        from repro.server import protocol
+        protocol = _wire()
 
         parent = current_span()
         results: dict[int, object] = {}
@@ -977,7 +992,7 @@ class RemoteShardBackend(ShardBackend):
                         kinds: list[str]) -> list:
         """Decode one shard's scatter response frame into per-task
         values aligned with the task indices it was sent."""
-        from repro.server import protocol
+        protocol = _wire()
 
         decoded = protocol.decode_shard_responses_binary(
             result.get("responses_meta", ()),
@@ -997,7 +1012,7 @@ class RemoteShardBackend(ShardBackend):
         the same connections at once (request-id correlation keeps them
         straight); ``rounds_overlapped`` counts the rounds submitted
         while an earlier one was still pending."""
-        from repro.server import protocol
+        protocol = _wire()
 
         self._record_round(tasks, shard_sets)
         if any(conn.pending for conn in self._conns.values()):
@@ -1070,7 +1085,7 @@ class RemoteShardBackend(ShardBackend):
                 partial(_shard_done, shard_id, indices), span=span)
 
     def extension_stats(self, labels: Sequence[str]) -> list[tuple]:
-        from repro.server import protocol
+        protocol = _wire()
 
         return [protocol.decode_extension_stats(result) for result in
                 self._request_round({"op": "extension_stats",

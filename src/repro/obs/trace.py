@@ -8,16 +8,18 @@ pipeline, no sampling decisions at span-creation time — because the
 contract that matters is the overhead one:
 
 * **Near-zero cost when disabled.** Instrumented code never asks "is
-  tracing on?" — it opens a :class:`child_span`, which no-ops unless a
+  tracing on?" — it opens a :func:`child_span`, which no-ops unless a
   parent span is *active in the current context*. With no recorder
-  installed nothing is ever active, so the disabled cost is one
-  ``ContextVar`` read per instrumentation point — the path every perf
-  ledger workload's end-to-end ``qps`` is measured on.
+  installed nothing is ever active, so the disabled cost is one call
+  and one ``ContextVar`` read per instrumentation point, and the
+  ``with`` block enters one shared no-op context: no span object is
+  built. That is the path every perf ledger workload's end-to-end
+  ``qps`` is measured on.
 * **Byte-identical answers.** Spans observe; they never touch plans,
   answers or :class:`~repro.accounting.AccessStats` (property-tested in
   ``tests/test_obs.py``).
 
-Propagation is context-local (:func:`activate` / :class:`child_span`
+Propagation is context-local (:func:`activate` / :func:`child_span`
 nest through ``contextvars``, so asyncio tasks are isolated for free)
 plus explicit at the two places a request crosses an execution boundary:
 worker threads receive the request's span through
@@ -208,7 +210,7 @@ class TraceRecorder:
 
     def trace(self, name: str, **attrs) -> Span:
         """Start a new trace; returns its root span (already started).
-        Activate it with :func:`activate` so :class:`child_span` callers
+        Activate it with :func:`activate` so :func:`child_span` callers
         below see it."""
         return Trace(self).span(name, **attrs)
 
@@ -251,7 +253,7 @@ class TraceRecorder:
 
 class activate:
     """Context manager making ``span`` the active parent for nested
-    :class:`child_span` calls in this context. ``activate(None)`` is a
+    :func:`child_span` calls in this context. ``activate(None)`` is a
     no-op, so callers can pass an optional span straight through."""
 
     __slots__ = ("span", "_token")
@@ -270,39 +272,60 @@ class activate:
             _CURRENT.reset(self._token)
 
 
-class child_span:
-    """Open a child of the active span for the duration of a ``with``
-    block — the one instrumentation primitive hot paths use.
+class _NoSpan:
+    """The context :func:`child_span` returns while no span is active:
+    one shared instance that yields ``None`` and records nothing."""
 
-    With no active span (tracing disabled, or a code path outside any
-    request) this yields ``None`` and does nothing: the disabled cost is
-    a ``ContextVar`` read. Class-based rather than a generator for the
-    same reason.
-    """
+    __slots__ = ()
 
-    __slots__ = ("name", "attrs", "span", "_token")
+    def __enter__(self) -> None:
+        return None
 
-    def __init__(self, name: str, **attrs):
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+
+_NO_SPAN = _NoSpan()
+
+
+class _ChildSpan:
+    """A child of ``parent`` open for the duration of a ``with`` block:
+    the span starts on entry, becomes the active span inside the block,
+    and ends (stamped with ``error`` if the block raised) on exit."""
+
+    __slots__ = ("parent", "name", "attrs", "span", "_token")
+
+    def __init__(self, parent: Span, name: str, attrs: dict):
+        self.parent = parent
         self.name = name
         self.attrs = attrs
-        self.span = None
-        self._token = None
 
-    def __enter__(self) -> Span | None:
-        parent = _CURRENT.get()
-        if parent is None:
-            return None
-        self.span = parent.trace.span(self.name, parent=parent,
-                                      **self.attrs)
+    def __enter__(self) -> Span:
+        parent = self.parent
+        self.span = parent.trace.span(self.name, parent=parent, **self.attrs)
         self._token = _CURRENT.set(self.span)
         return self.span
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.span is not None:
-            _CURRENT.reset(self._token)
-            if exc_type is not None:
-                self.span.set(error=exc_type.__name__)
-            self.span.end()
+        _CURRENT.reset(self._token)
+        if exc_type is not None:
+            self.span.set(error=exc_type.__name__)
+        self.span.end()
+
+
+def child_span(name: str, **attrs):
+    """Open a child of the active span for the duration of a ``with``
+    block — the one instrumentation primitive hot paths use.
+
+    With no active span (tracing disabled, or a code path outside any
+    request) this returns one shared no-op context that yields ``None``:
+    the disabled cost is a call and a ``ContextVar`` read, with no span
+    object built.
+    """
+    parent = _CURRENT.get()
+    if parent is None:
+        return _NO_SPAN
+    return _ChildSpan(parent, name, attrs)
 
 
 def bind(span: Span | None, fn):

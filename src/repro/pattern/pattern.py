@@ -38,7 +38,7 @@ class Pattern:
     """
 
     __slots__ = ("_labels", "_predicates", "_out", "_in", "_next_id", "name",
-                 "_fingerprint")
+                 "_fingerprint", "_plan_keys")
 
     def __init__(self, name: str = ""):
         self._labels: dict[int, str] = {}
@@ -47,9 +47,11 @@ class Pattern:
         self._in: dict[int, set[int]] = {}
         self._next_id = 0
         self.name = name
-        #: Cached canonical fingerprint (repro.engine.cache); any
-        #: structural mutation resets it to None.
+        #: Cached canonical fingerprint and the plan cache keys built
+        #: from it for the semantics last prepared (repro.engine.cache);
+        #: any structural mutation resets both to None.
         self._fingerprint = None
+        self._plan_keys = None
 
     # -- construction --------------------------------------------------------
     def add_node(self, label: str, predicate: Predicate = TRUE,
@@ -68,7 +70,7 @@ class Pattern:
         self._predicates[node_id] = predicate
         self._out[node_id] = set()
         self._in[node_id] = set()
-        self._fingerprint = None
+        self._fingerprint = self._plan_keys = None
         return node_id
 
     def add_edge(self, source: int, target: int) -> None:
@@ -81,13 +83,13 @@ class Pattern:
             raise PatternError(f"pattern edge ({source}, {target}) already exists")
         self._out[source].add(target)
         self._in[target].add(source)
-        self._fingerprint = None
+        self._fingerprint = self._plan_keys = None
 
     def set_predicate(self, node: int, predicate: Predicate) -> None:
         if node not in self._labels:
             raise PatternError(f"unknown pattern node {node}")
         self._predicates[node] = predicate
-        self._fingerprint = None
+        self._fingerprint = self._plan_keys = None
 
     # -- read interface -------------------------------------------------------
     def nodes(self) -> Iterable[int]:

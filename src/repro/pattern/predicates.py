@@ -6,7 +6,9 @@ and ``op`` is one of ``=, >, <, <=, >=`` (we additionally support ``!=``
 as a convenience extension; it is never required by the paper's examples).
 
 Predicates are immutable and hashable so they can live inside frozen plan
-objects.
+objects. A :class:`Predicate` keys the per-session mask and scan caches on
+every execution, so it keeps its hash once computed; the cached hash never
+travels in a pickle (see :meth:`Predicate.__reduce__`).
 
 The module also implements *cardinality hints*: for integer predicates that
 pin the value into a closed range (e.g. ``year >= 2011 AND year <= 2013``),
@@ -81,6 +83,24 @@ class Predicate:
     """
 
     atoms: tuple[Atom, ...] = ()
+
+    def __hash__(self) -> int:
+        """The dataclass hash, computed on first use and kept: parsing
+        builds many predicates that are never hashed, while a predicate
+        in a plan keys the kernel caches on every execution. An atom
+        with an unhashable constant raises TypeError each time, as the
+        dataclass hash does."""
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.atoms,))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        """Pickle the atoms only: string hashes differ per process, so
+        the unpickled predicate hashes itself afresh in ``__init__``."""
+        return Predicate, (self.atoms,)
 
     @classmethod
     def of(cls, *pairs) -> "Predicate":

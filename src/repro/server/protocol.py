@@ -597,7 +597,8 @@ def decode_shard_responses_binary(metas, payloads,
                  tags_ref, nums_ref) = meta
                 lens, values = pull(lens_ref), pull(vals_ref)
                 _segmented(lens, values, "fetch payload")
-                ids = arrays.sorted_unique(values).astype(np.int64)
+                ids = arrays.sorted_unique(values).astype(np.int64,
+                                                          copy=False)
                 tags, nums = pull(tags_ref), pull(nums_ref)
                 if (tags.size != ids.size or nums.size != ids.size
                         or not isinstance(labels, list)

@@ -1,11 +1,17 @@
 """Tests for access accounting: the per-execution array record and the
-session's bitmap total, checked against plain Python-set oracles."""
+session's bitmap total (folded in batches), checked against plain
+Python-set oracles."""
 
 import pickle
+import sys
+import threading
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AccessConstraint, AccessSchema, Graph, GraphDelta, connect
+from repro import accounting
 from repro.accounting import AccessStats, SessionStats
 from repro.pattern import parse_pattern
 
@@ -223,3 +229,102 @@ def test_session_union_on_an_inline_two_shard_session(tmp_path):
         assert engine.sharded
         assert len(engine.stats._bitmap) == engine.graph.num_nodes
         _assert_session_union(engine, _PATTERNS)
+
+
+# ------------------------------------------------ the batched session fold
+class _EagerSession:
+    """The oracle: every merge lands in a Python set at once."""
+
+    def __init__(self):
+        self.ids: set[int] = set()
+        self.fetched = 0
+
+    def merge(self, ids: list[int]):
+        self.ids |= set(ids)
+        self.fetched += len(ids)
+
+
+_ID = st.one_of(st.integers(0, 40), st.integers(-5, 80),
+                st.sampled_from([2**40, -(2**40)]))
+_STEP = st.one_of(
+    st.tuples(st.just("merge"), st.lists(_ID, max_size=12)),
+    st.tuples(st.just("grow"), st.integers(0, 90)),
+    st.tuples(st.just("read"), st.none()),
+    st.tuples(st.just("pickle"), st.none()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.integers(0, 40), fold_at=st.integers(1, 24),
+       steps=st.lists(_STEP, max_size=30))
+def test_batched_fold_equals_an_eager_oracle(size, fold_at, steps):
+    """Any sequence of merges, grows, reads and pickle round trips reads
+    exactly what eager folding reads, whatever the fold threshold."""
+    session, oracle = SessionStats(size), _EagerSession()
+    session._fold_at = fold_at
+    for kind, arg in steps:
+        if kind == "merge":
+            run = AccessStats()
+            run.record_fetch(arg)
+            with session.lock:
+                session.merge(run)
+            oracle.merge(arg)
+        elif kind == "grow":
+            session.grow(arg)
+        elif kind == "pickle":
+            session = pickle.loads(pickle.dumps(session))
+            assert session._pending == 0
+        else:
+            assert session.distinct_nodes == len(oracle.ids)
+        assert session.nodes_fetched == oracle.fetched
+    assert session.seen_ids().tolist() == sorted(oracle.ids)
+    assert session.distinct_nodes == len(oracle.ids)
+
+
+def test_concurrent_writers_and_a_reader_lose_no_ids(monkeypatch):
+    """Writer threads query one session while a reader keeps reading its
+    total: the reads never go backwards, and the final total is the
+    union of every run's ids."""
+    monkeypatch.setattr(accounting, "_SESSION_FOLD_AT", 8)
+    # Sparse and negative ids too, so folds also rewrite the overflow.
+    graph = _years_and_movies([-7, 3, 10**9, -1, 2],
+                              [-100 - i for i in range(30)] + list(range(40, 70)))
+    engine = connect((graph, AccessSchema(list(_SCHEMA))))
+    patterns = [parse_pattern(text) for text in _PATTERNS]
+    seen: list[set] = [set() for _ in range(4)]
+    fetches = [0] * len(seen)
+    done = threading.Event()
+    readings: list[int] = []
+
+    def write(slot: int):
+        for i in range(60):
+            run = engine.query(patterns[(slot + i) % len(patterns)],
+                               refresh=True)
+            seen[slot] |= set(run.stats.seen_ids().tolist())
+            fetches[slot] += run.stats.index_fetches
+
+    def read():
+        while not done.is_set():
+            readings.append(engine.stats.distinct_nodes)
+            engine.stats.seen_ids()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write, args=(slot,))
+                   for slot in range(len(seen))]
+        reader.start()
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        done.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert not any(thread.is_alive() for thread in writers)
+    union = set().union(*seen)
+    assert readings == sorted(readings)
+    assert engine.stats.seen_ids().tolist() == sorted(union)
+    assert engine.stats.index_fetches == sum(fetches)

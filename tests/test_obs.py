@@ -49,6 +49,7 @@ from repro.obs import (
     render_prometheus,
     setup_logging,
 )
+from repro.obs import trace as trace_module
 from repro.obs.logs import JsonFormatter, TraceIdFilter
 from repro.obs.registry import (
     HISTOGRAM,
@@ -92,6 +93,9 @@ SHARD_COUNTS = (1, 2, 4)
 
 BOUNDED = "m: movie; y: year; m -> y"
 UNBOUNDED = "a: actor; c: country; a -> c"
+#: Bounded patterns the disabled-path construction count cycles over.
+_COUNTED_PATTERNS = (BOUNDED, "m: movie; y: year; m -> y; y.value >= 2000",
+                     "s: studio; m: movie; m -> s")
 
 
 # --------------------------------------------------------------- helpers
@@ -184,6 +188,33 @@ class TestSpanModel:
         with child_span("anything", attr=1) as span:
             assert span is None
         assert current_span() is None
+
+    def test_the_disabled_path_builds_no_span_object(self, imdb_small,
+                                                    monkeypatch):
+        """With no active span, 100 queries and a batch construct no
+        span context and no span; the counters do see them once a
+        root is active."""
+        from repro.pattern import parse_pattern
+
+        built = Counter()
+        for cls in (trace_module._ChildSpan, trace_module.Span):
+            original = cls.__init__
+
+            def counted(self, *args, _cls=cls, _original=original, **kw):
+                built[_cls.__name__] += 1
+                _original(self, *args, **kw)
+            monkeypatch.setattr(cls, "__init__", counted)
+        engine = connect(imdb_small)
+        patterns = [parse_pattern(text) for text in _COUNTED_PATTERNS]
+        for i in range(100):
+            engine.query(patterns[i % len(patterns)], refresh=True)
+        engine.query_batch(patterns)
+        assert current_span() is None
+        assert built == Counter()
+        with activate(TraceRecorder().trace("request")):
+            engine.query(patterns[0], refresh=True)
+        assert built["_ChildSpan"] == 3      # lookup, execute, match
+        assert built["Span"] == 1 + 3
 
     def test_child_span_nests_through_contextvar(self):
         root = TraceRecorder().trace("request")
