@@ -7,7 +7,8 @@ predicate on first use). String hashes differ per
 process (``PYTHONHASHSEED``), and an ``ExecutionResult`` pickles its plan:
 an unpickled constraint or predicate must hash like a freshly built equal
 one in the process that loads it, or every dict lookup keyed by it
-misses. The pickle is written under one hash seed and read under
+misses. The same holds for the plan-cache keys the plan's pattern
+memoizes, which also hash once. The pickle is written under one hash seed and read under
 another, each in its own interpreter.
 """
 
@@ -38,15 +39,24 @@ sys.stdout.buffer.write(pickle.dumps(run.execution))
 """
 
 #: Read under seed 2: every constraint and predicate of the plan must be
-#: a working key into dicts of freshly built equal objects.
+#: a working key into dicts of freshly built equal objects, and the
+#: plan's pattern (which carries its memoized plan-cache keys) must hit
+#: a fresh session's cache entry for the same text.
 _READ = """
 import pickle, sys
+from repro import connect
 from repro.constraints.schema import AccessConstraint
 from repro.graph.generators import imdb_like
+from repro.pattern import parse_pattern
 from repro.pattern.predicates import Atom, Predicate
 execution = pickle.loads(sys.stdin.buffer.read())
 plan = execution.plan
-_, schema = imdb_like(scale=0.02, seed=7)
+graph, schema = imdb_like(scale=0.02, seed=7)
+engine = connect((graph, schema))
+engine.prepare(parse_pattern(sys.argv[1]))
+assert plan.pattern._plan_keys is not None
+engine.prepare(plan.pattern)
+assert engine.stats.plan_cache_hits == 1, engine.cache_info()
 positions = schema.positions()
 fresh = {AccessConstraint(c.source, c.target, c.bound): c for c in schema}
 constraints = [op.constraint for op in plan.ops] + [
@@ -78,9 +88,9 @@ def _python(code: str, seed: int, *args, stdin: bytes | None = None):
 
 
 def test_an_unpickled_plan_keys_fresh_dicts_under_another_hash_seed():
-    written = _python(_WRITE, 1,
-                      "m: movie; y: year; m -> y; y.value >= 2000")
-    read = _python(_READ, 2, stdin=written.stdout)
+    text = "m: movie; y: year; m -> y; y.value >= 2000"
+    written = _python(_WRITE, 1, text)
+    read = _python(_READ, 2, text, stdin=written.stdout)
     assert read.stdout.decode().startswith("ok")
 
 
