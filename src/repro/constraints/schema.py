@@ -179,14 +179,14 @@ class AccessSchema:
 
         Artifact plan encoding and the scatter-gather task protocol both
         refer to constraints by this position, which is stable for any
-        schema rebuilt from the same document.
+        schema rebuilt from the same document. A negative position is
+        an error, not a count from the end.
         """
-        try:
+        if 0 <= position < len(self._constraints):
             return self._constraints[position]
-        except IndexError:
-            raise SchemaError(
-                f"no constraint at position {position} (schema has "
-                f"{len(self._constraints)})") from None
+        raise SchemaError(
+            f"no constraint at position {position} (schema has "
+            f"{len(self._constraints)})")
 
     def positions(self) -> dict[AccessConstraint, int]:
         """``constraint -> position`` for the canonical order."""

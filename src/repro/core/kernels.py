@@ -643,8 +643,10 @@ def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
     a ``fetch`` / ``edge`` task are probed with one ``fetch_many``, a
     fetch's node info is gathered from the snapshot's
     :meth:`GraphKernel.info_columns`, and ``edge`` and ``probe`` resolve
-    edges with batched CSR membership tests. Nothing is cached: a shard
-    lives for days, and its adjacency answers would pile up.
+    edges with batched CSR membership tests. Nothing is cached here: a
+    shard lives for days, and its adjacency answers would pile up. (The
+    shard server memoizes whole packed answers instead, in a bounded
+    memo beside this call; see :class:`repro.engine.parallel.ShardRuntime`.)
     """
     kind = task[0]
     kernel = graph_kernel(graph)

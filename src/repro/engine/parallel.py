@@ -65,6 +65,7 @@ from repro.constraints.discovery import neighbor_label_bounds
 from repro.constraints.index import build_frozen_indexes
 from repro.constraints.schema import AccessConstraint
 from repro.core import kernels
+from repro.engine.cache import PlanCache
 from repro.errors import (
     EngineError,
     ReproError,
@@ -76,14 +77,33 @@ from repro.obs.trace import current_span
 from repro.session import SessionConfig
 
 
+#: Byte budget of one shard runtime's answer memo, in wire bytes: a
+#: task's payload bytes, its packed answer buffers and its answer meta
+#: as JSON. The memo keeps at most ``ANSWER_MEMO_BYTES //
+#: ANSWER_ENTRY_BYTES`` entries and no entry over ``ANSWER_ENTRY_BYTES``,
+#: so it never holds more than this.
+ANSWER_MEMO_BYTES = 16 << 20
+
+#: The largest memo entry kept; a larger answer is sent and forgotten.
+ANSWER_ENTRY_BYTES = 16 << 10
+
+
 class ShardRuntime:
     """One shard's in-memory state: halo graph, owned node ids (one
     sorted, duplicate-free int64 array), shard index. ``owned=None`` is
     the one shard of a one-shard partition, which owns its whole
-    graph."""
+    graph.
+
+    ``answers`` is the shard server's memo of packed task answers
+    (:func:`repro.server.protocol.task_key` -> ``(meta, buffers,
+    nbytes)``), a locked LRU bounded by :data:`ANSWER_MEMO_BYTES`. The
+    shard is immutable but for ``extend``, which only adds constraints
+    at new positions, so an entry stays right for the runtime's life;
+    a ``reload`` builds a new runtime and so drops the memo. ``handle``
+    itself caches nothing."""
 
     __slots__ = ("shard_id", "graph", "schema_index", "owned",
-                 "_owned_labels")
+                 "_owned_labels", "answers")
 
     def __init__(self, shard_id: int, graph, schema_index,
                  owned: Sequence[int] | None):
@@ -93,6 +113,8 @@ class ShardRuntime:
         self.owned = np.unique(np.fromiter(
             graph.nodes() if owned is None else owned, dtype=np.int64))
         self._owned_labels: list[str] | None = None
+        self.answers = PlanCache(
+            maxsize=max(1, ANSWER_MEMO_BYTES // ANSWER_ENTRY_BYTES))
 
     def handle(self, task: tuple):
         return kernels.run_shard_task(self.graph, self.schema_index,

@@ -140,6 +140,9 @@ METRICS: tuple[Metric, ...] = (*_section("traffic", [
     ("shards[].requests", "shard_requests_total", COUNTER, "Requests the shard server handled."),
     ("shards[].scatter_rounds", "shard_scatter_rounds_total", COUNTER, "Scatter rounds handled."),
     ("shards[].tasks_handled", "shard_tasks_handled_total", COUNTER, "Tasks in those rounds."),
+    ("shards[].tasks_memoized", "shard_tasks_memoized_total", COUNTER,
+     "Tasks answered from the shard's answer memo."),
+    ("shards[].memo_bytes", "shard_memo_bytes", GAUGE, "Wire bytes the answer memo holds."),
     ("shards[].extensions_applied", "shard_extensions_applied_total", COUNTER, "Indexes built."),
     ("shards[].reloads", "shard_reloads_total", COUNTER, "Reloads of the shard from disk."),
     ("shards[].traced_requests", "shard_traced_requests_total", COUNTER, "Requests with a trace."),

@@ -481,11 +481,20 @@ def _read_only_int64(ints):
     return ints
 
 
+def _plain_ints(cpos, count, arity) -> bool:
+    """Whether a task header holds three ``int``s, none a ``bool``
+    (``True`` and ``1.0`` would pass ``int()`` and equal ``1``), and a
+    non-negative ``cpos``."""
+    return type(cpos) is int and type(count) is int \
+        and type(arity) is int and cpos >= 0
+
+
 def decode_tasks_binary(metas, payloads) -> list[tuple]:
     """Inverse of :func:`encode_tasks_binary`, adopting the payload
     memoryviews in place: int ``cpos``, combos as a read-only
     ``(count, arity)`` int64 matrix and probe frontiers as read-only
-    int64 arrays (views over the frame at the ``i8`` width)."""
+    int64 arrays (views over the frame at the ``i8`` width). ``cpos``,
+    ``count`` and ``arity`` must be plain non-negative ints."""
 
     def pull(ref):
         code, index = ref
@@ -501,6 +510,10 @@ def decode_tasks_binary(metas, payloads) -> list[tuple]:
                               _read_only_int64(pull(b_ref))))
             elif kind in ("fetch", "edge"):
                 _, cpos, count, arity, ref = meta
+                if not _plain_ints(cpos, count, arity):
+                    raise ShardProtocolError(
+                        f"{kind} task header {[cpos, count, arity]!r} must "
+                        f"be plain ints with a non-negative cpos")
                 flat = pull(ref)
                 # With arity 0 an empty buffer fits any count, so the
                 # count itself is bounded by what the frame carried.
@@ -509,7 +522,7 @@ def decode_tasks_binary(metas, payloads) -> list[tuple]:
                     raise ShardProtocolError(
                         f"task buffer holds {flat.size} ints, expected "
                         f"{count}x{arity}")
-                tasks.append((kind, int(cpos), _read_only_int64(
+                tasks.append((kind, cpos, _read_only_int64(
                     flat.reshape(count, arity))))
             else:
                 raise ShardProtocolError(
@@ -518,6 +531,93 @@ def decode_tasks_binary(metas, payloads) -> list[tuple]:
         raise ShardProtocolError(
             f"malformed binary shard task: {exc}") from exc
     return tasks
+
+
+def _keyed_buffer(ref, payloads):
+    """``(code, bytes)`` of a task's buffer reference, or None where
+    :func:`decode_tasks_binary` might refuse or read it otherwise."""
+    if type(ref) is not list or len(ref) != 2:
+        return None
+    code, index = ref
+    width = arrays.packed_width(code)
+    if width is None or type(index) is not int \
+            or not 0 <= index < len(payloads):
+        return None
+    raw = bytes(payloads[index])
+    return None if len(raw) % width else (code, raw)
+
+
+def task_key(meta, payloads):
+    """The answer-memo key of one wire task, built from the task as
+    received — kind, ``cpos``, count, arity, width code and payload
+    bytes; both frontiers' codes and bytes for a probe — and decoding
+    nothing. Tasks with equal keys decode to equal tasks.
+
+    Returns None for a task :func:`decode_tasks_binary` might refuse:
+    a key is built only from fields the decoder accepts, so a memo hit
+    can never answer a task the decoder would turn away (decode a
+    keyless task to get its typed error)."""
+    if type(meta) is not list or not meta:
+        return None
+    kind = meta[0]
+    if kind == "probe" and len(meta) == 3:
+        a_side = _keyed_buffer(meta[1], payloads)
+        b_side = _keyed_buffer(meta[2], payloads)
+        if a_side is None or b_side is None:
+            return None
+        return ("probe", *a_side, *b_side)
+    if kind not in ("fetch", "edge") or len(meta) != 5:
+        return None
+    _, cpos, count, arity, ref = meta
+    buffer = _keyed_buffer(ref, payloads)
+    if buffer is None or not _plain_ints(cpos, count, arity) \
+            or count < 0 or arity < 0:
+        return None
+    size = len(buffer[1]) // arrays.packed_width(buffer[0])
+    if count > max(size, 1) or size != count * arity:
+        return None
+    return (kind, cpos, count, arity, *buffer)
+
+
+def encode_shard_answer(kind: str, response, base: int = 0) \
+        -> tuple[list, list[bytes]]:
+    """Pack one task's response (what
+    :func:`repro.core.kernels.run_shard_task` returned, its arrays taken
+    as they are): its meta, whose buffer references count from
+    ``base``, and its buffers. See :func:`encode_shard_responses_binary`
+    for the layout."""
+    if kind == "fetch":
+        lens, values, info = response
+        meta = ["fetch", info.labels, info.others]
+        parts = (lens, values, info.tags, info.nums)
+    elif kind == "edge":
+        arity, counts, ws, masks = response
+        meta = ["edge", int(arity)]
+        parts = (counts, ws, masks)
+    else:
+        checked, pairs = response
+        meta = ["probe", int(checked), len(pairs)]
+        parts = (pairs,)
+    buffers: list[bytes] = []
+    for part in parts:
+        code, raw = arrays.pack_ints(part)
+        meta.append([code, base + len(buffers)])
+        buffers.append(raw)
+    return meta, buffers
+
+
+def append_answer(metas: list, buffers: list, meta: list,
+                  packed: list) -> None:
+    """Add one answer packed at base 0 (:func:`encode_shard_answer`) to
+    a frame's metas and buffers, re-basing its buffer references to
+    where its buffers land; one packed answer serves many frames."""
+    base = len(buffers)
+    if base:
+        refs = len(packed)
+        meta = [*meta[:-refs],
+                *[[code, index + base] for code, index in meta[-refs:]]]
+    metas.append(meta)
+    buffers.extend(packed)
 
 
 def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
@@ -536,24 +636,10 @@ def encode_shard_responses_binary(kinds, responses) -> tuple[list, list]:
     """
     metas: list = []
     buffers: list[bytes] = []
-
-    def push(values):
-        code, raw = arrays.pack_ints(values)
-        buffers.append(raw)
-        return [code, len(buffers) - 1]
-
     for kind, response in zip(kinds, responses):
-        if kind == "fetch":
-            lens, values, info = response
-            metas.append(["fetch", info.labels, info.others, push(lens),
-                          push(values), push(info.tags), push(info.nums)])
-        elif kind == "edge":
-            arity, counts, ws, masks = response
-            metas.append(["edge", int(arity), push(counts), push(ws),
-                          push(masks)])
-        else:
-            checked, pairs = response
-            metas.append(["probe", int(checked), len(pairs), push(pairs)])
+        meta, packed = encode_shard_answer(kind, response, len(buffers))
+        metas.append(meta)
+        buffers.extend(packed)
     return metas, buffers
 
 

@@ -20,9 +20,15 @@ any number of stateless front-ends opened with
 front-end needs only the artifact's top-level files (manifest, plans,
 partition, catalog), never a shard graph. Each connection is served by
 one thread that reads a frame, answers it and reads the next;
-``scatter`` reads are lock-free over the frozen shard state, mirroring
+``scatter`` reads the frozen shard state without a lock, mirroring
 :class:`~repro.engine.parallel.InlineShardBackend`, while
-``extend``/``reload`` serialize under a lock.
+``extend``/``reload`` serialize under a lock. A task answered before
+comes from the runtime's answer memo
+(:attr:`~repro.engine.parallel.ShardRuntime.answers`, a bounded LRU
+of packed answers that every connection shares under its own short
+lock), keyed on the task as received; a round reads the runtime and
+its memo as one snapshot, and a ``reload`` drops the memo with the
+runtime.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import time
 from pathlib import Path
 
 from repro.constraints.schema import AccessConstraint
+from repro.engine import parallel
 from repro.errors import (
     EngineError,
     ServerError,
@@ -248,15 +255,36 @@ class ShardServer:
             raise ShardProtocolError(
                 "scatter request carries no tasks_meta; scatter rounds "
                 "are binary frames")
-        tasks = protocol.decode_tasks_binary(
-            doc["tasks_meta"], getattr(doc, "payloads", ()))
-        runtime = self.runtime  # one snapshot for the whole round
-        raw = [runtime.handle(task) for task in tasks]
-        metas, buffers = protocol.encode_shard_responses_binary(
-            [task[0] for task in tasks], raw)
-        response = protocol.Frame({"responses_meta": metas},
+        metas, payloads = doc["tasks_meta"], getattr(doc, "payloads", ())
+        if type(metas) is not list:
+            # The decoder refuses it or finds no task in it, as ever.
+            protocol.decode_tasks_binary(metas, payloads)
+            metas = []
+        runtime = self.runtime  # one snapshot, memo too, for the round
+        memo = runtime.answers
+        keys = [protocol.task_key(meta, payloads) for meta in metas]
+        entries = [None if key is None else memo.get(key) for key in keys]
+        missed = [i for i, entry in enumerate(entries) if entry is None]
+        # Every missed task is decoded before any runs, so a malformed
+        # frame is refused whole, with the error it always got.
+        tasks = protocol.decode_tasks_binary([metas[i] for i in missed],
+                                             payloads)
+        for i, task in zip(missed, tasks):
+            meta, packed = protocol.encode_shard_answer(
+                task[0], runtime.handle(task))
+            entries[i] = (meta, packed, None)
+            if keys[i] is not None:
+                nbytes = _entry_bytes(keys[i], meta, packed)
+                if nbytes <= parallel.ANSWER_ENTRY_BYTES:
+                    memo.put(keys[i], (meta, packed, nbytes))
+        out_metas: list = []
+        buffers: list = []
+        for meta, packed, _ in entries:
+            protocol.append_answer(out_metas, buffers, meta, packed)
+        response = protocol.Frame({"responses_meta": out_metas},
                                   payloads=buffers, binary=True)
-        self.metrics.add({"scatter_rounds": 1, "tasks_handled": len(tasks),
+        self.metrics.add({"scatter_rounds": 1, "tasks_handled": len(metas),
+                          "tasks_memoized": len(metas) - len(missed),
                           "scatter_seconds": time.perf_counter() - t0})
         return response
 
@@ -275,6 +303,8 @@ class ShardServer:
             "owned_nodes": len(self.runtime.owned),
             "owned_labels": len(self.runtime.owned_labels()),
             "schema_version": self.schema_version,
+            "memo_bytes": sum(entry[2] for _, entry
+                              in self.runtime.answers.items()),
             **self.metrics.snapshot(),
             "uptime_s": time.monotonic() - self.metrics.started,
             # Kept for the readers of the field: a connection answers
@@ -286,6 +316,13 @@ class ShardServer:
     def __repr__(self) -> str:
         return (f"ShardServer(shard={self.shard_id}, "
                 f"addr={self.address}, root={str(self.root)!r})")
+
+
+def _entry_bytes(key, meta: list, packed: list) -> int:
+    """A memo entry's size in wire bytes: the task's payload bytes, the
+    answer's buffers and its meta as JSON."""
+    return sum(map(len, packed)) + len(protocol.compact_json(meta)) \
+        + sum(len(part) for part in key if type(part) is bytes)
 
 
 class _ShardTCPServer(socketserver.ThreadingTCPServer):

@@ -126,6 +126,13 @@ def unpack_ints(code, buffer):
     return np.frombuffer(buffer, dtype=dtype)
 
 
+def packed_width(code):
+    """Bytes per item of the :func:`pack_ints` width ``code``, or None
+    for anything that is not one."""
+    dtype = _PACK_NP.get(code) if type(code) is str else None
+    return None if dtype is None else dtype.itemsize
+
+
 def in_sorted(haystack, needles):
     """Boolean membership mask of ``needles`` in the *sorted* array
     ``haystack`` (any dtype searchsorted supports, including the byte
@@ -172,6 +179,7 @@ __all__ = [
     "in_sorted",
     "pack_ints",
     "pack_matrix",
+    "packed_width",
     "sorted_unique",
     "unpack_ints",
     "take_segments",

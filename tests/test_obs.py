@@ -401,6 +401,7 @@ def _sample_snapshot():
     snapshot = metrics.snapshot()
     snapshot["shards"] = [
         {"shard_id": 0, "requests": 3, "tasks_handled": 5,
+         "tasks_memoized": 4, "memo_bytes": 2048,
          "scatter_rounds": 2, "scatter_seconds": 0.25, "uptime_s": 9.0,
          "traced_requests": 1, "extensions_applied": 0, "reloads": 0},
         {"shard_id": 1, "error": "ShardUnavailable: gone"},
@@ -446,6 +447,8 @@ class TestPrometheusExport:
         assert "repro_backend_num_shards 2" in text
         assert "repro_backend_reconnects_total 1" in text
         assert 'repro_shard_tasks_handled_total{shard="0"} 5' in text
+        assert 'repro_shard_tasks_memoized_total{shard="0"} 4' in text
+        assert 'repro_shard_memo_bytes{shard="0"} 2048' in text
         assert 'repro_shard_scatter_seconds_total{shard="0"} 0.25' in text
         assert 'repro_shard_unreachable{shard="1"} 1' in text
         assert "repro_traces_finished_total 6" in text

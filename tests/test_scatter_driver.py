@@ -11,27 +11,41 @@
   plans sharing their first fetches — hits steps where some combos are
   already in a cell table and others are fresh; every execution must
   still equal the same plan run alone.
-* Shard tasks run uncached: a long-lived shard answering many distinct
-  ``edge`` and ``probe`` tasks keeps no adjacency cache, and answers
-  what the cached in-process adjacency path answers.
+* Shard tasks run uncached: ``ShardRuntime.handle`` answering many
+  distinct ``edge`` and ``probe`` tasks keeps no adjacency cache, and
+  answers what the cached in-process adjacency path answers.
+* The answer memo: a shard server answers a task it has answered before
+  from its bounded memo of packed answers. Answers and accounting equal
+  the inline backend's, the memo keeps within its byte budget, a
+  ``reload`` drops it, an ``extend`` leaves it valid, and concurrent
+  connections share it.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import shutil
+import socket
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AccessStats, connect
+from repro import AccessConstraint, AccessStats, connect
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
 from repro.core.executor import MODE_PLAN, MODE_PROBE, execute_plans_scatter
 from repro.core.kernels import GraphKernel, graph_kernel
+from repro.engine import parallel
 from repro.engine.persist import load_shard_runtimes
 from repro.graph.generators import imdb_like
 from repro.pattern import parse_pattern
-from repro.server.shardserver import ShardServer
+from repro.server import protocol
+from repro.server.shardserver import ShardServer, _entry_bytes
 from repro.util.arrays import in_sorted, take_segments
 from tests.conftest import same_responses
 
@@ -206,35 +220,237 @@ def cached_answer(kernel, runtime, task):
     return combos.shape[1] if len(values) else 0, lens, values, masks
 
 
-class TestShardTasksUncached:
-    def test_many_distinct_tasks_leave_no_adjacency_cache(self, artifacts):
-        [runtime] = load_shard_runtimes(artifacts[2], [0])
-        graph, index = runtime.graph, runtime.schema_index
-        reference = GraphKernel(graph)  # its own cache, not the shard's
-        rng = np.random.default_rng(5)
-        nodes = np.array(sorted(graph.nodes()), dtype=np.int64)
-        by_label = {label: np.array(sorted(graph.nodes_with_label(label)),
-                                    dtype=np.int64)
-                    for label in graph.labels()}
-        sourced = [cpos for cpos in range(len(index.schema))
-                   if index.constraint_at(cpos).source
-                   and all(len(by_label.get(label, ()))
-                           for label in index.constraint_at(cpos).source)]
-        tasks = []
-        for i in range(120):
-            a = np.unique(rng.choice(nodes, 1 + i % 7))
-            b = np.unique(rng.choice(nodes, 1 + i % 11))
-            tasks.append(("probe", a, b))
+def random_tasks(runtime, count: int, kinds=("edge",), seed: int = 5):
+    """``count`` probe tasks over random frontiers of the shard graph,
+    each followed by one task of every kind in ``kinds`` at a sourced
+    constraint with random combos."""
+    graph, index = runtime.graph, runtime.schema_index
+    rng = np.random.default_rng(seed)
+    nodes = np.array(sorted(graph.nodes()), dtype=np.int64)
+    by_label = {label: np.array(sorted(graph.nodes_with_label(label)),
+                                dtype=np.int64)
+                for label in graph.labels()}
+    sourced = [cpos for cpos in range(len(index.schema))
+               if index.constraint_at(cpos).source
+               and all(len(by_label.get(label, ()))
+                       for label in index.constraint_at(cpos).source)]
+    tasks = []
+    for i in range(count):
+        a = np.unique(rng.choice(nodes, 1 + i % 7))
+        b = np.unique(rng.choice(nodes, 1 + i % 11))
+        tasks.append(("probe", a, b))
+        for kind in kinds:
             cpos = sourced[i % len(sourced)]
             columns = [rng.choice(by_label[label], 1 + i % 5)
                        for label in index.constraint_at(cpos).source]
             combos = np.unique(np.column_stack(columns), axis=0)
-            tasks.append(("edge", cpos, combos))
-        distinct = {(kind, x if kind == "edge" else x.tobytes(),
-                     y.tobytes()) for kind, x, y in tasks}
-        assert len(distinct) >= 200
+            tasks.append((kind, cpos, combos))
+    return tasks
+
+
+def task_identity(task) -> tuple:
+    if task[0] == "probe":
+        return ("probe", task[1].tobytes(), task[2].tobytes())
+    return (task[0], task[1], task[2].shape, task[2].tobytes())
+
+
+class TestShardTasksUncached:
+    def test_many_distinct_tasks_leave_no_adjacency_cache(self, artifacts):
+        [runtime] = load_shard_runtimes(artifacts[2], [0])
+        graph = runtime.graph
+        reference = GraphKernel(graph)  # its own cache, not the shard's
+        tasks = random_tasks(runtime, 120)
+        assert len(set(map(task_identity, tasks))) >= 200
         for task in tasks:
             assert same_responses(runtime.handle(task),
                                   cached_answer(reference, runtime, task))
         assert graph_kernel(graph)._adj_cache == {}
         assert reference._adj_cache  # the cached path did fill its own
+
+
+def scatter_frame(tasks) -> protocol.Frame:
+    """A scatter request for ``tasks`` as a shard server receives it."""
+    metas, buffers = protocol.encode_tasks_binary(tasks)
+    return protocol.Frame({"op": "scatter", "tasks_meta": metas},
+                          payloads=[memoryview(b) for b in buffers],
+                          binary=True)
+
+
+def packed(response) -> tuple:
+    return response["responses_meta"], [bytes(b) for b in response.payloads]
+
+
+def uncached(runtime, tasks) -> tuple:
+    """The round's answer as the uncached ``handle`` and the encoder
+    give it."""
+    metas, buffers = protocol.encode_shard_responses_binary(
+        [task[0] for task in tasks], [runtime.handle(task) for task in tasks])
+    return metas, [bytes(b) for b in buffers]
+
+
+def memo_facts(server) -> tuple:
+    """``(entries, memo_bytes, largest entry)`` of the server's memo;
+    ``memo_bytes`` as the ``metrics`` op reports it."""
+    held = [entry[2] for _, entry in server.runtime.answers.items()]
+    return (len(held), server.dispatch({"op": "metrics"})["memo_bytes"],
+            max(held, default=0))
+
+
+class TestAnswerMemo:
+    def test_a_repeated_batch_is_answered_from_the_memo(self, artifacts,
+                                                        bounded):
+        path = artifacts[2]
+        with connect(path, backend="inline") as engine:
+            plans = plans_of(engine, bounded)
+            stats = [AccessStats() for _ in plans]
+            expected = [execution_fingerprint(execution, st_)
+                        for execution, st_ in zip(execute_plans_scatter(
+                            plans, engine.backend, stats_list=stats), stats)]
+        servers = [ShardServer(path / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        try:
+            with connect(path, backend="remote",
+                         shard_addrs=[s.address for s in servers]) as engine:
+                plans = plans_of(engine, bounded)
+                for _ in range(2):
+                    handled = [s.metrics["tasks_handled"] for s in servers]
+                    memoized = [s.metrics["tasks_memoized"] for s in servers]
+                    stats = [AccessStats() for _ in plans]
+                    executions = execute_plans_scatter(
+                        plans, engine.backend, stats_list=stats)
+                    assert [execution_fingerprint(execution, st_)
+                            for execution, st_
+                            in zip(executions, stats)] == expected
+        finally:
+            for server in servers:
+                server.stop()
+        handled = [s.metrics["tasks_handled"] - n
+                   for s, n in zip(servers, handled)]
+        memoized = [s.metrics["tasks_memoized"] - n
+                    for s, n in zip(servers, memoized)]
+        assert memoized == handled and min(handled) > 0
+
+    def test_a_small_budget_bounds_the_memo(self, artifacts, monkeypatch):
+        """With the budget patched to 8 entries of at most 40 bytes,
+        240 distinct tasks, some answered again while still memoized:
+        every answer is the uncached one, and the memo never holds more
+        than the budget or an entry over the cap."""
+        monkeypatch.setattr(parallel, "ANSWER_MEMO_BYTES", 320)
+        monkeypatch.setattr(parallel, "ANSWER_ENTRY_BYTES", 40)
+        server = ShardServer(artifacts[2] / "shard-0000")
+        [reference] = load_shard_runtimes(artifacts[2], [0])
+        tasks = random_tasks(reference, 80, kinds=("fetch", "edge"))
+        assert len(set(map(task_identity, tasks))) >= 200
+        assert server.runtime.answers.maxsize == 8
+        for start in range(0, len(tasks), 4):
+            batch = tasks[start:start + 4] + tasks[max(0, start - 3):start]
+            assert packed(server.dispatch(scatter_frame(batch))) == \
+                uncached(reference, batch)
+            entries, memo_bytes, largest = memo_facts(server)
+            assert entries <= 8 and memo_bytes <= 320 and largest <= 40
+        assert server.metrics["tasks_memoized"] > 0
+        sizes = []
+        for task in tasks:
+            metas, buffers = protocol.encode_tasks_binary([task])
+            sizes.append(_entry_bytes(
+                protocol.task_key(metas[0], buffers),
+                *protocol.encode_shard_answer(task[0],
+                                              reference.handle(task))))
+        assert min(sizes) <= 40 < max(sizes)  # both kept and forgotten
+
+    def test_reload_drops_the_memo_and_extend_keeps_it(self, artifacts,
+                                                       tmp_path):
+        path = tmp_path / "artifact"
+        shutil.copytree(artifacts[2], path)
+        server = ShardServer(path / "shard-0000")
+        [old] = load_shard_runtimes(path, [0])
+        tasks = random_tasks(old, 20, kinds=("fetch", "edge"))
+        first = packed(server.dispatch(scatter_frame(tasks)))
+        assert first == uncached(old, tasks)
+
+        # Re-compile another graph over the same schema in place.
+        with connect(imdb_like(scale=0.02, seed=8)) as engine:
+            engine.save(path, shards=2)
+        server.dispatch({"op": "reload"})
+        assert len(server.runtime.answers) == 0
+        [new] = load_shard_runtimes(path, [0])
+        answered = packed(server.dispatch(scatter_frame(tasks)))
+        assert answered == uncached(new, tasks) != first
+        assert server.metrics["tasks_memoized"] == 0
+
+        added = AccessConstraint(("actor",), "movie", 64)
+        server.dispatch({"op": "extend",
+                         "constraints": [added.to_dict()]})
+        [fresh] = load_shard_runtimes(path, [0])
+        fresh.extend([added])
+        cpos = fresh.schema_index.schema.positions()[added]
+        actors = np.array(sorted(fresh.graph.nodes_with_label("actor")),
+                          dtype=np.int64)[:40].reshape(-1, 1)
+        later = tasks + [("fetch", cpos, actors), ("edge", cpos, actors)]
+        assert packed(server.dispatch(scatter_frame(later))) == \
+            uncached(fresh, later)
+        assert server.metrics["tasks_memoized"] == len(tasks)
+        assert fresh.handle(later[-2]).values.size  # the new index answers
+
+    def test_concurrent_connections_share_the_memo(self, artifacts,
+                                                   monkeypatch):
+        """More client threads than cores, each on its own connection,
+        draw overlapping rounds from one task pool while the switch
+        interval forces interleaving and a small budget forces
+        evictions."""
+        monkeypatch.setattr(parallel, "ANSWER_MEMO_BYTES", 16 * 64)
+        monkeypatch.setattr(parallel, "ANSWER_ENTRY_BYTES", 64)
+        server = ShardServer(artifacts[2] / "shard-0000").start()
+        [reference] = load_shard_runtimes(artifacts[2], [0])
+        pool = random_tasks(reference, 16, kinds=("fetch", "edge"))
+        raw = [reference.handle(task) for task in pool]
+        cores = len(os.sched_getaffinity(0)) \
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        failures = []
+
+        def client(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                with socket.create_connection(
+                        (server.host, server.port), timeout=30) as sock:
+                    reader = sock.makefile("rb")
+                    for request_id in range(30):
+                        picks = rng.choice(len(pool), 3, replace=False)
+                        metas, buffers = protocol.encode_tasks_binary(
+                            [pool[i] for i in picks])
+                        sock.sendall(protocol.encode_binary(
+                            {"id": request_id, "op": "scatter",
+                             "tasks_meta": metas}, buffers))
+                        response = protocol.read_frame(reader)
+                        want_metas, want_buffers = \
+                            protocol.encode_shard_responses_binary(
+                                [pool[i][0] for i in picks],
+                                [raw[i] for i in picks])
+                        assert response["ok"] is True
+                        assert response["id"] == request_id
+                        assert response["responses_meta"] == json.loads(
+                            protocol.compact_json(want_metas))
+                        assert [bytes(b) for b in response.payloads] == \
+                            want_buffers
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,),
+                                        daemon=True)
+                       for seed in range(cores + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert failures == []
+        entries, memo_bytes, largest = memo_facts(server)
+        assert entries <= 16 and memo_bytes <= 16 * 64 and largest <= 64
+        assert server.metrics["tasks_memoized"] > 0
+        assert server.metrics["tasks_handled"] == (cores + 2) * 30 * 3

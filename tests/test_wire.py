@@ -34,7 +34,7 @@ from repro import (
     connect,
 )
 from repro.engine.parallel import ShardRuntime, _ScatterEncoder
-from repro.errors import ShardProtocolError
+from repro.errors import SchemaError, ShardProtocolError
 from repro.pattern import parse_pattern
 from repro.server import protocol
 from repro.server.shardserver import ShardServer
@@ -470,6 +470,18 @@ class TestBinaryCodecs:
                 metas, buffers, expected_kinds=["fetch"])
 
 
+def test_negative_constraint_position_raises(imdb_small):
+    """A position counts from the front only: ``at(-1)`` used to return
+    the last constraint, because it indexed a Python list."""
+    graph, schema = imdb_small
+    with pytest.raises(SchemaError, match="no constraint at position -1"):
+        schema.at(-1)
+    with pytest.raises(SchemaError):
+        inline_runtime(graph, schema).handle(
+            ("fetch", -1, np.zeros((1, 1), dtype=np.int64)))
+    assert schema.at(len(schema) - 1) is list(schema)[-1]
+
+
 def inline_runtime(graph, schema) -> ShardRuntime:
     """One shard owning all of ``graph``."""
     from repro.graph.partition import build_shard_indexes, partition_graph
@@ -693,6 +705,36 @@ class TestLiveMalformedFrames:
                 server, protocol.encode({"id": 8, "op": "ping"}),
                 half_close=True)
             assert pong["ok"] is True and pong["op"] == "pong"
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("cpos", [-1, True, 1.9])
+    def test_malformed_constraint_position_is_typed(self, artifact, cpos):
+        """``int()`` used to turn -1, True and 1.9 into -1, 1 and 1, and
+        the shard answered the last constraint or the second. Each is a
+        typed error now, also after the well-formed twin of the task
+        was answered and memoized."""
+        server = ShardServer(artifact / "shard-0000").start()
+        try:
+            index = server.runtime.schema_index
+            twin = len(index.schema) - 1 if cpos == -1 else 1
+            arity = len(index.constraint_at(twin).source)
+
+            def scatter(position) -> bytes:
+                return protocol.encode_binary(
+                    {"id": 3, "op": "scatter",
+                     "tasks_meta": [["fetch", position, 1, arity,
+                                     ["u1", 0]]]}, [bytes(arity)])
+
+            assert self._exchange(server, scatter(twin),
+                                  half_close=True)["ok"] is True
+            for _ in range(2):
+                response = self._exchange(server, scatter(cpos),
+                                          half_close=True)
+                assert response["ok"] is False and response["id"] == 3
+                assert response["error"] == "ShardProtocolError"
+            assert server.metrics["tasks_handled"] == 1
+            assert server.metrics["tasks_memoized"] == 0
         finally:
             server.stop()
 
