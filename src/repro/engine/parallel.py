@@ -77,11 +77,12 @@ from repro.obs.trace import current_span
 from repro.session import SessionConfig
 
 
-#: Byte budget of one shard runtime's answer memo, in wire bytes: a
-#: task's payload bytes, its packed answer buffers and its answer meta
-#: as JSON. The memo keeps at most ``ANSWER_MEMO_BYTES //
-#: ANSWER_ENTRY_BYTES`` entries and no entry over ``ANSWER_ENTRY_BYTES``,
-#: so it never holds more than this.
+#: Byte budget of one shard runtime's answer memo, in wire bytes: an
+#: entry is charged its task's payload bytes, its packed answer buffers
+#: and an upper bound on its answer meta's JSON
+#: (:func:`repro.server.protocol.answer_nbytes`). The memo keeps at most
+#: ``ANSWER_MEMO_BYTES // ANSWER_ENTRY_BYTES`` entries and no entry over
+#: ``ANSWER_ENTRY_BYTES``, so it never holds more than this.
 ANSWER_MEMO_BYTES = 16 << 20
 
 #: The largest memo entry kept; a larger answer is sent and forgotten.

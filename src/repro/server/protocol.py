@@ -534,17 +534,17 @@ def decode_tasks_binary(metas, payloads) -> list[tuple]:
 
 
 def _keyed_buffer(ref, payloads):
-    """``(code, bytes)`` of a task's buffer reference, or None where
-    :func:`decode_tasks_binary` might refuse or read it otherwise."""
-    if type(ref) is not list or len(ref) != 2:
-        return None
-    code, index = ref
-    width = arrays.packed_width(code)
-    if width is None or type(index) is not int \
-            or not 0 <= index < len(payloads):
-        return None
-    raw = bytes(payloads[index])
-    return None if len(raw) % width else (code, raw)
+    """``(code, bytes, items)`` of a task's buffer reference, or None
+    where :func:`decode_tasks_binary` might refuse or read it
+    otherwise."""
+    if type(ref) is list and len(ref) == 2:
+        code, index = ref
+        width = arrays.PACKED_WIDTHS.get(code) if type(code) is str else None
+        if width and type(index) is int and 0 <= index < len(payloads):
+            raw = bytes(payloads[index])
+            if not len(raw) % width:
+                return code, raw, len(raw) // width
+    return None
 
 
 def task_key(meta, payloads):
@@ -557,26 +557,25 @@ def task_key(meta, payloads):
     a key is built only from fields the decoder accepts, so a memo hit
     can never answer a task the decoder would turn away (decode a
     keyless task to get its typed error)."""
-    if type(meta) is not list or not meta:
+    if type(meta) is not list:
         return None
-    kind = meta[0]
-    if kind == "probe" and len(meta) == 3:
+    if len(meta) == 5 and meta[0] in ("fetch", "edge"):
+        kind, cpos, count, arity, ref = meta
+        buffer = _keyed_buffer(ref, payloads)
+        if buffer is None or not _plain_ints(cpos, count, arity) \
+                or count < 0 or arity < 0:
+            return None
+        code, raw, size = buffer
+        if count > max(size, 1) or size != count * arity:
+            return None
+        return (kind, cpos, count, arity, code, raw)
+    if len(meta) == 3 and meta[0] == "probe":
         a_side = _keyed_buffer(meta[1], payloads)
         b_side = _keyed_buffer(meta[2], payloads)
         if a_side is None or b_side is None:
             return None
-        return ("probe", *a_side, *b_side)
-    if kind not in ("fetch", "edge") or len(meta) != 5:
-        return None
-    _, cpos, count, arity, ref = meta
-    buffer = _keyed_buffer(ref, payloads)
-    if buffer is None or not _plain_ints(cpos, count, arity) \
-            or count < 0 or arity < 0:
-        return None
-    size = len(buffer[1]) // arrays.packed_width(buffer[0])
-    if count > max(size, 1) or size != count * arity:
-        return None
-    return (kind, cpos, count, arity, *buffer)
+        return ("probe", *a_side[:2], *b_side[:2])
+    return None
 
 
 def encode_shard_answer(kind: str, response, base: int = 0) \
@@ -604,6 +603,26 @@ def encode_shard_answer(kind: str, response, base: int = 0) \
         meta.append([code, base + len(buffers)])
         buffers.append(raw)
     return meta, buffers
+
+
+#: An upper bound on the compact JSON of an answer meta's fixed part:
+#: its kind, at most two ints and at most four buffer references.
+ANSWER_META_BYTES = 128
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def answer_nbytes(meta: list, packed: list) -> int:
+    """An upper bound on one packed answer's wire bytes, found without
+    encoding its meta: its buffers, :data:`ANSWER_META_BYTES` for the
+    meta's fixed part and, for a fetch, its label and kind-3 value
+    lists as compact JSON."""
+    nbytes = sum(map(len, packed)) + ANSWER_META_BYTES
+    if meta[0] == "fetch":
+        nbytes += sum(len(_json_string(label)) + 1 for label in meta[1])
+        if meta[2]:
+            nbytes += len(compact_json(meta[2]))
+    return nbytes
 
 
 def append_answer(metas: list, buffers: list, meta: list,

@@ -319,9 +319,9 @@ class ShardServer:
 
 
 def _entry_bytes(key, meta: list, packed: list) -> int:
-    """A memo entry's size in wire bytes: the task's payload bytes, the
-    answer's buffers and its meta as JSON."""
-    return sum(map(len, packed)) + len(protocol.compact_json(meta)) \
+    """A memo entry's size in wire bytes: the task's payload bytes and
+    an upper bound on its answer's (:func:`protocol.answer_nbytes`)."""
+    return protocol.answer_nbytes(meta, packed) \
         + sum(len(part) for part in key if type(part) is bytes)
 
 

@@ -81,6 +81,9 @@ def combo_matrix(pools):
 _PACK_DTYPES = {"u1": "u1", "u2": "<u2", "i4": "<i4", "i8": "<i8"}
 _PACK_NP = {code: np.dtype(spec) for code, spec in _PACK_DTYPES.items()}
 
+#: Bytes per item of each :func:`pack_ints` width code.
+PACKED_WIDTHS = {code: dtype.itemsize for code, dtype in _PACK_NP.items()}
+
 
 def pack_ints(values):
     """Pack an int array (any shape) into ``(dtype_code, bytes)``.
@@ -126,13 +129,6 @@ def unpack_ints(code, buffer):
     return np.frombuffer(buffer, dtype=dtype)
 
 
-def packed_width(code):
-    """Bytes per item of the :func:`pack_ints` width ``code``, or None
-    for anything that is not one."""
-    dtype = _PACK_NP.get(code) if type(code) is str else None
-    return None if dtype is None else dtype.itemsize
-
-
 def in_sorted(haystack, needles):
     """Boolean membership mask of ``needles`` in the *sorted* array
     ``haystack`` (any dtype searchsorted supports, including the byte
@@ -174,12 +170,12 @@ def sorted_unique(values):
 
 
 __all__ = [
+    "PACKED_WIDTHS",
     "as_int64",
     "combo_matrix",
     "in_sorted",
     "pack_ints",
     "pack_matrix",
-    "packed_width",
     "sorted_unique",
     "unpack_ints",
     "take_segments",

@@ -331,12 +331,12 @@ class TestAnswerMemo:
         assert memoized == handled and min(handled) > 0
 
     def test_a_small_budget_bounds_the_memo(self, artifacts, monkeypatch):
-        """With the budget patched to 8 entries of at most 40 bytes,
+        """With the budget patched to 8 entries of at most 150 bytes,
         240 distinct tasks, some answered again while still memoized:
         every answer is the uncached one, and the memo never holds more
         than the budget or an entry over the cap."""
-        monkeypatch.setattr(parallel, "ANSWER_MEMO_BYTES", 320)
-        monkeypatch.setattr(parallel, "ANSWER_ENTRY_BYTES", 40)
+        monkeypatch.setattr(parallel, "ANSWER_MEMO_BYTES", 8 * 150)
+        monkeypatch.setattr(parallel, "ANSWER_ENTRY_BYTES", 150)
         server = ShardServer(artifacts[2] / "shard-0000")
         [reference] = load_shard_runtimes(artifacts[2], [0])
         tasks = random_tasks(reference, 80, kinds=("fetch", "edge"))
@@ -347,7 +347,7 @@ class TestAnswerMemo:
             assert packed(server.dispatch(scatter_frame(batch))) == \
                 uncached(reference, batch)
             entries, memo_bytes, largest = memo_facts(server)
-            assert entries <= 8 and memo_bytes <= 320 and largest <= 40
+            assert entries <= 8 and memo_bytes <= 8 * 150 and largest <= 150
         assert server.metrics["tasks_memoized"] > 0
         sizes = []
         for task in tasks:
@@ -356,7 +356,7 @@ class TestAnswerMemo:
                 protocol.task_key(metas[0], buffers),
                 *protocol.encode_shard_answer(task[0],
                                               reference.handle(task))))
-        assert min(sizes) <= 40 < max(sizes)  # both kept and forgotten
+        assert min(sizes) <= 150 < max(sizes)  # both kept and forgotten
 
     def test_reload_drops_the_memo_and_extend_keeps_it(self, artifacts,
                                                        tmp_path):
@@ -398,8 +398,8 @@ class TestAnswerMemo:
         draw overlapping rounds from one task pool while the switch
         interval forces interleaving and a small budget forces
         evictions."""
-        monkeypatch.setattr(parallel, "ANSWER_MEMO_BYTES", 16 * 64)
-        monkeypatch.setattr(parallel, "ANSWER_ENTRY_BYTES", 64)
+        monkeypatch.setattr(parallel, "ANSWER_MEMO_BYTES", 16 * 160)
+        monkeypatch.setattr(parallel, "ANSWER_ENTRY_BYTES", 160)
         server = ShardServer(artifacts[2] / "shard-0000").start()
         [reference] = load_shard_runtimes(artifacts[2], [0])
         pool = random_tasks(reference, 16, kinds=("fetch", "edge"))
@@ -451,6 +451,6 @@ class TestAnswerMemo:
             server.stop()
         assert failures == []
         entries, memo_bytes, largest = memo_facts(server)
-        assert entries <= 16 and memo_bytes <= 16 * 64 and largest <= 64
+        assert entries <= 16 and memo_bytes <= 16 * 160 and largest <= 160
         assert server.metrics["tasks_memoized"] > 0
         assert server.metrics["tasks_handled"] == (cores + 2) * 30 * 3

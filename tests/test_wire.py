@@ -470,6 +470,27 @@ class TestBinaryCodecs:
                 metas, buffers, expected_kinds=["fetch"])
 
 
+    @given(st.one_of(
+        st.tuples(st.just("fetch"),
+                  st.lists(st.text(max_size=12), max_size=2),
+                  st.lists(st.one_of(st.text(), st.floats(allow_nan=False),
+                                     st.booleans(), st.integers()),
+                           max_size=6)),
+        st.tuples(st.just("edge"),
+                  st.integers(min_value=0, max_value=protocol.MAX_EDGE_ARITY)),
+        st.tuples(st.just("probe"), st.integers(0, 2**64), st.integers(0, 2**64))),
+        st.sampled_from(["u1", "u2", "i4", "i8"]))
+    @settings(max_examples=200, deadline=None)
+    def test_answer_size_bounds_its_wire_bytes(self, head, code):
+        """``answer_nbytes`` prices a meta without encoding it; it must
+        never undercount the meta's compact JSON."""
+        refs = {"fetch": 4, "edge": 3, "probe": 1}[head[0]]
+        meta = [*head, *([code, index] for index in range(refs))]
+        packed = [bytes(index) for index in range(refs)]
+        assert protocol.answer_nbytes(meta, packed) >= \
+            len(protocol.compact_json(meta)) + sum(map(len, packed))
+
+
 def test_negative_constraint_position_raises(imdb_small):
     """A position counts from the front only: ``at(-1)`` used to return
     the last constraint, because it indexed a Python list."""
