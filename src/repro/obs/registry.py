@@ -142,7 +142,7 @@ METRICS: tuple[Metric, ...] = (*_section("traffic", [
     ("shards[].tasks_handled", "shard_tasks_handled_total", COUNTER, "Tasks in those rounds."),
     ("shards[].tasks_memoized", "shard_tasks_memoized_total", COUNTER,
      "Tasks answered from the shard's answer memo."),
-    ("shards[].memo_bytes", "shard_memo_bytes", GAUGE, "Wire bytes the answer memo holds."),
+    ("shards[].memo_bytes", "shard_memo_bytes", GAUGE, "Wire bytes charged to the answer memo."),
     ("shards[].extensions_applied", "shard_extensions_applied_total", COUNTER, "Indexes built."),
     ("shards[].reloads", "shard_reloads_total", COUNTER, "Reloads of the shard from disk."),
     ("shards[].traced_requests", "shard_traced_requests_total", COUNTER, "Requests with a trace."),
