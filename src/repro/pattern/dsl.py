@@ -21,6 +21,15 @@ quoted string (``"..."`` or ``'...'``; a backslash escapes the next
 character, and ``\\n``, ``\\t``, ``\\r``, ``\\uXXXX`` and
 ``\\UXXXXXXXX`` name characters), ``True`` / ``False``, an int or a
 float; ``;`` and ``#`` inside a quoted string are part of it.
+
+:func:`parse_pattern` keeps the last :data:`PARSE_MEMO_ENTRIES` texts it
+parsed, each with its canonical fingerprint
+(:mod:`repro.pattern.canonical`) computed once, in one locked LRU shared
+by every caller: the query service, the CLI and in-process code. A
+repeated text costs one lookup and an O(1) copy-on-write
+:meth:`~repro.pattern.pattern.Pattern.copy` that carries the
+fingerprint, so neither the parse nor the canonicalisation is paid
+again. Each call still returns its own :class:`Pattern`.
 """
 
 from __future__ import annotations
@@ -28,8 +37,21 @@ from __future__ import annotations
 import re
 
 from repro.errors import DslError
+from repro.pattern.canonical import pattern_fingerprint
 from repro.pattern.pattern import Pattern
 from repro.pattern.predicates import Atom, Predicate
+from repro.util.lru import PlanCache
+
+#: Distinct texts the parse memo keeps (least recently used first out).
+PARSE_MEMO_ENTRIES = 512
+#: Longest text the memo keeps, in characters; a longer one is parsed
+#: on every call. Real queries are far shorter (the benchmark pool's
+#: longest is 347), so this only keeps odd inputs from pinning memory.
+PARSE_MEMO_TEXT_CHARS = 4096
+#: Parsed patterns by text, fingerprint computed. The stored patterns
+#: are templates that are never handed out or mutated; errors are not
+#: kept, so bad text raises on every call.
+_memo = PlanCache(maxsize=PARSE_MEMO_ENTRIES)
 
 #: The three statement kinds; no statement can match two of them.
 _STATEMENT_RE = re.compile(
@@ -48,12 +70,26 @@ _ESCAPED = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
 def parse_pattern(text: str, name: str = "") -> Pattern:
-    """Parse DSL ``text`` into a :class:`Pattern`.
+    """Parse DSL ``text`` into a :class:`Pattern` named ``name``: a new
+    pattern on every call, free to mutate, served from the parse memo
+    when ``text`` was parsed recently.
 
     Raises :class:`~repro.errors.DslError` with a line reference on any
     syntax problem.
     """
-    pattern = Pattern(name=name)
+    template = _memo.get(text)
+    if template is None:
+        template = _parse(text)
+        pattern_fingerprint(template)
+        if len(text) <= PARSE_MEMO_TEXT_CHARS:
+            _memo.put(text, template)
+    pattern = template.copy()
+    pattern.name = name
+    return pattern
+
+
+def _parse(text: str) -> Pattern:
+    pattern = Pattern()
     ids: dict[str, int] = {}
     pending_predicates: list[tuple[str, Atom, int]] = []
     statements = enumerate(text.splitlines(), start=1)

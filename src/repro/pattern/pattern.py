@@ -4,7 +4,8 @@ Pattern nodes are small integers with a label and a
 :class:`~repro.pattern.predicates.Predicate`; edges are directed pairs.
 Patterns are mutable while being built and are deliberately tiny (the
 paper's workloads use 3–7 nodes), so no indexing beyond label buckets is
-needed.
+needed. :meth:`Pattern.copy` is copy-on-write, so handing out copies of
+one parsed pattern costs O(1) each.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Pattern:
     """
 
     __slots__ = ("_labels", "_predicates", "_out", "_in", "_next_id", "name",
-                 "_fingerprint", "_plan_keys")
+                 "_fingerprint", "_plan_keys", "_shared")
 
     def __init__(self, name: str = ""):
         self._labels: dict[int, str] = {}
@@ -48,10 +49,14 @@ class Pattern:
         self._next_id = 0
         self.name = name
         #: Cached canonical fingerprint and the plan cache keys built
-        #: from it for the semantics last prepared (repro.engine.cache);
-        #: any structural mutation resets both to None.
+        #: from it per semantics (repro.pattern.canonical,
+        #: repro.engine.cache); any structural mutation resets both to
+        #: None.
         self._fingerprint = None
         self._plan_keys = None
+        #: Whether the four dicts (and the neighbour sets in them) may
+        #: be shared with a copy; the first mutation copies them.
+        self._shared = False
 
     # -- construction --------------------------------------------------------
     def add_node(self, label: str, predicate: Predicate = TRUE,
@@ -65,12 +70,12 @@ class Pattern:
             node_id = self._next_id
         elif node_id in self._labels:
             raise PatternError(f"pattern node {node_id} already exists")
+        self._mutate()
         self._next_id = max(self._next_id, node_id + 1)
         self._labels[node_id] = label
         self._predicates[node_id] = predicate
         self._out[node_id] = set()
         self._in[node_id] = set()
-        self._fingerprint = self._plan_keys = None
         return node_id
 
     def add_edge(self, source: int, target: int) -> None:
@@ -81,14 +86,25 @@ class Pattern:
             raise PatternError(f"unknown pattern node {target}")
         if target in self._out[source]:
             raise PatternError(f"pattern edge ({source}, {target}) already exists")
+        self._mutate()
         self._out[source].add(target)
         self._in[target].add(source)
-        self._fingerprint = self._plan_keys = None
 
     def set_predicate(self, node: int, predicate: Predicate) -> None:
         if node not in self._labels:
             raise PatternError(f"unknown pattern node {node}")
+        self._mutate()
         self._predicates[node] = predicate
+
+    def _mutate(self) -> None:
+        """Ready the structure for a mutation: unshare it from any copy,
+        and drop the fingerprint and plan keys it is about to outdate."""
+        if self._shared:
+            self._labels = dict(self._labels)
+            self._predicates = dict(self._predicates)
+            self._out = {v: set(s) for v, s in self._out.items()}
+            self._in = {v: set(s) for v, s in self._in.items()}
+            self._shared = False
         self._fingerprint = self._plan_keys = None
 
     # -- read interface -------------------------------------------------------
@@ -198,13 +214,20 @@ class Pattern:
                     f"predicate of node {node} ({predicate}) is unsatisfiable")
 
     def copy(self) -> "Pattern":
-        clone = Pattern(name=self.name)
-        clone._labels = dict(self._labels)
-        clone._predicates = dict(self._predicates)
-        clone._out = {v: set(s) for v, s in self._out.items()}
-        clone._in = {v: set(s) for v, s in self._in.items()}
-        clone._next_id = self._next_id
-        clone._fingerprint = self._fingerprint
+        """An independent copy in O(1): the two share their structure
+        until either one mutates (copy-on-write), and the copy carries
+        the memoized fingerprint and plan keys. The plan-key dict is
+        shared for good; a mutation drops only the mutating side's
+        reference to it."""
+        if self._plan_keys is None:
+            self._plan_keys = {}
+        clone = Pattern.__new__(Pattern)
+        clone._labels, clone._predicates = self._labels, self._predicates
+        clone._out, clone._in = self._out, self._in
+        clone._next_id, clone.name = self._next_id, self.name
+        clone._fingerprint, clone._plan_keys = \
+            self._fingerprint, self._plan_keys
+        clone._shared = self._shared = True
         return clone
 
     def reversed_edges(self, edges: Iterable[tuple[int, int]]) -> "Pattern":

@@ -50,6 +50,7 @@ import json
 import socket
 import struct
 import time
+from functools import partial
 
 import numpy as np
 
@@ -489,20 +490,36 @@ def _plain_ints(cpos, count, arity) -> bool:
         and type(arity) is int and cpos >= 0
 
 
+def _names_buffer(index, payloads) -> bool:
+    """Whether a buffer reference's index names one of ``payloads``: a
+    plain ``int`` (no ``bool``) in range, so ``-1`` cannot wrap to the
+    last buffer nor ``True`` read as ``1``."""
+    return type(index) is int and 0 <= index < len(payloads)
+
+
+def _pull(payloads, ref):
+    """The ints a ``[code, index]`` buffer reference names."""
+    code, index = ref
+    if not _names_buffer(index, payloads):
+        raise ShardProtocolError(
+            f"buffer reference {ref!r} names none of {len(payloads)} "
+            f"buffers")
+    return arrays.unpack_ints(code, payloads[index])
+
+
 def decode_tasks_binary(metas, payloads) -> list[tuple]:
     """Inverse of :func:`encode_tasks_binary`, adopting the payload
     memoryviews in place: int ``cpos``, combos as a read-only
     ``(count, arity)`` int64 matrix and probe frontiers as read-only
     int64 arrays (views over the frame at the ``i8`` width). ``cpos``,
     ``count`` and ``arity`` must be plain non-negative ints."""
-
-    def pull(ref):
-        code, index = ref
-        return arrays.unpack_ints(code, payloads[index])
-
+    pull = partial(_pull, payloads)
     tasks = []
     try:
         for meta in metas:
+            if type(meta) is not list:  # an object would raise KeyError
+                raise ShardProtocolError(
+                    f"binary task meta {meta!r} is not a list")
             kind = meta[0]
             if kind == "probe":
                 _, a_ref, b_ref = meta
@@ -540,7 +557,7 @@ def _keyed_buffer(ref, payloads):
     if type(ref) is list and len(ref) == 2:
         code, index = ref
         width = arrays.PACKED_WIDTHS.get(code) if type(code) is str else None
-        if width and type(index) is int and 0 <= index < len(payloads):
+        if width and _names_buffer(index, payloads):
             raw = bytes(payloads[index])
             if not len(raw) % width:
                 return code, raw, len(raw) // width
@@ -684,14 +701,13 @@ def decode_shard_responses_binary(metas, payloads,
     buffers (read-only, any packed width). Everything a later reader
     would trip over — lengths, label indexes, the kind-3 count — is
     checked here, so a bad frame is a typed error and never an answer."""
-
-    def pull(ref):
-        code, index = ref
-        return arrays.unpack_ints(code, payloads[index])
-
+    pull = partial(_pull, payloads)
     out = []
     try:
         for pos, meta in enumerate(metas):
+            if type(meta) is not list:  # an object would raise KeyError
+                raise ShardProtocolError(
+                    f"binary response meta {meta!r} is not a list")
             kind = meta[0]
             if expected_kinds is not None and kind != expected_kinds[pos]:
                 raise ShardProtocolError(

@@ -175,12 +175,6 @@ class QueryService:
         #: Counters, bound histogram and latency window, added to by
         #: their declared names (:mod:`repro.obs.registry`).
         self.metrics = MetricStore("service")
-        # Admission parse cache: serving traffic repeats a handful of
-        # query texts, so the DSL parse is paid once per text, not per
-        # request (patterns are read-only once built — sharing is safe).
-        # PlanCache is the library's thread-safe LRU; values here are
-        # parsed Patterns keyed by raw DSL text.
-        self._parse_cache = PlanCache(maxsize=512)
 
     @property
     def engine(self) -> QueryEngine:
@@ -202,7 +196,7 @@ class QueryService:
         self.metrics.inc("requests")
         with child_span("admission", semantics=semantics) as span:
             if isinstance(pattern, str):
-                pattern = self._parse(pattern)
+                pattern = parse_pattern(pattern)
             if semantics not in SEMANTICS:
                 raise ServerError(f"unknown semantics {semantics!r}; "
                                   f"expected one of {sorted(SEMANTICS)}")
@@ -261,7 +255,7 @@ class QueryService:
                 "online schema extension is disabled (start the service "
                 "with extend_budget / --extend-budget M)")
         if isinstance(pattern, str):
-            pattern = self._parse(pattern)
+            pattern = parse_pattern(pattern)
         if semantics not in SEMANTICS:
             raise ServerError(f"unknown semantics {semantics!r}; "
                               f"expected one of {sorted(SEMANTICS)}")
@@ -324,13 +318,6 @@ class QueryService:
                 rsp.set(constraints_added=len(report.added),
                         schema_version=engine.schema_version)
             return admitted
-
-    def _parse(self, text: str) -> Pattern:
-        pattern = self._parse_cache.get(text)
-        if pattern is None:
-            pattern = parse_pattern(text)
-            self._parse_cache.put(text, pattern)
-        return pattern
 
     # -- execution -----------------------------------------------------------
     def runs_inline(self, admitted: AdmittedQuery) -> bool:

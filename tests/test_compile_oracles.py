@@ -22,7 +22,7 @@ from repro import AccessConstraint, AccessSchema, Graph, connect
 from repro.core.actualized import SEMANTICS, SUBGRAPH, actualize
 from repro.core.covers import compute_covers, counters_are_safe
 from repro.core.ebchk import is_effectively_bounded
-from repro.engine.cache import MAX_CANONICAL_ORDERS, pattern_fingerprint
+from repro.pattern.canonical import MAX_CANONICAL_ORDERS, pattern_fingerprint
 from repro.pattern.pattern import Pattern
 from repro.pattern.predicates import Atom, Predicate
 

@@ -1,4 +1,9 @@
-"""Tests for the pattern text DSL."""
+"""Tests for the pattern text DSL and its parse memo."""
+
+import os
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +11,10 @@ from hypothesis import strategies as st
 
 from repro.engine.cache import pattern_fingerprint
 from repro.errors import DslError
-from repro.pattern import Pattern, format_pattern, parse_pattern
+from repro.pattern import Pattern, dsl, format_pattern, parse_pattern
+from repro.pattern.canonical import _compute_fingerprint
 from repro.pattern.predicates import Predicate
+from repro.util.lru import PlanCache
 from tests.conftest import Q0_TEXT
 
 
@@ -144,3 +151,118 @@ def test_format_parse_round_trip_keeps_the_key(q):
     sends, so the served pattern has the submitted pattern's key."""
     assert pattern_fingerprint(parse_pattern(format_pattern(q)))[0] == \
         pattern_fingerprint(q)[0]
+
+
+class TestParseMemo:
+    TEXT = "m: movie; y: year; a: actor; m -> y; m -> a; y.value >= 2011"
+
+    def test_each_call_returns_its_own_pattern(self):
+        first, second = parse_pattern(self.TEXT), parse_pattern(self.TEXT)
+        assert first is not second
+        assert format_pattern(first) == format_pattern(second)
+        assert dsl._memo.get(self.TEXT) not in (first, second)
+
+    def test_mutating_a_result_changes_no_other_parse(self):
+        """A caller may build on what it got: neither the copies handed
+        out before nor the parses after see its edits."""
+        fresh = format_pattern(dsl._parse(self.TEXT))
+        before = parse_pattern(self.TEXT)
+        mutated = parse_pattern(self.TEXT)
+        z = mutated.add_node("zone")
+        mutated.add_edge(1, z)
+        mutated.add_edge(2, 0)
+        mutated.set_predicate(0, Predicate.of(("=", 7)))
+        after = parse_pattern(self.TEXT)
+        for q in (before, after):
+            assert format_pattern(q) == fresh
+            assert not q.has_node(z) and not q.has_edge(2, 0)
+            assert q.in_neighbors(0) == set()
+            assert q._fingerprint == _compute_fingerprint(q)
+        assert pattern_fingerprint(mutated) == \
+            _compute_fingerprint(mutated) != after._fingerprint
+
+    def test_name_is_per_call(self):
+        assert parse_pattern(self.TEXT, name="first").name == "first"
+        assert parse_pattern(self.TEXT).name == ""
+        assert parse_pattern(self.TEXT, name="third").name == "third"
+        assert dsl._memo.get(self.TEXT).name == ""
+
+    @pytest.mark.parametrize("text", ["a: A; a -> b", "a: A; a.value = x",
+                                      "nonsense"])
+    def test_bad_text_raises_on_every_call(self, text):
+        for _ in range(3):
+            with pytest.raises(DslError):
+                parse_pattern(text)
+        assert text not in dsl._memo
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        """At most the stated entries, least recently used out first,
+        and a text over the length cap is parsed but never kept."""
+        assert dsl._memo.maxsize == dsl.PARSE_MEMO_ENTRIES
+        memo = PlanCache(maxsize=4)
+        monkeypatch.setattr(dsl, "_memo", memo)
+        monkeypatch.setattr(dsl, "PARSE_MEMO_TEXT_CHARS", 30)
+        texts = [f"a: A; a.value = {i}" for i in range(10)]
+        for text in texts:
+            parse_pattern(text)
+            assert len(memo) <= 4
+        assert list(memo.keys()) == texts[-4:]
+        assert memo.evictions == 6
+        long_text = "a: A; a.value = " + "9" * 20
+        assert len(long_text) > dsl.PARSE_MEMO_TEXT_CHARS
+        for _ in range(2):
+            assert parse_pattern(long_text).predicate_of(0).evaluate(int("9" * 20))
+        assert long_text not in memo and memo.misses == 12
+
+    def test_threads_parsing_overlapping_texts_get_right_patterns(
+            self, monkeypatch):
+        """More threads than cores, a small memo that keeps evicting,
+        and every thread mutating what it got: each result is still
+        exactly the fresh parse of its text, under its own name."""
+        monkeypatch.setattr(dsl, "_memo", PlanCache(maxsize=4))
+        texts = [f"a: A; b: B{i % 5}; c: C; a -> b -> c; a.value >= {i}"
+                 for i in range(12)]
+        expected = {t: (format_pattern(dsl._parse(t)),
+                        _compute_fingerprint(dsl._parse(t))) for t in texts}
+        failures = []
+
+        def work(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(200):
+                    text = rng.choice(texts)
+                    q = parse_pattern(text, name=f"t{seed}")
+                    if (format_pattern(q), q._fingerprint) != \
+                            expected[text] or q.name != f"t{seed}":
+                        failures.append((seed, text))
+                    q.add_edge(2, q.add_node("Z"))
+            except Exception as exc:  # surfaced by the assert below
+                failures.append((seed, repr(exc)))
+
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4 * (os.cpu_count() or 1))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+@given(q=_patterns())
+@settings(max_examples=200, deadline=None)
+def test_a_memo_hit_carries_the_fresh_parse_fingerprint(q):
+    """The fingerprint stored with a memo entry is the one a fresh,
+    un-memoized parse of the same text computes, on the first call and
+    on a hit alike."""
+    text = format_pattern(q)
+    fresh = _compute_fingerprint(dsl._parse(text))
+    for _ in range(2):
+        parsed = parse_pattern(text)
+        assert parsed._fingerprint == fresh
+        assert pattern_fingerprint(parsed) == fresh

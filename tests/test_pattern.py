@@ -3,7 +3,15 @@
 import pytest
 
 from repro import Pattern, Predicate
+from repro.engine.cache import plan_keys
 from repro.errors import PatternError
+from repro.pattern.canonical import _compute_fingerprint, pattern_fingerprint
+
+
+def _shape(p: Pattern) -> tuple:
+    """Everything a pattern holds, neighbour sets included."""
+    return ({v: (p.label_of(v), p.predicate_of(v), sorted(p.out_neighbors(v)),
+                 sorted(p.in_neighbors(v))) for v in p.nodes()}, p.name)
 
 
 @pytest.fixture()
@@ -121,6 +129,45 @@ class TestCopyAndReverse:
         assert diamond.num_nodes == 4
         assert clone.num_nodes == 5
         assert clone.name == "diamond"
+
+    def test_copy_shares_until_either_side_mutates(self, diamond):
+        key = pattern_fingerprint(diamond)
+        clone = diamond.copy()
+        assert clone._out is diamond._out and clone._labels is diamond._labels
+        assert clone._fingerprint is key
+        clone.set_predicate(0, Predicate.of(("=", 1)))
+        assert clone._out is not diamond._out
+        assert diamond._fingerprint is key and clone._fingerprint is None
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.add_node("E"),
+        lambda p: p.add_edge(3, 0),
+        lambda p: p.add_edge(p.add_node("E"), 1),
+        lambda p: p.set_predicate(1, Predicate.of((">", 2)))])
+    @pytest.mark.parametrize("side", ["copy", "original"])
+    def test_a_mutation_reaches_one_side_only(self, diamond, mutate, side):
+        """Whichever side mutates after ``copy()``, the other keeps its
+        structure, neighbour sets and fingerprint."""
+        before = _shape(diamond)
+        key = pattern_fingerprint(diamond)
+        clone = diamond.copy()
+        changed, kept = (clone, diamond) if side == "copy" \
+            else (diamond, clone)
+        mutate(changed)
+        assert _shape(kept) == before and _shape(changed) != before
+        assert pattern_fingerprint(kept) == key
+        assert pattern_fingerprint(changed) == _compute_fingerprint(changed)
+        assert pattern_fingerprint(changed) != key
+
+    def test_copies_share_plan_keys_and_a_mutation_drops_them(self, diamond):
+        key, order = pattern_fingerprint(diamond)
+        first = diamond.copy()
+        keys = plan_keys(first, key, order, "subgraph")
+        second = diamond.copy()
+        assert plan_keys(second, key, order, "subgraph") is keys
+        second.add_edge(3, 0)
+        assert second._plan_keys is None
+        assert plan_keys(diamond, key, order, "subgraph") is keys
 
     def test_reversed_edges(self, diamond):
         flipped = diamond.reversed_edges([(0, 1)])

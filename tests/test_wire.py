@@ -400,6 +400,29 @@ class TestBinaryCodecs:
             protocol.decode_tasks_binary([["probe", ["i8", 5], ["i8", 6]]],
                                          [])
 
+    @pytest.mark.parametrize("index", [-1, True, 2, 1.0, "0"])
+    def test_buffer_reference_must_name_a_buffer(self, index):
+        """A reference's index is a plain int naming a buffer: ``-1``
+        used to wrap to the last buffer and ``True`` to read as ``1``,
+        so both frontiers of this probe decoded as the second buffer.
+        Both decoders refuse it, and the memo key is None."""
+        payloads = [b"\x01", b"\x02"]
+        task = ["probe", ["u1", index], ["u1", 1]]
+        with pytest.raises(ShardProtocolError, match="buffer reference"):
+            protocol.decode_tasks_binary([task], payloads)
+        assert protocol.task_key(task, payloads) is None
+        with pytest.raises(ShardProtocolError, match="buffer reference"):
+            protocol.decode_shard_responses_binary(
+                [["probe", 0, 0, ["u1", index]]], [b"", b""])
+
+    @pytest.mark.parametrize("meta", [{"a": 1}, {0: "probe"}, "probe", 7])
+    def test_a_meta_that_is_not_a_list_is_typed(self, meta):
+        """A JSON object meta used to escape as ``KeyError: 0``."""
+        with pytest.raises(ShardProtocolError, match="not a list"):
+            protocol.decode_tasks_binary([meta], [])
+        with pytest.raises(ShardProtocolError, match="not a list"):
+            protocol.decode_shard_responses_binary([meta], [])
+
     @pytest.mark.parametrize("count, arity", [
         (20_000_000, 0),   # an empty buffer "holds" any count x 0 ints
         (-1, 0), (0, -1), (-2, -3)])
@@ -726,6 +749,26 @@ class TestLiveMalformedFrames:
                 server, protocol.encode({"id": 8, "op": "ping"}),
                 half_close=True)
             assert pong["ok"] is True and pong["op"] == "pong"
+        finally:
+            server.stop()
+
+    def test_object_task_meta_is_typed(self, artifact):
+        """A task meta that is a JSON object gets ``ShardProtocolError``,
+        not ``ServerError("internal error: KeyError")``, and the server
+        still answers a fresh connection."""
+        server = ShardServer(artifact / "shard-0000").start()
+        try:
+            bad = protocol.encode_binary(
+                {"id": 5, "op": "scatter", "tasks_meta": [{"a": 1}]}, [])
+            response = self._exchange(server, bad, half_close=True)
+            assert response["ok"] is False and response["id"] == 5
+            assert response["error"] == "ShardProtocolError"
+            assert "not a list" in response["message"]
+            assert server.metrics["tasks_handled"] == 0
+            pong = self._exchange(
+                server, protocol.encode({"id": 6, "op": "ping"}),
+                half_close=True)
+            assert pong["ok"] is True
         finally:
             server.stop()
 
