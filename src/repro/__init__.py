@@ -45,7 +45,6 @@ from repro.core import (
     QueryPlan,
     ebchk,
     eechk,
-    execute_plan,
     find_min_m,
     generate_plan,
     is_effectively_bounded,
@@ -132,7 +131,6 @@ __all__ = [
     "discover_schema",
     "ebchk",
     "eechk",
-    "execute_plan",
     "find_matches",
     "find_min_m",
     "generate_plan",

@@ -125,8 +125,8 @@ class AccessStats:
         """Record ``fetches`` index fetches that returned the int64 array
         ``ids`` between them (duplicates included). Totals are identical
         to ``fetches`` individual :meth:`record_fetch` calls — the
-        vectorized executors use this to reproduce, not approximate, the
-        sequential accounting."""
+        vectorized executors use this to reproduce, not approximate,
+        one-fetch-at-a-time accounting."""
         self.index_fetches += fetches
         self.nodes_fetched += len(ids)
         self._note(ids)

@@ -21,11 +21,7 @@ from repro.bench.harness import (
     fig6_instance_bounded,
     timed,
 )
-from repro.bench.reporting import (
-    latency_summary,
-    render_series,
-    render_table,
-)
+from repro.bench.reporting import render_series, render_table
 
 __all__ = [
     "get_dataset",
@@ -39,7 +35,6 @@ __all__ = [
     "fig5_varying_q",
     "fig6_instance_bounded",
     "timed",
-    "latency_summary",
     "render_series",
     "render_table",
 ]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.util.percentiles import summarize
-
 
 def _format_cell(value) -> str:
     if value is None:
@@ -47,20 +45,6 @@ def render_table(rows: Iterable[Mapping], columns: list[str] | None = None,
     for rendered in rendered_rows:
         lines.append(" | ".join(rendered[c].ljust(widths[c]) for c in columns))
     return "\n".join(lines)
-
-
-def latency_summary(seconds: Iterable[float], prefix: str = "") -> dict:
-    """Millisecond latency columns for a row dict: count plus
-    p50/p90/p99/mean/max over per-request seconds (shared percentile
-    definition — :mod:`repro.util.percentiles`). ``prefix`` namespaces
-    the keys when one row mixes several latency series."""
-    stats = summarize(seconds, scale=1000.0)
-    return {f"{prefix}count": stats["count"],
-            f"{prefix}p50_ms": stats["p50"],
-            f"{prefix}p90_ms": stats["p90"],
-            f"{prefix}p99_ms": stats["p99"],
-            f"{prefix}mean_ms": stats["mean"],
-            f"{prefix}max_ms": stats["max"]}
 
 
 def render_series(points: Iterable[tuple], x_label: str, y_label: str,

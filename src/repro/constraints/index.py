@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.accounting import AccessStats
 from repro.constraints.schema import AccessConstraint, AccessSchema
 from repro.errors import ArtifactCorrupt, ConstraintViolation, SchemaError
 from repro.graph.frozen import FrozenGraph
@@ -281,33 +280,19 @@ class FrozenConstraintIndex:
         return self._probe
 
     # -- retrieval / inspection ---------------------------------------------------
-    def fetch(self, key: Sequence[int], stats: AccessStats | None = None) -> tuple[int, ...]:
-        """O(N) retrieval: common neighbours (labeled ``l``) of the
-        S-labeled set given by the canonical ``key``, sorted — a binary
-        search through :meth:`fetch_many`. For type (1) constraints pass
-        an empty key."""
-        key = tuple(key)
-        result = ()
-        if len(key) == len(self.constraint.source):
-            starts, lengths, payload = self.fetch_many(
-                np.array(key, dtype=np.int64).reshape(1, len(key)))
-            result = tuple(payload[starts[0]:starts[0] + lengths[0]].tolist())
-        if stats is not None:
-            stats.record_fetch(result)
-        return result
-
     def fetch_many(self, combos, packed=None) -> tuple:
-        """Batched :meth:`fetch`: probe many canonical keys in one
-        ``np.searchsorted`` call.
+        """O(N) retrieval for many canonical keys in one
+        ``np.searchsorted`` call: the common neighbours (labeled ``l``)
+        of each S-labeled set, sorted.
 
         ``combos`` is an ``(n, arity)`` int64 matrix of canonical keys
         (``packed`` may pass their pre-packed scalars to skip
-        re-encoding). Returns ``(starts, lengths, payload)``: combo ``i``
-        fetched ``payload[starts[i] : starts[i] + lengths[i]]``; missing
-        keys have length 0. **No access accounting happens here** — the
+        re-encoding); a type (1) index takes ``(n, 0)``. Returns
+        ``(starts, lengths, payload)``: combo ``i`` fetched
+        ``payload[starts[i] : starts[i] + lengths[i]]``; missing keys
+        have length 0. **No access accounting happens here** — the
         caller owns the memoized-fetch semantics (see
-        :mod:`repro.core.kernels`), unlike :meth:`fetch` which records
-        unconditionally when given stats.
+        :mod:`repro.core.kernels`).
         """
         packed_keys, num_keys = self._probe_state()
         payload_ptr, payload = self._payload_ptr, self._payload
@@ -371,12 +356,15 @@ class SchemaIndex:
     """All indexes of an access schema over one graph.
 
     This is the object query plans execute against: it owns one
-    :class:`FrozenConstraintIndex` per constraint plus the graph
-    reference, all built from one pass over the graph's CSR (a graph
-    that is not a :class:`FrozenGraph` is frozen once for the build).
+    :class:`FrozenConstraintIndex` per constraint plus ``graph``, a
+    :class:`FrozenGraph`, all built from one pass over its CSR. A graph
+    that is not frozen is frozen once, here, and that snapshot is the
+    ``graph`` every execution reads; a :class:`FrozenGraph` is kept as
+    it is.
 
     Examples
     --------
+    >>> import numpy as np
     >>> from repro.graph import Graph
     >>> g = Graph()
     >>> m = g.add_node("movie"); y = g.add_node("year", value=2012)
@@ -384,8 +372,12 @@ class SchemaIndex:
     True
     >>> schema = AccessSchema([AccessConstraint(("movie",), "year", 1)])
     >>> sx = SchemaIndex(g, schema)
-    >>> sx.fetch(next(iter(schema)), (m,))
-    (1,)
+    >>> type(sx.graph).__name__
+    'FrozenGraph'
+    >>> index = sx.index_for(next(iter(schema)))
+    >>> starts, lengths, payload = index.fetch_many(np.array([[m]]))
+    >>> payload[starts[0]:starts[0] + lengths[0]].tolist()
+    [1]
     """
 
     def __init__(self, graph: GraphView, schema: AccessSchema,
@@ -395,6 +387,8 @@ class SchemaIndex:
         if frozen is not True:
             raise SchemaError("SchemaIndex builds one index kind; "
                               "frozen=True is the only accepted value")
+        if not isinstance(graph, FrozenGraph):
+            graph = FrozenGraph.from_graph(graph)
         self.graph = graph
         self.schema = schema
         self._indexes: dict[AccessConstraint, FrozenConstraintIndex] = \
@@ -476,11 +470,6 @@ class SchemaIndex:
             self.builds += 1
         self._indexes[constraint] = index
         return index
-
-    def fetch(self, constraint: AccessConstraint, key: Sequence[int],
-              stats: AccessStats | None = None) -> tuple[int, ...]:
-        """O(N) fetch through the index of ``constraint``."""
-        return self.index_for(constraint).fetch(key, stats=stats)
 
     def validate(self) -> None:
         """Raise :class:`ConstraintViolation` if the graph violates any

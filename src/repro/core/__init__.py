@@ -7,8 +7,10 @@
   boundedness (Theorems 2 and 8).
 * :mod:`~repro.core.qplan` — **QPlan/sQPlan**, worst-case-optimal query
   plans (Theorems 4 and 9); plan objects live in :mod:`~repro.core.plan`.
-* :mod:`~repro.core.executor` — runs a plan against a
-  :class:`~repro.constraints.index.SchemaIndex`, producing ``G_Q``.
+* :mod:`~repro.core.kernels` — runs a plan against a
+  :class:`~repro.constraints.index.SchemaIndex`, producing ``G_Q``;
+  :mod:`~repro.core.executor` holds the result type and the
+  scatter-gather twin over a partition's shards.
 * :mod:`~repro.core.instance` — **EEChk/sEEChk** and M-bounded extensions
   (Section V).
 """
@@ -17,7 +19,7 @@ from repro.core.covers import CoverResult, compute_covers
 from repro.core.ebchk import BoundednessResult, is_effectively_bounded, ebchk, sebchk
 from repro.core.plan import FetchOp, EdgeCheck, QueryPlan
 from repro.core.qplan import generate_plan, qplan, sqplan
-from repro.core.executor import ExecutionResult, execute_plan
+from repro.core.executor import ExecutionResult
 from repro.core.instance import (
     EEPResult,
     maximum_extension,
@@ -43,7 +45,6 @@ __all__ = [
     "qplan",
     "sqplan",
     "ExecutionResult",
-    "execute_plan",
     "EEPResult",
     "maximum_extension",
     "is_instance_bounded",

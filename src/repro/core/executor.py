@@ -19,20 +19,19 @@ Section IV's "Building G_Q":
 
 Within one execution, identical ``(constraint, source-combo)`` fetches
 are **memoized per phase**: the first fetch is recorded in the access
-accounting, repeats are served from the execution-local memo for free.
-Node-phase and edge-phase memos are deliberately separate — an edge-phase
-fetch counts as edge examinations (the paper's Example 1 arithmetic), so
-folding the two would change what the numbers mean, not just their size.
+accounting, repeats are free. Node-phase and edge-phase memos are
+deliberately separate — an edge-phase fetch counts as edge examinations
+(the paper's Example 1 arithmetic), so folding the two would change what
+the numbers mean, not just their size.
 
-Three executors share the phase logic and produce *identical* answers,
-candidate sets, ``G_Q`` and access accounting:
+The library has one executor per placement of the graph, and both
+produce *identical* answers, candidate sets, ``G_Q`` and access
+accounting:
 
-* :func:`execute_plan` — sequential, one fetch at a time against one
-  :class:`~repro.constraints.index.SchemaIndex`: the reference the
-  identity suites check the other two against;
-* :func:`repro.core.kernels.execute_plan_vectorized` — the same phases
-  over a frozen snapshot, each operation's fetches as one batched probe
-  (what an unsharded session runs);
+* :func:`repro.core.kernels.execute_plan_vectorized` — one
+  :class:`~repro.constraints.index.SchemaIndex` over one frozen
+  snapshot, each operation's fetches as one batched probe (what an
+  unsharded session, bVF2 and bSim run);
 * :func:`execute_plans_scatter` — scatter-gather over the shards of a
   :class:`~repro.graph.partition.GraphPartition` (held in-process or by
   a ``repro shard-serve`` fleet, see :mod:`repro.engine.parallel`): each
@@ -40,6 +39,10 @@ candidate sets, ``G_Q`` and access accounting:
   payloads merge into the global payload (disjoint by ownership), and
   many executions advance together in waves so one round carries a
   whole batch's work.
+
+Their reference is a naive sequential executor kept with the tests
+(``tests/sequential_oracle.py``): one fetch at a time, Python sets, one
+``has_edge`` per pair. The identity suites check both against it.
 
 Correctness (``Q(G_Q) = Q(G)``) holds for both semantics because every
 candidate set is a superset of the true matches (fetch operations follow
@@ -52,12 +55,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from itertools import product, repeat
+from itertools import repeat
 
 import numpy as np
 
 from repro.accounting import AccessStats
-from repro.constraints.index import SchemaIndex
 from repro.core.packed import PackedInfo, PackedSource, predicate_mask
 from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import PlanError, ShardProtocolError, UnverifiableEdge
@@ -76,20 +78,15 @@ MODE_PLAN = "plan"      # follow the plan's edge checks (default)
 MODE_PROBE = "probe"    # ignore the plan; probe all candidate pairs
 
 
-def _ints(ids):
-    """Node ids as Python ints (the kernels hand over int64 arrays)."""
-    return ids.tolist() if hasattr(ids, "tolist") else ids
-
-
 class ExecutionResult:
     """Outcome of executing a plan: ``stats``, and ``G_Q`` held as data —
-    the pools ``cmat(u)``, the verified edges as a ``(src row, dst row)``
-    pair (an int64 matrix from the kernels, two tuples otherwise) and
-    the source of the kept nodes' ``(label, value)``: the graph the
-    plan ran on, or a dict of exactly those nodes. ``gq`` (the fetched
-    subgraph, ``Q(G_Q) = Q(G)``) and ``candidates`` (the pools as sets)
-    are built on first read. ``unmatchable``: some ``cmat(u)`` is empty,
-    so ``Q(G)`` is too — a match, or a simulation relation, is total.
+    the pools ``cmat(u)`` as sorted int64 arrays, the verified edges as
+    one ``(2, n)`` int64 ``(src row, dst row)`` matrix and the source of
+    the kept nodes' ``(label, value)``: the graph the plan ran on, or a
+    dict of exactly those nodes. ``gq`` (the fetched subgraph,
+    ``Q(G_Q) = Q(G)``) and ``candidates`` (the pools as sets) are built
+    on first read. ``unmatchable``: some ``cmat(u)`` is empty, so
+    ``Q(G)`` is too — a match, or a simulation relation, is total.
     """
 
     __slots__ = ("plan", "stats", "unmatchable", "_pools", "_edges",
@@ -104,7 +101,8 @@ class ExecutionResult:
     @property
     def candidates(self) -> dict[int, set[int]]:
         if self._candidates is None:
-            self._candidates = {u: set(_ints(p)) for u, p in self._pools.items()}
+            self._candidates = {u: set(p.tolist())
+                                for u, p in self._pools.items()}
         return self._candidates
 
     def _parts(self) -> tuple[dict, set]:
@@ -114,7 +112,7 @@ class ExecutionResult:
             kept = set().union(*self.candidates.values())
             source = {v: (source.label_of(v), source.value_of(v))
                       for v in kept}
-        return source, set(zip(*_ints(self._edges)))
+        return source, set(zip(*self._edges.tolist()))
 
     @property
     def gq(self) -> Graph:
@@ -138,71 +136,6 @@ class ExecutionResult:
                                  self._edges, self._parts()[0])
 
 
-# ------------------------------------------------------------------ sequential
-def execute_plan(plan: QueryPlan, schema_index: SchemaIndex,
-                 stats: AccessStats | None = None,
-                 edge_mode: str = MODE_PLAN) -> ExecutionResult:
-    """Execute ``plan`` against ``schema_index`` and build ``G_Q``.
-
-    ``edge_mode=MODE_PROBE`` replaces every edge check with pairwise
-    adjacency probes — used by tests to cross-validate the index-driven
-    edge phase (both must produce a ``G_Q`` with identical match sets).
-    """
-    if edge_mode not in (MODE_PLAN, MODE_PROBE):
-        raise PlanError(f"unknown edge mode {edge_mode!r}")
-    graph = schema_index.graph
-    stats = stats if stats is not None else AccessStats()
-
-    # ---- node phase ------------------------------------------------------------
-    # Execution-local fetch memo: identical (constraint, combo) fetches
-    # issued by later operations are free and unrecorded.
-    node_memo: dict[tuple, tuple[int, ...]] = {}
-    candidates: dict[int, set[int]] = {}
-    for op in plan.ops:
-        predicate = op.predicate
-        if op.is_initial:
-            combos = [()]
-        else:
-            combos = product(*map(sorted, _source_pools(op, candidates)))
-        raw: set[int] = set()
-        for combo in combos:
-            key = (op.constraint, combo)
-            payload = node_memo.get(key)
-            if payload is None:
-                payload = schema_index.fetch(op.constraint, combo, stats=stats)
-                node_memo[key] = payload
-            raw.update(payload)
-        found = {v for v in raw if predicate.evaluate(graph.value_of(v))}
-        if op.target in candidates:
-            candidates[op.target] &= found
-        else:
-            candidates[op.target] = found
-
-    _check_coverage(plan, candidates)
-
-    # ---- edge phase ---------------------------------------------------------------
-    edges_found: set[tuple[int, int]] = set()
-    edge_memo: dict[tuple, tuple[int, ...]] = {}
-    probe_memo: dict[tuple, set] = {}
-    if edge_mode == MODE_PROBE:
-        for edge in plan.pattern.edges():
-            _probe_edge(edge, candidates, graph, stats, edges_found,
-                        probe_memo)
-    else:
-        for check in plan.edge_checks:
-            if check.mode == EDGE_VIA_PROBE:
-                _probe_edge(check.edge, candidates, graph, stats,
-                            edges_found, probe_memo)
-            elif check.mode == EDGE_VIA_INDEX:
-                _index_edge(check, candidates, schema_index, stats,
-                            edges_found, edge_memo)
-            else:  # pragma: no cover - defensive
-                raise UnverifiableEdge(f"unknown edge-check mode {check.mode!r}")
-
-    return ExecutionResult(plan, stats, candidates, tuple(zip(*edges_found)),
-                           graph)
-
-
 def _source_pools(op_or_check, candidates: dict):
     """Candidate pools of the source nodes, in plan order."""
     try:
@@ -216,46 +149,13 @@ def _source_pools(op_or_check, candidates: dict):
             f"order") from None
 
 
-def _check_coverage(plan: QueryPlan, candidates: dict[int, set[int]]) -> None:
+def _check_coverage(plan: QueryPlan, candidates: dict) -> None:
     uncovered = [u for u in plan.pattern.nodes() if u not in candidates]
     if uncovered:
         raise PlanError(f"plan has no fetch operation for nodes {uncovered}")
 
 
-def _probe_edge(edge: tuple[int, int], candidates: dict[int, set[int]],
-                graph, stats: AccessStats,
-                edges_found: set[tuple[int, int]],
-                probe_memo: dict[tuple, set] | None = None) -> None:
-    """Pairwise adjacency probes for one query edge.
-
-    ``probe_memo`` (execution-local, keyed by the two endpoint pools)
-    reuses the adjacency answers when several query edges probe the same
-    candidate-pool pair. The *accounting* is unchanged — every pair
-    still counts as an edge check, exactly like the unmemoized loop —
-    only the repeated ``has_edge`` calls are skipped.
-    """
-    a, b = edge
-    pool_a, pool_b = candidates[a], candidates[b]
-    key = None
-    if probe_memo is not None:
-        key = (tuple(sorted(pool_a)), tuple(sorted(pool_b)))
-        hit = probe_memo.get(key)
-        if hit is not None:
-            stats.record_edge_checks(len(pool_a) * len(pool_b))
-            edges_found |= hit
-            return
-    found: set[tuple[int, int]] = set()
-    for va in pool_a:
-        for vb in pool_b:
-            stats.record_edge_checks(1)
-            if graph.has_edge(va, vb):
-                found.add((va, vb))
-    if key is not None:
-        probe_memo[key] = found
-    edges_found |= found
-
-
-def _edge_check_geometry(check, candidates: dict[int, set[int]]):
+def _edge_check_geometry(check, candidates: dict):
     """``(target_pool, other_pos, forward)`` for one index edge check.
 
     ``forward`` is True when the fetched node matches the edge's head —
@@ -272,39 +172,6 @@ def _edge_check_geometry(check, candidates: dict[int, set[int]]):
             f"edge check for {check.edge} does not include endpoint "
             f"{other} in its source nodes") from None
     return candidates[target], other_pos, target == b
-
-
-def _index_edge(check, candidates: dict[int, set[int]],
-                schema_index: SchemaIndex, stats: AccessStats,
-                edges_found: set[tuple[int, int]],
-                edge_memo: dict[tuple, tuple[int, ...]]) -> None:
-    """Index-driven verification for one query edge (paper's method).
-
-    Fetches common neighbours of every source-candidate combination,
-    keeps those in the target's candidate set, and resolves the query
-    edge's direction against the adjacency store. Fetches repeated
-    across combos/checks are served from ``edge_memo`` unrecorded.
-    """
-    graph = schema_index.graph
-    target_pool, other_pos, forward = _edge_check_geometry(check, candidates)
-    for combo in product(*map(sorted, _source_pools(check, candidates))):
-        key = (check.constraint, combo)
-        fetched = edge_memo.get(key)
-        if fetched is None:
-            fetched = schema_index.fetch(check.constraint, combo)
-            stats.record_edge_fetch(fetched)
-            edge_memo[key] = fetched
-        vo = combo[other_pos]
-        for w in fetched:
-            if w not in target_pool:
-                continue
-            # The query edge is (a, b); w matches `fetch_target`.
-            if forward:
-                if graph.has_edge(vo, w):
-                    edges_found.add((vo, w))
-            else:
-                if graph.has_edge(w, vo):
-                    edges_found.add((w, vo))
 
 
 # -------------------------------------------------------------- scatter-gather
@@ -339,6 +206,8 @@ TASK_PROBE = "probe"
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_IDS.setflags(write=False)
+_NO_EDGES = np.empty((2, 0), dtype=np.int64)
+_NO_EDGES.setflags(write=False)
 _ONE_EMPTY_COMBO = np.empty((1, 0), dtype=np.int64)
 
 
@@ -355,7 +224,7 @@ def _edge_matrix(edges: list):
     """The ``(2, n)`` (src row, dst row) matrix of per-check
     ``(src array, dst array)`` pairs."""
     if not edges:
-        return edges
+        return _NO_EDGES
     src, dst = zip(*edges)
     return np.concatenate(src + dst, dtype=np.int64).reshape(2, -1)
 
@@ -744,12 +613,12 @@ def execute_plans_scatter(plans: list[QueryPlan], backend,
     results (:func:`_route_task`).
 
     Answers, candidate sets, ``G_Q`` and access accounting are identical
-    to :func:`execute_plan` on the unpartitioned graph, because (a) each
-    execution observes its steps in plan order, delivered only when
-    fully merged, (b) blocks merge order-independently (unions of id
-    arrays, summed probe counts), and (c) every execution records its
-    own ``AccessStats`` at delivery — dedup shares wire traffic, never
-    accounting.
+    to :func:`repro.core.kernels.execute_plan_vectorized` on the
+    unpartitioned graph, because (a) each execution observes its steps
+    in plan order, delivered only when fully merged, (b) blocks merge
+    order-independently (unions of id arrays, summed probe counts), and
+    (c) every execution records its own ``AccessStats`` at delivery —
+    dedup shares wire traffic, never accounting.
     """
     if edge_mode not in (MODE_PLAN, MODE_PROBE):
         raise PlanError(f"unknown edge mode {edge_mode!r}")

@@ -1,9 +1,10 @@
 """Vectorized plan execution: numpy batch kernels over CSR buffers.
 
-:func:`execute_plan_vectorized` is the third execution strategy, next to
-the sequential :func:`~repro.core.executor.execute_plan` and the sharded
-:func:`~repro.core.executor.execute_plans_scatter`. It runs the node and
-edge phases as array kernels instead of per-candidate Python loops:
+:func:`execute_plan_vectorized` is the library's executor for one
+:class:`~repro.constraints.index.SchemaIndex` (an unsharded session,
+bVF2 and bSim); :func:`~repro.core.executor.execute_plans_scatter` is
+its twin over the shards of a partition. It runs the node and edge
+phases as array kernels:
 
 * candidate sets are sorted-unique int64 frontier arrays;
 * a fetch operation probes *all* of its source combos with one
@@ -15,7 +16,7 @@ edge phases as array kernels instead of per-candidate Python loops:
   ``(source row, destination)`` pairs — one ``searchsorted`` per batch
   instead of one bisect per candidate pair.
 
-**Accounting is reproduced, not recomputed.** The sequential executor
+**Accounting is reproduced, not recomputed.** Access accounting
 memoizes ``(constraint, combo)`` fetches per phase: the first fetch is
 recorded in :class:`~repro.accounting.AccessStats`, repeats are free and
 unrecorded, and node/edge phases keep separate memos. The kernels keep a
@@ -25,15 +26,14 @@ combo returns exactly what the memo held, and only unseen combos are
 recorded, by handing the fetched payload array to the recorder as it
 is. Answers, candidate sets, ``G_Q`` and every ``AccessStats`` counter
 (including the distinct ids, ``seen_ids()``) are therefore
-byte-identical to :func:`~repro.core.executor.execute_plan`; the
-property suite in ``tests/test_kernels.py`` pins this.
+byte-identical to a naive sequential executor that fetches one key at a
+time; ``tests/test_kernels.py`` pins this against the one kept with the
+tests (``tests/sequential_oracle.py``).
 
-Everything here reads what every session holds: a
+Everything here reads what every schema index holds: a
 :class:`~repro.graph.frozen.FrozenGraph` snapshot (whose ``array('q')``
 or memoryview buffers become zero-copy ndarray views) and
 :class:`~repro.constraints.index.FrozenConstraintIndex` payload buffers.
-The sequential executor stays as the oracle the property suites compare
-against.
 """
 
 from __future__ import annotations
@@ -424,7 +424,7 @@ def inherit(schema_index: SchemaIndex, previous: SchemaIndex) -> None:
 class _SeenCombos:
     """Per-(phase, constraint) record of combos already fetched in this
     execution, as a growing sorted packed array — the accounting-exact
-    replacement for the sequential executor's payload memos."""
+    replacement for a per-execution payload memo."""
 
     __slots__ = ("packed",)
 
@@ -498,7 +498,7 @@ def _initial_op(context: KernelContext, op, stats: AccessStats,
                 seen_initial: set):
     """A type (1) fetch: whole-payload scan + predicate filter, both
     served from the session cache; the scan is recorded once per
-    execution (repeats are the memo hits of the sequential path)."""
+    execution (repeats are memo hits, free and unrecorded)."""
     cache_key = (op.constraint, op.predicate)
     entry = context.initial_cache.get(cache_key)
     if entry is None:
@@ -559,11 +559,14 @@ def _index_edge_vec(check, candidates: dict, context: KernelContext,
 def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
                             stats: AccessStats | None = None,
                             edge_mode: str = MODE_PLAN) -> ExecutionResult:
-    """Array-kernel twin of :func:`~repro.core.executor.execute_plan`.
+    """Execute ``plan`` against ``schema_index`` and hold ``G_Q``.
 
-    Requires a schema index over a :class:`FrozenGraph`; answers,
-    candidates, ``G_Q`` and ``AccessStats`` are byte-identical to the
-    sequential executor (property-tested).
+    ``edge_mode=MODE_PROBE`` replaces every edge check with pairwise
+    adjacency probes (both modes yield a ``G_Q`` with identical match
+    sets). Requires a schema index over a :class:`FrozenGraph`, which
+    every :class:`SchemaIndex` holds; answers, candidates, ``G_Q`` and
+    ``AccessStats`` are byte-identical to the sequential oracle
+    (property-tested).
     """
     if edge_mode not in (MODE_PLAN, MODE_PROBE):
         raise PlanError(f"unknown edge mode {edge_mode!r}")

@@ -54,7 +54,6 @@ from repro.core.qplan import generate_plan
 from repro.engine.cache import PlanCache, pattern_fingerprint, plan_keys
 from repro.errors import BoundExceeded, EngineError, NotEffectivelyBounded
 from repro.graph.delta import GraphDelta
-from repro.graph.frozen import FrozenGraph
 from repro.graph.graph import GraphView
 from repro.matching.bounded import BoundedRun, match_in_gq
 from repro.matching.simulation import simulate
@@ -239,8 +238,7 @@ class QueryEngine:
     Plans run through the numpy array-kernel executor
     (:mod:`repro.core.kernels`), or scatter-gather over the shards of a
     sharded session (:attr:`executor_strategy` reports which). Answers,
-    ``G_Q`` and access accounting are identical either way, and equal to
-    the sequential oracle :func:`~repro.core.executor.execute_plan`.
+    ``G_Q`` and access accounting are identical either way.
     """
 
     #: The :class:`~repro.session.SessionConfig` this session was opened
@@ -253,10 +251,7 @@ class QueryEngine:
                  schema_index=None):
         self._init_session(schema, plan_cache, cache_size)
         if schema_index is None:
-            snapshot = graph if isinstance(graph, FrozenGraph) \
-                else FrozenGraph.from_graph(graph)
-            schema_index = SchemaIndex(snapshot, self.schema,
-                                       validate=validate)
+            schema_index = SchemaIndex(graph, self.schema, validate=validate)
         elif validate:
             schema_index.validate()
         #: The published generation: the graph is ``_schema_index.graph``,

@@ -4,7 +4,8 @@ For an effectively bounded query, evaluation is:
 
 1. generate (or reuse) a worst-case-optimal plan (QPlan/sQPlan);
 2. execute it against the schema indexes, fetching ``G_Q`` — time and
-   data volume depend only on ``Q`` and ``A``;
+   data volume depend only on ``Q`` and ``A`` (the array kernels of
+   :mod:`repro.core.kernels`, over the snapshot the schema index holds);
 3. run the conventional matcher *inside* ``G_Q``, restricted to the
    fetched candidate sets.
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from repro.accounting import AccessStats
 from repro.constraints.index import SchemaIndex
 from repro.core.actualized import SIMULATION, SUBGRAPH
-from repro.core.executor import ExecutionResult, execute_plan
+from repro.core.executor import ExecutionResult
+from repro.core.kernels import execute_plan_vectorized
 from repro.core.plan import QueryPlan
 from repro.core.qplan import qplan, sqplan
 from repro.matching.simulation import simulate
@@ -84,7 +86,7 @@ def bvf2(pattern: Pattern, schema_index: SchemaIndex,
     """
     if plan is None:
         plan = qplan(pattern, schema_index.schema)
-    execution = execute_plan(plan, schema_index, stats=stats)
+    execution = execute_plan_vectorized(plan, schema_index, stats=stats)
     matches = match_in_gq(find_matches, SUBGRAPH, pattern, execution)
     return BoundedRun(answer=matches, execution=execution)
 
@@ -95,6 +97,6 @@ def bsim(pattern: Pattern, schema_index: SchemaIndex,
     """Bounded simulation-query evaluation (the paper's bSim)."""
     if plan is None:
         plan = sqplan(pattern, schema_index.schema)
-    execution = execute_plan(plan, schema_index, stats=stats)
+    execution = execute_plan_vectorized(plan, schema_index, stats=stats)
     relation = match_in_gq(simulate, SIMULATION, pattern, execution)
     return BoundedRun(answer=relation, execution=execution)

@@ -11,6 +11,8 @@ paper's Fig. 5 exposes.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.accounting import AccessStats
 from repro.constraints.index import SchemaIndex
 from repro.matching.simulation import simulate
@@ -18,12 +20,17 @@ from repro.matching.vf2 import find_matches
 from repro.pattern.pattern import Pattern
 
 
+#: The one (empty) key of a type (1) index.
+_TYPE1_KEY = np.empty((1, 0), dtype=np.int64)
+
+
 def type1_candidates(pattern: Pattern, schema_index: SchemaIndex,
                      stats: AccessStats | None = None) -> dict[int, set[int]]:
     """Candidate sets for pattern nodes covered by type (1) constraints.
 
     Only seeded nodes appear in the result; matchers fall back to the
-    label index of ``G`` for the rest.
+    label index of ``G`` for the rest. Each seeded node reads its type
+    (1) index once, recorded as one fetch.
     """
     candidates: dict[int, set[int]] = {}
     graph = schema_index.graph
@@ -31,9 +38,12 @@ def type1_candidates(pattern: Pattern, schema_index: SchemaIndex,
         constraint = schema_index.schema.type1_for(pattern.label_of(u))
         if constraint is None:
             continue
-        fetched = schema_index.fetch(constraint, (), stats=stats)
+        # A type (1) index's one key owns its whole payload.
+        _, _, fetched = schema_index.index_for(constraint).fetch_many(_TYPE1_KEY)
+        if stats is not None:
+            stats.record_fetch(fetched)
         predicate = pattern.predicate_of(u)
-        candidates[u] = {v for v in fetched
+        candidates[u] = {v for v in fetched.tolist()
                          if predicate.is_trivial
                          or predicate.evaluate(graph.value_of(v))}
     return candidates

@@ -35,7 +35,7 @@ def find_matches(pattern: Pattern, graph: GraphView,
 
     The returned list is sorted canonically (by the match's sorted
     ``(u, v)`` item tuple), so two runs that find the same match set —
-    e.g. the sequential and scatter-gather executors, at any shard or
+    e.g. the kernels and the scatter-gather executor, at any shard or
     worker count — produce byte-identical output regardless of search
     order.
 

@@ -6,13 +6,8 @@ connection and re-raises the service's typed errors
 :class:`~repro.errors.DeadlineExceeded`,
 :class:`~repro.errors.NotEffectivelyBounded`, ...). One client instance
 is one connection and is **not** thread-safe — concurrent load uses one
-client per thread (see :func:`run_load`).
-
-As a script, this module is the load client the CI smoke job drives
-against a background ``repro serve``::
-
-    python -m repro.server.client --port 8642 --pattern q.pat \\
-        --requests 50 --clients 4 --metrics --shutdown
+client per thread. Measured load is the perf ledger's job
+(``benchmarks/ledger/``).
 """
 
 from __future__ import annotations
@@ -151,104 +146,3 @@ class ServeClient:
     def shutdown(self) -> bool:
         """Ask the server to drain and exit cleanly."""
         return self._call({"op": "shutdown"}).get("op") == "shutdown"
-
-
-def run_load(host: str, port: int, patterns: list[str], *,
-             requests: int = 50, clients: int = 4,
-             semantics: str = SUBGRAPH, limit: int = 5,
-             connect_timeout: float = 10.0) -> dict:
-    """Drive ``requests`` round-robin queries from each of ``clients``
-    concurrent connections; returns aggregate latencies and counts.
-
-    Used by the serve bench and the CI smoke job. Each thread owns its
-    connection; any error in any thread propagates.
-    """
-    import threading
-
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-    answers: list[int] = [0] * clients
-    errors: list[BaseException | None] = [None] * clients
-
-    def worker(slot: int) -> None:
-        try:
-            with ServeClient(host, port,
-                             connect_timeout=connect_timeout) as client:
-                for i in range(requests):
-                    pattern = patterns[(slot + i) % len(patterns)]
-                    result = client.query(pattern, semantics, limit=limit)
-                    latencies[slot].append(result.latency_s)
-                    answers[slot] += result.answer_count
-        except BaseException as exc:  # noqa: BLE001 — reported by the driver
-            errors[slot] = exc
-
-    threads = [threading.Thread(target=worker, args=(slot,), daemon=True)
-               for slot in range(clients)]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    for error in errors:
-        if error is not None:
-            raise error
-    all_latencies = [lat for per_client in latencies for lat in per_client]
-    return {"clients": clients, "requests": len(all_latencies),
-            "seconds": elapsed,
-            "qps": len(all_latencies) / elapsed if elapsed else 0.0,
-            "latencies_s": all_latencies, "answers": sum(answers)}
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-    from pathlib import Path
-
-    from repro.bench.reporting import latency_summary
-
-    parser = argparse.ArgumentParser(
-        description="Load client for a running `repro serve` instance")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=protocol.DEFAULT_PORT)
-    parser.add_argument("--pattern", action="append", required=True,
-                        help="pattern file (DSL text); repeatable — "
-                             "requests round-robin across patterns")
-    parser.add_argument("--requests", type=int, default=50,
-                        help="queries per client connection")
-    parser.add_argument("--clients", type=int, default=4,
-                        help="concurrent client connections")
-    parser.add_argument("--semantics", default=SUBGRAPH)
-    parser.add_argument("--connect-timeout", type=float, default=10.0,
-                        help="seconds to keep retrying the first connect")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the server metrics snapshot afterwards")
-    parser.add_argument("--shutdown", action="store_true",
-                        help="ask the server to shut down cleanly at the end")
-    args = parser.parse_args(argv)
-
-    patterns = [Path(path).read_text(encoding="utf-8")
-                for path in args.pattern]
-    report = run_load(args.host, args.port, patterns,
-                      requests=args.requests, clients=args.clients,
-                      semantics=args.semantics,
-                      connect_timeout=args.connect_timeout)
-    summary = latency_summary(report["latencies_s"])
-    print(f"load: {report['requests']} requests from {report['clients']} "
-          f"clients in {report['seconds']:.2f}s = {report['qps']:.0f} qps")
-    print(f"latency ms: p50={summary['p50_ms']:.2f} "
-          f"p90={summary['p90_ms']:.2f} p99={summary['p99_ms']:.2f} "
-          f"max={summary['max_ms']:.2f}")
-    with ServeClient(args.host, args.port,
-                     connect_timeout=args.connect_timeout) as client:
-        if args.metrics:
-            from repro.obs.report import render_metrics_table
-            print(render_metrics_table(client.metrics()))
-        if args.shutdown:
-            client.shutdown()
-            print("server shutdown requested")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -1,5 +1,5 @@
-"""Percentile math shared by the graph profiler, bench reporting and the
-query server's live metrics.
+"""Percentile math shared by the graph profiler and the query server's
+live metrics.
 
 One definition, used everywhere a percentile is reported: the
 *lower nearest-rank* variant — for ``n`` sorted samples, the ``q``-th

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AccessConstraint, AccessSchema, Graph, Pattern, SchemaIndex
+from repro import AccessConstraint, AccessSchema, Graph, Pattern
 from repro.graph.generators import (
     dbpedia_like,
     imdb_like,
@@ -26,12 +26,6 @@ y.value >= 2011;  y.value <= 2013
 def imdb_small():
     """A small IMDbG stand-in plus its schema (scale 0.02)."""
     return imdb_like(scale=0.02, seed=7)
-
-
-@pytest.fixture(scope="session")
-def imdb_index(imdb_small):
-    graph, schema = imdb_small
-    return SchemaIndex(graph, schema)
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,7 @@ from repro.core.ebchk import is_effectively_bounded
 from repro.graph import Graph
 from repro.matching.simulation import relation_pairs
 from repro.pattern.generator import PatternGenerator
+from tests.sequential_oracle import fetch
 
 THREADS = 8
 
@@ -164,7 +165,7 @@ def test_frozen_index_concurrent_first_touch(tmp_path, monkeypatch):
         try:
             barrier.wait()
             if slot % 2:
-                results[slot] = [opened.fetch(key) for key in keys]
+                results[slot] = [fetch(opened, key) for key in keys]
             else:
                 starts, lengths, payload = opened.fetch_many(combos)
                 results[slot] = [tuple(payload[s:s + n].tolist())
@@ -180,7 +181,7 @@ def test_frozen_index_concurrent_first_touch(tmp_path, monkeypatch):
         thread.join()
 
     assert not errors
-    expected = [eager.fetch(key) for key in keys]
+    expected = [fetch(eager, key) for key in keys]
     for slot in range(THREADS):
         assert results[slot] == expected
 

@@ -21,6 +21,7 @@ from repro.matching.bounded import bvf2
 from repro.matching.simulation import relation_pairs
 from repro.matching.vf2 import find_matches
 from repro.pattern import parse_pattern
+from tests.sequential_oracle import fetch
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +404,7 @@ class TestEngineInvalidation:
         extend.join(5)
         apply.join(5)
         assert engine.generation == 1 and engine.schema_version == 1
-        assert engine.schema_index.fetch(added, (y,)) == (1, 9)
+        assert fetch(engine.schema_index.index_for(added), (y,)) == (1, 9)
         assert len(engine.query(parse_pattern(MY_QUERY)).answer) == 2
 
 
@@ -497,7 +498,7 @@ class TestFrozenIndex:
             g.add_edge(m, y)
         constraint = AccessConstraint(("movie",), "year", 3)
         index = FrozenConstraintIndex(constraint, g)
-        payload = index.fetch((m,))
+        payload = fetch(index, (m,))
         assert payload == tuple(sorted(years))
         # The batched probe hands out the stored payload array, no copy.
         starts, lengths, stored = index.fetch_many(
@@ -512,12 +513,12 @@ class TestFrozenIndex:
         g.add_edge(m, y)
         constraint = AccessConstraint(("movie",), "year", 1)
         # A mutable graph is frozen for the build.
-        assert FrozenConstraintIndex(constraint, g).fetch((m,)) == (y,)
+        assert fetch(FrozenConstraintIndex(constraint, g), (m,)) == (y,)
 
     def test_frozen_type1_key_present_in_empty_graph(self):
         constraint = AccessConstraint((), "year", 5)
         index = FrozenConstraintIndex(constraint, Graph())
-        assert index.fetch(()) == ()
+        assert fetch(index, ()) == ()
         assert index.num_keys == 1
 
 

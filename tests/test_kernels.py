@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AccessStats, SchemaIndex, ebchk, execute_plan, qplan, \
-    sebchk, sqplan
+from repro import AccessStats, SchemaIndex, ebchk, qplan, sebchk, sqplan
 from repro.constraints.discovery import discover_schema
 from repro.core.executor import MODE_PLAN, MODE_PROBE
 from repro.core.kernels import execute_plan_vectorized
@@ -34,6 +32,7 @@ from repro.matching.bounded import match_in_gq
 from repro.matching.simulation import simulate
 from repro.matching.vf2 import find_matches
 from repro.pattern.generator import PatternGenerator
+from tests.sequential_oracle import assert_byte_identical, execute_plan
 
 _SETTINGS = dict(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -65,18 +64,6 @@ def _plan_for(pattern, schema, semantics):
     if not sebchk(pattern, schema).bounded:
         return None
     return sqplan(pattern, schema)
-
-
-def _gq_snapshot(gq):
-    return (sorted((v, gq.label_of(v), gq.value_of(v)) for v in gq.nodes()),
-            sorted(gq.edges()))
-
-
-def assert_byte_identical(seq, vec, seq_stats, vec_stats):
-    assert vec.candidates == seq.candidates
-    assert _gq_snapshot(vec.gq) == _gq_snapshot(seq.gq)
-    assert vec_stats.as_dict() == seq_stats.as_dict()
-    assert np.array_equal(vec_stats.seen_ids(), seq_stats.seen_ids())
 
 
 def run_both(plan, seq_index, vec_index, edge_mode=MODE_PLAN):
@@ -182,10 +169,14 @@ def test_warm_started_buffers_equal_fresh(data):
 
 
 def test_can_vectorize_requires_frozen_session():
-    """Vectorized execution refuses a schema index that is not frozen."""
+    """Vectorized execution refuses a schema index that is not frozen.
+    ``SchemaIndex(graph, ...)`` freezes a mutable graph, so only
+    prebuilt indexes adopted over a mutable graph reach the guard."""
     graph = random_labeled_graph(10, 2, 20, seed=3, value_range=5)
     schema = discover_schema(graph)
-    mutable = SchemaIndex(graph, schema)
+    built = SchemaIndex(graph, schema)
+    mutable = SchemaIndex.from_prebuilt(
+        graph, schema, {c: built.index_for(c) for c in schema})
     rng = random.Random(5)
     pattern = PatternGenerator.from_graph(graph, rng=rng).generate(
         num_nodes=2)

@@ -16,6 +16,7 @@ from repro.constraints.index import build_frozen_indexes
 from repro.errors import GraphError
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import imdb_like, random_labeled_graph
+from tests.sequential_oracle import fetch
 
 
 def buffer_bytes(buffers: dict) -> dict:
@@ -62,7 +63,7 @@ def assert_same_as_rebuild(session: Session):
         # A patched index's packed probe keys are its keys, packed.
         assert kept.keys() == rebuilt[constraint].keys()
         for key in kept.keys():
-            assert kept.fetch(key) == rebuilt[constraint].fetch(key)
+            assert fetch(kept, key) == fetch(rebuilt[constraint], key)
 
 
 @pytest.fixture()
@@ -90,14 +91,14 @@ class TestSingleChanges:
         assert report.still_satisfied
         assert_same_as_rebuild(maintained)
         c = list(maintained.schema)[0]
-        assert set(maintained.schema_index.fetch(c, (a1, y1))) == {m1, m2}
+        assert set(fetch(maintained.schema_index.index_for(c), (a1, y1))) == {m1, m2}
 
     def test_edge_delete(self, setup):
         maintained, (y1, a1, m1, m2) = setup
         maintained.apply(GraphDelta().remove_edge(m1, a1))
         assert_same_as_rebuild(maintained)
         c = list(maintained.schema)[0]
-        assert maintained.schema_index.fetch(c, (a1, y1)) == ()
+        assert fetch(maintained.schema_index.index_for(c), (a1, y1)) == ()
 
     def test_node_insert_with_edges(self, setup):
         maintained, (y1, a1, m1, m2) = setup
@@ -213,13 +214,13 @@ class TestFailingDelta:
         assert engine.generation == 0
         assert engine.graph is graph and engine.schema_index is index
         assert not engine.graph.has_node(9)
-        assert engine.schema_index.fetch(constraint, (y,)) == (1,)
+        assert fetch(engine.schema_index.index_for(constraint), (y,)) == (1,)
         assert engine.query(parse_pattern(self.QUERY)).answer == answer
         assert persist.stale_info(tmp_path / "art") is None
         # The same delta without its bad change goes through whole.
         engine.apply(GraphDelta().add_node(9, "movie").add_edge(9, y))
         assert engine.generation == 1
-        assert engine.schema_index.fetch(constraint, (y,)) == (1, 9)
+        assert fetch(engine.schema_index.index_for(constraint), (y,)) == (1, 9)
         assert persist.stale_info(tmp_path / "art") is not None
 
     @pytest.mark.parametrize("delta", [

@@ -25,9 +25,10 @@ from repro import (
     simulate,
     sqplan,
 )
-from repro.core.executor import execute_plan
+from repro.core.kernels import execute_plan_vectorized
 from repro.matching.simulation import relation_pairs
 from tests.conftest import build_g1
+from tests.sequential_oracle import execute_plan
 
 
 class TestExample1And6:
@@ -52,12 +53,15 @@ class TestExample1And6:
         assert plan.size_bound(3) + plan.size_bound(4) == (30 + 30) * 288
 
     def test_execution_stays_within_bounds(self, q0, a0_schema, imdb_small):
+        """On the library's kernels and on the sequential oracle alike."""
         graph, _ = imdb_small
         plan = qplan(q0, a0_schema)
-        stats = AccessStats()
-        execute_plan(plan, SchemaIndex(graph, a0_schema), stats=stats)
-        assert stats.nodes_fetched <= 17923
-        assert stats.edges_checked <= 35136
+        sx = SchemaIndex(graph, a0_schema)
+        for execute in (execute_plan_vectorized, execute_plan):
+            stats = AccessStats()
+            execute(plan, sx, stats=stats)
+            assert stats.nodes_fetched <= 17923, execute.__name__
+            assert stats.edges_checked <= 35136, execute.__name__
 
     def test_bvf2_equals_direct_evaluation(self, q0, a0_schema, imdb_small):
         graph, _ = imdb_small

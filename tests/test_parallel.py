@@ -15,13 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AccessConstraint, AccessSchema, AccessStats, Graph, \
-    Pattern, SchemaIndex, connect, execute_plan, qplan
+    Pattern, SchemaIndex, connect, qplan
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.ebchk import is_effectively_bounded
 from repro.engine import persist
 from repro.engine.parallel import InlineShardBackend
 from repro.errors import ArtifactCorrupt, ArtifactError, EngineError
 from repro.matching.bounded import canonical_answer
+from tests.sequential_oracle import execute_plan
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 

@@ -24,7 +24,7 @@ from repro import AccessConstraint, AccessSchema, Graph, SchemaIndex
 from repro.accounting import AccessStats
 from repro.constraints.discovery import discover_schema
 from repro.core.actualized import SIMULATION, SUBGRAPH
-from repro.core.executor import execute_plan, execute_plans_scatter
+from repro.core.executor import execute_plans_scatter
 from repro.core.qplan import generate_plan
 from repro.engine.parallel import InlineShardBackend, ShardRuntime
 from repro.errors import GraphError, NotEffectivelyBounded
@@ -39,6 +39,7 @@ from repro.matching.bounded import canonical_answer
 from repro.matching.simulation import simulate
 from repro.matching.vf2 import find_matches
 from repro.pattern.generator import PatternGenerator
+from tests.sequential_oracle import execute_plan, fetch
 from tests.test_partition_oracle import cross_edge_count, owned_edge_list
 
 _SETTINGS = dict(max_examples=25, deadline=None,
@@ -128,11 +129,11 @@ def test_shard_indexes_union_to_global(data, num_shards):
     shard_indexes = build_shard_indexes(partition, schema)
     for constraint in schema:
         index = global_index.index_for(constraint)
-        global_entries = {key: index.fetch(key) for key in index.keys()}
+        global_entries = {key: fetch(index, key) for key in index.keys()}
         merged: dict = {}
         for sx in shard_indexes:
             for key in sx.index_for(constraint).keys():
-                payload = sx.fetch(constraint, key)
+                payload = fetch(sx.index_for(constraint), key)
                 existing = merged.setdefault(key, [])
                 # Disjointness: a target is indexed by its owner only.
                 assert not set(existing) & set(payload)
@@ -309,5 +310,5 @@ class TestShardIndexBuild:
         constraint = next(iter(schema))
         merged: list[int] = []
         for sx in shard_indexes:
-            merged.extend(sx.fetch(constraint, ()))
+            merged.extend(fetch(sx.index_for(constraint), ()))
         assert sorted(merged) == sorted(movies)

@@ -62,12 +62,3 @@ def test_distribution_summary_matches_shared_definition():
     assert summary.p99 == percentile(data, 0.99)
     # The exact historical formula, spelled out:
     assert summary.p50 == data[min(int(0.50 * len(data)), len(data) - 1)]
-
-
-def test_latency_summary_row():
-    from repro.bench.reporting import latency_summary
-
-    row = latency_summary([0.010, 0.020, 0.030], prefix="serve_")
-    assert row["serve_count"] == 3
-    assert row["serve_p50_ms"] == pytest.approx(20.0)
-    assert row["serve_max_ms"] == pytest.approx(30.0)

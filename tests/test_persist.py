@@ -33,6 +33,7 @@ from repro.graph.frozen import FrozenGraph
 from repro.matching.simulation import relation_pairs
 from repro.pattern.generator import PatternGenerator
 from tests.conftest import distinct_valued_graph
+from tests.sequential_oracle import fetch
 
 _SETTINGS = dict(max_examples=12, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -137,8 +138,8 @@ class TestFrozenIndexBuffers:
                         f"{name} of an opened index must alias the blob"
             assert rebuilt.num_keys == index.num_keys
             assert rebuilt.keys() == index.keys()
-            assert [rebuilt.fetch(k) for k in rebuilt.keys()] == \
-                [index.fetch(k) for k in index.keys()]
+            assert [fetch(rebuilt, k) for k in rebuilt.keys()] == \
+                [fetch(index, k) for k in index.keys()]
 
     def test_shape_mismatch_raises_on_first_use(self):
         constraint = AccessConstraint(("a",), "b", 3)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import SchemaIndex, ebchk, execute_plan, qplan, sebchk, sqplan
+from repro import SchemaIndex, ebchk, qplan, sebchk, sqplan
 from repro.constraints.discovery import discover_schema
 from repro.core.covers import compute_covers
 from repro.graph.generators import random_labeled_graph
@@ -27,6 +27,7 @@ from repro.matching.simulation import relation_pairs, simulate, simulation_holds
 from repro.matching.vf2 import find_matches
 from repro.pattern import parse_pattern
 from repro.pattern.generator import PatternGenerator
+from tests.sequential_oracle import execute_plan, fetch
 
 _SETTINGS = dict(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -62,7 +63,7 @@ def test_index_fetch_equals_brute_force(data):
     for constraint in list(schema)[:10]:
         index = sx.index_for(constraint)
         if constraint.is_type1:
-            assert set(index.fetch(())) == set(
+            assert set(fetch(index, ())) == set(
                 graph.nodes_with_label(constraint.target))
             continue
         # Probe a few random S-labeled sets (existing keys and fresh ones).
@@ -70,7 +71,7 @@ def test_index_fetch_equals_brute_force(data):
         for key in keys:
             brute = {v for v in graph.common_neighbors(key)
                      if graph.label_of(v) == constraint.target}
-            assert set(index.fetch(key)) == brute
+            assert set(fetch(index, key)) == brute
         # A random non-key S-labeled set must fetch empty and have no
         # common neighbours with the target label.
         for _ in range(3):
@@ -87,7 +88,7 @@ def test_index_fetch_equals_brute_force(data):
             key = tuple(sample)
             brute = {v for v in graph.common_neighbors(key)
                      if graph.label_of(v) == constraint.target}
-            assert set(index.fetch(key)) == brute
+            assert set(fetch(index, key)) == brute
 
 
 @given(data=graph_and_pattern())

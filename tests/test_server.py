@@ -4,6 +4,7 @@ TCP server + client, admission control, deadlines, metrics, hot reload."""
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.server import QueryService, ServeClient, ServerThread
 from repro.server import protocol
 from repro.server import server as server_module
 from repro.server import service as service_module
-from repro.server.client import run_load
 
 #: Bound 24 435 at every scale: over ``INLINE_MAX_COST``, the queued lane.
 CHEAP = "m: movie; y: year; m -> y"
@@ -373,11 +373,19 @@ def test_ping_and_metrics_endpoint(client):
 
 
 def test_concurrent_clients_over_tcp(server, engine):
+    """Four connections on four threads, ten queries each; reading the
+    results re-raises any thread's error."""
     expected = len(engine.query(parse_pattern(CHEAP)).answer)
-    report = run_load(server.host, server.port, [CHEAP],
-                      requests=10, clients=4, limit=0)
-    assert report["requests"] == 40
-    assert report["answers"] == 40 * expected
+
+    def drive(_) -> list[int]:
+        with ServeClient(server.host, server.port) as client:
+            return [client.query(CHEAP, limit=0).answer_count
+                    for _ in range(10)]
+
+    with ThreadPoolExecutor(4) as pool:
+        answers = [n for counts in pool.map(drive, range(4)) for n in counts]
+    assert len(answers) == 40
+    assert sum(answers) == 40 * expected
 
 
 def test_server_rejection_over_tcp(imdb_small):
