@@ -6,8 +6,6 @@
 3. Index-driven edge verification vs pairwise adjacency probing.
 """
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro import ebchk, qplan
 from repro.accounting import AccessStats

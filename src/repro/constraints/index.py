@@ -402,11 +402,15 @@ class SchemaIndex:
             self.validate()
 
     @classmethod
-    def from_prebuilt(cls, graph: GraphView, schema: AccessSchema,
+    def from_prebuilt(cls, graph: FrozenGraph, schema: AccessSchema,
                       indexes: dict) -> "SchemaIndex":
         """Assemble a schema index from already-built per-constraint
         indexes, skipping construction entirely (the artifact warm-start
-        path — see :mod:`repro.engine.persist`)."""
+        path — see :mod:`repro.engine.persist`) over the
+        :class:`FrozenGraph` the kernels will read."""
+        if not isinstance(graph, FrozenGraph):
+            raise SchemaError(f"prebuilt indexes need a FrozenGraph, not a "
+                              f"{type(graph).__name__}")
         missing = [c for c in schema if c not in indexes]
         if missing:
             raise SchemaError(

@@ -603,8 +603,8 @@ def execute_plans_scatter(plans: list[QueryPlan], backend,
     and fan back out, and a wave's wire tasks are the runs its
     executions opened (per table the slots it added, and each new
     probe). Completions arrive per wire task while ``backend.wait``
-    pumps replies (on this thread, on whichever thread pumps a shared
-    backend, or as a recovery thread's typed failure); an execution
+    pumps replies (on this thread, or on whichever thread pumps a
+    shared backend); an execution
     advances the moment the last run it waits on is answered, even
     while other shards of the round are still in flight. With a
     synchronous backend the rounds degenerate to lock-step waves, minus

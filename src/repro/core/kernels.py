@@ -62,7 +62,7 @@ from repro.core.packed import (
     exact_float,
 )
 from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
-from repro.errors import EngineError, PlanError, UnverifiableEdge
+from repro.errors import PlanError, UnverifiableEdge
 from repro.graph.frozen import FrozenGraph
 from repro.util.arrays import (
     combo_matrix,
@@ -570,10 +570,6 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
     """
     if edge_mode not in (MODE_PLAN, MODE_PROBE):
         raise PlanError(f"unknown edge mode {edge_mode!r}")
-    if not isinstance(schema_index.graph, FrozenGraph):
-        raise EngineError(
-            "vectorized execution needs a schema index over a "
-            "FrozenGraph snapshot")
     context = kernel_context(schema_index)
     kernel = context.graph_kernel
     stats = stats if stats is not None else AccessStats()

@@ -35,23 +35,23 @@ Two implementations live here:
   :class:`~repro.errors.ShardUnavailable` errors once retries exhaust.
 
 Thread safety: the inline backend takes no lock — frozen reads need
-none. The remote backend is pipelined and, while every shard is
-healthy, runs no thread of its own. Requests are correlated by id;
-``scatter_submit`` sends on the caller's thread, and several rounds may
-overlap on the same connections. :meth:`ShardBackend.wait` reads the
-replies on the thread that waits: one ``poll`` over the live
-connections, non-blocking reads into a per-connection buffer, frames
-split off it, and per-task completions fired the moment a task's own
-shards have answered. Several threads may wait on one backend: one
-pumps at a time, the others sleep until a pass ends and re-check their
-own completions. A transient fault hands its connection to a
-short-lived recovery thread (backoff, reconnect, replay, retransmit),
-so one shard mid-backoff never stalls another shard's traffic.
+none. The remote backend is pipelined and runs no thread of its own.
+Requests are correlated by id; ``scatter_submit`` sends on the caller's
+thread, and several rounds may overlap on the same connections.
+:meth:`ShardBackend.wait` reads the replies on the thread that waits
+(one pumps at a time; other waiters sleep until a pass ends): one
+``poll`` over the fleet, frames split off per-connection buffers, and
+per-task completions fired the moment a task's own shards have
+answered. The same pump recovers a faulted connection — backoff,
+non-blocking reconnect, handshake, replay, retransmit — as state with
+deadlines, so one shard mid-backoff never stalls another's traffic.
 """
 
 from __future__ import annotations
 
 import abc
+import errno
+import os
 import select
 import socket
 import threading
@@ -437,26 +437,33 @@ class _PendingRequest(NamedTuple):
     span: object
 
 
+#: A shard connection's states: no socket, the next attempt due at its
+#: ``deadline`` once a request waits; an attempt's TCP connect tries,
+#: then its handshake; the handshake validated, requests sent at once.
+_DOWN, _CONNECTING, _UP = "down", "connecting", "up"
+
+
 class _ShardConn:
     """One front-end connection to one ``repro shard-serve`` process.
 
     Requests are correlated by id, so several may be in flight at once:
-    submitters append to ``pending`` and send under ``lock``, while
-    whichever thread pumps (:meth:`RemoteShardBackend.wait`) reads
-    replies into ``buf`` and pops completions as frames split off it,
-    in whatever order the server answers rounds. ``sock is None`` means
-    "currently disconnected". While ``recovering``, a recovery thread
-    owns the connection and the pump leaves it alone; the thread
-    reconnects (re-handshakes, replays extensions, retransmits
-    ``pending``). The wire counters (bytes each way, encode seconds,
-    in-flight peak) persist across reconnects — they describe the
-    shard's slot, not one socket.
+    submitters append to ``pending`` and, while the connection is up,
+    send under ``lock``; whichever thread pumps
+    (:meth:`RemoteShardBackend.wait`) reads replies into ``buf``, pops
+    completions as frames split off it, and advances the recovery:
+    ``state``, the next ``deadline``, the attempt's ``connect_by``, the
+    handshake request ``awaiting`` its reply as ``(id, handler)``,
+    ``error`` (what last failed the requests) and ``fail_streak``
+    (faults with no reply frame read since, so the retry budget spans
+    reconnects that only fail again). The wire counters describe the
+    shard's slot, not one socket, and persist across reconnects.
     """
 
     __slots__ = ("addr", "host", "port", "sock", "buf", "shard_id",
-                 "next_id", "bytes_sent", "bytes_received",
-                 "encode_s", "lock", "pending", "recovering",
-                 "quiet_since", "fail_streak", "inflight_peak")
+                 "owned_labels", "next_id", "bytes_sent", "bytes_received",
+                 "encode_s", "lock", "pending", "state", "deadline",
+                 "connect_by", "awaiting", "error", "quiet_since",
+                 "fail_streak", "inflight_peak")
 
     def __init__(self, addr: str):
         self.addr = addr
@@ -464,68 +471,26 @@ class _ShardConn:
         self.sock = None
         self.buf = bytearray()
         self.shard_id: int | None = None
+        self.owned_labels: list[str] = []
         self.next_id = 0
         self.bytes_sent = 0
         self.bytes_received = 0
         self.encode_s = 0.0
         self.lock = threading.Lock()
         self.pending: dict[int, _PendingRequest] = {}
-        self.recovering = False
-        #: When the connection last delivered a byte, or last went from
-        #: idle to having a request in flight (``time.monotonic``).
+        self.state = _DOWN
+        self.deadline = self.connect_by = 0.0
+        self.awaiting = None
+        self.error: Exception | None = None
+        #: Last byte read, or first request sent after an idle spell.
         self.quiet_since = 0.0
-        #: Consecutive transient faults with no successfully-read frame
-        #: in between — the retry budget spans reconnects that only
-        #: manage to fail again (e.g. a server that truncates every
-        #: response).
         self.fail_streak = 0
         self.inflight_peak = 0
 
-    def take_frame(self, buf: bytearray):
-        """Split the next whole reply off the front of ``buf``, or None
-        until one is in. Wire garbage raises a ShardProtocolError that
-        names the shard."""
-        protocol = _wire()
-        try:
-            frame, size = protocol.split_frame(buf)
-        except ReproError as exc:
-            raise ShardProtocolError(f"shard {self.addr}: {exc}",
-                                     addr=self.addr) from None
-        if frame is not None:
-            del buf[:size]
-            self.bytes_received += size
-        return frame
-
-    def call(self, doc: dict) -> dict:
-        """One blocking control-op round trip (JSON lines): the
-        handshake and the replay after a reconnect, while no pump reads
-        this connection. Scatter rounds go through
-        :meth:`RemoteShardBackend._submit`."""
-        protocol = _wire()
-        self.next_id += 1
-        request_id = self.next_id
-        started = time.perf_counter()
-        data = protocol.encode({"id": request_id, **doc})
-        self.encode_s += time.perf_counter() - started
-        self.sock.sendall(data)
-        self.bytes_sent += len(data)
-        while (response := self.take_frame(self.buf)) is None:
-            data = self.sock.recv(_RECV_BYTES)
-            if not data:
-                raise EOFError("peer closed the connection")
-            self.buf += data
-        if response.get("id") != request_id:
-            raise ShardProtocolError(
-                f"shard {self.addr}: response id {response.get('id')!r} "
-                f"does not match request id {request_id!r}", addr=self.addr)
-        if not response.get("ok"):
-            protocol.raise_error(response)
-        return response
-
     def close(self) -> None:
-        """Drop the socket. Shut down first, so a pump blocked polling
-        it wakes up."""
+        """Drop the socket (shut down first, waking a pump polling it)."""
         sock, self.sock = self.sock, None
+        self.state, self.awaiting = _DOWN, None
         if sock is not None:
             try:
                 sock.shutdown(socket.SHUT_RDWR)
@@ -534,16 +499,8 @@ class _ShardConn:
             sock.close()
 
 
-#: Transient connection faults worth a bounded retry: refused/reset/
-#: timed-out sockets and peers that hung up (cleanly or mid-frame).
-_TRANSIENT = (OSError, EOFError)
-
 #: Bytes asked of the kernel per read of a shard connection.
 _RECV_BYTES = 65536
-
-#: Longest a pump polls while some connection is recovering, so the
-#: restored socket (or the recovery's failed completions) are picked up.
-_RECOVERY_POLL_S = 0.02
 
 
 class RemoteShardBackend(ShardBackend):
@@ -567,7 +524,9 @@ class RemoteShardBackend(ShardBackend):
     identically. Exhausted retries raise
     :class:`~repro.errors.ShardUnavailable`; wire garbage and handshake
     disagreements raise their own typed errors immediately (they are
-    deployment bugs, not weather).
+    deployment bugs, not weather). A shard server closes a connection
+    opened before its last ``reload``, so the re-handshake also decides
+    whether a reloaded shard still serves this front-end's compile.
 
     The timeouts and retry budget come from ``config`` (the session's
     :class:`~repro.session.SessionConfig`).
@@ -579,7 +538,6 @@ class RemoteShardBackend(ShardBackend):
         from repro.engine import persist
 
         super().__init__(schema)
-        self._artifact_path = artifact_path
         if manifest is None:
             manifest = persist.read_manifest(artifact_path)
         shard_meta = manifest["shards"]
@@ -591,9 +549,8 @@ class RemoteShardBackend(ShardBackend):
         self._expected = {
             "format_version": manifest.get("format_version"),
             "schema_version": manifest.get("schema_version"),
-            "manifest_sha256": {shard_id: meta.get("manifest_sha256")
-                                for shard_id, meta
-                                in enumerate(shard_meta)},
+            "manifest_sha256": dict(enumerate(
+                meta.get("manifest_sha256") for meta in shard_meta)),
         }
         self._shard_ids = list(range(len(shard_meta)))
         self.shard_addrs = list(shard_addrs)
@@ -611,110 +568,41 @@ class RemoteShardBackend(ShardBackend):
         #: warm-starts from the artifact, which predates them).
         self._applied_extensions: list[dict] = []
         self.reconnects = 0
-        self._conns: dict[int, _ShardConn] = {}
-        conns = [_ShardConn(addr) for addr in shard_addrs]
-        try:
-            labels_by_shard: dict[int, list[str]] = {}
-            for conn in conns:
-                hello = self._connect(conn)
-                if conn.shard_id in self._conns:
-                    other = self._conns[conn.shard_id].addr
-                    raise ShardHandshakeMismatch(
-                        f"shard servers {other} and {conn.addr} both "
-                        f"serve shard {conn.shard_id}", addr=conn.addr,
-                        found=conn.shard_id)
-                self._conns[conn.shard_id] = conn
-                labels_by_shard[conn.shard_id] = \
-                    [str(label) for label in hello.get("owned_labels", ())]
-            missing = sorted(set(self._shard_ids) - set(self._conns))
-            if missing:
+        #: Every connection the pump serves; in shard order once open.
+        self._fleet = [_ShardConn(addr) for addr in shard_addrs]
+        try:  # the whole fleet handshakes at once, through the pump
+            for conn in self._fleet:
+                self._attempt(conn, time.monotonic())
+            self.wait(lambda: all(conn.state is _UP or conn.error
+                                  for conn in self._fleet))
+            for conn in self._fleet:
+                if conn.error is not None:
+                    raise conn.error
+            by_shard = {conn.shard_id: conn for conn in self._fleet}
+            if len(by_shard) < len(self._fleet):
                 raise ShardHandshakeMismatch(
-                    f"shard addresses cover no server for shards "
-                    f"{missing}", expected=self._shard_ids)
+                    f"shard servers {self.shard_addrs} serve shards "
+                    f"{[conn.shard_id for conn in self._fleet]}, not one "
+                    f"server per shard", expected=self._shard_ids)
+            self._fleet = [by_shard[shard_id] for shard_id in self._shard_ids]
             if len(shard_meta) > 1:
                 self.router = OwnerRouter(
                     persist.load_partition_owners(artifact_path),
-                    labels_by_shard)
+                    {conn.shard_id: conn.owned_labels
+                     for conn in self._fleet})
         except BaseException:
-            for conn in conns:
+            for conn in self._fleet:
                 conn.close()
             raise
 
-    # -- connection management ------------------------------------------------
-    def _connect(self, conn: _ShardConn) -> dict:
-        """(Re)connect one shard connection and run the handshake;
-        returns the server's hello document."""
-        protocol = _wire()
-
-        conn.close()
-        try:
-            conn.sock = protocol.connect_retry(
-                conn.host, conn.port, timeout=self.request_timeout,
-                connect_timeout=self.connect_timeout)
-        except OSError as exc:
-            raise ShardUnavailable(
-                f"cannot connect to shard server {conn.addr}: {exc}",
-                addr=conn.addr, shard_id=conn.shard_id) from None
-        conn.buf = bytearray()
-        try:
-            hello = conn.call({
-                "op": "hello",
-                "protocol": protocol.PROTOCOL_VERSION,
-                "format_version": self._expected["format_version"],
-            })
-        except _TRANSIENT as exc:
-            conn.close()
-            raise ShardUnavailable(
-                f"shard server {conn.addr} hung up during the handshake: "
-                f"{exc}", addr=conn.addr, shard_id=conn.shard_id) from None
-        for field in ("protocol", "format_version", "schema_version"):
-            expected = protocol.PROTOCOL_VERSION if field == "protocol" \
-                else self._expected[field]
-            if hello.get(field) != expected:
-                conn.close()
-                raise ShardHandshakeMismatch(
-                    f"shard server {conn.addr} speaks {field} "
-                    f"{hello.get(field)!r}, this front-end expects "
-                    f"{expected!r}", addr=conn.addr,
-                    found=hello.get(field), expected=expected)
-        shard_id = hello.get("shard_id")
-        expected_sha = self._expected["manifest_sha256"].get(shard_id)
-        if expected_sha is None:
-            conn.close()
-            raise ShardHandshakeMismatch(
-                f"shard server {conn.addr} serves shard {shard_id!r}, "
-                f"which is not in the partition "
-                f"({len(self._shard_ids)} shards)", addr=conn.addr,
-                found=shard_id, expected=self._shard_ids)
-        if hello.get("manifest_sha256") != expected_sha:
-            conn.close()
-            raise ShardHandshakeMismatch(
-                f"shard server {conn.addr} serves a different compile of "
-                f"shard {shard_id} (manifest checksum mismatch); "
-                f"re-deploy the fleet from this artifact", addr=conn.addr,
-                found=hello.get("manifest_sha256"), expected=expected_sha)
-        conn.shard_id = shard_id
-        return hello
-
-    def _reconnect(self, conn: _ShardConn) -> None:
-        self.reconnects += 1
-        self._connect(conn)
-        if self._applied_extensions:
-            # A restarted server warm-started from the artifact, which
-            # predates any online extension — replay them (idempotent
-            # shard-side) before it sees another task.
-            conn.call({"op": "extend",
-                       "constraints": list(self._applied_extensions)})
-
     # -- pipelined submission -------------------------------------------------
     def _submit(self, conn: _ShardConn, encode, on_done, span=None) -> int:
-        """Register and send one request on ``conn``, on the caller's
-        thread; ``encode(request_id)`` returns its frame bytes.
+        """Register one request on ``conn`` (``encode(request_id)``
+        returns its frame bytes) and send it on the caller's thread if
+        the connection is up; else it goes out with the retransmits.
         ``on_done`` fires exactly once — with the response frame, or
-        with a typed exception — inside :meth:`wait` on whichever thread
-        pumps, or on a recovery thread once the connection's retries
-        run out. Never blocks on the network beyond the send itself: a
-        failed send hands the connection to recovery."""
+        with a typed exception — inside :meth:`wait`, whose pump also
+        recovers the connection after a failed send."""
         with conn.lock:
             if self._closed.is_set():
                 raise EngineError("remote shard backend is closed")
@@ -726,24 +614,13 @@ class RemoteShardBackend(ShardBackend):
             if not conn.pending:
                 conn.quiet_since = time.monotonic()
             conn.pending[rid] = _PendingRequest(data, on_done, span)
-            depth = len(conn.pending)
-            if depth > conn.inflight_peak:
-                conn.inflight_peak = depth
-            sock = conn.sock
-            if sock is not None:
+            conn.inflight_peak = max(conn.inflight_peak, len(conn.pending))
+            if conn.state is _UP:
                 try:
-                    sock.sendall(data)
+                    conn.sock.sendall(data)
                     conn.bytes_sent += len(data)
-                    return rid
-                except OSError as exc:
-                    error = exc
-            else:
-                error = ShardUnavailable(
-                    f"connection to shard server {conn.addr} is down",
-                    addr=conn.addr, shard_id=conn.shard_id)
-        # Reconnect (unless a recovery is under way already); the
-        # retransmit carries this request.
-        self._fault(conn, sock, error)
+                except OSError:
+                    pass  # the pump finds the socket broken, or silent
         return rid
 
     def wait(self, done) -> None:
@@ -771,71 +648,245 @@ class RemoteShardBackend(ShardBackend):
                     cond.notify_all()
 
     def _pump(self) -> None:
-        """One pass: poll every live connection (a thread may submit on
-        any of them while this one pumps), read what has arrived, and
-        fire the completion of every whole reply. A connection that
-        faulted, or stayed silent for ``request_timeout`` with requests
-        in flight, goes to a recovery thread. While any connection is
-        down or recovering, the poll is capped at
-        :data:`_RECOVERY_POLL_S`, so a restored socket (or a recovery's
-        failed completions) are picked up."""
+        """One pass: do what is due (:meth:`_advance`), poll the sockets
+        — for writing while a TCP connect is in flight — until the
+        nearest deadline, then finish connects and deliver replies."""
+        now = time.monotonic()
         poller = select.poll()
         live: dict[int, tuple] = {}
-        degraded = False
-        for conn in self._conns.values():
+        deadlines = [deadline for deadline in (self._advance(conn, now)
+                                               for conn in self._fleet)
+                     if deadline is not None]
+        for conn in self._fleet:
             sock = conn.sock
-            fd = -1 if sock is None or conn.recovering else sock.fileno()
+            fd = -1 if sock is None else sock.fileno()
             if fd < 0:
-                degraded = True
                 continue
-            live[fd] = (conn, sock, conn.buf)
-            poller.register(fd, select.POLLIN)
-        quiet = [conn.quiet_since for conn, _, _ in live.values()
-                 if conn.pending]
-        timeout = min(quiet) + self.request_timeout - time.monotonic() \
-            if quiet else _RECOVERY_POLL_S
-        if degraded:
-            timeout = min(timeout, _RECOVERY_POLL_S)
-        for fd, _ in poller.poll(max(timeout, 0.0) * 1000.0):
-            conn, sock, buf = live.pop(fd)
+            connecting = conn.state is _CONNECTING and conn.awaiting is None
+            live[fd] = (conn, sock, connecting)
+            poller.register(fd, select.POLLOUT if connecting
+                            else select.POLLIN)
+        if not deadlines:
+            return
+        for fd, _ in poller.poll(max(min(deadlines) - now, 0.0) * 1000.0):
+            conn, sock, connecting = live[fd]
+            if connecting:
+                self._connected(conn, sock)
+                continue
             try:
                 data = sock.recv(_RECV_BYTES)
-            except OSError as exc:
+                if not data:
+                    raise EOFError("peer closed the connection")
+            except (OSError, EOFError) as exc:
                 self._fault(conn, sock, exc)
                 continue
-            if not data:
-                self._fault(conn, sock, EOFError(
-                    "peer closed the connection"))
-                continue
             conn.quiet_since = time.monotonic()
-            buf += data
-            self._deliver(conn, sock, buf)
-        now = time.monotonic()
-        for conn, sock, _ in live.values():
-            if conn.pending \
-                    and now - conn.quiet_since >= self.request_timeout:
-                self._fault(conn, sock, TimeoutError(
+            conn.buf += data
+            self._deliver(conn, sock)
+
+    # -- recovery, advanced by the pump ---------------------------------------
+    def _advance(self, conn: _ShardConn, now: float):
+        """Do what is due on ``conn``; return its next deadline, or None
+        while it waits on nothing (or the backend is closing). A request
+        finding the connection down counts as a fault, as a failed send
+        would."""
+        while not self._closed.is_set():
+            if conn.state is _UP or conn.awaiting is not None:
+                if not conn.pending and conn.awaiting is None:
+                    return None
+                if now < conn.quiet_since + self.request_timeout:
+                    return conn.quiet_since + self.request_timeout
+                self._fault(conn, conn.sock, TimeoutError(
                     f"no reply from shard server {conn.addr} in "
                     f"{self.request_timeout} s"))
+            elif conn.state is _DOWN and not conn.pending:
+                return None
+            elif conn.state is _DOWN and not conn.fail_streak:
+                self._fault(conn, None, ShardUnavailable(
+                    f"connection to shard server {conn.addr} is down",
+                    addr=conn.addr, shard_id=conn.shard_id))
+            elif now < conn.deadline:
+                return conn.deadline
+            elif conn.state is _DOWN:
+                self._attempt(conn, now)
+            elif conn.sock is None:
+                self._try_connect(conn, now)
+            else:
+                self._connect_failed(conn, TimeoutError(
+                    f"connect to {conn.addr} timed out"), now)
+        return None
 
-    def _deliver(self, conn: _ShardConn, sock, buf: bytearray) -> None:
-        """Fire the completion of every whole reply in ``buf``, the
-        buffer of ``conn``'s socket ``sock``."""
+    def _attempt(self, conn: _ShardConn, now: float) -> None:
+        """Start an attempt (a reconnect, on the backend and its waiting
+        requests' spans, if the connection handshook before)."""
+        if conn.shard_id is not None:
+            self.reconnects += 1
+            with conn.lock:
+                spans = [entry.span for entry in conn.pending.values()
+                         if entry.span is not None]
+            for span in spans:
+                span.set(retries=conn.fail_streak,
+                         reconnects=span.attrs.get("reconnects", 0) + 1)
+        conn.state = _CONNECTING
+        conn.connect_by = now + self.connect_timeout
+        self._try_connect(conn, now)
+
+    def _try_connect(self, conn: _ShardConn, now: float) -> None:
+        """One non-blocking TCP connect try, completed on ``POLLOUT``."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        try:
+            error = sock.connect_ex((conn.host, conn.port))
+            if error not in (0, errno.EINPROGRESS):
+                raise OSError(error, os.strerror(error))
+        except OSError as exc:
+            sock.close()
+            self._connect_failed(conn, exc, now)
+            return
+        with conn.lock:
+            if self._closed.is_set():
+                sock.close()
+            else:
+                conn.sock, conn.deadline = sock, now + self.request_timeout
+
+    def _connect_failed(self, conn: _ShardConn, error, now: float) -> None:
+        """A connect try failed: try again ``CONNECT_RETRY_S`` later (a
+        restarted shard may still be loading) until ``connect_by``."""
+        if now >= conn.connect_by:
+            self._fault(conn, conn.sock, error)
+            return
+        if conn.sock is not None:
+            conn.sock.close()
+        conn.sock, conn.deadline = None, now + _wire().CONNECT_RETRY_S
+
+    def _connected(self, conn: _ShardConn, sock) -> None:
+        """``POLLOUT``: the TCP connect is done; ``hello`` goes out."""
+        if conn.sock is not sock:
+            return
+        try:
+            error = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if error:
+                raise OSError(error, os.strerror(error))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(self.request_timeout)
+        except OSError as exc:
+            self._connect_failed(conn, exc, time.monotonic())
+            return
+        conn.buf = bytearray()
+        self._control(conn, sock, {
+            "op": "hello", "protocol": _wire().PROTOCOL_VERSION,
+            "format_version": self._expected["format_version"]},
+            self._on_hello)
+
+    def _control(self, conn: _ShardConn, sock, doc: dict, handler) -> None:
+        """Send a handshake control request (a JSON line); the pump hands
+        its ``ok`` reply to ``handler(conn, sock, reply)``."""
+        with conn.lock:
+            conn.next_id += 1
+            conn.awaiting = (conn.next_id, handler)
+        data = _wire().encode({"id": conn.awaiting[0], **doc})
+        conn.quiet_since = time.monotonic()
+        try:
+            sock.sendall(data)
+            conn.bytes_sent += len(data)
+        except OSError as exc:
+            self._fault(conn, sock, exc)
+
+    def _on_hello(self, conn: _ShardConn, sock, hello) -> None:
+        """Validate the handshake reply — a disagreement raises, and is
+        fatal — then replay the online extensions, or resume."""
+        protocol = _wire()
+        for field in ("protocol", "format_version", "schema_version"):
+            expected = protocol.PROTOCOL_VERSION if field == "protocol" \
+                else self._expected[field]
+            if hello.get(field) != expected:
+                raise ShardHandshakeMismatch(
+                    f"shard server {conn.addr} speaks {field} "
+                    f"{hello.get(field)!r}, this front-end expects "
+                    f"{expected!r}", addr=conn.addr,
+                    found=hello.get(field), expected=expected)
+        shard_id = hello.get("shard_id")
+        expected_sha = self._expected["manifest_sha256"].get(shard_id)
+        if expected_sha is None or conn.shard_id not in (None, shard_id):
+            raise ShardHandshakeMismatch(
+                f"shard server {conn.addr} serves shard {shard_id!r}, "
+                f"which is not shard {conn.shard_id} of the partition "
+                f"({len(self._shard_ids)} shards)", addr=conn.addr,
+                found=shard_id, expected=conn.shard_id)
+        if hello.get("manifest_sha256") != expected_sha:
+            raise ShardHandshakeMismatch(
+                f"shard server {conn.addr} serves a different compile of "
+                f"shard {shard_id} (manifest checksum mismatch); "
+                f"re-deploy the fleet from this artifact", addr=conn.addr,
+                found=hello.get("manifest_sha256"), expected=expected_sha)
+        conn.shard_id = shard_id
+        conn.owned_labels = list(map(str, hello.get("owned_labels", ())))
+        if self._applied_extensions:
+            # A restarted server warm-started from the artifact, which
+            # predates any online extension — replay them (idempotent
+            # shard-side) before it sees another task.
+            self._control(conn, sock, {
+                "op": "extend", "constraints": self._applied_extensions},
+                self._resume)
+        else:
+            self._resume(conn, sock)
+
+    def _resume(self, conn: _ShardConn, sock, _reply=None) -> None:
+        """The handshake is done: up, and retransmit in id order."""
+        with conn.lock:
+            if conn.sock is not sock:
+                return
+            conn.state, conn.error = _UP, None
+            conn.quiet_since = time.monotonic()
+            data = b"".join(conn.pending[rid].data
+                            for rid in sorted(conn.pending))
+            try:
+                sock.sendall(data)
+                conn.bytes_sent += len(data)
+                return
+            except OSError as exc:
+                error = exc
+        self._fault(conn, sock, error)
+
+    def _deliver(self, conn: _ShardConn, sock) -> None:
+        """Fire the completion of every whole reply in ``conn``'s
+        buffer, read from its socket ``sock``; a handshake reply goes to
+        the handler awaiting it."""
         protocol = _wire()
 
         while True:
             try:
-                frame = conn.take_frame(buf)
-            except ShardProtocolError as exc:
+                frame, size = protocol.split_frame(conn.buf)
+            except ReproError as exc:
                 # Wire garbage — the stream cannot be trusted.
-                self._fail_pending(conn, exc, sock)
+                self._fail_pending(conn, ShardProtocolError(
+                    f"shard {conn.addr}: {exc}", addr=conn.addr), sock)
                 return
             if frame is None:
                 return
+            del conn.buf[:size]
+            conn.bytes_received += size
             rid = frame.get("id")
+            if conn.awaiting is not None:
+                (awaited, handler), conn.awaiting = conn.awaiting, None
+                try:
+                    if rid != awaited:
+                        raise ShardProtocolError(
+                            f"shard {conn.addr}: response id {rid!r} does "
+                            f"not match request id {awaited!r}",
+                            addr=conn.addr)
+                    if not frame.get("ok"):
+                        protocol.raise_error(frame)
+                    handler(conn, sock, frame)
+                except ReproError as exc:
+                    # A handshake disagreement — a deployment bug, not
+                    # weather; no amount of retrying fixes it.
+                    self._fail_pending(conn, exc, sock)
+                    return
+                continue
             with conn.lock:
                 if conn.sock is not sock:
-                    return  # handed to recovery, which retransmits
+                    return  # faulted meanwhile; the retransmit follows
                 entry = conn.pending.pop(rid, None)
                 conn.fail_streak = 0
             if entry is None:
@@ -853,105 +904,37 @@ class RemoteShardBackend(ShardBackend):
                 self._complete(entry, exc)
 
     def _fault(self, conn: _ShardConn, sock, error: Exception) -> None:
-        """A transient fault on ``conn``'s socket ``sock`` (None for a
-        connection that is down): hand the connection to a short-lived
-        recovery thread running :meth:`_recover`, unless it moved on
-        already. The pump leaves it alone until the thread is done."""
+        """A transient fault on ``conn``'s socket ``sock``: drop it and
+        back off ``retry_backoff_s * 2 ** (attempt - 1)`` before the
+        next attempt, or fail the waiting requests once ``retries + 1``
+        attempts are spent — or the first, on a connection that never
+        handshook: a fleet that cannot be reached fails the open."""
         with conn.lock:
-            if conn.sock is not sock or conn.recovering \
-                    or self._closed.is_set():
+            if conn.sock is not sock or self._closed.is_set():
                 return
-            conn.recovering = True
             conn.close()
-        threading.Thread(target=self._recovery, args=(conn, error),
-                         name=f"repro-shard-recover-{conn.addr}",
-                         daemon=True).start()
-
-    def _recovery(self, conn: _ShardConn, error: Exception) -> None:
-        try:
-            self._recover(conn, error)
-        except BaseException as exc:  # pragma: no cover - defensive
+            conn.fail_streak += 1
+            attempt = conn.fail_streak
+            conn.deadline = time.monotonic() \
+                + self.retry_backoff_s * 2 ** (attempt - 1)
+        if conn.shard_id is None or attempt > self.retries:
             self._fail_pending(conn, ShardUnavailable(
-                f"shard recovery for {conn.addr} failed: {exc!r}",
-                addr=conn.addr, shard_id=conn.shard_id))
-            raise
-        finally:
-            with conn.lock:
-                conn.recovering = False
-            with self._pump_cond:
-                self._pump_cond.notify_all()
-
-    def _recover(self, conn: _ShardConn, error: Exception) -> None:
-        """Bounded reconnect/retransmit after a transient fault, run on
-        the connection's recovery thread — the backoff sleeps hold no
-        lock, so every other shard keeps answering while this one is
-        mid-backoff. The retry budget (``fail_streak``) only resets when
-        a response frame is actually read, so a server that reconnects
-        happily but keeps truncating responses still exhausts it. Fails
-        the pending requests once the budget is spent."""
-        last = error
-        while True:
-            with conn.lock:
-                if self._closed.is_set():
-                    break
-                conn.fail_streak += 1
-                attempt = conn.fail_streak
-            if attempt > self.retries:
-                self._fail_pending(conn, ShardUnavailable(
-                    f"shard server {conn.addr} (shard {conn.shard_id}) "
-                    f"is unavailable after {self.retries + 1} attempts: "
-                    f"{last}", addr=conn.addr, shard_id=conn.shard_id,
-                    attempts=self.retries + 1))
-                return
-            if self._closed.wait(self.retry_backoff_s * (2 ** (attempt - 1))):
-                break
-            fatal = None
-            with conn.lock:
-                if self._closed.is_set():
-                    break
-                for entry in conn.pending.values():
-                    if entry.span is not None:
-                        entry.span.set(
-                            retries=attempt,
-                            reconnects=entry.span.attrs.get(
-                                "reconnects", 0) + 1)
-                try:
-                    self._reconnect(conn)
-                    for rid in sorted(conn.pending):
-                        data = conn.pending[rid].data
-                        conn.sock.sendall(data)
-                        conn.bytes_sent += len(data)
-                    conn.quiet_since = time.monotonic()
-                    return
-                except _TRANSIENT as exc:
-                    conn.close()
-                    last = exc
-                except ShardUnavailable as exc:
-                    last = exc
-                except ReproError as exc:
-                    # Handshake disagreement — a deployment bug, not
-                    # weather; no amount of retrying fixes it.
-                    fatal = exc
-            if fatal is not None:
-                self._fail_pending(conn, fatal)
-                return
-        self._fail_pending(conn, ShardUnavailable(
-            "remote shard backend is closed", addr=conn.addr,
-            shard_id=conn.shard_id))
+                f"shard server {conn.addr} (shard {conn.shard_id}) is "
+                f"unavailable after {attempt} attempts: {error}",
+                addr=conn.addr, shard_id=conn.shard_id, attempts=attempt))
 
     def _fail_pending(self, conn: _ShardConn, exc: Exception,
                       sock=None) -> None:
         """Fail every in-flight request on ``conn`` with ``exc`` (in
-        request order), disconnect it, and reset the retry budget — the
-        next round starts with a fresh one, exactly like the
-        pre-pipelined per-round retry semantics. Given ``sock``, only
-        while that socket is still the connection's."""
+        request order), disconnect it and reset the retry budget for the
+        next round. Given ``sock``, only while it is still ``conn``'s."""
         with conn.lock:
             if sock is not None and conn.sock is not sock:
                 return
             entries = [conn.pending[rid] for rid in sorted(conn.pending)]
             conn.pending.clear()
             conn.fail_streak = 0
+            conn.error = exc
             conn.close()
         for entry in entries:
             self._complete(entry, exc)
@@ -974,24 +957,17 @@ class RemoteShardBackend(ShardBackend):
     def _request_round(self, doc: dict) -> list[dict]:
         """Send ``doc`` to every shard and gather the replies in shard
         order, without their ``id`` / ``ok``. All sends go out before
-        any wait, the fleet works the round concurrently, and per-shard
-        faults retry on recovery threads — a healthy shard's answer is
-        consumed while an unhealthy one is still mid-backoff. Every
-        shard's completion is awaited before any error is raised
-        (completions are exactly-once per request, so nothing is left to
-        desynchronize later rounds).
-
-        With a span active in the calling context, each shard gets a
-        ``shard_rpc`` child span and its request carries the trace
-        context as the optional ``trace`` wire field — the shard server
-        stamps its request log with the same trace id and reports its
-        server-side time back as ``server_ms``."""
+        the wait, and every shard's completion is awaited before any
+        error is raised, so nothing is left to desynchronize later
+        rounds. With a span active, each shard gets a ``shard_rpc``
+        child span, carried on the wire as the optional ``trace`` field
+        (the shard reports its own time back as ``server_ms``)."""
         protocol = _wire()
 
         parent = current_span()
         results: dict[int, object] = {}
-        for shard_id in self._shard_ids:
-            conn, span, sent = self._conns[shard_id], None, doc
+        for shard_id, conn in enumerate(self._fleet):
+            span, sent = None, doc
             if parent is not None:
                 span = parent.child("shard_rpc", shard=shard_id,
                                     addr=conn.addr, rpc=str(doc.get("op")))
@@ -999,7 +975,7 @@ class RemoteShardBackend(ShardBackend):
             self._submit(conn, lambda rid, _doc=sent: protocol.encode(
                 {"id": rid, **_doc}), partial(results.__setitem__, shard_id),
                 span=span)
-        self.wait(lambda: len(results) == len(self._shard_ids))
+        self.wait(lambda: len(results) == len(self._fleet))
         for shard_id in self._shard_ids:
             if isinstance(results[shard_id], Exception):
                 raise results[shard_id]
@@ -1010,21 +986,6 @@ class RemoteShardBackend(ShardBackend):
     @property
     def num_shards(self) -> int:
         return len(self._shard_ids)
-
-    def _decode_scatter(self, conn: _ShardConn, result: dict,
-                        kinds: list[str]) -> list:
-        """Decode one shard's scatter response frame into per-task
-        values aligned with the task indices it was sent."""
-        protocol = _wire()
-
-        decoded = protocol.decode_shard_responses_binary(
-            result.get("responses_meta", ()),
-            getattr(result, "payloads", ()), expected_kinds=kinds)
-        if len(decoded) != len(kinds):
-            raise ShardProtocolError(
-                f"shard {conn.addr}: scatter response does not align "
-                f"with the {len(kinds)} tasks sent", addr=conn.addr)
-        return decoded
 
     def scatter_submit(self, tasks: list[tuple], shard_sets: list | None,
                        on_task) -> None:
@@ -1038,7 +999,7 @@ class RemoteShardBackend(ShardBackend):
         protocol = _wire()
 
         self._record_round(tasks, shard_sets)
-        if any(conn.pending for conn in self._conns.values()):
+        if any(conn.pending for conn in self._fleet):
             self.rounds_overlapped += 1
         # One encoder per round: identical task lists (every shard under
         # broadcast) are encoded once and the bytes reused per shard.
@@ -1067,12 +1028,20 @@ class RemoteShardBackend(ShardBackend):
                 on_task(i, rows[i])
 
         def _shard_done(shard_id, indices, result):
-            conn = self._conns[shard_id]
             decoded = None
             if not isinstance(result, Exception):
+                # Per-task values aligned with the task indices sent.
+                kinds = [tasks[i][0] for i in indices]
+                addr = self._fleet[shard_id].addr
                 try:
-                    decoded = self._decode_scatter(
-                        conn, result, [tasks[i][0] for i in indices])
+                    decoded = protocol.decode_shard_responses_binary(
+                        result.get("responses_meta", ()),
+                        getattr(result, "payloads", ()), expected_kinds=kinds)
+                    if len(decoded) != len(kinds):
+                        raise ShardProtocolError(
+                            f"shard {addr}: scatter response does not "
+                            f"align with the {len(kinds)} tasks sent",
+                            addr=addr)
                 except ReproError as exc:
                     result = exc
             fired = []
@@ -1095,7 +1064,7 @@ class RemoteShardBackend(ShardBackend):
 
         parent = current_span()
         for shard_id, indices in sent_indices.items():
-            conn = self._conns[shard_id]
+            conn = self._fleet[shard_id]
             envelope: dict = {"op": "scatter"}
             span = None
             if parent is not None:
@@ -1128,11 +1097,6 @@ class RemoteShardBackend(ShardBackend):
         return out
 
     # -- fleet management -----------------------------------------------------
-    def ping(self) -> bool:
-        """Round-trip every shard connection."""
-        return all(reply.get("op") == "pong"
-                   for reply in self._request_round({"op": "ping"}))
-
     def shard_metrics(self) -> list[dict]:
         """Per-shard server metrics snapshots, in shard order."""
         return self._request_round({"op": "metrics"})
@@ -1140,18 +1104,13 @@ class RemoteShardBackend(ShardBackend):
     def wire_stats(self) -> list[dict]:
         """Per-shard client-side wire counters, in shard order — a local
         read, no fleet round-trip."""
-        out = []
-        for shard_id in self._shard_ids:
-            conn = self._conns.get(shard_id)
-            if conn is None:
-                continue
-            out.append({"shard_id": shard_id, "addr": conn.addr,
-                        "bytes_sent": conn.bytes_sent,
-                        "bytes_received": conn.bytes_received,
-                        "encode_ms": round(conn.encode_s * 1000.0, 3),
-                        "inflight": len(conn.pending),
-                        "inflight_peak": conn.inflight_peak})
-        return out
+        return [{"shard_id": shard_id, "addr": conn.addr,
+                 "bytes_sent": conn.bytes_sent,
+                 "bytes_received": conn.bytes_received,
+                 "encode_ms": round(conn.encode_s * 1000.0, 3),
+                 "inflight": len(conn.pending),
+                 "inflight_peak": conn.inflight_peak}
+                for shard_id, conn in enumerate(self._fleet)]
 
     def reload_fleet(self) -> list[dict]:
         """Ask every shard server to reload its shard from disk (after a
@@ -1163,21 +1122,19 @@ class RemoteShardBackend(ShardBackend):
     def close(self) -> None:
         """Close the fleet connections (idempotent). The servers keep
         running — they belong to the deployment, not to this session.
-        Still-pending requests fail, and a recovery thread mid-backoff
-        wakes and exits."""
+        Still-pending requests fail, and so does any later one."""
         with self._pump_cond:
             if self._closed.is_set():
                 return
             self._closed.set()
-        for conn in self._conns.values():
+        for conn in self._fleet:
             self._fail_pending(conn, EngineError(
                 "remote shard backend is closed"))
         with self._pump_cond:
             self._pump_cond.notify_all()
 
     def __repr__(self) -> str:
-        addrs = [self._conns[shard_id].addr for shard_id in self._shard_ids
-                 if shard_id in self._conns]
+        addrs = [conn.addr for conn in self._fleet]
         return (f"RemoteShardBackend(shards={self.num_shards}, "
                 f"addrs={addrs}, closed={self._closed.is_set()})")
 

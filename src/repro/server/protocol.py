@@ -318,6 +318,10 @@ async def read_frame_async(reader) -> Frame:
             return frame
 
 
+#: Seconds between TCP connect tries while a peer may still be binding.
+CONNECT_RETRY_S = 0.05
+
+
 def connect_retry(host: str, port: int, *, timeout: float,
                   connect_timeout: float) -> socket.socket:
     """TCP connect with retry until ``connect_timeout`` elapses — the
@@ -337,7 +341,7 @@ def connect_retry(host: str, port: int, *, timeout: float,
         except OSError:
             if time.monotonic() >= deadline:
                 raise
-            time.sleep(0.05)
+            time.sleep(CONNECT_RETRY_S)
 
 
 def error_response(request_id, exc: Exception) -> dict:

@@ -26,9 +26,13 @@ one thread that reads a frame, answers it and reads the next;
 comes from the runtime's answer memo
 (:attr:`~repro.engine.parallel.ShardRuntime.answers`, a bounded LRU
 of packed answers that every connection shares under its own short
-lock), keyed on the task as received; a round reads the runtime and
-its memo as one snapshot, and a ``reload`` drops the memo with the
-runtime.
+lock), keyed on the task as received; a ``reload`` drops the memo
+with the runtime.
+
+A connection is bound to the :class:`_Generation` its ``hello``
+answered under and closed, unanswered, at its first frame after a
+``reload``: its front-end re-handshakes, so it never gets answers from
+two compiles.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ import re
 import socketserver
 import threading
 import time
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.constraints.schema import AccessConstraint
 from repro.engine import parallel
@@ -56,6 +62,10 @@ _log = logging.getLogger("repro.shardserver")
 
 _SHARD_DIR_RE = re.compile(r"^shard-(\d+)$")
 
+#: How often the accept loop checks for :meth:`ShardServer.stop` (0.5 s
+#: by default in ``socketserver``) — the longest a stop waits on it.
+_SERVE_POLL_S = 0.02
+
 
 def resolve_shard_artifact(artifact, shard_id: int | None = None):
     """``<dir>/shard-NNNN`` (or ``<dir>`` plus an explicit shard id) →
@@ -71,6 +81,17 @@ def resolve_shard_artifact(artifact, shard_id: int | None = None):
             f"cannot infer a shard id from {path}; pass the per-shard "
             f"directory (<artifact>/shard-NNNN) or an explicit shard id")
     return path.parent, int(match.group(1))
+
+
+class _Generation(NamedTuple):
+    """One load of the shard, replaced whole by ``reload``; a reply made
+    while the generation moved is not sent, so none mixes two loads."""
+
+    number: int
+    runtime: parallel.ShardRuntime
+    format_version: object
+    schema_version: object
+    manifest_sha256: str
 
 
 class ShardServer:
@@ -104,13 +125,18 @@ class ShardServer:
         #: Requests, rounds, tasks and wire bytes, added to by their
         #: declared names (:mod:`repro.obs.registry`).
         self.metrics = MetricStore("shard")
-        self._load()
+        self.current = self._load(0)
 
     # -- state ----------------------------------------------------------------
-    def _load(self) -> None:
-        """(Re)load the shard runtime and handshake facts from disk —
-        the same checksum-verified path the in-process backends load
-        through. A ``reload`` calls it under the dispatch lock."""
+    runtime = property(attrgetter("current.runtime"))
+    format_version = property(attrgetter("current.format_version"))
+    schema_version = property(attrgetter("current.schema_version"))
+    manifest_sha256 = property(attrgetter("current.manifest_sha256"))
+
+    def _load(self, number: int) -> _Generation:
+        """Load generation ``number`` of the shard from disk — the same
+        checksum-verified path the in-process backends load through. A
+        ``reload`` calls it under the dispatch lock."""
         from repro.engine import persist
 
         manifest = persist.read_manifest(self.root)
@@ -119,11 +145,11 @@ class ShardServer:
             raise EngineError(
                 f"artifact at {self.root} has {len(shard_meta)} shards; "
                 f"there is no shard {self.shard_id}")
-        self.runtime = persist.load_shard_runtimes(self.root,
-                                                   [self.shard_id])[0]
-        self.format_version = manifest.get("format_version")
-        self.schema_version = manifest.get("schema_version")
-        self.manifest_sha256 = shard_meta[self.shard_id]["manifest_sha256"]
+        return _Generation(
+            number,
+            persist.load_shard_runtimes(self.root, [self.shard_id])[0],
+            manifest.get("format_version"), manifest.get("schema_version"),
+            shard_meta[self.shard_id]["manifest_sha256"])
 
     @property
     def address(self) -> str:
@@ -140,6 +166,7 @@ class ShardServer:
         self.port = self._server.server_address[1]
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            kwargs={"poll_interval": _SERVE_POLL_S},
             name=f"shard-serve-{self.shard_id}", daemon=True)
         self._thread.start()
         return self
@@ -217,7 +244,7 @@ class ShardServer:
             # Held across the load: an extend arriving meanwhile must
             # land on the new runtime, not on the one being replaced.
             with self._lock:
-                self._load()
+                self.current = self._load(self.current.number + 1)
             self.metrics.inc("reloads")
             return {"op": "reload", "shard_id": self.shard_id,
                     "schema_version": self.schema_version,
@@ -342,7 +369,9 @@ class _Handler(socketserver.StreamRequestHandler):
     typed error responses; anything else is a server bug and reports
     opaquely. A malformed, overlong or truncated frame gets one typed
     error response, then the connection is closed (the stream cannot be
-    trusted past it)."""
+    trusted past it). A frame from an older generation than the
+    server's, or one a ``reload`` other than its own overtook, is not
+    answered: the connection is closed."""
 
     def setup(self) -> None:
         super().setup()
@@ -356,6 +385,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         server = self.server.shard_server
+        bound = None  # the generation this connection's hello answered under
         while True:
             try:
                 frame = protocol.read_frame(self.rfile)
@@ -369,7 +399,10 @@ class _Handler(socketserver.StreamRequestHandler):
             server.metrics.add({
                 "wire.bytes_received": frame.nbytes,
                 "wire.binary_frames_received": frame.binary})
-            request_id = frame.get("id")
+            generation = server.current.number
+            if bound not in (None, generation):
+                return  # opened before a reload: the front-end re-handshakes
+            request_id, op = frame.get("id"), frame.get("op")
             payloads = ()
             try:
                 response = server.dispatch(frame)
@@ -380,6 +413,10 @@ class _Handler(socketserver.StreamRequestHandler):
                     exc = ServerError(
                         f"internal error: {type(exc).__name__}")
                 response = protocol.error_response(request_id, exc)
+            if op != "reload" and server.current.number != generation:
+                return  # a reload overtook it: which load answered is unknown
+            if op == "hello" and response["ok"]:
+                bound = generation
             if not self._respond(response, payloads=payloads,
                                  binary=frame.binary):
                 return

@@ -1,11 +1,8 @@
 """Tests for node/edge covers (VCov/ECov and sVCov/sECov)."""
 
-import pytest
-
 from repro import AccessConstraint, AccessSchema, Pattern
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.core.covers import compute_covers, counters_are_safe, edge_cover_witnesses
-from repro.pattern import parse_pattern
 
 
 class TestSubgraphCovers:

@@ -5,7 +5,6 @@ import pytest
 from repro import AccessConstraint, AccessSchema, Pattern, ebchk, sebchk
 from repro.core.ebchk import is_effectively_bounded
 from repro.errors import PatternError
-from repro.pattern import parse_pattern
 
 
 class TestSubgraph:

@@ -1,7 +1,5 @@
 """Tests for the dataset generators: enforced bounds, determinism, scaling."""
 
-import pytest
-
 from repro import SchemaIndex
 from repro.graph.generators import (
     dbpedia_like,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import AccessConstraint, AccessSchema
-from repro.core.actualized import SIMULATION, SUBGRAPH
+from repro import AccessSchema
+from repro.core.actualized import SIMULATION
 from repro.core.instance import (
     candidate_bounds,
     eechk,

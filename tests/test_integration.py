@@ -19,7 +19,6 @@ from repro import (
     qplan,
     sebchk,
     simulate,
-    sqplan,
 )
 from repro.matching.simulation import relation_pairs
 from repro.pattern.generator import PatternGenerator

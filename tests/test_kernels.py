@@ -23,7 +23,7 @@ from repro import AccessStats, SchemaIndex, ebchk, qplan, sebchk, sqplan
 from repro.constraints.discovery import discover_schema
 from repro.core.executor import MODE_PLAN, MODE_PROBE
 from repro.core.kernels import execute_plan_vectorized
-from repro.errors import EngineError
+from repro.errors import SchemaError
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_labeled_graph
 from repro.graph.partition import build_shard_indexes, merge_shard_runtimes, \
@@ -168,23 +168,18 @@ def test_warm_started_buffers_equal_fresh(data):
     assert_byte_identical(seq, vec, seq_stats, warm_stats)
 
 
-def test_can_vectorize_requires_frozen_session():
-    """Vectorized execution refuses a schema index that is not frozen.
-    ``SchemaIndex(graph, ...)`` freezes a mutable graph, so only
-    prebuilt indexes adopted over a mutable graph reach the guard."""
+def test_prebuilt_schema_index_requires_a_frozen_graph():
+    """A schema index adopted over prebuilt indexes refuses a mutable
+    graph at construction, so every schema index the kernels are handed
+    holds a ``FrozenGraph``; the frozen twin is accepted."""
     graph = random_labeled_graph(10, 2, 20, seed=3, value_range=5)
     schema = discover_schema(graph)
     built = SchemaIndex(graph, schema)
-    mutable = SchemaIndex.from_prebuilt(
-        graph, schema, {c: built.index_for(c) for c in schema})
-    rng = random.Random(5)
-    pattern = PatternGenerator.from_graph(graph, rng=rng).generate(
-        num_nodes=2)
-    plan = _plan_for(pattern, schema, "subgraph")
-    if plan is None:
-        pytest.skip("random workload unbounded under discovered schema")
-    with pytest.raises(EngineError, match="vectorized"):
-        execute_plan_vectorized(plan, mutable)
+    indexes = {c: built.index_for(c) for c in schema}
+    with pytest.raises(SchemaError, match="FrozenGraph"):
+        SchemaIndex.from_prebuilt(graph, schema, indexes)
+    adopted = SchemaIndex.from_prebuilt(built.graph, schema, indexes)
+    assert adopted.graph is built.graph
 
 
 def test_probe_memo_preserves_accounting():

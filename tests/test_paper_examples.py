@@ -10,8 +10,6 @@ states explicitly:
 * Example 7 — the M = 150 instance-bounding of Q0.
 """
 
-import pytest
-
 from repro import (
     AccessStats,
     SchemaIndex,

@@ -17,7 +17,8 @@ Covers the acceptance criteria of the barrier-free scatter PR:
 * cross-execution cell dedup shares wire traffic without sharing
   accounting (per-execution ``AccessStats`` stay exact);
 * a healthy shard keeps answering while another shard sits in retry
-  backoff (the backoff-under-lock regression);
+  backoff (the backoff-under-lock regression), or hangs in a handshake
+  it never completes;
 * mid-flight shard death with multiple rounds outstanding raises typed
   :class:`~repro.errors.ShardUnavailable` with no partial answers, and
   the stream recovers — the next query over the same backend succeeds.
@@ -435,6 +436,58 @@ class TestFailure:
             assert isinstance(dead_result[0], ShardUnavailable)
         finally:
             engine.close()
+            for server in servers:
+                server.stop()
+
+    def test_healthy_shard_answers_while_another_never_says_hello(
+            self, artifacts, imdb_small):
+        """Shard 1 comes back as a socket that accepts but never answers
+        ``hello``. Its reconnect waits on the pump's deadlines, not in a
+        blocking call: shard 0's rounds keep completing inside the 0.8 s
+        bound, and shard 1's request fails typed once its retries are
+        spent."""
+        graph, _ = imdb_small
+        nodes = sorted(graph.nodes())[:4]
+        task = ("probe", nodes[:2], nodes[2:])
+        path = artifacts[2]
+        servers = [ShardServer(path / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        engine = connect(path, backend="remote",
+                         shard_addrs=[s.address for s in servers],
+                         retries=1, retry_backoff_s=0.05,
+                         request_timeout=1.0)
+        backend = engine.backend
+        silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            run_round(backend, [task])
+            port = servers[1].port
+            servers[1].stop()
+            silent.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            silent.bind(("127.0.0.1", port))
+            silent.listen(8)  # the kernel accepts; nothing ever replies
+
+            dead: list = []
+            start = time.monotonic()
+            backend.scatter_submit([task], [frozenset({1})],
+                                   lambda i, row: dead.append(row))
+            healthy_rounds = 0
+            while not dead and time.monotonic() - start < 10.0:
+                done = threading.Event()
+                begun = time.monotonic()
+                backend.scatter_submit([task], [frozenset({0})],
+                                       lambda i, row: done.set())
+                backend.wait(done.is_set)
+                assert time.monotonic() - begun < 0.8
+                healthy_rounds += 1
+                time.sleep(0.02)
+            assert dead and isinstance(dead[0], ShardUnavailable)
+            assert dead[0].attempts == 2
+            # The handshake was waited on for request_timeout, not less.
+            assert time.monotonic() - start >= 1.0
+            assert healthy_rounds > 10
+        finally:
+            engine.close()
+            silent.close()
             for server in servers:
                 server.stop()
 

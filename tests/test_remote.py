@@ -11,8 +11,9 @@ Covers the tentpole acceptance criteria of the distributed-serving PR:
   partial answer), and retry-then-succeed against a flaky-once shard;
 * :class:`~repro.errors.ShardUnavailable` surfacing through the query
   server as the same typed error;
-* an ``extend`` racing a shard ``reload`` is kept, and a fleet session
-  runs no thread while healthy and gives back every thread and fd;
+* an ``extend`` racing a shard ``reload`` is kept, an idle shard
+  server stops at once, and a fleet session runs no thread of its own,
+  even through a shard restart, and gives back every thread and fd;
 * the ``repro.connect`` entry point and its ``SessionConfig`` surface.
 """
 
@@ -444,9 +445,19 @@ def test_extend_during_reload_lands_on_the_new_runtime(artifacts,
     assert server.runtime.schema_index.has_index(added)
 
 
-def _shard_threads() -> list[str]:
+def test_an_idle_shard_server_stops_at_once(artifacts):
+    """``stop()`` does not wait out a long accept-loop poll."""
+    server = ShardServer(artifacts[2] / "shard-0000").start()
+    start = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - start < 0.1
+
+
+def _session_threads() -> list[str]:
+    """Threads other than the in-process shard servers' own."""
     return [t.name for t in threading.enumerate()
-            if t.name.startswith("repro-shard-")]
+            if not t.name.startswith("shard-serve-")
+            and "process_request_thread" not in t.name]
 
 
 def _usage() -> tuple[int, int]:
@@ -469,9 +480,9 @@ class TestBoundedResources:
                         reason="counts open fds through /proc")
     def test_threads_and_fds_return_after_restart_and_close(
             self, artifacts, workload):
-        """A healthy session runs no thread of its own, a shard restart
-        costs one short-lived recovery thread, and ``close()`` gives
-        back every thread and fd the session took."""
+        """A fleet session runs no thread of its own — not while
+        healthy, and not through a shard stop, restart and reconnect —
+        and ``close()`` gives back every thread and fd it took."""
         sub, sim = workload
         queries = [(q, SUBGRAPH) for q in sub] + [(q, SIMULATION) for q in sim]
         path = artifacts[2]
@@ -479,6 +490,7 @@ class TestBoundedResources:
                    for i in range(2)]
         try:
             threads, fds = _usage()
+            own = _session_threads()
             engine = connect(path, backend="remote",
                              shard_addrs=[s.address for s in servers],
                              retry_backoff_s=0.01)
@@ -487,15 +499,15 @@ class TestBoundedResources:
                 for i in range(count):
                     query, semantics = queries[i % len(queries)]
                     engine.query(query, semantics, refresh=True)
+                    assert _session_threads() == own
 
             run(50)
-            assert _shard_threads() == []
             port = servers[1].port
             servers[1].stop()
+            assert _session_threads() == own
             servers[1] = ShardServer(path / "shard-0001", port=port).start()
             run(50)
             assert engine.backend.reconnects >= 1
-            assert _settles(lambda: _shard_threads() == [])
             engine.close()
             assert _settles(lambda: _usage()[0] <= threads), _usage()
             assert _settles(lambda: _usage()[1] <= fds), _usage()

@@ -19,6 +19,10 @@
   the inline backend's, the memo keeps within its byte budget, a
   ``reload`` drops it, an ``extend`` leaves it valid, and concurrent
   connections share it.
+* One compile per answer: after shards of a fleet reload a re-compiled
+  artifact — one shard, both, or one mid-batch — a front-end still
+  holding the old compile gets the old compile's answers or a typed
+  ``Shard*`` error, never a mix; reopened, it gets the new compile's.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import shutil
 import socket
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -42,7 +47,9 @@ from repro.core.executor import MODE_PLAN, MODE_PROBE, execute_plans_scatter
 from repro.core.kernels import GraphKernel, graph_kernel
 from repro.engine import parallel
 from repro.engine.persist import load_shard_runtimes
+from repro.errors import ShardError, ShardHandshakeMismatch
 from repro.graph.generators import imdb_like
+from repro.matching.bounded import canonical_answer
 from repro.pattern import parse_pattern
 from repro.server import protocol
 from repro.server.shardserver import ShardServer, _entry_bytes
@@ -454,3 +461,113 @@ class TestAnswerMemo:
         assert entries <= 16 and memo_bytes <= 16 * 160 and largest <= 160
         assert server.metrics["tasks_memoized"] > 0
         assert server.metrics["tasks_handled"] == (cores + 2) * 30 * 3
+
+
+# ---------------------------------------------------- one compile per answer
+def answers_of(engine, batch) -> list:
+    """Each pair's answer, executed afresh, or the typed ``Shard*``
+    error its query raised."""
+    out = []
+    for query, semantics in batch:
+        try:
+            out.append(canonical_answer(semantics, engine.query(
+                query, semantics, refresh=True).answer))
+        except ShardError as exc:
+            out.append(exc)
+    return out
+
+
+def recompile(path, batch) -> list:
+    """Re-compile ``path`` in place from another graph over the same
+    schema; returns the new compile's answers."""
+    with connect(imdb_like(scale=0.02, seed=8)) as engine:
+        engine.save(path, shards=2)
+    with connect(path, backend="inline") as inline:
+        return answers_of(inline, batch)
+
+
+def old_or_typed(got, old) -> bool:
+    return all(isinstance(answer, ShardError) or answer == expected
+               for answer, expected in zip(got, old))
+
+
+class TestOneCompilePerAnswer:
+    @pytest.fixture
+    def copy(self, artifacts, bounded, tmp_path):
+        """A private copy of the 2-shard artifact and its answers."""
+        path = tmp_path / "artifact"
+        shutil.copytree(artifacts[2], path)
+        with connect(path, backend="inline") as inline:
+            return path, answers_of(inline, bounded)
+
+    @pytest.mark.parametrize("reloaded", [(0,), (0, 1)])
+    def test_reloaded_shards_never_mix_compiles(self, copy, bounded,
+                                                reloaded):
+        path, old = copy
+        servers = [ShardServer(path / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        addrs = [server.address for server in servers]
+        try:
+            with connect(path, backend="remote", shard_addrs=addrs,
+                         retry_backoff_s=0.01) as front:
+                assert answers_of(front, bounded) == old
+                new = recompile(path, bounded)
+                assert new != old
+                for shard in reloaded:
+                    servers[shard].dispatch({"op": "reload"})
+                got = answers_of(front, bounded)
+                assert old_or_typed(got, old), got
+                assert any(isinstance(answer, ShardHandshakeMismatch)
+                           for answer in got)
+                # It stays typed until the front-end reloads too.
+                assert old_or_typed(answers_of(front, bounded), old)
+            for shard in sorted({0, 1} - set(reloaded)):
+                servers[shard].dispatch({"op": "reload"})
+            with connect(path, backend="remote",
+                         shard_addrs=addrs) as front:
+                assert answers_of(front, bounded) == new
+        finally:
+            for server in servers:
+                server.stop()
+
+    def test_a_reload_landing_mid_batch(self, copy, bounded):
+        """Shard 0 sleeps 40 ms per round and reloads once it has
+        answered the batch's first: the rounds already answered came
+        from the old compile, and every later one is refused."""
+        path, old = copy
+        servers = [ShardServer(path / "shard-0000", delay_ms=40.0).start(),
+                   ShardServer(path / "shard-0001").start()]
+        addrs = [server.address for server in servers]
+
+        def reload_after_the_first_round():
+            deadline = time.monotonic() + 30.0
+            while servers[0].metrics["scatter_rounds"] < 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.002)
+            servers[0].dispatch({"op": "reload"})
+
+        try:
+            with connect(path, backend="remote", shard_addrs=addrs,
+                         retry_backoff_s=0.01) as front:
+                new = recompile(path, bounded)
+                reloader = threading.Thread(
+                    target=reload_after_the_first_round, daemon=True)
+                reloader.start()
+                try:
+                    runs = front.query_batch(bounded)
+                except ShardError:
+                    pass  # typed: the reload landed mid-batch
+                else:
+                    assert [canonical_answer(semantics, run.answer)
+                            for (_, semantics), run
+                            in zip(bounded, runs)] == old
+                reloader.join(30.0)
+                assert servers[0].metrics["reloads"] == 1
+                assert old_or_typed(answers_of(front, bounded), old)
+            servers[1].dispatch({"op": "reload"})
+            with connect(path, backend="remote",
+                         shard_addrs=addrs) as front:
+                assert answers_of(front, bounded) == new
+        finally:
+            for server in servers:
+                server.stop()
