@@ -50,6 +50,7 @@ deadlines, so one shard mid-backoff never stalls another's traffic.
 from __future__ import annotations
 
 import abc
+import contextlib
 import errno
 import os
 import select
@@ -452,18 +453,17 @@ class _ShardConn:
     (:meth:`RemoteShardBackend.wait`) reads replies into ``buf``, pops
     completions as frames split off it, and advances the recovery:
     ``state``, the next ``deadline``, the attempt's ``connect_by``, the
-    handshake request ``awaiting`` its reply as ``(id, handler)``,
-    ``error`` (what last failed the requests) and ``fail_streak``
-    (faults with no reply frame read since, so the retry budget spans
-    reconnects that only fail again). The wire counters describe the
-    shard's slot, not one socket, and persist across reconnects.
+    handshake request ``awaiting`` its reply as ``(id, handler)`` and
+    ``fail_streak`` (faults with no reply frame read since, so the retry
+    budget spans reconnects that only fail again). The wire counters
+    describe the shard's slot, not one socket, and persist across
+    reconnects.
     """
 
     __slots__ = ("addr", "host", "port", "sock", "buf", "shard_id",
-                 "owned_labels", "next_id", "bytes_sent", "bytes_received",
-                 "encode_s", "lock", "pending", "state", "deadline",
-                 "connect_by", "awaiting", "error", "quiet_since",
-                 "fail_streak", "inflight_peak")
+                 "next_id", "bytes_sent", "bytes_received", "encode_s",
+                 "lock", "pending", "state", "deadline", "connect_by",
+                 "awaiting", "quiet_since", "fail_streak", "inflight_peak")
 
     def __init__(self, addr: str):
         self.addr = addr
@@ -471,7 +471,6 @@ class _ShardConn:
         self.sock = None
         self.buf = bytearray()
         self.shard_id: int | None = None
-        self.owned_labels: list[str] = []
         self.next_id = 0
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -481,7 +480,6 @@ class _ShardConn:
         self.state = _DOWN
         self.deadline = self.connect_by = 0.0
         self.awaiting = None
-        self.error: Exception | None = None
         #: Last byte read, or first request sent after an idle spell.
         self.quiet_since = 0.0
         self.fail_streak = 0
@@ -492,10 +490,8 @@ class _ShardConn:
         sock, self.sock = self.sock, None
         self.state, self.awaiting = _DOWN, None
         if sock is not None:
-            try:
+            with contextlib.suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             sock.close()
 
 
@@ -570,14 +566,18 @@ class RemoteShardBackend(ShardBackend):
         self.reconnects = 0
         #: Every connection the pump serves; in shard order once open.
         self._fleet = [_ShardConn(addr) for addr in shard_addrs]
+        #: While the fleet opens: each connection's owned labels once it
+        #: handshook, or what failed it; None once open.
+        self._opening: dict | None = {}
         try:  # the whole fleet handshakes at once, through the pump
             for conn in self._fleet:
                 self._attempt(conn, time.monotonic())
-            self.wait(lambda: all(conn.state is _UP or conn.error
-                                  for conn in self._fleet))
+            opened = self._opening
+            self.wait(lambda: len(opened) == len(self._fleet))
+            self._opening = None
             for conn in self._fleet:
-                if conn.error is not None:
-                    raise conn.error
+                if isinstance(opened[conn], Exception):
+                    raise opened[conn]
             by_shard = {conn.shard_id: conn for conn in self._fleet}
             if len(by_shard) < len(self._fleet):
                 raise ShardHandshakeMismatch(
@@ -588,8 +588,7 @@ class RemoteShardBackend(ShardBackend):
             if len(shard_meta) > 1:
                 self.router = OwnerRouter(
                     persist.load_partition_owners(artifact_path),
-                    {conn.shard_id: conn.owned_labels
-                     for conn in self._fleet})
+                    {conn.shard_id: opened[conn] for conn in self._fleet})
         except BaseException:
             for conn in self._fleet:
                 conn.close()
@@ -620,7 +619,10 @@ class RemoteShardBackend(ShardBackend):
                     conn.sock.sendall(data)
                     conn.bytes_sent += len(data)
                 except OSError:
-                    pass  # the pump finds the socket broken, or silent
+                    # Part of the frame may be out: end the stream, so
+                    # the pump faults it and retransmits on a new one.
+                    with contextlib.suppress(OSError):
+                        conn.sock.shutdown(socket.SHUT_RDWR)
         return rid
 
     def wait(self, done) -> None:
@@ -820,7 +822,9 @@ class RemoteShardBackend(ShardBackend):
                 f"re-deploy the fleet from this artifact", addr=conn.addr,
                 found=hello.get("manifest_sha256"), expected=expected_sha)
         conn.shard_id = shard_id
-        conn.owned_labels = list(map(str, hello.get("owned_labels", ())))
+        if self._opening is not None:
+            self._opening[conn] = list(map(str, hello.get("owned_labels",
+                                                          ())))
         if self._applied_extensions:
             # A restarted server warm-started from the artifact, which
             # predates any online extension — replay them (idempotent
@@ -836,7 +840,7 @@ class RemoteShardBackend(ShardBackend):
         with conn.lock:
             if conn.sock is not sock:
                 return
-            conn.state, conn.error = _UP, None
+            conn.state = _UP
             conn.quiet_since = time.monotonic()
             data = b"".join(conn.pending[rid].data
                             for rid in sorted(conn.pending))
@@ -934,8 +938,9 @@ class RemoteShardBackend(ShardBackend):
             entries = [conn.pending[rid] for rid in sorted(conn.pending)]
             conn.pending.clear()
             conn.fail_streak = 0
-            conn.error = exc
             conn.close()
+        if self._opening is not None:
+            self._opening[conn] = exc
         for entry in entries:
             self._complete(entry, exc)
 
@@ -1013,10 +1018,9 @@ class RemoteShardBackend(ShardBackend):
                                 if shard_id in routed)
             if indices:
                 sent_indices[shard_id] = indices
-        remaining = [0] * len(tasks)
-        for indices in sent_indices.values():
-            for i in indices:
-                remaining[i] += 1
+        # How many shards each task still waits on.
+        remaining = [self.num_shards] * len(tasks) if shard_sets is None \
+            else [len(routed) for routed in shard_sets]
         rows: list[list] = [[None] * self.num_shards for _ in tasks]
         state_lock = threading.Lock()
 
@@ -1088,13 +1092,7 @@ class RemoteShardBackend(ShardBackend):
         replies = self._request_round({"op": "extend", "constraints": docs})
         self._applied_extensions.extend(docs)
         self._grow_positions(constraints)
-        out = []
-        for shard_id, reply in zip(self._shard_ids, replies):
-            result = reply.get("result") or {}
-            out.append({"shard_id": int(result.get("shard_id", shard_id)),
-                        "built": int(result.get("built", 0)),
-                        "cells": int(result.get("cells", 0))})
-        return out
+        return [reply["result"] for reply in replies]
 
     # -- fleet management -----------------------------------------------------
     def shard_metrics(self) -> list[dict]:

@@ -31,8 +31,8 @@ with the runtime.
 
 A connection is bound to the :class:`_Generation` its ``hello``
 answered under and closed, unanswered, at its first frame after a
-``reload``: its front-end re-handshakes, so it never gets answers from
-two compiles.
+``reload`` (bar another ``reload``, which carries no answer): its
+front-end re-handshakes, so it never gets answers from two compiles.
 """
 
 from __future__ import annotations
@@ -369,9 +369,9 @@ class _Handler(socketserver.StreamRequestHandler):
     typed error responses; anything else is a server bug and reports
     opaquely. A malformed, overlong or truncated frame gets one typed
     error response, then the connection is closed (the stream cannot be
-    trusted past it). A frame from an older generation than the
-    server's, or one a ``reload`` other than its own overtook, is not
-    answered: the connection is closed."""
+    trusted past it). A frame other than ``reload`` from an older
+    generation than the server's, or one a ``reload`` other than its own
+    overtook, is not answered: the connection is closed."""
 
     def setup(self) -> None:
         super().setup()
@@ -400,9 +400,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 "wire.bytes_received": frame.nbytes,
                 "wire.binary_frames_received": frame.binary})
             generation = server.current.number
-            if bound not in (None, generation):
-                return  # opened before a reload: the front-end re-handshakes
             request_id, op = frame.get("id"), frame.get("op")
+            if op != "reload" and bound not in (None, generation):
+                return  # opened before a reload: the front-end re-handshakes
             payloads = ()
             try:
                 response = server.dispatch(frame)

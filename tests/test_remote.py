@@ -220,6 +220,24 @@ class FlakyOnceShardServer(ShardServer):
         return super().dispatch(doc)
 
 
+class CutOnceSocket:
+    """A front-end socket whose first ``sendall`` sends half its frame
+    and then times out, leaving a cut frame on the stream."""
+
+    def __init__(self, sock):
+        self._sock, self.cut = sock, False
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def sendall(self, data):
+        if self.cut:
+            return self._sock.sendall(data)
+        self.cut = True
+        self._sock.sendall(data[:len(data) // 2])
+        raise TimeoutError("timed out")
+
+
 # ------------------------------------------------------------ identity tests
 class TestRemoteIdentity:
     @given(shards=st.sampled_from(SHARD_COUNTS),
@@ -386,6 +404,33 @@ class TestWireFailures:
         finally:
             for server in servers:
                 server.stop()
+
+    def test_a_cut_send_is_retransmitted_on_a_new_connection(
+            self, artifacts, workload):
+        """Nothing may follow a cut frame on its stream: the failed send
+        ends the connection at once, and the pump retransmits on a new
+        one — well before ``request_timeout``."""
+        sub, _ = workload
+        path = artifacts[1]
+        server = ShardServer(path / "shard-0000").start()
+        try:
+            with connect(path, backend="inline") as inline:
+                expected = [fingerprint(inline, q, SUBGRAPH) for q in sub]
+            with connect(path, backend="remote",
+                         shard_addrs=[server.address], retries=1,
+                         retry_backoff_s=0.01,
+                         request_timeout=10.0) as engine:
+                conn = engine.backend._fleet[0]
+                conn.sock = cut = CutOnceSocket(conn.sock)
+                start = time.monotonic()
+                got = [fingerprint(engine, q, SUBGRAPH, refresh=True)
+                       for q in sub]
+                assert time.monotonic() - start < 5.0
+                assert cut.cut and conn.sock is not cut
+                assert got == expected
+                assert engine.backend.reconnects == 1
+        finally:
+            server.stop()
 
     def test_shard_unavailable_surfaces_through_query_server(
             self, artifacts, workload):

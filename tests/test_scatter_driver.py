@@ -530,6 +530,32 @@ class TestOneCompilePerAnswer:
             for server in servers:
                 server.stop()
 
+    def test_a_service_reloads_after_one_shard_reloaded_alone(
+            self, copy, bounded):
+        """A shard reloaded behind the front-end's back still takes the
+        front-end's own ``reload``, so the service's hot reload reaches
+        the new compile."""
+        from repro.server import QueryService
+
+        path, old = copy
+        servers = [ShardServer(path / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        try:
+            service = QueryService(connect(
+                path, backend="remote", retry_backoff_s=0.01,
+                shard_addrs=[server.address for server in servers]))
+            try:
+                assert answers_of(service.engine, bounded) == old
+                new = recompile(path, bounded)
+                servers[0].dispatch({"op": "reload"})
+                service.reload_artifact(path)
+                assert answers_of(service.engine, bounded) == new
+            finally:
+                service.close()
+        finally:
+            for server in servers:
+                server.stop()
+
     def test_a_reload_landing_mid_batch(self, copy, bounded):
         """Shard 0 sleeps 40 ms per round and reloads once it has
         answered the batch's first: the rounds already answered came
