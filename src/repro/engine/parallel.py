@@ -30,9 +30,10 @@ Two implementations live here:
   over the wire protocol of :mod:`repro.server.protocol` (scatter
   rounds as packed binary frames, control ops as JSON lines). The
   front-end holds no graph at all; it multiplexes one
-  wave's tasks per connection round, with connect/read timeouts,
-  bounded retry with backoff on transient faults, and typed
-  :class:`~repro.errors.ShardUnavailable` errors once retries exhaust.
+  wave's tasks per connection round, reconnects through transient
+  faults for one ``connect_timeout`` window per connection, and fails
+  typed (:class:`~repro.errors.ShardUnavailable`) once the window ran
+  out.
 
 Thread safety: the inline backend takes no lock — frozen reads need
 none. The remote backend is pipelined and runs no thread of its own.
@@ -42,9 +43,9 @@ thread, and several rounds may overlap on the same connections.
 (one pumps at a time; other waiters sleep until a pass ends): one
 ``poll`` over the fleet, frames split off per-connection buffers, and
 per-task completions fired the moment a task's own shards have
-answered. The same pump recovers a faulted connection — backoff,
-non-blocking reconnect, handshake, replay, retransmit — as state with
-deadlines, so one shard mid-backoff never stalls another's traffic.
+answered. The same pump recovers a faulted connection — non-blocking
+reconnect, handshake, replay, retransmit — as state with deadlines, so
+one shard between attempts never stalls another's traffic.
 """
 
 from __future__ import annotations
@@ -439,8 +440,8 @@ class _PendingRequest(NamedTuple):
 
 
 #: A shard connection's states: no socket, the next attempt due at its
-#: ``deadline`` once a request waits; an attempt's TCP connect tries,
-#: then its handshake; the handshake validated, requests sent at once.
+#: ``deadline`` once a request waits; an attempt's TCP connect, then its
+#: handshake; the handshake validated, requests sent at once.
 _DOWN, _CONNECTING, _UP = "down", "connecting", "up"
 
 
@@ -452,18 +453,17 @@ class _ShardConn:
     send under ``lock``; whichever thread pumps
     (:meth:`RemoteShardBackend.wait`) reads replies into ``buf``, pops
     completions as frames split off it, and advances the recovery:
-    ``state``, the next ``deadline``, the attempt's ``connect_by``, the
-    handshake request ``awaiting`` its reply as ``(id, handler)`` and
-    ``fail_streak`` (faults with no reply frame read since, so the retry
-    budget spans reconnects that only fail again). The wire counters
-    describe the shard's slot, not one socket, and persist across
-    reconnects.
+    ``state``, the next attempt's ``deadline``, the handshake request
+    ``awaiting`` its reply as ``(id, handler)``, and the reconnect
+    window — ``down_since`` (None while no window is open) and the
+    ``attempts`` made in it. The wire counters describe the shard's
+    slot, not one socket, and persist across reconnects.
     """
 
     __slots__ = ("addr", "host", "port", "sock", "buf", "shard_id",
                  "next_id", "bytes_sent", "bytes_received", "encode_s",
-                 "lock", "pending", "state", "deadline", "connect_by",
-                 "awaiting", "quiet_since", "fail_streak", "inflight_peak")
+                 "lock", "pending", "state", "deadline", "awaiting",
+                 "quiet_since", "down_since", "attempts", "inflight_peak")
 
     def __init__(self, addr: str):
         self.addr = addr
@@ -478,11 +478,13 @@ class _ShardConn:
         self.lock = threading.Lock()
         self.pending: dict[int, _PendingRequest] = {}
         self.state = _DOWN
-        self.deadline = self.connect_by = 0.0
+        self.deadline = 0.0
         self.awaiting = None
-        #: Last byte read, or first request sent after an idle spell.
+        #: Last byte read, or first request (or connect) sent after an
+        #: idle spell.
         self.quiet_since = 0.0
-        self.fail_streak = 0
+        self.down_since: float | None = None
+        self.attempts = 0
         self.inflight_peak = 0
 
     def close(self) -> None:
@@ -512,19 +514,23 @@ class RemoteShardBackend(ShardBackend):
     Addresses may list the shards in any order — each server reports
     which shard it holds, and the set must cover the partition exactly.
 
-    Failure semantics: transient faults (connect refused/reset, read
-    timeout, peer death mid-round) are retried per shard up to
-    ``retries`` times with exponential backoff, re-handshaking on every
-    reconnect and replaying any online schema extensions before the
-    round resumes — a shard restarted from the artifact mid-run answers
-    identically. Exhausted retries raise
-    :class:`~repro.errors.ShardUnavailable`; wire garbage and handshake
-    disagreements raise their own typed errors immediately (they are
+    Failure semantics: a request that finds its connection faulted or
+    down opens a reconnect window of ``connect_timeout`` seconds on it
+    (the fleet open is such a request). In the window, every transient
+    fault — a refused connect, a reset, EOF, a failed send, silence past
+    ``request_timeout`` — is followed ``CONNECT_RETRY_S`` later by the
+    next attempt: connect, re-handshake, replay the online schema
+    extensions, retransmit — a shard restarted from the artifact mid-run
+    answers identically. A fault past the window fails every waiting
+    request with :class:`~repro.errors.ShardUnavailable`. Only a reply
+    closes the window, so a request arriving after it ran out gets one
+    attempt, not a window of its own. Wire garbage and handshake
+    disagreements raise their own typed errors at once (they are
     deployment bugs, not weather). A shard server closes a connection
     opened before its last ``reload``, so the re-handshake also decides
     whether a reloaded shard still serves this front-end's compile.
 
-    The timeouts and retry budget come from ``config`` (the session's
+    The two timeouts come from ``config`` (the session's
     :class:`~repro.session.SessionConfig`).
     """
 
@@ -552,8 +558,6 @@ class RemoteShardBackend(ShardBackend):
         self.shard_addrs = list(shard_addrs)
         self.connect_timeout = config.connect_timeout
         self.request_timeout = config.request_timeout
-        self.retries = config.retries
-        self.retry_backoff_s = config.retry_backoff_s
         self._closed = threading.Event()
         #: Leader/follower hand-off of :meth:`wait`: ``_pumping`` is true
         #: while one thread pumps; the others wait on the condition,
@@ -570,8 +574,6 @@ class RemoteShardBackend(ShardBackend):
         #: handshook, or what failed it; None once open.
         self._opening: dict | None = {}
         try:  # the whole fleet handshakes at once, through the pump
-            for conn in self._fleet:
-                self._attempt(conn, time.monotonic())
             opened = self._opening
             self.wait(lambda: len(opened) == len(self._fleet))
             self._opening = None
@@ -687,79 +689,60 @@ class RemoteShardBackend(ShardBackend):
             self._deliver(conn, sock)
 
     # -- recovery, advanced by the pump ---------------------------------------
+    def _waited_on(self, conn: _ShardConn) -> bool:
+        """Whether a request, or the fleet open, waits on ``conn``."""
+        return bool(conn.pending) or (self._opening is not None
+                                      and conn not in self._opening)
+
     def _advance(self, conn: _ShardConn, now: float):
         """Do what is due on ``conn``; return its next deadline, or None
         while it waits on nothing (or the backend is closing). A request
-        finding the connection down counts as a fault, as a failed send
-        would."""
+        finding the connection down opens its window, if none is."""
         while not self._closed.is_set():
-            if conn.state is _UP or conn.awaiting is not None:
-                if not conn.pending and conn.awaiting is None:
+            if conn.state is _DOWN:
+                if not self._waited_on(conn):
                     return None
+                if conn.down_since is None:
+                    conn.down_since, conn.attempts = now, 0
+                if now < conn.deadline:
+                    return conn.deadline
+                self._attempt(conn, now)
+            elif conn.state is _CONNECTING or conn.pending:
                 if now < conn.quiet_since + self.request_timeout:
                     return conn.quiet_since + self.request_timeout
                 self._fault(conn, conn.sock, TimeoutError(
                     f"no reply from shard server {conn.addr} in "
                     f"{self.request_timeout} s"))
-            elif conn.state is _DOWN and not conn.pending:
-                return None
-            elif conn.state is _DOWN and not conn.fail_streak:
-                self._fault(conn, None, ShardUnavailable(
-                    f"connection to shard server {conn.addr} is down",
-                    addr=conn.addr, shard_id=conn.shard_id))
-            elif now < conn.deadline:
-                return conn.deadline
-            elif conn.state is _DOWN:
-                self._attempt(conn, now)
-            elif conn.sock is None:
-                self._try_connect(conn, now)
             else:
-                self._connect_failed(conn, TimeoutError(
-                    f"connect to {conn.addr} timed out"), now)
+                return None
         return None
 
     def _attempt(self, conn: _ShardConn, now: float) -> None:
-        """Start an attempt (a reconnect, on the backend and its waiting
-        requests' spans, if the connection handshook before)."""
+        """Start an attempt — a non-blocking TCP connect, completed on
+        ``POLLOUT`` — counted as a reconnect on the backend and on its
+        waiting requests' spans if the connection handshook before."""
+        conn.attempts += 1
         if conn.shard_id is not None:
             self.reconnects += 1
             with conn.lock:
                 spans = [entry.span for entry in conn.pending.values()
                          if entry.span is not None]
             for span in spans:
-                span.set(retries=conn.fail_streak,
+                span.set(attempts=conn.attempts,
                          reconnects=span.attrs.get("reconnects", 0) + 1)
-        conn.state = _CONNECTING
-        conn.connect_by = now + self.connect_timeout
-        self._try_connect(conn, now)
-
-    def _try_connect(self, conn: _ShardConn, now: float) -> None:
-        """One non-blocking TCP connect try, completed on ``POLLOUT``."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setblocking(False)
+        with conn.lock:
+            if self._closed.is_set():
+                sock.close()
+                return
+            conn.sock, conn.state, conn.quiet_since = sock, _CONNECTING, now
         try:
             error = sock.connect_ex((conn.host, conn.port))
             if error not in (0, errno.EINPROGRESS):
                 raise OSError(error, os.strerror(error))
         except OSError as exc:
-            sock.close()
-            self._connect_failed(conn, exc, now)
-            return
-        with conn.lock:
-            if self._closed.is_set():
-                sock.close()
-            else:
-                conn.sock, conn.deadline = sock, now + self.request_timeout
-
-    def _connect_failed(self, conn: _ShardConn, error, now: float) -> None:
-        """A connect try failed: try again ``CONNECT_RETRY_S`` later (a
-        restarted shard may still be loading) until ``connect_by``."""
-        if now >= conn.connect_by:
-            self._fault(conn, conn.sock, error)
-            return
-        if conn.sock is not None:
-            conn.sock.close()
-        conn.sock, conn.deadline = None, now + _wire().CONNECT_RETRY_S
+            self._fault(conn, sock, exc)
 
     def _connected(self, conn: _ShardConn, sock) -> None:
         """``POLLOUT``: the TCP connect is done; ``hello`` goes out."""
@@ -772,7 +755,7 @@ class RemoteShardBackend(ShardBackend):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.request_timeout)
         except OSError as exc:
-            self._connect_failed(conn, exc, time.monotonic())
+            self._fault(conn, sock, exc)
             return
         conn.buf = bytearray()
         self._control(conn, sock, {
@@ -822,9 +805,10 @@ class RemoteShardBackend(ShardBackend):
                 f"re-deploy the fleet from this artifact", addr=conn.addr,
                 found=hello.get("manifest_sha256"), expected=expected_sha)
         conn.shard_id = shard_id
-        if self._opening is not None:
+        if self._opening is not None:  # the open's reply closes its window
             self._opening[conn] = list(map(str, hello.get("owned_labels",
                                                           ())))
+            conn.down_since = None
         if self._applied_extensions:
             # A restarted server warm-started from the artifact, which
             # predates any online extension — replay them (idempotent
@@ -892,7 +876,7 @@ class RemoteShardBackend(ShardBackend):
                 if conn.sock is not sock:
                     return  # faulted meanwhile; the retransmit follows
                 entry = conn.pending.pop(rid, None)
-                conn.fail_streak = 0
+                conn.down_since = None
             if entry is None:
                 self._fail_pending(conn, ShardProtocolError(
                     f"shard {conn.addr}: response id {rid!r} matches "
@@ -908,36 +892,38 @@ class RemoteShardBackend(ShardBackend):
                 self._complete(entry, exc)
 
     def _fault(self, conn: _ShardConn, sock, error: Exception) -> None:
-        """A transient fault on ``conn``'s socket ``sock``: drop it and
-        back off ``retry_backoff_s * 2 ** (attempt - 1)`` before the
-        next attempt, or fail the waiting requests once ``retries + 1``
-        attempts are spent — or the first, on a connection that never
-        handshook: a fleet that cannot be reached fails the open."""
+        """A transient fault on ``conn``'s socket ``sock``: drop it. The
+        next attempt is due ``CONNECT_RETRY_S`` later. If requests wait,
+        the fault opens the window unless one is open; past the window
+        it fails them. An idle connection is only closed."""
         with conn.lock:
             if conn.sock is not sock or self._closed.is_set():
                 return
             conn.close()
-            conn.fail_streak += 1
-            attempt = conn.fail_streak
-            conn.deadline = time.monotonic() \
-                + self.retry_backoff_s * 2 ** (attempt - 1)
-        if conn.shard_id is None or attempt > self.retries:
-            self._fail_pending(conn, ShardUnavailable(
-                f"shard server {conn.addr} (shard {conn.shard_id}) is "
-                f"unavailable after {attempt} attempts: {error}",
-                addr=conn.addr, shard_id=conn.shard_id, attempts=attempt))
+            now = time.monotonic()
+            conn.deadline = now + _wire().CONNECT_RETRY_S
+            if not self._waited_on(conn):
+                return
+            if conn.down_since is None:  # the send on a live connection
+                conn.down_since, conn.attempts = now, 1
+            if now < conn.down_since + self.connect_timeout:
+                return
+        self._fail_pending(conn, ShardUnavailable(
+            f"shard server {conn.addr} (shard {conn.shard_id}) is "
+            f"unavailable after {conn.attempts} attempts in "
+            f"{now - conn.down_since:.1f} s: {error}",
+            addr=conn.addr, shard_id=conn.shard_id, attempts=conn.attempts))
 
     def _fail_pending(self, conn: _ShardConn, exc: Exception,
                       sock=None) -> None:
         """Fail every in-flight request on ``conn`` with ``exc`` (in
-        request order), disconnect it and reset the retry budget for the
-        next round. Given ``sock``, only while it is still ``conn``'s."""
+        request order) and disconnect it; its window stays as it was.
+        Given ``sock``, only while it is still ``conn``'s."""
         with conn.lock:
             if sock is not None and conn.sock is not sock:
                 return
             entries = [conn.pending[rid] for rid in sorted(conn.pending)]
             conn.pending.clear()
-            conn.fail_streak = 0
             conn.close()
         if self._opening is not None:
             self._opening[conn] = exc

@@ -247,9 +247,9 @@ class ShardError(ServerError):
 class ShardUnavailable(ShardError):
     """Raised when a remote shard server cannot be reached — connect or
     read timeout, connection refused, or the peer dying mid-round — and
-    the backend's bounded retries are exhausted. Surfaced through the
-    query server as a typed error so clients can distinguish "the fleet
-    is degraded" from "your query is bad".
+    the connection's reconnect window (``connect_timeout``) has run
+    out. Surfaced through the query server as a typed error so clients
+    can distinguish "the fleet is degraded" from "your query is bad".
 
     Attributes
     ----------
@@ -258,7 +258,7 @@ class ShardUnavailable(ShardError):
     shard_id:
         The shard the address was serving, when known.
     attempts:
-        How many connection/request attempts were made before giving up.
+        How many attempts the connection made in its reconnect window.
     """
 
     def __init__(self, message, addr=None, shard_id=None, attempts=None):

@@ -49,9 +49,11 @@ class SessionConfig:
     scatter over local shards only adds coordination.
 
     Remote fleet: ``shard_addrs`` (one ``host:port`` per shard, any
-    order), the two timeouts and bounded retry (``retries``/
-    ``retry_backoff_s``). A multi-shard backend always routes each task
-    to the shards that own what it can report.
+    order) and the two timeouts: ``request_timeout`` bounds the silence
+    on a connection that owes a reply, and ``connect_timeout`` is how
+    long a connection keeps reconnecting once a request found it down.
+    A multi-shard backend always routes each task to the shards that
+    own what it can report.
     """
 
     validate: bool = False
@@ -64,8 +66,6 @@ class SessionConfig:
     shard_addrs: Sequence[str] = ()
     connect_timeout: float = 5.0
     request_timeout: float = 30.0
-    retries: int = 2
-    retry_backoff_s: float = 0.1
 
     def replace(self, **overrides) -> "SessionConfig":
         """A copy with ``overrides`` applied; unknown names raise

@@ -394,9 +394,9 @@ class KillSwitchShardServer(ShardServer):
 class TestFailure:
     def test_healthy_shard_answers_during_backoff(self, artifacts,
                                                   imdb_small):
-        """The backoff-under-lock regression: shard 1 is down and mid
-        retry-backoff; shard 0 must still answer well inside shard 1's
-        backoff window."""
+        """The backoff-under-lock regression: shard 1 is down and inside
+        its reconnect window; shard 0 must still answer well inside
+        it."""
         graph, _ = imdb_small
         nodes = sorted(graph.nodes())[:4]
         task = ("probe", nodes[:2], nodes[2:])
@@ -405,7 +405,7 @@ class TestFailure:
                    for i in range(2)]
         engine = connect(path, backend="remote",
                          shard_addrs=[s.address for s in servers],
-                         retries=1, retry_backoff_s=1.0)
+                         connect_timeout=1.0)
         backend = engine.backend
         try:
             # Warm both connections, then kill shard 1 for good.
@@ -429,7 +429,7 @@ class TestFailure:
                                    on_task)
             backend.wait(healthy_done.is_set)
             healthy_elapsed = time.monotonic() - start
-            # Shard 1's first backoff alone is 1s; the healthy answer
+            # Shard 1 keeps reconnecting for 1 s; the healthy answer
             # must not be serialized behind it.
             assert healthy_elapsed < 0.8
             backend.wait(dead_done.is_set)
@@ -444,8 +444,8 @@ class TestFailure:
         """Shard 1 comes back as a socket that accepts but never answers
         ``hello``. Its reconnect waits on the pump's deadlines, not in a
         blocking call: shard 0's rounds keep completing inside the 0.8 s
-        bound, and shard 1's request fails typed once its retries are
-        spent."""
+        bound, and shard 1's request fails typed once its window ran
+        out."""
         graph, _ = imdb_small
         nodes = sorted(graph.nodes())[:4]
         task = ("probe", nodes[:2], nodes[2:])
@@ -454,8 +454,7 @@ class TestFailure:
                    for i in range(2)]
         engine = connect(path, backend="remote",
                          shard_addrs=[s.address for s in servers],
-                         retries=1, retry_backoff_s=0.05,
-                         request_timeout=1.0)
+                         connect_timeout=1.0, request_timeout=1.0)
         backend = engine.backend
         silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -481,6 +480,9 @@ class TestFailure:
                 healthy_rounds += 1
                 time.sleep(0.02)
             assert dead and isinstance(dead[0], ShardUnavailable)
+            # The send on the dead connection opened the 1 s window;
+            # the one reconnect's hello, silent for request_timeout,
+            # faulted past it.
             assert dead[0].attempts == 2
             # The handshake was waited on for request_timeout, not less.
             assert time.monotonic() - start >= 1.0
@@ -510,7 +512,7 @@ class TestFailure:
                                delay_jitter_ms=4.0).start()]
         engine = connect(path, backend="remote",
                          shard_addrs=[s.address for s in servers],
-                         retries=1, retry_backoff_s=0.01)
+                         connect_timeout=0.5)
         try:
             servers[0].killing = True
             with pytest.raises(ShardUnavailable) as err:

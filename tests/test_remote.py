@@ -301,7 +301,7 @@ class TestWireFailures:
         try:
             with pytest.raises(ShardHandshakeMismatch) as err:
                 connect(artifacts[1], backend="remote", shard_addrs=[addr],
-                        retries=0, connect_timeout=2.0)
+                        connect_timeout=2.0)
             assert err.value.found == 999
             assert err.value.expected == protocol.PROTOCOL_VERSION
         finally:
@@ -319,7 +319,7 @@ class TestWireFailures:
         try:
             with pytest.raises(ShardHandshakeMismatch):
                 connect(artifacts[1], backend="remote",
-                        shard_addrs=[server.address], retries=0)
+                        shard_addrs=[server.address])
         finally:
             server.stop()
 
@@ -336,7 +336,7 @@ class TestWireFailures:
         try:
             with pytest.raises(ShardUnavailable) as err:
                 connect(artifacts[1], backend="remote", shard_addrs=[addr],
-                        retries=0, connect_timeout=1.0)
+                        connect_timeout=0.3)
             assert err.value.addr == addr
         finally:
             close()
@@ -348,14 +348,19 @@ class TestWireFailures:
         addr, close = fake_shard_server(handler)
         try:
             engine = connect(artifacts[1], backend="remote",
-                             shard_addrs=[addr], retries=1,
-                             retry_backoff_s=0.01, request_timeout=5.0)
+                             shard_addrs=[addr], connect_timeout=0.5,
+                             request_timeout=5.0)
             try:
                 start = time.monotonic()
                 with pytest.raises(ShardUnavailable) as err:
                     engine.query(sub[0], SUBGRAPH)
-                assert time.monotonic() - start < 10.0  # no hang
-                assert err.value.attempts == 2  # retries + 1
+                # Every attempt is cut: the 0.5 s window runs out, no hang.
+                assert 0.5 <= time.monotonic() - start < 10.0
+                # The cut reply opened the window; a reconnect followed
+                # each cut, CONNECT_RETRY_S after it, until the window
+                # ran out.
+                assert 2 <= err.value.attempts \
+                    <= 2 + 0.5 / protocol.CONNECT_RETRY_S
             finally:
                 engine.close()
         finally:
@@ -369,7 +374,7 @@ class TestWireFailures:
                    for i in range(2)]
         engine = connect(path, backend="remote",
                          shard_addrs=[s.address for s in servers],
-                         retries=1, retry_backoff_s=0.01)
+                         connect_timeout=1.0)
         try:
             assert engine.query(sub[0], SUBGRAPH).answer is not None
             servers[1].stop()  # permanent death, port not rebound
@@ -383,6 +388,62 @@ class TestWireFailures:
             for server in servers:
                 server.stop()
 
+    def test_a_shard_restarted_after_a_failed_query_answers_the_next(
+            self, artifacts, workload):
+        """A query fails once its shard's window (one
+        ``connect_timeout``) runs out; the shard is restarted on its
+        port, and the same session's next query answers like the inline
+        backend — a failed connection is not down for good."""
+        sub, _ = workload
+        path = artifacts[2]
+        servers = [ShardServer(path / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        try:
+            with connect(path, backend="inline") as inline:
+                expected = fingerprint(inline, sub[1], SUBGRAPH)
+            with connect(path, backend="remote",
+                         shard_addrs=[s.address for s in servers],
+                         connect_timeout=0.5) as engine:
+                assert engine.query(sub[0], SUBGRAPH).answer is not None
+                port = servers[1].port
+                servers[1].stop()
+                start = time.monotonic()
+                with pytest.raises(ShardUnavailable):
+                    engine.query(sub[0], SUBGRAPH, refresh=True)
+                assert time.monotonic() - start < 1.0  # one window
+                servers[1] = ShardServer(path / "shard-0001",
+                                         port=port).start()
+                assert fingerprint(engine, sub[1], SUBGRAPH,
+                                   refresh=True) == expected
+        finally:
+            for server in servers:
+                server.stop()
+
+    def test_a_shard_down_for_good_fails_the_next_query_at_once(
+            self, artifacts, workload):
+        """Only a reply closes a window: once one query has spent it on
+        a dead shard, the next gets one attempt, not a window of its
+        own."""
+        sub, _ = workload
+        path = artifacts[2]
+        servers = [ShardServer(path / f"shard-{i:04d}").start()
+                   for i in range(2)]
+        try:
+            with connect(path, backend="remote",
+                         shard_addrs=[s.address for s in servers],
+                         connect_timeout=2.0) as engine:
+                assert engine.query(sub[0], SUBGRAPH).answer is not None
+                servers[1].stop()
+                with pytest.raises(ShardUnavailable):
+                    engine.query(sub[0], SUBGRAPH, refresh=True)
+                start = time.monotonic()
+                with pytest.raises(ShardUnavailable):
+                    engine.query(sub[1], SUBGRAPH, refresh=True)
+                assert time.monotonic() - start < 0.5
+        finally:
+            for server in servers:
+                server.stop()
+
     def test_flaky_once_shard_retries_then_succeeds(self, artifacts,
                                                     workload):
         sub, sim = workload
@@ -393,8 +454,7 @@ class TestWireFailures:
             with connect(path, backend="inline") as inline:
                 expected = fingerprint(inline, sub[0], SUBGRAPH)
             engine = connect(path, backend="remote",
-                             shard_addrs=[s.address for s in servers],
-                             retries=2, retry_backoff_s=0.01)
+                             shard_addrs=[s.address for s in servers])
             try:
                 assert fingerprint(engine, sub[0], SUBGRAPH) == expected
                 assert servers[0].tripped
@@ -417,8 +477,7 @@ class TestWireFailures:
             with connect(path, backend="inline") as inline:
                 expected = [fingerprint(inline, q, SUBGRAPH) for q in sub]
             with connect(path, backend="remote",
-                         shard_addrs=[server.address], retries=1,
-                         retry_backoff_s=0.01,
+                         shard_addrs=[server.address],
                          request_timeout=10.0) as engine:
                 conn = engine.backend._fleet[0]
                 conn.sock = cut = CutOnceSocket(conn.sock)
@@ -443,7 +502,7 @@ class TestWireFailures:
                    for i in range(2)]
         engine = connect(path, backend="remote",
                          shard_addrs=[s.address for s in servers],
-                         retries=0, retry_backoff_s=0.01)
+                         connect_timeout=0.5)
         service = QueryService(engine, workers=1)
         try:
             with ServerThread(service) as handle:
@@ -537,8 +596,7 @@ class TestBoundedResources:
             threads, fds = _usage()
             own = _session_threads()
             engine = connect(path, backend="remote",
-                             shard_addrs=[s.address for s in servers],
-                             retry_backoff_s=0.01)
+                             shard_addrs=[s.address for s in servers])
 
             def run(count):
                 for i in range(count):
@@ -578,7 +636,9 @@ class TestConnectSurface:
     @pytest.mark.parametrize("removed", [{"executor": "sequential"},
                                          {"strategy": "scatter"},
                                          {"scatter_pipeline": False},
-                                         {"frozen": False}])
+                                         {"frozen": False},
+                                         {"retries": 0},
+                                         {"retry_backoff_s": 0.1}])
     def test_removed_options_hit_the_typo_guard(self, imdb_small, removed):
         with pytest.raises(EngineError, match="unknown session option"):
             connect(imdb_small, **removed)
@@ -587,7 +647,7 @@ class TestConnectSurface:
                                                     artifacts):
         """Every source kind stamps the resolved config on the engine
         (what the server's hot reload reopens under)."""
-        config = SessionConfig(cache_size=7, retries=0)
+        config = SessionConfig(cache_size=7, connect_timeout=3.0)
         with connect(imdb_small, config=config) as memory:
             assert memory.session_config == config
         with connect(artifacts[2], config=config,

@@ -508,8 +508,8 @@ class TestOneCompilePerAnswer:
                    for i in range(2)]
         addrs = [server.address for server in servers]
         try:
-            with connect(path, backend="remote", shard_addrs=addrs,
-                         retry_backoff_s=0.01) as front:
+            with connect(path, backend="remote",
+                         shard_addrs=addrs) as front:
                 assert answers_of(front, bounded) == old
                 new = recompile(path, bounded)
                 assert new != old
@@ -542,7 +542,7 @@ class TestOneCompilePerAnswer:
                    for i in range(2)]
         try:
             service = QueryService(connect(
-                path, backend="remote", retry_backoff_s=0.01,
+                path, backend="remote",
                 shard_addrs=[server.address for server in servers]))
             try:
                 assert answers_of(service.engine, bounded) == old
@@ -573,8 +573,8 @@ class TestOneCompilePerAnswer:
             servers[0].dispatch({"op": "reload"})
 
         try:
-            with connect(path, backend="remote", shard_addrs=addrs,
-                         retry_backoff_s=0.01) as front:
+            with connect(path, backend="remote",
+                         shard_addrs=addrs) as front:
                 new = recompile(path, bounded)
                 reloader = threading.Thread(
                     target=reload_after_the_first_round, daemon=True)

@@ -636,8 +636,7 @@ class TestLiveNegotiation:
 
         servers = [ShardServer(artifact / f"shard-{i:04d}").start()
                    for i in range(2)]
-        fleet = {"connect_timeout": 4.5, "request_timeout": 12.5,
-                 "retries": 5, "retry_backoff_s": 0.05}
+        fleet = {"connect_timeout": 4.5, "request_timeout": 12.5}
         opened = connect(artifact, backend="remote",
                          shard_addrs=[s.address for s in servers], **fleet)
         service = QueryService(opened, workers=1)
@@ -841,7 +840,6 @@ class TestLiveMalformedFrames:
         try:
             with pytest.raises((ShardProtocolError, ShardUnavailable)):
                 connect(artifact, backend="remote",
-                        shard_addrs=[addr, addr], retries=0,
-                        connect_timeout=2.0)
+                        shard_addrs=[addr, addr], connect_timeout=2.0)
         finally:
             close()
