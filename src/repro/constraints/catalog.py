@@ -148,14 +148,6 @@ class SchemaCatalog:
     def generations(self) -> tuple[SchemaGeneration, ...]:
         return tuple(self._generations)
 
-    def added_since(self, version: int) -> list[AccessConstraint]:
-        """Constraints appended after ``version`` (provenance queries)."""
-        out: list[AccessConstraint] = []
-        for generation in self._generations:
-            if generation.version > version:
-                out.extend(generation.added)
-        return out
-
     # -- growing -------------------------------------------------------------
     def extend(self, constraints: Iterable[AccessConstraint],
                provenance: dict | None = None) -> SchemaGeneration | None:

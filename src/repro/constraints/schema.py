@@ -121,7 +121,6 @@ class AccessSchema:
 
     def __init__(self, constraints: Iterable[AccessConstraint] = ()):
         self._constraints: list[AccessConstraint] = []
-        self._by_target: dict[str, list[AccessConstraint]] = {}
         # Per target label: the tightest type (1) constraint, and the
         # constraints with a source (the ones Γ actualizes).
         self._type1: dict[str, AccessConstraint] = {}
@@ -139,7 +138,6 @@ class AccessSchema:
         self._seen.add(constraint)
         self._constraints.append(constraint)
         target = constraint.target
-        self._by_target.setdefault(target, []).append(constraint)
         if constraint.source:
             self._sourced.setdefault(target, []).append(constraint)
         elif target not in self._type1 or \
@@ -157,10 +155,6 @@ class AccessSchema:
         return merged
 
     # -- lookup -------------------------------------------------------------------
-    def by_target(self, label: str) -> list[AccessConstraint]:
-        """All constraints whose target label is ``label``."""
-        return list(self._by_target.get(label, ()))
-
     def sourced_for(self, label: str) -> list[AccessConstraint]:
         """The constraints with a non-empty source whose target label is
         ``label``, in insertion order (the caller must not mutate it)."""
@@ -172,7 +166,7 @@ class AccessSchema:
         return self._type1.get(label)
 
     def targets(self) -> set[str]:
-        return set(self._by_target.keys())
+        return {c.target for c in self._constraints}
 
     def at(self, position: int) -> AccessConstraint:
         """Constraint at ``position`` in canonical (insertion) order.
@@ -206,10 +200,6 @@ class AccessSchema:
     def total_length(self) -> int:
         """``|A|`` — total length of the constraints."""
         return sum(c.length for c in self._constraints)
-
-    def restricted_to(self, count: int) -> "AccessSchema":
-        """The first ``count`` constraints (used by the ‖A‖-sweep bench)."""
-        return AccessSchema(self._constraints[:count])
 
     def __repr__(self) -> str:
         return f"AccessSchema(constraints={len(self._constraints)})"

@@ -162,18 +162,3 @@ def compute_covers(pattern: Pattern, schema: AccessSchema,
                        edge_cover={e for e in pattern.edges() if e in verified},
                        gamma=gamma, covered_by=covered_by, usable=set(usable))
 
-
-def edge_cover_witnesses(edge: tuple[int, int],
-                         covers: CoverResult) -> list[ActualizedConstraint]:
-    """All satisfied actualized constraints that cover ``edge`` — QPlan
-    picks the cheapest among these for edge verification."""
-    u1, u2 = edge
-    witnesses = []
-    for phi in covers.gamma:
-        if phi not in covers.usable:
-            continue
-        if phi.target == u2 and u1 in phi.neighbours and u1 in covers.node_cover:
-            witnesses.append(phi)
-        elif phi.target == u1 and u2 in phi.neighbours and u2 in covers.node_cover:
-            witnesses.append(phi)
-    return witnesses

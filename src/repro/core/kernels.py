@@ -54,13 +54,7 @@ from repro.core.executor import (
     _edge_matrix,
     _source_pools,
 )
-from repro.core.packed import (
-    COMPARE,
-    FetchBlock,
-    PackedInfo,
-    classify,
-    exact_float,
-)
+from repro.core.packed import FetchBlock, PackedInfo, classify, predicate_mask
 from repro.core.plan import EDGE_VIA_INDEX, EDGE_VIA_PROBE, QueryPlan
 from repro.errors import PlanError, UnverifiableEdge
 from repro.graph.frozen import FrozenGraph
@@ -76,26 +70,17 @@ from repro.util.arrays import (
 # it at import time so no query pays it as first-execution latency.
 np.unique(np.empty(0, dtype=np.int64))
 
-#: Range operators with an exact float64 equivalent (see GraphKernel.
-#: predicate_mask). ``!=`` is excluded: ``"str" != 5`` is True in the
-#: scalar semantics but a NaN comparison would say False. ``=`` runs on
-#: the value-code column instead, which is exact for every hashable
-#: constant (strings included).
-_RANGE_OPS = frozenset(("<", "<=", ">", ">="))
-
-
 # ------------------------------------------------------------------ graph kernel
 class GraphKernel:
     """Per-snapshot numpy state: CSR views, packed edge keys, and the
-    float64 value columns predicate masks evaluate against.
+    node-info columns that fetch responses and predicate masks read.
 
     Cached on the :class:`FrozenGraph` (``_kernel`` slot); the snapshot
     is immutable so nothing here ever invalidates.
     """
 
     __slots__ = ("graph", "ids", "out_ptr", "out_dst", "num_nodes",
-                 "_edge_keys", "_columns", "_info", "_pred_cache",
-                 "_mask_cache", "_adj_cache")
+                 "_edge_keys", "_info", "_mask_cache", "_adj_cache")
 
     def __init__(self, graph: FrozenGraph):
         views = graph.int64_views()
@@ -105,9 +90,7 @@ class GraphKernel:
         self.out_dst = views["out_dst"]
         self.num_nodes = len(self.ids)
         self._edge_keys = None
-        self._columns = None
         self._info = None
-        self._pred_cache: dict = {}
         self._mask_cache: dict = {}
         self._adj_cache: dict = {}
 
@@ -195,157 +178,48 @@ class GraphKernel:
         mask = in_sorted(pool, destinations)
         return origins[mask], destinations[mask]
 
-    # -- predicate masks -----------------------------------------------------
-    def _value_columns(self):
-        """``(val_num, val_object, val_code, code_table)``, built on
-        first use and stored in one assignment."""
-        if self._columns is None:
-            val_num = np.full(self.num_nodes, np.nan)
-            val_object = np.zeros(self.num_nodes, dtype=bool)
-            val_code = np.zeros(self.num_nodes, dtype=np.int64)
-            code_table: dict = {}
-            positions = self.graph._pos
-            for node, value in self.graph._values.items():
-                i = positions[node]
-                # Value codes: dict identity of hashable values, so the
-                # code comparison IS Python ``==`` (bool/int/float
-                # unification and huge ints included). NaN never equals
-                # anything and unhashable values can only equal constants
-                # that are themselves unhashable (which force the object
-                # fallback) — both keep code 0, matching no constant.
-                try:
-                    if value == value:
-                        code = code_table.get(value)
-                        if code is None:
-                            code = len(code_table) + 1
-                            code_table[value] = code
-                        val_code[i] = code
-                except TypeError:
-                    pass
-                if isinstance(value, bool):
-                    # Python bools are exact ints: numeric comparisons
-                    # agree with the scalar semantics.
-                    val_num[i] = float(value)
-                elif isinstance(value, (int, float)):
-                    try:
-                        as_float = float(value)
-                    except OverflowError:
-                        val_object[i] = True
-                        continue
-                    if as_float == value:
-                        val_num[i] = as_float
-                    else:  # huge int or NaN: no exact float64 form
-                        val_object[i] = True
-                else:  # strings and friends
-                    val_object[i] = True
-            self._columns = val_num, val_object, val_code, code_table
-        return self._columns
-
+    # -- node info and predicate masks ---------------------------------------
     def info_columns(self):
         """``(kinds, nums)`` by row position: every node's value as
-        :func:`repro.core.packed.classify` reads it, built on first use —
-        what a shard gathers a fetch response's node info from."""
+        :func:`repro.core.packed.classify` reads it, built on first use."""
         if self._info is None:
-            kinds = np.zeros(self.num_nodes, dtype=np.uint8)
-            nums = np.zeros(self.num_nodes, dtype=np.int64)
+            # Python lists first: an item store into them is several
+            # times cheaper than one into an ndarray.
+            kinds, nums = [0] * self.num_nodes, [0] * self.num_nodes
             positions, labels = self.graph._pos, self.graph._labels
             for node, value in self.graph._values.items():
                 i = positions[node]
                 kinds[i], nums[i] = classify(labels[i], value)
-            self._info = kinds, nums
+            self._info = (np.array(kinds, dtype=np.uint8),
+                          np.array(nums, dtype=np.int64))
         return self._info
 
-    def _compile_predicate(self, predicate):
-        """Per-atom micro-ops when every atom vectorizes, else None
-        (whole-predicate object fallback).
+    def packed_info(self, ids, label: str) -> PackedInfo:
+        """The :class:`~repro.core.packed.PackedInfo` of the sorted
+        distinct ``ids``, all of which carry ``label`` (every target of a
+        constraint's index does), gathered from :meth:`info_columns`."""
+        kinds, nums = self.info_columns()
+        at = self.positions(ids)
+        tags = kinds[at]
+        return PackedInfo(ids, tags, nums[at], [label] if len(ids) else [],
+                          [self.graph.value_of(v)
+                           for v in ids[tags == 3].tolist()])
 
-        Range atoms compile to ``("num", op, float constant)`` when the
-        constant has an exact float64 reading. Equality compiles to
-        ``("eq", code)`` against the value-code column for any hashable
-        constant — exact for strings, bools and huge ints alike (the
-        code of a constant the snapshot never carries is -1, matching
-        nothing). ``!=``, ``None`` and unhashable constants stay scalar.
-        """
-        code_table = self._value_columns()[3]
-        atoms = []
-        for atom in predicate.atoms:
-            constant = atom.constant
-            if atom.op == "=":
-                if constant is None:
-                    # Missing values read as None in the scalar path, so
-                    # "=None" matches valueless nodes — no code reading.
-                    return None
-                try:
-                    if constant != constant:  # NaN: == is always False
-                        atoms.append(("eq", -1))
-                        continue
-                    code = code_table.get(constant, -1)
-                except TypeError:  # unhashable constant
-                    return None
-                atoms.append(("eq", code))
-                continue
-            as_float = exact_float(constant)
-            if atom.op not in _RANGE_OPS or as_float is None:
-                return None
-            atoms.append(("num", atom.op, as_float))
-        return atoms
-
-    def predicate_mask(self, predicate, nodes):
-        """Boolean keep-mask over the node array — same verdicts as
+    def predicate_mask(self, predicate, nodes, label: str):
+        """Boolean keep-mask over the sorted distinct ``nodes``, all
+        labelled ``label``: :func:`repro.core.packed.predicate_mask` over
+        their :meth:`packed_info`, so the same verdicts as
         ``predicate.evaluate(graph.value_of(v))`` per node.
-
-        Fast path: range atoms compare float64 against the numeric value
-        column, where missing / non-numeric values are NaN and therefore
-        fail every atom, exactly like the scalar ``None``/``TypeError``
-        rules; equality atoms compare the value-code column, exact for
-        every hashable constant (strings included). Nodes whose values
-        have no exact float64 form (strings, huge ints, NaN) are
-        re-checked through the scalar evaluator when a range atom is
-        present — equality codes need no re-check — and the whole batch
-        falls back to the scalar evaluator when any atom does not
-        compile (``!=``, ``None`` / unhashable constants).
 
         Results are cached per ``(predicate, node-array bytes)`` —
         snapshot values never change, so a repeated query re-filtering
         the same pool is a dict hit instead of a re-evaluation.
         """
         cache_key = (predicate, nodes.tobytes())
-        cached = self._mask_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        if predicate not in self._pred_cache:
-            self._pred_cache[predicate] = self._compile_predicate(predicate)
-        atoms = self._pred_cache[predicate]
-        count = len(nodes)
-        values = self.graph._values
-        if atoms is None:
-            mask = np.fromiter(
-                (predicate.evaluate(values.get(v)) for v in nodes.tolist()),
-                dtype=bool, count=count)
-            self._mask_cache[cache_key] = mask
-            return mask
-        val_num, val_object, val_code, _ = self._value_columns()
-        positions = self.positions(nodes)
-        mask = np.ones(count, dtype=bool)
-        column = codes = None
-        recheck = False
-        for item in atoms:
-            if item[0] == "eq":
-                if codes is None:
-                    codes = val_code[positions]
-                mask &= codes == item[1]
-                continue
-            recheck = True
-            if column is None:
-                column = val_num[positions]
-            mask &= COMPARE[item[1]](column, item[2])
-        if recheck:
-            exotic = val_object[positions]
-            if exotic.any():
-                node_list = nodes.tolist()
-                for i in np.nonzero(exotic)[0].tolist():
-                    mask[i] = predicate.evaluate(values.get(node_list[i]))
-        self._mask_cache[cache_key] = mask
+        mask = self._mask_cache.get(cache_key)
+        if mask is None:
+            mask = self._mask_cache[cache_key] = predicate_mask(
+                predicate, self.packed_info(nodes, label))
         return mask
 
 
@@ -397,8 +271,9 @@ def kernel_context(schema_index: SchemaIndex) -> KernelContext:
 def inherit(schema_index: SchemaIndex, previous: SchemaIndex) -> None:
     """Seed the kernel state of ``schema_index`` (``previous`` ⊕ ΔG)
     with the cached lookups ΔG cannot change: probes of the index objects
-    both share and, after an edge-only ΔG, value columns, predicate masks
-    and type (1) scans. Copies: readers of ``previous`` still fill them."""
+    both share and, after an edge-only ΔG, the node-info columns,
+    predicate masks and type (1) scans. Copies: readers of ``previous``
+    still fill them."""
     old = getattr(previous, "_kernel_ctx", None)
     if old is None:
         return
@@ -413,8 +288,7 @@ def inherit(schema_index: SchemaIndex, previous: SchemaIndex) -> None:
             and graph._values is before._values):
         return
     kernel, old_kernel = context.graph_kernel, old.graph_kernel
-    kernel._columns, kernel._info = old_kernel._columns, old_kernel._info
-    kernel._pred_cache = old_kernel._pred_cache.copy()
+    kernel._info = old_kernel._info
     kernel._mask_cache = old_kernel._mask_cache.copy()
     context.initial_cache = {key: entry
                              for key, entry in old.initial_cache.copy().items()
@@ -508,7 +382,8 @@ def _initial_op(context: KernelContext, op, stats: AccessStats,
             found = payload
         else:
             kernel = context.graph_kernel
-            found = payload[kernel.predicate_mask(op.predicate, payload)]
+            found = payload[kernel.predicate_mask(
+                op.predicate, payload, op.constraint.target)]
         entry = (payload, found)
         context.initial_cache[cache_key] = entry
     payload, found = entry
@@ -598,7 +473,8 @@ def execute_plan_vectorized(plan: QueryPlan, schema_index: SchemaIndex,
                 if op.predicate.is_trivial or len(raw) == 0:
                     found = raw
                 else:
-                    found = raw[kernel.predicate_mask(op.predicate, raw)]
+                    found = raw[kernel.predicate_mask(
+                        op.predicate, raw, op.constraint.target)]
         if op.target in candidates:
             candidates[op.target] = np.intersect1d(
                 candidates[op.target], found, assume_unique=True)
@@ -677,15 +553,8 @@ def run_shard_task(graph, schema_index, owned_sorted, task: tuple):
         schema_index.index_for(constraint).fetch_many(combos)
     values = take_segments(payload, starts, lens)
     if kind == TASK_FETCH:
-        # Every target of the constraint's index carries its target
-        # label, so the block's label dictionary has one entry.
-        ids = sorted_unique(values)
-        kinds, nums = kernel.info_columns()
-        at = kernel.positions(ids)
-        tags = kinds[at]
-        return FetchBlock(lens, values, PackedInfo(
-            ids, tags, nums[at], [constraint.target] if len(ids) else [],
-            [graph.value_of(v) for v in ids[tags == 3].tolist()]))
+        return FetchBlock(lens, values, kernel.packed_info(
+            sorted_unique(values), constraint.target))
     # Every w is owned by this shard, so all of w's adjacency is in the
     # shard graph — both directions resolve locally, for every member
     # at once: one sweep over (member j -> w) then (w -> member j).

@@ -11,11 +11,13 @@ that format, on every side of the shard wire:
   (``num`` is ``n``), 3 = anything else (``num`` is 0 and the value
   rides in ``others``, in id order).
 
-A shard gathers the columns from two per-snapshot arrays
-(:meth:`repro.core.kernels.GraphKernel.info_columns`), the frame carries
-them as they are, and the scatter front-end filters them with
-:func:`predicate_mask` — no ``(label, value)`` pair exists until
-somebody reads ``G_Q`` (:class:`PackedSource`).
+A snapshot gathers the columns of any sorted id array from two
+per-snapshot arrays (:meth:`repro.core.kernels.GraphKernel.packed_info`)
+and a frame carries them as they are. :func:`predicate_mask` is the
+library's one array reading of a predicate: the scatter front-end
+filters the blocks shards sent with it, and an in-process session the
+info it gathers from its own snapshot. No ``(label, value)`` pair
+exists until somebody reads ``G_Q`` (:class:`PackedSource`).
 """
 
 from __future__ import annotations
@@ -27,28 +29,30 @@ import numpy as np
 
 #: Comparison atoms as array operators; ``!=`` has no array reading
 #: (``"str" != 5`` is True in the scalar semantics).
-COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater,
-           ">=": np.greater_equal, "=": np.equal}
+_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater,
+            ">=": np.greater_equal, "=": np.equal}
 
 _EXACT_INT = 2 ** 53
 
 
 def classify(label: str, value) -> tuple[int, int]:
     """``(kind, num)`` of one node's value (see the module docstring)."""
+    if type(value) is str:  # first: the bundled generators emit strings
+        # The digits after the last "_" read back as ``n`` exactly when
+        # they are ASCII, fit an int64 and carry no leading zero.
+        head, _, suffix = value.rpartition("_")
+        if head == label and suffix.isascii() and suffix.isdigit() \
+                and len(suffix) < 19 and (suffix[0] != "0" or suffix == "0"):
+            return 2, int(suffix)
+        return 3, 0
     if value is None:
         return 0, 0
     if type(value) is int:
         return (1, value) if -2 ** 63 <= value < 2 ** 63 else (3, 0)
-    if type(value) is str and value.startswith(label) \
-            and value[len(label):len(label) + 1] == "_":
-        suffix = value[len(label) + 1:]
-        if suffix.isascii() and suffix.isdigit() and len(suffix) < 19 \
-                and str(int(suffix)) == suffix:
-            return 2, int(suffix)
     return 3, 0
 
 
-def exact_float(constant) -> float | None:
+def _exact_float(constant) -> float | None:
     """``constant`` as a float64 when it is a number with an exact
     float64 reading (bools, NaN, huge ints and non-numbers have none) —
     the rule under which a comparison atom may run on a numeric column."""
@@ -185,12 +189,12 @@ def _mask_plan(predicate) -> tuple:
                 texts.append(atom.constant)
             continue
         texts = None
-        number = exact_float(atom.constant) if atom.op in COMPARE else None
+        number = _exact_float(atom.constant) if atom.op in _COMPARE else None
         if number is None or not number.is_integer() \
                 or abs(number) > _EXACT_INT:
             ints = None
         elif ints is not None:
-            ints.append((COMPARE[atom.op], int(number)))
+            ints.append((_COMPARE[atom.op], int(number)))
     return ints or None, tuple(texts) if texts else None
 
 
@@ -247,5 +251,5 @@ def predicate_mask(predicate, info: PackedInfo):
     return mask
 
 
-__all__ = ["COMPARE", "FetchBlock", "PackedInfo", "PackedSource",
-           "classify", "exact_float", "predicate_mask"]
+__all__ = ["FetchBlock", "PackedInfo", "PackedSource", "classify",
+           "predicate_mask"]

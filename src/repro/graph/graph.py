@@ -85,11 +85,6 @@ class GraphView:
     def in_degree(self, node: int) -> int:
         return sum(1 for _ in self.in_neighbors(node))
 
-    def is_adjacent(self, u: int, v: int) -> bool:
-        """True if there is an edge between ``u`` and ``v`` in either
-        direction (the paper's notion of *neighbour*)."""
-        return self.has_edge(u, v) or self.has_edge(v, u)
-
     def labels(self) -> set[str]:
         """The set of labels that occur in the graph."""
         return {self.label_of(v) for v in self.nodes()}

@@ -247,12 +247,6 @@ class Pattern:
                 clone.add_edge(v, w)
         return clone
 
-    def matches_node(self, graph, data_node: int, pattern_node: int) -> bool:
-        """Label + predicate test for a single (pattern node, data node)
-        pair — the per-node condition shared by both query semantics."""
-        return (graph.label_of(data_node) == self.label_of(pattern_node)
-                and self.predicate_of(pattern_node).evaluate(graph.value_of(data_node)))
-
     def __repr__(self) -> str:
         name = f" {self.name!r}" if self.name else ""
         return f"Pattern{name}(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -2,7 +2,7 @@
 
 from repro import AccessConstraint, AccessSchema, Pattern
 from repro.core.actualized import SIMULATION, SUBGRAPH
-from repro.core.covers import compute_covers, counters_are_safe, edge_cover_witnesses
+from repro.core.covers import compute_covers, counters_are_safe
 
 
 class TestSubgraphCovers:
@@ -130,15 +130,3 @@ class TestCounterVariant:
         ])
         covers = compute_covers(p, schema, SUBGRAPH, use_counters=False)
         assert b not in covers.node_cover
-
-
-class TestWitnesses:
-    def test_edge_witnesses(self, q0, a0_schema):
-        covers = compute_covers(q0, a0_schema, SUBGRAPH)
-        witnesses = edge_cover_witnesses((2, 3), covers)  # movie -> actor
-        assert witnesses
-        assert all(phi.target in (2, 3) for phi in witnesses)
-
-    def test_uncovered_edge_no_witnesses(self, q1, a1_schema):
-        covers = compute_covers(q1, a1_schema, SIMULATION)
-        assert edge_cover_witnesses((0, 1), covers) == []

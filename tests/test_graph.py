@@ -158,11 +158,6 @@ class TestAccessors:
         assert 999 not in tiny_graph
         assert len(tiny_graph) == 5
 
-    def test_is_adjacent_either_direction(self, tiny_graph):
-        assert tiny_graph.is_adjacent(0, 1)
-        assert tiny_graph.is_adjacent(1, 0)
-        assert not tiny_graph.is_adjacent(1, 3)
-
 
 class TestCommonNeighbors:
     def test_empty_set_yields_all_nodes(self, tiny_graph):

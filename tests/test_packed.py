@@ -3,7 +3,9 @@ response's ``(label, value)`` pairs.
 
 * the predicate mask over the columns gives ``predicate.evaluate`` 's
   verdict for every value shape and every atom shape (hypothesis), and
-  touches the scalar evaluator only where it has no array reading;
+  touches the scalar evaluator only where it has no array reading; so
+  does the in-process kernel's cached mask, which reads a snapshot's
+  columns through it;
 * ``take`` / ``select`` trim and merge blocks without losing a pair —
   across label dictionaries, with kind-3 values riding in ``others``.
 """
@@ -16,12 +18,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernels import graph_kernel
 from repro.core.packed import (
     PackedInfo,
     PackedSource,
     classify,
     predicate_mask,
 )
+from repro.graph.frozen import FrozenGraph
+from repro.graph.graph import Graph
 from repro.pattern.predicates import Atom, Predicate
 from tests.conftest import fetch_block
 
@@ -61,10 +66,19 @@ class _Counting(Predicate):
 @given(pairs=nodes, predicate=predicates)
 @settings(max_examples=600, deadline=None)
 def test_mask_equals_scalar_evaluate(pairs, predicate):
+    """Over a response's info, and over a snapshot holding the values
+    under one label through the kernel (the second call a cache hit)."""
+    verdicts = [predicate.evaluate(value) for _, value in pairs]
     info = fetch_block([], dict(enumerate(pairs))).info
     assert info.pairs() == dict(enumerate(pairs))
-    assert predicate_mask(predicate, info).tolist() == \
-        [predicate.evaluate(value) for _, value in pairs]
+    assert predicate_mask(predicate, info).tolist() == verdicts
+    graph = Graph()
+    for _, value in pairs:
+        graph.add_node("movie", value)
+    kernel = graph_kernel(FrozenGraph.from_graph(graph))
+    for _ in range(2):
+        assert kernel.predicate_mask(predicate, kernel.ids,
+                                     "movie").tolist() == verdicts
 
 
 @given(pairs=st.lists(st.tuples(

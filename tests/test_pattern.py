@@ -112,15 +112,6 @@ class TestPredicates:
         with pytest.raises(PatternError):
             Pattern().validate()
 
-    def test_matches_node(self, tiny_graph):
-        p = Pattern()
-        y = p.add_node("year", predicate=Predicate.of((">=", 2011)))
-        assert p.matches_node(tiny_graph, 1, y)       # year 2012
-        p.set_predicate(y, Predicate.of((">=", 2013)))
-        assert not p.matches_node(tiny_graph, 1, y)
-        m = p.add_node("movie")
-        assert not p.matches_node(tiny_graph, 1, m)   # wrong label
-
 
 class TestCopyAndReverse:
     def test_copy_independent(self, diamond):

@@ -104,7 +104,7 @@ def artifacts(tmp_path_factory, imdb, bounded):
     with connect((graph, schema)) as engine:
         for query, semantics in bounded:
             engine.prepare(query, semantics)
-        for shards in (2, 4):
+        for shards in (1, 2, 4):
             paths[shards] = root / f"artifact-{shards}"
             engine.save(paths[shards], shards=shards)
     return paths
@@ -202,6 +202,28 @@ class TestPartialDedup:
                                                 stats_list=[alone_stats])
                 assert execution_fingerprint(execution, st_) == \
                     execution_fingerprint(alone, alone_stats)
+
+    def test_a_fetch_inside_another_executions_run(self, artifacts):
+        """The second pattern's one year -> movie combo (2001) is among
+        the combos the first opens a run with in the same wave, so it
+        is delivered a strict subset of that run's ids. On one shard
+        the run is one block, whose info describes every id of the run:
+        the movie predicate must be masked over the subset's info only.
+        Both executions must equal the merged view's."""
+        batch = [parse_pattern("m: movie; y: year; m -> y; y.value >= 2000"),
+                 parse_pattern('m: movie; y: year; m -> y; y.value = 2001; '
+                               'm.value != "movie_5"')]
+
+        def fingerprints(engine):
+            return [execution_fingerprint(run.execution, run.execution.stats)
+                    for run in engine.query_batch(batch)]
+
+        with connect(artifacts[1], backend="inline") as engine:
+            scattered = fingerprints(engine)
+        with connect(artifacts[1]) as engine:
+            assert scattered == fingerprints(engine)
+        # movie_58 and movie_74 of 2001's three movies pass the predicate.
+        assert len(scattered[1][2][0][1]) == 2
 
 
 def cached_answer(kernel, runtime, task):

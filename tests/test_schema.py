@@ -83,11 +83,6 @@ class TestAccessSchema:
         assert schema.add(AccessConstraint((), "year", 100))
         assert len(schema) == 5
 
-    def test_by_target(self, schema):
-        assert len(schema.by_target("year")) == 2  # ∅->year and movie->year
-        assert len(schema.by_target("movie")) == 1
-        assert schema.by_target("nope") == []
-
     def test_type1_for_picks_tightest(self, schema):
         schema.add(AccessConstraint((), "year", 100))
         best = schema.type1_for("year")
@@ -104,11 +99,6 @@ class TestAccessSchema:
         merged = schema.union(other)
         assert len(merged) == 5
         assert len(schema) == 4  # original untouched
-
-    def test_restricted_to(self, schema):
-        small = schema.restricted_to(2)
-        assert len(small) == 2
-        assert list(small) == list(schema)[:2]
 
     def test_extend_counts_new(self, schema):
         added = schema.extend([AccessConstraint((), "x", 1),
