@@ -41,7 +41,7 @@ from repro.core.plan import (
     FetchOp,
     QueryPlan,
 )
-from repro.errors import NotEffectivelyBounded
+from repro.errors import NotEffectivelyBounded, PredicateError
 from repro.pattern.pattern import Pattern
 
 
@@ -58,7 +58,16 @@ def generate_plan(pattern: Pattern, schema: AccessSchema,
         requested semantics (run EBChk/sEBChk first to check cheaply).
         With ``allow_probe_edges=True``, a plan is still produced when
         only *edges* are uncovered, verifying them by adjacency probes.
+    PredicateError
+        If a node's predicate has an unhashable constant: the plan's
+        predicates key the kernels' per-session caches.
     """
+    for node, predicate in pattern._predicates.items():
+        try:
+            hash(predicate)
+        except TypeError:
+            raise PredicateError(f"predicate of node {node} ({predicate}) "
+                                 "has an unhashable constant") from None
     covers = compute_covers(pattern, schema, semantics)
     if not covers.nodes_complete:
         raise NotEffectivelyBounded(

@@ -5,8 +5,8 @@
   batched execution.
 * :class:`~repro.engine.engine.PreparedQuery` — a compiled (EBChk +
   QPlan) query bound to a session.
-* :class:`~repro.engine.cache.PlanCache` — the LRU plan cache, sharable
-  between sessions serving the same schema.
+* :class:`~repro.engine.cache.PlanCache` — the segmented-LRU plan cache,
+  sharable between sessions serving the same schema.
 * :mod:`~repro.engine.persist` — on-disk compiled artifacts:
   ``QueryEngine.save(path)`` / ``repro.connect(path)`` give warm starts
   that skip graph load, index build and plan compilation.

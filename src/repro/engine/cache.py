@@ -1,4 +1,5 @@
-"""The engine's plan-cache keys, and the LRU that holds its plans.
+"""The engine's plan-cache keys, and the segmented LRU that holds its
+plans.
 
 The compiled artifacts of bounded evaluation — the EBChk verdict and the
 QPlan/sQPlan plan — depend on ``(Q, A, semantics)`` only, never on the
@@ -6,7 +7,9 @@ graph. A :class:`~repro.engine.engine.QueryEngine` therefore caches them
 per session in a :class:`PlanCache` keyed on the pattern's canonical
 key (:func:`~repro.pattern.canonical.pattern_fingerprint`) and the
 semantics, so a repeated query (even one rebuilt from scratch with
-different node ids) pays planning once.
+different node ids) pays planning once. The cache admits a new plan on
+probation and protects it from its first hit on, so the plans of
+shapes seen once (a Zipf tail) never evict the hot ones.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ class _HashedKey(tuple):
     """A cache key tuple that hashes once.
 
     A plain tuple re-hashes its nested items on every lookup (twice per
-    LRU hit: the lookup and ``move_to_end``); this one hashes to the
+    cache hit: the lookup and ``move_to_end``); this one hashes to the
     same value, computed at construction, and compares equal to the
     plain tuple of its items. It pickles as that plain tuple, since
     string hashes differ per process.

@@ -7,7 +7,7 @@ The engine owns one graph snapshot plus one schema index and amortizes
 everything that does not depend on the data graph:
 
 * ``prepare(pattern, semantics)`` runs EBChk + QPlan once per canonical
-  pattern form and caches the compiled plan in an LRU
+  pattern form and caches the compiled plan in a segmented-LRU
   :class:`~repro.engine.cache.PlanCache`;
 * ``query(...)`` is prepare + execute + match in one call, with the last
   answer of each prepared query reused until the graph changes;
@@ -230,7 +230,8 @@ class QueryEngine:
     validate:
         Verify ``G |= A`` (cardinality bounds) after the index build.
     cache_size:
-        LRU capacity of the private plan cache.
+        Capacity of the private plan cache (and of the prepared-query
+        memo).
     plan_cache:
         Share an existing :class:`PlanCache` between sessions serving the
         **same schema** (e.g. several snapshots of a growing graph).
@@ -281,7 +282,7 @@ class QueryEngine:
         #: diverges from the on-disk snapshot.
         self.artifact_path: Path | None = None
         self._cache = plan_cache if plan_cache is not None else PlanCache(cache_size)
-        # Session-local PreparedQuery memo (LRU): keeps answer memoization
+        # Session-local PreparedQuery memo: keeps answer memoization
         # across re-prepares without the (sharable) plan cache pinning
         # this session's graph snapshot and answers.
         self._prepared = PlanCache(cache_size)

@@ -99,11 +99,11 @@ class ShardRuntime:
 
     ``answers`` is the shard server's memo of packed task answers
     (:func:`repro.server.protocol.task_key` -> ``(meta, buffers,
-    nbytes)``), a locked LRU bounded by :data:`ANSWER_MEMO_BYTES`. The
-    shard is immutable but for ``extend``, which only adds constraints
-    at new positions, so an entry stays right for the runtime's life;
-    a ``reload`` builds a new runtime and so drops the memo. ``handle``
-    itself caches nothing."""
+    nbytes)``), a locked segmented LRU bounded by
+    :data:`ANSWER_MEMO_BYTES`. The shard is immutable but for ``extend``,
+    which only adds constraints at new positions, so an entry stays
+    right for the runtime's life; a ``reload`` builds a new runtime and
+    so drops the memo. ``handle`` itself caches nothing."""
 
     __slots__ = ("shard_id", "graph", "schema_index", "owned",
                  "_owned_labels", "answers")

@@ -604,9 +604,9 @@ def _decode_catalog(path: Path, schema: AccessSchema, payload: bytes):
 
 def _decode_plan_cache(path: Path, plans_payload: dict, schema,
                        cache_size: int):
-    """Rehydrate a plan cache, never letting LRU capacity silently evict
-    persisted plans on load — that would quietly re-pay EBChk/QPlan on
-    the "warm" path."""
+    """Rehydrate a plan cache in the saved eviction order, never letting
+    its capacity silently evict persisted plans on load — that would
+    quietly re-pay EBChk/QPlan on the "warm" path."""
     from repro.engine.cache import PlanCache
 
     try:

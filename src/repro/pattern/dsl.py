@@ -22,11 +22,12 @@ character, and ``\\n``, ``\\t``, ``\\r``, ``\\uXXXX`` and
 ``\\UXXXXXXXX`` name characters), ``True`` / ``False``, an int or a
 float; ``;`` and ``#`` inside a quoted string are part of it.
 
-:func:`parse_pattern` keeps the last :data:`PARSE_MEMO_ENTRIES` texts it
+:func:`parse_pattern` keeps up to :data:`PARSE_MEMO_ENTRIES` texts it
 parsed, each with its canonical fingerprint
-(:mod:`repro.pattern.canonical`) computed once, in one locked LRU shared
-by every caller: the query service, the CLI and in-process code. A
-repeated text costs one lookup and an O(1) copy-on-write
+(:mod:`repro.pattern.canonical`) computed once, in one locked segmented
+LRU (:class:`~repro.util.lru.PlanCache`) shared by every caller: the
+query service, the CLI and in-process code. A repeated text costs one
+lookup and an O(1) copy-on-write
 :meth:`~repro.pattern.pattern.Pattern.copy` that carries the
 fingerprint, so neither the parse nor the canonicalisation is paid
 again. Each call still returns its own :class:`Pattern`.
@@ -42,7 +43,7 @@ from repro.pattern.pattern import Pattern
 from repro.pattern.predicates import Atom, Predicate
 from repro.util.lru import PlanCache
 
-#: Distinct texts the parse memo keeps (least recently used first out).
+#: Distinct texts the parse memo keeps (texts never hit go out first).
 PARSE_MEMO_ENTRIES = 512
 #: Longest text the memo keeps, in characters; a longer one is parsed
 #: on every call. Real queries are far shorter (the benchmark pool's

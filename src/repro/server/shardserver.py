@@ -24,9 +24,9 @@ one thread that reads a frame, answers it and reads the next;
 :class:`~repro.engine.parallel.InlineShardBackend`, while
 ``extend``/``reload`` serialize under a lock. A task answered before
 comes from the runtime's answer memo
-(:attr:`~repro.engine.parallel.ShardRuntime.answers`, a bounded LRU
-of packed answers that every connection shares under its own short
-lock), keyed on the task as received; a ``reload`` drops the memo
+(:attr:`~repro.engine.parallel.ShardRuntime.answers`, a bounded
+segmented LRU of packed answers that every connection shares under its
+own short lock), keyed on the task as received; a ``reload`` drops the memo
 with the runtime.
 
 A connection is bound to the :class:`_Generation` its ``hello``

@@ -54,12 +54,13 @@ class TestPlanCache:
         cache = PlanCache(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.get("a")          # refresh "a": now "b" is the LRU entry
+        cache.get("a")          # promotes "a": "b" is the probation LRU
         cache.put("c", 3)       # evicts "b"
         assert "a" in cache and "c" in cache
         assert "b" not in cache
         assert cache.evictions == 1
-        assert list(cache.keys()) == ["a", "c"]
+        # Eviction order: probation ("c") before protected ("a").
+        assert list(cache.keys()) == ["c", "a"]
 
     def test_put_refreshes_recency(self):
         cache = PlanCache(maxsize=2)

@@ -22,6 +22,7 @@ from repro.constraints.discovery import discover_schema
 from repro.constraints.index import FrozenConstraintIndex, SchemaIndex
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.engine import persist
+from repro.engine.cache import pattern_fingerprint, plan_keys
 from repro.errors import (
     ArtifactCorrupt,
     ArtifactError,
@@ -31,6 +32,7 @@ from repro.errors import (
 )
 from repro.graph.frozen import FrozenGraph
 from repro.matching.simulation import relation_pairs
+from repro.obs.trace import TraceRecorder, activate
 from repro.pattern.generator import PatternGenerator
 from tests.conftest import distinct_valued_graph
 from tests.sequential_oracle import fetch
@@ -201,6 +203,27 @@ class TestSaveOpen:
         loaded = connect(path)
         loaded.prepare(clone)
         assert loaded.stats.plan_cache_hits == 1
+
+    def test_reopened_plans_keep_their_order_and_hit(self, saved):
+        """``save`` writes the plans in eviction order and a reopen puts
+        them back in it, hit (protected) ones included; a reopened
+        pattern is then a plan-cache hit with no compile span."""
+        engine, patterns, path = saved
+        engine.prepare(patterns[0])    # a hit: promoted to protected
+        engine.save(path.with_name("again"))
+        keys = list(engine.plan_cache.keys())
+        fingerprint = pattern_fingerprint(patterns[0])
+        assert len(keys) > 1 and keys[-1] == \
+            plan_keys(patterns[0], *fingerprint, SUBGRAPH)[0]
+        loaded = connect(path.with_name("again"))
+        assert list(loaded.plan_cache.keys()) == keys
+        hits = loaded.plan_cache.hits
+        root = TraceRecorder().trace("request")
+        with activate(root):
+            loaded.query(patterns[0])
+        assert loaded.plan_cache.hits == hits + 1
+        assert root.trace.by_name("compile") == []
+        assert root.trace.by_name("plan_cache_lookup")[0].attrs["hit"]
 
     def test_small_cache_size_never_evicts_persisted_plans(self, saved):
         engine, patterns, path = saved

@@ -22,7 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.constraints.schema import AccessConstraint
+from repro import connect
+from repro.constraints.schema import AccessConstraint, AccessSchema
+from repro.errors import PredicateError
+from repro.pattern import parse_pattern
 from repro.pattern.predicates import Atom, Predicate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -114,3 +117,29 @@ def test_an_unhashable_constant_still_fails_only_on_hashing():
     assert predicate.evaluate(["not", "hashable"])
     with pytest.raises(TypeError):
         hash(predicate)
+
+
+@pytest.mark.parametrize("kind", ["in-process", "merged", "inline"])
+def test_an_unhashable_constant_is_a_predicate_error_on_every_session(
+        imdb_small, tmp_path, kind):
+    """A predicate with an unhashable constant, set on a pattern node
+    through the Python API, fails the compile with a typed
+    ``PredicateError`` on every session kind, on a repeat too (no such
+    verdict is cached), instead of a bare ``TypeError`` from a kernel
+    cache key; the session still answers after it."""
+    graph, schema = imdb_small
+    engine = connect((graph, AccessSchema(list(schema))))
+    if kind != "in-process":
+        engine.save(tmp_path / "art", shards=2)
+        engine.close()
+        engine = connect(tmp_path / "art",
+                         **({"backend": "inline"} if kind == "inline" else {}))
+        assert engine.sharded is (kind == "inline")
+    with engine:
+        query = parse_pattern("m: movie; y: year; m -> y")
+        query.set_predicate(1, Predicate.of(("=", [2001])))
+        for _ in range(2):
+            with pytest.raises(PredicateError, match="unhashable"):
+                engine.query(query)
+        query.set_predicate(1, Predicate.of(("=", 2001)))
+        assert engine.query(query).answer
