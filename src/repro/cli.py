@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: admit any bounded query)")
     p_serve.add_argument("--max-batch", type=int, default=32,
                          help="max requests funnelled into one "
-                              "query_batch call")
+                              "run_batch call")
     p_serve.add_argument("--max-queue", type=int, default=256,
                          help="queued-request bound before load shedding")
     p_serve.add_argument("--extend-budget", type=int, default=None,

@@ -12,7 +12,7 @@ everything that does not depend on the data graph:
 * ``query(...)`` is prepare + execute + match in one call, with the last
   answer of each prepared query reused until the graph changes;
 * ``query_batch(...)`` serves multi-query workloads, executing each
-  distinct query once per batch;
+  distinct query once per batch (``run_batch`` is its execute half);
 * the graph is a CSR snapshot (:class:`~repro.graph.frozen.FrozenGraph`)
   with one read-only :class:`~repro.constraints.index.FrozenConstraintIndex`
   per constraint; ``apply(delta)`` builds the next generation beside them
@@ -503,38 +503,48 @@ class QueryEngine:
 
     def query_batch(self, patterns: Iterable, semantics: str = SUBGRAPH, *,
                     stats: AccessStats | None = None) -> list[BoundedRun]:
-        """Serve a workload in one go, amortizing compilation *and*
-        execution: each distinct (canonical pattern, semantics) in the
-        batch is planned at most once and executed at most once.
+        """Serve a workload in one go: :meth:`prepare` each item, then
+        :meth:`run_batch` the prepared list, so each distinct
+        (canonical pattern, semantics) in the batch is planned at most
+        once and executed at most once.
 
         ``patterns`` items are :class:`~repro.pattern.pattern.Pattern`
         objects or ``(pattern, semantics)`` pairs overriding the default
         semantics. Results line up with the input order.
+        """
+        prepared_list = [self.prepare(*item) if isinstance(item, tuple)
+                         else self.prepare(item, semantics)
+                         for item in patterns]
+        return self.run_batch(prepared_list, stats=stats)
+
+    def run_batch(self, prepared: list[PreparedQuery], *,
+                  stats: AccessStats | None = None) -> list[BoundedRun]:
+        """Execute queries this session already prepared, with no plan
+        lookup: requests sharing a plan execute once, and an answer
+        memoized at the current generation is reused (unless ``stats``
+        asks for real runs). Results line up with ``prepared``.
 
         On a sharded session the whole batch executes in shared
-        scatter-gather waves: one worker round-trip carries every
-        distinct query's outstanding fetches, which is where the
-        worker-pool parallelism pays off.
+        scatter-gather waves: one round-trip per shard carries every
+        distinct query's outstanding fetches.
+
+        Raises :class:`~repro.errors.EngineError` for a query prepared
+        by another session: its plan was checked against that session's
+        schema, and it must never run here silently.
         """
-        requests: list[tuple[object, str]] = []
-        for item in patterns:
-            if isinstance(item, tuple):
-                pattern, item_semantics = item
-                requests.append((pattern, item_semantics))
-            else:
-                requests.append((item, semantics))
-        prepared_list = [self.prepare(pattern, item_semantics)
-                         for pattern, item_semantics in requests]
+        for item in prepared:
+            if item.engine is not self:
+                raise EngineError(
+                    f"{item!r} was prepared by another session; prepare "
+                    f"it on this one before running it here")
         if self._shards is not None:
-            return self._query_batch_scatter(prepared_list, stats)
-        results: list[BoundedRun] = []
+            return self._query_batch_scatter(prepared, stats)
         batch_runs: dict[int, BoundedRun] = {}
-        for prepared in prepared_list:
-            run_key = id(prepared.plan)
-            run = batch_runs.get(run_key)
+        results: list[BoundedRun] = []
+        for item in prepared:
+            run = batch_runs.get(id(item.plan))
             if run is None:
-                run = prepared.run(stats=stats)
-                batch_runs[run_key] = run
+                run = batch_runs[id(item.plan)] = item.run(stats=stats)
             results.append(run)
         return results
 

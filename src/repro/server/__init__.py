@@ -7,7 +7,7 @@ turns that into a serving discipline:
 
 * :class:`~repro.server.service.QueryService` — worker pool sharing one
   frozen :class:`~repro.engine.engine.QueryEngine`, micro-batching
-  through ``query_batch``, **cost-based admission control** (queries
+  through ``run_batch``, **cost-based admission control** (queries
   whose bound exceeds the budget are rejected with
   :class:`~repro.errors.AdmissionRejected`, never silently executed
   unbounded), per-request deadlines, live metrics, hot artifact reload.

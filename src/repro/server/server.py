@@ -17,9 +17,9 @@ plan's worst-case bound — picks its lane
   session: the request joins a bounded queue; the **batcher** task
   drains whatever is queued, up to ``max_batch`` — under load,
   batches form naturally while workers are busy; a worker thread
-  funnels the batch through ``engine.query_batch`` (duplicate patterns
-  execute once) and serializes answers; the handler writes each
-  response as its future resolves.
+  funnels the admitted plans through ``engine.run_batch`` (no second
+  plan lookup; duplicate patterns execute once) and serializes answers;
+  the handler writes each response as its future resolves.
 
 Either way the request's **deadline** is enforced twice, before
 execution starts and at delivery, and the same reply code records the

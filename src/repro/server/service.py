@@ -89,10 +89,12 @@ DEFAULT_LIMIT = 10
 class AdmittedQuery:
     """One admitted request, ready for a worker batch.
 
-    ``prepared`` is bound to the engine that admitted it; execution goes
-    through the *current* engine's ``query_batch`` (identical answers
-    unless a reload swapped snapshots in between — then the new snapshot
-    answers, which is exactly what a reload means).
+    ``prepared`` is the plan whose bound admission checked, bound to the
+    engine that admitted it, and it is what executes
+    (:meth:`QueryService.execute_batch`), with no second plan lookup.
+    Only when a reload swapped engines in between does the new engine
+    re-prepare the pattern and answer, which is exactly what a reload
+    means.
     """
 
     pattern: Pattern
@@ -121,7 +123,7 @@ class QueryService:
         Worker threads executing batches (the front-end owns the pool;
         recorded here for metrics).
     max_batch:
-        Most requests funnelled into one ``query_batch`` call. Batching
+        Most requests funnelled into one ``run_batch`` call. Batching
         is adaptive: whatever queued while workers were busy forms the
         next batch, with no added latency when the service is idle.
     max_queue:
@@ -333,12 +335,13 @@ class QueryService:
         """Run one micro-batch (on a worker thread, or on the event loop
         for a single :meth:`runs_inline` request).
 
-        The whole batch funnels through ``engine.query_batch``, so
-        duplicate patterns (the common case under concurrency) are
-        executed once. Returns one response body dict *or* exception per
-        request, aligned with the input — a request that fails (e.g. it
-        became unbounded after a reload swapped schemas) does not poison
-        its batch-mates.
+        The whole batch funnels through ``engine.run_batch`` with the
+        plans admission already prepared (see :meth:`_resolve`), so
+        nothing is looked up again and duplicate patterns (the common
+        case under concurrency) are executed once. Returns one response
+        body dict *or* exception per request, aligned with the input — a
+        request that fails (e.g. it became unbounded after a reload
+        swapped schemas) does not poison its batch-mates.
         """
         engine = self._acquire_engine()
         self.metrics.add({"batches": 1, "batched_requests": len(requests)})
@@ -356,8 +359,8 @@ class QueryService:
                                 and request.span.trace is not primary.trace:
                             request.span.set(batched_into=primary.trace_id)
                 try:
-                    runs = engine.query_batch(
-                        [(r.pattern, r.semantics) for r in requests])
+                    runs = engine.run_batch(
+                        [self._resolve(engine, r) for r in requests])
                     return [self._serialize_safe(request, run)
                             for request, run in zip(requests, runs)]
                 except ReproError:
@@ -388,9 +391,20 @@ class QueryService:
         if to_close is not None:
             to_close.close()
 
+    @staticmethod
+    def _resolve(engine: QueryEngine, request: AdmittedQuery) -> PreparedQuery:
+        """The plan ``engine`` runs for ``request``: the admitted one, or
+        the pattern re-prepared on ``engine`` when a reload swapped
+        engines since admission. A rescue that grew the same engine's
+        schema keeps the admitted plan: it is sound under the grown
+        schema, and its bound is the one admission checked."""
+        if request.prepared.engine is engine:
+            return request.prepared
+        return engine.prepare(request.pattern, request.semantics)
+
     def _execute_one(self, engine: QueryEngine, request: AdmittedQuery):
         try:
-            run = engine.query(request.pattern, request.semantics)
+            run = self._resolve(engine, request).run()
         except BoundExceeded as exc:
             self._observe_bound(exc.bound, exc.accessed)
             return exc

@@ -172,6 +172,27 @@ class TestWorstCaseOptimality:
         assert plan.final_op_for(c).source_nodes == (b,)
         assert plan.size_bound(c) == 12
 
+    @pytest.mark.parametrize("first", ["A", "B"])
+    def test_equal_cost_tie_goes_to_the_first_constraint_in_gamma(self,
+                                                                  first):
+        """Two φ for C cost 3 * 4 each: the one Γ lists first (schema
+        order) wins, so cached and saved plans do not depend on which
+        comes last."""
+        p = Pattern()
+        a = p.add_node("A")
+        b = p.add_node("B")
+        c = p.add_node("C")
+        p.add_edge(a, c)
+        p.add_edge(b, c)
+        sourced = [AccessConstraint((label,), "C", 4)
+                   for label in (first, "B" if first == "A" else "A")]
+        schema = AccessSchema([AccessConstraint((), "A", 3),
+                               AccessConstraint((), "B", 3), *sourced])
+        final = qplan(p, schema).final_op_for(c)
+        assert final.constraint == sourced[0]
+        assert final.source_nodes == ((a,) if first == "A" else (b,))
+        assert final.size_bound == 12
+
     def test_multi_label_source_selection(self):
         """With S = {A, B} and two A-nodes of different bounds, the
         cheaper A is chosen for the S-labeled set."""

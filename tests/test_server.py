@@ -9,14 +9,17 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import connect
+from repro.constraints.schema import AccessSchema
 from repro.core.actualized import SIMULATION, SUBGRAPH
 from repro.errors import (
     AdmissionRejected,
     DeadlineExceeded,
+    EngineError,
     NotEffectivelyBounded,
     ServerError,
     ServiceOverloaded,
 )
+from repro.graph.generators import imdb_like
 from repro.matching.simulation import relation_pairs
 from repro.pattern import parse_pattern
 from repro.server import QueryService, ServeClient, ServerThread
@@ -116,6 +119,105 @@ def test_execute_batch_dedups_and_isolates_failures(engine):
     assert bodies[0]["semantics"] == SUBGRAPH
     assert bodies[2]["semantics"] == SIMULATION
     assert bodies[0]["answer_count"] > 0
+
+
+# -- the admitted plan is the executed plan --------------------------------
+#: Four shapes: two patterns under both semantics.
+SHAPES = [(CHEAP, SUBGRAPH), (SMALL, SIMULATION), (CHEAP, SIMULATION),
+          (SMALL, SUBGRAPH)]
+#: Not effectively bounded under the imdb schema; a rescue extends it.
+UNBOUNDED = "a: actor; c: country; a -> c"
+
+
+def _lookups(engine) -> int:
+    info = engine.cache_info()
+    return info["hits"] + info["misses"]
+
+
+@pytest.mark.parametrize("limit", [float("inf"), 0], ids=["inline", "queued"])
+def test_one_plan_lookup_per_served_request(imdb_small, monkeypatch, limit):
+    """Admission prepares; execution runs what admission prepared and
+    looks nothing up again, on either lane."""
+    monkeypatch.setattr(service_module, "INLINE_MAX_COST", limit)
+    engine = connect(imdb_small)
+    service = QueryService(engine, workers=2)
+    with ServerThread(service) as handle:
+        with ServeClient(handle.host, handle.port) as c:
+            for _ in range(3):
+                for pattern, semantics in SHAPES:
+                    assert c.query(pattern, semantics).answer_count > 0
+            assert c.metrics()["answered_inline"] \
+                == (3 * len(SHAPES) if limit else 0)
+    assert _lookups(engine) == 3 * len(SHAPES)
+    assert engine.cache_info()["misses"] == len(SHAPES)
+
+
+def test_execute_batch_looks_nothing_up_and_runs_duplicates_once(imdb_small):
+    engine = connect(imdb_small)
+    service = QueryService(engine)
+    executions = []
+    original = engine._execute_plan
+
+    def counting(plan, stats, *args):
+        executions.append(plan)
+        return original(plan, stats, *args)
+
+    engine._execute_plan = counting
+    admitted = [service.admit(pattern, semantics)
+                for _ in range(3) for pattern, semantics in SHAPES]
+    assert _lookups(engine) == len(admitted)
+    bodies = service.execute_batch(admitted)
+    assert _lookups(engine) == len(admitted)
+    assert len(executions) == len(SHAPES)
+    assert bodies == 3 * bodies[:len(SHAPES)]
+
+
+def test_a_reload_after_admission_answers_from_the_new_engine(imdb_small,
+                                                               tmp_path):
+    connect(imdb_small).save(tmp_path / "artifact")
+    old = connect(imdb_small)
+    service = QueryService(old)
+    admitted = service.admit(CHEAP)
+    old_lookups, old_accessed = _lookups(old), old.stats.total_accessed
+    service.reload_artifact(tmp_path / "artifact")
+    new = service.engine
+    new_lookups = _lookups(new)
+    body, = service.execute_batch([admitted])
+    assert new is not old and new.stats.total_accessed == body["accessed"]
+    assert _lookups(new) == new_lookups + 1
+    assert (_lookups(old), old.stats.total_accessed) \
+        == (old_lookups, old_accessed)
+    direct = connect(imdb_small).query(parse_pattern(CHEAP))
+    assert (body["answer_count"], body["accessed"]) \
+        == (len(direct.answer), direct.stats.total_accessed)
+
+
+def test_a_rescue_after_admission_runs_the_admitted_plan():
+    """A rescue grows the same engine's schema; the plan admission
+    checked stays sound under it and is the one that runs."""
+    graph, schema = imdb_like(scale=0.02, seed=7)
+    engine = connect((graph, AccessSchema(list(schema))))
+    service = QueryService(engine, extend_budget=10 ** 6)
+    admitted = service.admit(CHEAP)
+    service.rescue(UNBOUNDED)
+    assert service.engine is engine and engine.schema_version == 1
+    lookups = _lookups(engine)
+    body, = service.execute_batch([admitted])
+    assert _lookups(engine) == lookups
+    bound = service.metrics.snapshot()["bound_utilization"]
+    assert bound["bound_sum"] == admitted.cost == body["cost"]
+    direct = engine.query(parse_pattern(CHEAP), refresh=True)
+    assert (body["answer_count"], body["accessed"]) \
+        == (len(direct.answer), direct.stats.total_accessed)
+
+
+def test_run_batch_refuses_a_plan_from_another_session(imdb_small):
+    mine, theirs = connect(imdb_small), connect(imdb_small)
+    batch = [mine.prepare(parse_pattern(SMALL)),
+             theirs.prepare(parse_pattern(CHEAP))]
+    with pytest.raises(EngineError, match="another session"):
+        mine.run_batch(batch)
+    assert (mine.stats.total_accessed, theirs.stats.total_accessed) == (0, 0)
 
 
 # -- end-to-end over TCP ----------------------------------------------------

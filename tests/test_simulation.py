@@ -162,6 +162,20 @@ class TestHelpers:
         b = g.add_node("B")
         assert not simulation_holds(p, g, {pa: {b}})
 
+    def test_simulation_holds_checks_the_predicate(self):
+        g = Graph()
+        movie = g.add_node("movie")
+        recent = g.add_node("year", value=2012)
+        old = g.add_node("year", value=2010)
+        g.add_edge(movie, recent)
+        g.add_edge(movie, old)
+        p = Pattern()
+        pm = p.add_node("movie")
+        py = p.add_node("year", predicate=Predicate.of((">=", 2011)))
+        p.add_edge(pm, py)
+        assert simulation_holds(p, g, {pm: {movie}, py: {recent}})
+        assert not simulation_holds(p, g, {pm: {movie}, py: {recent, old}})
+
 
 class TestCounterInitializationOrder:
     def test_init_time_evictions_not_double_subtracted(self):
